@@ -11,9 +11,10 @@ O_K/p^N (unramified, degree f) uses the same basis with the coefficients of
 the minimal polynomial lifted verbatim to [0, p); elements are coordinate
 tuples mod p^N.
 
-Multiplication is table-driven: full flat tables for q <= 169, Zech
-logarithms above that.  Addition is a flat table when small, digit arithmetic
-otherwise.
+Multiplication is table-driven: full flat tables for q <= 169, discrete
+log/antilog tables over a generator (a*b = EXP[LOG a + LOG b]) above that.
+Addition is a flat table when small and a loop over the base-p digits
+otherwise; it does not use Zech logarithms.
 """
 
 from __future__ import annotations

@@ -21,9 +21,10 @@ compare beyond that point.
 
 import math
 import random
+import threading
 from dataclasses import dataclass
 
-from .arith import Fq, WittRing, witt_precision
+from .arith import Fq, WittRing, _poly_powmod, witt_precision
 from .errors import (
     ExponentPrecisionTooLow,
     HypothesisViolation,
@@ -569,143 +570,193 @@ def _matrix_inverse(field, rows):
     return [r[n:] for r in aug]
 
 
+def _slot_bits(per_term, terms):
+    """Width of a packed slot that holds a sum of `terms` nonnegative values,
+    each at most `per_term`, without carrying into the next slot."""
+    return (per_term * terms).bit_length()
+
+
+class _Packing:
+    """Kronecker packing of F_q coefficients into single ints.
+
+    The k power-basis digits of an element sit in consecutive `bits`-wide
+    slots, so the product of two packed elements is their unreduced
+    polynomial product (2k-1 slots) and a sum of packed values or products
+    is plain int addition, exact while no slot reaches 2^bits.  `encode`
+    turns such a sum back into a field encoding: slots mod p, then
+    reduction by the minimal polynomial.
+    """
+
+    def __init__(self, field, bits):
+        self.bits = bits
+        self.p = p = field.p
+        self.k = k = field.k
+        self.mask = (1 << bits) - 1
+        table = []
+        for e in field.elements():
+            v = 0
+            for i, d in enumerate(field.coords(e)):
+                v |= d << (bits * i)
+            table.append(v)
+        self.table = table  # field encoding -> packed
+        # slot i >= k of a product stands for x^i mod g; folds[j] lists the
+        # (i, coefficient of x^j in x^i mod g) pairs that feed digit j
+        x = [0, 1] + [0] * (k - 2)
+        high = {i: _poly_powmod(x, i, list(field.g_coeffs), p)
+                for i in range(k, 2 * k - 1)}
+        self.folds = [[(i, r[j]) for i, r in high.items() if r[j]]
+                      for j in range(k)]
+
+    def encode(self, v):
+        """Field encoding of a sum of packed elements and packed products."""
+        k, p, bits, mask = self.k, self.p, self.bits, self.mask
+        s = []
+        for _ in range(2 * k - 2):
+            s.append(v & mask)
+            v >>= bits
+        s.append(v)
+        e = 0
+        for j in range(k - 1, -1, -1):
+            t = s[j]
+            for i, r in self.folds[j]:
+                t += s[i] * r
+            e = e * p + t % p
+        return e
+
+
+@dataclass(frozen=True)
+class _TauState:
+    """One published build of the reversion table (see _TauTable)."""
+
+    depth: int
+    pack: _Packing
+    monomials: dict  # packed exponent key -> exponent tuple
+    powers: dict  # beta -> {degree d: {packed key: packed coefficient}}
+
+
 class _TauTable:
     """Reversion data: the additive coordinates as multiplicative-chart
     series, with a graded monomial table for substitution.
 
-    tau[l] inverts the coordinate change degree by degree; powers[beta]
-    holds tau^beta split by homogeneous degree.  Extended lazily and
-    rebuilt from scratch when a deeper request arrives (cost is dominated
-    by the final depth).
+    tau[l] inverts the coordinate change degree by degree; powers[beta][d]
+    holds the degree-d part of tau^beta for every |beta| <= depth.  Extended
+    lazily and rebuilt from scratch when a deeper request arrives (cost is
+    dominated by the final depth).
+
+    Packed representation: an exponent tuple m is the int sum_i m_i R^i in
+    radix R = depth + 1, so a monomial product is one int addition, and a
+    coefficient is a _Packing int with S-bit slots.  Every accumulation
+    (a degree part of a power, a tail of a coordinate equation, a t_to_y
+    result) is a sum of products of two reduced packed coefficients, each
+    adding at most k*(p-1)^2 to a slot, and no key receives more of them
+    than there are monomials of degree <= depth, C(depth + f, f).  S is the
+    bit length of the product of the two bounds.
+
+    Builds run under a lock and publish depth, packing and powers together
+    as one _TauState, so a reader never sees a depth its powers lack.
     """
 
     def __init__(self, ctx):
         self.ctx = ctx
-        self.depth = 0
-        self.powers = {}
+        self._lock = threading.Lock()
+        self._state = None
+
+    @property
+    def depth(self):
+        state = self._state
+        return 0 if state is None else state.depth
 
     def ensure(self, depth):
-        if depth <= self.depth:
-            return
+        """The table state covering every |beta| <= depth."""
+        state = self._state
+        if state is None or depth > state.depth:
+            with self._lock:
+                state = self._state
+                if state is None or depth > state.depth:
+                    state = self._build(max(depth, 0))
+                    self._state = state
+        return state
+
+    def _build(self, depth):
         ctx = self.ctx
         fld = ctx.field
         f = ctx.f
+        radix = depth + 1
+        pack = _Packing(fld, _slot_bits(fld.k * (fld.p - 1) ** 2,
+                                        math.comb(depth + f, f)))
+        pk = pack.table
+        encode = pack.encode
+
+        def reduced(acc):
+            return {key: pk[e] for key, v in acc.items() if (e := encode(v))}
+
         minv = ctx.jacobian_inverse
-        ys = ctx.y_series
-
-        # homogeneous parts: powers[beta][d] = dict of multiplicative-chart
-        # exponent tuples (all >= 0) of total degree d
-        powers = {}
-        unit_vecs = [tuple(1 if i == l else 0 for i in range(f)) for l in range(f)]
-        for l, e in enumerate(unit_vecs):
-            powers[e] = {1: {}}
+        neg_minv = [[pk[fld.neg(c)] for c in row] for row in minv]
+        unit_keys = [radix**j for j in range(f)]
         # degree-1 seed: tau_l = sum_j minv[l][j] * Y_j
-        for l, e in enumerate(unit_vecs):
-            row = powers[e][1]
-            for j in range(f):
-                c = minv[l][j]
-                if c:
-                    row[unit_vecs[j]] = c
+        taus = [{1: {unit_keys[j]: pk[c] for j, c in enumerate(row) if c}}
+                for row in minv]
+        unit_vecs = [tuple(1 if i == l else 0 for i in range(f)) for l in range(f)]
+        powers = dict(zip(unit_vecs, taus))
 
-        betas = _graded_exponents(f, depth)  # |beta| >= 2, grouped by |beta|
-        for d in range(2, depth + 1):
-            # extend existing power entries to degree d (uses tau parts < d)
-            for beta in betas:
-                wb = sum(beta)
-                if wb < 2 or wb > d:
-                    continue
+        # tau^beta = tau^prev * tau_l, with l the first nonzero slot of beta
+        chain = []
+        for beta in _graded_exponents(f, depth):
+            if sum(beta) >= 2:
                 l = next(i for i, b in enumerate(beta) if b)
-                prev = tuple(b - (1 if i == l else 0) for i, b in enumerate(beta))
-                if prev not in powers:
-                    continue
-                tgt = powers.setdefault(beta, {})
-                if d in tgt:
-                    continue
+                prev = tuple(b - (i == l) for i, b in enumerate(beta))
+                chain.append((sum(beta), beta, prev, taus[l]))
+                powers[beta] = {}
+        ys = ctx.y_series
+        coeffs = [[(powers[beta], pk[c]) for beta, c in y.terms.items()
+                   if 2 <= sum(beta) <= depth] for y in ys]
+
+        for d in range(2, depth + 1):
+            # extend the powers to degree d (uses tau parts < d)
+            for wb, beta, prev, tau_l in chain:
+                if wb > d:
+                    break
                 acc = {}
-                tau_l = powers[unit_vecs[l]]
+                get = acc.get
                 for a, part in powers[prev].items():
                     other = tau_l.get(d - a)
                     if not other or not part:
                         continue
+                    other = list(other.items())
                     for k1, c1 in part.items():
-                        for k2, c2 in other.items():
-                            c = fld.mul(c1, c2)
-                            if not c:
-                                continue
-                            k = tuple(x + y for x, y in zip(k1, k2))
-                            prevc = acc.get(k)
-                            if prevc is None:
-                                acc[k] = c
-                            else:
-                                s = fld.add(prevc, c)
-                                if s:
-                                    acc[k] = s
-                                else:
-                                    del acc[k]
-                tgt[d] = acc
+                        for k2, c2 in other:
+                            k = k1 + k2
+                            acc[k] = get(k, 0) + c1 * c2
+                powers[beta][d] = reduced(acc)
             # solve for tau parts of degree d: first the higher-order tail
-            # of each coordinate equation, then distribute through M^{-1}
+            # of each coordinate equation, then distribute through -M^{-1}
             tails = []
             for j in range(f):
-                ts = ys[j]
                 acc = {}
-                for beta, parts in powers.items():
-                    if sum(beta) < 2:
-                        continue
-                    cb = ts.terms.get(beta)
-                    if not cb:
-                        continue
+                get = acc.get
+                for parts, cb in coeffs[j]:
                     part = parts.get(d)
-                    if not part:
-                        continue
-                    for k, c in part.items():
-                        v = fld.mul(cb, c)
-                        if not v:
-                            continue
-                        prevc = acc.get(k)
-                        if prevc is None:
-                            acc[k] = v
-                        else:
-                            s = fld.add(prevc, v)
-                            if s:
-                                acc[k] = s
-                            else:
-                                del acc[k]
-                tails.append(acc)
+                    if part:
+                        for k, c in part.items():
+                            acc[k] = get(k, 0) + cb * c
+                tails.append(reduced(acc))
             for l in range(f):
-                part_l = {}
+                acc = {}
+                get = acc.get
                 for j in range(f):
-                    c = minv[l][j]
-                    if not c:
-                        continue
-                    for k, v in tails[j].items():
-                        w = fld.mul(c, fld.neg(v))
-                        if not w:
-                            continue
-                        prevc = part_l.get(k)
-                        if prevc is None:
-                            part_l[k] = w
-                        else:
-                            s = fld.add(prevc, w)
-                            if s:
-                                part_l[k] = s
-                            else:
-                                del part_l[k]
-                powers[unit_vecs[l]][d] = part_l
-        self.powers = powers
-        self.depth = depth
+                    c = neg_minv[l][j]
+                    if c:
+                        for k, v in tails[j].items():
+                            acc[k] = get(k, 0) + c * v
+                taus[l][d] = reduced(acc)
 
-    def power_flat(self, beta, depth):
-        """tau^beta as a flat term dict with all parts of degree <= depth."""
-        self.ensure(depth)
-        parts = self.powers.get(tuple(beta))
-        if parts is None:
-            return {}
-        out = {}
-        for d, part in parts.items():
-            if d <= depth:
-                out.update(part)
-        return out
+        monomials = {}
+        for m in _graded_exponents(f, depth):
+            key = 0
+            for e in reversed(m):
+                key = key * radix + e
+            monomials[key] = m
+        return _TauState(depth, pack, monomials, powers)
 
 
 def _graded_exponents(f, deg_max):
@@ -738,7 +789,7 @@ class ChartContext:
         self.piece_cap = -(-cutoff // p)
         self._y_series = None
         self._jac_inv = None
-        self._tau = None
+        self.tau = _TauTable(self)
         self._n_cache = {}
         self._convb = {}
         self._u1_cache = {}
@@ -767,33 +818,85 @@ class ChartContext:
         """Tuple of the f eigencoordinate series in the additive chart."""
         if self._y_series is None:
             fld = self.field
-            f = self.f
-            depth = self.tdepth
-            acc = {}
-            fadd = fld.add
-            for a in fld.units():
-                w = fld.inv(a)  # a^(-p^0)
-                for k, c in self.n_series(a, depth).terms.items():
-                    v = fld.mul(w, c)
-                    if not v:
-                        continue
-                    prev = acc.get(k)
-                    if prev is None:
-                        acc[k] = v
-                    else:
-                        s = fadd(prev, v)
-                        if s:
-                            acc[k] = s
-                        else:
-                            del acc[k]
-            ys = [TSeries(fld, f, depth, acc)]
-            for _ in range(1, f):
+            ys = [TSeries(fld, self.f, self.tdepth, self._y0_terms())]
+            for _ in range(1, self.f):
                 # eigencoordinate at the next slot is the coefficientwise
                 # p-th power of the previous one
                 ys.append(ys[-1].map_coeffs(lambda c: fld.pow(c, fld.p)))
             self._y_series = tuple(ys)
             self.jacobian_inverse  # fail fast when singular
         return self._y_series
+
+    def _y0_terms(self):
+        """Coefficients of Y_0 = sum over units a of a^{-1} n([a]).
+
+        The coefficient of T^beta is sum_a a^{-1} prod_l C(c_l(a), beta_l)
+        mod p, with c_l(a) the coordinates of the Teichmuller lift of a, and
+        each binomial is a product of digit binomials (Lucas's theorem).  The
+        lifts are the powers of the lift of the field generator.
+
+        The sum is Kronecker-packed: a^{-1} is a _Packing int with S-bit
+        slots, and the binomials of the last variable for all exponents
+        m < depth sit in consecutive k*S-bit blocks of one int, so one
+        product adds a unit's contribution to every m at once.  A
+        contribution is at most (p-1)^(f+1) per slot (a digit of a^{-1}
+        times f binomials, each reduced mod p), over q-1 units.
+        """
+        fld, ring = self.field, self.ring
+        p, f, depth = self.p, self.f, self.tdepth
+        digits = 0
+        while p**digits < depth:
+            digits += 1
+        pe = p**digits
+        small = [[math.comb(n, m) % p for m in range(p)] for n in range(p)]
+
+        def lucas(c, m):
+            out = 1
+            for _ in range(digits):
+                out = out * small[c % p][m % p] % p
+                c //= p
+                m //= p
+            return out
+
+        pack = _Packing(fld, _slot_bits((p - 1) ** (f + 1), self.q - 1))
+        width = fld.k * pack.bits
+        cache = {}
+
+        def binomials(c):
+            # C(c, m) mod p for m < depth, as a list and packed in blocks;
+            # only c mod p^digits matters
+            r = c % pe
+            hit = cache.get(r)
+            if hit is None:
+                vec = [lucas(r, m) for m in range(depth)]
+                hit = cache[r] = vec, sum(b << (width * m) for m, b in enumerate(vec))
+            return hit
+
+        acc = {}
+        get = acc.get
+        teich_gen = ring.teichmuller(fld.generator)
+        lift = ring.one
+        for a in fld.EXP:  # generator powers, in step with their lifts
+            outer = [((), 1, 0)]  # (exponents of T_0..T_{f-2}, binomial product, degree)
+            for c in lift[:-1]:
+                vec = binomials(c)[0]
+                outer = [(t + (m,), x * b, dg + m) for t, x, dg in outer
+                         for m, b in enumerate(vec[:depth - dg]) if b]
+            last = binomials(lift[-1])[1]
+            w = pack.table[fld.inv(a)]
+            for t, x, _ in outer:
+                acc[t] = get(t, 0) + w * x * last
+            lift = ring.mul(lift, teich_gen)
+
+        terms = {}
+        bmask = (1 << width) - 1
+        for t, v in acc.items():
+            for m in range(depth - sum(t)):
+                e = pack.encode(v & bmask)
+                if e:
+                    terms[t + (m,)] = e
+                v >>= width
+        return terms
 
     @property
     def jacobian(self):
@@ -807,12 +910,6 @@ class ChartContext:
             self._jac_inv = _matrix_inverse(self.field, self.jacobian)
         return self._jac_inv
 
-    @property
-    def tau(self):
-        if self._tau is None:
-            self._tau = _TauTable(self)
-        return self._tau
-
     # ---- chart conversions ----
 
     def t_to_y(self, s, bound=None):
@@ -821,38 +918,27 @@ class ChartContext:
         if bound > min(s.cutoff, self.tdepth):
             raise PrecisionExhausted(
                 f"conversion to depth {bound} exceeds knowledge")
-        fld = self.field
-        tab = self.tau
-        tab.ensure(max(bound - 1, 0))
-        acc = {}
         if bound <= 0:
-            return AElement(fld, self.f, max(bound, 0), acc)
-        zerok = (0,) * self.f
+            return AElement(self.field, self.f, max(bound, 0), {})
+        tab = self.tau.ensure(bound - 1)
+        pk = tab.pack.table
+        acc = {}
+        get = acc.get
         for beta, cb in s.terms.items():
-            if beta == zerok:
-                prev = acc.get(zerok)
-                s0 = cb if prev is None else fld.add(prev, cb)
-                if s0:
-                    acc[zerok] = s0
-                elif prev is not None:
-                    del acc[zerok]
+            if not any(beta):
+                acc[0] = get(0, 0) + pk[cb]
                 continue
             if sum(beta) >= bound:
                 continue
-            for k, c in tab.power_flat(beta, bound - 1).items():
-                v = fld.mul(cb, c)
-                if not v:
-                    continue
-                prev = acc.get(k)
-                if prev is None:
-                    acc[k] = v
-                else:
-                    t = fld.add(prev, v)
-                    if t:
-                        acc[k] = t
-                    else:
-                        del acc[k]
-        return AElement(fld, self.f, bound, acc)
+            c = pk[cb]
+            for d, part in tab.powers[beta].items():
+                if d < bound:
+                    for k, v in part.items():
+                        acc[k] = get(k, 0) + c * v
+        encode = tab.pack.encode
+        monomials = tab.monomials
+        terms = {monomials[k]: e for k, v in acc.items() if (e := encode(v))}
+        return AElement(self.field, self.f, bound, terms)
 
     def y_monomial_series(self, j, e):
         """j-th eigencoordinate to the e-th power in the additive chart."""

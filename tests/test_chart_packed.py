@@ -1,0 +1,211 @@
+"""The packed chart build against the plain dict-of-tuples references.
+
+The reference functions below are the straightforward forms of the chart
+build: the reversion table with tuple exponent keys and one field call per
+coefficient operation, the eigencoordinate series as the weighted sum of the
+generator series n([a]) over all units, and the conversion that substitutes
+the table into an additive-chart series.  The packed code in
+``modpcheck.iwasawa`` must reproduce them exactly.
+"""
+
+import random
+import sys
+import threading
+
+import pytest
+
+from modpcheck import iwasawa
+from modpcheck.iwasawa import ChartContext, TSeries, _graded_exponents
+
+
+def reference_y_series(ctx):
+    """Y_0 = sum over units a of a^-1 n([a]); Y_j the p^j-th coefficient power."""
+    fld = ctx.field
+    acc = {}
+    for a in fld.units():
+        w = fld.inv(a)
+        for k, c in ctx.n_series(a, ctx.tdepth).terms.items():
+            v = fld.add(acc.get(k, 0), fld.mul(w, c))
+            if v:
+                acc[k] = v
+            else:
+                acc.pop(k, None)
+    ys = [TSeries(fld, ctx.f, ctx.tdepth, acc)]
+    for _ in range(1, ctx.f):
+        ys.append(ys[-1].map_coeffs(lambda c: fld.pow(c, fld.p)))
+    return tuple(ys)
+
+
+def _accumulate(fld, acc, k, v):
+    s = fld.add(acc.get(k, 0), v)
+    if s:
+        acc[k] = s
+    else:
+        acc.pop(k, None)
+
+
+def reference_tau_powers(ctx, depth):
+    """powers[beta][d]: degree-d part of tau^beta as {exponent tuple: encoding}."""
+    fld = ctx.field
+    f = ctx.f
+    minv = ctx.jacobian_inverse
+    ys = ctx.y_series
+    unit_vecs = [tuple(1 if i == l else 0 for i in range(f)) for l in range(f)]
+    powers = {e: {1: {unit_vecs[j]: minv[l][j] for j in range(f) if minv[l][j]}}
+              for l, e in enumerate(unit_vecs)}
+    betas = [b for b in _graded_exponents(f, depth) if sum(b) >= 2]
+    for d in range(2, depth + 1):
+        for beta in betas:
+            if sum(beta) > d:
+                continue
+            l = next(i for i, b in enumerate(beta) if b)
+            prev = tuple(b - (1 if i == l else 0) for i, b in enumerate(beta))
+            acc = {}
+            tau_l = powers[unit_vecs[l]]
+            for a, part in powers[prev].items():
+                for k1, c1 in part.items():
+                    for k2, c2 in tau_l.get(d - a, {}).items():
+                        k = tuple(x + y for x, y in zip(k1, k2))
+                        _accumulate(fld, acc, k, fld.mul(c1, c2))
+            powers.setdefault(beta, {})[d] = acc
+        tails = []
+        for j in range(f):
+            acc = {}
+            for beta, parts in powers.items():
+                cb = ys[j].terms.get(beta)
+                if sum(beta) < 2 or not cb:
+                    continue
+                for k, c in parts.get(d, {}).items():
+                    _accumulate(fld, acc, k, fld.mul(cb, c))
+            tails.append(acc)
+        for l in range(f):
+            part = {}
+            for j in range(f):
+                for k, v in tails[j].items():
+                    _accumulate(fld, part, k, fld.mul(minv[l][j], fld.neg(v)))
+            powers[unit_vecs[l]][d] = part
+    return powers
+
+
+def reference_t_to_y(ctx, powers, s, bound):
+    """Substitute tau into s below `bound`; {exponent tuple: encoding}."""
+    fld = ctx.field
+    acc = {}
+    for beta, cb in s.terms.items():
+        if not any(beta):
+            _accumulate(fld, acc, beta, cb)
+            continue
+        if sum(beta) >= bound:
+            continue
+        for d, part in powers[beta].items():
+            if d < bound:
+                for k, c in part.items():
+                    _accumulate(fld, acc, k, fld.mul(cb, c))
+    return acc
+
+
+def unpacked_powers(state):
+    """The packed table state in the reference layout, empty parts dropped."""
+    out = {}
+    for beta, parts in state.powers.items():
+        out[beta] = {d: {state.monomials[k]: state.pack.encode(v)
+                         for k, v in part.items()}
+                     for d, part in parts.items() if part}
+    return out
+
+
+def _nonempty(powers):
+    return {beta: {d: part for d, part in parts.items() if part}
+            for beta, parts in powers.items()}
+
+
+def random_tseries(ctx, rng, n_terms, cutoff):
+    terms = {}
+    while len(terms) < n_terms:
+        k = tuple(rng.randrange(cutoff) for _ in range(ctx.f))
+        if sum(k) < cutoff:
+            terms[k] = rng.randrange(1, ctx.q)
+    return TSeries(ctx.field, ctx.f, cutoff, terms)
+
+
+@pytest.mark.parametrize("p,f,cutoff", [(11, 1, 40), (13, 2, 30), (17, 3, 24)])
+def test_y_series_matches_n_series_sum(p, f, cutoff):
+    ctx = ChartContext(p, f, cutoff)
+    want = reference_y_series(ctx)
+    got = ctx.y_series
+    assert [y.cutoff for y in got] == [y.cutoff for y in want]
+    assert [y.terms for y in got] == [y.terms for y in want]
+
+
+@pytest.mark.parametrize("p,f,cutoff", [(13, 2, 12), (17, 3, 24)])
+def test_tau_table_and_t_to_y_match_reference(p, f, cutoff):
+    ctx = ChartContext(p, f, cutoff)
+    depth = ctx.tdepth - 1
+    want = reference_tau_powers(ctx, depth)
+    state = ctx.tau.ensure(depth)
+    assert state.depth == ctx.tau.depth == depth
+    assert unpacked_powers(state) == _nonempty(want)
+
+    rng = random.Random(p * f)
+    for n_terms in (1, 5, 20, 60):
+        s = random_tseries(ctx, rng, n_terms, ctx.tdepth)
+        for bound in (1, 2, ctx.tdepth // 2, ctx.tdepth):
+            got = ctx.t_to_y(s, bound)
+            assert got.cutoff == bound
+            assert got.terms == reference_t_to_y(ctx, want, s, bound)
+
+
+def _undersized(bits):
+    """A slot-width rule that forgets how many terms share a slot."""
+    return lambda per_term, terms: bits(per_term, 1)
+
+
+def test_undersized_slot_width_is_caught_at_f3(monkeypatch):
+    # the f=3 comparisons above must fail when a slot can carry into its
+    # neighbour, in the eigencoordinate sum and in the table alike
+    bits = iwasawa._slot_bits
+    want_y = reference_y_series(ChartContext(17, 3, 24))
+
+    monkeypatch.setattr(iwasawa, "_slot_bits", _undersized(bits))
+    bad = ChartContext(17, 3, 24)
+    assert bad.y_series[0].terms != want_y[0].terms
+
+    monkeypatch.setattr(iwasawa, "_slot_bits", bits)
+    ctx = ChartContext(17, 3, 24)
+    depth = ctx.tdepth - 1
+    want = _nonempty(reference_tau_powers(ctx, depth))
+    monkeypatch.setattr(iwasawa, "_slot_bits", _undersized(bits))
+    assert unpacked_powers(ctx.tau.ensure(depth)) != want
+
+
+def test_tau_table_ensure_is_thread_safe():
+    rng = random.Random(11)
+    ref = ChartContext(13, 2, 12)
+    s = random_tseries(ref, rng, 30, ref.tdepth)
+    bounds = (3, 12, 6, 9)
+    want = {b: ref.t_to_y(s, b).terms for b in bounds}
+
+    ctx = ChartContext(13, 2, 12)
+    got = {}
+    errors = []
+
+    def work(b):
+        try:
+            got[b] = ctx.t_to_y(s, b).terms
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(b,)) for b in bounds]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors, errors
+    assert got == want
+    assert ctx.tau.depth == ref.tau.depth == 11

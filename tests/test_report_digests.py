@@ -1,0 +1,29 @@
+"""Pinned report digests: the JSON payload is byte-identical across changes.
+
+Each digest is the sha256 of ``emit_report(run_suite(config), "json")``.  A
+change that alters a report on purpose bumps the report schema and updates
+the digest here in the same commit.
+"""
+
+import hashlib
+
+import pytest
+
+from modpcheck.harness import RunConfig, emit_report, run_suite
+
+GOLDEN = [
+    (RunConfig(p=11, f=1, r=(4,)),
+     "ac68475ae72e1f0eb40f1cf8db6d664c1b6696648b6bc7ede85b3206908f9b9f"),
+    (RunConfig(p=13, f=2, r=(5, 6)),
+     "4f5a174644804b2f7ece8459c4f66476dd9206110ce82a69cfc104c29283ec12"),
+    (RunConfig(p=17, f=3, r=(7, 8, 7), jrho=(0,), suites=("phigamma",)),
+     "dcac0721e38be887c9230d8a29ed67a46cbfad768e67417cf00c8db22367f909"),
+]
+
+
+@pytest.mark.parametrize("config,digest", GOLDEN,
+                         ids=["p11-f1-all", "p13-f2-all", "p17-f3-phigamma"])
+def test_report_digest_is_pinned(config, digest):
+    report = run_suite(config)
+    assert report.passed
+    assert hashlib.sha256(emit_report(report, "json")).hexdigest() == digest
