@@ -9,7 +9,6 @@ singleton is empty) fall out of the mod-f arithmetic with no special-casing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 MAX_F = 16
 
@@ -91,10 +90,6 @@ class SubsetJ:
         return "{" + ",".join(str(j) for j in self.members()) + "}"
 
 
-def shift_subset(J: SubsetJ, k: int) -> SubsetJ:
-    return J.shift(k)
-
-
 def all_subsets(f):
     """All 2^f subsets, in mask order."""
     for bits in range(1 << f):
@@ -117,10 +112,6 @@ def decompose_parts(J: SubsetJ, Jrho: SubsetJ):
 def right_boundary(J: SubsetJ) -> SubsetJ:
     """dJ = {j in J : j+1 not in J}; empty for the full set and empty set."""
     return J - J.shift(-1)
-
-
-def symmetric_difference(J: SubsetJ, Jp: SubsetJ) -> SubsetJ:
-    return J ^ Jp
 
 
 @dataclass(frozen=True)
@@ -189,25 +180,3 @@ def vec_shift(i: IntVec) -> IntVec:
     """delta(i)_j = i_{j+1} (left rotation); delta^f = identity."""
     f = i.f
     return IntVec(f, tuple(i.entries[(j + 1) % f] for j in range(f)))
-
-
-def vec_norm(i: IntVec) -> int:
-    """|i| = sum of entries."""
-    return sum(i.entries)
-
-
-@lru_cache(maxsize=None)
-def _cyclic_run_count(f, bits):
-    # number of maximal cyclic runs of consecutive members
-    if bits == 0 or bits == (1 << f) - 1:
-        return 0 if bits == 0 else 1
-    runs = 0
-    for j in range(f):
-        if bits >> j & 1 and not bits >> ((j + 1) % f) & 1:
-            runs += 1
-    return runs
-
-
-def cyclic_run_count(J: SubsetJ) -> int:
-    """Number of maximal cyclic runs of J (the full set counts as one run)."""
-    return _cyclic_run_count(J.f, J.bits)

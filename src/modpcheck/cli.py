@@ -1,7 +1,7 @@
 """Command line front end.
 
 Exit codes: 0 all selected checks pass, 1 at least one failed, 2 the
-configuration itself was rejected.
+configuration itself was rejected, 3 an internal error stopped the run.
 """
 
 import json
@@ -18,6 +18,12 @@ _CONFIG_ERRORS = (ConfigInvalid, GenericityViolation, RangeViolation)
 def _config_error(msg):
     click.echo(f"config error: {msg}", err=True)
     sys.exit(2)
+
+
+def _internal_error(exc):
+    # any other exception is a crash of the verifier, never a failed check
+    click.echo(f"internal error: {type(exc).__name__}: {exc}", err=True)
+    sys.exit(3)
 
 
 def _parse_ints(raw, what):
@@ -66,9 +72,12 @@ def verify(p, f, r, jrho, cutoff, seed, suites, mutate, units, thetas, fmt):
             thetas=thetas,
         )
         rep = run_suite(config)
+        out = emit_report(rep, fmt)
     except _CONFIG_ERRORS as e:
         _config_error(e)
-    sys.stdout.buffer.write(emit_report(rep, fmt))
+    except Exception as e:
+        _internal_error(e)
+    sys.stdout.buffer.write(out)
     sys.stdout.buffer.flush()
     for label, dt in rep.timings.items():
         click.echo(f"timing {label} {dt:.3f}s", err=True)

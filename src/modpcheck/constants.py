@@ -20,12 +20,12 @@ from .base_combinatorics import (
 from .errors import ConfigInvalid, HypothesisViolation, PairNotDefined, RangeViolation
 from .reporting import CheckResult, Sweep
 from .weights import (
+    Translation,
     aJ,
     alpha_char,
     char_of_lambda,
     char_of_weight,
     sJ_tJ,
-    translate_in_graph,
 )
 
 
@@ -127,13 +127,56 @@ def mVec(params, i, J, Jp):
     return _m_formula(params, i, J, Jp)
 
 
+def _tjx_bump(params, J, j):
+    # the odd-x offset of tJx at slot j
+    return (params.r[j] + 1) if (j + 1) not in J else (params.p - 1 - params.r[j])
+
+
 def tJx(params, J, j, x):
     """One-variable shift exponent: write x = 2n + d with d in {0, 1}."""
     n, d = divmod(x, 2)
-    if d == 0:
-        return n * params.p
-    bump = (params.r[j] + 1) if (j + 1) not in J else (params.p - 1 - params.r[j])
-    return n * params.p + bump
+    return n * params.p + (_tjx_bump(params, J, j) if d else 0)
+
+
+class AJnFrame:
+    """aJn(J, ., j0) with its per-(J, j0) data computed once: the anchor slot
+    j0+1, the hypothesis bounds, the zero slot and the tJx bumps."""
+
+    __slots__ = ("f", "p", "anchor", "bounds", "bumps")
+
+    def __init__(self, params, J, j0):
+        f = params.f
+        _, _, Jsh = params.parts(J)
+        self.f, self.p = f, params.p
+        self.anchor = (j0 + 1) % f
+        self.bounds = tuple(
+            (j, 2 * f - (1 if j in J else 0)) for j in range(f) if j != self.anchor
+        )
+        # None marks the zero slot j0, present when j0 sits in J^sh
+        self.bumps = tuple(
+            None if j == j0 % f and j0 in Jsh else _tjx_bump(params, J, j)
+            for j in range(f)
+        )
+
+    def __call__(self, n):
+        ent = n.entries
+        if ent[self.anchor] != 0:
+            raise HypothesisViolation(
+                f"n at slot j0+1 is {ent[self.anchor]}, expected 0"
+            )
+        for j, hi in self.bounds:
+            if not 1 <= ent[j] <= hi:
+                raise HypothesisViolation(f"n_{j}={ent[j]} outside [1, {hi}]")
+        p = self.p
+        out = []
+        # slot j reads x = n_{j+1}: tJx(J, j, x) - n_j
+        for nj, x, bump in zip(ent, ent[1:] + ent[:1], self.bumps):
+            if bump is None:
+                out.append(0)
+            else:
+                half, odd = divmod(x, 2)
+                out.append(half * p + (bump if odd else 0) - nj)
+        return IntVec(self.f, tuple(out))
 
 
 def aJn(params, J, n, j0):
@@ -141,23 +184,7 @@ def aJn(params, J, n, j0):
 
     Requires n_{j0+1} = 0 and 1 <= n_j <= 2f - [j in J] elsewhere.
     """
-    f = params.f
-    if n[j0 + 1] != 0:
-        raise HypothesisViolation(f"n at slot j0+1 is {n[j0 + 1]}, expected 0")
-    for j in range(f):
-        if j == (j0 + 1) % f:
-            continue
-        hi = 2 * f - (1 if j in J else 0)
-        if not 1 <= n[j] <= hi:
-            raise HypothesisViolation(f"n_{j}={n[j]} outside [1, {hi}]")
-    _, _, Jsh = params.parts(J)
-    out = []
-    for j in range(f):
-        if j == j0 % f and j0 in Jsh:
-            out.append(0)
-        else:
-            out.append(tJx(params, J, j, n[j + 1]) - n[j])
-    return IntVec(f, tuple(out))
+    return AJnFrame(params, J, j0)(n)
 
 
 def hj(params, h, j):
@@ -313,7 +340,14 @@ class ConstantTables:
         return self._bump("tJJp", J, tJJp(self.params, J, Jp), Jp=Jp)
 
     def aJn(self, J, n, j0):
-        return self._bump("aJn", J, aJn(self.params, J, n, j0))
+        return self.aJn_at(J, j0)(n)
+
+    def aJn_at(self, J, j0):
+        """aJn(J, ., j0) as a function of n, for a caller that holds it over
+        many n: the (J, j0) frame is built once, and the mutation bump still
+        applies to every output."""
+        frame = AJnFrame(self.params, J, j0)
+        return lambda n: self._bump("aJn", J, frame(n))
 
     # passthrough, not mutable
     def tJx(self, J, j, x):
@@ -437,18 +471,18 @@ def check_change_origin(params, tables=None):
     f = params.f
     sw = Sweep("change-origin-composition")
     for J in params.subsets():
-        base = tables.a(J)
+        translate = Translation(params, J)
+        base = tables.a(J).entries
+        signs = tuple(-1 if (j + 1) in J else 1 for j in range(f))
         _, _, Jsh = params.parts(J)
         ranges = []
         for j in range(f):
             dsh = 1 if j in Jsh else 0
             ranges.append(range(-(2 * (f - dsh) + 1), 2 * (f + dsh) + 1))
         for ent in itertools.product(*ranges):
-            got = translate_in_graph(params, J, IntVec(f, ent)).b
-            want = tuple(
-                base[j] + (-1 if (j + 1) in J else 1) * ent[j] for j in range(f)
-            )
-            sw.check(got.entries == want, J=J, b=list(ent))
+            got = translate(IntVec(f, ent)).b
+            want = tuple([a + s * e for a, s, e in zip(base, signs, ent)])
+            sw.check(got.entries == want, J=J, b=ent)
     return sw.result()
 
 
@@ -741,19 +775,22 @@ def check_shifted_table_additivity(params, tables=None):
     for J in params.subsets():
         Jss = J & params.Jrho
         _, _, Jsh = params.parts(J)
+        domains = [list(_a_domain(params, J, j0)) for j0 in range(f)]
         for Jp in params.subsets():
             if not Jp <= J:
                 continue
             diff = J - Jp
+            rdiff = tables.rJ(diff)
+            shift = indicator(diff)
             for j0 in range(f):
                 if (j0 + 1) in diff:
                     continue
                 if j0 in Jsh and not (Jss | SubsetJ.of(f, [j0 + 1])) <= Jp:
                     continue
-                shift = indicator(diff)
-                for n in _a_domain(params, J, j0):
-                    lhs = tables.aJn(J, n, j0) + tables.rJ(diff)
-                    rhs = tables.aJn(Jp, n + shift, j0)
+                at_J, at_Jp = tables.aJn_at(J, j0), tables.aJn_at(Jp, j0)
+                for n in domains[j0]:
+                    lhs = at_J(n) + rdiff
+                    rhs = at_Jp(n + shift)
                     sw.check(lhs == rhs, J=J, Jp=Jp, j0=j0, n=n, lhs=lhs, rhs=rhs)
     return sw.result()
 

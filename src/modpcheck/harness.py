@@ -8,8 +8,6 @@ but never inside it.
 """
 
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from itertools import product
@@ -264,15 +262,6 @@ def _tag(params):
     )
 
 
-def _thread_count():
-    raw = os.environ.get("MODPCHECK_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigInvalid(f"MODPCHECK_THREADS={raw!r} is not an integer")
-    return max(n, 1)
-
-
 def _jobs(config):
     """Work queue in deterministic order: canonical suite order, then Jrho."""
     plist = config.param_sets()
@@ -302,30 +291,14 @@ def _jobs(config):
     return jobs
 
 
-def _run_job(job):
-    suite, tag, fn = job
-    t0 = perf_counter()
-    results = fn()
-    return results, perf_counter() - t0
-
-
 def run_suite(config):
-    """Execute the configured suites and assemble the report.
-
-    Workers only evaluate checks; row assembly stays on the calling thread
-    so the payload ordering never depends on scheduling.
-    """
-    jobs = _jobs(config)
-    threads = _thread_count()
-    if threads > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outs = list(pool.map(_run_job, jobs))
-    else:
-        outs = [_run_job(job) for job in jobs]
-
+    """Execute the configured suites, one job after another, and assemble
+    the report."""
     rows, timings = [], {}
-    for (suite, tag, _), (results, dt) in zip(jobs, outs):
-        timings[f"{suite}@{tag}"] = dt
+    for suite, tag, fn in _jobs(config):
+        t0 = perf_counter()
+        results = fn()
+        timings[f"{suite}@{tag}"] = perf_counter() - t0
         for res in results:
             row = res.as_dict()
             row["name"] = f"{suite}/{row['name']}@{tag}"

@@ -127,33 +127,48 @@ class WeightB:
     b: IntVec
 
     def __post_init__(self):
-        p, r = self.params.p, self.params.r
-        for j, bj in enumerate(self.b):
-            if not -r[j] <= bj <= p - 2 - r[j]:
+        p = self.params.p
+        for j, (rj, bj) in enumerate(zip(self.params.r.entries, self.b.entries)):
+            if not -rj <= bj <= p - 2 - rj:
                 raise RangeViolation(f"b_{j}={bj} outside [-r_j, p-2-r_j]")
 
 
-def translate_in_graph(params: RhoParams, J: SubsetJ, b: IntVec) -> WeightB:
-    """Weight reached from position b after the J-translation.
+class Translation:
+    """The J-translation in the weight graph, its per-J data computed once.
 
+    Maps a position b to the weight sigma_{b'} with
+    b'_j = sign_j (b_j + e^J_j) + 2 e^{J^sh}_j, sign_j = -1 iff j+1 in J.
     Hypothesis window: -(2(f - e^{J^sh}) + 1) <= b <= 2(f + e^{J^sh})
     componentwise.
     """
-    f = params.f
-    _, _, Jsh = params.parts(J)
-    for j in range(f):
-        lo = -(2 * (f - (1 if j in Jsh else 0)) + 1)
-        hi = 2 * (f + (1 if j in Jsh else 0))
-        if not lo <= b[j] <= hi:
-            raise RangeViolation(f"b_{j}={b[j]} outside [{lo}, {hi}]")
-    out = []
-    for j in range(f):
-        sign = -1 if (j + 1) in J else 1
-        v = sign * (b[j] + (1 if j in J else 0))
-        if j in Jsh:
-            v += 2
-        out.append(v)
-    return WeightB(params, IntVec(f, tuple(out)))
+
+    __slots__ = ("params", "window", "terms")
+
+    def __init__(self, params: RhoParams, J: SubsetJ):
+        f = params.f
+        _, _, Jsh = params.parts(J)
+        window, terms = [], []
+        for j in range(f):
+            sh = 1 if j in Jsh else 0
+            window.append((-(2 * (f - sh) + 1), 2 * (f + sh)))
+            terms.append((-1 if (j + 1) in J else 1, 1 if j in J else 0, 2 * sh))
+        self.params = params
+        self.window = tuple(window)
+        self.terms = tuple(terms)
+
+    def __call__(self, b: IntVec) -> WeightB:
+        for j, (bj, (lo, hi)) in enumerate(zip(b.entries, self.window)):
+            if not lo <= bj <= hi:
+                raise RangeViolation(f"b_{j}={bj} outside [{lo}, {hi}]")
+        out = [
+            sign * (bj + inj) + sh for bj, (sign, inj, sh) in zip(b.entries, self.terms)
+        ]
+        return WeightB(self.params, IntVec(self.params.f, tuple(out)))
+
+
+def translate_in_graph(params: RhoParams, J: SubsetJ, b: IntVec) -> WeightB:
+    """Weight reached from position b after the J-translation (see Translation)."""
+    return Translation(params, J)(b)
 
 
 def serre_weights_of_rhobar(params: RhoParams) -> frozenset:

@@ -2,15 +2,39 @@ from modpcheck.base_combinatorics import (
     IntVec,
     SubsetJ,
     all_subsets,
-    cyclic_run_count,
     decompose_parts,
     indicator,
     right_boundary,
-    shift_subset,
-    symmetric_difference,
-    vec_norm,
     vec_shift,
 )
+
+
+# helpers only these tests use
+
+
+def shift_subset(J: SubsetJ, k: int) -> SubsetJ:
+    return J.shift(k)
+
+
+def symmetric_difference(J: SubsetJ, Jp: SubsetJ) -> SubsetJ:
+    return J ^ Jp
+
+
+def vec_norm(i: IntVec) -> int:
+    """|i| = sum of entries."""
+    return sum(i.entries)
+
+
+def cyclic_run_count(J: SubsetJ) -> int:
+    """Number of maximal cyclic runs of J (the full set counts as one run)."""
+    f, bits = J.f, J.bits
+    if bits == 0 or bits == (1 << f) - 1:
+        return 0 if bits == 0 else 1
+    runs = 0
+    for j in range(f):
+        if bits >> j & 1 and not bits >> ((j + 1) % f) & 1:
+            runs += 1
+    return runs
 
 
 def test_shift_examples():

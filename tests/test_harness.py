@@ -229,3 +229,17 @@ def test_report_exit_reflects_stored_failures(tmp_path):
     back = runner.invoke(main, ["report", str(path)])
     assert back.exit_code == 1
     assert "FAIL" in back.output
+
+
+@pytest.mark.parametrize("exc", [RuntimeError("boom"), MemoryError("out of memory")])
+def test_cli_internal_error_exit_code(monkeypatch, exc):
+    def crash(config):
+        raise exc
+
+    monkeypatch.setattr("modpcheck.cli.run_suite", crash)
+    res = CliRunner().invoke(
+        main, ["verify", "--p", "11", "--f", "1", "--r", "4", "--suite", "identities"]
+    )
+    assert res.exit_code == 3
+    assert res.stdout == ""
+    assert res.stderr == f"internal error: {type(exc).__name__}: {exc}\n"

@@ -1,0 +1,200 @@
+"""The per-J translation and the per-(J, j0) aJn frame against the formulas
+they replaced.
+
+The reference bodies below are the one-call-per-tuple versions of
+``translate_in_graph`` and ``aJn``, which re-derived the parts of J and the
+tJx bumps on every call.  The frames must agree with them exactly on the
+whole hypothesis window, and must raise the same exception with the same
+message one step outside it.  The last test pins which report row kills each
+mutant of the two hoisted tables, so a hoist cannot hide a mutant behind
+another row.
+"""
+
+import itertools
+
+import pytest
+
+from modpcheck.base_combinatorics import IntVec, SubsetJ, all_subsets
+from modpcheck.constants import ConstantTables, all_mutations, aJn, tJx
+from modpcheck.errors import HypothesisViolation, RangeViolation
+from modpcheck.harness import run_identities
+from modpcheck.weights import RhoParams, Translation, WeightB, translate_in_graph
+
+PRESETS = ((11, 1, (4,)), (13, 2, (5, 6)), (17, 3, (7, 8, 7)))
+
+PARAMS = [
+    RhoParams.make(p, f, r, Jrho.members())
+    for p, f, r in PRESETS
+    for Jrho in all_subsets(f)
+]
+
+
+def _ids(params):
+    return f"p{params.p}-f{params.f}-jrho{''.join(map(str, params.Jrho.members()))}"
+
+
+# ---------------------------------------------------------------------------
+# reference bodies
+
+
+def translate_reference(params, J, b):
+    f = params.f
+    _, _, Jsh = params.parts(J)
+    for j in range(f):
+        lo = -(2 * (f - (1 if j in Jsh else 0)) + 1)
+        hi = 2 * (f + (1 if j in Jsh else 0))
+        if not lo <= b[j] <= hi:
+            raise RangeViolation(f"b_{j}={b[j]} outside [{lo}, {hi}]")
+    out = []
+    for j in range(f):
+        sign = -1 if (j + 1) in J else 1
+        v = sign * (b[j] + (1 if j in J else 0))
+        if j in Jsh:
+            v += 2
+        out.append(v)
+    return WeightB(params, IntVec(f, tuple(out)))
+
+
+def aJn_reference(params, J, n, j0):
+    f = params.f
+    if n[j0 + 1] != 0:
+        raise HypothesisViolation(f"n at slot j0+1 is {n[j0 + 1]}, expected 0")
+    for j in range(f):
+        if j == (j0 + 1) % f:
+            continue
+        hi = 2 * f - (1 if j in J else 0)
+        if not 1 <= n[j] <= hi:
+            raise HypothesisViolation(f"n_{j}={n[j]} outside [1, {hi}]")
+    _, _, Jsh = params.parts(J)
+    out = []
+    for j in range(f):
+        if j == j0 % f and j0 in Jsh:
+            out.append(0)
+        else:
+            out.append(tJx(params, J, j, n[j + 1]) - n[j])
+    return IntVec(f, tuple(out))
+
+
+def _same_outcome(ref, new, *args):
+    """Both return equal values, or both raise the same type and message."""
+    try:
+        want = ref(*args)
+    except (RangeViolation, HypothesisViolation) as e:
+        with pytest.raises(type(e)) as got:
+            new(*args)
+        assert type(got.value) is type(e) and str(got.value) == str(e)
+        return False
+    assert new(*args) == want
+    return True
+
+
+# ---------------------------------------------------------------------------
+# translation
+
+
+def _translation_window(params, J):
+    f = params.f
+    _, _, Jsh = params.parts(J)
+    return [
+        (-(2 * (f - (1 if j in Jsh else 0)) + 1), 2 * (f + (1 if j in Jsh else 0)))
+        for j in range(f)
+    ]
+
+
+@pytest.mark.parametrize("params", PARAMS, ids=_ids)
+def test_translation_matches_reference_on_window(params):
+    f = params.f
+    for J in params.subsets():
+        window = _translation_window(params, J)
+        translate = Translation(params, J)
+        for ent in itertools.product(*(range(lo, hi + 1) for lo, hi in window)):
+            b = IntVec(f, ent)
+            want = translate_reference(params, J, b)
+            assert translate(b) == want
+            assert translate_in_graph(params, J, b) == want
+
+
+@pytest.mark.parametrize("params", PARAMS, ids=_ids)
+def test_translation_errors_match_reference_outside_window(params):
+    f = params.f
+    for J in params.subsets():
+        for j, (lo, hi) in enumerate(_translation_window(params, J)):
+            for v in (lo - 1, hi + 1):
+                ent = [0] * f
+                ent[j] = v
+                b = IntVec(f, tuple(ent))
+                assert not _same_outcome(translate_reference, translate_in_graph,
+                                         params, J, b)
+
+
+# ---------------------------------------------------------------------------
+# aJn
+
+
+def _ajn_window(params, J, j0):
+    f = params.f
+    anchor = (j0 + 1) % f
+    return [
+        (0, 0) if j == anchor else (1, 2 * f - (1 if j in J else 0))
+        for j in range(f)
+    ]
+
+
+@pytest.mark.parametrize("params", PARAMS, ids=_ids)
+def test_ajn_frame_matches_reference_on_window(params):
+    f = params.f
+    tables = ConstantTables(params)
+    for J in params.subsets():
+        for j0 in range(f):
+            at = tables.aJn_at(J, j0)
+            window = _ajn_window(params, J, j0)
+            for ent in itertools.product(*(range(lo, hi + 1) for lo, hi in window)):
+                n = IntVec(f, ent)
+                want = aJn_reference(params, J, n, j0)
+                assert aJn(params, J, n, j0) == want
+                assert at(n) == want
+                assert tables.aJn(J, n, j0) == want
+
+
+@pytest.mark.parametrize("params", PARAMS, ids=_ids)
+def test_ajn_errors_match_reference_outside_window(params):
+    f = params.f
+    for J in params.subsets():
+        for j0 in range(f):
+            window = _ajn_window(params, J, j0)
+            inside = [hi for _, hi in window]
+            for j, (lo, hi) in enumerate(window):
+                # anchor: 0 is the only value allowed, so both neighbours fail
+                for v in (lo - 1, hi + 1):
+                    ent = list(inside)
+                    ent[j] = v
+                    n = IntVec(f, tuple(ent))
+                    assert not _same_outcome(aJn_reference, aJn, params, J, n, j0)
+
+
+def test_ajn_anchor_checked_before_bounds():
+    # both hypotheses fail: the anchor message wins, as in the reference
+    params = RhoParams.make(13, 2, (5, 6), (0,))
+    n = IntVec.of((9, 1))
+    J = SubsetJ.of(2, [])
+    with pytest.raises(HypothesisViolation, match="n at slot j0"):
+        aJn_reference(params, J, n, 0)
+    assert not _same_outcome(aJn_reference, aJn, params, J, n, 0)
+
+
+# ---------------------------------------------------------------------------
+# which row kills each mutant of the hoisted tables
+
+KILLING_ROW = {"a": "change-origin-composition", "aJn": "shifted-table-additivity"}
+
+
+@pytest.mark.parametrize("p,f,r", [(13, 2, (5, 6)), (17, 3, (7, 8, 7))],
+                         ids=["p13-f2", "p17-f3"])
+@pytest.mark.parametrize("table", sorted(KILLING_ROW))
+def test_hoisted_table_mutants_fail_their_row(p, f, r, table):
+    params = RhoParams.make(p, f, r, (0,))
+    muts = [m for m in all_mutations(params) if m.table == table]
+    assert len(muts) == 2**f * f
+    for m in muts:
+        failed = {res.name for res in run_identities(params, 0, m) if not res.passed}
+        assert failed == {KILLING_ROW[table]}, (m, failed)
