@@ -457,27 +457,5 @@ class WittRing:
         u1 = self.mul(u, self.inv(self.teichmuller(a0)))
         return a0, u1
 
-    def elements_are_equal_mod(self, a, b, m):
-        return all((x - y) % m == 0 for x, y in zip(a, b))
-
     def __repr__(self):
         return f"WittRing(p={self.p}, f={self.f}, N={self.N})"
-
-
-def teichmuller(ring: WittRing, x: int):
-    """Teichmuller lift of a residue-field element encoding in O_K/p^N."""
-    return ring.teichmuller(x)
-
-
-def zp_coordinates(ring: WittRing, y) -> tuple:
-    """Coordinates of y in the power basis {1, x, ..., x^{f-1}} mod p^N."""
-    return tuple(c % ring.pN for c in y)
-
-
-def unit_decompose(ring: WittRing, u):
-    return ring.unit_decompose(u)
-
-
-def frobenius_power(field: Fq, a: int, j: int) -> int:
-    """a^(p^j) on int encodings; j mod k."""
-    return field.frob(a, j)

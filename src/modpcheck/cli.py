@@ -9,10 +9,10 @@ import sys
 
 import click
 
-from .errors import ConfigInvalid, GenericityViolation, RangeViolation
+from .errors import ConfigInvalid, GenericityViolation
 from .harness import SCHEMA, SUITES, Report, RunConfig, emit_report, list_params, run_suite
 
-_CONFIG_ERRORS = (ConfigInvalid, GenericityViolation, RangeViolation)
+_CONFIG_ERRORS = (ConfigInvalid, GenericityViolation)
 
 
 def _config_error(msg):

@@ -76,6 +76,9 @@ class RunConfig:
         object.__setattr__(self, "suites", tuple(self.suites))
         if self.jrho != "all":
             object.__setattr__(self, "jrho", tuple(sorted(set(self.jrho))))
+            for j in self.jrho:
+                if not 0 <= j < self.f:
+                    raise ConfigInvalid(f"jrho index {j} outside [0, {self.f})")
         if not self.suites:
             raise ConfigInvalid("no suites selected")
         for s in self.suites:

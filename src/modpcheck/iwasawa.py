@@ -1,6 +1,7 @@
 """Exact truncated arithmetic in the completed group algebra of O_K.
 
-Two coordinate charts over F_q share one algebra:
+Two coordinate charts over F_q share one algebra, and one class, AElement,
+holds its elements in either chart:
 
   * additive chart: polynomials in f variables T_0..T_{f-1}, truncated at a
     total-degree cutoff (exclusive).  Group elements g of O_K embed as
@@ -15,8 +16,10 @@ weight a^{-p^j}; the Frobenius phi sends Y_j to Y_{j-1}^p and a unit u of
 O_K acts continuously, fixing Y_j up to the eigenvalue of its Teichmuller
 part times a principal distortion of filtration depth >= p-1.
 
-All operations track how far each truncated element is known and refuse to
-compare beyond that point.
+An AElement does not record its chart; the caller knows it.  Laurent
+exponents are allowed in both, and only the chart conversion y_to_t enforces
+the nonnegative supports of the additive chart.  All operations track how far
+each truncated element is known and refuse to compare beyond that point.
 """
 
 import math
@@ -92,6 +95,31 @@ def _mul_terms(field, xt, yt, bound):
     return out
 
 
+def _accumulate(fld, out, terms, cutoff=INF, w=1):
+    """Add w * terms into the dict `out` in place, skipping total degrees
+    >= cutoff and deleting keys whose sum vanishes; w is a nonzero field
+    encoding."""
+    fadd = fld.add
+    fmul = fld.mul
+    get = out.get
+    bounded = cutoff != INF
+    scaled = w != 1
+    for k, c in terms.items():
+        if bounded and sum(k) >= cutoff:
+            continue
+        if scaled:
+            c = fmul(w, c)
+        prev = get(k)
+        if prev is None:
+            out[k] = c
+        else:
+            s = fadd(prev, c)
+            if s:
+                out[k] = s
+            else:
+                del out[k]
+
+
 def _ldeg(terms):
     if not terms:
         return INF
@@ -104,148 +132,8 @@ def _mul_bound(kx, dx, ky, dy):
     return min(kx + dy, ky + dx)
 
 
-class TSeries:
-    """Truncated polynomial in the additive chart.
-
-    `terms` maps exponent tuples (all entries >= 0) to nonzero F_q encodings;
-    every stored total degree is < `cutoff` and arithmetic is exact modulo
-    total degree >= cutoff.
-    """
-
-    __slots__ = ("field", "f", "cutoff", "terms")
-
-    def __init__(self, field, f, cutoff, terms=None):
-        self.field = field
-        self.f = f
-        self.cutoff = cutoff
-        self.terms = {} if terms is None else terms
-
-    @classmethod
-    def const(cls, field, f, cutoff, c):
-        t = {(0,) * f: c} if c else {}
-        return cls(field, f, cutoff, t)
-
-    @classmethod
-    def variable(cls, field, f, cutoff, l):
-        k = tuple(1 if i == l else 0 for i in range(f))
-        return cls(field, f, cutoff, {k: 1} if cutoff > 1 else {})
-
-    def copy_truncated(self, cutoff):
-        if cutoff >= self.cutoff:
-            return TSeries(self.field, self.f, min(cutoff, self.cutoff), dict(self.terms))
-        return TSeries(
-            self.field, self.f, cutoff,
-            {k: c for k, c in self.terms.items() if sum(k) < cutoff},
-        )
-
-    def _binop(self, other, fn):
-        cutoff = min(self.cutoff, other.cutoff)
-        out = {k: c for k, c in self.terms.items() if sum(k) < cutoff}
-        fld = self.field
-        for k, c in other.terms.items():
-            if sum(k) >= cutoff:
-                continue
-            prev = out.get(k)
-            s = fn(fld, prev, c)
-            if s:
-                out[k] = s
-            elif prev is not None:
-                del out[k]
-        return TSeries(fld, self.f, cutoff, out)
-
-    def __add__(self, other):
-        return self._binop(other, lambda fld, prev, c: c if prev is None else fld.add(prev, c))
-
-    def __sub__(self, other):
-        return self._binop(
-            other, lambda fld, prev, c: fld.neg(c) if prev is None else fld.sub(prev, c)
-        )
-
-    def __neg__(self):
-        fld = self.field
-        return TSeries(fld, self.f, self.cutoff, {k: fld.neg(c) for k, c in self.terms.items()})
-
-    def scale(self, c):
-        fld = self.field
-        if not c:
-            return TSeries(fld, self.f, self.cutoff, {})
-        return TSeries(fld, self.f, self.cutoff, {k: fld.mul(c, v) for k, v in self.terms.items()})
-
-    def __mul__(self, other):
-        bound = _mul_bound(self.cutoff, _ldeg(self.terms), other.cutoff, _ldeg(other.terms))
-        terms = _mul_terms(self.field, self.terms, other.terms, bound)
-        return TSeries(self.field, self.f, bound, terms)
-
-    def pow(self, n):
-        if n < 0:
-            raise HypothesisViolation("additive-chart powers need n >= 0")
-        result = TSeries.const(self.field, self.f, self.cutoff if n else INF, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
-
-    def coeff(self, k):
-        return self.terms.get(tuple(k), 0)
-
-    def hasse_derivative(self, gamma):
-        """D^gamma: T^beta -> C(beta, gamma) T^(beta-gamma), exact."""
-        fld = self.field
-        p = fld.p
-        out = {}
-        g = tuple(gamma)
-        for k, c in self.terms.items():
-            if any(ki < gi for ki, gi in zip(k, g)):
-                continue
-            b = 1
-            for ki, gi in zip(k, g):
-                b = b * math.comb(ki, gi) % p
-                if not b:
-                    break
-            if not b:
-                continue
-            ck = fld.scale_int(c, b)
-            if ck:
-                out[tuple(ki - gi for ki, gi in zip(k, g))] = ck
-        return TSeries(fld, self.f, self.cutoff - sum(g), out)
-
-    def map_coeffs(self, fn):
-        out = {}
-        for k, c in self.terms.items():
-            v = fn(c)
-            if v:
-                out[k] = v
-        return TSeries(self.field, self.f, self.cutoff, out)
-
-    def frobenius_sub(self):
-        """Substitution T_l -> T_l^p (coefficients unchanged)."""
-        p = self.field.p
-        terms = {tuple(p * ki for ki in k): c for k, c in self.terms.items()}
-        cut = self.cutoff * p if self.cutoff != INF else INF
-        return TSeries(self.field, self.f, cut, terms)
-
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        if not isinstance(other, TSeries):
-            return NotImplemented
-        return self.terms == other.terms and self.cutoff == other.cutoff
-
-    def __hash__(self):
-        return hash((self.cutoff, tuple(sorted(self.terms.items()))))
-
-    def __repr__(self):
-        n = len(self.terms)
-        return f"TSeries(f={self.f}, cutoff={self.cutoff}, terms={n})"
-
-
 def one_plus_var_power(field, f, cutoff, l, c, digits):
-    """(1 + T_l)^c as a TSeries, c an integer class mod p^digits.
+    """(1 + T_l)^c in the additive chart, c an integer class mod p^digits.
 
     Walks base-p digits of c using (1+T)^(p^i) = 1 + T^(p^i); exact below
     cutoff provided p^digits >= cutoff.
@@ -255,7 +143,7 @@ def one_plus_var_power(field, f, cutoff, l, c, digits):
         raise ExponentPrecisionTooLow(
             f"need p^N >= {cutoff}, have N={digits}")
     c %= p**digits
-    out = TSeries.const(field, f, cutoff, 1)
+    out = AElement.const(field, f, 1, cutoff=cutoff)
     step = 1
     for _ in range(digits):
         if step >= cutoff:
@@ -271,17 +159,18 @@ def one_plus_var_power(field, f, cutoff, l, c, digits):
                 if coeff:
                     k = tuple(m * step if i == l else 0 for i in range(f))
                     terms[k] = coeff
-            out = out * TSeries(field, f, cutoff, terms)
+            out = out * AElement(field, f, cutoff, terms)
         step *= p
     return out.copy_truncated(cutoff)
 
 
 class AElement:
-    """Truncated Laurent element of the multiplicative chart.
+    """Truncated element of the algebra in either chart.
 
-    `terms` maps integer exponent tuples to nonzero F_q encodings; `cutoff`
-    is the filtration depth below which the element is known exactly (terms
-    of total degree >= cutoff are dropped as unknown).
+    `terms` maps integer exponent tuples (of T_0..T_{f-1} in the additive
+    chart, of Y_0..Y_{f-1} in the multiplicative one) to nonzero F_q
+    encodings; `cutoff` is the total degree below which the element is known
+    exactly (terms of total degree >= cutoff are dropped as unknown).
     """
 
     __slots__ = ("field", "f", "cutoff", "terms")
@@ -312,34 +201,23 @@ class AElement:
             {k: c for k, c in self.terms.items() if sum(k) < cutoff},
         )
 
-    def _binop(self, other, fn):
+    def _binop(self, other, w):
+        """self + w * other, known below both cutoffs."""
+        fld = self.field
+        if isinstance(other, int):
+            other = AElement.const(fld, self.f, fld.from_int(other))
         cutoff = min(self.cutoff, other.cutoff)
         out = {k: c for k, c in self.terms.items() if sum(k) < cutoff}
-        fld = self.field
-        for k, c in other.terms.items():
-            if sum(k) >= cutoff:
-                continue
-            prev = out.get(k)
-            s = fn(fld, prev, c)
-            if s:
-                out[k] = s
-            elif prev is not None:
-                del out[k]
+        _accumulate(fld, out, other.terms, cutoff, w)
         return AElement(fld, self.f, cutoff, out)
 
     def __add__(self, other):
-        if isinstance(other, int):
-            other = AElement.const(self.field, self.f, self.field.from_int(other))
-        return self._binop(other, lambda fld, prev, c: c if prev is None else fld.add(prev, c))
+        return self._binop(other, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = AElement.const(self.field, self.f, self.field.from_int(other))
-        return self._binop(
-            other, lambda fld, prev, c: fld.neg(c) if prev is None else fld.sub(prev, c)
-        )
+        return self._binop(other, self.field.neg(1))
 
     def __neg__(self):
         fld = self.field
@@ -392,6 +270,47 @@ class AElement:
                  for k, c in self.terms.items()}
         cut = self.cutoff if self.cutoff == INF else self.cutoff * step
         return AElement(fld, self.f, cut, terms)
+
+    # ---- additive chart ----
+
+    def coeff(self, k):
+        return self.terms.get(tuple(k), 0)
+
+    def hasse_derivative(self, gamma):
+        """D^gamma: T^beta -> C(beta, gamma) T^(beta-gamma), exact."""
+        fld = self.field
+        p = fld.p
+        out = {}
+        g = tuple(gamma)
+        for k, c in self.terms.items():
+            if any(ki < gi for ki, gi in zip(k, g)):
+                continue
+            b = 1
+            for ki, gi in zip(k, g):
+                b = b * math.comb(ki, gi) % p
+                if not b:
+                    break
+            if not b:
+                continue
+            ck = fld.scale_int(c, b)
+            if ck:
+                out[tuple(ki - gi for ki, gi in zip(k, g))] = ck
+        return AElement(fld, self.f, self.cutoff - sum(g), out)
+
+    def map_coeffs(self, fn):
+        out = {}
+        for k, c in self.terms.items():
+            v = fn(c)
+            if v:
+                out[k] = v
+        return AElement(self.field, self.f, self.cutoff, out)
+
+    def frobenius_sub(self):
+        """Substitution T_l -> T_l^p (coefficients unchanged)."""
+        p = self.field.p
+        terms = {tuple(p * ki for ki in k): c for k, c in self.terms.items()}
+        cut = self.cutoff * p if self.cutoff != INF else INF
+        return AElement(self.field, self.f, cut, terms)
 
     def is_zero(self):
         return not self.terms
@@ -535,14 +454,12 @@ def _digit_walk(g, c, n_digits):
 
 
 def frobenius(x):
-    """Algebra Frobenius.
+    """Algebra Frobenius on a multiplicative-chart element.
 
-    On the additive chart: T_l -> T_l^p, coefficients unchanged.  On the
-    multiplicative chart: Y_j -> Y_{j-1}^p, i.e. exponent slot j feeds slot
-    j-1 scaled by p, coefficients unchanged.  Knowledge scales by p.
+    Y_j -> Y_{j-1}^p, i.e. exponent slot j feeds slot j-1 scaled by p,
+    coefficients unchanged.  Knowledge scales by p.  In the additive chart
+    the same map is T_l -> T_l^p, which is AElement.frobenius_sub.
     """
-    if isinstance(x, TSeries):
-        return x.frobenius_sub()
     f = x.f
     p = x.field.p
     terms = {}
@@ -805,7 +722,7 @@ class ChartContext:
         if hit is not None:
             return hit
         coords = self.ring.teichmuller(a)
-        out = TSeries.const(self.field, self.f, depth, 1)
+        out = AElement.const(self.field, self.f, 1, cutoff=depth)
         for l, c in enumerate(coords):
             out = out * one_plus_var_power(self.field, self.f, depth, l, c, self.N)
         out = out.copy_truncated(depth)
@@ -818,7 +735,7 @@ class ChartContext:
         """Tuple of the f eigencoordinate series in the additive chart."""
         if self._y_series is None:
             fld = self.field
-            ys = [TSeries(fld, self.f, self.tdepth, self._y0_terms())]
+            ys = [AElement(fld, self.f, self.tdepth, self._y0_terms())]
             for _ in range(1, self.f):
                 # eigencoordinate at the next slot is the coefficientwise
                 # p-th power of the previous one
@@ -945,7 +862,7 @@ class ChartContext:
         key = (j, e)
         hit = self._ypow_cache.get(key)
         if hit is None:
-            hit = self.y_series[j].pow(e)
+            hit = self.y_series[j] ** e
             self._ypow_cache[key] = hit
         return hit
 
@@ -956,12 +873,12 @@ class ChartContext:
             raise PrecisionExhausted(
                 f"conversion to depth {bound} exceeds knowledge")
         fld = self.field
-        out = TSeries(fld, self.f, bound, {})
+        out = AElement(fld, self.f, bound, {})
         for k, c in x.terms.items():
             if any(e < 0 for e in k):
                 raise HypothesisViolation(
                     "additive chart only holds nonnegative supports")
-            term = TSeries.const(fld, self.f, bound, c)
+            term = AElement.const(fld, self.f, c, cutoff=bound)
             for j, e in enumerate(k):
                 if e:
                     term = term * self.y_monomial_series(j, e)
@@ -981,7 +898,7 @@ class ChartContext:
         s = self.y_series[j].hasse_derivative(gamma)
         for l, g in enumerate(gamma):
             if g:
-                onep = TSeries(self.field, self.f, INF,
+                onep = AElement(self.field, self.f, INF,
                                {tuple(m if i == l else 0 for i in range(self.f)):
                                 self.field.from_int(math.comb(g, m))
                                 for m in range(g + 1)})
@@ -1022,12 +939,12 @@ class ChartContext:
         # epsilon_i - 1 in the additive chart at the piece depth
         eps = []
         for i in range(f):
-            e = TSeries.const(fld, f, cap, 1)
+            e = AElement.const(fld, f, 1, cutoff=cap)
             for l in range(f):
                 d = dmat[i][l]  # T_l exponent of the image of slot i
                 if d:
                     e = e * one_plus_var_power(fld, f, cap, l, d, 1)
-            eps.append(e - TSeries.const(fld, f, cap, 1))
+            eps.append(e - AElement.const(fld, f, 1, cutoff=cap))
         vs = []
         for j in range(f):
             acc = AElement(fld, f, self.D, {})
@@ -1035,10 +952,10 @@ class ChartContext:
                 g = sum(gamma)
                 if g < 1:
                     continue
-                w = TSeries.const(fld, f, cap, 1)
+                w = AElement.const(fld, f, 1, cutoff=cap)
                 for i, gi in enumerate(gamma):
                     if gi:
-                        w = w * eps[i].pow(gi)
+                        w = w * eps[i] ** gi
                 if w.is_zero():
                     continue
                 piece = self.t_to_y(w.copy_truncated(cap), cap)
@@ -1169,19 +1086,6 @@ def chart_context(p, f, cutoff=None):
     return hit
 
 
-def build_Yj(ctx, j):
-    """The j-th eigencoordinate as an additive-chart series."""
-    return ctx.y_series[j % ctx.f]
-
-
-def t_to_y(ctx, s, bound=None):
-    return ctx.t_to_y(s, bound)
-
-
-def y_to_t(ctx, x, bound=None):
-    return ctx.y_to_t(x, bound)
-
-
 # ---- axiom checkers -------------------------------------------------------
 
 
@@ -1190,8 +1094,8 @@ def check_frobenius_generators(ctx):
     sweep = Sweep("frobenius-generator-images")
     depth = ctx.tdepth
     for j in range(ctx.f):
-        lhs = frobenius(ctx.y_series[j]).copy_truncated(depth)
-        rhs = ctx.y_series[(j - 1) % ctx.f].pow(ctx.p).copy_truncated(depth)
+        lhs = ctx.y_series[j].frobenius_sub().copy_truncated(depth)
+        rhs = (ctx.y_series[(j - 1) % ctx.f] ** ctx.p).copy_truncated(depth)
         diff = lhs - rhs
         keys = set(lhs.terms) | set(rhs.terms)
         for k in sorted(keys):
@@ -1213,27 +1117,14 @@ def check_torus_eigenvector(ctx):
             if ctx.ring.mul(lifts[a], lifts[b]) != lifts[fld.mul(a, b)]:
                 sweep.check(False, a=a, b=b, stage="teichmuller-product")
                 return sweep.result()
-    fadd = fld.add
     for a in fld.units():
         for j in range(ctx.f):
             acc = {}
             for b in fld.units():
                 w = fld.inv(fld.frob(b, j))  # b^(-p^j)
-                for k, c in ctx.n_series(fld.mul(a, b), depth).terms.items():
-                    v = fld.mul(w, c)
-                    if not v:
-                        continue
-                    prev = acc.get(k)
-                    if prev is None:
-                        acc[k] = v
-                    else:
-                        s = fadd(prev, v)
-                        if s:
-                            acc[k] = s
-                        else:
-                            del acc[k]
+                _accumulate(fld, acc, ctx.n_series(fld.mul(a, b), depth).terms, w=w)
             want = ctx.y_series[j].scale(fld.frob(a, j))
-            diff = TSeries(fld, ctx.f, depth, acc) - want
+            diff = AElement(fld, ctx.f, depth, acc) - want
             sweep.check(diff.is_zero(), a=a, j=j,
                         discrepancies=len(diff.terms))
     return sweep.result(info={"depth": depth})
@@ -1248,7 +1139,7 @@ def check_exponent_additivity(ctx, samples=20, seed=0):
     span = ctx.p**ctx.N
 
     def n_of(coords):
-        out = TSeries.const(fld, ctx.f, depth, 1)
+        out = AElement.const(fld, ctx.f, 1, cutoff=depth)
         for l, c in enumerate(coords):
             out = out * one_plus_var_power(fld, ctx.f, depth, l, c, ctx.N)
         return out

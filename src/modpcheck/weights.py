@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .base_combinatorics import IntVec, SubsetJ, all_subsets, decompose_parts, indicator
+from .base_combinatorics import IntVec, SubsetJ, all_subsets, decompose_parts
 from .errors import ConfigInvalid, GenericityViolation, InadmissibleS, RangeViolation
 
 
@@ -205,25 +205,6 @@ def jh_D0_component(params: RhoParams, J: SubsetJ) -> frozenset:
     return frozenset(WeightB(params, IntVec(f, bs)) for bs in product(*ranges))
 
 
-def shift_generated_constituents(params: RhoParams, J: SubsetJ, i: IntVec) -> frozenset:
-    """Constituent region reached from (J, i); needs 0 <= i <= f - e^{J^sh}."""
-    f = params.f
-    _, Jnss, Jsh = params.parts(J)
-    for j in range(f):
-        hi = f - (1 if j in Jsh else 0)
-        if not 0 <= i[j] <= hi:
-            raise RangeViolation(f"i_{j}={i[j]} outside [0, {hi}]")
-    ranges = []
-    for j in range(f):
-        if j not in Jnss:
-            ranges.append((1 if j in J else 0,))
-        elif i[j] == 0:
-            ranges.append((0, -1 if (j + 1) in J else 1))
-        else:
-            ranges.append((-1, 0, 1))
-    return frozenset(WeightB(params, IntVec(f, bs)) for bs in product(*ranges))
-
-
 def _shift_orbits(f):
     seen = set()
     orbits = []
@@ -326,22 +307,7 @@ def char_of_weight(params: RhoParams, J: SubsetJ) -> HCharacter:
     return char_of_lambda(params, s + t, t)
 
 
-def conjugate_char(chi: HCharacter) -> HCharacter:
-    return HCharacter(chi.qm1, chi.exp2, chi.exp1)
-
-
 def alpha_char(params: RhoParams, i: IntVec) -> HCharacter:
     """alpha^i; alpha_j has exponent pair (p^j, -p^j)."""
     e = sum(i[j] * params.p**j for j in range(params.f))
     return HCharacter(params.q - 1, e, -e)
-
-
-def mul_alpha(params: RhoParams, chi: HCharacter, i: IntVec) -> HCharacter:
-    return chi * alpha_char(params, i)
-
-
-def char_of_x_index(params: RhoParams, J: SubsetJ, i: IntVec) -> HCharacter:
-    """chi'_J alpha^{-i} with chi'_J = chi_J alpha^{e^{J^sh}}."""
-    _, _, Jsh = params.parts(J)
-    chi_p = mul_alpha(params, char_of_weight(params, J), indicator(Jsh))
-    return mul_alpha(params, chi_p, -i)

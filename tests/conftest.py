@@ -1,4 +1,4 @@
-"""Shared test plumbing: the acceptance scoreboard.
+"""Shared test plumbing: the Hypothesis profile and the acceptance scoreboard.
 
 test_acceptance.py holds one test per acceptance criterion.  This hook
 collects their outcomes and prints one line per criterion at the end of the
@@ -7,6 +7,13 @@ timing measurements).
 """
 
 import re
+
+from hypothesis import settings
+
+# property tests run the same examples on every run and never time out on a
+# slow host
+settings.register_profile("modpcheck", derandomize=True, deadline=None, database=None)
+settings.load_profile("modpcheck")
 
 CRITERIA = {
     1: "constant-table identities, exhaustive at every preset",

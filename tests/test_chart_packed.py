@@ -15,7 +15,7 @@ import threading
 import pytest
 
 from modpcheck import iwasawa
-from modpcheck.iwasawa import ChartContext, TSeries, _graded_exponents
+from modpcheck.iwasawa import AElement, ChartContext, _graded_exponents
 
 
 def reference_y_series(ctx):
@@ -30,7 +30,7 @@ def reference_y_series(ctx):
                 acc[k] = v
             else:
                 acc.pop(k, None)
-    ys = [TSeries(fld, ctx.f, ctx.tdepth, acc)]
+    ys = [AElement(fld, ctx.f, ctx.tdepth, acc)]
     for _ in range(1, ctx.f):
         ys.append(ys[-1].map_coeffs(lambda c: fld.pow(c, fld.p)))
     return tuple(ys)
@@ -119,13 +119,13 @@ def _nonempty(powers):
             for beta, parts in powers.items()}
 
 
-def random_tseries(ctx, rng, n_terms, cutoff):
+def random_additive(ctx, rng, n_terms, cutoff):
     terms = {}
     while len(terms) < n_terms:
         k = tuple(rng.randrange(cutoff) for _ in range(ctx.f))
         if sum(k) < cutoff:
             terms[k] = rng.randrange(1, ctx.q)
-    return TSeries(ctx.field, ctx.f, cutoff, terms)
+    return AElement(ctx.field, ctx.f, cutoff, terms)
 
 
 @pytest.mark.parametrize("p,f,cutoff", [(11, 1, 40), (13, 2, 30), (17, 3, 24)])
@@ -148,7 +148,7 @@ def test_tau_table_and_t_to_y_match_reference(p, f, cutoff):
 
     rng = random.Random(p * f)
     for n_terms in (1, 5, 20, 60):
-        s = random_tseries(ctx, rng, n_terms, ctx.tdepth)
+        s = random_additive(ctx, rng, n_terms, ctx.tdepth)
         for bound in (1, 2, ctx.tdepth // 2, ctx.tdepth):
             got = ctx.t_to_y(s, bound)
             assert got.cutoff == bound
@@ -181,7 +181,7 @@ def test_undersized_slot_width_is_caught_at_f3(monkeypatch):
 def test_tau_table_ensure_is_thread_safe():
     rng = random.Random(11)
     ref = ChartContext(13, 2, 12)
-    s = random_tseries(ref, rng, 30, ref.tdepth)
+    s = random_additive(ref, rng, 30, ref.tdepth)
     bounds = (3, 12, 6, 9)
     want = {b: ref.t_to_y(s, b).terms for b in bounds}
 

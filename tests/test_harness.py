@@ -4,7 +4,7 @@ import pytest
 from click.testing import CliRunner
 
 from modpcheck.cli import main
-from modpcheck.errors import ConfigInvalid, GenericityViolation
+from modpcheck.errors import ConfigInvalid, GenericityViolation, RangeViolation
 from modpcheck.harness import (
     Report,
     RunConfig,
@@ -45,6 +45,13 @@ def test_param_sets_cover_all_jrho():
     single = RunConfig(p=13, f=2, r=(5, 6), jrho=(1, 0))
     assert single.jrho == (0, 1)
     assert len(single.param_sets()) == 1
+
+
+@pytest.mark.parametrize("jrho", [(5,), (2,), (1, 3), (-1,), (0, -2)])
+def test_config_rejects_jrho_outside_embeddings(jrho):
+    # Jrho members are embedding indices in [0, f); none may wrap mod f
+    with pytest.raises(ConfigInvalid, match="jrho index"):
+        RunConfig(p=13, f=2, r=(5, 6), jrho=jrho)
 
 
 def test_identities_example_passes():
@@ -182,6 +189,17 @@ def test_cli_config_errors():
     ).exit_code == 2
 
 
+@pytest.mark.parametrize("jrho", ["5", "1,3", "-1", "2"])
+def test_cli_jrho_out_of_range_is_config_error(jrho):
+    res = CliRunner().invoke(
+        main, ["verify", "--p", "13", "--f", "2", "--r", "5,6", "--jrho", jrho,
+               "--suite", "weights"]
+    )
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert res.stderr.startswith("config error: jrho index ")
+
+
 def test_cli_params_listing():
     runner = CliRunner()
     res = runner.invoke(main, ["params"])
@@ -243,3 +261,18 @@ def test_cli_internal_error_exit_code(monkeypatch, exc):
     assert res.exit_code == 3
     assert res.stdout == ""
     assert res.stderr == f"internal error: {type(exc).__name__}: {exc}\n"
+
+
+def test_cli_range_violation_inside_run_is_internal(monkeypatch):
+    # a window fault raised by a sweep is a crash of the verifier, not a
+    # rejected configuration
+    def crash(config):
+        raise RangeViolation("b_0=9 outside [-7, 6]")
+
+    monkeypatch.setattr("modpcheck.cli.run_suite", crash)
+    res = CliRunner().invoke(
+        main, ["verify", "--p", "11", "--f", "1", "--r", "4", "--suite", "identities"]
+    )
+    assert res.exit_code == 3
+    assert res.stdout == ""
+    assert res.stderr == "internal error: RangeViolation: b_0=9 outside [-7, 6]\n"

@@ -10,22 +10,56 @@ from modpcheck.weights import (
     alpha_char,
     char_of_lambda,
     char_of_weight,
-    char_of_x_index,
-    conjugate_char,
     enumerate_admissible_S,
     is_admissible_S,
     jh_D0,
     jh_D0_component,
     jh_pi1,
-    mul_alpha,
     rank_for_S,
     serre_weights_of_rhobar,
     sJ_tJ,
-    shift_generated_constituents,
     translate_in_graph,
     validate_params,
 )
 import pytest
+
+
+# helpers only these tests use
+
+
+def shift_generated_constituents(params: RhoParams, J: SubsetJ, i: IntVec) -> frozenset:
+    """Constituent region reached from (J, i); needs 0 <= i <= f - e^{J^sh}."""
+    f = params.f
+    _, Jnss, Jsh = params.parts(J)
+    for j in range(f):
+        hi = f - (1 if j in Jsh else 0)
+        if not 0 <= i[j] <= hi:
+            raise RangeViolation(f"i_{j}={i[j]} outside [0, {hi}]")
+    ranges = []
+    for j in range(f):
+        if j not in Jnss:
+            ranges.append((1 if j in J else 0,))
+        elif i[j] == 0:
+            ranges.append((0, -1 if (j + 1) in J else 1))
+        else:
+            ranges.append((-1, 0, 1))
+    return frozenset(WeightB(params, IntVec(f, bs)) for bs in product(*ranges))
+
+
+def conjugate_char(chi: HCharacter) -> HCharacter:
+    return HCharacter(chi.qm1, chi.exp2, chi.exp1)
+
+
+def mul_alpha(params: RhoParams, chi: HCharacter, i: IntVec) -> HCharacter:
+    return chi * alpha_char(params, i)
+
+
+def char_of_x_index(params: RhoParams, J: SubsetJ, i: IntVec) -> HCharacter:
+    """chi'_J alpha^{-i} with chi'_J = chi_J alpha^{e^{J^sh}}."""
+    _, _, Jsh = params.parts(J)
+    chi_p = mul_alpha(params, char_of_weight(params, J), indicator(Jsh))
+    return mul_alpha(params, chi_p, -i)
+
 
 P1 = RhoParams.make(11, 1, (4,), ())
 P1R = RhoParams.make(11, 1, (5,), (0,))
