@@ -17,8 +17,8 @@ O_K acts continuously, fixing Y_j up to the eigenvalue of its Teichmuller
 part times a principal distortion of filtration depth >= p-1.
 
 An AElement does not record its chart; the caller knows it.  Laurent
-exponents are allowed in both, and only the chart conversion y_to_t enforces
-the nonnegative supports of the additive chart.  All operations track how far
+exponents are allowed in both, and only the chart conversions (y_to_t and
+t_to_y) enforce the nonnegative supports of the additive chart.  All operations track how far
 each truncated element is known and refuse to compare beyond that point.
 """
 
@@ -26,6 +26,7 @@ import math
 import random
 import threading
 from dataclasses import dataclass
+from operator import add
 
 from .arith import Fq, WittRing, _poly_powmod, witt_precision
 from .errors import (
@@ -63,42 +64,46 @@ def _binom_mod(n, m, p):
 
 
 def _sorted_by_degree(terms):
-    return sorted(((sum(k), k) for k in terms), key=lambda t: (t[0], t[1]))
+    return sorted((sum(k), k) for k in terms)
 
 
 def _mul_terms(field, xt, yt, bound):
-    """Dict product with total-degree early exit at `bound` (exclusive)."""
+    """Dict product with total-degree early exit at `bound` (exclusive).
+
+    Coefficients are multiplied and summed as _Packing ints and each output
+    key is encoded once.  A key receives at most min(len(xt), len(yt))
+    products of two reduced packed coefficients, so S is _slot_bits of
+    k*(p-1)^2 and that count, rounded up to a multiple of 8 bits so that
+    only a few packings are ever built.
+    """
     if not xt or not yt:
         return {}
-    out = {}
-    fmul = field.mul
-    fadd = field.add
-    ybuk = [(d, k, yt[k]) for d, k in _sorted_by_degree(yt)]
+    bits = _slot_bits(field.k * (field.p - 1) ** 2, min(len(xt), len(yt)))
+    pack = _packing(field, -(-bits // 8) * 8)
+    pk = pack.table
+    acc = {}
+    get = acc.get
+    ybuk = [(d, k, pk[yt[k]]) for d, k in _sorted_by_degree(yt)]
     for dx, kx in _sorted_by_degree(xt):
-        cx = xt[kx]
+        cx = pk[xt[kx]]
         rem = bound - dx
         for dy, ky, cy in ybuk:
             if dy >= rem:
                 break
-            k = tuple(a + b for a, b in zip(kx, ky))
-            c = fmul(cx, cy)
-            if c:
-                prev = out.get(k)
-                if prev is None:
-                    out[k] = c
-                else:
-                    s = fadd(prev, c)
-                    if s:
-                        out[k] = s
-                    else:
-                        del out[k]
-    return out
+            k = tuple(map(add, kx, ky))
+            acc[k] = get(k, 0) + cx * cy
+    encode = pack.encode
+    return {k: e for k, v in acc.items() if (e := encode(v))}
 
 
 def _accumulate(fld, out, terms, cutoff=INF, w=1):
     """Add w * terms into the dict `out` in place, skipping total degrees
     >= cutoff and deleting keys whose sum vanishes; w is a nonzero field
-    encoding."""
+    encoding.
+
+    This is the only accumulation loop left that calls Fq.add/Fq.mul per
+    coefficient; products and the other sums run on _Packing ints.
+    """
     fadd = fld.add
     fmul = fld.mul
     get = out.get
@@ -502,12 +507,17 @@ class _Packing:
     is plain int addition, exact while no slot reaches 2^bits.  `encode`
     turns such a sum back into a field encoding: slots mod p, then
     reduction by the minimal polynomial.
+
+    It serves the reversion table, the eigencoordinate sum, the series
+    product (_mul_terms) and the torus-eigenvector sum; each of them states
+    the bound on one slot of its sums that fixes its width.  Instances come
+    from the shared cache `_packing`.
     """
 
     def __init__(self, field, bits):
         self.bits = bits
         self.p = p = field.p
-        self.k = k = field.k
+        k = field.k
         self.mask = (1 << bits) - 1
         table = []
         for e in field.elements():
@@ -516,29 +526,42 @@ class _Packing:
                 v |= d << (bits * i)
             table.append(v)
         self.table = table  # field encoding -> packed
-        # slot i >= k of a product stands for x^i mod g; folds[j] lists the
-        # (i, coefficient of x^j in x^i mod g) pairs that feed digit j
+        # slot i >= k of a product stands for x^i mod g, so digit j is slot j
+        # plus each such slot times the coefficient of x^j in x^i mod g, all
+        # mod p; digit_terms holds the (shift, factor) pairs, top digit first
         x = [0, 1] + [0] * (k - 2)
         high = {i: _poly_powmod(x, i, list(field.g_coeffs), p)
                 for i in range(k, 2 * k - 1)}
-        self.folds = [[(i, r[j]) for i, r in high.items() if r[j]]
-                      for j in range(k)]
+        self.digit_terms = [[(bits * j, 1)] + [(bits * i, r[j]) for i, r in high.items() if r[j]]
+                            for j in range(k - 1, -1, -1)]
 
     def encode(self, v):
         """Field encoding of a sum of packed elements and packed products."""
-        k, p, bits, mask = self.k, self.p, self.bits, self.mask
-        s = []
-        for _ in range(2 * k - 2):
-            s.append(v & mask)
-            v >>= bits
-        s.append(v)
+        mask, p = self.mask, self.p
         e = 0
-        for j in range(k - 1, -1, -1):
-            t = s[j]
-            for i, r in self.folds[j]:
-                t += s[i] * r
+        for terms in self.digit_terms:
+            t = 0
+            for shift, r in terms:
+                t += (v >> shift & mask) * r
             e = e * p + t % p
         return e
+
+
+_PACKINGS = {}
+_PACKINGS_LOCK = threading.Lock()
+
+
+def _packing(field, bits):
+    """The _Packing of `field` with `bits`-wide slots, built once per
+    (field, width) even when threads ask for it at the same time."""
+    key = (field, bits)
+    hit = _PACKINGS.get(key)
+    if hit is None:
+        with _PACKINGS_LOCK:
+            hit = _PACKINGS.get(key)
+            if hit is None:
+                hit = _PACKINGS[key] = _Packing(field, bits)
+    return hit
 
 
 @dataclass(frozen=True)
@@ -599,7 +622,7 @@ class _TauTable:
         fld = ctx.field
         f = ctx.f
         radix = depth + 1
-        pack = _Packing(fld, _slot_bits(fld.k * (fld.p - 1) ** 2,
+        pack = _packing(fld, _slot_bits(fld.k * (fld.p - 1) ** 2,
                                         math.comb(depth + f, f)))
         pk = pack.table
         encode = pack.encode
@@ -775,7 +798,7 @@ class ChartContext:
                 m //= p
             return out
 
-        pack = _Packing(fld, _slot_bits((p - 1) ** (f + 1), self.q - 1))
+        pack = _packing(fld, _slot_bits((p - 1) ** (f + 1), self.q - 1))
         width = fld.k * pack.bits
         cache = {}
 
@@ -830,7 +853,7 @@ class ChartContext:
     # ---- chart conversions ----
 
     def t_to_y(self, s, bound=None):
-        """Multiplicative-chart image of an additive-chart series."""
+        """Multiplicative-chart image; defined on nonnegative supports only."""
         bound = min(s.cutoff, self.tdepth) if bound is None else bound
         if bound > min(s.cutoff, self.tdepth):
             raise PrecisionExhausted(
@@ -842,6 +865,9 @@ class ChartContext:
         acc = {}
         get = acc.get
         for beta, cb in s.terms.items():
+            if min(beta) < 0:
+                raise HypothesisViolation(
+                    "additive chart only holds nonnegative supports")
             if not any(beta):
                 acc[0] = get(0, 0) + pk[cb]
                 continue
@@ -1104,9 +1130,22 @@ def check_frobenius_generators(ctx):
     return sweep.result(info={"depth": depth})
 
 
+def _torus_slot_bits(fld):
+    """Slot width S of the packed torus-eigenvector sum: q-1 products of two
+    reduced packed coefficients, each adding at most k*(p-1)^2 to a slot."""
+    return _slot_bits(fld.k * (fld.p - 1) ** 2, fld.q - 1)
+
+
 def check_torus_eigenvector(ctx):
     """Scaling by a Teichmuller representative multiplies the j-th
-    eigencoordinate by a^(p^j): reindexed summand comparison, all a."""
+    eigencoordinate by a^(p^j): reindexed summand comparison, all a.
+
+    The sum over b of b^(-p^j) n([ab]) is Kronecker-packed.  Each n([c]) is
+    one int with a block of (2k-1)*S bits per monomial of degree < depth (in
+    the order of _graded_exponents) holding its _Packing coefficient, so the
+    sum for one (a, j) is q-1 int multiply-adds, and each block is encoded
+    once.  S = _slot_bits(k*(p-1)^2, q-1) (see _torus_slot_bits).
+    """
     sweep = Sweep("torus-reindex-eigenvector")
     fld = ctx.field
     depth = ctx.tdepth
@@ -1117,12 +1156,28 @@ def check_torus_eigenvector(ctx):
             if ctx.ring.mul(lifts[a], lifts[b]) != lifts[fld.mul(a, b)]:
                 sweep.check(False, a=a, b=b, stage="teichmuller-product")
                 return sweep.result()
-    for a in fld.units():
+    units = fld.units()
+    pack = _packing(fld, _torus_slot_bits(fld))
+    pk = pack.table
+    encode = pack.encode
+    width = (2 * fld.k - 1) * pack.bits
+    mask = (1 << width) - 1
+    monomials = _graded_exponents(ctx.f, depth - 1)
+    shift = {m: i * width for i, m in enumerate(monomials)}
+    packed = {c: sum(pk[e] << shift[m] for m, e in ctx.n_series(c, depth).terms.items())
+              for c in units}
+    weights = [[(b, pk[fld.inv(fld.frob(b, j))]) for b in units]  # b^(-p^j)
+               for j in range(ctx.f)]
+    for a in units:
         for j in range(ctx.f):
+            v = 0
+            for b, w in weights[j]:
+                v += w * packed[fld.mul(a, b)]
             acc = {}
-            for b in fld.units():
-                w = fld.inv(fld.frob(b, j))  # b^(-p^j)
-                _accumulate(fld, acc, ctx.n_series(fld.mul(a, b), depth).terms, w=w)
+            for m in monomials:
+                if e := encode(v & mask):
+                    acc[m] = e
+                v >>= width
             want = ctx.y_series[j].scale(fld.frob(a, j))
             diff = AElement(fld, ctx.f, depth, acc) - want
             sweep.check(diff.is_zero(), a=a, j=j,

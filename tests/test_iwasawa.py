@@ -114,6 +114,18 @@ def test_chart_roundtrip_random_f2():
     assert diff.is_zero()
 
 
+def test_chart_conversions_reject_negative_exponents():
+    # both directions refuse a support the additive chart cannot hold, with
+    # the same exception and message
+    fld = C2S.field
+    s = AElement(fld, 2, 12, {(-1, 2): 1, (1, 0): 3})
+    msg = "additive chart only holds nonnegative supports"
+    with pytest.raises(HypothesisViolation, match=msg):
+        C2S.t_to_y(s)
+    with pytest.raises(HypothesisViolation, match=msg):
+        C2S.y_to_t(s)
+
+
 def test_conversion_sends_generator_series_to_coordinate():
     for ctx in (C1, C2S):
         for j in range(ctx.f):

@@ -3,16 +3,25 @@
 `ReferenceSeries` keeps the arithmetic of the separate additive-chart class
 that AElement replaced: the truncating sum and difference, the product with
 its knowledge bound, the square-and-multiply power started from a constant
-known to the operand's cutoff, and truncation.  On nonnegative supports with
+known to the operand's cutoff, and truncation.  Its product is
+`reference_mul_terms`, the dict product with one field call per coefficient
+operation that the packed product replaced.  On nonnegative supports with
 finite or infinite cutoffs, AElement must give the same terms and the same
 cutoff.
 """
 
+import collections
+import itertools
 import math
+import sys
+import threading
+import time
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from modpcheck import iwasawa
 from modpcheck.arith import Fq
 from modpcheck.errors import HypothesisViolation
 from modpcheck.iwasawa import (
@@ -20,11 +29,41 @@ from modpcheck.iwasawa import (
     _ldeg,
     _mul_bound,
     _mul_terms,
+    _sorted_by_degree,
     chart_context,
     check_torus_eigenvector,
 )
 
 INF = math.inf
+
+
+def reference_mul_terms(field, xt, yt, bound):
+    """Dict product with total-degree early exit at `bound` (exclusive)."""
+    if not xt or not yt:
+        return {}
+    out = {}
+    fmul = field.mul
+    fadd = field.add
+    ybuk = [(d, k, yt[k]) for d, k in _sorted_by_degree(yt)]
+    for dx, kx in _sorted_by_degree(xt):
+        cx = xt[kx]
+        rem = bound - dx
+        for dy, ky, cy in ybuk:
+            if dy >= rem:
+                break
+            k = tuple(a + b for a, b in zip(kx, ky))
+            c = fmul(cx, cy)
+            if c:
+                prev = out.get(k)
+                if prev is None:
+                    out[k] = c
+                else:
+                    s = fadd(prev, c)
+                    if s:
+                        out[k] = s
+                    else:
+                        del out[k]
+    return out
 
 
 class ReferenceSeries:
@@ -75,7 +114,7 @@ class ReferenceSeries:
 
     def __mul__(self, other):
         bound = _mul_bound(self.cutoff, _ldeg(self.terms), other.cutoff, _ldeg(other.terms))
-        terms = _mul_terms(self.field, self.terms, other.terms, bound)
+        terms = reference_mul_terms(self.field, self.terms, other.terms, bound)
         return ReferenceSeries(self.field, self.f, bound, terms)
 
     def pow(self, n):
@@ -163,3 +202,83 @@ def test_torus_eigenvector_checked_counts():
         res = check_torus_eigenvector(chart_context(p, f))
         assert res.passed
         assert res.checked == count
+
+
+@st.composite
+def dense_products(draw):
+    """Two term dicts with many colliding exponents over F_4913 (field
+    addition by the digit loop) or a prime field, plus a product bound;
+    coefficients favour q-1, whose digits all equal p-1 and so fill the
+    packed slots to their worst case."""
+    p, f = draw(st.sampled_from([(17, 3), (7, 1)]))
+    fld = Fq(p, f)
+    top = 3 if f == 3 else 30
+    keys = st.lists(st.integers(0, top), min_size=f, max_size=f).map(tuple)
+    coeffs = st.one_of(st.just(fld.q - 1), st.integers(1, fld.q - 1))
+    xt, yt = (draw(st.dictionaries(keys, coeffs, max_size=40)) for _ in range(2))
+    bound = draw(st.one_of(st.integers(0, 3 * top), st.just(INF)))
+    return fld, xt, yt, bound
+
+
+@given(dense_products())
+def test_product_matches_field_op_reference(data):
+    fld, xt, yt, bound = data
+    assert _mul_terms(fld, xt, yt, bound) == reference_mul_terms(fld, xt, yt, bound)
+
+
+@pytest.mark.parametrize("p,f,side", [(17, 3, 5), (7, 1, 200)])
+def test_product_at_worst_case_slot_load(p, f, side):
+    # a full box of exponents with every coefficient q-1: the key
+    # (side-1, ..., side-1) receives side^f = min(len) products, each
+    # filling the middle slot to k*(p-1)^2
+    fld = Fq(p, f)
+    xt = {k: fld.q - 1 for k in itertools.product(range(side), repeat=f)}
+    assert _mul_terms(fld, xt, xt, INF) == reference_mul_terms(fld, xt, xt, INF)
+
+
+def test_concurrent_first_products_build_each_packing_once(monkeypatch):
+    # four threads start their first products with the packing cache empty:
+    # every width must be built once and every thread must get the terms of
+    # the field-op reference
+    built = collections.Counter()
+
+    class CountingPacking(iwasawa._Packing):
+        def __init__(self, field, bits):
+            built[bits] += 1
+            time.sleep(0.01)  # hold the build open while the others arrive
+            super().__init__(field, bits)
+
+    monkeypatch.setattr(iwasawa, "_PACKINGS", {})
+    monkeypatch.setattr(iwasawa, "_Packing", CountingPacking)
+    fld = Fq(5, 3)
+    xs = [AElement(fld, 3, INF, {(i, j, (i * j) % 3): 1 + (7 * i + j) % 124
+                                 for i in range(n) for j in range(n)})
+          for n in (2, 9)]
+    pairs = [(x, y) for x in xs for y in xs]
+    want = [reference_mul_terms(fld, x.terms, y.terms, INF) for x, y in pairs]
+    start = threading.Barrier(4)
+    got = {}
+    errors = []
+
+    def work(t):
+        try:
+            start.wait(timeout=30)
+            got[t] = [(x * y).terms for x, y in pairs]
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(th.is_alive() for th in threads)
+    assert not errors
+    assert all(got[t] == want for t in range(4))
+    assert len(built) >= 2
+    assert set(built.values()) == {1}
