@@ -160,10 +160,6 @@ class IntVec:
     def __rmul__(self, c):
         return IntVec(self.f, tuple(c * a for a in self.entries))
 
-    def leq(self, other):
-        """Componentwise <=."""
-        return all(a <= b for a, b in zip(self.entries, other.entries))
-
     def geq(self, other):
         return all(a >= b for a, b in zip(self.entries, other.entries))
 
@@ -175,8 +171,3 @@ def indicator(J: SubsetJ) -> IntVec:
     """e^J: 1 on J, 0 elsewhere."""
     return IntVec(J.f, tuple(1 if j in J else 0 for j in range(J.f)))
 
-
-def vec_shift(i: IntVec) -> IntVec:
-    """delta(i)_j = i_{j+1} (left rotation); delta^f = identity."""
-    f = i.f
-    return IntVec(f, tuple(i.entries[(j + 1) % f] for j in range(f)))

@@ -18,7 +18,7 @@ from .base_combinatorics import (
     right_boundary,
 )
 from .errors import ConfigInvalid, HypothesisViolation, PairNotDefined, RangeViolation
-from .reporting import CheckResult, Sweep
+from .reporting import Sweep
 from .weights import (
     Translation,
     aJ,
@@ -196,24 +196,6 @@ def hj(params, h, j):
     if h is None:
         h = params.r + IntVec.const(params.f, 1)
     return sum(h[j + i] * params.p**i for i in range(params.f))
-
-
-def decompose_index(params, J, i):
-    """Unique (i2, ell) with i = p*shift(i2) + cJ(J) - ell, 0 <= ell <= p-1.
-
-    shift acts by shift(v)_j = v_{j+1}.  If max(i) > f the maximum strictly
-    drops, which is what makes repeated decomposition terminate.
-    """
-    p, f = params.p, params.f
-    c = cJ(params, J)
-    i2 = [0] * f
-    ell = [0] * f
-    for j in range(f):
-        d = i[j] - c[j]
-        up = -((-d) // p)  # ceil(d / p)
-        i2[(j + 1) % f] = up
-        ell[j] = p * up - d
-    return IntVec(f, tuple(i2)), IntVec(f, tuple(ell))
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from .constants import (
     mu_gamma,
 )
 from .errors import ConfigInvalid
-from .iwasawa import chart_context, check_iwasawa_axioms, default_cutoff
+from .iwasawa import chart_context, chart_depth, check_iwasawa_axioms, default_cutoff
 from .phigamma import (
     check_eigen_classifier,
     check_phi_matrix_shapes,
@@ -87,8 +87,9 @@ class RunConfig:
         if self.mutate is not None and self.mutate != "eps":
             if _TABLE_ALIASES.get(self.mutate, self.mutate) not in MUTABLE:
                 raise ConfigInvalid(f"unknown mutation target {self.mutate!r}")
-        if self.cutoff is not None and self.cutoff < 2:
-            raise ConfigInvalid(f"cutoff={self.cutoff} too small")
+        depth = None if self.cutoff is None else chart_depth(self.p, self.f, self.cutoff)
+        if depth is not None and depth < 2:
+            raise ConfigInvalid(f"cutoff={self.cutoff} too small: chart depth {depth} < 2")
         if self.units < 1 or self.thetas < 1:
             raise ConfigInvalid("units and thetas must be positive")
         self.param_sets()  # raises ConfigInvalid / GenericityViolation

@@ -18,8 +18,11 @@ part times a principal distortion of filtration depth >= p-1.
 
 An AElement does not record its chart; the caller knows it.  Laurent
 exponents are allowed in both, and only the chart conversions (y_to_t and
-t_to_y) enforce the nonnegative supports of the additive chart.  All operations track how far
-each truncated element is known and refuse to compare beyond that point.
+t_to_y) enforce the nonnegative supports of the additive chart.  y_to_t
+substitutes cached powers Y^m of the eigencoordinate series, and t_to_y
+inverts it degree by degree, eliminating leading forms.  All operations
+track how far each truncated element is known and refuse to compare beyond
+that point.
 """
 
 import math
@@ -234,9 +237,6 @@ class AElement:
             return AElement(fld, self.f, self.cutoff, {})
         return AElement(fld, self.f, self.cutoff,
                         {k: fld.mul(c, v) for k, v in self.terms.items()})
-
-    def scale_int(self, n):
-        return self.scale(self.field.from_int(n))
 
     def __mul__(self, other):
         bound = _mul_bound(self.cutoff, _ldeg(self.terms), other.cutoff, _ldeg(other.terms))
@@ -508,10 +508,10 @@ class _Packing:
     turns such a sum back into a field encoding: slots mod p, then
     reduction by the minimal polynomial.
 
-    It serves the reversion table, the eigencoordinate sum, the series
-    product (_mul_terms) and the torus-eigenvector sum; each of them states
-    the bound on one slot of its sums that fixes its width.  Instances come
-    from the shared cache `_packing`.
+    It serves the eigencoordinate sum, the series product (_mul_terms) and
+    the torus-eigenvector sum; each of them states the bound on one slot of
+    its sums that fixes its width.  Instances come from the shared cache
+    `_packing`.
     """
 
     def __init__(self, field, bits):
@@ -564,139 +564,25 @@ def _packing(field, bits):
     return hit
 
 
-@dataclass(frozen=True)
-class _TauState:
-    """One published build of the reversion table (see _TauTable)."""
-
-    depth: int
-    pack: _Packing
-    monomials: dict  # packed exponent key -> exponent tuple
-    powers: dict  # beta -> {degree d: {packed key: packed coefficient}}
-
-
-class _TauTable:
-    """Reversion data: the additive coordinates as multiplicative-chart
-    series, with a graded monomial table for substitution.
-
-    tau[l] inverts the coordinate change degree by degree; powers[beta][d]
-    holds the degree-d part of tau^beta for every |beta| <= depth.  Extended
-    lazily and rebuilt from scratch when a deeper request arrives (cost is
-    dominated by the final depth).
-
-    Packed representation: an exponent tuple m is the int sum_i m_i R^i in
-    radix R = depth + 1, so a monomial product is one int addition, and a
-    coefficient is a _Packing int with S-bit slots.  Every accumulation
-    (a degree part of a power, a tail of a coordinate equation, a t_to_y
-    result) is a sum of products of two reduced packed coefficients, each
-    adding at most k*(p-1)^2 to a slot, and no key receives more of them
-    than there are monomials of degree <= depth, C(depth + f, f).  S is the
-    bit length of the product of the two bounds.
-
-    Builds run under a lock and publish depth, packing and powers together
-    as one _TauState, so a reader never sees a depth its powers lack.
-    """
-
-    def __init__(self, ctx):
-        self.ctx = ctx
-        self._lock = threading.Lock()
-        self._state = None
-
-    @property
-    def depth(self):
-        state = self._state
-        return 0 if state is None else state.depth
-
-    def ensure(self, depth):
-        """The table state covering every |beta| <= depth."""
-        state = self._state
-        if state is None or depth > state.depth:
-            with self._lock:
-                state = self._state
-                if state is None or depth > state.depth:
-                    state = self._build(max(depth, 0))
-                    self._state = state
-        return state
-
-    def _build(self, depth):
-        ctx = self.ctx
-        fld = ctx.field
-        f = ctx.f
-        radix = depth + 1
-        pack = _packing(fld, _slot_bits(fld.k * (fld.p - 1) ** 2,
-                                        math.comb(depth + f, f)))
-        pk = pack.table
-        encode = pack.encode
-
-        def reduced(acc):
-            return {key: pk[e] for key, v in acc.items() if (e := encode(v))}
-
-        minv = ctx.jacobian_inverse
-        neg_minv = [[pk[fld.neg(c)] for c in row] for row in minv]
-        unit_keys = [radix**j for j in range(f)]
-        # degree-1 seed: tau_l = sum_j minv[l][j] * Y_j
-        taus = [{1: {unit_keys[j]: pk[c] for j, c in enumerate(row) if c}}
-                for row in minv]
-        unit_vecs = [tuple(1 if i == l else 0 for i in range(f)) for l in range(f)]
-        powers = dict(zip(unit_vecs, taus))
-
-        # tau^beta = tau^prev * tau_l, with l the first nonzero slot of beta
-        chain = []
-        for beta in _graded_exponents(f, depth):
-            if sum(beta) >= 2:
-                l = next(i for i, b in enumerate(beta) if b)
-                prev = tuple(b - (i == l) for i, b in enumerate(beta))
-                chain.append((sum(beta), beta, prev, taus[l]))
-                powers[beta] = {}
-        ys = ctx.y_series
-        coeffs = [[(powers[beta], pk[c]) for beta, c in y.terms.items()
-                   if 2 <= sum(beta) <= depth] for y in ys]
-
-        for d in range(2, depth + 1):
-            # extend the powers to degree d (uses tau parts < d)
-            for wb, beta, prev, tau_l in chain:
-                if wb > d:
-                    break
-                acc = {}
-                get = acc.get
-                for a, part in powers[prev].items():
-                    other = tau_l.get(d - a)
-                    if not other or not part:
-                        continue
-                    other = list(other.items())
-                    for k1, c1 in part.items():
-                        for k2, c2 in other:
-                            k = k1 + k2
-                            acc[k] = get(k, 0) + c1 * c2
-                powers[beta][d] = reduced(acc)
-            # solve for tau parts of degree d: first the higher-order tail
-            # of each coordinate equation, then distribute through -M^{-1}
-            tails = []
-            for j in range(f):
-                acc = {}
-                get = acc.get
-                for parts, cb in coeffs[j]:
-                    part = parts.get(d)
-                    if part:
-                        for k, c in part.items():
-                            acc[k] = get(k, 0) + cb * c
-                tails.append(reduced(acc))
-            for l in range(f):
-                acc = {}
-                get = acc.get
-                for j in range(f):
-                    c = neg_minv[l][j]
-                    if c:
-                        for k, v in tails[j].items():
-                            acc[k] = get(k, 0) + c * v
-                taus[l][d] = reduced(acc)
-
-        monomials = {}
-        for m in _graded_exponents(f, depth):
-            key = 0
-            for e in reversed(m):
-                key = key * radix + e
-            monomials[key] = m
-        return _TauState(depth, pack, monomials, powers)
+def _substitute_linear(terms, forms):
+    """The polynomial `terms` in T_0..T_{f-1} with each T_l replaced by the
+    AElement forms[l], by the multivariate Horner scheme (Pena and Sauer,
+    SIAM J. Numer. Anal. 37, 2000): P = P(0) + sum_l T_l * P_l, where P_l
+    holds the terms whose first nonzero exponent is at slot l, divided by
+    T_l, and is evaluated the same way."""
+    const = 0
+    parts = [{} for _ in forms]
+    for k, c in terms.items():
+        l = next((i for i, e in enumerate(k) if e), None)
+        if l is None:
+            const = c
+        else:
+            parts[l][k[:l] + (k[l] - 1,) + k[l + 1:]] = c
+    out = AElement.const(forms[0].field, forms[0].f, const)
+    for form, part in zip(forms, parts):
+        if part:
+            out = out + form * _substitute_linear(part, forms)
+    return out
 
 
 def _graded_exponents(f, deg_max):
@@ -712,9 +598,16 @@ def _graded_exponents(f, deg_max):
     return out
 
 
+def chart_depth(p, f, cutoff):
+    """Depth of the additive chart (the eigencoordinate series) at a
+    filtration cutoff; the Jacobian needs it to be at least 2."""
+    return cutoff if f <= 2 else cutoff - p + 1
+
+
 class ChartContext:
     """Shared, cached per (p, f, cutoff): generator series, coordinate
-    Jacobian, reversion table, and the unit-action conversion cache."""
+    Jacobian, the Y^m cache of both chart conversions, and the unit-action
+    conversion caches."""
 
     def __init__(self, p, f, cutoff):
         self.p = p
@@ -724,12 +617,11 @@ class ChartContext:
         self.q = self.field.q
         self.N = witt_precision(p, cutoff)
         self.ring = WittRing(p, f, self.N)
-        self.tdepth = cutoff if f <= 2 else cutoff - p + 1
+        self.tdepth = chart_depth(p, f, cutoff)
         self.alpha_max = (cutoff - 1) // p
         self.piece_cap = -(-cutoff // p)
         self._y_series = None
         self._jac_inv = None
-        self.tau = _TauTable(self)
         self._n_cache = {}
         self._convb = {}
         self._u1_cache = {}
@@ -853,44 +745,35 @@ class ChartContext:
     # ---- chart conversions ----
 
     def t_to_y(self, s, bound=None):
-        """Multiplicative-chart image; defined on nonnegative supports only."""
+        """Multiplicative-chart image; defined on nonnegative supports only.
+
+        Leading-form elimination, one degree d < bound at a time: with M the
+        Jacobian, the degree-d part h_d(T) of the residual is the leading form
+        of the additive image of h_d(M^-1 Y), so that form joins the output
+        and its exact image (y_to_t) leaves the residual without degree d.
+        """
         bound = min(s.cutoff, self.tdepth) if bound is None else bound
         if bound > min(s.cutoff, self.tdepth):
             raise PrecisionExhausted(
                 f"conversion to depth {bound} exceeds knowledge")
         if bound <= 0:
             return AElement(self.field, self.f, max(bound, 0), {})
-        tab = self.tau.ensure(bound - 1)
-        pk = tab.pack.table
-        acc = {}
-        get = acc.get
-        for beta, cb in s.terms.items():
-            if min(beta) < 0:
-                raise HypothesisViolation(
-                    "additive chart only holds nonnegative supports")
-            if not any(beta):
-                acc[0] = get(0, 0) + pk[cb]
-                continue
-            if sum(beta) >= bound:
-                continue
-            c = pk[cb]
-            for d, part in tab.powers[beta].items():
-                if d < bound:
-                    for k, v in part.items():
-                        acc[k] = get(k, 0) + c * v
-        encode = tab.pack.encode
-        monomials = tab.monomials
-        terms = {monomials[k]: e for k, v in acc.items() if (e := encode(v))}
-        return AElement(self.field, self.f, bound, terms)
-
-    def y_monomial_series(self, j, e):
-        """j-th eigencoordinate to the e-th power in the additive chart."""
-        key = (j, e)
-        hit = self._ypow_cache.get(key)
-        if hit is None:
-            hit = self.y_series[j] ** e
-            self._ypow_cache[key] = hit
-        return hit
+        if any(min(k) < 0 for k in s.terms):
+            raise HypothesisViolation(
+                "additive chart only holds nonnegative supports")
+        fld, f = self.field, self.f
+        unit_vecs = [tuple(1 if i == j else 0 for i in range(f)) for j in range(f)]
+        forms = [AElement(fld, f, INF, {unit_vecs[j]: c for j, c in enumerate(row) if c})
+                 for row in self.jacobian_inverse]
+        residual = s.copy_truncated(bound)
+        out = {}
+        for d in range(bound):
+            lead = {k: c for k, c in residual.terms.items() if sum(k) == d}
+            if lead:
+                form = _substitute_linear(lead, forms)
+                out.update(form.terms)
+                residual = residual - self.y_to_t(form, bound)
+        return AElement(fld, f, bound, out)
 
     def y_to_t(self, x, bound=None):
         """Additive-chart image; defined on nonnegative supports only."""
@@ -899,17 +782,35 @@ class ChartContext:
             raise PrecisionExhausted(
                 f"conversion to depth {bound} exceeds knowledge")
         fld = self.field
-        out = AElement(fld, self.f, bound, {})
+        out = {}
         for k, c in x.terms.items():
             if any(e < 0 for e in k):
                 raise HypothesisViolation(
                     "additive chart only holds nonnegative supports")
-            term = AElement.const(fld, self.f, c, cutoff=bound)
-            for j, e in enumerate(k):
-                if e:
-                    term = term * self.y_monomial_series(j, e)
-            out = out + term.copy_truncated(bound)
-        return out
+            rel = bound - sum(k)
+            if rel > 0:
+                _accumulate(fld, out, self._y_power(k, rel).terms, INF, c)
+        return AElement(fld, self.f, bound, out)
+
+    def _y_power(self, m, rel):
+        """Y^m in the additive chart, known below |m| + rel (rel >= 1).
+
+        Y^m = Y^(m - e_l) * Y_l, with l the first nonzero slot of m and the
+        same rel for both factors, so Y_l is needed below rel + 1 only.
+        """
+        key = (m, rel)
+        hit = self._ypow_cache.get(key)
+        if hit is None:
+            l = next((i for i, e in enumerate(m) if e), None)
+            if l is None:
+                hit = AElement.const(self.field, self.f, 1, cutoff=rel)
+            else:
+                prev = m[:l] + (m[l] - 1,) + m[l + 1:]
+                hit = self.y_series[l].copy_truncated(rel + 1)
+                if any(prev):
+                    hit = self._y_power(prev, rel) * hit
+            self._ypow_cache[key] = hit
+        return hit
 
     # ---- unit action ----
 
@@ -1001,18 +902,6 @@ class ChartContext:
         """Eigenvalue of [a0] on the monomial with exponent k."""
         e = sum(kj * self.p**j for j, kj in enumerate(k)) % (self.q - 1)
         return self.field.pow(a0, e)
-
-    def unit_on_y(self, data, j):
-        """u(Y_j) as a multiplicative-chart element, known below D."""
-        fld = self.field
-        f = self.f
-        yj = AElement.monomial(fld, f, tuple(1 if i == j else 0 for i in range(f)), 1,
-                               cutoff=self.D)
-        if data.dmat is not None:
-            v = self._u1_pieces(data.dmat)[j]
-            yj = (yj * (v + 1)).copy_truncated(self.D)
-        w = self.teich_weight(data.a0, tuple(1 if i == j else 0 for i in range(f)))
-        return yj.scale(w)
 
 
 @dataclass(frozen=True)

@@ -63,11 +63,3 @@ class Sweep:
     def result(self, info=None):
         return CheckResult(self.name, self.failure is None, self.checked, self.failure, info)
 
-
-def combine(name, results):
-    """Collapse sub-results into one row; first failure wins, counts add."""
-    checked = sum(r.checked for r in results)
-    for r in results:
-        if not r.passed:
-            return CheckResult(name, False, checked, r.counterexample, {"failed_sub": r.name})
-    return CheckResult(name, True, checked)

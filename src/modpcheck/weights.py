@@ -166,11 +166,6 @@ class Translation:
         return WeightB(self.params, IntVec(self.params.f, tuple(out)))
 
 
-def translate_in_graph(params: RhoParams, J: SubsetJ, b: IntVec) -> WeightB:
-    """Weight reached from position b after the J-translation (see Translation)."""
-    return Translation(params, J)(b)
-
-
 def serre_weights_of_rhobar(params: RhoParams) -> frozenset:
     """W(rhobar): b supported on Jrho with entries in {0, 1}."""
     f = params.f

@@ -1,18 +1,25 @@
-"""The packed chart build against the plain dict-of-tuples references.
+"""The chart build and the chart conversion against plain dict-of-tuples
+references.
 
-The reference functions below are the straightforward forms of the chart
-build: the reversion table with tuple exponent keys and one field call per
-coefficient operation, the eigencoordinate series as the weighted sum of the
-generator series n([a]) over all units, and the conversion that substitutes
-the table into an additive-chart series.  The packed code in
-``modpcheck.iwasawa`` must reproduce them exactly.
+The reference functions below are the straightforward forms: the
+eigencoordinate series as the weighted sum of the generator series n([a])
+over all units, the reversion table (every power tau^beta of the reverted
+coordinates, with tuple exponent keys and one field call per coefficient
+operation), and the conversion that substitutes that table into an
+additive-chart series.  ``ChartContext.t_to_y`` eliminates leading forms
+instead and shares no code with the table, so the table is an independent
+oracle for it; the packed eigencoordinate sum must reproduce its reference
+exactly too.
 """
 
+import functools
 import random
 import sys
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modpcheck import iwasawa
 from modpcheck.iwasawa import AElement, ChartContext, _graded_exponents
@@ -104,19 +111,11 @@ def reference_t_to_y(ctx, powers, s, bound):
     return acc
 
 
-def unpacked_powers(state):
-    """The packed table state in the reference layout, empty parts dropped."""
-    out = {}
-    for beta, parts in state.powers.items():
-        out[beta] = {d: {state.monomials[k]: state.pack.encode(v)
-                         for k, v in part.items()}
-                     for d, part in parts.items() if part}
-    return out
-
-
-def _nonempty(powers):
-    return {beta: {d: part for d, part in parts.items() if part}
-            for beta, parts in powers.items()}
+@functools.lru_cache(maxsize=None)
+def reference_case(p, f, cutoff):
+    """A context and its reference table covering every degree below tdepth."""
+    ctx = ChartContext(p, f, cutoff)
+    return ctx, reference_tau_powers(ctx, ctx.tdepth - 1)
 
 
 def random_additive(ctx, rng, n_terms, cutoff):
@@ -126,6 +125,14 @@ def random_additive(ctx, rng, n_terms, cutoff):
         if sum(k) < cutoff:
             terms[k] = rng.randrange(1, ctx.q)
     return AElement(ctx.field, ctx.f, cutoff, terms)
+
+
+def dense_multiplicative(ctx, coeffs, bound):
+    """The Y-chart polynomial with coeffs[i] on the i-th monomial of degree
+    < bound (graded order), zero coefficients dropped."""
+    monomials = _graded_exponents(ctx.f, bound - 1)
+    terms = {m: c for m, c in zip(monomials, coeffs) if c}
+    return AElement(ctx.field, ctx.f, bound, terms)
 
 
 @pytest.mark.parametrize("p,f,cutoff", [(11, 1, 40), (13, 2, 30), (17, 3, 24)])
@@ -139,13 +146,7 @@ def test_y_series_matches_n_series_sum(p, f, cutoff):
 
 @pytest.mark.parametrize("p,f,cutoff", [(13, 2, 12), (17, 3, 24)])
 def test_tau_table_and_t_to_y_match_reference(p, f, cutoff):
-    ctx = ChartContext(p, f, cutoff)
-    depth = ctx.tdepth - 1
-    want = reference_tau_powers(ctx, depth)
-    state = ctx.tau.ensure(depth)
-    assert state.depth == ctx.tau.depth == depth
-    assert unpacked_powers(state) == _nonempty(want)
-
+    ctx, want = reference_case(p, f, cutoff)
     rng = random.Random(p * f)
     for n_terms in (1, 5, 20, 60):
         s = random_additive(ctx, rng, n_terms, ctx.tdepth)
@@ -155,14 +156,46 @@ def test_tau_table_and_t_to_y_match_reference(p, f, cutoff):
             assert got.terms == reference_t_to_y(ctx, want, s, bound)
 
 
+@settings(max_examples=30)
+@given(data=st.data())
+def test_t_to_y_matches_reference_on_dense_outputs(data):
+    # the additive image of a dense Y-chart polynomial has a dense
+    # multiplicative image: every degree below the bound has a form to
+    # eliminate, which is where elimination could lose to the table
+    ctx, want = reference_case(*data.draw(st.sampled_from([(13, 2, 12), (17, 3, 24)])))
+    bound = data.draw(st.integers(1, ctx.tdepth), label="bound")
+    n = len(_graded_exponents(ctx.f, bound - 1))
+    coeffs = data.draw(st.lists(st.integers(1, ctx.q - 1), min_size=n, max_size=n))
+    x = dense_multiplicative(ctx, coeffs, bound)
+    s = ctx.y_to_t(x, bound)
+    got = ctx.t_to_y(s, bound)
+    assert got.cutoff == bound
+    assert got.terms == reference_t_to_y(ctx, want, s, bound)
+    assert got.terms == x.terms
+
+
+@settings(max_examples=30)
+@given(data=st.data())
+def test_t_to_y_inverts_y_to_t_below_the_bound(data):
+    p, f, cutoff = data.draw(st.sampled_from([(11, 1, 40), (13, 2, 12), (17, 3, 24)]))
+    ctx = iwasawa.chart_context(p, f, cutoff)
+    bound = data.draw(st.integers(0, ctx.tdepth), label="bound")
+    n = len(_graded_exponents(f, bound - 1))
+    coeffs = data.draw(st.lists(st.integers(0, ctx.q - 1), min_size=n, max_size=n))
+    x = dense_multiplicative(ctx, coeffs, bound)
+    back = ctx.t_to_y(ctx.y_to_t(x, bound), bound)
+    assert back.cutoff == max(bound, 0)
+    assert back.terms == x.terms
+
+
 def _undersized(bits):
     """A slot-width rule that forgets how many terms share a slot."""
     return lambda per_term, terms: bits(per_term, 1)
 
 
 def test_undersized_slot_width_is_caught_at_f3(monkeypatch):
-    # the f=3 comparisons above must fail when a slot can carry into its
-    # neighbour, in the eigencoordinate sum and in the table alike
+    # the f=3 comparison of the eigencoordinate sum must fail when a slot
+    # can carry into its neighbour
     bits = iwasawa._slot_bits
     want_y = reference_y_series(ChartContext(17, 3, 24))
 
@@ -170,20 +203,15 @@ def test_undersized_slot_width_is_caught_at_f3(monkeypatch):
     bad = ChartContext(17, 3, 24)
     assert bad.y_series[0].terms != want_y[0].terms
 
-    monkeypatch.setattr(iwasawa, "_slot_bits", bits)
-    ctx = ChartContext(17, 3, 24)
-    depth = ctx.tdepth - 1
-    want = _nonempty(reference_tau_powers(ctx, depth))
-    monkeypatch.setattr(iwasawa, "_slot_bits", _undersized(bits))
-    assert unpacked_powers(ctx.tau.ensure(depth)) != want
 
-
-def test_tau_table_ensure_is_thread_safe():
+def test_y_power_cache_is_thread_safe():
+    # four threads fill the Y^m cache of one fresh context at once, through
+    # conversions at different bounds
+    ref, table = reference_case(13, 2, 12)
     rng = random.Random(11)
-    ref = ChartContext(13, 2, 12)
     s = random_additive(ref, rng, 30, ref.tdepth)
     bounds = (3, 12, 6, 9)
-    want = {b: ref.t_to_y(s, b).terms for b in bounds}
+    want = {b: reference_t_to_y(ref, table, s, b) for b in bounds}
 
     ctx = ChartContext(13, 2, 12)
     got = {}
@@ -208,4 +236,6 @@ def test_tau_table_ensure_is_thread_safe():
     assert not any(t.is_alive() for t in threads)
     assert not errors, errors
     assert got == want
-    assert ctx.tau.depth == ref.tau.depth == 11
+    serial = ChartContext(13, 2, 12)
+    for (m, rel), y in list(ctx._ypow_cache.items()):
+        assert y == serial._y_power(m, rel)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from modpcheck.base_combinatorics import IntVec, SubsetJ, vec_shift
+from modpcheck.base_combinatorics import IntVec, SubsetJ
 from modpcheck.constants import (
     ConstantTables,
     Mutation,
@@ -14,7 +14,6 @@ from modpcheck.constants import (
     check_domination_claims,
     check_shifted_table_additivity,
     check_weight_table_bounds,
-    decompose_index,
     epsilonJ,
     hj,
     mVec,
@@ -44,6 +43,30 @@ ALL_PARAMS = (P1, P1R, P2, P2A, P2F, P3)
 
 def J(params, *members):
     return SubsetJ.of(params.f, members)
+
+
+def vec_shift(i: IntVec) -> IntVec:
+    """delta(i)_j = i_{j+1} (left rotation); delta^f = identity."""
+    f = i.f
+    return IntVec(f, tuple(i.entries[(j + 1) % f] for j in range(f)))
+
+
+def decompose_index(params, J, i):
+    """Unique (i2, ell) with i = p*shift(i2) + cJ(J) - ell, 0 <= ell <= p-1.
+
+    shift acts by shift(v)_j = v_{j+1}.  If max(i) > f the maximum strictly
+    drops, which is what makes repeated decomposition terminate.
+    """
+    p, f = params.p, params.f
+    c = cJ(params, J)
+    i2 = [0] * f
+    ell = [0] * f
+    for j in range(f):
+        d = i[j] - c[j]
+        up = -((-d) // p)  # ceil(d / p)
+        i2[(j + 1) % f] = up
+        ell[j] = p * up - d
+    return IntVec(f, tuple(i2)), IntVec(f, tuple(ell))
 
 
 def run_all_checks(params, mutation=None):

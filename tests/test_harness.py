@@ -200,6 +200,28 @@ def test_cli_jrho_out_of_range_is_config_error(jrho):
     assert res.stderr.startswith("config error: jrho index ")
 
 
+@pytest.mark.parametrize("cutoff", ["10", "17"])
+def test_cli_cutoff_below_chart_depth_2_is_config_error(cutoff):
+    # at f=3 the chart depth is cutoff - p + 1; below 2 the eigencoordinates
+    # have no linear terms and the Jacobian would be singular
+    res = CliRunner().invoke(
+        main, ["verify", "--p", "17", "--f", "3", "--r", "7,8,7", "--jrho", "0",
+               "--cutoff", cutoff, "--suite", "iwasawa"]
+    )
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert res.stderr.startswith(f"config error: cutoff={cutoff} too small")
+
+
+def test_cli_cutoff_at_chart_depth_2_runs():
+    res = CliRunner().invoke(
+        main, ["verify", "--p", "17", "--f", "3", "--r", "7,8,7", "--jrho", "0",
+               "--cutoff", "18", "--suite", "iwasawa"]
+    )
+    assert res.exit_code == 0, res.output
+    assert json.loads(res.stdout)["config"]["cutoff"] == 18
+
+
 def test_cli_params_listing():
     runner = CliRunner()
     res = runner.invoke(main, ["params"])

@@ -18,11 +18,14 @@ GOLDEN = [
      "4f5a174644804b2f7ece8459c4f66476dd9206110ce82a69cfc104c29283ec12"),
     (RunConfig(p=17, f=3, r=(7, 8, 7), jrho=(0,), suites=("phigamma",)),
      "dcac0721e38be887c9230d8a29ed67a46cbfad768e67417cf00c8db22367f909"),
+    (RunConfig(p=17, f=3, r=(7, 8, 7), jrho=(0,), suites=("iwasawa",)),
+     "017f0df676702b9e4ddbe4dd6b98ddbade3020bef4f750aad1aa402695f086ec"),
 ]
 
 
 @pytest.mark.parametrize("config,digest", GOLDEN,
-                         ids=["p11-f1-all", "p13-f2-all", "p17-f3-phigamma"])
+                         ids=["p11-f1-all", "p13-f2-all", "p17-f3-phigamma",
+                              "p17-f3-iwasawa"])
 def test_report_digest_is_pinned(config, digest):
     report = run_suite(config)
     assert report.passed

@@ -18,7 +18,7 @@ from modpcheck.base_combinatorics import IntVec, SubsetJ, all_subsets
 from modpcheck.constants import ConstantTables, all_mutations, aJn, tJx
 from modpcheck.errors import HypothesisViolation, RangeViolation
 from modpcheck.harness import run_identities
-from modpcheck.weights import RhoParams, Translation, WeightB, translate_in_graph
+from modpcheck.weights import RhoParams, Translation, WeightB
 
 PRESETS = ((11, 1, (4,)), (13, 2, (5, 6)), (17, 3, (7, 8, 7)))
 
@@ -35,6 +35,11 @@ def _ids(params):
 
 # ---------------------------------------------------------------------------
 # reference bodies
+
+
+def translate_in_graph(params: RhoParams, J: SubsetJ, b: IntVec) -> WeightB:
+    """Weight reached from position b after the J-translation (see Translation)."""
+    return Translation(params, J)(b)
 
 
 def translate_reference(params, J, b):

@@ -5,6 +5,7 @@ from modpcheck.errors import ConfigInvalid, GenericityViolation, InadmissibleS, 
 from modpcheck.weights import (
     HCharacter,
     RhoParams,
+    Translation,
     WeightB,
     aJ,
     alpha_char,
@@ -18,13 +19,17 @@ from modpcheck.weights import (
     rank_for_S,
     serre_weights_of_rhobar,
     sJ_tJ,
-    translate_in_graph,
     validate_params,
 )
 import pytest
 
 
 # helpers only these tests use
+
+
+def translate_in_graph(params: RhoParams, J: SubsetJ, b: IntVec) -> WeightB:
+    """Weight reached from position b after the J-translation (see Translation)."""
+    return Translation(params, J)(b)
 
 
 def shift_generated_constituents(params: RhoParams, J: SubsetJ, i: IntVec) -> frozenset:
