@@ -87,9 +87,10 @@ class RunConfig:
         if self.mutate is not None and self.mutate != "eps":
             if _TABLE_ALIASES.get(self.mutate, self.mutate) not in MUTABLE:
                 raise ConfigInvalid(f"unknown mutation target {self.mutate!r}")
-        depth = None if self.cutoff is None else chart_depth(self.p, self.f, self.cutoff)
-        if depth is not None and depth < 2:
-            raise ConfigInvalid(f"cutoff={self.cutoff} too small: chart depth {depth} < 2")
+        if self.cutoff is not None:
+            depth = chart_depth(self.p, self.f, self.cutoff)
+            if depth < 2:
+                raise ConfigInvalid(f"cutoff={self.cutoff} too small: chart depth {depth} < 2")
         if self.units < 1 or self.thetas < 1:
             raise ConfigInvalid("units and thetas must be positive")
         self.param_sets()  # raises ConfigInvalid / GenericityViolation

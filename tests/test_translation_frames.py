@@ -33,13 +33,13 @@ def _ids(params):
     return f"p{params.p}-f{params.f}-jrho{''.join(map(str, params.Jrho.members()))}"
 
 
-# ---------------------------------------------------------------------------
-# reference bodies
-
-
 def translate_in_graph(params: RhoParams, J: SubsetJ, b: IntVec) -> WeightB:
     """Weight reached from position b after the J-translation (see Translation)."""
     return Translation(params, J)(b)
+
+
+# ---------------------------------------------------------------------------
+# reference bodies
 
 
 def translate_reference(params, J, b):
