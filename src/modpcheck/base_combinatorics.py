@@ -1,7 +1,8 @@
 """Cyclic-index subset and integer-vector calculus.
 
 Everything downstream indexes data by j in Z/fZ.  Subsets of the index set
-are bitmasks (bit j = membership of j), integer vectors are plain tuples.
+are bitmasks (bit j = membership of j); integer vectors are frozen IntVec
+records over a tuple of entries, indexed cyclically (v[j] reads j mod f).
 All shifts are cyclic; the f=1 degeneracies (J-1 = J, boundary of the full
 singleton is empty) fall out of the mod-f arithmetic with no special-casing.
 """

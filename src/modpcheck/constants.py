@@ -17,7 +17,7 @@ from .base_combinatorics import (
     indicator,
     right_boundary,
 )
-from .errors import ConfigInvalid, HypothesisViolation, PairNotDefined, RangeViolation
+from .errors import ConfigInvalid, HypothesisViolation, PairNotDefined
 from .reporting import Sweep
 from .weights import (
     Translation,
@@ -94,7 +94,8 @@ def tJJp(params, J, Jp):
 
 
 def _m_formula(params, i, J, Jp):
-    # unguarded core of mVec; the reindexing sweep evaluates it formally
+    # signed exponent vector of the i-indexed element in a J-block; the
+    # reindexing sweep evaluates it formally, outside the small box of i too
     f = params.f
     Kss = J.shift(-1) & params.Jrho
     sym = J ^ Kss
@@ -111,36 +112,14 @@ def _m_formula(params, i, J, Jp):
     return IntVec(f, tuple(out))
 
 
-def _require_small_box(params, J, i):
-    f = params.f
-    _, _, Jsh = params.parts(J)
-    for j in range(f):
-        hi = f - (1 if j in Jsh else 0)
-        if not 0 <= i[j] <= hi:
-            raise RangeViolation(f"i_{j}={i[j]} outside [0, {hi}]")
-
-
-def mVec(params, i, J, Jp):
-    """Signed exponent vector of the i-indexed element in a J-block, for the
-    comparison subset Jp.  i must lie in the small box [0, f - e^{Jsh}]."""
-    _require_small_box(params, J, i)
-    return _m_formula(params, i, J, Jp)
-
-
 def _tjx_bump(params, J, j):
-    # the odd-x offset of tJx at slot j
+    # offset added to n*p by the shift exponent at slot j when x = 2n + 1
     return (params.r[j] + 1) if (j + 1) not in J else (params.p - 1 - params.r[j])
 
 
-def tJx(params, J, j, x):
-    """One-variable shift exponent: write x = 2n + d with d in {0, 1}."""
-    n, d = divmod(x, 2)
-    return n * params.p + (_tjx_bump(params, J, j) if d else 0)
-
-
 class AJnFrame:
-    """aJn(J, ., j0) with its per-(J, j0) data computed once: the anchor slot
-    j0+1, the hypothesis bounds, the zero slot and the tJx bumps."""
+    """Exponent table aJn(J, ., j0) with its per-(J, j0) data computed once:
+    the anchor slot j0+1, the hypothesis bounds, the zero slot and the bumps."""
 
     __slots__ = ("f", "p", "anchor", "bounds", "bumps")
 
@@ -169,7 +148,7 @@ class AJnFrame:
                 raise HypothesisViolation(f"n_{j}={ent[j]} outside [1, {hi}]")
         p = self.p
         out = []
-        # slot j reads x = n_{j+1}: tJx(J, j, x) - n_j
+        # slot j reads x = n_{j+1}: the shift exponent of x minus n_j
         for nj, x, bump in zip(ent, ent[1:] + ent[:1], self.bumps):
             if bump is None:
                 out.append(0)
@@ -177,14 +156,6 @@ class AJnFrame:
                 half, odd = divmod(x, 2)
                 out.append(half * p + (bump if odd else 0) - nj)
         return IntVec(self.f, tuple(out))
-
-
-def aJn(params, J, n, j0):
-    """Exponent table for the n-indexed family anchored at j0.
-
-    Requires n_{j0+1} = 0 and 1 <= n_j <= 2f - [j in J] elsewhere.
-    """
-    return AJnFrame(params, J, j0)(n)
 
 
 def hj(params, h, j):
@@ -330,10 +301,6 @@ class ConstantTables:
         applies to every output."""
         frame = AJnFrame(self.params, J, j0)
         return lambda n: self._bump("aJn", J, frame(n))
-
-    # passthrough, not mutable
-    def tJx(self, J, j, x):
-        return tJx(self.params, J, j, x)
 
     def m(self, i, J, Jp):
         return _m_formula(self.params, i, J, Jp)

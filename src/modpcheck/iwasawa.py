@@ -23,8 +23,15 @@ substitutes cached powers Y^m of the eigencoordinate series, and t_to_y
 inverts it degree by degree, eliminating leading forms.  All operations
 track how far each truncated element is known and refuse to compare beyond
 that point.
+
+Two routines make every binomial expansion from the Lucas rows C(c, m) mod p
+of _binomial_row: _binomial_product gives prod_l (1 + T_l)^(c_l) below a
+depth (the generator series, the eigencoordinate sum, the unit-action
+factors), and _binomial_series raises a series 1 + v to an integer or p-adic
+power (inverses, the unit action, p-adic powers of the unit ratios).
 """
 
+import functools
 import math
 import random
 import threading
@@ -53,17 +60,40 @@ def default_cutoff(p, f):
     return 2 * p
 
 
-def _binom_mod(n, m, p):
-    # C(n, m) mod p for arbitrary integer n, m >= 0; falling factorial is
-    # exactly divisible by m!
-    if m < 0:
-        return 0
-    if m == 0:
-        return 1 % p
-    num = 1
-    for i in range(m):
-        num *= n - i
-    return (num // math.factorial(m)) % p
+def _binomial_row(p, c, length):
+    """(C(c, m) mod p for 0 <= m < length), c any integer: negative, or a
+    class mod a power of p at least `length`.
+
+    By Lucas's theorem C(c, m) mod p is the product of the binomials of the
+    base-p digits of c and m, so for m < p^e it depends on c mod p^e only.
+    """
+    pe = p
+    while pe < length:
+        pe *= p
+    return _lucas_row(p, c % pe, length)
+
+
+@functools.lru_cache(maxsize=None)
+def _lucas_row(p, r, length):
+    return tuple(math.comb(r, m) % p for m in range(length))
+
+
+def _binomial_product(field, coords, depth, digits):
+    """Terms of prod_l (1 + T_l)^(coords[l]) below total degree `depth`, each
+    exponent a class mod p^digits: T^beta has the prime-field coefficient
+    prod_l C(coords[l], beta_l) mod p.
+
+    Exact only when p^digits >= depth, else ExponentPrecisionTooLow.
+    """
+    p = field.p
+    if p**digits < depth:
+        raise ExponentPrecisionTooLow(f"need p^N >= {depth}, have N={digits}")
+    out = [((), 1, 0)]  # (exponents so far, binomial product, degree)
+    for c in coords:
+        row = _binomial_row(p, c, depth)
+        out = [(k + (m,), x * b, d + m) for k, x, d in out
+               for m, b in enumerate(row[:depth - d]) if b]
+    return {k: x % p for k, x, _ in out}
 
 
 def _sorted_by_degree(terms):
@@ -138,38 +168,6 @@ def _mul_bound(kx, dx, ky, dy):
     # product of something known below kx with least degree dx by something
     # known below ky with least degree dy is known below this
     return min(kx + dy, ky + dx)
-
-
-def one_plus_var_power(field, f, cutoff, l, c, digits):
-    """(1 + T_l)^c in the additive chart, c an integer class mod p^digits.
-
-    Walks base-p digits of c using (1+T)^(p^i) = 1 + T^(p^i); exact below
-    cutoff provided p^digits >= cutoff.
-    """
-    p = field.p
-    if p**digits < cutoff:
-        raise ExponentPrecisionTooLow(
-            f"need p^N >= {cutoff}, have N={digits}")
-    c %= p**digits
-    out = AElement.const(field, f, 1, cutoff=cutoff)
-    step = 1
-    for _ in range(digits):
-        if step >= cutoff:
-            break
-        d = c % p
-        c //= p
-        if d:
-            terms = {}
-            for m in range(d + 1):
-                if m * step >= cutoff:
-                    break
-                coeff = field.from_int(math.comb(d, m) % p)
-                if coeff:
-                    k = tuple(m * step if i == l else 0 for i in range(f))
-                    terms[k] = coeff
-            out = out * AElement(field, f, cutoff, terms)
-        step *= p
-    return out.copy_truncated(cutoff)
 
 
 class AElement:
@@ -266,20 +264,7 @@ class AElement:
                 base = base * base
         return result
 
-    def pth_power(self, times=1):
-        """x^(p^times) by the characteristic-p rule; knowledge scales by p^times."""
-        fld = self.field
-        p = fld.p
-        step = p**times
-        terms = {tuple(step * ki for ki in k): fld.pow(c, step)
-                 for k, c in self.terms.items()}
-        cut = self.cutoff if self.cutoff == INF else self.cutoff * step
-        return AElement(fld, self.f, cut, terms)
-
     # ---- additive chart ----
-
-    def coeff(self, k):
-        return self.terms.get(tuple(k), 0)
 
     def hasse_derivative(self, gamma):
         """D^gamma: T^beta -> C(beta, gamma) T^(beta-gamma), exact."""
@@ -383,37 +368,18 @@ def invert_unit(x):
     fld = x.field
     lead_inv = AElement.monomial(fld, x.f, tuple(-a for a in k0), fld.inv(c0))
     w = lead_inv * x - 1  # fdeg >= 1, known below cutoff - d
-    geom = AElement.const(fld, x.f, 1, cutoff=w.cutoff)
-    term = AElement.const(fld, x.f, 1, cutoff=w.cutoff)
-    while True:
-        term = (-w) * term
-        term = term.copy_truncated(w.cutoff)
-        if term.is_zero():
-            break
-        geom = geom + term
-    return (lead_inv * geom).copy_truncated(
+    return (lead_inv * _binomial_series(w, -1, w.cutoff)).copy_truncated(
         x.cutoff if x.cutoff == INF else x.cutoff - 2 * d)
 
 
-@dataclass(frozen=True)
-class ZpExponent:
-    """Exponent c0 + c1*phi with both coefficients classes mod p^digits."""
+def zp_power(g, c, digits):
+    """g^c for a principal unit g = 1 + eps (fdeg(eps) >= 1) and c a class
+    mod p^digits, by the binomial series.
 
-    c0: int
-    digits: int
-    c1: int = 0
-
-
-def zp_power(g, c):
-    """g^c for a principal unit g = 1 + eps (fdeg(eps) >= 1).
-
-    c is an int (digit count derived from g's knowledge) or a ZpExponent;
-    the phi coefficient acts through frobenius.  Base-p digit walk with
-    (1+eps)^(p^i) = 1 + eps^(p^i).  Raises ExponentPrecisionTooLow if the
-    provided digit count cannot determine the result below g's cutoff.
+    Raises ExponentPrecisionTooLow when g is known to every depth or when
+    p^digits cannot pin the result below g's cutoff.
     """
-    fld = g.field
-    p = fld.p
+    p = g.field.p
     eps = g - 1
     d0 = fdeg(eps)
     if d0 < 1:
@@ -421,41 +387,11 @@ def zp_power(g, c):
     cutoff = g.cutoff
     if cutoff == INF and d0 != INF:
         raise ExponentPrecisionTooLow(
-            "digit walk needs a finite knowledge bound on g")
-    if isinstance(c, ZpExponent):
-        n_digits = c.digits
-        if cutoff != INF and p**n_digits * max(d0 if d0 != INF else 1, 1) < cutoff:
-            raise ExponentPrecisionTooLow(
-                f"p^{n_digits} digits cannot pin depth {cutoff}")
-        out = _digit_walk(g, c.c0 % p**n_digits, n_digits)
-        if c.c1 % p**n_digits:
-            out = out * _digit_walk(frobenius(g).copy_truncated(cutoff),
-                                    c.c1 % p**n_digits, n_digits)
-        return out.copy_truncated(cutoff)
-    n_digits = 1
-    scale = p
-    ref = cutoff if cutoff != INF else 1
-    while scale * max(d0 if d0 != INF else 1, 1) < ref:
-        scale *= p
-        n_digits += 1
-    return _digit_walk(g, c % scale, n_digits).copy_truncated(cutoff)
-
-
-def _digit_walk(g, c, n_digits):
-    fld = g.field
-    p = fld.p
-    out = AElement.const(fld, g.f, 1, cutoff=g.cutoff)
-    eps = g - 1
-    for i in range(n_digits):
-        d = c % p
-        c //= p
-        if d:
-            base = eps + 1
-            out = out * (base**d)
-            out = out.copy_truncated(g.cutoff)
-        if c:
-            eps = eps.pth_power()
-    return out
+            "a p-adic power needs a finite knowledge bound on g")
+    if cutoff != INF and p**digits * (1 if d0 == INF else d0) < cutoff:
+        raise ExponentPrecisionTooLow(
+            f"p^{digits} digits cannot pin depth {cutoff}")
+    return _binomial_series(eps, c % p**digits, cutoff)
 
 
 def frobenius(x):
@@ -636,11 +572,8 @@ class ChartContext:
         hit = self._n_cache.get(key)
         if hit is not None:
             return hit
-        coords = self.ring.teichmuller(a)
-        out = AElement.const(self.field, self.f, 1, cutoff=depth)
-        for l, c in enumerate(coords):
-            out = out * one_plus_var_power(self.field, self.f, depth, l, c, self.N)
-        out = out.copy_truncated(depth)
+        out = AElement(self.field, self.f, depth, _binomial_product(
+            self.field, self.ring.teichmuller(a), depth, self.N))
         if self.q <= 256:
             self._n_cache[key] = out
         return out
@@ -663,45 +596,30 @@ class ChartContext:
         """Coefficients of Y_0 = sum over units a of a^{-1} n([a]).
 
         The coefficient of T^beta is sum_a a^{-1} prod_l C(c_l(a), beta_l)
-        mod p, with c_l(a) the coordinates of the Teichmuller lift of a, and
-        each binomial is a product of digit binomials (Lucas's theorem).  The
-        lifts are the powers of the lift of the field generator.
+        mod p, with c_l(a) the coordinates of the Teichmuller lift of a: the
+        products of the first f-1 coordinates come from _binomial_product,
+        the last coordinate's binomials from _binomial_row.  The lifts are
+        the powers of the lift of the field generator.
 
         The sum is Kronecker-packed: a^{-1} is a _Packing int with S-bit
         slots, and the binomials of the last variable for all exponents
         m < depth sit in consecutive k*S-bit blocks of one int, so one
         product adds a unit's contribution to every m at once.  A
         contribution is at most (p-1)^(f+1) per slot (a digit of a^{-1}
-        times f binomials, each reduced mod p), over q-1 units.
+        times binomial products reduced mod p), over q-1 units.
         """
         fld, ring = self.field, self.ring
         p, f, depth = self.p, self.f, self.tdepth
-        digits = 0
-        while p**digits < depth:
-            digits += 1
-        pe = p**digits
-        small = [[math.comb(n, m) % p for m in range(p)] for n in range(p)]
-
-        def lucas(c, m):
-            out = 1
-            for _ in range(digits):
-                out = out * small[c % p][m % p] % p
-                c //= p
-                m //= p
-            return out
-
         pack = _packing(fld, _slot_bits((p - 1) ** (f + 1), self.q - 1))
         width = fld.k * pack.bits
-        cache = {}
+        packed = {}
 
-        def binomials(c):
-            # C(c, m) mod p for m < depth, as a list and packed in blocks;
-            # only c mod p^digits matters
-            r = c % pe
-            hit = cache.get(r)
+        def last_row(c):
+            # C(c, m) mod p for m < depth, packed in blocks
+            row = _binomial_row(p, c, depth)
+            hit = packed.get(row)
             if hit is None:
-                vec = [lucas(r, m) for m in range(depth)]
-                hit = cache[r] = vec, sum(b << (width * m) for m, b in enumerate(vec))
+                hit = packed[row] = sum(b << (width * m) for m, b in enumerate(row))
             return hit
 
         acc = {}
@@ -709,14 +627,9 @@ class ChartContext:
         teich_gen = ring.teichmuller(fld.generator)
         lift = ring.one
         for a in fld.EXP:  # generator powers, in step with their lifts
-            outer = [((), 1, 0)]  # (exponents of T_0..T_{f-2}, binomial product, degree)
-            for c in lift[:-1]:
-                vec = binomials(c)[0]
-                outer = [(t + (m,), x * b, dg + m) for t, x, dg in outer
-                         for m, b in enumerate(vec[:depth - dg]) if b]
-            last = binomials(lift[-1])[1]
+            last = last_row(lift[-1])
             w = pack.table[fld.inv(a)]
-            for t, x, _ in outer:
+            for t, x in _binomial_product(fld, lift[:-1], depth, self.N).items():
                 acc[t] = get(t, 0) + w * x * last
             lift = ring.mul(lift, teich_gen)
 
@@ -822,14 +735,10 @@ class ChartContext:
         if hit is not None:
             return hit
         bound = self.D - self.p * sum(gamma)
-        s = self.y_series[j].hasse_derivative(gamma)
-        for l, g in enumerate(gamma):
-            if g:
-                onep = AElement(self.field, self.f, INF,
-                               {tuple(m if i == l else 0 for i in range(self.f)):
-                                self.field.from_int(math.comb(g, m))
-                                for m in range(g + 1)})
-                s = s * onep
+        # (1+T)^gamma is a polynomial of degree |gamma|, so it is exact
+        onep = AElement(self.field, self.f, INF, _binomial_product(
+            self.field, gamma, sum(gamma) + 1, self.N))
+        s = self.y_series[j].hasse_derivative(gamma) * onep
         out = self.t_to_y(s.copy_truncated(max(bound, 0)), max(bound, 0))
         self._convb[key] = out
         return out
@@ -863,15 +772,10 @@ class ChartContext:
         fld = self.field
         f = self.f
         cap = self.piece_cap
-        # epsilon_i - 1 in the additive chart at the piece depth
-        eps = []
-        for i in range(f):
-            e = AElement.const(fld, f, 1, cutoff=cap)
-            for l in range(f):
-                d = dmat[i][l]  # T_l exponent of the image of slot i
-                if d:
-                    e = e * one_plus_var_power(fld, f, cap, l, d, 1)
-            eps.append(e - AElement.const(fld, f, 1, cutoff=cap))
+        # epsilon_i - 1 in the additive chart at the piece depth; dmat[i][l]
+        # is the T_l exponent of the image of slot i
+        eps = [AElement(fld, f, cap, _binomial_product(fld, row, cap, 1)) - 1
+               for row in dmat]
         vs = []
         for j in range(f):
             acc = AElement(fld, f, self.D, {})
@@ -914,19 +818,27 @@ class UnitData:
 
 
 def _binomial_series(v, n, bound):
-    """(1 + v)^n truncated below bound, n any integer, fdeg(v) >= 1."""
+    """(1 + v)^n below min(bound, v.cutoff), for fdeg(v) >= 1 and n an
+    integer or a class mod a power of p at least that depth: the sum of
+    C(n, t) v^t, which ends because fdeg(v^t) >= t.
+
+    Raises PrecisionExhausted when that depth is infinite and v is not 0,
+    since the sum then never ends.
+    """
     fld = v.field
-    out = AElement.const(fld, v.f, 1, cutoff=min(bound, v.cutoff))
+    cut = min(bound, v.cutoff)
+    out = AElement.const(fld, v.f, 1, cutoff=cut)
+    if v.is_zero():
+        return out
+    if cut == INF:
+        raise PrecisionExhausted("binomial series of an exact nonzero series never ends")
     vt = AElement.const(fld, v.f, 1, cutoff=INF)
-    t = 0
-    while True:
-        t += 1
-        vt = (vt * v).copy_truncated(min(bound, v.cutoff))
+    for c in _binomial_row(fld.p, n, cut)[1:]:
+        vt = (vt * v).copy_truncated(cut)
         if vt.is_zero():
             break
-        c = fld.from_int(_binom_mod(n, t, fld.p))
         if c:
-            out = out + vt.scale(c)
+            out = out + vt.scale(fld.from_int(c))
     return out
 
 
@@ -971,7 +883,7 @@ def unit_ratio(ctx, u, j):
 def cocycle_factor(ctx, u, j, numerator):
     """w * phi(w)^{-1} with w = f_{u,j}^(numerator/(1-q) mod p^N)."""
     e = numerator * pow(1 - ctx.q, -1, ctx.p**ctx.N) % ctx.p**ctx.N
-    w = zp_power(unit_ratio(ctx, u, j), ZpExponent(e, ctx.N))
+    w = zp_power(unit_ratio(ctx, u, j), e, ctx.N)
     return (w * invert_unit(frobenius(w))).copy_truncated(w.cutoff)
 
 
@@ -1083,10 +995,7 @@ def check_exponent_additivity(ctx, samples=20, seed=0):
     span = ctx.p**ctx.N
 
     def n_of(coords):
-        out = AElement.const(fld, ctx.f, 1, cutoff=depth)
-        for l, c in enumerate(coords):
-            out = out * one_plus_var_power(fld, ctx.f, depth, l, c, ctx.N)
-        return out
+        return AElement(fld, ctx.f, depth, _binomial_product(fld, coords, depth, ctx.N))
 
     for _ in range(samples):
         g = tuple(rng.randrange(span) for _ in range(ctx.f))

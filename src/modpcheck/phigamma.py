@@ -849,9 +849,14 @@ def check_unit_action_matrices(ctx, mu, units=10, pairs=2, seed=0, flip=None):
     s_comm.checked += r.checked - 1
     comm_info = r.info
 
+    # a wrong chart conversion fails a row here instead of ending the run
     built = []
     for u in principal_units(ctx, units, seed):
-        qa, pj = build_q_a(ctx, mu, u)
+        try:
+            qa, pj = build_q_a(ctx, mu, u)
+        except HypothesisViolation as exc:
+            s_struct.check(False, unit=u, claim="buildable", error=str(exc))
+            continue
         Pa = assemble_unit_matrix(params, qa, pj)
         built.append((u, Pa))
         for key in Pa.entries:
@@ -905,7 +910,11 @@ def check_unit_action_matrices(ctx, mu, units=10, pairs=2, seed=0, flip=None):
         u1, P1 = built[2 * n]
         u2, P2 = built[2 * n + 1]
         u12 = ctx.ring.mul(u1, u2)
-        P12 = build_mat_a(ctx, mu, u12)
+        try:
+            P12 = build_mat_a(ctx, mu, u12)
+        except HypothesisViolation as exc:
+            s_cocy.check(False, pair=n, unit=u12, error=str(exc))
+            continue
         d1 = ctx.unit_data(u1)
         rhs = P1 @ P2.map_entries(lambda x: unit_action(ctx, d1, x))
         keys = set(P12.entries) | set(rhs.entries)

@@ -3,9 +3,10 @@ references.
 
 The reference functions below are the straightforward forms: the
 eigencoordinate series as the weighted sum of the generator series n([a])
-over all units, the reversion table (every power tau^beta of the reverted
-coordinates, with tuple exponent keys and one field call per coefficient
-operation), and the conversion that substitutes that table into an
+over all units (n([a]) in the product form of test_binomial_layer), the
+reversion table (every power tau^beta of the reverted coordinates, with
+tuple exponent keys and one field call per coefficient operation), and the
+conversion that substitutes that table into an
 additive-chart series.  ``ChartContext.t_to_y`` eliminates leading forms
 instead and shares no code with the table, so the table is an independent
 oracle for it; the packed eigencoordinate sum must reproduce its reference
@@ -23,15 +24,19 @@ from hypothesis import strategies as st
 
 from modpcheck import iwasawa
 from modpcheck.iwasawa import AElement, ChartContext, _graded_exponents
+from test_binomial_layer import reference_n_series
 
 
 def reference_y_series(ctx):
-    """Y_0 = sum over units a of a^-1 n([a]); Y_j the p^j-th coefficient power."""
+    """Y_0 = sum over units a of a^-1 n([a]); Y_j the p^j-th coefficient power.
+
+    n([a]) is the product form of the generator series, so the reference
+    shares no binomial rows with the chart build."""
     fld = ctx.field
     acc = {}
     for a in fld.units():
         w = fld.inv(a)
-        for k, c in ctx.n_series(a, ctx.tdepth).terms.items():
+        for k, c in reference_n_series(ctx, a, ctx.tdepth).terms.items():
             v = fld.add(acc.get(k, 0), fld.mul(w, c))
             if v:
                 acc[k] = v

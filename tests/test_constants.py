@@ -4,9 +4,11 @@ import pytest
 
 from modpcheck.base_combinatorics import IntVec, SubsetJ
 from modpcheck.constants import (
+    AJnFrame,
     ConstantTables,
     Mutation,
-    aJn,
+    _m_formula,
+    _tjx_bump,
     all_mutations,
     cJ,
     cPrimeJ,
@@ -16,11 +18,9 @@ from modpcheck.constants import (
     check_weight_table_bounds,
     epsilonJ,
     hj,
-    mVec,
     mu_gamma,
     rJ,
     tJJp,
-    tJx,
 )
 from modpcheck.errors import (
     ConfigInvalid,
@@ -39,6 +39,33 @@ P2F = RhoParams.make(13, 2, (5, 6), jrho_members=(0, 1))
 P3 = RhoParams.make(17, 3, (7, 8, 7), jrho_members=(1,))
 
 ALL_PARAMS = (P1, P1R, P2, P2A, P2F, P3)
+
+
+def tJx(params, J, j, x):
+    """One-variable shift exponent: write x = 2n + d with d in {0, 1}."""
+    n, d = divmod(x, 2)
+    return n * params.p + (_tjx_bump(params, J, j) if d else 0)
+
+
+def aJn(params, J, n, j0):
+    """Exponent table for the n-indexed family anchored at j0."""
+    return AJnFrame(params, J, j0)(n)
+
+
+def _require_small_box(params, J, i):
+    f = params.f
+    _, _, Jsh = params.parts(J)
+    for j in range(f):
+        hi = f - (1 if j in Jsh else 0)
+        if not 0 <= i[j] <= hi:
+            raise RangeViolation(f"i_{j}={i[j]} outside [0, {hi}]")
+
+
+def mVec(params, i, J, Jp):
+    """Signed exponent vector of the i-indexed element in a J-block, for the
+    comparison subset Jp.  i must lie in the small box [0, f - e^{Jsh}]."""
+    _require_small_box(params, J, i)
+    return _m_formula(params, i, J, Jp)
 
 
 def J(params, *members):

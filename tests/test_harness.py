@@ -3,6 +3,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from modpcheck import iwasawa
 from modpcheck.cli import main
 from modpcheck.errors import ConfigInvalid, GenericityViolation, RangeViolation
 from modpcheck.harness import (
@@ -283,6 +284,35 @@ def test_cli_internal_error_exit_code(monkeypatch, exc):
     assert res.exit_code == 3
     assert res.stdout == ""
     assert res.stderr == f"internal error: {type(exc).__name__}: {exc}\n"
+
+
+def _transpose_jacobian_inverse(monkeypatch):
+    # a wrong chart conversion, on fresh contexts so that no cached chart
+    # keeps it
+    right = iwasawa.ChartContext.jacobian_inverse.fget
+    monkeypatch.setattr(iwasawa, "_CTX_CACHE", {})
+    monkeypatch.setattr(iwasawa.ChartContext, "jacobian_inverse",
+                        property(lambda ctx: [list(r) for r in zip(*right(ctx))]))
+
+
+def test_wrong_chart_conversion_fails_a_unit_matrix_row(monkeypatch):
+    # the conversion leaves a right-hand side that is not torus-fixed; the
+    # unit-matrix sweep records that unit as a failing row and goes on
+    _transpose_jacobian_inverse(monkeypatch)
+    report = run_suite(RunConfig(p=13, f=2, r=(5, 6), jrho=(0,), suites=("phigamma",)))
+    assert not report.passed
+    rows = [row for row in report.suites if "/unit-matrix-structure@" in row["name"]]
+    assert rows and rows[0]["status"] == "fail"
+    assert rows[0]["counterexample"]["claim"] == "buildable"
+    assert rows[0]["counterexample"]["error"] == "right-hand side must be torus-fixed"
+    assert rows[0]["counterexample"]["unit"]
+
+
+def test_cli_wrong_chart_conversion_exits_1(monkeypatch):
+    _transpose_jacobian_inverse(monkeypatch)
+    res = CliRunner().invoke(main, ["verify", "--p", "13", "--f", "2", "--r", "5,6"])
+    assert res.exit_code == 1, res.output
+    assert any(row["status"] == "fail" for row in json.loads(res.stdout)["suites"])
 
 
 def test_cli_range_violation_inside_run_is_internal(monkeypatch):

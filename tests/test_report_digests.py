@@ -20,12 +20,17 @@ GOLDEN = [
      "dcac0721e38be887c9230d8a29ed67a46cbfad768e67417cf00c8db22367f909"),
     (RunConfig(p=17, f=3, r=(7, 8, 7), jrho=(0,), suites=("iwasawa",)),
      "017f0df676702b9e4ddbe4dd6b98ddbade3020bef4f750aad1aa402695f086ec"),
+    # deeper cutoffs: more Witt digits and longer binomial rows
+    (RunConfig(p=13, f=2, r=(5, 6), jrho=(0,), cutoff=40, suites=("iwasawa", "phigamma")),
+     "00814864dbe511920cb41aaff8fecee0bc533fb1e97db850973fae427a781eb6"),
+    (RunConfig(p=11, f=1, r=(5,), cutoff=80, suites=("iwasawa", "phigamma")),
+     "00228116893cf2ec75bf44f830ca94d3d6b7f5f54e2d769eb8d7821b5d2e5c07"),
 ]
 
 
 @pytest.mark.parametrize("config,digest", GOLDEN,
                          ids=["p11-f1-all", "p13-f2-all", "p17-f3-phigamma",
-                              "p17-f3-iwasawa"])
+                              "p17-f3-iwasawa", "p13-f2-cutoff40", "p11-f1-cutoff80"])
 def test_report_digest_is_pinned(config, digest):
     report = run_suite(config)
     assert report.passed

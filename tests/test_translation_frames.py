@@ -15,7 +15,7 @@ import itertools
 import pytest
 
 from modpcheck.base_combinatorics import IntVec, SubsetJ, all_subsets
-from modpcheck.constants import ConstantTables, all_mutations, aJn, tJx
+from modpcheck.constants import AJnFrame, ConstantTables, all_mutations
 from modpcheck.errors import HypothesisViolation, RangeViolation
 from modpcheck.harness import run_identities
 from modpcheck.weights import RhoParams, Translation, WeightB
@@ -58,6 +58,17 @@ def translate_reference(params, J, b):
             v += 2
         out.append(v)
     return WeightB(params, IntVec(f, tuple(out)))
+
+
+def tJx(params, J, j, x):
+    """One-variable shift exponent: write x = 2n + d with d in {0, 1}."""
+    n, d = divmod(x, 2)
+    bump = (params.r[j] + 1) if (j + 1) not in J else (params.p - 1 - params.r[j])
+    return n * params.p + (bump if d else 0)
+
+
+def aJn(params, J, n, j0):
+    return AJnFrame(params, J, j0)(n)
 
 
 def aJn_reference(params, J, n, j0):
