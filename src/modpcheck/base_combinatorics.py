@@ -1,31 +1,45 @@
 """Cyclic-index subset and integer-vector calculus.
 
 Everything downstream indexes data by j in Z/fZ.  Subsets of the index set
-are bitmasks (bit j = membership of j); integer vectors are frozen IntVec
-records over a tuple of entries, indexed cyclically (v[j] reads j mod f).
+are bitmasks (bit j = membership of j); integer vectors are IntVec values
+over a tuple of entries, indexed cyclically (v[j] reads j mod f).  Both are
+plain __slots__ value classes, compared and hashed by their fields; their
+fields are never reassigned.  Operands of a binary operation must share f.
 All shifts are cyclic; the f=1 degeneracies (J-1 = J, boundary of the full
 singleton is empty) fall out of the mod-f arithmetic with no special-casing.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from operator import add, ge, neg, sub
 
 MAX_F = 16
 
 
-@dataclass(frozen=True)
+def _f_mismatch(a, b):
+    return ValueError(f"operands indexed by different f: {a.f} and {b.f}")
+
+
 class SubsetJ:
     """Subset of Z/fZ as a bitmask."""
 
-    f: int
-    bits: int
+    __slots__ = ("f", "bits")
 
-    def __post_init__(self):
-        if not 1 <= self.f <= MAX_F:
-            raise ValueError(f"f={self.f} outside [1, {MAX_F}]")
-        if not 0 <= self.bits < (1 << self.f):
+    def __init__(self, f, bits):
+        if not 1 <= f <= MAX_F:
+            raise ValueError(f"f={f} outside [1, {MAX_F}]")
+        if not 0 <= bits < (1 << f):
             raise ValueError("bits out of range for f")
+        self.f = f
+        self.bits = bits
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.f == other.f and self.bits == other.bits
+
+    def __hash__(self):
+        return hash((self.f, self.bits))
 
     @classmethod
     def of(cls, f, members=()):
@@ -55,18 +69,28 @@ class SubsetJ:
 
     # set algebra; operands must share f
     def __and__(self, other):
+        if other.f != self.f:
+            raise _f_mismatch(self, other)
         return SubsetJ(self.f, self.bits & other.bits)
 
     def __or__(self, other):
+        if other.f != self.f:
+            raise _f_mismatch(self, other)
         return SubsetJ(self.f, self.bits | other.bits)
 
     def __sub__(self, other):
+        if other.f != self.f:
+            raise _f_mismatch(self, other)
         return SubsetJ(self.f, self.bits & ~other.bits)
 
     def __xor__(self, other):
+        if other.f != self.f:
+            raise _f_mismatch(self, other)
         return SubsetJ(self.f, self.bits ^ other.bits)
 
     def __le__(self, other):
+        if other.f != self.f:
+            raise _f_mismatch(self, other)
         return self.bits & ~other.bits == 0
 
     def __lt__(self, other):
@@ -115,16 +139,24 @@ def right_boundary(J: SubsetJ) -> SubsetJ:
     return J - J.shift(-1)
 
 
-@dataclass(frozen=True)
 class IntVec:
     """Integer vector indexed by Z/fZ."""
 
-    f: int
-    entries: tuple
+    __slots__ = ("f", "entries")
 
-    def __post_init__(self):
-        if len(self.entries) != self.f:
+    def __init__(self, f, entries):
+        if len(entries) != f:
             raise ValueError("entry count != f")
+        self.f = f
+        self.entries = entries
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.f == other.f and self.entries == other.entries
+
+    def __hash__(self):
+        return hash((self.f, self.entries))
 
     @classmethod
     def of(cls, entries):
@@ -150,19 +182,25 @@ class IntVec:
         return iter(self.entries)
 
     def __add__(self, other):
-        return IntVec(self.f, tuple(a + b for a, b in zip(self.entries, other.entries)))
+        if other.f != self.f:
+            raise _f_mismatch(self, other)
+        return IntVec(self.f, tuple(map(add, self.entries, other.entries)))
 
     def __sub__(self, other):
-        return IntVec(self.f, tuple(a - b for a, b in zip(self.entries, other.entries)))
+        if other.f != self.f:
+            raise _f_mismatch(self, other)
+        return IntVec(self.f, tuple(map(sub, self.entries, other.entries)))
 
     def __neg__(self):
-        return IntVec(self.f, tuple(-a for a in self.entries))
+        return IntVec(self.f, tuple(map(neg, self.entries)))
 
     def __rmul__(self, c):
         return IntVec(self.f, tuple(c * a for a in self.entries))
 
     def geq(self, other):
-        return all(a >= b for a, b in zip(self.entries, other.entries))
+        if other.f != self.f:
+            raise _f_mismatch(self, other)
+        return all(map(ge, self.entries, other.entries))
 
     def __repr__(self):
         return "(" + ",".join(str(a) for a in self.entries) + ")"

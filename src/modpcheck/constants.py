@@ -6,9 +6,12 @@ sweep every tuple allowed by the hypotheses of the identity they verify and
 report the first counterexample rather than raising.
 """
 
+import dataclasses
+import functools
 import itertools
 import random
 from dataclasses import dataclass
+from operator import add, mul
 
 from .arith import Fq
 from .base_combinatorics import (
@@ -138,6 +141,8 @@ class AJnFrame:
         )
 
     def __call__(self, n):
+        if n.f != self.f:
+            raise HypothesisViolation(f"n indexed by f={n.f}, table by f={self.f}")
         ent = n.entries
         if ent[self.anchor] != 0:
             raise HypothesisViolation(
@@ -180,16 +185,27 @@ class MuAlgebra:
     mu(J, Jp) is defined exactly when the special parts match:
     (J-1)^ss == Jp^ss.  The product form makes every cross-ratio relation
     between entries sharing a defining class hold identically, which is all
-    the downstream matrix algorithms rely on.
+    the downstream matrix algorithms rely on.  The class masks of both sides,
+    indexed by subset mask, are computed once.
     """
 
     params: object
     field: Fq
     rho_factor: dict
     sigma_factor: dict
+    row_class: tuple = dataclasses.field(init=False, repr=False, compare=False)
+    col_class: tuple = dataclasses.field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        subs = list(self.params.subsets())
+        Jrho = self.params.Jrho
+        rows = tuple((J.shift(-1) & Jrho).bits for J in subs)
+        cols = tuple((Jp & Jrho).bits for Jp in subs)
+        object.__setattr__(self, "row_class", rows)
+        object.__setattr__(self, "col_class", cols)
 
     def defined(self, J, Jp):
-        return (J.shift(-1) & self.params.Jrho) == (Jp & self.params.Jrho)
+        return self.row_class[J.bits] == self.col_class[Jp.bits]
 
     def _sign(self, Jp):
         # (-1)^(f-1) * epsilon(Jp)
@@ -430,7 +446,7 @@ def check_change_origin(params, tables=None):
             ranges.append(range(-(2 * (f - dsh) + 1), 2 * (f + dsh) + 1))
         for ent in itertools.product(*ranges):
             got = translate(IntVec(f, ent)).b
-            want = tuple([a + s * e for a, s, e in zip(base, signs, ent)])
+            want = tuple(map(add, base, map(mul, signs, ent)))
             sw.check(got.entries == want, J=J, b=ent)
     return sw.result()
 
@@ -506,6 +522,8 @@ def _check_shift_overlap_reindex(params, tables, subs):
     exponents, the assembled carry digits, and positivity all transport."""
     sw = Sweep("shift-overlap-reindex")
     p, f, r = params.p, params.f, params.r
+    # the tables depend on the subsets only, not on i: read each one once
+    tJJp, s_of = functools.cache(tables.tJJp), functools.cache(tables.s)
     for J, i, j0, Jp in _reindex_tuples(params, subs):
         anchor = (j0 + 1) % f
         J2 = J - SubsetJ.of(f, [j0 + 2])
@@ -522,7 +540,7 @@ def _check_shift_overlap_reindex(params, tables, subs):
         m2 = tables.m(ip, J2, Jpp)
         sw.check(m1 == m2 and m1[anchor] == 0, J=J, j0=j0, i=i, Jp=Jp, part="m")
 
-        tv, tv2 = tables.tJJp(J, Jp), tables.tJJp(J2, Jpp)
+        tv, tv2 = tJJp(J, Jp), tJJp(J2, Jpp)
         ok = True
         for j in range(f):
             lhs = 2 * i[j] + tv[j]
@@ -534,7 +552,7 @@ def _check_shift_overlap_reindex(params, tables, subs):
         sw.check(ok, J=J, j0=j0, i=i, Jp=Jp, part="shift")
 
         sym1, sym2 = J ^ Kss, J2 ^ Kss
-        svec = tables.s(Kss)
+        svec = s_of(Kss)
         anchor_out = 1 if (j0 + 1) not in J else 0
         cvec, cpvec = [], []
         for j in range(f):

@@ -9,7 +9,9 @@ vector corresponding to the base point of the graph.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
+from operator import add, le, mul
 
 from .base_combinatorics import IntVec, SubsetJ, all_subsets, decompose_parts
 from .errors import ConfigInvalid, GenericityViolation, InadmissibleS, RangeViolation
@@ -72,6 +74,12 @@ class RhoParams:
     def label(self):
         return f"p={self.p} f={self.f} r={tuple(self.r)} jrho={self.Jrho.members()}"
 
+    @cached_property
+    def b_window(self):
+        """(-r, p-2-r): the componentwise bounds on the position b of a weight."""
+        r = self.r.entries
+        return tuple(-rj for rj in r), tuple(self.p - 2 - rj for rj in r)
+
 
 def sJ_tJ(params: RhoParams, J: SubsetJ):
     """The (s^J, t^J) case tables.
@@ -119,51 +127,69 @@ def aJ(params: RhoParams, J: SubsetJ) -> IntVec:
     return IntVec(f, tuple(out))
 
 
-@dataclass(frozen=True)
 class WeightB:
     """Serre weight sigma_b; b must sit in the window -r <= b <= p-2-r."""
 
-    params: RhoParams
-    b: IntVec
+    __slots__ = ("params", "b")
 
-    def __post_init__(self):
-        p = self.params.p
-        for j, (rj, bj) in enumerate(zip(self.params.r.entries, self.b.entries)):
-            if not -rj <= bj <= p - 2 - rj:
-                raise RangeViolation(f"b_{j}={bj} outside [-r_j, p-2-r_j]")
+    def __init__(self, params: RhoParams, b: IntVec):
+        if b.f != params.f:
+            raise RangeViolation(f"b indexed by f={b.f}, weight by f={params.f}")
+        lo, hi = params.b_window
+        ent = b.entries
+        if not (all(map(le, lo, ent)) and all(map(le, ent, hi))):
+            for j, (bj, lo_j, hi_j) in enumerate(zip(ent, lo, hi)):
+                if not lo_j <= bj <= hi_j:
+                    raise RangeViolation(f"b_{j}={bj} outside [-r_j, p-2-r_j]")
+        self.params = params
+        self.b = b
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.params, self.b) == (other.params, other.b)
+
+    def __hash__(self):
+        return hash((self.params, self.b))
+
+    def __repr__(self):
+        return f"WeightB(params={self.params!r}, b={self.b!r})"
 
 
 class Translation:
     """The J-translation in the weight graph, its per-J data computed once.
 
     Maps a position b to the weight sigma_{b'} with
-    b'_j = sign_j (b_j + e^J_j) + 2 e^{J^sh}_j, sign_j = -1 iff j+1 in J.
-    Hypothesis window: -(2(f - e^{J^sh}) + 1) <= b <= 2(f + e^{J^sh})
-    componentwise.
+    b'_j = sign_j (b_j + e^J_j) + 2 e^{J^sh}_j, sign_j = -1 iff j+1 in J,
+    that is b' = signs * b + offsets.  Hypothesis window:
+    lo = -(2(f - e^{J^sh}) + 1) <= b <= 2(f + e^{J^sh}) = hi componentwise.
     """
 
-    __slots__ = ("params", "window", "terms")
+    __slots__ = ("params", "f", "lo", "hi", "signs", "offsets")
 
     def __init__(self, params: RhoParams, J: SubsetJ):
         f = params.f
         _, _, Jsh = params.parts(J)
-        window, terms = [], []
-        for j in range(f):
-            sh = 1 if j in Jsh else 0
-            window.append((-(2 * (f - sh) + 1), 2 * (f + sh)))
-            terms.append((-1 if (j + 1) in J else 1, 1 if j in J else 0, 2 * sh))
-        self.params = params
-        self.window = tuple(window)
-        self.terms = tuple(terms)
+        sh = [1 if j in Jsh else 0 for j in range(f)]
+        self.params, self.f = params, f
+        self.lo = tuple(-(2 * (f - d) + 1) for d in sh)
+        self.hi = tuple(2 * (f + d) for d in sh)
+        self.signs = tuple(-1 if (j + 1) in J else 1 for j in range(f))
+        self.offsets = tuple(
+            sign * (1 if j in J else 0) + 2 * d
+            for j, (sign, d) in enumerate(zip(self.signs, sh))
+        )
 
     def __call__(self, b: IntVec) -> WeightB:
-        for j, (bj, (lo, hi)) in enumerate(zip(b.entries, self.window)):
-            if not lo <= bj <= hi:
-                raise RangeViolation(f"b_{j}={bj} outside [{lo}, {hi}]")
-        out = [
-            sign * (bj + inj) + sh for bj, (sign, inj, sh) in zip(b.entries, self.terms)
-        ]
-        return WeightB(self.params, IntVec(self.params.f, tuple(out)))
+        if b.f != self.f:
+            raise RangeViolation(f"b indexed by f={b.f}, translation by f={self.f}")
+        ent = b.entries
+        if not (all(map(le, self.lo, ent)) and all(map(le, ent, self.hi))):
+            for j, (bj, lo, hi) in enumerate(zip(ent, self.lo, self.hi)):
+                if not lo <= bj <= hi:
+                    raise RangeViolation(f"b_{j}={bj} outside [{lo}, {hi}]")
+        out = tuple(map(add, map(mul, self.signs, ent), self.offsets))
+        return WeightB(self.params, IntVec(self.f, out))
 
 
 def serre_weights_of_rhobar(params: RhoParams) -> frozenset:

@@ -1,3 +1,5 @@
+import pytest
+
 from modpcheck.base_combinatorics import (
     IntVec,
     SubsetJ,
@@ -134,3 +136,16 @@ def test_subset_order_and_algebra():
     assert (B - A).members() == (3,)
     assert A.complement().members() == (2, 3)
     assert len(list(all_subsets(4))) == 16
+
+
+def test_operands_of_different_f_are_rejected():
+    short, long = IntVec(2, (1, 2)), IntVec(3, (1, 2, 3))
+    for op in (lambda: short + long, lambda: long - short,
+               lambda: IntVec(3, (5, 5, 5)).geq(IntVec(2, (1, 1)))):
+        with pytest.raises(ValueError, match="different f"):
+            op()
+    A, B = SubsetJ(3, 7), SubsetJ(2, 3)
+    for op in (lambda: A & B, lambda: A | B, lambda: A - B, lambda: A ^ B,
+               lambda: A <= B, lambda: B < A):
+        with pytest.raises(ValueError, match="different f"):
+            op()

@@ -25,12 +25,17 @@ GOLDEN = [
      "00814864dbe511920cb41aaff8fecee0bc533fb1e97db850973fae427a781eb6"),
     (RunConfig(p=11, f=1, r=(5,), cutoff=80, suites=("iwasawa", "phigamma")),
      "00228116893cf2ec75bf44f830ca94d3d6b7f5f54e2d769eb8d7821b5d2e5c07"),
+    # the f=3 identity and weight sweeps on all 8 Jrho; the per-row checked
+    # counts in the payload pin the size of each exhaustive sweep
+    (RunConfig(p=17, f=3, r=(7, 7, 7), suites=("identities", "weights")),
+     "f78d3ed14f76cbce2960e8929e2867abea49a654c4e6b54bd2cd7d4a342df7c3"),
 ]
 
 
 @pytest.mark.parametrize("config,digest", GOLDEN,
                          ids=["p11-f1-all", "p13-f2-all", "p17-f3-phigamma",
-                              "p17-f3-iwasawa", "p13-f2-cutoff40", "p11-f1-cutoff80"])
+                              "p17-f3-iwasawa", "p13-f2-cutoff40", "p11-f1-cutoff80",
+                              "p17-f3-identities-weights"])
 def test_report_digest_is_pinned(config, digest):
     report = run_suite(config)
     assert report.passed

@@ -214,3 +214,62 @@ def test_hoisted_table_mutants_fail_their_row(p, f, r, table):
     for m in muts:
         failed = {res.name for res in run_identities(params, 0, m) if not res.passed}
         assert failed == {KILLING_ROW[table]}, (m, failed)
+
+
+@pytest.mark.parametrize("params", PARAMS, ids=_ids)
+def test_translation_names_first_bad_slot(params):
+    # every slot outside the window at once: the message names slot 0
+    f = params.f
+    for J in params.subsets():
+        window = _translation_window(params, J)
+        for side in (0, 1):
+            ent = tuple(w[side] + (1 if side else -1) for w in window)
+            b = IntVec(f, ent)
+            with pytest.raises(RangeViolation, match="^b_0="):
+                translate_in_graph(params, J, b)
+            assert not _same_outcome(translate_reference, translate_in_graph, params, J, b)
+
+
+# ---------------------------------------------------------------------------
+# the origin-change sweep visits every tuple
+
+
+def test_change_origin_sweep_kills_non_separable_mutant(monkeypatch):
+    """A translation that moves b'_0 only when b_1 sits at the top of its
+    window agrees with the separable formula on every one-coordinate probe,
+    so only a sweep over whole tuples can see it."""
+    original = Translation.__call__
+
+    def mutant(self, b):
+        w = original(self, b)
+        if b.entries[1] != self.hi[1]:
+            return w
+        ent = (w.b.entries[0] + 1,) + w.b.entries[1:]
+        return WeightB(self.params, IntVec(self.params.f, ent))
+
+    for Jrho in all_subsets(3):
+        params = RhoParams.make(17, 3, (7, 8, 7), Jrho.members())
+        for J in params.subsets():
+            # one coordinate moved at a time, the others at 0: output slot j
+            # is unchanged, since b_1 = hi only when slot 1 is the one moved
+            window = _translation_window(params, J)
+            translate = Translation(params, J)
+            for j, (lo, hi) in enumerate(window):
+                for v in range(lo, hi + 1):
+                    b = IntVec(3, tuple(v if i == j else 0 for i in range(3)))
+                    assert mutant(translate, b).b[j] == translate(b).b[j]
+        with monkeypatch.context() as m:
+            m.setattr(Translation, "__call__", mutant)
+            rows = {res.name: res.passed for res in run_identities(params, 0)}
+        assert rows.pop("change-origin-composition") is False
+        assert all(rows.values()), rows
+
+
+def test_frames_reject_position_of_other_f():
+    params = RhoParams.make(17, 3, (7, 8, 7), (0,))
+    J = SubsetJ.of(3, [0])
+    for ent in ((0, 0), (1, 0, 1, 9)):
+        with pytest.raises(RangeViolation, match="b indexed by f="):
+            Translation(params, J)(IntVec.of(ent))
+        with pytest.raises(HypothesisViolation, match="n indexed by f="):
+            AJnFrame(params, J, 0)(IntVec.of(ent))

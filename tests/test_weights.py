@@ -176,6 +176,13 @@ def test_weightb_window():
     WeightB(P1, IntVec.of((-4,)))
 
 
+def test_weightb_rejects_position_of_other_f():
+    params = RhoParams.make(17, 3, (7, 8, 7), (0,))
+    for ent in ((0, 0), (0, 0, 0, 0)):
+        with pytest.raises(RangeViolation, match="b indexed by f="):
+            WeightB(params, IntVec.of(ent))
+
+
 def test_serre_weights_count():
     for params in ALL_PARAMS:
         W = serre_weights_of_rhobar(params)
