@@ -8,6 +8,7 @@ but never inside it.
 """
 
 import json
+import math
 from dataclasses import dataclass
 from functools import partial
 from itertools import product
@@ -52,6 +53,17 @@ from .weights import (
 SUITES = ("identities", "weights", "iwasawa", "phigamma")
 SCHEMA = 1
 
+# Admission limits, checked before any field is built.  Every run builds
+# F_q, whose tables hold q entries (46 MB peak RSS at q = 23^4).  The chart
+# suites also sum over the q-1 units (over their (q-1)^2 pairs at f <= 2) and
+# multiply series in the C(depth-1+f, f) monomials below the chart depth
+# (1,140 at the largest preset, p=17 f=3).
+MAX_Q = 2**19
+MAX_CHART_Q = 2**13
+MAX_CHART_MONOMIALS = 2**12
+MAX_SAMPLES = 1000
+CHART_SUITES = ("iwasawa", "phigamma")
+
 # spellings accepted on the command line for the mutable tables
 _TABLE_ALIASES = {"rJ": "r", "cJ": "c", "sJ": "s", "tJ": "t", "cprimeJ": "cprime"}
 
@@ -74,6 +86,7 @@ class RunConfig:
     def __post_init__(self):
         object.__setattr__(self, "r", tuple(self.r))
         object.__setattr__(self, "suites", tuple(self.suites))
+        self._admit()
         if self.jrho != "all":
             object.__setattr__(self, "jrho", tuple(sorted(set(self.jrho))))
             for j in self.jrho:
@@ -87,13 +100,34 @@ class RunConfig:
         if self.mutate is not None and self.mutate != "eps":
             if _TABLE_ALIASES.get(self.mutate, self.mutate) not in MUTABLE:
                 raise ConfigInvalid(f"unknown mutation target {self.mutate!r}")
+        self.param_sets()  # raises ConfigInvalid / GenericityViolation
+
+    def _admit(self):
+        """Reject a field, cutoff or sample count beyond the admission limits."""
+        p, f = self.p, self.f
+        if f < 1:
+            raise ConfigInvalid(f"f={f} must be positive")
+        # p^f >= 2^f for p >= 2, so no f past the limit's bit length fits
+        if f > MAX_Q.bit_length() or p**f > MAX_Q:
+            raise ConfigInvalid(f"q={p}^{f} exceeds {MAX_Q}")
+        q = p**f
         if self.cutoff is not None:
-            depth = chart_depth(self.p, self.f, self.cutoff)
+            depth = chart_depth(p, f, self.cutoff)
             if depth < 2:
                 raise ConfigInvalid(f"cutoff={self.cutoff} too small: chart depth {depth} < 2")
-        if self.units < 1 or self.thetas < 1:
-            raise ConfigInvalid("units and thetas must be positive")
-        self.param_sets()  # raises ConfigInvalid / GenericityViolation
+        if any(s in CHART_SUITES for s in self.suites):
+            if q > MAX_CHART_Q:
+                raise ConfigInvalid(f"q={p}^{f} exceeds {MAX_CHART_Q} for the chart suites")
+            depth = chart_depth(p, f, self.cutoff_value())
+            monomials = math.comb(depth - 1 + f, f)
+            if monomials > MAX_CHART_MONOMIALS:
+                raise ConfigInvalid(
+                    f"cutoff={self.cutoff_value()} too large: {monomials} monomials below "
+                    f"chart depth {depth}, limit {MAX_CHART_MONOMIALS}")
+        for name in ("units", "thetas"):
+            n = getattr(self, name)
+            if not 1 <= n <= MAX_SAMPLES:
+                raise ConfigInvalid(f"{name}={n} outside [1, {MAX_SAMPLES}]")
 
     def param_sets(self):
         """One RhoParams per requested Jrho, in subset-mask order."""

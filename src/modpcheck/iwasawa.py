@@ -20,9 +20,11 @@ An AElement does not record its chart; the caller knows it.  Laurent
 exponents are allowed in both, and only the chart conversions (y_to_t and
 t_to_y) enforce the nonnegative supports of the additive chart.  y_to_t
 substitutes cached powers Y^m of the eigencoordinate series, and t_to_y
-inverts it degree by degree, eliminating leading forms.  All operations
-track how far each truncated element is known and refuse to compare beyond
-that point.
+inverts it degree by degree, eliminating leading forms.  The image of each
+leading form is cached per context under the form divided by the
+coefficient of its least exponent, so forms that differ by an F_q scalar
+are substituted once.  All operations track how far each truncated element
+is known and refuse to compare beyond that point.
 
 Two routines make every binomial expansion from the Lucas rows C(c, m) mod p
 of _binomial_row: _binomial_product gives prod_l (1 + T_l)^(c_l) below a
@@ -103,14 +105,26 @@ def _sorted_by_degree(terms):
 def _mul_terms(field, xt, yt, bound):
     """Dict product with total-degree early exit at `bound` (exclusive).
 
-    Coefficients are multiplied and summed as _Packing ints and each output
-    key is encoded once.  A key receives at most min(len(xt), len(yt))
-    products of two reduced packed coefficients, so S is _slot_bits of
-    k*(p-1)^2 and that count, rounded up to a multiple of 8 bits so that
-    only a few packings are ever built.
+    One-term path: when either operand is a single term c*T^k, the product
+    scales and shifts the other operand, {k + k': c*c'} over its terms of
+    degree below bound - |k|; the keys are distinct, so nothing is summed,
+    sorted, packed or encoded.
+
+    Otherwise coefficients are multiplied and summed as _Packing ints and
+    each output key is encoded once.  A key receives at most
+    min(len(xt), len(yt)) products of two reduced packed coefficients, so S
+    is _slot_bits of k*(p-1)^2 and that count, rounded up to a multiple of 8
+    bits so that only a few packings are ever built.
     """
     if not xt or not yt:
         return {}
+    if len(yt) == 1:
+        xt, yt = yt, xt
+    if len(xt) == 1:
+        (kx, cx), = xt.items()
+        rem = bound - sum(kx)
+        mul = field.mul
+        return {tuple(map(add, kx, k)): mul(cx, c) for k, c in yt.items() if sum(k) < rem}
     bits = _slot_bits(field.k * (field.p - 1) ** 2, min(len(xt), len(yt)))
     pack = _packing(field, -(-bits // 8) * 8)
     pk = pack.table
@@ -562,6 +576,7 @@ class ChartContext:
         self._convb = {}
         self._u1_cache = {}
         self._ypow_cache = {}
+        self._form_cache = {}
 
     # ---- additive-chart generator data ----
 
@@ -664,6 +679,9 @@ class ChartContext:
         Jacobian, the degree-d part h_d(T) of the residual is the leading form
         of the additive image of h_d(M^-1 Y), so that form joins the output
         and its exact image (y_to_t) leaves the residual without degree d.
+        The substitution h -> h(M^-1 Y) is F_q-linear, so its results are
+        cached for forms scaled to 1 at their least exponent, and a form c*h
+        reads the image of h scaled by c (_form_image).
         """
         bound = min(s.cutoff, self.tdepth) if bound is None else bound
         if bound > min(s.cutoff, self.tdepth):
@@ -674,19 +692,40 @@ class ChartContext:
         if any(min(k) < 0 for k in s.terms):
             raise HypothesisViolation(
                 "additive chart only holds nonnegative supports")
-        fld, f = self.field, self.f
-        unit_vecs = [tuple(1 if i == j else 0 for i in range(f)) for j in range(f)]
-        forms = [AElement(fld, f, INF, {unit_vecs[j]: c for j, c in enumerate(row) if c})
-                 for row in self.jacobian_inverse]
         residual = s.copy_truncated(bound)
         out = {}
         for d in range(bound):
             lead = {k: c for k, c in residual.terms.items() if sum(k) == d}
             if lead:
-                form = _substitute_linear(lead, forms)
+                form = self._form_image(lead)
                 out.update(form.terms)
                 residual = residual - self.y_to_t(form, bound)
-        return AElement(fld, f, bound, out)
+        return AElement(self.field, self.f, bound, out)
+
+    @functools.cached_property
+    def linear_forms(self):
+        """The rows of M^-1 as linear forms in Y: T_l is (M^-1 Y)_l to first
+        order, with M the Jacobian."""
+        fld, f = self.field, self.f
+        unit_vecs = [tuple(1 if i == j else 0 for i in range(f)) for j in range(f)]
+        return [AElement(fld, f, INF, {unit_vecs[j]: c for j, c in enumerate(row) if c})
+                for row in self.jacobian_inverse]
+
+    def _form_image(self, lead):
+        """h(M^-1 Y) for the form h = `lead`, read from a cache of forms
+        divided by the coefficient c of their least exponent: substitution is
+        F_q-linear, so h is looked up as c * (h / c)."""
+        fld = self.field
+        items = sorted(lead.items())
+        c = items[0][1]
+        if c != 1:
+            inv = fld.inv(c)
+            items = [(k, fld.mul(inv, v)) for k, v in items]
+        key = tuple(items)
+        hit = self._form_cache.get(key)
+        if hit is None:
+            hit = self._form_cache[key] = _substitute_linear(dict(items), self.linear_forms)
+        return hit if c == 1 else hit.scale(c)
 
     def y_to_t(self, x, bound=None):
         """Additive-chart image; defined on nonnegative supports only."""

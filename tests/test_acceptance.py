@@ -95,8 +95,8 @@ def test_criterion_3_table_bounds_exhaustive():
 
 
 def test_criterion_4_chart_action_axioms():
-    expected_depth = {1: 40, 2: 30}
-    for p, f in ((11, 1), (13, 2)):
+    expected_depth = {1: 40, 2: 30, 3: 34}
+    for p, f in ((11, 1), (13, 2), (17, 3)):
         ctx = chart_context(p, f)
         assert ctx.D == expected_depth[f]
         t0 = time.perf_counter()

@@ -210,8 +210,8 @@ def test_undersized_slot_width_is_caught_at_f3(monkeypatch):
 
 
 def test_y_power_cache_is_thread_safe():
-    # four threads fill the Y^m cache of one fresh context at once, through
-    # conversions at different bounds
+    # four threads fill the Y^m and form caches of one fresh context at once,
+    # through conversions at different bounds
     ref, table = reference_case(13, 2, 12)
     rng = random.Random(11)
     s = random_additive(ref, rng, 30, ref.tdepth)
@@ -244,3 +244,70 @@ def test_y_power_cache_is_thread_safe():
     serial = ChartContext(13, 2, 12)
     for (m, rel), y in list(ctx._ypow_cache.items()):
         assert y == serial._y_power(m, rel)
+    for key, img in list(ctx._form_cache.items()):
+        assert img == iwasawa._substitute_linear(dict(key), serial.linear_forms)
+
+
+def uncached_t_to_y(ctx, s, bound):
+    """The leading-form elimination of ChartContext.t_to_y with every form
+    substituted by _substitute_linear, bypassing the form cache."""
+    residual = s.copy_truncated(bound)
+    out = {}
+    for d in range(bound):
+        lead = {k: c for k, c in residual.terms.items() if sum(k) == d}
+        if lead:
+            form = iwasawa._substitute_linear(lead, ctx.linear_forms)
+            out.update(form.terms)
+            residual = residual - ctx.y_to_t(form, bound)
+    return out
+
+
+@st.composite
+def scaled_forms(draw):
+    """(ctx, h, c): a form h of one degree below the chart depth, as
+    {exponent: encoding}, and a nonzero scalar c."""
+    ctx = iwasawa.chart_context(*draw(st.sampled_from([(13, 2, 12), (17, 3, 24)])))
+    d = draw(st.integers(0, ctx.tdepth - 1), label="degree")
+    monomials = [m for m in _graded_exponents(ctx.f, d) if sum(m) == d]
+    coeffs = st.integers(1, ctx.q - 1)
+    h = draw(st.dictionaries(st.sampled_from(monomials), coeffs, min_size=1))
+    return ctx, h, draw(coeffs, label="c")
+
+
+@settings(max_examples=40)
+@given(scaled_forms())
+def test_t_to_y_of_scaled_forms_matches_uncached_substitution(data):
+    # h fills the cache and c*h is then read from it scaled by c
+    ctx, h, c = data
+    fld = ctx.field
+    for terms in (h, {k: fld.mul(c, v) for k, v in h.items()}):
+        s = AElement(fld, ctx.f, ctx.tdepth, terms)
+        got = ctx.t_to_y(s)
+        assert got.cutoff == ctx.tdepth
+        assert got.terms == uncached_t_to_y(ctx, s, ctx.tdepth)
+
+
+def test_mutating_a_conversion_leaves_the_cache_intact():
+    ctx = ChartContext(13, 2, 12)
+    fld = ctx.field
+    rng = random.Random(5)
+    s = random_additive(ctx, rng, 20, ctx.tdepth)
+    for x in (s, AElement(fld, 2, s.cutoff, {k: fld.mul(7, c) for k, c in s.terms.items()})):
+        want = ctx.t_to_y(x).terms
+        for _ in range(2):
+            got = ctx.t_to_y(x)
+            assert got.terms == want
+            for k in list(got.terms)[::2]:
+                got.terms[k] = fld.add(got.terms[k], 1) or 1
+            got.terms[(99, 0)] = 1
+
+
+def test_convb_blocks_substitute_three_leading_forms_at_f3():
+    # the nine blocks D^gamma(Y_j)(1+T)^gamma, |gamma| = 1, have degree-16
+    # leading forms that are three forms up to an F_q scalar
+    ctx = ChartContext(17, 3, 34)
+    for j in range(3):
+        for l in range(3):
+            ctx.convb(j, tuple(int(i == l) for i in range(3)))
+    top = [key for key in ctx._form_cache if sum(key[0][0]) == 16]
+    assert 1 <= len(top) <= 3

@@ -1,9 +1,10 @@
 import json
+import re
 
 import pytest
 from click.testing import CliRunner
 
-from modpcheck import iwasawa
+from modpcheck import arith, iwasawa
 from modpcheck.cli import main
 from modpcheck.errors import ConfigInvalid, GenericityViolation, RangeViolation
 from modpcheck.harness import (
@@ -221,6 +222,72 @@ def test_cli_cutoff_at_chart_depth_2_runs():
     )
     assert res.exit_code == 0, res.output
     assert json.loads(res.stdout)["config"]["cutoff"] == 18
+
+
+@pytest.fixture
+def no_field_builds(monkeypatch):
+    """Fail any F_q table build not already cached."""
+    built = []
+
+    def refuse(self, p, k):
+        built.append((p, k))
+        raise AssertionError(f"Fq({p}, {k}) built")
+
+    monkeypatch.setattr(arith.Fq, "_init", refuse)
+    return built
+
+
+@pytest.mark.parametrize("kwargs,message", [
+    (dict(p=101, f=3, r=(7, 8, 7)), "q=101^3 exceeds 524288"),
+    (dict(p=2, f=10**9, r=(4,)), "q=2^1000000000 exceeds"),
+    (dict(p=89, f=2, r=(5, 6), suites=("iwasawa",)), None),
+    (dict(p=97, f=2, r=(5, 6), suites=("iwasawa",)), "q=97^2 exceeds 8192 for the chart"),
+    (dict(p=23, f=4, r=(9, 10, 9, 10), suites=("phigamma",)), "for the chart suites"),
+    (dict(p=17, f=3, r=(7, 8, 7), cutoff=10**6), "cutoff=1000000 too large"),
+    (dict(p=17, f=3, r=(7, 8, 7), cutoff=44, suites=("iwasawa",)), None),
+    (dict(p=17, f=3, r=(7, 8, 7), cutoff=45, suites=("iwasawa",)), "cutoff=45 too large"),
+    (dict(p=17, f=3, r=(7, 8, 7), cutoff=10**6, suites=("weights",)), None),
+    (dict(p=13, f=2, r=(5, 6), cutoff=90), None),
+    (dict(p=13, f=2, r=(5, 6), cutoff=91), "cutoff=91 too large"),
+    (dict(p=11, f=1, r=(4,), units=10**9), "units=1000000000 outside [1, 1000]"),
+    (dict(p=11, f=1, r=(4,), units=1000, thetas=1000), None),
+    (dict(p=11, f=1, r=(4,), thetas=1001), "thetas=1001 outside"),
+    (dict(p=11, f=1, r=(4,), thetas=0), "thetas=0 outside"),
+    (dict(p=11, f=0, r=()), "f=0 must be positive"),
+])
+def test_admission_limits_before_any_field_build(no_field_builds, kwargs, message):
+    # the cutoff bounds the chart, so only runs of the chart suites are
+    # limited by it
+    if message is None:
+        RunConfig(**kwargs)
+    else:
+        with pytest.raises(ConfigInvalid, match=re.escape(message)):
+            RunConfig(**kwargs)
+    assert not no_field_builds
+
+
+def test_admission_accepts_presets_and_benchmark_configs(no_field_builds):
+    assert len(list_params()) == 15
+    for cfg in list_params(3):
+        RunConfig(p=cfg.p, f=3, r=cfg.r, suites=("identities", "weights"))
+    RunConfig(p=17, f=3, r=(7, 8, 7), jrho=(0,), suites=("phigamma",))
+    RunConfig(p=13, f=2, r=(5, 6))
+    RunConfig(p=23, f=4, r=(9, 10, 9, 10), suites=("identities", "weights"))
+    assert not no_field_builds
+
+
+@pytest.mark.parametrize("args", [
+    ["--p", "101", "--f", "3", "--r", "7,8,7"],
+    ["--p", "17", "--f", "3", "--r", "7,8,7", "--cutoff", "1000000"],
+    ["--p", "11", "--f", "1", "--r", "4", "--units", "1000000000"],
+    ["--p", "11", "--f", "1", "--r", "4", "--thetas", "5000"],
+])
+def test_cli_admission_limits_exit_2(no_field_builds, args):
+    res = CliRunner().invoke(main, ["verify", *args])
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert res.stderr.startswith("config error: ")
+    assert not no_field_builds
 
 
 def test_cli_params_listing():

@@ -7,7 +7,8 @@ known to the operand's cutoff, and truncation.  Its product is
 `reference_mul_terms`, the dict product with one field call per coefficient
 operation that the packed product replaced.  On nonnegative supports with
 finite or infinite cutoffs, AElement must give the same terms and the same
-cutoff.
+cutoff; so must products with a one-term operand on either side, which take
+the scale-and-shift path of `_mul_terms`, on Laurent supports too.
 """
 
 import collections
@@ -282,3 +283,49 @@ def test_concurrent_first_products_build_each_packing_once(monkeypatch):
     assert all(got[t] == want for t in range(4))
     assert len(built) >= 2
     assert set(built.values()) == {1}
+
+
+@st.composite
+def one_term_products(draw):
+    """A one-term element and a general one over one field, with Laurent
+    exponents and finite or infinite cutoffs, as (field, f, one, other)
+    where each is (cutoff, terms)."""
+    p, f = draw(st.sampled_from(FIELDS))
+    fld = Fq(p, f)
+    keys = st.lists(st.integers(-4, 6), min_size=f, max_size=f).map(tuple)
+    coeffs = st.one_of(st.just(fld.q - 1), st.integers(1, fld.q - 1))
+    out = []
+    for size in (1, 8):
+        cutoff = draw(st.one_of(st.integers(-6, 14), st.just(INF)))
+        terms = draw(st.dictionaries(keys, coeffs, min_size=1, max_size=size))
+        out.append((cutoff, {k: c for k, c in terms.items() if sum(k) < cutoff}))
+    return fld, f, out[0], out[1]
+
+
+@given(one_term_products())
+def test_one_term_product_matches_reference(data):
+    # the scale-and-shift path on either side, against the generic product
+    fld, f, (k1, t1), (k2, t2) = data
+    x, rx = both(fld, f, k1, t1)
+    y, ry = both(fld, f, k2, t2)
+    same(x * y, rx * ry)
+    same(y * x, ry * rx)
+
+
+@given(one_term_products(), st.one_of(st.integers(-10, 16), st.just(INF)))
+def test_one_term_mul_terms_matches_reference_at_any_bound(data, bound):
+    fld, f, (_, t1), (_, t2) = data
+    for xt, yt in ((t1, t2), (t2, t1)):
+        assert _mul_terms(fld, xt, yt, bound) == reference_mul_terms(fld, xt, yt, bound)
+
+
+def test_one_term_product_drops_terms_beyond_the_bound():
+    # T_0^2 known below 5 times 1 + T_0 + T_0^3 + T_1^4: the product is known
+    # below 5, so only the shifts of 1 and T_0 survive
+    fld = Fq(13, 2)
+    x, rx = both(fld, 2, 5, {(2, 0): 7})
+    y, ry = both(fld, 2, INF, {(0, 0): 1, (1, 0): 3, (3, 0): 5, (0, 4): 2})
+    for got, want in ((x * y, rx * ry), (y * x, ry * rx)):
+        same(got, want)
+        assert got.terms == {(2, 0): 7, (3, 0): fld.mul(7, 3)}
+        assert got.cutoff == 5
