@@ -33,6 +33,25 @@ def _parse_ints(raw, what):
         _config_error(f"cannot parse {what}={raw!r}")
 
 
+def _malformed(payload):
+    """What makes a schema-matching payload unreadable as a report, or None."""
+    for key in ("config", "fingerprint"):
+        if not isinstance(payload[key], dict):
+            return f"{key} is not an object"
+    if not isinstance(payload["suites"], list):
+        return "suites is not a list"
+    for i, row in enumerate(payload["suites"]):
+        if not isinstance(row, dict):
+            return f"suite row {i} is not an object"
+        if not isinstance(row.get("name"), str):
+            return f"suite row {i} has no name"
+        if row.get("status") not in ("pass", "fail"):
+            return f"suite row {i} has no status pass or fail"
+        if not isinstance(row.get("checked"), int):
+            return f"suite row {i} has no checked count"
+    return None
+
+
 @click.group()
 def main():
     """Exact-arithmetic verifier for the weight and matrix calculus."""
@@ -114,14 +133,17 @@ def report(file, fmt):
     if not isinstance(payload, dict) or payload.get("schema") != SCHEMA:
         _config_error(f"unsupported schema {payload.get('schema') if isinstance(payload, dict) else None!r}")
     try:
-        rep = Report(
-            config=payload["config"],
-            fingerprint=payload["fingerprint"],
-            suites=payload["suites"],
-            timings={},
-        )
+        bad = _malformed(payload)
     except KeyError as e:
         _config_error(f"report missing field {e}")
+    if bad is not None:
+        _config_error(f"not a report file: {bad}")
+    rep = Report(
+        config=payload["config"],
+        fingerprint=payload["fingerprint"],
+        suites=payload["suites"],
+        timings={},
+    )
     try:
         out = emit_report(rep, fmt)
     except _CONFIG_ERRORS as e:

@@ -185,8 +185,9 @@ class MuAlgebra:
     mu(J, Jp) is defined exactly when the special parts match:
     (J-1)^ss == Jp^ss.  The product form makes every cross-ratio relation
     between entries sharing a defining class hold identically, which is all
-    the downstream matrix algorithms rely on.  The class masks of both sides,
-    indexed by subset mask, are computed once.
+    the downstream matrix algorithms rely on.  The class masks of both sides
+    and the sign (-1)^(f-1) * epsilon(Jp) of gamma, indexed by subset mask,
+    are computed once.
     """
 
     params: object
@@ -195,22 +196,21 @@ class MuAlgebra:
     sigma_factor: dict
     row_class: tuple = dataclasses.field(init=False, repr=False, compare=False)
     col_class: tuple = dataclasses.field(init=False, repr=False, compare=False)
+    col_sign: tuple = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         subs = list(self.params.subsets())
         Jrho = self.params.Jrho
         rows = tuple((J.shift(-1) & Jrho).bits for J in subs)
         cols = tuple((Jp & Jrho).bits for Jp in subs)
+        lead = (-1) ** (self.params.f - 1)
+        signs = tuple(lead * epsilonJ(self.params, Jp) for Jp in subs)
         object.__setattr__(self, "row_class", rows)
         object.__setattr__(self, "col_class", cols)
+        object.__setattr__(self, "col_sign", signs)
 
     def defined(self, J, Jp):
         return self.row_class[J.bits] == self.col_class[Jp.bits]
-
-    def _sign(self, Jp):
-        # (-1)^(f-1) * epsilon(Jp)
-        s = epsilonJ(self.params, Jp)
-        return s if self.params.f % 2 == 1 else -s
 
     def mu(self, J, Jp):
         if not self.defined(J, Jp):
@@ -219,7 +219,7 @@ class MuAlgebra:
 
     def gamma(self, J, Jp):
         m = self.mu(J, Jp)
-        return m if self._sign(Jp) == 1 else -m
+        return m if self.col_sign[Jp.bits] == 1 else -m
 
     def mu_star(self, J):
         """Row factor: mu(J, K) / mu(J2, K) == mu_star(J) / mu_star(J2)."""
@@ -228,7 +228,7 @@ class MuAlgebra:
     def gamma_star(self, Jp):
         """Column factor carrying the sign of gamma."""
         s = self.sigma_factor[Jp]
-        return s if self._sign(Jp) == 1 else -s
+        return s if self.col_sign[Jp.bits] == 1 else -s
 
 
 def mu_gamma(params, seed=0):

@@ -15,6 +15,7 @@ assert agreement strictly below the propagated precision floor of the
 entry it looks at.
 """
 
+import itertools
 import random
 from dataclasses import dataclass
 
@@ -730,8 +731,18 @@ def check_theta_solver(params, count=50, seed=0, depth=None):
 
 
 def check_eigen_classifier(params, samples=20, seed=0):
-    """Classifier verdicts against the direct substitution oracle, with a
-    box scan certifying the zero verdicts."""
+    """Classifier verdicts against the direct substitution oracle.
+
+    A line verdict t is checked by substituting Y^-t into
+    a = lam * Y^s * phi_q(a).  A zero verdict is certified by a box scan.
+    For the unit a = Y^-t the relation holds exactly when the quotient
+    phi_q(a) * a^-1 equals lam^-1 * Y^-s, and no quotient depends on
+    (lam, s).  So the quotient of each point of the largest box any zero
+    verdict needs is computed once, by the generic frobenius and product,
+    and indexed by its exact terms and cutoff.  The zero verdict for
+    (lam, s) holds when lam^-1 * Y^-s is the quotient of no point t inside
+    its own box, |t_j| <= max|s_j| // (q-1) + 2.
+    """
     sweep = Sweep("substitution-eigenline-classifier")
     fld = Fq(params.p, params.f)
     rng = random.Random(seed)
@@ -745,22 +756,26 @@ def check_eigen_classifier(params, samples=20, seed=0):
         off = list(line)
         off[rng.randrange(f)] += rng.randrange(1, q1)
         cases.append((lam, IntVec(f, tuple(off))))
-    for lam, s in cases:
-        kind, t = classify_phi_q_eigen(params, lam, s)
+    verdicts = [(lam, s, *classify_phi_q_eigen(params, lam, s)) for lam, s in cases]
+    reach = {
+        s: max(map(abs, s)) // q1 + 2 for _, s, kind, _ in verdicts if kind != "line"
+    }
+    box = max(reach.values(), default=-1)
+    # quotient phi_q(Y^-t) * Y^t -> least max|t_j| among the points giving it
+    quotients = {}
+    for t in itertools.product(range(-box, box + 1), repeat=f):
+        img = AElement.monomial(fld, f, tuple(-v for v in t))
+        for _ in range(f):
+            img = frobenius(img)
+        quo = img * AElement.monomial(fld, f, t)
+        radius = max(map(abs, t))
+        quotients[quo] = min(radius, quotients.get(quo, radius))
+    for lam, s, kind, t in verdicts:
         if kind == "line":
             ok = _eigen_relation_holds(params, fld, lam, s, t)
         else:
-            bound = max(abs(v) for v in s) // q1 + 2
-            ok = True
-            stack = [()]
-            while stack:
-                pre = stack.pop()
-                if len(pre) == f:
-                    if _eigen_relation_holds(params, fld, lam, s, pre):
-                        ok = False
-                        break
-                    continue
-                stack.extend(pre + (v,) for v in range(-bound, bound + 1))
+            want = AElement.monomial(fld, f, tuple(-v for v in s), fld.inv(lam))
+            ok = quotients.get(want, INF) > reach[s]
         sweep.check(ok, lam=lam, s=s, kind=kind)
     return sweep.result()
 

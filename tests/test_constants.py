@@ -2,7 +2,7 @@
 
 import pytest
 
-from modpcheck.base_combinatorics import IntVec, SubsetJ
+from modpcheck.base_combinatorics import IntVec, SubsetJ, all_subsets
 from modpcheck.constants import (
     AJnFrame,
     ConstantTables,
@@ -269,6 +269,20 @@ def test_gamma_sign():
     # f even: gamma = -eps(Jp) * mu; eps(full) = -1 at empty Jrho
     assert alg.gamma(J(P2), full) == alg.mu(J(P2), full)
     assert alg.gamma(J(P2), J(P2)) == -alg.mu(J(P2), J(P2))
+
+
+@pytest.mark.parametrize("p,r", [(11, (4,)), (13, (5, 6)), (17, (7, 8, 7))])
+def test_gamma_sign_table_matches_epsilon(p, r):
+    # the precomputed sign of gamma is (-1)^(f-1) * epsilon(Jp), every Jrho
+    f = len(r)
+    for Jrho in all_subsets(f):
+        params = RhoParams.make(p, f, r, jrho_members=tuple(Jrho.members()))
+        alg = mu_gamma(params, seed=1)
+        for Jp in all_subsets(f):
+            want = (-1) ** (f - 1) * epsilonJ(params, Jp)
+            assert alg.col_sign[Jp.bits] == want
+            sigma = alg.sigma_factor[Jp]
+            assert alg.gamma_star(Jp) == (sigma if want == 1 else -sigma)
 
 
 # ---------------------------------------------------------------------------

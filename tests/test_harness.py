@@ -8,6 +8,7 @@ from modpcheck import arith, iwasawa
 from modpcheck.cli import main
 from modpcheck.errors import ConfigInvalid, GenericityViolation, RangeViolation
 from modpcheck.harness import (
+    SCHEMA,
     Report,
     RunConfig,
     emit_report,
@@ -322,6 +323,27 @@ def test_cli_report_roundtrip(tmp_path):
     path3 = tmp_path / "notjson.json"
     path3.write_text("nope")
     assert runner.invoke(main, ["report", str(path3)]).exit_code == 2
+
+
+ROW = {"name": "weights/x", "status": "pass", "checked": 1}
+
+
+@pytest.mark.parametrize("suites,why", [
+    ([{"status": "pass", "checked": 1}], "suite row 0 has no name"),
+    ([ROW, {"name": "weights/y", "status": "pass"}], "suite row 1 has no checked count"),
+    ("pass", "suites is not a list"),
+    ([ROW, ["weights/y", "pass", 1]], "suite row 1 is not an object"),
+])
+def test_cli_report_rejects_malformed_rows(tmp_path, suites, why):
+    # a malformed row is a bad input file (exit 2), never a failed check (1)
+    path = tmp_path / "rows.json"
+    path.write_text(json.dumps(
+        {"schema": SCHEMA, "config": {}, "fingerprint": {}, "suites": suites}
+    ))
+    for fmt in ("json", "text"):
+        res = CliRunner().invoke(main, ["report", str(path), "--format", fmt])
+        assert res.exit_code == 2
+        assert res.output == f"config error: not a report file: {why}\n"
 
 
 def test_report_exit_reflects_stored_failures(tmp_path):

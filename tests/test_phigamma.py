@@ -2,6 +2,8 @@
 triangular right inverse, the twisted fixed-point solver, and the
 unit-action matrices with their structure and commutation sweeps."""
 
+import random
+
 import pytest
 
 from modpcheck import phigamma as pg
@@ -18,6 +20,7 @@ from modpcheck.iwasawa import (
     invert_unit,
     principal_units,
 )
+from modpcheck.reporting import Sweep
 from modpcheck.weights import RhoParams
 
 P1 = RhoParams.make(11, 1, (4,))
@@ -238,6 +241,136 @@ def test_classifier_literals():
 def test_classifier_against_substitution_oracle():
     assert pg.check_eigen_classifier(P1, samples=12, seed=3).passed
     assert pg.check_eigen_classifier(P2, samples=8, seed=3).passed
+
+
+# Reference for check_eigen_classifier: every zero verdict scans its own box
+# point by point, one substitution per (case, point), walked by an explicit
+# stack.  It reads frobenius and the classifier through the module, so
+# monkeypatched mutants reach both.
+def _reference_relation_holds(params, fld, lam_enc, s, t):
+    f = params.f
+    a = AElement.monomial(fld, f, tuple(-v for v in t))
+    img = a
+    for _ in range(f):
+        img = pg.frobenius(img)
+    rhs = AElement.monomial(fld, f, tuple(s), lam_enc) * img
+    return (a - rhs).is_zero()
+
+
+def reference_eigen_classifier(params, samples=20, seed=0):
+    sweep = Sweep("substitution-eigenline-classifier")
+    fld = Fq(params.p, params.f)
+    rng = random.Random(seed)
+    f, q1 = params.f, params.q - 1
+    cases = [(1, IntVec.zero(f))]
+    for _ in range(samples):
+        t = IntVec(f, tuple(rng.randrange(-3, 4) for _ in range(f)))
+        lam = rng.randrange(1, params.q)
+        line = IntVec(f, tuple(q1 * v for v in t))
+        cases.append((lam, line))
+        off = list(line)
+        off[rng.randrange(f)] += rng.randrange(1, q1)
+        cases.append((lam, IntVec(f, tuple(off))))
+    for lam, s in cases:
+        kind, t = pg.classify_phi_q_eigen(params, lam, s)
+        if kind == "line":
+            ok = _reference_relation_holds(params, fld, lam, s, t)
+        else:
+            bound = max(abs(v) for v in s) // q1 + 2
+            ok = True
+            stack = [()]
+            while stack:
+                pre = stack.pop()
+                if len(pre) == f:
+                    if _reference_relation_holds(params, fld, lam, s, pre):
+                        ok = False
+                        break
+                    continue
+                stack.extend(pre + (v,) for v in range(-bound, bound + 1))
+        sweep.check(ok, lam=lam, s=s, kind=kind)
+    return sweep.result()
+
+
+CLASSIFIER_PARAMS = {
+    "p11f1": RhoParams.make(11, 1, (4,)),
+    "p13f2": RhoParams.make(13, 2, (5, 6), (0,)),
+    "p17f3": RhoParams.make(17, 3, (7, 8, 7), (0,)),
+}
+
+
+def _unscaled_frobenius(x):
+    # the slot rotation of frobenius without the factor p
+    f = x.f
+    terms = {tuple(k[(j + 1) % f] for j in range(f)): c for k, c in x.terms.items()}
+    return AElement(x.field, f, x.cutoff, terms)
+
+
+def _always_zero(params, lam, s):
+    return ("zero", None)
+
+
+_classify = pg.classify_phi_q_eigen
+
+
+def _slot0_off_by_one(params, lam, s):
+    kind, t = _classify(params, lam, s)
+    if kind == "line":
+        t = IntVec(params.f, (t[0] + 1,) + tuple(t)[1:])
+    return kind, t
+
+
+# mutant -> (patched name, replacement, the parameter sets it fails at).  The
+# classifier check sees the unscaled frobenius only on a line verdict with
+# lam = 1 and t != 0; at q = 4913 seeds 0-5 draw no lam = 1.
+CLASSIFIER_MUTANTS = {
+    "unscaled-frobenius": ("frobenius", _unscaled_frobenius, {"p11f1", "p13f2"}),
+    "always-zero": ("classify_phi_q_eigen", _always_zero, set(CLASSIFIER_PARAMS)),
+    "slot0-off-by-one": (
+        "classify_phi_q_eigen", _slot0_off_by_one, set(CLASSIFIER_PARAMS)
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLASSIFIER_PARAMS))
+def test_classifier_matches_per_candidate_reference(name):
+    params = CLASSIFIER_PARAMS[name]
+    for seed in range(6):
+        got = pg.check_eigen_classifier(params, seed=seed).as_dict()
+        assert got["status"] == "pass"
+        assert got == reference_eigen_classifier(params, seed=seed).as_dict()
+
+
+@pytest.mark.parametrize("mutant", sorted(CLASSIFIER_MUTANTS))
+def test_classifier_mutants_fail_alike(monkeypatch, mutant):
+    # both scans see the same mutant and must report the same failure
+    attr, fake, fails_at = CLASSIFIER_MUTANTS[mutant]
+    monkeypatch.setattr(pg, attr, fake)
+    failed = set()
+    for name, params in CLASSIFIER_PARAMS.items():
+        for seed in range(6):
+            got = pg.check_eigen_classifier(params, seed=seed).as_dict()
+            assert got == reference_eigen_classifier(params, seed=seed).as_dict()
+            if got["status"] == "fail":
+                failed.add(name)
+    assert failed == fails_at
+
+
+def test_classifier_substitutes_once_per_box_point(monkeypatch):
+    # f substitutions per point of the 11^f box and per case, at most; a
+    # rescan of the box for every zero verdict makes about 131,000
+    params = CLASSIFIER_PARAMS["p17f3"]
+    calls = 0
+    frob = pg.frobenius
+
+    def counted(x):
+        nonlocal calls
+        calls += 1
+        return frob(x)
+
+    monkeypatch.setattr(pg, "frobenius", counted)
+    samples = 20
+    assert pg.check_eigen_classifier(params, samples=samples, seed=0).passed
+    assert calls <= params.f * (11**params.f + 2 * samples + 1) == 4116
 
 
 # --- unit-action matrices ---------------------------------------------------
