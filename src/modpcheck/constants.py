@@ -9,9 +9,10 @@ report the first counterexample rather than raising.
 import dataclasses
 import functools
 import itertools
+import math
 import random
 from dataclasses import dataclass
-from operator import add, mul
+from operator import add, eq, mul
 
 from .arith import Fq
 from .base_combinatorics import (
@@ -20,7 +21,7 @@ from .base_combinatorics import (
     indicator,
     right_boundary,
 )
-from .errors import ConfigInvalid, HypothesisViolation, PairNotDefined
+from .errors import ConfigInvalid, HypothesisViolation, PairNotDefined, RangeViolation
 from .reporting import Sweep
 from .weights import (
     Translation,
@@ -96,23 +97,26 @@ def tJJp(params, J, Jp):
     )
 
 
-def _m_formula(params, i, J, Jp):
-    # signed exponent vector of the i-indexed element in a J-block; the
-    # reindexing sweep evaluates it formally, outside the small box of i too
+def _m_frame(params, J, Jp):
+    # signed exponent vector of the i-indexed element in a J-block, as a
+    # function of i: m_j = sign_j (2 i_j + e^Kss_j - e^{J^Kss}_j + e^{Jp+1}_j)
+    # with Kss = (J-1) & Jrho; the reindexing sweep evaluates it formally,
+    # outside the small box of i too
     f = params.f
     Kss = J.shift(-1) & params.Jrho
     sym = J ^ Kss
-    out = []
-    for j in range(f):
-        core = (
-            2 * i[j]
-            + (1 if j in Kss else 0)
-            - (1 if j in sym else 0)
-            + (1 if (j - 1) in Jp else 0)
-        )
-        sign = -1 if (j + 1) not in J else 1
-        out.append(sign * core)
-    return IntVec(f, tuple(out))
+    signs = tuple(-1 if (j + 1) not in J else 1 for j in range(f))
+    offsets = tuple(
+        (1 if j in Kss else 0) - (1 if j in sym else 0) + (1 if (j - 1) in Jp else 0)
+        for j in range(f)
+    )
+    return lambda i: IntVec(
+        f, tuple(s * (2 * x + o) for s, x, o in zip(signs, i.entries, offsets))
+    )
+
+
+def _m_formula(params, i, J, Jp):
+    return _m_frame(params, J, Jp)(i)
 
 
 def _tjx_bump(params, J, j):
@@ -321,6 +325,10 @@ class ConstantTables:
     def m(self, i, J, Jp):
         return _m_formula(self.params, i, J, Jp)
 
+    def m_at(self, J, Jp):
+        """m(., J, Jp) as a function of i, its (J, Jp) data computed once."""
+        return _m_frame(self.params, J, Jp)
+
 
 def all_mutations(params):
     """Every single-cell +1 mutation of the mutable tables."""
@@ -431,7 +439,11 @@ def check_weight_table_bounds(params, tables=None):
 
 def check_change_origin(params, tables=None):
     """Origin translation acts as base offset a(J) plus a successor-driven
-    sign flip on the whole admissible window."""
+    sign flip on the whole admissible window.
+
+    Each box is compared with the separable formula in one pass; only a box
+    that fails it is swept again tuple by tuple, to record the first
+    counterexample.  An image outside a window fails the row."""
     tables = tables or ConstantTables(params)
     f = params.f
     sw = Sweep("change-origin-composition")
@@ -444,10 +456,23 @@ def check_change_origin(params, tables=None):
         for j in range(f):
             dsh = 1 if j in Jsh else 0
             ranges.append(range(-(2 * (f - dsh) + 1), 2 * (f + dsh) + 1))
+        formula = itertools.product(
+            *[[a + s * v for v in rng] for a, s, rng in zip(base, signs, ranges)]
+        )
+        try:
+            if all(map(eq, map(translate.image, itertools.product(*ranges)), formula)):
+                sw.checked += math.prod(map(len, ranges))
+                continue
+        except RangeViolation:
+            pass
         for ent in itertools.product(*ranges):
-            got = translate(IntVec(f, ent)).b
+            try:
+                got = translate.image(ent)
+            except RangeViolation as exc:
+                sw.check(False, J=J, b=ent, error=str(exc))
+                continue
             want = tuple(map(add, base, map(mul, signs, ent)))
-            sw.check(got.entries == want, J=J, b=ent)
+            sw.check(got == want, J=J, b=ent)
     return sw.result()
 
 
@@ -524,23 +549,40 @@ def _check_shift_overlap_reindex(params, tables, subs):
     p, f, r = params.p, params.f, params.r
     # the tables depend on the subsets only, not on i: read each one once
     tJJp, s_of = functools.cache(tables.tJJp), functools.cache(tables.s)
-    for J, i, j0, Jp in _reindex_tuples(params, subs):
-        anchor = (j0 + 1) % f
+
+    @functools.cache
+    def frame(J, j0, Jp):
+        # everything but i: the reindexed subsets J2 and Jpp, their m maps
+        # and shift exponents, the i-free parts of the carry digits and of
+        # the positivity hypothesis, and the small box of J2
         J2 = J - SubsetJ.of(f, [j0 + 2])
         Jpp = Jp ^ SubsetJ.of(f, [j0 + 1])
         Kss = J.shift(-1) & params.Jrho  # same for J2 since j0+2 is not special
+        bump = -(0 if (j0 + 1) in Jp else 1) + (1 if (j0 + 2) in Kss else 0)
+        sym1, sym2 = J ^ Kss, J2 ^ Kss
+        svec = s_of(Kss)
+        _, _, J2sh = params.parts(J2)
+        return (
+            J2, Jpp, bump, tables.m_at(J, Jp), tables.m_at(J2, Jpp),
+            tJJp(J, Jp), tJJp(J2, Jpp),
+            tuple(svec[j] if (j + 1) in sym1 else p - 1 for j in range(f)),
+            tuple(svec[j] if (j + 1) in sym2 else p - 1 for j in range(f)),
+            tuple((1 if (j - 1) in Jp else 0) - (1 if j in sym1 else 0) for j in range(f)),
+            tuple(f - (1 if j in J2sh else 0) for j in range(f)),
+        )
+
+    for J, i, j0, Jp in _reindex_tuples(params, subs):
+        J2, Jpp, bump, m_of, m2_of, tv, tv2, dig1, dig2, hyp_off, box = frame(J, j0, Jp)
+        anchor = (j0 + 1) % f
 
         ent = list(i.entries)
-        ent[(j0 + 2) % f] += -(0 if (j0 + 1) in Jp else 1) + (
-            1 if (j0 + 2) in Kss else 0
-        )
+        ent[(j0 + 2) % f] += bump
         ip = IntVec(f, tuple(ent))
 
-        m1 = tables.m(i, J, Jp)
-        m2 = tables.m(ip, J2, Jpp)
+        m1 = m_of(i)
+        m2 = m2_of(ip)
         sw.check(m1 == m2 and m1[anchor] == 0, J=J, j0=j0, i=i, Jp=Jp, part="m")
 
-        tv, tv2 = tJJp(J, Jp), tJJp(J2, Jpp)
         ok = True
         for j in range(f):
             lhs = 2 * i[j] + tv[j]
@@ -551,18 +593,16 @@ def _check_shift_overlap_reindex(params, tables, subs):
                 ok = ok and lhs == rhs
         sw.check(ok, J=J, j0=j0, i=i, Jp=Jp, part="shift")
 
-        sym1, sym2 = J ^ Kss, J2 ^ Kss
-        svec = s_of(Kss)
         anchor_out = 1 if (j0 + 1) not in J else 0
         cvec, cpvec = [], []
         for j in range(f):
-            v = p * i[j + 1] + (svec[j] if (j + 1) in sym1 else p - 1)
+            v = p * i[j + 1] + dig1[j]
             if j not in Jp:
                 v -= 2 * i[j] + tv[j]
             if j == anchor:
                 v -= anchor_out
             cvec.append(v)
-            v2 = p * ip[j + 1] + (svec[j] if (j + 1) in sym2 else p - 1)
+            v2 = p * ip[j + 1] + dig2[j]
             if j not in Jpp:
                 v2 -= 2 * ip[j] + tv2[j]
             if j == anchor:
@@ -570,18 +610,13 @@ def _check_shift_overlap_reindex(params, tables, subs):
             cpvec.append(v2)
         sw.check(cvec == cpvec, J=J, j0=j0, i=i, Jp=Jp, part="carry", c=cvec, c2=cpvec)
 
-        hyp = all(
-            2 * i[j] - (1 if j in sym1 else 0) + (1 if (j - 1) in Jp else 0) >= 0
-            for j in range(f)
-        )
-        if hyp:
+        if all(2 * i[j] + hyp_off[j] >= 0 for j in range(f)):
             sw.check(
                 min(cvec) >= 0 and all(ip[j] >= 0 for j in range(f)),
                 J=J, j0=j0, i=i, Jp=Jp, part="positivity",
             )
-        _, _, J2sh = params.parts(J2)
         sw.check(
-            all(ip[j] <= f - (1 if j in J2sh else 0) for j in range(f)),
+            all(ip[j] <= box[j] for j in range(f)),
             J=J, j0=j0, i=i, Jp=Jp, part="box",
         )
     return sw.result()
@@ -780,12 +815,13 @@ def check_domination_claims(params, tables=None):
     else:
         for J in params.subsets():
             for j0 in range(f):
+                at = tables.aJn_at(J, j0)
                 for mp in range(1, p):
                     nval = min(mp, 2 * f - 1)
                     ent = [nval] * f
                     ent[(j0 + 1) % f] = 0
                     n = IntVec(f, tuple(ent))
-                    a = tables.aJn(J, n, j0)
+                    a = at(n)
                     bound = (f - 1) * mp + f
                     ok = a[j0] >= -mp
                     for j in range(f):

@@ -14,7 +14,7 @@ from functools import partial
 from itertools import product
 from time import perf_counter
 
-from .arith import Fq
+from .arith import minimal_irreducible
 from .base_combinatorics import all_subsets
 from .constants import (
     MUTABLE,
@@ -347,7 +347,7 @@ def run_suite(config):
         "field": {
             "p": config.p,
             "f": config.f,
-            "poly": list(Fq(config.p, config.f).g_coeffs),
+            "poly": list(minimal_irreducible(config.p, config.f)),
         },
         "seed": config.seed,
         "cutoff": config.cutoff_value(),

@@ -85,9 +85,6 @@ class PhiGammaMatrix:
         e = self.entries.get((rowJ, colJ))
         return _zero(self.field, self.params.f) if e is None else e
 
-    def support(self):
-        return sorted(self.entries, key=lambda rc: (rc[0].bits, rc[1].bits))
-
     def map_entries(self, fn):
         return PhiGammaMatrix(
             self.params, self.field, {rc: fn(x) for rc, x in self.entries.items()}

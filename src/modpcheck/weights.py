@@ -127,6 +127,13 @@ def aJ(params: RhoParams, J: SubsetJ) -> IntVec:
     return IntVec(f, tuple(out))
 
 
+def _window_fault(ent, lo, hi, bounds="[{}, {}]"):
+    """Raise RangeViolation for the first slot of ent outside [lo, hi]."""
+    for j, (bj, lo_j, hi_j) in enumerate(zip(ent, lo, hi)):
+        if not lo_j <= bj <= hi_j:
+            raise RangeViolation(f"b_{j}={bj} outside " + bounds.format(lo_j, hi_j))
+
+
 class WeightB:
     """Serre weight sigma_b; b must sit in the window -r <= b <= p-2-r."""
 
@@ -138,9 +145,7 @@ class WeightB:
         lo, hi = params.b_window
         ent = b.entries
         if not (all(map(le, lo, ent)) and all(map(le, ent, hi))):
-            for j, (bj, lo_j, hi_j) in enumerate(zip(ent, lo, hi)):
-                if not lo_j <= bj <= hi_j:
-                    raise RangeViolation(f"b_{j}={bj} outside [-r_j, p-2-r_j]")
+            _window_fault(ent, lo, hi, "[-r_j, p-2-r_j]")
         self.params = params
         self.b = b
 
@@ -180,16 +185,23 @@ class Translation:
             for j, (sign, d) in enumerate(zip(self.signs, sh))
         )
 
+    def image(self, ent: tuple) -> tuple:
+        """Entries of b' for the entries of b: b must lie in the hypothesis
+        window and b' in the weight window, else RangeViolation names the
+        first bad slot."""
+        lo, hi = self.lo, self.hi
+        if not (all(map(le, lo, ent)) and all(map(le, ent, hi))):
+            _window_fault(ent, lo, hi)
+        out = tuple(map(add, map(mul, self.signs, ent), self.offsets))
+        lo, hi = self.params.b_window
+        if not (all(map(le, lo, out)) and all(map(le, out, hi))):
+            _window_fault(out, lo, hi, "[-r_j, p-2-r_j]")
+        return out
+
     def __call__(self, b: IntVec) -> WeightB:
         if b.f != self.f:
             raise RangeViolation(f"b indexed by f={b.f}, translation by f={self.f}")
-        ent = b.entries
-        if not (all(map(le, self.lo, ent)) and all(map(le, ent, self.hi))):
-            for j, (bj, lo, hi) in enumerate(zip(ent, self.lo, self.hi)):
-                if not lo <= bj <= hi:
-                    raise RangeViolation(f"b_{j}={bj} outside [{lo}, {hi}]")
-        out = tuple(map(add, map(mul, self.signs, ent), self.offsets))
-        return WeightB(self.params, IntVec(self.f, out))
+        return WeightB(self.params, IntVec(self.f, self.image(b.entries)))
 
 
 def serre_weights_of_rhobar(params: RhoParams) -> frozenset:
@@ -310,9 +322,6 @@ class HCharacter:
 
     def __pow__(self, n):
         return HCharacter(self.qm1, self.exp1 * n, self.exp2 * n)
-
-    def inverse(self):
-        return HCharacter(self.qm1, -self.exp1, -self.exp2)
 
 
 def char_of_lambda(params: RhoParams, lam1: IntVec, lam2: IntVec) -> HCharacter:

@@ -67,6 +67,15 @@ def test_identities_example_passes():
     assert "timings" not in rep.payload()
 
 
+def test_weights_only_run_builds_no_field(monkeypatch):
+    # the fingerprint reads the minimal irreducible, not the field tables
+    monkeypatch.setattr(arith, "_FIELD_CACHE", {})
+    rep = run_suite(RunConfig(p=17, f=3, r=(7, 8, 7), suites=("weights",)))
+    assert rep.passed
+    assert arith._FIELD_CACHE == {}
+    assert rep.fingerprint["field"]["poly"] == list(arith.Fq(17, 3).g_coeffs)
+
+
 def test_report_bytes_stable():
     cfg = RunConfig(p=13, f=2, r=(5, 6), jrho="all", suites=("identities", "weights"))
     b1 = emit_report(run_suite(cfg), "json")

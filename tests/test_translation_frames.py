@@ -5,19 +5,34 @@ The reference bodies below are the one-call-per-tuple versions of
 ``translate_in_graph`` and ``aJn``, which re-derived the parts of J and the
 tJx bumps on every call.  The frames must agree with them exactly on the
 whole hypothesis window, and must raise the same exception with the same
-message one step outside it.  The last test pins which report row kills each
+message one step outside it.  A test pins which report row kills each
 mutant of the two hoisted tables, so a hoist cannot hide a mutant behind
-another row.
+another row.  The origin-change sweep compares each box in one pass and
+reruns it tuple by tuple only on a mismatch; the tests at the end hold it to
+the one-call-per-tuple sweep it replaced.
 """
 
 import itertools
+import json
+from operator import add, mul
 
 import pytest
+from click.testing import CliRunner
+from hypothesis import given
+from hypothesis import strategies as st
 
 from modpcheck.base_combinatorics import IntVec, SubsetJ, all_subsets
-from modpcheck.constants import AJnFrame, ConstantTables, all_mutations
+from modpcheck.cli import main
+from modpcheck.constants import (
+    AJnFrame,
+    ConstantTables,
+    Mutation,
+    all_mutations,
+    check_change_origin,
+)
 from modpcheck.errors import HypothesisViolation, RangeViolation
 from modpcheck.harness import run_identities
+from modpcheck.reporting import Sweep
 from modpcheck.weights import RhoParams, Translation, WeightB
 
 PRESETS = ((11, 1, (4,)), (13, 2, (5, 6)), (17, 3, (7, 8, 7)))
@@ -237,15 +252,15 @@ def test_translation_names_first_bad_slot(params):
 def test_change_origin_sweep_kills_non_separable_mutant(monkeypatch):
     """A translation that moves b'_0 only when b_1 sits at the top of its
     window agrees with the separable formula on every one-coordinate probe,
-    so only a sweep over whole tuples can see it."""
-    original = Translation.__call__
+    so only a sweep over whole tuples can see it.  The mutant replaces
+    ``Translation.image``, the one code path of the sweep and of __call__."""
+    original = Translation.image
 
-    def mutant(self, b):
-        w = original(self, b)
-        if b.entries[1] != self.hi[1]:
-            return w
-        ent = (w.b.entries[0] + 1,) + w.b.entries[1:]
-        return WeightB(self.params, IntVec(self.params.f, ent))
+    def mutant(self, ent):
+        out = original(self, ent)
+        if ent[1] != self.hi[1]:
+            return out
+        return (out[0] + 1,) + out[1:]
 
     for Jrho in all_subsets(3):
         params = RhoParams.make(17, 3, (7, 8, 7), Jrho.members())
@@ -256,10 +271,10 @@ def test_change_origin_sweep_kills_non_separable_mutant(monkeypatch):
             translate = Translation(params, J)
             for j, (lo, hi) in enumerate(window):
                 for v in range(lo, hi + 1):
-                    b = IntVec(3, tuple(v if i == j else 0 for i in range(3)))
-                    assert mutant(translate, b).b[j] == translate(b).b[j]
+                    ent = tuple(v if i == j else 0 for i in range(3))
+                    assert mutant(translate, ent)[j] == translate.image(ent)[j]
         with monkeypatch.context() as m:
-            m.setattr(Translation, "__call__", mutant)
+            m.setattr(Translation, "image", mutant)
             rows = {res.name: res.passed for res in run_identities(params, 0)}
         assert rows.pop("change-origin-composition") is False
         assert all(rows.values()), rows
@@ -273,3 +288,140 @@ def test_frames_reject_position_of_other_f():
             Translation(params, J)(IntVec.of(ent))
         with pytest.raises(HypothesisViolation, match="n indexed by f="):
             AJnFrame(params, J, 0)(IntVec.of(ent))
+
+
+# ---------------------------------------------------------------------------
+# the int-tuple image and the one-pass origin-change sweep
+
+
+def _expected_image(translate, ent):
+    """The image tuple, or the message naming the first bad slot: the
+    hypothesis window is checked first, then the weight window."""
+    for j, (bj, lo, hi) in enumerate(zip(ent, translate.lo, translate.hi)):
+        if not lo <= bj <= hi:
+            return f"b_{j}={bj} outside [{lo}, {hi}]"
+    out = tuple(map(add, map(mul, translate.signs, ent), translate.offsets))
+    params = translate.params
+    for j, bj in enumerate(out):
+        if not -params.r[j] <= bj <= params.p - 2 - params.r[j]:
+            return f"b_{j}={bj} outside [-r_j, p-2-r_j]"
+    return out
+
+
+@given(st.data())
+def test_image_matches_call_on_and_off_both_windows(data):
+    params = data.draw(st.sampled_from(PARAMS))
+    f, p = params.f, params.p
+    translate = Translation(params, data.draw(st.sampled_from(list(params.subsets()))))
+    ent = tuple(data.draw(st.integers(lo - 2, hi + 2))
+                for lo, hi in zip(translate.lo, translate.hi))
+    # moved offsets take the image off the weight window, which the genuine
+    # translation never leaves on its hypothesis window
+    shift = tuple(data.draw(st.integers(-p, p)) for _ in range(f))
+    translate.offsets = tuple(map(add, translate.offsets, shift))
+    want = _expected_image(translate, ent)
+    if isinstance(want, tuple):
+        assert translate.image(ent) == want
+        assert translate(IntVec(f, ent)).b.entries == want
+        return
+    for call in (lambda: translate.image(ent), lambda: translate(IntVec(f, ent))):
+        with pytest.raises(RangeViolation) as got:
+            call()
+        assert str(got.value) == want
+
+
+def change_origin_reference(params, tables):
+    """The sweep as it was: one translation call and one check per tuple."""
+    f = params.f
+    sw = Sweep("change-origin-composition")
+    for J in params.subsets():
+        translate = Translation(params, J)
+        base = tables.a(J).entries
+        signs = tuple(-1 if (j + 1) in J else 1 for j in range(f))
+        ranges = [range(lo, hi + 1) for lo, hi in _translation_window(params, J)]
+        for ent in itertools.product(*ranges):
+            got = translate(IntVec(f, ent)).b
+            want = tuple(map(add, base, map(mul, signs, ent)))
+            sw.check(got.entries == want, J=J, b=ent)
+    return sw.result()
+
+
+@pytest.mark.parametrize("p,f,r,jrho", [(13, 2, (5, 6), (0,)), (13, 2, (5, 6), (0, 1)),
+                                        (17, 3, (7, 8, 7), (0,))],
+                         ids=["p13-f2-jrho0", "p13-f2-jrho01", "p17-f3-jrho0"])
+def test_one_pass_sweep_matches_per_tuple_reference_under_a_mutants(p, f, r, jrho):
+    params = RhoParams.make(p, f, r, jrho)
+    muts = [None] + [
+        Mutation("a", m.jmask, m.j, delta=delta)
+        for m in all_mutations(params) if m.table == "a"
+        for delta in ((1, -1) if f == 2 else (1,))
+    ]
+    for m in muts:
+        tables = ConstantTables(params, m)
+        got = check_change_origin(params, tables).as_dict()
+        want = change_origin_reference(params, tables).as_dict()
+        assert got == want, m
+        assert (got["status"] == "pass") == (m is None)
+
+
+def test_change_origin_sweep_images_every_tuple(monkeypatch):
+    # each box goes through image once, in order, and is counted once
+    params = RhoParams.make(17, 3, (7, 8, 7), (0,))
+    seen = {}
+    original = Translation.image
+
+    def recording(self, ent):
+        seen.setdefault(self.signs, []).append(ent)
+        return original(self, ent)
+
+    monkeypatch.setattr(Translation, "image", recording)
+    res = check_change_origin(params)
+    assert res.passed
+    total = 0
+    for J in params.subsets():
+        signs = tuple(-1 if (j + 1) in J else 1 for j in range(3))
+        box = list(itertools.product(
+            *(range(lo, hi + 1) for lo, hi in _translation_window(params, J))
+        ))
+        assert seen.pop(signs) == box
+        total += len(box)
+    assert not seen
+    assert res.checked == total
+
+
+def _offsets_leave_weight_window(monkeypatch):
+    # every image moves p to the right in slot 0, past p-2-r_0
+    original = Translation.__init__
+
+    def leaving(self, params, J):
+        original(self, params, J)
+        self.offsets = (self.offsets[0] + params.p,) + self.offsets[1:]
+
+    monkeypatch.setattr(Translation, "__init__", leaving)
+
+
+def test_image_off_weight_window_fails_the_row(monkeypatch):
+    params = RhoParams.make(13, 2, (5, 6), (0,))
+    healthy = check_change_origin(params)
+    _offsets_leave_weight_window(monkeypatch)
+    rows = {res.name: res for res in run_identities(params, 0)}
+    row = rows.pop("change-origin-composition")
+    assert not row.passed
+    assert row.checked == healthy.checked
+    assert row.counterexample == {
+        "J": [], "b": [-5, -5], "error": "b_0=8 outside [-r_j, p-2-r_j]",
+    }
+    assert all(res.passed for res in rows.values())
+
+
+def test_cli_image_off_weight_window_exits_1(monkeypatch):
+    _offsets_leave_weight_window(monkeypatch)
+    res = CliRunner().invoke(
+        main, ["verify", "--p", "13", "--f", "2", "--r", "5,6", "--suite", "identities"]
+    )
+    assert res.exit_code == 1, res.output
+    failed = [row for row in json.loads(res.stdout)["suites"] if row["status"] == "fail"]
+    assert {row["name"].split("@")[0] for row in failed} == {
+        "identities/change-origin-composition"
+    }
+    assert all("error" in row["counterexample"] for row in failed)
