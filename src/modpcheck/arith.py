@@ -288,12 +288,6 @@ class FElem:
         self.field = field
         self.e = e
 
-    def __add__(self, other):
-        return FElem(self.field, self.field.add(self.e, other.e))
-
-    def __sub__(self, other):
-        return FElem(self.field, self.field.sub(self.e, other.e))
-
     def __neg__(self):
         return FElem(self.field, self.field.neg(self.e))
 
@@ -302,22 +296,14 @@ class FElem:
             return FElem(self.field, self.field.scale_int(self.e, other))
         return FElem(self.field, self.field.mul(self.e, other.e))
 
-    __rmul__ = __mul__
-
     def __truediv__(self, other):
         return FElem(self.field, self.field.mul(self.e, self.field.inv(other.e)))
-
-    def __pow__(self, n):
-        return FElem(self.field, self.field.pow(self.e, n))
 
     def __eq__(self, other):
         return isinstance(other, FElem) and self.field is other.field and self.e == other.e
 
     def __hash__(self):
         return hash((id(self.field), self.e))
-
-    def __bool__(self):
-        return self.e != 0
 
     def __repr__(self):
         return f"FElem({self.e})"

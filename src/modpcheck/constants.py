@@ -747,12 +747,13 @@ def _check_scalar_ratio_classes(params, mu, subs):
     return sw.result()
 
 
-def check_constant_identities(params, tables=None, mu=None, seed=0):
-    """All identity sweeps tying the constant tables to one another."""
-    tables = tables or ConstantTables(params)
-    mu = mu or mu_gamma(params, seed)
+def run_identities(params, seed=0, mutation=None):
+    """Bound checks plus every exact constant identity, exhaustively."""
+    tables = ConstantTables(params, mutation)
+    mu = mu_gamma(params, seed)
     subs = _subsets(params)
     return [
+        *check_weight_table_bounds(params, tables),
         _check_t_vs_r(params, tables, subs),
         _check_tpair_vs_s(params, tables, subs),
         check_change_origin(params, tables),
@@ -765,6 +766,8 @@ def check_constant_identities(params, tables=None, mu=None, seed=0):
         _check_carry_inequality(params, tables, subs),
         _check_c_restriction(params, tables, subs),
         _check_scalar_ratio_classes(params, mu, subs),
+        check_shifted_table_additivity(params, tables),
+        *check_domination_claims(params, tables),
     ]
 
 

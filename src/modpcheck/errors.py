@@ -62,3 +62,11 @@ class NonConvergence(RuntimeError):
 
 class ConfigInvalid(ValueError):
     """Run configuration is structurally unusable."""
+
+
+# What a check's own arithmetic can raise: a failed check, not a crashed run.
+PACKAGE_ERRORS = (
+    RangeViolation, HypothesisViolation, InadmissibleS, PairNotDefined, NotAUnit,
+    PrecisionExhausted, SingularJacobian, ExponentPrecisionTooLow, NotInvertible,
+    NonConvergence,
+)

@@ -1,33 +1,33 @@
 """Suite runner: composes the per-module checkers into reproducible reports.
 
 A RunConfig pins every source of variation (parameters, truncation depth,
-seed, selected suites, optional mutation).  run_suite executes the selected
-suites over every requested Jrho and returns a Report whose JSON payload is
-byte-stable for a fixed config; wall-clock timings live next to the payload
-but never inside it.
+seed, selected suites, optional mutation).  Each suite job is a check table
+of (row names, thunk) entries; run_suite runs them all in one loop and
+returns a Report whose JSON payload is byte-stable for a fixed config.
+Wall-clock timings live next to the payload but never inside it.
 """
 
 import json
 import math
 from dataclasses import dataclass
-from functools import partial
 from itertools import product
 from time import perf_counter
 
 from .arith import minimal_irreducible
 from .base_combinatorics import all_subsets
-from .constants import (
-    MUTABLE,
-    ConstantTables,
-    all_mutations,
-    check_constant_identities,
-    check_domination_claims,
-    check_shifted_table_additivity,
-    check_weight_table_bounds,
-    mu_gamma,
+from .constants import MUTABLE, all_mutations, mu_gamma, run_identities
+from .errors import PACKAGE_ERRORS, ConfigInvalid
+from .iwasawa import (
+    chart_context,
+    chart_depth,
+    check_action_composition,
+    check_exponent_additivity,
+    check_frobenius_action_commute,
+    check_frobenius_generators,
+    check_torus_eigenvector,
+    check_unit_ratio_depth,
+    default_cutoff,
 )
-from .errors import ConfigInvalid
-from .iwasawa import chart_context, chart_depth, check_iwasawa_axioms, default_cutoff
 from .phigamma import (
     check_eigen_classifier,
     check_phi_matrix_shapes,
@@ -38,17 +38,8 @@ from .phigamma import (
     check_unit_action_matrices,
     default_flip,
 )
-from .reporting import Sweep, _plain
-from .weights import (
-    RhoParams,
-    enumerate_admissible_S,
-    is_admissible_S,
-    jh_D0,
-    jh_D0_component,
-    jh_pi1,
-    rank_for_S,
-    serre_weights_of_rhobar,
-)
+from .reporting import CheckResult, _plain
+from .weights import RhoParams, run_weights
 
 SUITES = ("identities", "weights", "iwasawa", "phigamma")
 SCHEMA = 1
@@ -167,108 +158,76 @@ def _resolve_mutation(config, params):
         return None, None
     if config.mutate == "eps":
         return None, default_flip(params)
+    # RunConfig admits only MUTABLE names, and every table has cells at every f
     name = _TABLE_ALIASES.get(config.mutate, config.mutate)
-    for m in all_mutations(params):
-        if m.table == name:
-            return m, None
-    raise ConfigInvalid(f"table {name!r} has no cells at f={params.f}")
+    return next(m for m in all_mutations(params) if m.table == name), None
 
 
-# ---- suite runners ---------------------------------------------------------
+# ---- check tables ----------------------------------------------------------
+# One table per suite job: (row names, thunk) entries in report order, each
+# thunk returning the rows it names.  Thunks look the chart up when they run,
+# so that its build counts toward the job and a failed build fails the rows.
 
 
-def run_identities(params, seed=0, mutation=None):
-    """Bound checks plus every exact constant identity, exhaustively."""
-    tables = ConstantTables(params, mutation)
-    mu = mu_gamma(params, seed)
-    out = list(check_weight_table_bounds(params, tables))
-    out += check_constant_identities(params, tables, mu)
-    out.append(check_shifted_table_additivity(params, tables))
-    out += check_domination_claims(params, tables)
-    return out
-
-
-def run_weights(params):
-    """Weight counts, block partition, admissible families, rank formula."""
-    f, k = params.f, len(params.Jrho)
-
-    size = Sweep("weight-set-size")
-    W = serre_weights_of_rhobar(params)
-    size.check(len(W) == 2**k, got=len(W), expected=2**k)
-    for w in W:
-        ok = all(w.b[j] in ((0, 1) if j in params.Jrho else (0,)) for j in range(f))
-        size.check(ok, weight=w.b)
-
-    blocks = Sweep("socle-block-partition")
-    block = jh_D0(params)
-    blocks.check(len(block) == 3 ** (f - k) * 4**k, got=len(block))
-    seen = set()
-    for J in params.subsets():
-        if not J <= params.Jrho:
-            continue
-        comp = jh_D0_component(params, J)
-        blocks.check(len(comp) == 3 ** (f - k) * 2**k, J=J, got=len(comp))
-        blocks.check(not (seen & comp), J=J)
-        seen |= comp
-    blocks.check(seen == block)
-
-    fams_sw = Sweep("admissible-families")
-    fams = enumerate_admissible_S(params)
-    full = frozenset(all_subsets(f))
-    fams_sw.check(full in fams)
-    order = sorted(fams, key=lambda S: (len(S), sorted(J.bits for J in S)))
-    for S in order:
-        masks = sorted(J.bits for J in S)
-        fams_sw.check(is_admissible_S(params, S), family=masks)
-        for J in S:
-            fams_sw.check(J.shift(-1) in S, family=masks, J=J)
-            if not params.Jrho.is_full():
-                for sub in params.subsets():
-                    if sub <= J:
-                        fams_sw.check(sub in S, family=masks, J=J, Jp=sub)
-
-    rank = Sweep("rank-formula")
-    rank.check(rank_for_S(params, full) == 2**f, got=rank_for_S(params, full))
-    for S in order:
-        masks = sorted(J.bits for J in S)
-        rank.check(rank_for_S(params, S) == len(S), family=masks)
-        pi1 = jh_pi1(params, S)
-        ss_like = {w for w in pi1 if all(v in (0, 1) for v in w.b)}
-        rank.check(len(ss_like) == len(S), family=masks, got=len(ss_like))
-    for S1 in order:
-        for S2 in order:
-            if S1 <= S2:
-                rank.check(
-                    rank_for_S(params, S1) <= rank_for_S(params, S2),
-                    small=sorted(J.bits for J in S1),
-                    large=sorted(J.bits for J in S2),
-                )
-
-    return [size.result(), blocks.result(), fams_sw.result(), rank.result()]
-
-
-def run_iwasawa(p, f, cutoff, units, seed):
-    """Chart-layer action axioms; independent of r and Jrho."""
-    ctx = chart_context(p, f, cutoff)
-    return check_iwasawa_axioms(ctx, units=units, seed=seed)
-
-
-def run_phigamma(params, cutoff, units, thetas, seed, flip=None):
-    """Matrix layer: twist, right inverse, the solver, unit-action matrices."""
-    mu = mu_gamma(params, seed)
-    out = [
-        check_phi_matrix_shapes(mu),
-        check_twist_change_of_basis(mu),
-        check_right_inverse(mu),
-        check_theta_basics(params, seed=seed),
-        check_theta_solver(params, count=thetas, seed=seed, depth=cutoff),
-        check_eigen_classifier(params, seed=seed),
-    ]
-    ctx = chart_context(params.p, params.f, cutoff)
-    out += check_unit_action_matrices(
-        ctx, mu, units=units, pairs=2, seed=seed, flip=flip
+def identities_table(config, params):
+    mutation, _ = _resolve_mutation(config, params)
+    names = (
+        "bound-s", "bound-pairwise-shift", "bound-carry-window", "carry-difference-identity",
+        "t-equals-r-plus-shift", "pairwise-shift-vs-s", "change-origin-composition",
+        "s-complement", "m-closed-form", "shift-overlap-reindex", "character-origin",
+        "r-additivity", "c-as-r-difference", "carry-inequality", "c-restriction",
+        "scalar-ratio-classes", "shifted-table-additivity", "vanishing-region-envelope",
+        "reduction-target-domination",
     )
-    return out
+    return [(names, lambda: run_identities(params, config.seed, mutation))]
+
+
+def weights_table(config, params):
+    names = ("weight-set-size", "socle-block-partition", "admissible-families", "rank-formula")
+    return [(names, lambda: run_weights(params))]
+
+
+def iwasawa_table(config):
+    """Chart-layer action axioms; they see only (p, f, cutoff)."""
+    seed = config.seed
+
+    def ctx():
+        return chart_context(config.p, config.f, config.cutoff_value())
+
+    table = [(("frobenius-generator-images",), lambda: [check_frobenius_generators(ctx())])]
+    if config.f <= 2:
+        table.append((("torus-reindex-eigenvector",), lambda: [check_torus_eigenvector(ctx())]))
+    return table + [
+        (("binomial-exponent-additivity",), lambda: [check_exponent_additivity(ctx(), seed=seed)]),
+        (("principal-unit-ratio-depth",),
+         lambda: [check_unit_ratio_depth(ctx(), count=config.units, seed=seed)]),
+        (("unit-action-composition",), lambda: [check_action_composition(ctx(), seed=seed + 1)]),
+        (("frobenius-action-commute",),
+         lambda: [check_frobenius_action_commute(ctx(), seed=seed + 2)]),
+    ]
+
+
+def phigamma_table(config, params):
+    """Matrix layer: twist, right inverse, the solver, unit-action matrices."""
+    _, flip = _resolve_mutation(config, params)
+    seed, cutoff = config.seed, config.cutoff_value()
+    mu = mu_gamma(params, seed)
+    return [
+        (("substitution-matrix-shapes",), lambda: [check_phi_matrix_shapes(mu)]),
+        (("twist-change-of-basis",), lambda: [check_twist_change_of_basis(mu)]),
+        (("substitution-right-inverse",), lambda: [check_right_inverse(mu)]),
+        (("theta-basics",), lambda: [check_theta_basics(params, seed=seed)]),
+        (("theta-solver",),
+         lambda: [check_theta_solver(params, count=config.thetas, seed=seed, depth=cutoff)]),
+        (("substitution-eigenline-classifier",),
+         lambda: [check_eigen_classifier(params, seed=seed)]),
+        (("unit-matrix-structure", "unit-substitution-commutation", "unit-matrix-cocycle"),
+         lambda: check_unit_action_matrices(chart_context(params.p, params.f, cutoff), mu,
+                                            units=config.units, pairs=2, seed=seed, flip=flip)),
+    ]
+
+
+_TABLES = {"identities": identities_table, "weights": weights_table, "phigamma": phigamma_table}
 
 
 # ---- report assembly -------------------------------------------------------
@@ -302,46 +261,37 @@ def _tag(params):
 
 
 def _jobs(config):
-    """Work queue in deterministic order: canonical suite order, then Jrho."""
+    """(suite, tag, check table) per job: canonical suite order, then Jrho."""
     plist = config.param_sets()
-    D = config.cutoff_value()
-    jobs = []
     for suite in SUITES:
         if suite not in config.suites:
             continue
         if suite == "iwasawa":
             # the axioms only see (p, f, cutoff), so one job covers all Jrho
-            tag = f"p={config.p},f={config.f}"
-            fn = partial(run_iwasawa, config.p, config.f, D, config.units, config.seed)
-            jobs.append((suite, tag, fn))
-            continue
-        for params in plist:
-            mutation, flip = _resolve_mutation(config, params)
-            if suite == "identities":
-                fn = partial(run_identities, params, config.seed, mutation)
-            elif suite == "weights":
-                fn = partial(run_weights, params)
-            else:
-                fn = partial(
-                    run_phigamma, params, D, config.units, config.thetas,
-                    config.seed, flip,
-                )
-            jobs.append((suite, _tag(params), fn))
-    return jobs
+            yield suite, f"p={config.p},f={config.f}", iwasawa_table(config)
+        else:
+            for params in plist:
+                yield suite, _tag(params), _TABLES[suite](config, params)
 
 
 def run_suite(config):
-    """Execute the configured suites, one job after another, and assemble
-    the report."""
+    """Run every entry of every job's check table, one after another, and
+    assemble the report.  A package error raised by an entry fails the rows
+    it names, with checked 0, and the next entry runs."""
     rows, timings = [], {}
-    for suite, tag, fn in _jobs(config):
+    for suite, tag, table in _jobs(config):
         t0 = perf_counter()
-        results = fn()
+        for names, thunk in table:
+            try:
+                results = thunk()
+            except PACKAGE_ERRORS as exc:
+                error = {"error": f"{type(exc).__name__}: {exc}"}
+                results = [CheckResult(name, False, 0, error) for name in names]
+            for res in results:
+                row = res.as_dict()
+                row["name"] = f"{suite}/{row['name']}@{tag}"
+                rows.append(_plain(row))
         timings[f"{suite}@{tag}"] = perf_counter() - t0
-        for res in results:
-            row = res.as_dict()
-            row["name"] = f"{suite}/{row['name']}@{tag}"
-            rows.append(_plain(row))
 
     fingerprint = {
         "field": {

@@ -35,6 +35,7 @@ from .iwasawa import (
     UnitData,
     cocycle_factor,
     difference_floor,
+    eq_below,
     fdeg,
     frobenius,
     invert_unit,
@@ -717,13 +718,10 @@ def check_theta_solver(params, count=50, seed=0, depth=None):
         res = theta_apply(prob, a)
         for i in range(f):
             floor = difference_floor(res[i], prob.b[i])
-            diff = (res[i] - prob.b[i]).copy_truncated(floor)
-            sweep.check(
-                diff.is_zero(), case=n, i=i, claim="residual", floor=floor
-            )
-            gfloor = min(cong, a[i].cutoff)
-            gap = (a[i] - prob.b[i]).copy_truncated(gfloor)
-            sweep.check(gap.is_zero(), case=n, i=i, claim="leading-congruence")
+            ok = eq_below(res[i], prob.b[i], floor)
+            sweep.check(ok, case=n, i=i, claim="residual", floor=floor)
+            ok = eq_below(a[i], prob.b[i], min(cong, a[i].cutoff))
+            sweep.check(ok, case=n, i=i, claim="leading-congruence")
     return sweep.result(info={"cutoff": solve_cutoff(p, f, depth)})
 
 
@@ -908,9 +906,8 @@ def check_unit_action_matrices(ctx, mu, units=10, pairs=2, seed=0, flip=None):
             else:
                 target = _zero(fld, f)
             floor = min(cong, difference_floor(x, target))
-            gap = (x - target).copy_truncated(floor)
             s_struct.check(
-                gap.is_zero(),
+                eq_below(x, target, floor),
                 unit=u, row=Jp, col=J, claim="leading-congruence", floor=floor,
             )
         r = check_commutation(ctx, Pphi, Pa, u)
@@ -934,9 +931,8 @@ def check_unit_action_matrices(ctx, mu, units=10, pairs=2, seed=0, flip=None):
             a = P12.entry(*key)
             b = rhs.entry(*key)
             floor = difference_floor(a, b)
-            gap = (a - b).copy_truncated(floor)
             s_cocy.check(
-                gap.is_zero(),
+                eq_below(a, b, floor),
                 pair=n, row=key[0], col=key[1],
                 floor=None if floor == INF else floor,
             )

@@ -15,6 +15,7 @@ from operator import add, le, mul
 
 from .base_combinatorics import IntVec, SubsetJ, all_subsets, decompose_parts
 from .errors import ConfigInvalid, GenericityViolation, InadmissibleS, RangeViolation
+from .reporting import Sweep
 
 
 def _is_prime(n):
@@ -303,6 +304,65 @@ def jh_pi1(params: RhoParams, S) -> frozenset:
         if pos.bits in masks:
             out.add(w)
     return frozenset(out)
+
+
+def run_weights(params):
+    """Weight counts, block partition, admissible families, rank formula."""
+    f, k = params.f, len(params.Jrho)
+
+    size = Sweep("weight-set-size")
+    W = serre_weights_of_rhobar(params)
+    size.check(len(W) == 2**k, got=len(W), expected=2**k)
+    for w in W:
+        ok = all(w.b[j] in ((0, 1) if j in params.Jrho else (0,)) for j in range(f))
+        size.check(ok, weight=w.b)
+
+    blocks = Sweep("socle-block-partition")
+    block = jh_D0(params)
+    blocks.check(len(block) == 3 ** (f - k) * 4**k, got=len(block))
+    seen = set()
+    for J in params.subsets():
+        if not J <= params.Jrho:
+            continue
+        comp = jh_D0_component(params, J)
+        blocks.check(len(comp) == 3 ** (f - k) * 2**k, J=J, got=len(comp))
+        blocks.check(not (seen & comp), J=J)
+        seen |= comp
+    blocks.check(seen == block)
+
+    fams_sw = Sweep("admissible-families")
+    fams = enumerate_admissible_S(params)
+    full = frozenset(all_subsets(f))
+    fams_sw.check(full in fams)
+    order = sorted(fams, key=lambda S: (len(S), sorted(J.bits for J in S)))
+    for S in order:
+        masks = sorted(J.bits for J in S)
+        fams_sw.check(is_admissible_S(params, S), family=masks)
+        for J in S:
+            fams_sw.check(J.shift(-1) in S, family=masks, J=J)
+            if not params.Jrho.is_full():
+                for sub in params.subsets():
+                    if sub <= J:
+                        fams_sw.check(sub in S, family=masks, J=J, Jp=sub)
+
+    rank = Sweep("rank-formula")
+    rank.check(rank_for_S(params, full) == 2**f, got=rank_for_S(params, full))
+    for S in order:
+        masks = sorted(J.bits for J in S)
+        rank.check(rank_for_S(params, S) == len(S), family=masks)
+        pi1 = jh_pi1(params, S)
+        ss_like = {w for w in pi1 if all(v in (0, 1) for v in w.b)}
+        rank.check(len(ss_like) == len(S), family=masks, got=len(ss_like))
+    for S1 in order:
+        for S2 in order:
+            if S1 <= S2:
+                rank.check(
+                    rank_for_S(params, S1) <= rank_for_S(params, S2),
+                    small=sorted(J.bits for J in S1),
+                    large=sorted(J.bits for J in S2),
+                )
+
+    return [size.result(), blocks.result(), fams_sw.result(), rank.result()]
 
 
 @dataclass(frozen=True)

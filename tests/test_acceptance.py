@@ -13,14 +13,18 @@ from modpcheck.constants import (
     ConstantTables,
     all_mutations,
     check_change_origin,
-    check_constant_identities,
     check_domination_claims,
-    check_shifted_table_additivity,
     check_weight_table_bounds,
     mu_gamma,
 )
-from modpcheck.harness import list_params, run_identities, run_weights
-from modpcheck.iwasawa import chart_context, check_iwasawa_axioms
+from modpcheck.harness import (
+    identities_table,
+    iwasawa_table,
+    list_params,
+    run_identities,
+    run_weights,
+)
+from modpcheck.iwasawa import chart_context
 from modpcheck.phigamma import (
     check_phi_matrix_shapes,
     check_right_inverse,
@@ -42,18 +46,20 @@ def _note(line):
     conftest.detail_lines.append(line)
 
 
+def _table_rows(table):
+    return [res for _, thunk in table for res in thunk()]
+
+
 def test_criterion_1_constant_identities_exhaustive():
     budget = {1: 60.0, 2: 60.0, 3: 600.0}
     for f in (1, 2, 3):
         t0 = time.perf_counter()
         checked = 0
-        for params in _param_sets(f):
-            tables = ConstantTables(params)
-            results = check_constant_identities(params, tables, mu_gamma(params, 0))
-            results.append(check_shifted_table_additivity(params, tables))
-            for res in results:
-                assert res.passed, (params.label(), res.name, res.counterexample)
-                checked += res.checked
+        for cfg in list_params(f):
+            for params in cfg.param_sets():
+                for res in _table_rows(identities_table(cfg, params)):
+                    assert res.passed, (params.label(), res.name, res.counterexample)
+                    checked += res.checked
         dt = time.perf_counter() - t0
         _note(f"criterion 1: f={f} identities checked={checked} in {dt:.1f}s")
         assert dt < budget[f]
@@ -96,11 +102,12 @@ def test_criterion_3_table_bounds_exhaustive():
 
 def test_criterion_4_chart_action_axioms():
     expected_depth = {1: 40, 2: 30, 3: 34}
-    for p, f in ((11, 1), (13, 2), (17, 3)):
+    for cfg in (list_params(f)[0] for f in (1, 2, 3)):
+        p, f = cfg.p, cfg.f
         ctx = chart_context(p, f)
         assert ctx.D == expected_depth[f]
         t0 = time.perf_counter()
-        results = check_iwasawa_axioms(ctx, units=20, seed=0)
+        results = _table_rows(iwasawa_table(cfg))
         dt = time.perf_counter() - t0
         for res in results:
             assert res.passed, (p, f, res.name, res.counterexample)

@@ -5,17 +5,13 @@ import pytest
 from modpcheck.base_combinatorics import IntVec, SubsetJ, all_subsets
 from modpcheck.constants import (
     AJnFrame,
-    ConstantTables,
     Mutation,
     _m_formula,
     _tjx_bump,
     all_mutations,
     cJ,
     cPrimeJ,
-    check_constant_identities,
     check_domination_claims,
-    check_shifted_table_additivity,
-    check_weight_table_bounds,
     epsilonJ,
     hj,
     mu_gamma,
@@ -29,6 +25,7 @@ from modpcheck.errors import (
     PairNotDefined,
     RangeViolation,
 )
+from modpcheck.harness import run_identities
 from modpcheck.weights import RhoParams
 
 P1 = RhoParams.make(11, 1, (4,))
@@ -97,12 +94,7 @@ def decompose_index(params, J, i):
 
 
 def run_all_checks(params, mutation=None):
-    tables = ConstantTables(params, mutation)
-    res = list(check_constant_identities(params, tables))
-    res += check_weight_table_bounds(params, tables)
-    res.append(check_shifted_table_additivity(params, tables))
-    res += check_domination_claims(params, tables)
-    return res
+    return run_identities(params, mutation=mutation)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import re
 import pytest
 from click.testing import CliRunner
 
-from modpcheck import arith, iwasawa
+from modpcheck import arith, harness, iwasawa, phigamma
 from modpcheck.cli import main
 from modpcheck.errors import ConfigInvalid, GenericityViolation, RangeViolation
 from modpcheck.harness import (
@@ -17,6 +17,7 @@ from modpcheck.harness import (
     run_suite,
     run_weights,
 )
+from modpcheck.iwasawa import AElement
 from modpcheck.weights import RhoParams
 
 
@@ -414,8 +415,8 @@ def test_cli_wrong_chart_conversion_exits_1(monkeypatch):
 
 
 def test_cli_range_violation_inside_run_is_internal(monkeypatch):
-    # a window fault raised by a sweep is a crash of the verifier, not a
-    # rejected configuration
+    # a package error raised outside every check table, here by run_suite
+    # itself, is a crash of the verifier, not a rejected configuration
     def crash(config):
         raise RangeViolation("b_0=9 outside [-7, 6]")
 
@@ -426,3 +427,73 @@ def test_cli_range_violation_inside_run_is_internal(monkeypatch):
     assert res.exit_code == 3
     assert res.stdout == ""
     assert res.stderr == "internal error: RangeViolation: b_0=9 outside [-7, 6]\n"
+
+
+def _drop_p(x):
+    # frobenius without the factor p: Y_j -> Y_{j-1}
+    f = x.f
+    terms = {tuple(k[(j + 1) % f] for j in range(f)): c for k, c in x.terms.items()}
+    return AElement(x.field, f, x.cutoff, terms)
+
+
+@pytest.fixture
+def frobenius_drops_p(monkeypatch):
+    # fresh contexts, so that no cached chart keeps the right map
+    monkeypatch.setattr(iwasawa, "_CTX_CACHE", {})
+    monkeypatch.setattr(iwasawa, "frobenius", _drop_p)
+    monkeypatch.setattr(phigamma, "frobenius", _drop_p)
+
+
+def _failing_row(res, name):
+    rows = [row for row in json.loads(res.stdout)["suites"] if f"/{name}@" in row["name"]]
+    assert len(rows) == 1 and rows[0]["status"] == "fail"
+    return rows[0]
+
+
+def test_cli_arithmetic_error_fails_its_row(frobenius_drops_p):
+    # invert_unit raises NotAUnit inside check_unit_ratio_depth: that row
+    # fails with the error and the other axioms still run
+    res = CliRunner().invoke(
+        main, ["verify", "--p", "11", "--f", "1", "--r", "4", "--suite", "iwasawa"]
+    )
+    assert res.exit_code == 1, res.output
+    row = _failing_row(res, "principal-unit-ratio-depth")
+    assert row["checked"] == 0
+    assert row["counterexample"]["error"].startswith("NotAUnit:")
+    assert len(json.loads(res.stdout)["suites"]) == 6
+
+
+def test_cli_solver_nonconvergence_fails_its_row(frobenius_drops_p):
+    res = CliRunner().invoke(
+        main, ["verify", "--p", "13", "--f", "2", "--r", "5,6", "--jrho", "0",
+               "--suite", "phigamma"]
+    )
+    assert res.exit_code == 1, res.output
+    row = _failing_row(res, "theta-solver")
+    assert row["counterexample"]["error"].startswith("NonConvergence:")
+
+
+def test_cli_other_exception_inside_a_check_is_internal(monkeypatch):
+    def crash(ctx, **kwargs):
+        raise TypeError("unsupported operand")
+
+    monkeypatch.setattr(harness, "check_exponent_additivity", crash)
+    res = CliRunner().invoke(
+        main, ["verify", "--p", "11", "--f", "1", "--r", "4", "--suite", "iwasawa"]
+    )
+    assert res.exit_code == 3
+    assert res.stdout == ""
+    assert res.stderr == "internal error: TypeError: unsupported operand\n"
+
+
+@pytest.mark.parametrize("mutate", ["s", "eps"])
+@pytest.mark.parametrize("p,f,r", [(11, 1, (4,)), (13, 2, (5, 6))])
+def test_table_names_match_rows(p, f, r, mutate):
+    # an entry's names stand in for its rows when its thunk raises
+    config = RunConfig(p=p, f=f, r=r, mutate=mutate, units=2, thetas=2)
+    suites = set()
+    for suite, _, table in harness._jobs(config):
+        suites.add(suite)
+        for names, thunk in table:
+            assert tuple(res.name for res in thunk()) == names
+    assert suites == set(harness.SUITES)
