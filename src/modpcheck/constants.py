@@ -722,22 +722,26 @@ def _check_scalar_ratio_classes(params, mu, subs):
             continue
         rows = [J for J in subs if (J.shift(-1) & params.Jrho) == C]
         cols = [Jp for Jp in subs if (Jp & params.Jrho) == C]
+        # every (row, col) pair of the class is defined: read each scalar once
+        m = {(J, Jp): mu.mu(J, Jp) for J in rows for Jp in cols}
+        g = {(J, Jp): mu.gamma(J, Jp) for J in rows for Jp in cols}
+        m_star = {J: mu.mu_star(J) for J in rows}
+        g_star = {Jp: mu.gamma_star(Jp) for Jp in cols}
         for J1, J2 in itertools.product(rows, rows):
             for J3, J4 in itertools.product(cols, cols):
-                lhs = mu.mu(J1, J3) * mu.mu(J2, J4)
-                rhs = mu.mu(J1, J4) * mu.mu(J2, J3)
+                lhs = m[J1, J3] * m[J2, J4]
+                rhs = m[J1, J4] * m[J2, J3]
                 sw.check(lhs == rhs, cls=C, J1=J1, J2=J2, J3=J3, J4=J4)
         for J1, J2 in itertools.product(rows, rows):
             for K in cols:
                 sw.check(
-                    mu.mu(J1, K) * mu.mu_star(J2) == mu.mu(J2, K) * mu.mu_star(J1),
+                    m[J1, K] * m_star[J2] == m[J2, K] * m_star[J1],
                     cls=C, J1=J1, J2=J2, K=K, part="mu-star",
                 )
         for J in rows:
             for J3, J4 in itertools.product(cols, cols):
                 sw.check(
-                    mu.gamma(J, J3) * mu.gamma_star(J4)
-                    == mu.gamma(J, J4) * mu.gamma_star(J3),
+                    g[J, J3] * g_star[J4] == g[J, J4] * g_star[J3],
                     cls=C, J=J, J3=J3, J4=J4, part="gamma-star",
                 )
     sign0 = 1 if params.f % 2 == 1 else -1

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from modpcheck import iwasawa
 from modpcheck.constants import hj
 from modpcheck.errors import (
     ExponentPrecisionTooLow,
@@ -13,6 +14,8 @@ from modpcheck.errors import (
 )
 from modpcheck.iwasawa import (
     AElement,
+    ChartContext,
+    _ldeg,
     _matrix_inverse,
     chart_context,
     check_action_composition,
@@ -181,6 +184,86 @@ def test_frobenius_intertwines_multiplication_by_coordinates():
 def test_frobenius_generator_images():
     assert check_frobenius_generators(C1).passed
     assert check_frobenius_generators(C2S).passed
+
+
+def _perturb_eigencoordinate(ctx, slot, degree):
+    # add 1 to the coefficient of one exponent of Y_slot at the given degree
+    fld = ctx.field
+    ys = list(ctx.y_series)
+    k = max(k for k in ys[slot].terms if sum(k) == degree)
+    terms = dict(ys[slot].terms)
+    terms[k] = fld.add(terms[k], 1) or 1
+    ys[slot] = AElement(fld, ctx.f, ys[slot].cutoff, terms)
+    ctx._y_series = tuple(ys)
+    return k
+
+
+def _full_precision_generator_images(ctx):
+    # the comparison of check_frobenius_generators with Y_{j-1}^p formed from
+    # all of Y_{j-1} and truncated afterwards
+    out = []
+    for j in range(ctx.f):
+        lhs = ctx.y_series[j].frobenius_sub().copy_truncated(ctx.tdepth)
+        rhs = (ctx.y_series[(j - 1) % ctx.f] ** ctx.p).copy_truncated(ctx.tdepth)
+        out.append((lhs - rhs).is_zero())
+    return out
+
+
+@pytest.mark.parametrize("p,f", [(13, 2), (17, 3)])
+def test_frobenius_generators_fail_at_every_compared_degree(p, f):
+    # phi(Y_0) = Y_{f-1}^p is compared in the degrees p*k below the depth;
+    # a wrong coefficient of Y_{f-1} at each such k, the highest included,
+    # fails the row, and the base that the bounded power keeps reaches it
+    depth = chart_context(p, f).tdepth
+    top = (depth - 1) // p
+    assert top < depth - (p - 1)
+    for degree in range(1, top + 1):
+        ctx = ChartContext(p, f, default_cutoff(p, f))
+        k = _perturb_eigencoordinate(ctx, f - 1, degree)
+        res = check_frobenius_generators(ctx)
+        assert not res.passed
+        assert res.counterexample["j"] == 0
+        assert res.counterexample["exponent"] == [p * e for e in k]
+
+
+@pytest.mark.parametrize("p,f", [(11, 1), (13, 2)])
+def test_frobenius_generators_match_full_precision_under_perturbation(p, f):
+    # a wrong coefficient at the highest degree the truncated base keeps, or
+    # at the highest compared degree: the bounded power gives the verdicts
+    # of the power formed at full precision (at f = 1 every series over F_p
+    # passes, since c^p = c)
+    depth = chart_context(p, f).tdepth
+    for degree in {depth - p, (depth - 1) // p}:
+        ctx = ChartContext(p, f, default_cutoff(p, f))
+        _perturb_eigencoordinate(ctx, f - 1, degree)
+        verdicts = _full_precision_generator_images(ctx)
+        res = check_frobenius_generators(ctx)
+        assert res.passed == all(verdicts)
+        if not res.passed:
+            assert res.counterexample["j"] == verdicts.index(False)
+
+
+def test_frobenius_generators_multiply_only_the_linear_part_at_f3(monkeypatch):
+    # at p=17 f=3 the depth is 18 and Y has no constant term, so Y^17 below
+    # 18 needs Y below 2: every operand of the products is a power of the
+    # linear part, homogeneous of one degree
+    ctx = chart_context(17, 3)
+    ctx.y_series
+    seen = []
+    mul_terms = iwasawa._mul_terms
+
+    def recording(field, xt, yt, bound):
+        seen.append((xt, yt))
+        return mul_terms(field, xt, yt, bound)
+
+    monkeypatch.setattr(iwasawa, "_mul_terms", recording)
+    assert check_frobenius_generators(ctx).passed
+    assert seen
+    for operands in seen:
+        for terms in operands:
+            assert len({sum(k) for k in terms}) == 1
+    bases = [t for operands in seen for t in operands if _ldeg(t) == 1]
+    assert bases and all(sum(k) < 2 for t in bases for k in t)
 
 
 def test_torus_reindex_eigenvector_f1():

@@ -8,7 +8,10 @@ known to the operand's cutoff, and truncation.  Its product is
 operation that the packed product replaced.  On nonnegative supports with
 finite or infinite cutoffs, AElement must give the same terms and the same
 cutoff; so must products with a one-term operand on either side, which take
-the scale-and-shift path of `_mul_terms`, on Laurent supports too.
+the scale-and-shift path of `_mul_terms`, on Laurent supports too.  The
+bounded product and power (`mul_below`, `pow_below`) must give the terms and
+cutoff of the reference product or power truncated afterwards, on Laurent
+supports, the zero element and exact (INF) cutoffs.
 """
 
 import collections
@@ -329,3 +332,75 @@ def test_one_term_product_drops_terms_beyond_the_bound():
         same(got, want)
         assert got.terms == {(2, 0): 7, (3, 0): fld.mul(7, 3)}
         assert got.cutoff == 5
+
+
+def reference_power(x, n):
+    """x^n by square-and-multiply on ReferenceSeries products, started from
+    the exact constant 1 as AElement starts its power."""
+    result = ReferenceSeries.const(x.field, x.f, INF, 1)
+    base = x
+    while n:
+        if n & 1:
+            result = result * base
+        n >>= 1
+        if n:
+            base = base * base
+    return result
+
+
+@st.composite
+def laurent_elements(draw, count, max_terms):
+    """`count` elements over one field with Laurent supports (least degree
+    often <= 0), possibly zero, with finite or infinite cutoffs, plus a bound
+    that falls above or below their cutoffs: (field, f, elements, bound)."""
+    p, f = draw(st.sampled_from(FIELDS))
+    fld = Fq(p, f)
+    keys = st.lists(st.integers(-3, 4), min_size=f, max_size=f).map(tuple)
+    coeffs = st.one_of(st.just(fld.q - 1), st.integers(1, fld.q - 1))
+    out = []
+    for _ in range(count):
+        cutoff = draw(st.one_of(st.integers(-6, 12), st.just(INF)))
+        terms = draw(st.dictionaries(keys, coeffs, max_size=max_terms))
+        out.append((cutoff, {k: c for k, c in terms.items() if sum(k) < cutoff}))
+    bound = draw(st.one_of(st.integers(-10, 20), st.just(INF)))
+    return fld, f, out, bound
+
+
+@given(laurent_elements(2, 6))
+def test_bounded_product_matches_truncated_reference(data):
+    fld, f, ((kx, tx), (ky, ty)), bound = data
+    x, rx = both(fld, f, kx, tx)
+    y, ry = both(fld, f, ky, ty)
+    same(x.mul_below(y, bound), (rx * ry).copy_truncated(bound))
+    same(y.mul_below(x, bound), (ry * rx).copy_truncated(bound))
+    same(x.mul_below(y, INF), rx * ry)
+
+
+@given(laurent_elements(1, 4), st.sampled_from(["0", "1", "2", "p"]))
+def test_bounded_power_matches_truncated_reference(data, which):
+    fld, f, ((kx, tx),), bound = data
+    n = fld.p if which == "p" else int(which)
+    x, rx = both(fld, f, kx, tx)
+    want = reference_power(rx, n)
+    same(x**n, want)
+    same(x.pow_below(n, bound), want.copy_truncated(bound))
+
+
+@given(series_pairs(), st.one_of(st.integers(0, 40), st.just(INF)))
+def test_bounded_power_on_additive_supports_matches_former_power(data, bound):
+    # nonnegative supports against the former class's own power, at n = p
+    fld, f, ((kx, tx), _) = data
+    x, rx = both(fld, f, kx, tx)
+    same(x.pow_below(fld.p, bound), rx.pow(fld.p).copy_truncated(bound))
+
+
+def test_bounded_power_reads_the_base_below_its_relative_bound():
+    # (T_0 + T_0^2 + T_1^5)^13 below 15 needs the base below 15 - 12 = 3; in
+    # characteristic 13 it is T_0^13 + T_0^26 + T_1^65
+    fld = Fq(13, 2)
+    x, rx = both(fld, 2, INF, {(1, 0): 1, (2, 0): 1, (0, 5): 1})
+    got = x.pow_below(13, 15)
+    same(got, reference_power(rx, 13).copy_truncated(15))
+    same(got, x.copy_truncated(3).pow_below(13, 15))
+    assert got.terms == {(13, 0): 1}
+    assert got.cutoff == 15

@@ -96,3 +96,34 @@ def test_narrowed_slots(monkeypatch, cut, passes):
     bits = iwasawa._torus_slot_bits
     monkeypatch.setattr(iwasawa, "_torus_slot_bits", lambda fld: bits(fld) - cut)
     assert check_torus_eigenvector(chart_context(13, 2)).passed is passes
+
+
+def test_perturbed_second_eigencoordinate_fails_only_slot_one(monkeypatch):
+    # two coefficients of Y_1 are off, so n([c]) and the slot j = 0 stay
+    # right: every a fails at j = 1 only, and the failing (a, j) falls back
+    # to the AElement difference to count both discrepancies
+    verdicts = []
+
+    class RecordingSweep(Sweep):
+        def check(self, ok, **ctx):
+            verdicts.append((ok, ctx.get("j"), ctx.get("discrepancies")))
+            return super().check(ok, **ctx)
+
+    ctx = ChartContext(13, 2, 30)
+    fld = ctx.field
+    y0, y1 = ctx.y_series
+    keys = [next(k for k in sorted(y1.terms) if sum(k) == d) for d in (2, 5)]
+    terms = dict(y1.terms)
+    for k in keys:
+        terms[k] = fld.add(terms[k], 1) or 1
+    ctx._y_series = (y0, AElement(fld, 2, y1.cutoff, terms))
+
+    monkeypatch.setattr(iwasawa, "Sweep", RecordingSweep)
+    got = check_torus_eigenvector(ctx).as_dict()
+    monkeypatch.undo()
+    assert {(j, n) for ok, j, n in verdicts if not ok} == {(1, 2)}
+    assert sum(not ok for ok, _, _ in verdicts) == ctx.q - 1
+    assert got["status"] == "fail"
+    assert got["counterexample"] == {"a": 1, "j": 1, "discrepancies": 2}
+    assert got["checked"] == 2 * (ctx.q - 1)
+    assert got == reference_torus_eigenvector(ctx).as_dict()
