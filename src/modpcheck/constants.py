@@ -22,7 +22,7 @@ from .base_combinatorics import (
     right_boundary,
 )
 from .errors import ConfigInvalid, HypothesisViolation, PairNotDefined, RangeViolation
-from .reporting import Sweep
+from .reporting import Sweep, run_table
 from .weights import (
     Translation,
     aJ,
@@ -751,28 +751,41 @@ def _check_scalar_ratio_classes(params, mu, subs):
     return sw.result()
 
 
-def run_identities(params, seed=0, mutation=None):
-    """Bound checks plus every exact constant identity, exhaustively."""
+def identity_sweeps(params, seed=0, mutation=None):
+    """Bound checks plus every exact constant identity, exhaustively, as a
+    check table: (row names, thunk) entries in report order."""
     tables = ConstantTables(params, mutation)
-    mu = mu_gamma(params, seed)
     subs = _subsets(params)
+
+    def over_subsets(check):
+        return lambda: [check(params, tables, subs)]
+
     return [
-        *check_weight_table_bounds(params, tables),
-        _check_t_vs_r(params, tables, subs),
-        _check_tpair_vs_s(params, tables, subs),
-        check_change_origin(params, tables),
-        _check_s_complement(params, tables, subs),
-        _check_m_closed_form(params, tables, subs),
-        _check_shift_overlap_reindex(params, tables, subs),
-        _check_character_origin(params, tables, subs),
-        _check_r_additivity(params, tables, subs),
-        _check_c_as_r_difference(params, tables, subs),
-        _check_carry_inequality(params, tables, subs),
-        _check_c_restriction(params, tables, subs),
-        _check_scalar_ratio_classes(params, mu, subs),
-        check_shifted_table_additivity(params, tables),
-        *check_domination_claims(params, tables),
+        (("bound-s", "bound-pairwise-shift", "bound-carry-window", "carry-difference-identity"),
+         lambda: check_weight_table_bounds(params, tables)),
+        (("t-equals-r-plus-shift",), over_subsets(_check_t_vs_r)),
+        (("pairwise-shift-vs-s",), over_subsets(_check_tpair_vs_s)),
+        (("change-origin-composition",), lambda: [check_change_origin(params, tables)]),
+        (("s-complement",), over_subsets(_check_s_complement)),
+        (("m-closed-form",), over_subsets(_check_m_closed_form)),
+        (("shift-overlap-reindex",), over_subsets(_check_shift_overlap_reindex)),
+        (("character-origin",), over_subsets(_check_character_origin)),
+        (("r-additivity",), over_subsets(_check_r_additivity)),
+        (("c-as-r-difference",), over_subsets(_check_c_as_r_difference)),
+        (("carry-inequality",), over_subsets(_check_carry_inequality)),
+        (("c-restriction",), over_subsets(_check_c_restriction)),
+        (("scalar-ratio-classes",),
+         lambda: [_check_scalar_ratio_classes(params, mu_gamma(params, seed), subs)]),
+        (("shifted-table-additivity",), lambda: [check_shifted_table_additivity(params, tables)]),
+        (("vanishing-region-envelope", "reduction-target-domination"),
+         lambda: check_domination_claims(params, tables)),
     ]
+
+
+def run_identities(params, seed=0, mutation=None):
+    """The rows of identity_sweeps; a package error fails only the rows of
+    the sweep that raised it."""
+    return run_table(identity_sweeps(params, seed, mutation))
 
 
 def check_shifted_table_additivity(params, tables=None):
@@ -781,6 +794,8 @@ def check_shifted_table_additivity(params, tables=None):
     tables = tables or ConstantTables(params)
     f = params.f
     sw = Sweep("shifted-table-additivity")
+    # one frame per (J, j0): J reappears as the Jp of every superset
+    aJn_at = functools.cache(tables.aJn_at)
     for J in params.subsets():
         Jss = J & params.Jrho
         _, _, Jsh = params.parts(J)
@@ -796,7 +811,7 @@ def check_shifted_table_additivity(params, tables=None):
                     continue
                 if j0 in Jsh and not (Jss | SubsetJ.of(f, [j0 + 1])) <= Jp:
                     continue
-                at_J, at_Jp = tables.aJn_at(J, j0), tables.aJn_at(Jp, j0)
+                at_J, at_Jp = aJn_at(J, j0), aJn_at(Jp, j0)
                 for n in domains[j0]:
                     lhs = at_J(n) + rdiff
                     rhs = at_Jp(n + shift)

@@ -15,8 +15,8 @@ from time import perf_counter
 
 from .arith import minimal_irreducible
 from .base_combinatorics import all_subsets
-from .constants import MUTABLE, all_mutations, mu_gamma, run_identities
-from .errors import PACKAGE_ERRORS, ConfigInvalid
+from .constants import MUTABLE, all_mutations, identity_sweeps, mu_gamma, run_identities
+from .errors import ConfigInvalid
 from .iwasawa import (
     chart_context,
     chart_depth,
@@ -38,7 +38,7 @@ from .phigamma import (
     check_unit_action_matrices,
     default_flip,
 )
-from .reporting import CheckResult, _plain
+from .reporting import _plain, run_table
 from .weights import RhoParams, run_weights
 
 SUITES = ("identities", "weights", "iwasawa", "phigamma")
@@ -171,15 +171,8 @@ def _resolve_mutation(config, params):
 
 def identities_table(config, params):
     mutation, _ = _resolve_mutation(config, params)
-    names = (
-        "bound-s", "bound-pairwise-shift", "bound-carry-window", "carry-difference-identity",
-        "t-equals-r-plus-shift", "pairwise-shift-vs-s", "change-origin-composition",
-        "s-complement", "m-closed-form", "shift-overlap-reindex", "character-origin",
-        "r-additivity", "c-as-r-difference", "carry-inequality", "c-restriction",
-        "scalar-ratio-classes", "shifted-table-additivity", "vanishing-region-envelope",
-        "reduction-target-domination",
-    )
-    return [(names, lambda: run_identities(params, config.seed, mutation))]
+    rows = tuple(name for names, _ in identity_sweeps(params) for name in names)
+    return [(rows, lambda: run_identities(params, config.seed, mutation))]
 
 
 def weights_table(config, params):
@@ -281,16 +274,10 @@ def run_suite(config):
     rows, timings = [], {}
     for suite, tag, table in _jobs(config):
         t0 = perf_counter()
-        for names, thunk in table:
-            try:
-                results = thunk()
-            except PACKAGE_ERRORS as exc:
-                error = {"error": f"{type(exc).__name__}: {exc}"}
-                results = [CheckResult(name, False, 0, error) for name in names]
-            for res in results:
-                row = res.as_dict()
-                row["name"] = f"{suite}/{row['name']}@{tag}"
-                rows.append(_plain(row))
+        for res in run_table(table):
+            row = res.as_dict()
+            row["name"] = f"{suite}/{row['name']}@{tag}"
+            rows.append(_plain(row))
         timings[f"{suite}@{tag}"] = perf_counter() - t0
 
     fingerprint = {

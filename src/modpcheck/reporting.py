@@ -4,6 +4,7 @@ import math
 from dataclasses import dataclass
 
 from .base_combinatorics import IntVec, SubsetJ
+from .errors import PACKAGE_ERRORS
 
 
 def _plain(v):
@@ -63,3 +64,16 @@ class Sweep:
     def result(self, info=None):
         return CheckResult(self.name, self.failure is None, self.checked, self.failure, info)
 
+
+def run_table(table):
+    """Run a check table, (row names, thunk) entries in report order, and
+    return its rows.  A package error raised by a thunk fails the rows it
+    names, with checked 0, and the next entry runs."""
+    rows = []
+    for names, thunk in table:
+        try:
+            rows += thunk()
+        except PACKAGE_ERRORS as exc:
+            error = {"error": f"{type(exc).__name__}: {exc}"}
+            rows += [CheckResult(name, False, 0, error) for name in names]
+    return rows

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
-from operator import add, le, mul
+from operator import add, getitem, le, mul
 
 from .base_combinatorics import IntVec, SubsetJ, all_subsets, decompose_parts
 from .errors import ConfigInvalid, GenericityViolation, InadmissibleS, RangeViolation
@@ -169,9 +169,10 @@ class Translation:
     b'_j = sign_j (b_j + e^J_j) + 2 e^{J^sh}_j, sign_j = -1 iff j+1 in J,
     that is b' = signs * b + offsets.  Hypothesis window:
     lo = -(2(f - e^{J^sh}) + 1) <= b <= 2(f + e^{J^sh}) = hi componentwise.
+    Setting offsets rebuilds the per-slot image tables that image() reads.
     """
 
-    __slots__ = ("params", "f", "lo", "hi", "signs", "offsets")
+    __slots__ = ("params", "f", "lo", "hi", "signs", "_offsets", "_images")
 
     def __init__(self, params: RhoParams, J: SubsetJ):
         f = params.f
@@ -186,22 +187,38 @@ class Translation:
             for j, (sign, d) in enumerate(zip(self.signs, sh))
         )
 
+    @property
+    def offsets(self):
+        return self._offsets
+
+    @offsets.setter
+    def offsets(self, offsets):
+        # slot j maps each b_j of the hypothesis window whose image lies in
+        # the weight window to that image
+        self._offsets = offsets
+        self._images = tuple(
+            {b: v for b in range(lo_j, hi_j + 1) if wlo_j <= (v := s * b + o) <= whi_j}
+            for lo_j, hi_j, s, o, wlo_j, whi_j
+            in zip(self.lo, self.hi, self.signs, offsets, *self.params.b_window)
+        )
+
     def image(self, ent: tuple) -> tuple:
-        """Entries of b' for the entries of b: b must lie in the hypothesis
-        window and b' in the weight window, else RangeViolation names the
-        first bad slot."""
-        lo, hi = self.lo, self.hi
-        if not (all(map(le, lo, ent)) and all(map(le, ent, hi))):
-            _window_fault(ent, lo, hi)
-        out = tuple(map(add, map(mul, self.signs, ent), self.offsets))
-        lo, hi = self.params.b_window
-        if not (all(map(le, lo, out)) and all(map(le, out, hi))):
-            _window_fault(out, lo, hi, "[-r_j, p-2-r_j]")
+        """Entries of b' for the entries of b: b must have f entries, lie in
+        the hypothesis window and map into the weight window, else
+        RangeViolation names the length or the first bad slot, hypothesis
+        window first.  One table lookup per slot; only a miss computes."""
+        if len(ent) != self.f:
+            raise RangeViolation(f"b indexed by f={len(ent)}, translation by f={self.f}")
+        try:
+            return tuple(map(getitem, self._images, ent))
+        except KeyError:
+            pass
+        _window_fault(ent, self.lo, self.hi)
+        out = tuple(map(add, map(mul, self.signs, ent), self._offsets))
+        _window_fault(out, *self.params.b_window, "[-r_j, p-2-r_j]")
         return out
 
     def __call__(self, b: IntVec) -> WeightB:
-        if b.f != self.f:
-            raise RangeViolation(f"b indexed by f={b.f}, translation by f={self.f}")
         return WeightB(self.params, IntVec(self.f, self.image(b.entries)))
 
 

@@ -4,9 +4,9 @@ import re
 import pytest
 from click.testing import CliRunner
 
-from modpcheck import arith, harness, iwasawa, phigamma
+from modpcheck import arith, constants, harness, iwasawa, phigamma
 from modpcheck.cli import main
-from modpcheck.errors import ConfigInvalid, GenericityViolation, RangeViolation
+from modpcheck.errors import ConfigInvalid, GenericityViolation, PairNotDefined, RangeViolation
 from modpcheck.harness import (
     SCHEMA,
     Report,
@@ -497,3 +497,38 @@ def test_table_names_match_rows(p, f, r, mutate):
         for names, thunk in table:
             assert tuple(res.name for res in thunk()) == names
     assert suites == set(harness.SUITES)
+
+
+def _scalar_ratio_undefined(monkeypatch):
+    def undefined(params, mu, subs):
+        raise PairNotDefined("mu(J, Jp) undefined")
+
+    monkeypatch.setattr(constants, "_check_scalar_ratio_classes", undefined)
+
+
+def test_identity_sweep_error_fails_only_its_row(monkeypatch):
+    # each identity sweep is an entry of its own: the error fails its row,
+    # with checked 0, and the other 18 sweeps still run and pass
+    config = RunConfig(p=11, f=1, r=(4,), jrho=(0,), suites=("identities",))
+    healthy = {row["name"]: row for row in run_suite(config).suites}
+    _scalar_ratio_undefined(monkeypatch)
+    rows = {row["name"]: row for row in run_suite(config).suites}
+    assert len(rows) == 19
+    (name,) = [name for name in rows if "/scalar-ratio-classes@" in name]
+    row = rows.pop(name)
+    assert row["status"] == "fail" and row["checked"] == 0
+    assert row["counterexample"] == {"error": "PairNotDefined: 'mu(J, Jp) undefined'"}
+    del healthy[name]
+    assert rows == healthy
+    assert all(row["status"] == "pass" for row in rows.values())
+
+
+def test_cli_identity_sweep_error_exits_1(monkeypatch):
+    _scalar_ratio_undefined(monkeypatch)
+    res = CliRunner().invoke(
+        main, ["verify", "--p", "11", "--f", "1", "--r", "4", "--jrho", "0",
+               "--suite", "identities"]
+    )
+    assert res.exit_code == 1, res.output
+    _failing_row(res, "scalar-ratio-classes")
+    assert sum(row["status"] == "fail" for row in json.loads(res.stdout)["suites"]) == 1

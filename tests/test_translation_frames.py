@@ -29,6 +29,7 @@ from modpcheck.constants import (
     Mutation,
     all_mutations,
     check_change_origin,
+    check_shifted_table_additivity,
 )
 from modpcheck.errors import HypothesisViolation, RangeViolation
 from modpcheck.harness import run_identities
@@ -425,3 +426,82 @@ def test_cli_image_off_weight_window_exits_1(monkeypatch):
         "identities/change-origin-composition"
     }
     assert all("error" in row["counterexample"] for row in failed)
+
+
+# ---------------------------------------------------------------------------
+# the per-slot image tables
+
+
+LOOKUP_PARAMS = [
+    *(RhoParams.make(13, 2, (5, 6), Jrho.members()) for Jrho in all_subsets(2)),
+    RhoParams.make(17, 3, (7, 8, 7), ()),
+    RhoParams.make(17, 3, (7, 8, 7), (0, 1, 2)),
+]
+
+
+@pytest.mark.parametrize("params", LOOKUP_PARAMS, ids=_ids)
+def test_image_tables_match_expected_on_widened_window(params):
+    # every tuple of the hypothesis window widened by 2 in each slot, with
+    # the genuine offsets and with offsets moved so that images leave the
+    # weight window on both sides; the tables must follow the offsets
+    f, p = params.f, params.p
+    for J in params.subsets():
+        translate = Translation(params, J)
+        genuine = translate.offsets
+        box = list(itertools.product(
+            *(range(lo - 2, hi + 3) for lo, hi in zip(translate.lo, translate.hi))
+        ))
+        for shift in ((0,) * f, (p // 2,) + (-p // 2,) * (f - 1), (-3,) * f):
+            translate.offsets = tuple(map(add, genuine, shift))
+            for ent in box:
+                want = _expected_image(translate, ent)
+                if isinstance(want, tuple):
+                    assert translate.image(ent) == want
+                    continue
+                with pytest.raises(RangeViolation) as got:
+                    translate.image(ent)
+                assert str(got.value) == want, (J, shift, ent)
+
+
+@pytest.mark.parametrize("params", [PARAMS[0], PARAMS[2], PARAMS[-1]], ids=_ids)
+def test_image_rejects_entries_of_other_length(params):
+    f = params.f
+    for J in params.subsets():
+        translate = Translation(params, J)
+        for n in sorted({1, f - 1, f + 1, f + 2} - {0, f}):
+            ent = (0,) * n
+            want = f"b indexed by f={n}, translation by f={f}"
+            with pytest.raises(RangeViolation) as got_image:
+                translate.image(ent)
+            with pytest.raises(RangeViolation) as got_call:
+                translate(IntVec.of(ent))
+            assert str(got_image.value) == str(got_call.value) == want
+
+
+def test_shifted_table_additivity_builds_one_frame_per_j_j0(monkeypatch):
+    params = RhoParams.make(17, 3, (7, 8, 7), (0,))
+    healthy = check_shifted_table_additivity(params)
+    built = []
+    original = AJnFrame.__init__
+
+    def recording(self, params, J, j0):
+        built.append((J.bits, j0))
+        original(self, params, J, j0)
+
+    monkeypatch.setattr(AJnFrame, "__init__", recording)
+    res = check_shifted_table_additivity(params)
+    assert res.as_dict() == healthy.as_dict() and res.passed
+    want = set()
+    for J in params.subsets():
+        _, _, Jsh = params.parts(J)
+        for Jp in params.subsets():
+            if not Jp <= J:
+                continue
+            for j0 in range(3):
+                if (j0 + 1) in (J - Jp):
+                    continue
+                if j0 in Jsh and not ((J & params.Jrho) | SubsetJ.of(3, [j0 + 1])) <= Jp:
+                    continue
+                want |= {(J.bits, j0), (Jp.bits, j0)}
+    assert len(built) == len(set(built))
+    assert set(built) == want
