@@ -115,10 +115,6 @@ def _m_frame(params, J, Jp):
     )
 
 
-def _m_formula(params, i, J, Jp):
-    return _m_frame(params, J, Jp)(i)
-
-
 def _tjx_bump(params, J, j):
     # offset added to n*p by the shift exponent at slot j when x = 2n + 1
     return (params.r[j] + 1) if (j + 1) not in J else (params.p - 1 - params.r[j])
@@ -322,9 +318,6 @@ class ConstantTables:
         frame = AJnFrame(self.params, J, j0)
         return lambda n: self._bump("aJn", J, frame(n))
 
-    def m(self, i, J, Jp):
-        return _m_formula(self.params, i, J, Jp)
-
     def m_at(self, J, Jp):
         """m(., J, Jp) as a function of i, its (J, Jp) data computed once."""
         return _m_frame(self.params, J, Jp)
@@ -347,10 +340,6 @@ def all_mutations(params):
 
 # ---------------------------------------------------------------------------
 # shared sweep helpers
-
-
-def _subsets(params):
-    return list(params.subsets())
 
 
 def _pairs_same_class(params, subs):
@@ -387,11 +376,10 @@ def _a_domain(params, J, j0):
 # bound checks
 
 
-def check_weight_table_bounds(params, tables=None):
+def check_weight_table_bounds(params, tables):
     """Window checks for the s, pairwise-shift, and carry tables."""
-    tables = tables or ConstantTables(params)
     p, f = params.p, params.f
-    subs = _subsets(params)
+    subs = list(params.subsets())
 
     sw = Sweep("bound-s")
     extra = 1 if f == 1 else 0
@@ -437,14 +425,13 @@ def check_weight_table_bounds(params, tables=None):
 # identity checks
 
 
-def check_change_origin(params, tables=None):
+def check_change_origin(params, tables):
     """Origin translation acts as base offset a(J) plus a successor-driven
     sign flip on the whole admissible window.
 
     Each box is compared with the separable formula in one pass; only a box
     that fails it is swept again tuple by tuple, to record the first
     counterexample.  An image outside a window fails the row."""
-    tables = tables or ConstantTables(params)
     f = params.f
     sw = Sweep("change-origin-composition")
     for J in params.subsets():
@@ -519,7 +506,7 @@ def _check_m_closed_form(params, tables, subs):
     sw = Sweep("m-closed-form")
     for J, Jp in _pairs_same_class(params, subs):
         i = indicator((J & Jp) - params.Jrho)
-        m = tables.m(i, J, (J ^ Jp).shift(-1))
+        m = tables.m_at(J, (J ^ Jp).shift(-1))(i)
         for j in range(params.f):
             want = (1 if j in Jp else 0) * (-1 if (j + 1) not in J else 1)
             sw.check(m[j] == want, J=J, Jp=Jp, j=j, m=m[j], want=want)
@@ -755,7 +742,7 @@ def identity_sweeps(params, seed=0, mutation=None):
     """Bound checks plus every exact constant identity, exhaustively, as a
     check table: (row names, thunk) entries in report order."""
     tables = ConstantTables(params, mutation)
-    subs = _subsets(params)
+    subs = list(params.subsets())
 
     def over_subsets(check):
         return lambda: [check(params, tables, subs)]
@@ -788,10 +775,9 @@ def run_identities(params, seed=0, mutation=None):
     return run_table(identity_sweeps(params, seed, mutation))
 
 
-def check_shifted_table_additivity(params, tables=None):
+def check_shifted_table_additivity(params, tables):
     """aJn(J, n) + rJ(J minus Jp) == aJn(Jp, n + e^{J minus Jp}) whenever
     j0+1 avoids the difference and the anchor condition holds."""
-    tables = tables or ConstantTables(params)
     f = params.f
     sw = Sweep("shifted-table-additivity")
     # one frame per (J, j0): J reappears as the Jp of every superset
@@ -819,7 +805,7 @@ def check_shifted_table_additivity(params, tables=None):
     return sw.result()
 
 
-def check_domination_claims(params, tables=None):
+def check_domination_claims(params, tables):
     """Worst-case envelopes used to localize the reduction:
 
     - vanishing-region-envelope: evaluation at the extreme n dominates every
@@ -827,7 +813,6 @@ def check_domination_claims(params, tables=None):
     - reduction-target-domination: the anchored table dominates the shifted
       target row by row.
     """
-    tables = tables or ConstantTables(params)
     p, f = params.p, params.f
     env = Sweep("vanishing-region-envelope")
     if f == 1:

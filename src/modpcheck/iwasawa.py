@@ -579,9 +579,9 @@ def chart_depth(p, f, cutoff):
 
 
 class ChartContext:
-    """Shared, cached per (p, f, cutoff): generator series, coordinate
+    """Shared, cached per (p, f, cutoff): eigencoordinate series, coordinate
     Jacobian, the Y^m cache of both chart conversions, and the unit-action
-    conversion caches."""
+    caches (unit data, conversion blocks, distortion pieces)."""
 
     def __init__(self, p, f, cutoff):
         self.p = p
@@ -595,9 +595,8 @@ class ChartContext:
         self.alpha_max = (cutoff - 1) // p
         self.piece_cap = -(-cutoff // p)
         self._y_series = None
-        self._jac_inv = None
-        self._n_cache = {}
         self._convb = {}
+        self._unit_data = {}
         self._u1_cache = {}
         self._ypow_cache = {}
         self._form_cache = {}
@@ -607,15 +606,8 @@ class ChartContext:
     def n_series(self, a, depth=None):
         """n([a]) = prod_l (1+T_l)^(c_l of the Teichmuller lift), truncated."""
         depth = self.tdepth if depth is None else depth
-        key = (a, depth)
-        hit = self._n_cache.get(key)
-        if hit is not None:
-            return hit
-        out = AElement(self.field, self.f, depth, _binomial_product(
+        return AElement(self.field, self.f, depth, _binomial_product(
             self.field, self.ring.teichmuller(a), depth, self.N))
-        if self.q <= 256:
-            self._n_cache[key] = out
-        return out
 
     @property
     def y_series(self):
@@ -688,11 +680,9 @@ class ChartContext:
         unit = [tuple(1 if i == l else 0 for i in range(self.f)) for l in range(self.f)]
         return [[ys[j].terms.get(unit[l], 0) for l in range(self.f)] for j in range(self.f)]
 
-    @property
+    @functools.cached_property
     def jacobian_inverse(self):
-        if self._jac_inv is None:
-            self._jac_inv = _matrix_inverse(self.field, self.jacobian)
-        return self._jac_inv
+        return _matrix_inverse(self.field, self.jacobian)
 
     # ---- chart conversions ----
 
@@ -807,25 +797,23 @@ class ChartContext:
         return out
 
     def unit_data(self, u):
-        """Split u = [a0]*u1 and extract the mod-p digit matrix of u1."""
-        ring = self.ring
-        a0, u1 = ring.unit_decompose(u)
-        if u1 == ring.one:
-            return UnitData(a0, None)
-        p = self.p
-        fld = self.field
+        """Split the unit tuple u = [a0]*u1 and extract the mod-p digit matrix
+        of u1, once per unit."""
+        hit = self._unit_data.get(u)
+        if hit is not None:
+            return hit
+        p, f, fld = self.p, self.f, self.field
+        a0, u1 = self.ring.unit_decompose(u)
         # w = (u1 - 1)/p as a residue-field element in the power basis
-        wbar_coords = tuple(((c - (1 if l == 0 else 0)) // p) % p
-                            for l, c in enumerate(u1))
-        wbar = fld.from_coords(wbar_coords)
-        if wbar == 0:
-            return UnitData(a0, None)
-        dmat = []
-        for i in range(self.f):
-            ei = fld.from_coords(tuple(1 if l == i else 0 for l in range(self.f)))
-            prod = fld.mul(wbar, ei)
-            dmat.append(tuple(fld.coords(prod)))
-        return UnitData(a0, tuple(dmat))
+        wbar = fld.from_coords(tuple(((c - (1 if l == 0 else 0)) // p) % p
+                                     for l, c in enumerate(u1)))
+        dmat = None
+        if wbar != 0:
+            basis = (fld.from_coords(tuple(1 if l == i else 0 for l in range(f)))
+                     for i in range(f))
+            dmat = tuple(tuple(fld.coords(fld.mul(wbar, ei))) for ei in basis)
+        hit = self._unit_data[u] = UnitData(a0, dmat)
+        return hit
 
     def _u1_pieces(self, dmat):
         """Principal-part distortion series v_j with u1(Y_j) = Y_j(1 + v_j)."""
@@ -907,9 +895,9 @@ def _binomial_series(v, n, bound):
 
 
 def unit_action(ctx, u, x):
-    """Action of a unit u of O_K (ring coordinate tuple or UnitData) on a
+    """Action of a unit u of O_K (ring coordinate tuple) on a
     multiplicative-chart element, exact below min(K_x, D-1+fdeg(x))."""
-    data = u if isinstance(u, UnitData) else ctx.unit_data(u)
+    data = ctx.unit_data(u)
     fld = ctx.field
     f = ctx.f
     if data.dmat is None and data.a0 == 1:
@@ -937,10 +925,10 @@ def unit_ratio(ctx, u, j):
 
     Equals (1 + v_j)^{-1}; fdeg(f - 1) >= p - 1 and it is known below D-1.
     """
-    data = u if isinstance(u, UnitData) else ctx.unit_data(u)
-    if data.dmat is None:
+    dmat = ctx.unit_data(u).dmat
+    if dmat is None:
         return AElement.const(ctx.field, ctx.f, 1, cutoff=ctx.D - 1)
-    v = ctx._u1_pieces(data.dmat)[j]
+    v = ctx._u1_pieces(dmat)[j]
     return invert_unit(v + 1)
 
 
@@ -1077,11 +1065,10 @@ def check_exponent_additivity(ctx, samples=20, seed=0):
     return sweep.result(info={"depth": depth})
 
 
-def check_unit_ratio_depth(ctx, units=None, count=20, seed=0):
+def check_unit_ratio_depth(ctx, count=20, seed=0):
     """fdeg(f_{u,j} - 1) >= p - 1 for sampled principal units."""
     sweep = Sweep("principal-unit-ratio-depth")
-    if units is None:
-        units = principal_units(ctx, count, seed)
+    units = principal_units(ctx, count, seed)
     for idx, u in enumerate(units):
         for j in range(ctx.f):
             r = unit_ratio(ctx, u, j)

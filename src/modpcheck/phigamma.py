@@ -15,6 +15,7 @@ assert agreement strictly below the propagated precision floor of the
 entry it looks at.
 """
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass
@@ -32,7 +33,6 @@ from .errors import (
 from .iwasawa import (
     INF,
     AElement,
-    UnitData,
     cocycle_factor,
     difference_floor,
     eq_below,
@@ -105,6 +105,14 @@ class PhiGammaMatrix:
             rc: v for rc, v in acc.items() if v.terms or v.cutoff != INF
         }
         return PhiGammaMatrix(self.params, self.field, acc)
+
+
+def _entry_pairs(A, B):
+    """(key, A entry, B entry) over the union of both supports, ordered by
+    the row and column masks."""
+    keys = set(A.entries) | set(B.entries)
+    for key in sorted(keys, key=lambda rc: (rc[0].bits, rc[1].bits)):
+        yield key, A.entry(*key), B.entry(*key)
 
 
 def phi_support(params):
@@ -245,7 +253,8 @@ class ThetaProblem:
         theta(a)_i = a_i - lam_i * W_i * phi(a_{i+1}),
     where W_i multiplies Y_j^(h_j) Y_{j-1}^(-p h_j) over the j with
     j - i in J minus J', and the inverse monomial over the j with
-    j - i in J' minus J, all indices cyclic.
+    j - i in J' minus J, all indices cyclic.  The twist scalars lam_i are
+    nonzero F_q encodings (ints).
     """
 
     p: int
@@ -262,27 +271,20 @@ class ThetaProblem:
         for j in range(f):
             if not 1 <= self.h[j] <= self.p - 2:
                 raise HypothesisViolation(f"h_{j}={self.h[j]} outside [1, p-2]")
-        lam = []
-        for v in self.lam:
-            e = v.e if hasattr(v, "e") else int(v)
-            if e == 0:
-                raise HypothesisViolation("twist scalars must be nonzero")
-            lam.append(e)
-        self.lam = tuple(lam)
+        if not all(self.lam):
+            raise HypothesisViolation("twist scalars must be nonzero")
         for x in self.b:
             if not is_torus_fixed(x, self.p):
                 raise HypothesisViolation("right-hand side must be torus-fixed")
         self.field = self.b[0].field
-        self._mono = None
 
     @property
     def f(self):
         return self.J.f
 
+    @functools.cached_property
     def twist_monomials(self):
         """The f twist monomials lam_i * W_i."""
-        if self._mono is not None:
-            return self._mono
         fld = self.field
         f, p, h = self.f, self.p, self.h
         out = []
@@ -298,8 +300,7 @@ class ThetaProblem:
                     k[j] -= h[j]
                     k[(j - 1) % f] += p * h[j]
             out.append(AElement.monomial(fld, f, tuple(k), self.lam[i]))
-        self._mono = tuple(out)
-        return self._mono
+        return tuple(out)
 
 
 def _theta_increment(mono, a, f):
@@ -316,7 +317,7 @@ def theta_apply(prob, a):
     for x in a:
         if not is_torus_fixed(x, prob.p):
             raise HypothesisViolation("inputs must be torus-fixed")
-    inc = _theta_increment(prob.twist_monomials(), a, f)
+    inc = _theta_increment(prob.twist_monomials, a, f)
     return tuple(a[i] - inc[i] for i in range(f))
 
 
@@ -360,7 +361,7 @@ def theta_solve(prob, depth=None, schedule="series"):
     b = tuple(x.copy_truncated(W) for x in prob.b)
     if all(x.is_zero() for x in b):
         return b
-    mono = prob.twist_monomials()
+    mono = prob.twist_monomials
     gain_floor = (f + 1) * (p - 1)
     budget = max(int(W - gain_floor + 2), 1)
     if schedule == "series":
@@ -394,10 +395,11 @@ def theta_solve(prob, depth=None, schedule="series"):
     raise HypothesisViolation(f"unknown schedule {schedule!r}")
 
 
-def random_theta_problem(params, fld, seed, terms=4):
+def random_theta_problem(params, fld, seed):
     """Seeded valid solver instance: nested random pair, random nonzero
-    twist scalars, admissible h, sparse torus-fixed right-hand side whose
-    first term sits exactly at the minimal depth."""
+    twist scalars, admissible h, sparse torus-fixed right-hand side (four
+    monomials per component) whose first term sits exactly at the minimal
+    depth."""
     rng = random.Random(seed)
     p, f = params.p, params.f
     J = SubsetJ(f, rng.randrange(1, 1 << f))
@@ -405,7 +407,7 @@ def random_theta_problem(params, fld, seed, terms=4):
     drop = rng.sample(mem, rng.randrange(1, len(mem) + 1))
     Jp = J - SubsetJ.of(f, drop)
     m = len(J - Jp)
-    lam = tuple(fld.elem(rng.randrange(1, fld.q)) for _ in range(f))
+    lam = tuple(rng.randrange(1, fld.q) for _ in range(f))
     h = IntVec(f, tuple(rng.randrange(1, p - f) for _ in range(f)))
 
     def kvec(blocks):
@@ -423,7 +425,7 @@ def random_theta_problem(params, fld, seed, terms=4):
     b = []
     for _ in range(f):
         x = _zero(fld, f)
-        for n in range(terms):
+        for n in range(4):
             blocks = m if n == 0 else m + rng.randrange(3)
             x = x + AElement.monomial(fld, f, kvec(blocks), rng.randrange(1, fld.q))
         b.append(x)
@@ -434,12 +436,12 @@ def random_theta_problem(params, fld, seed, terms=4):
 # unit-action matrices
 
 
-def slot_correction_units(ctx, params, data):
+def slot_correction_units(ctx, params, u):
     """The depth-(p-1) unit attached to each embedding slot: the ratio
     distortion of that slot raised to the cyclic base-p weight of r+1,
     with its own substitution image divided out."""
     return {
-        j: cocycle_factor(ctx, data, j, hj(params, None, j))
+        j: cocycle_factor(ctx, u, j, hj(params, None, j))
         for j in range(params.f)
     }
 
@@ -461,11 +463,10 @@ def build_q_a(ctx, mu, u):
     f, p = params.f, params.p
     if ctx.p != p or ctx.f != f:
         raise ConfigInvalid("chart context and parameters disagree on (p, f)")
-    data = u if isinstance(u, UnitData) else ctx.unit_data(u)
     qa = PhiGammaMatrix.identity(params, fld)
-    if data.dmat is None:
+    if ctx.unit_data(u).dmat is None:
         return qa, {j: AElement.const(fld, f, 1) for j in range(f)}
-    pj = slot_correction_units(ctx, params, data)
+    pj = slot_correction_units(ctx, params, u)
     if params.Jrho.is_full():
         return qa, pj
     hvec = params.r + IntVec.const(f, 1)
@@ -477,8 +478,8 @@ def build_q_a(ctx, mu, u):
                 if len(J - Jp) != m or (Jp, J) in done:
                     continue
                 lam = tuple(
-                    mu.gamma(Jp.shift(i + 1), Jp.shift(i))
-                    / mu.gamma(J.shift(i + 1), J.shift(i))
+                    (mu.gamma(Jp.shift(i + 1), Jp.shift(i))
+                     / mu.gamma(J.shift(i + 1), J.shift(i))).e
                     for i in range(f)
                 )
                 b = tuple(
@@ -572,9 +573,8 @@ def classify_phi_q_eigen(params, lam, s):
     and lam is 1; the solutions then form the scalar line on the monomial
     with exponent -s/(q-1).  Returns ("line", t) or ("zero", None).
     """
-    e = lam.e if hasattr(lam, "e") else int(lam)
     q1 = params.q - 1
-    if e == 1 and all(v % q1 == 0 for v in s):
+    if lam == 1 and all(v % q1 == 0 for v in s):
         t = IntVec(params.f, tuple(v // q1 for v in s))
         return ("line", t)
     return ("zero", None)
@@ -635,9 +635,8 @@ def check_twist_change_of_basis(mu):
     D = basis_change(params, mu.field)
     Dphi_inv = D.map_entries(lambda x: invert_unit(frobenius(x)))
     prod = (D @ raw) @ Dphi_inv
-    keys = set(prod.entries) | set(norm.entries)
-    for key in sorted(keys, key=lambda rc: (rc[0].bits, rc[1].bits)):
-        diff = prod.entry(*key) - norm.entry(*key)
+    for key, a, b in _entry_pairs(prod, norm):
+        diff = a - b
         sweep.check(
             diff.is_zero() and diff.cutoff == INF, row=key[0], col=key[1]
         )
@@ -653,11 +652,8 @@ def check_right_inverse(mu):
     for builder, tag in ((mat_phi_twisted, "normalized"), (mat_phi_untwisted, "raw")):
         M = builder(mu)
         X = solve_right_inverse(M)
-        R = M @ X
-        keys = set(R.entries) | set(ident.entries)
-        for key in keys:
-            diff = R.entry(*key) - ident.entry(*key)
-            sweep.check(diff.is_zero(), row=key[0], col=key[1], claim=tag)
+        for key, a, b in _entry_pairs(M @ X, ident):
+            sweep.check((a - b).is_zero(), row=key[0], col=key[1], claim=tag)
     M = mat_phi_twisted(mu)
     probe = SubsetJ.full(params.f)
     del M.entries[(probe, probe.shift(1))]
@@ -677,7 +673,7 @@ def check_theta_basics(params, seed=0):
     fld = Fq(p, f)
     zeros = tuple(_zero(fld, f) for _ in range(f))
     J = SubsetJ.of(f, (0,))
-    ones = tuple(fld.elem(1) for _ in range(f))
+    ones = (1,) * f
     h = IntVec.const(f, 2)
     prob = ThetaProblem(p, J, J, ones, h, zeros)
     for c in (1, 5 % p):
@@ -787,18 +783,13 @@ def check_commutation(ctx, Pphi, Pa, u):
     vacuous and visible in the report.
     """
     sweep = Sweep("unit-substitution-commutation")
-    data = u if isinstance(u, UnitData) else ctx.unit_data(u)
-    lhs = Pa @ Pphi.map_entries(lambda x: unit_action(ctx, data, x))
+    lhs = Pa @ Pphi.map_entries(lambda x: unit_action(ctx, u, x))
     rhs = Pphi @ Pa.map_entries(frobenius)
-    keys = sorted(
-        set(lhs.entries) | set(rhs.entries),
-        key=lambda rc: (rc[0].bits, rc[1].bits),
-    )
     worst = None
     nonvac = 0
-    for key in keys:
-        a = lhs.entry(*key)
-        b = rhs.entry(*key)
+    entries = 0
+    for key, a, b in _entry_pairs(lhs, rhs):
+        entries += 1
         floor = difference_floor(a, b)
         diff = (a - b).copy_truncated(floor)
         if floor != INF:
@@ -823,7 +814,7 @@ def check_commutation(ctx, Pphi, Pa, u):
         "formula_floor": ctx.D - ctx.p * max_pole,
         "lowest_entry_floor": worst,
         "nonvacuous_entries": nonvac,
-        "entries": len(keys),
+        "entries": entries,
     }
     return sweep.result(info=info)
 
@@ -924,12 +915,8 @@ def check_unit_action_matrices(ctx, mu, units=10, pairs=2, seed=0, flip=None):
         except HypothesisViolation as exc:
             s_cocy.check(False, pair=n, unit=u12, error=str(exc))
             continue
-        d1 = ctx.unit_data(u1)
-        rhs = P1 @ P2.map_entries(lambda x: unit_action(ctx, d1, x))
-        keys = set(P12.entries) | set(rhs.entries)
-        for key in sorted(keys, key=lambda rc: (rc[0].bits, rc[1].bits)):
-            a = P12.entry(*key)
-            b = rhs.entry(*key)
+        rhs = P1 @ P2.map_entries(lambda x: unit_action(ctx, u1, x))
+        for key, a, b in _entry_pairs(P12, rhs):
             floor = difference_floor(a, b)
             s_cocy.check(
                 eq_below(a, b, floor),

@@ -94,7 +94,7 @@ def test_criterion_2_origin_change_domination_and_mutation_kill():
 def test_criterion_3_table_bounds_exhaustive():
     checked = 0
     for params in _param_sets():
-        for res in check_weight_table_bounds(params):
+        for res in check_weight_table_bounds(params, ConstantTables(params)):
             assert res.passed, (params.label(), res.name, res.counterexample)
             checked += res.checked
     _note(f"criterion 3: bound checks passed, checked={checked}")

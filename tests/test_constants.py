@@ -5,8 +5,9 @@ import pytest
 from modpcheck.base_combinatorics import IntVec, SubsetJ, all_subsets
 from modpcheck.constants import (
     AJnFrame,
+    ConstantTables,
     Mutation,
-    _m_formula,
+    _m_frame,
     _tjx_bump,
     all_mutations,
     cJ,
@@ -62,7 +63,7 @@ def mVec(params, i, J, Jp):
     """Signed exponent vector of the i-indexed element in a J-block, for the
     comparison subset Jp.  i must lie in the small box [0, f - e^{Jsh}]."""
     _require_small_box(params, J, i)
-    return _m_formula(params, i, J, Jp)
+    return _m_frame(params, J, Jp)(i)
 
 
 def J(params, *members):
@@ -341,6 +342,6 @@ def test_domination_fails_below_genericity_floor():
     with pytest.raises(GenericityViolation):
         RhoParams.make(7, 2, (5, 5))
     bad = force_params(7, 2, (5, 5))
-    env = check_domination_claims(bad)[0]
+    env = check_domination_claims(bad, ConstantTables(bad))[0]
     assert not env.passed
     assert env.counterexample is not None

@@ -388,7 +388,7 @@ def test_cli_internal_error_exit_code(monkeypatch, exc):
 def _transpose_jacobian_inverse(monkeypatch):
     # a wrong chart conversion, on fresh contexts so that no cached chart
     # keeps it
-    right = iwasawa.ChartContext.jacobian_inverse.fget
+    right = iwasawa.ChartContext.jacobian_inverse.func
     monkeypatch.setattr(iwasawa, "_CTX_CACHE", {})
     monkeypatch.setattr(iwasawa.ChartContext, "jacobian_inverse",
                         property(lambda ctx: [list(r) for r in zip(*right(ctx))]))

@@ -387,6 +387,28 @@ def test_unit_action_identity():
     assert unit_action(ctx, ctx.ring.one, x).terms == x.terms
 
 
+def test_unit_data_is_kept_per_unit(monkeypatch):
+    # a unit is split once per context: a second action by the same unit
+    # makes no further WittRing.unit_decompose call
+    ctx = ChartContext(13, 2, 18)
+    calls = []
+    ring_cls = type(ctx.ring)
+    decompose = ring_cls.unit_decompose
+
+    def counting(self, u):
+        calls.append(u)
+        return decompose(self, u)
+
+    monkeypatch.setattr(ring_cls, "unit_decompose", counting)
+    u = principal_units(ctx, 1, seed=3)[0]
+    x = Ymono(ctx, (1, 0), cutoff=ctx.D)
+    first = unit_action(ctx, u, x)
+    assert calls
+    seen = len(calls)
+    assert unit_action(ctx, u, x) == first
+    assert len(calls) == seen
+
+
 def test_unit_ratio_depth_f1_and_f2():
     assert check_unit_ratio_depth(C1, count=6, seed=4).passed
     res = check_unit_ratio_depth(C2M, count=3, seed=4)

@@ -161,21 +161,21 @@ def test_theta_basics():
 
 def test_theta_problem_validation():
     zeros = tuple(AElement(F2, 2, INF, {}) for _ in range(2))
-    ones = (F2.elem(1), F2.elem(1))
+    ones = (1, 1)
     J = SubsetJ.of(2, (0,))
     with pytest.raises(HypothesisViolation):
         pg.ThetaProblem(13, J, E2, ones, IntVec.const(2, 0), zeros)
     with pytest.raises(HypothesisViolation):
         pg.ThetaProblem(13, J, E2, ones, IntVec.const(2, 12), zeros)
     with pytest.raises(HypothesisViolation):
-        pg.ThetaProblem(13, J, E2, (F2.elem(0), F2.elem(1)), IntVec.const(2, 2), zeros)
+        pg.ThetaProblem(13, J, E2, (0, 1), IntVec.const(2, 2), zeros)
     bad_b = (AElement.monomial(F2, 2, (1, 0)), AElement(F2, 2, INF, {}))
     with pytest.raises(HypothesisViolation):
         pg.ThetaProblem(13, J, E2, ones, IntVec.const(2, 2), bad_b)
 
 
 def test_theta_solver_validation():
-    ones = (F2.elem(1), F2.elem(1))
+    ones = (1, 1)
     J = SubsetJ.of(2, (0,))
     zeros = tuple(AElement(F2, 2, INF, {}) for _ in range(2))
     # square pair: no solver branch
@@ -194,7 +194,7 @@ def test_theta_solver_validation():
 
 
 def test_theta_solver_zero_rhs_exact():
-    ones = (F2.elem(1), F2.elem(1))
+    ones = (1, 1)
     J = SubsetJ.of(2, (0,))
     zeros = tuple(AElement(F2, 2, INF, {}) for _ in range(2))
     prob = pg.ThetaProblem(13, J, E2, ones, IntVec.const(2, 2), zeros)
@@ -221,7 +221,7 @@ def test_theta_solver_stall_guard():
     # to pretend it converged
     prob = pg.random_theta_problem(P2, F2, seed=7)
     deep = AElement.monomial(F2, 2, (-500, -500), 1)
-    prob.twist_monomials = lambda: (deep, deep)
+    prob.twist_monomials = (deep, deep)
     with pytest.raises(NonConvergence):
         pg.theta_solve(prob, depth=30)
 

@@ -376,7 +376,7 @@ def test_change_origin_sweep_images_every_tuple(monkeypatch):
         return original(self, ent)
 
     monkeypatch.setattr(Translation, "image", recording)
-    res = check_change_origin(params)
+    res = check_change_origin(params, ConstantTables(params))
     assert res.passed
     total = 0
     for J in params.subsets():
@@ -403,7 +403,7 @@ def _offsets_leave_weight_window(monkeypatch):
 
 def test_image_off_weight_window_fails_the_row(monkeypatch):
     params = RhoParams.make(13, 2, (5, 6), (0,))
-    healthy = check_change_origin(params)
+    healthy = check_change_origin(params, ConstantTables(params))
     _offsets_leave_weight_window(monkeypatch)
     rows = {res.name: res for res in run_identities(params, 0)}
     row = rows.pop("change-origin-composition")
@@ -480,7 +480,7 @@ def test_image_rejects_entries_of_other_length(params):
 
 def test_shifted_table_additivity_builds_one_frame_per_j_j0(monkeypatch):
     params = RhoParams.make(17, 3, (7, 8, 7), (0,))
-    healthy = check_shifted_table_additivity(params)
+    healthy = check_shifted_table_additivity(params, ConstantTables(params))
     built = []
     original = AJnFrame.__init__
 
@@ -489,7 +489,7 @@ def test_shifted_table_additivity_builds_one_frame_per_j_j0(monkeypatch):
         original(self, params, J, j0)
 
     monkeypatch.setattr(AJnFrame, "__init__", recording)
-    res = check_shifted_table_additivity(params)
+    res = check_shifted_table_additivity(params, ConstantTables(params))
     assert res.as_dict() == healthy.as_dict() and res.passed
     want = set()
     for J in params.subsets():
