@@ -229,8 +229,6 @@ class Fq:
             NEG[a] = enc([-d % p for d in digits(a)])
         self._NEG = NEG
         self.neg = lambda a: NEG[a]
-        self.one = 1
-        self.zero = 0
 
     def sub(self, a, b):
         return self.add(a, self._NEG[b])
@@ -239,6 +237,10 @@ class Fq:
         if a == 0:
             raise NotAUnit("0 has no inverse")
         return self.EXP[(self.q - 1 - self.LOG[a]) % (self.q - 1)]
+
+    def div(self, a, b):
+        """a / b; NotAUnit when b is 0."""
+        return self.mul(a, self.inv(b))
 
     def pow(self, a, n):
         if a == 0:
@@ -260,9 +262,6 @@ class Fq:
     def from_int(self, n):
         return n % self.p
 
-    def elem(self, e):
-        return FElem(self, e % self.q)
-
     def elements(self):
         return range(self.q)
 
@@ -277,36 +276,6 @@ class Fq:
 
     def __repr__(self):
         return f"Fq(p={self.p}, k={self.k})"
-
-
-class FElem:
-    """Thin operator wrapper over an int-encoded field element."""
-
-    __slots__ = ("field", "e")
-
-    def __init__(self, field, e):
-        self.field = field
-        self.e = e
-
-    def __neg__(self):
-        return FElem(self.field, self.field.neg(self.e))
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return FElem(self.field, self.field.scale_int(self.e, other))
-        return FElem(self.field, self.field.mul(self.e, other.e))
-
-    def __truediv__(self, other):
-        return FElem(self.field, self.field.mul(self.e, self.field.inv(other.e)))
-
-    def __eq__(self, other):
-        return isinstance(other, FElem) and self.field is other.field and self.e == other.e
-
-    def __hash__(self):
-        return hash((id(self.field), self.e))
-
-    def __repr__(self):
-        return f"FElem({self.e})"
 
 
 def witt_precision(p, D):
@@ -351,7 +320,6 @@ class WittRing:
         self.pN = p**N
         self.field = Fq(p, f)
         self.mod_coeffs = self.field.g_coeffs  # lifted verbatim
-        self.zero = (0,) * f
         self.one = (1,) + (0,) * (f - 1)
 
     def add(self, a, b):

@@ -180,7 +180,8 @@ def hj(params, h, j):
 
 @dataclass(frozen=True)
 class MuAlgebra:
-    """Pairing scalars mu(J, Jp) in product form rho_factor[J] * sigma_factor[Jp].
+    """Pairing scalars mu(J, Jp) in product form rho_factor[J] * sigma_factor[Jp],
+    as int encodings of F_q multiplied by ``field``.
 
     mu(J, Jp) is defined exactly when the special parts match:
     (J-1)^ss == Jp^ss.  The product form makes every cross-ratio relation
@@ -215,11 +216,11 @@ class MuAlgebra:
     def mu(self, J, Jp):
         if not self.defined(J, Jp):
             raise PairNotDefined(f"mu undefined for pair ({J!r}, {Jp!r})")
-        return self.rho_factor[J] * self.sigma_factor[Jp]
+        return self.field.mul(self.rho_factor[J], self.sigma_factor[Jp])
 
     def gamma(self, J, Jp):
         m = self.mu(J, Jp)
-        return m if self.col_sign[Jp.bits] == 1 else -m
+        return m if self.col_sign[Jp.bits] == 1 else self.field.neg(m)
 
     def mu_star(self, J):
         """Row factor: mu(J, K) / mu(J2, K) == mu_star(J) / mu_star(J2)."""
@@ -228,7 +229,7 @@ class MuAlgebra:
     def gamma_star(self, Jp):
         """Column factor carrying the sign of gamma."""
         s = self.sigma_factor[Jp]
-        return s if self.col_sign[Jp.bits] == 1 else -s
+        return s if self.col_sign[Jp.bits] == 1 else self.field.neg(s)
 
 
 def mu_gamma(params, seed=0):
@@ -237,8 +238,8 @@ def mu_gamma(params, seed=0):
     rng = random.Random(seed)
     rho, sigma = {}, {}
     for J in params.subsets():
-        rho[J] = field.elem(rng.randrange(1, field.q))
-        sigma[J] = field.elem(rng.randrange(1, field.q))
+        rho[J] = rng.randrange(1, field.q)
+        sigma[J] = rng.randrange(1, field.q)
     return MuAlgebra(params, field, rho, sigma)
 
 
@@ -317,10 +318,6 @@ class ConstantTables:
         applies to every output."""
         frame = AJnFrame(self.params, J, j0)
         return lambda n: self._bump("aJn", J, frame(n))
-
-    def m_at(self, J, Jp):
-        """m(., J, Jp) as a function of i, its (J, Jp) data computed once."""
-        return _m_frame(self.params, J, Jp)
 
 
 def all_mutations(params):
@@ -506,7 +503,7 @@ def _check_m_closed_form(params, tables, subs):
     sw = Sweep("m-closed-form")
     for J, Jp in _pairs_same_class(params, subs):
         i = indicator((J & Jp) - params.Jrho)
-        m = tables.m_at(J, (J ^ Jp).shift(-1))(i)
+        m = _m_frame(params, J, (J ^ Jp).shift(-1))(i)
         for j in range(params.f):
             want = (1 if j in Jp else 0) * (-1 if (j + 1) not in J else 1)
             sw.check(m[j] == want, J=J, Jp=Jp, j=j, m=m[j], want=want)
@@ -550,7 +547,7 @@ def _check_shift_overlap_reindex(params, tables, subs):
         svec = s_of(Kss)
         _, _, J2sh = params.parts(J2)
         return (
-            J2, Jpp, bump, tables.m_at(J, Jp), tables.m_at(J2, Jpp),
+            J2, Jpp, bump, _m_frame(params, J, Jp), _m_frame(params, J2, Jpp),
             tJJp(J, Jp), tJJp(J2, Jpp),
             tuple(svec[j] if (j + 1) in sym1 else p - 1 for j in range(f)),
             tuple(svec[j] if (j + 1) in sym2 else p - 1 for j in range(f)),
@@ -704,6 +701,7 @@ def _check_c_restriction(params, tables, subs):
 
 def _check_scalar_ratio_classes(params, mu, subs):
     sw = Sweep("scalar-ratio-classes")
+    fmul = mu.field.mul
     for C in subs:
         if not C <= params.Jrho:
             continue
@@ -716,24 +714,24 @@ def _check_scalar_ratio_classes(params, mu, subs):
         g_star = {Jp: mu.gamma_star(Jp) for Jp in cols}
         for J1, J2 in itertools.product(rows, rows):
             for J3, J4 in itertools.product(cols, cols):
-                lhs = m[J1, J3] * m[J2, J4]
-                rhs = m[J1, J4] * m[J2, J3]
+                lhs = fmul(m[J1, J3], m[J2, J4])
+                rhs = fmul(m[J1, J4], m[J2, J3])
                 sw.check(lhs == rhs, cls=C, J1=J1, J2=J2, J3=J3, J4=J4)
         for J1, J2 in itertools.product(rows, rows):
             for K in cols:
                 sw.check(
-                    m[J1, K] * m_star[J2] == m[J2, K] * m_star[J1],
+                    fmul(m[J1, K], m_star[J2]) == fmul(m[J2, K], m_star[J1]),
                     cls=C, J1=J1, J2=J2, K=K, part="mu-star",
                 )
         for J in rows:
             for J3, J4 in itertools.product(cols, cols):
                 sw.check(
-                    g[J, J3] * g_star[J4] == g[J, J4] * g_star[J3],
+                    fmul(g[J, J3], g_star[J4]) == fmul(g[J, J4], g_star[J3]),
                     cls=C, J=J, J3=J3, J4=J4, part="gamma-star",
                 )
     sign0 = 1 if params.f % 2 == 1 else -1
     for J, Jp in _pairs_same_class(params, subs):
-        want = mu.mu(J, Jp) * (sign0 * epsilonJ(params, Jp))
+        want = mu.field.scale_int(mu.mu(J, Jp), sign0 * epsilonJ(params, Jp))
         sw.check(mu.gamma(J, Jp) == want, J=J, Jp=Jp, part="gamma-sign")
     return sw.result()
 

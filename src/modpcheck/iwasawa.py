@@ -435,7 +435,7 @@ def zp_power(g, c, digits):
 def frobenius(x):
     """Algebra Frobenius on a multiplicative-chart element.
 
-    Y_j -> Y_{j-1}^p, i.e. exponent slot j feeds slot j-1 scaled by p,
+    Y_j -> Y_{j-1}^p: exponent slot j feeds slot j-1 scaled by p,
     coefficients unchanged.  Knowledge scales by p.  In the additive chart
     the same map is T_l -> T_l^p, which is AElement.frobenius_sub.
     """

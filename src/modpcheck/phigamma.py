@@ -141,8 +141,7 @@ def mat_phi_untwisted(mu):
         c = cJ(params, J)
         for Jp in _between(J & params.Jrho, J):
             k = -(c + rJ(params, J - Jp))
-            g = mu.gamma(col, Jp)
-            ent[(Jp, col)] = AElement.monomial(fld, f, tuple(k), g.e)
+            ent[(Jp, col)] = AElement.monomial(fld, f, tuple(k), mu.gamma(col, Jp))
     return PhiGammaMatrix(params, fld, ent)
 
 
@@ -170,8 +169,8 @@ def mat_phi_twisted(mu, flip=None):
         for Jp in _between(J & params.Jrho, J):
             g = mu.gamma(col, Jp)
             if flip is not None and flip == (Jp, col):
-                g = -g
-            ent[(Jp, col)] = AElement.monomial(fld, f, tuple(k), g.e)
+                g = fld.neg(g)
+            ent[(Jp, col)] = AElement.monomial(fld, f, tuple(k), g)
     return PhiGammaMatrix(params, fld, ent)
 
 
@@ -478,8 +477,8 @@ def build_q_a(ctx, mu, u):
                 if len(J - Jp) != m or (Jp, J) in done:
                     continue
                 lam = tuple(
-                    (mu.gamma(Jp.shift(i + 1), Jp.shift(i))
-                     / mu.gamma(J.shift(i + 1), J.shift(i))).e
+                    fld.div(mu.gamma(Jp.shift(i + 1), Jp.shift(i)),
+                            mu.gamma(J.shift(i + 1), J.shift(i)))
                     for i in range(f)
                 )
                 b = tuple(
@@ -517,16 +516,15 @@ def _block_rhs(mu, qa, pj, Jp, J, hvec):
         for j in J - K:
             k[j] += hvec[j]
             k[(j - 1) % f] -= p * hvec[j]
-        g = mu.gamma(K.shift(1), Jp) / gJ
-        acc = acc + AElement.monomial(fld, f, tuple(k), g.e) * frobenius(x)
+        g = fld.div(mu.gamma(K.shift(1), Jp), gJ)
+        acc = acc + AElement.monomial(fld, f, tuple(k), g) * frobenius(x)
     for K in _between(Jp | (J & Jrho), J):
         if K == J:
             continue
         x = qa.entries.get((Jp, K))
         if x is None:
             continue
-        g = mu.gamma_star(K) / mu.gamma_star(J)
-        term = x.scale(g.e)
+        term = x.scale(fld.div(mu.gamma_star(K), mu.gamma_star(J)))
         for j in J - K:
             term = term * pj[j]
         acc = acc - term
@@ -890,8 +888,7 @@ def check_unit_action_matrices(ctx, mu, units=10, pairs=2, seed=0, flip=None):
                 continue
             x = qa.entry(Jp, J)
             if (J & params.Jrho) <= Jp:
-                g = mu.gamma_star(Jp) / mu.gamma_star(J)
-                target = AElement.const(fld, f, g.e)
+                target = AElement.const(fld, f, fld.div(mu.gamma_star(Jp), mu.gamma_star(J)))
                 for j in J - Jp:
                     target = target * (one - pj[j])
             else:

@@ -13,27 +13,17 @@ from functools import cached_property
 from itertools import product
 from operator import add, getitem, le, mul
 
+from .arith import _prime_divisors
 from .base_combinatorics import IntVec, SubsetJ, all_subsets, decompose_parts
 from .errors import ConfigInvalid, GenericityViolation, InadmissibleS, RangeViolation
 from .reporting import Sweep
-
-
-def _is_prime(n):
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 
 def validate_params(p, f, r, Jrho):
     """Raise unless (p, f, r, Jrho) is structurally sound and generic."""
     if not isinstance(f, int) or not 1 <= f <= 16:
         raise ConfigInvalid(f"f={f} outside [1, 16]")
-    if not _is_prime(p):
+    if _prime_divisors(p) != [p]:
         raise ConfigInvalid(f"p={p} is not prime")
     if len(tuple(r)) != f:
         raise ConfigInvalid("r must have f components")

@@ -1,5 +1,9 @@
 import random
 
+import pytest
+from sympy import ZZ, Poly, Symbol
+from sympy.polys.galoistools import gf_gcdex, gf_mul, gf_rem, gf_strip
+
 from modpcheck.arith import (
     Fq,
     WittRing,
@@ -7,7 +11,6 @@ from modpcheck.arith import (
     witt_precision,
 )
 from modpcheck.errors import NotAUnit
-import pytest
 
 
 def zp_coordinates(ring, y):
@@ -178,3 +181,63 @@ def test_field_construction_deterministic():
     assert F1 is F2  # cached
     assert F1.g_coeffs == (2, 0)
     assert Fq(17, 3).g_coeffs == minimal_irreducible(17, 3)
+
+
+# --- Fq against sympy's dense GF(p)[x] arithmetic ---------------------------
+# The oracle shares no code with Fq: it decodes the int encodings itself and
+# reduces products and Bezout inverses modulo the chosen polynomial with
+# sympy.polys.galoistools (coefficient lists, leading coefficient first).
+
+
+def _gf_poly(e, p, k):
+    coeffs = []
+    for _ in range(k):
+        coeffs.append(e % p)
+        e //= p
+    return gf_strip(coeffs[::-1])
+
+
+def _gf_encode(poly, p):
+    e = 0
+    for c in poly:
+        e = e * p + c % p
+    return e
+
+
+class _GFOracle:
+    def __init__(self, p, k):
+        self.p, self.k = p, k
+        self.modulus = [1, *reversed(minimal_irreducible(p, k))]
+
+    def mul(self, a, b):
+        p, k = self.p, self.k
+        prod = gf_mul(_gf_poly(a, p, k), _gf_poly(b, p, k), p, ZZ)
+        return _gf_encode(gf_rem(prod, self.modulus, p, ZZ), p)
+
+    def inv(self, b):
+        s, _, h = gf_gcdex(_gf_poly(b, self.p, self.k), self.modulus, self.p, ZZ)
+        assert h == [1]
+        return _gf_encode(gf_rem(s, self.modulus, self.p, ZZ), self.p)
+
+
+def _oracle_pairs(F):
+    if F.q <= 11:
+        return [(a, b) for a in F.elements() for b in F.elements()]
+    rng = random.Random(F.q)
+    return [(rng.randrange(F.q), rng.randrange(F.q)) for _ in range(2000)]
+
+
+@pytest.mark.parametrize("p,k", [(11, 1), (13, 2), (17, 3)])
+def test_fq_matches_sympy_galoistools(p, k):
+    # (13, 2) runs on the flat product table, (17, 3) on the log tables
+    F, oracle = Fq(p, k), _GFOracle(p, k)
+    assert Poly(oracle.modulus, Symbol("x"), modulus=p).is_irreducible
+    for a, b in _oracle_pairs(F):
+        assert F.mul(a, b) == oracle.mul(a, b), (a, b)
+        if b:
+            assert F.inv(b) == oracle.inv(b), b
+            assert F.div(a, b) == oracle.mul(a, oracle.inv(b)), (a, b)
+    with pytest.raises(NotAUnit):
+        F.div(1, 0)
+    with pytest.raises(NotAUnit):
+        F.div(0, 0)

@@ -245,7 +245,7 @@ def test_mu_gamma_deterministic():
     Jset, Jp = J(P2A, 1), J(P2A, 0)  # (J-1)^ss == Jp^ss == {0}
     assert a.mu(Jset, Jp) == b.mu(Jset, Jp)
     c = mu_gamma(P2A, seed=6)
-    vals = {s: c.mu(J(P2A, 1), s).e for s in P2A.subsets() if c.defined(J(P2A, 1), s)}
+    vals = {s: c.mu(J(P2A, 1), s) for s in P2A.subsets() if c.defined(J(P2A, 1), s)}
     assert vals  # at least one defined pair, all nonzero
     assert all(v != 0 for v in vals.values())
 
@@ -261,7 +261,7 @@ def test_gamma_sign():
     full = SubsetJ.full(2)
     # f even: gamma = -eps(Jp) * mu; eps(full) = -1 at empty Jrho
     assert alg.gamma(J(P2), full) == alg.mu(J(P2), full)
-    assert alg.gamma(J(P2), J(P2)) == -alg.mu(J(P2), J(P2))
+    assert alg.gamma(J(P2), J(P2)) == alg.field.neg(alg.mu(J(P2), J(P2)))
 
 
 @pytest.mark.parametrize("p,r", [(11, (4,)), (13, (5, 6)), (17, (7, 8, 7))])
@@ -275,7 +275,7 @@ def test_gamma_sign_table_matches_epsilon(p, r):
             want = (-1) ** (f - 1) * epsilonJ(params, Jp)
             assert alg.col_sign[Jp.bits] == want
             sigma = alg.sigma_factor[Jp]
-            assert alg.gamma_star(Jp) == (sigma if want == 1 else -sigma)
+            assert alg.gamma_star(Jp) == (sigma if want == 1 else alg.field.neg(sigma))
 
 
 # ---------------------------------------------------------------------------

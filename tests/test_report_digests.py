@@ -29,13 +29,17 @@ GOLDEN = [
     # counts in the payload pin the size of each exhaustive sweep
     (RunConfig(p=17, f=3, r=(7, 7, 7), suites=("identities", "weights")),
      "f78d3ed14f76cbce2960e8929e2867abea49a654c4e6b54bd2cd7d4a342df7c3"),
+    # full f=3 verify: every suite on all 8 Jrho, so the pairing scalars
+    # mu(J, J') and gamma(J, J') of every Jrho reach the payload
+    (RunConfig(p=17, f=3, r=(7, 8, 7)),
+     "d560a7dee4c7253ca8f67352a2321bc5d61c9a73cd5b0acdd2aa7855ebe61fba"),
 ]
 
 
 @pytest.mark.parametrize("config,digest", GOLDEN,
                          ids=["p11-f1-all", "p13-f2-all", "p17-f3-phigamma",
                               "p17-f3-iwasawa", "p13-f2-cutoff40", "p11-f1-cutoff80",
-                              "p17-f3-identities-weights"])
+                              "p17-f3-identities-weights", "p17-f3-all"])
 def test_report_digest_is_pinned(config, digest):
     report = run_suite(config)
     assert report.passed

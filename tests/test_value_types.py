@@ -312,7 +312,7 @@ def test_mu_definedness_matches_old_formula(p, f, r):
                 want = (oJ.shift(-1) & old_rho) == (oJp & old_rho)
                 assert mu.defined(J, Jp) == want
                 if want:
-                    assert mu.mu(J, Jp) == mu.rho_factor[J] * mu.sigma_factor[Jp]
+                    assert mu.mu(J, Jp) == mu.field.mul(mu.rho_factor[J], mu.sigma_factor[Jp])
                     continue
                 with pytest.raises(PairNotDefined) as e:
                     mu.mu(J, Jp)

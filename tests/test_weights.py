@@ -93,6 +93,18 @@ def test_validate_params():
         validate_params(13, 2, (5,), SubsetJ.of(2, []))
 
 
+@pytest.mark.parametrize("p", [0, 1, -7, 4, 9, 121])
+def test_validate_params_rejects_non_prime(p):
+    with pytest.raises(ConfigInvalid, match=f"^p={p} is not prime$"):
+        validate_params(p, 1, (4,), SubsetJ.of(1, []))
+
+
+@pytest.mark.parametrize("p", [11, 13, 17, 23])
+def test_validate_params_accepts_prime(p):
+    # f=1, r=(4,) is generic for every p here, so nothing else can raise
+    validate_params(p, 1, (4,), SubsetJ.of(1, []))
+
+
 def test_sJ_tJ_frozen():
     s, t = sJ_tJ(P2F, SubsetJ.of(2, []))
     assert s.entries == (5, 6) and t.entries == (0, 0)
