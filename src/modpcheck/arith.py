@@ -14,12 +14,14 @@ tuples mod p^N.
 Multiplication is table-driven: full flat tables for q <= 169, discrete
 log/antilog tables over a generator (a*b = EXP[LOG a + LOG b]) above that.
 Addition is a flat table when small and a loop over the base-p digits
-otherwise; it does not use Zech logarithms.
+otherwise; it does not use Zech logarithms.  gauss_jordan inverts the small
+matrices of the chart's linear coordinate change and records its row
+operations.
 """
 
 from __future__ import annotations
 
-from .errors import NotAUnit
+from .errors import NotAUnit, SingularJacobian
 
 
 def _poly_mulmod(a, b, g, p):
@@ -227,11 +229,7 @@ class Fq:
         NEG = [0] * q
         for a in range(q):
             NEG[a] = enc([-d % p for d in digits(a)])
-        self._NEG = NEG
         self.neg = lambda a: NEG[a]
-
-    def sub(self, a, b):
-        return self.add(a, self._NEG[b])
 
     def inv(self, a):
         if a == 0:
@@ -276,6 +274,35 @@ class Fq:
 
     def __repr__(self):
         return f"Fq(p={self.p}, k={self.k})"
+
+
+def gauss_jordan(field, rows):
+    """(inverse, ops) of a small matrix over F_q (list of lists of
+    encodings), ops the row operations E_k with E_n...E_1 rows = I in order:
+    (i, j, c) adds c times row j to row i, (i, i, c) scales row i by c.  A
+    zero pivot gets a lower row added, so no rows are exchanged; a singular
+    matrix raises SingularJacobian."""
+    n = len(rows)
+    aug = [list(r) + [1 if i == j else 0 for j in range(n)] for i, r in enumerate(rows)]
+    ops = []
+
+    def op(i, j, c):
+        ops.append((i, j, c))
+        scaled = [field.mul(c, w) for w in aug[j]]
+        aug[i] = scaled if i == j else list(map(field.add, aug[i], scaled))
+
+    for col in range(n):
+        if not aug[col][col]:
+            piv = next((r for r in range(col + 1, n) if aug[r][col]), None)
+            if piv is None:
+                raise SingularJacobian("matrix is singular")
+            op(col, piv, 1)
+        if aug[col][col] != 1:
+            op(col, col, field.inv(aug[col][col]))
+        for r in range(n):
+            if r != col and aug[r][col]:
+                op(r, col, field.neg(aug[r][col]))
+    return [r[n:] for r in aug], ops
 
 
 def witt_precision(p, D):

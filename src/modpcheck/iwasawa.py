@@ -20,19 +20,21 @@ An AElement does not record its chart; the caller knows it.  Laurent
 exponents are allowed in both, and only the chart conversions (y_to_t and
 t_to_y) enforce the nonnegative supports of the additive chart.  y_to_t
 substitutes cached powers Y^m of the eigencoordinate series, and t_to_y
-inverts it degree by degree, eliminating leading forms.  The image of each
-leading form is cached per context under the form divided by the
-coefficient of its least exponent, so forms that differ by an F_q scalar
-are substituted once.  All operations track how far each truncated element
-is known and refuse to compare beyond that point.  Products and powers that
-are truncated at once take the caller's bound (mul_below, pow_below), and a
+inverts it degree by degree, eliminating leading forms.  A leading form h
+goes to h(M^-1 Y), M the Jacobian, by the elementary shears and scalings
+of a Gauss-Jordan factorization of M^-1 (ChartContext.shear_steps); its
+image is cached per context under the form divided by the coefficient of
+its least exponent, so forms that differ by an F_q scalar are substituted
+once.  All operations track how far each truncated element is known and
+refuse to compare beyond that point.  Products and powers that are
+truncated at once take the caller's bound (mul_below, pow_below), and a
 power x^n known below B reads x only below B - (n-1)*fdeg(x): relative
 precision (Caruso, Roe and Vaccon, LMS J. Comput. Math. 17A, 2014).
 
 Two routines make every binomial expansion from the Lucas rows C(c, m) mod p
 of _binomial_row: _binomial_product gives prod_l (1 + T_l)^(c_l) below a
-depth (the generator series, the eigencoordinate sum, the unit-action
-factors), and _binomial_series raises a series 1 + v to an integer or p-adic
+depth (the generator series, the unit-action factors; the eigencoordinate
+sum multiplies the rows with _row_product), and _binomial_series raises a series 1 + v to an integer or p-adic
 power (inverses, the unit action, p-adic powers of the unit ratios).
 """
 
@@ -43,13 +45,12 @@ import threading
 from dataclasses import dataclass
 from operator import add
 
-from .arith import Fq, WittRing, _poly_powmod, witt_precision
+from .arith import Fq, WittRing, _poly_powmod, gauss_jordan, witt_precision
 from .errors import (
     ExponentPrecisionTooLow,
     HypothesisViolation,
     NotAUnit,
     PrecisionExhausted,
-    SingularJacobian,
 )
 from .reporting import Sweep
 
@@ -93,9 +94,14 @@ def _binomial_product(field, coords, depth, digits):
     p = field.p
     if p**digits < depth:
         raise ExponentPrecisionTooLow(f"need p^N >= {depth}, have N={digits}")
-    out = [((), 1, 0)]  # (exponents so far, binomial product, degree)
-    for c in coords:
-        row = _binomial_row(p, c, depth)
+    return _row_product(p, [_binomial_row(p, c, depth) for c in coords], depth)
+
+
+def _row_product(p, rows, depth):
+    """Terms of prod_l (sum_m rows[l][m] T_l^m) below total degree `depth`,
+    coefficients reduced mod p."""
+    out = [((), 1, 0)]  # (exponents so far, product of row entries, degree)
+    for row in rows:
         out = [(k + (m,), x * b, d + m) for k, x, d in out
                for m, b in enumerate(row[:depth - d]) if b]
     return {k: x % p for k, x, _ in out}
@@ -448,24 +454,6 @@ def frobenius(x):
     return AElement(x.field, f, cut, terms)
 
 
-def _matrix_inverse(field, rows):
-    """Inverse of a small matrix over F_q (list of lists of encodings)."""
-    n = len(rows)
-    aug = [list(r) + [1 if i == j else 0 for j in range(n)] for i, r in enumerate(rows)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col]), None)
-        if piv is None:
-            raise SingularJacobian("coordinate Jacobian is singular")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = field.inv(aug[col][col])
-        aug[col] = [field.mul(inv, v) for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                c = aug[r][col]
-                aug[r] = [field.sub(v, field.mul(c, w)) for v, w in zip(aug[r], aug[col])]
-    return [r[n:] for r in aug]
-
-
 def _slot_bits(per_term, terms):
     """Width of a packed slot that holds a sum of `terms` nonnegative values,
     each at most `per_term`, without carrying into the next slot."""
@@ -538,27 +526,6 @@ def _packing(field, bits):
     return hit
 
 
-def _substitute_linear(terms, forms):
-    """The polynomial `terms` in T_0..T_{f-1} with each T_l replaced by the
-    AElement forms[l], by the multivariate Horner scheme (Pena and Sauer,
-    SIAM J. Numer. Anal. 37, 2000): P = P(0) + sum_l T_l * P_l, where P_l
-    holds the terms whose first nonzero exponent is at slot l, divided by
-    T_l, and is evaluated the same way."""
-    const = 0
-    parts = [{} for _ in forms]
-    for k, c in terms.items():
-        l = next((i for i, e in enumerate(k) if e), None)
-        if l is None:
-            const = c
-        else:
-            parts[l][k[:l] + (k[l] - 1,) + k[l + 1:]] = c
-    out = AElement.const(forms[0].field, forms[0].f, const)
-    for form, part in zip(forms, parts):
-        if part:
-            out = out + form * _substitute_linear(part, forms)
-    return out
-
-
 def _graded_exponents(f, deg_max):
     out = []
     def rec(prefix, remaining, slots):
@@ -627,42 +594,46 @@ class ChartContext:
         """Coefficients of Y_0 = sum over units a of a^{-1} n([a]).
 
         The coefficient of T^beta is sum_a a^{-1} prod_l C(c_l(a), beta_l)
-        mod p, with c_l(a) the coordinates of the Teichmuller lift of a: the
-        products of the first f-1 coordinates come from _binomial_product,
-        the last coordinate's binomials from _binomial_row.  The lifts are
-        the powers of the lift of the field generator.
+        mod p, with c_l(a) the coordinates of the Teichmuller lift of a, the
+        lifts being the powers of the lift of the field generator.
 
         The sum is Kronecker-packed: a^{-1} is a _Packing int with S-bit
         slots, and the binomials of the last variable for all exponents
         m < depth sit in consecutive k*S-bit blocks of one int, so one
-        product adds a unit's contribution to every m at once.  A
-        contribution is at most (p-1)^(f+1) per slot (a digit of a^{-1}
-        times binomial products reduced mod p), over q-1 units.
+        product adds a unit's contribution to every m at once.  It is summed
+        one first-coordinate row (_binomial_row) at a time, by sum
+        factorization: the units are grouped by that row, each group sums
+        a^{-1} * (middle product, _row_product) * (last row), and each
+        partial sum is multiplied by the group's row once before the next
+        group is summed; f = 1 has one group.  A unit adds at most
+        (p-1)^(f+1) per slot (weight digit * first-row binomial * middle
+        product reduced mod p * last binomial), over q-1 units.
         """
         fld, ring = self.field, self.ring
         p, f, depth = self.p, self.f, self.tdepth
         pack = _packing(fld, _slot_bits((p - 1) ** (f + 1), self.q - 1))
         width = fld.k * pack.bits
-        packed = {}
-
-        def last_row(c):
-            # C(c, m) mod p for m < depth, packed in blocks
-            row = _binomial_row(p, c, depth)
-            hit = packed.get(row)
-            if hit is None:
-                hit = packed[row] = sum(b << (width * m) for m, b in enumerate(row))
-            return hit
-
-        acc = {}
-        get = acc.get
-        teich_gen = ring.teichmuller(fld.generator)
-        lift = ring.one
+        # C(c, m) mod p for m < depth, packed in blocks, once per distinct row
+        packed = functools.cache(lambda row: sum(b << (width * m) for m, b in enumerate(row)))
+        head = min(f - 1, 1)  # the first coordinate, unless it is the last
+        # a unit is kept as its packed weight and its middle and last rows,
+        # which _binomial_row shares between units
+        groups, lift, teich_gen = {}, ring.one, ring.teichmuller(fld.generator)
         for a in fld.EXP:  # generator powers, in step with their lifts
-            last = last_row(lift[-1])
-            w = pack.table[fld.inv(a)]
-            for t, x in _binomial_product(fld, lift[:-1], depth, self.N).items():
-                acc[t] = get(t, 0) + w * x * last
+            rows = tuple(_binomial_row(p, c, depth) for c in lift)
+            groups.setdefault(rows[:head], []).append((pack.table[fld.inv(a)],) + rows[head:])
             lift = ring.mul(lift, teich_gen)
+        acc = {}
+        for first, units in groups.items():
+            part = {}
+            for w, *middle, last in units:
+                wl = w * packed(last)
+                for t, x in _row_product(p, middle, depth).items():
+                    part[t] = part.get(t, 0) + x * wl
+            for h, b in _row_product(p, first, depth).items():
+                for t, v in part.items():
+                    if sum(h) + sum(t) < depth:
+                        acc[h + t] = acc.get(h + t, 0) + b * v
 
         terms = {}
         bmask = (1 << width) - 1
@@ -682,7 +653,17 @@ class ChartContext:
 
     @functools.cached_property
     def jacobian_inverse(self):
-        return _matrix_inverse(self.field, self.jacobian)
+        return gauss_jordan(self.field, self.jacobian)[0]
+
+    @functools.cached_property
+    def shear_steps(self):
+        """M^-1 = E_1^-1...E_n^-1 for the row operations E_k of its
+        Gauss-Jordan elimination, so h(M^-1 Y) is h with the inverse steps
+        applied in order: (i, j, c) substitutes T_i -> T_i + c*T_j and
+        (i, i, c) substitutes T_i -> c*T_i."""
+        fld = self.field
+        return [(i, j, fld.inv(c) if i == j else fld.neg(c))
+                for i, j, c in gauss_jordan(fld, self.jacobian_inverse)[1]]
 
     # ---- chart conversions ----
 
@@ -693,9 +674,10 @@ class ChartContext:
         Jacobian, the degree-d part h_d(T) of the residual is the leading form
         of the additive image of h_d(M^-1 Y), so that form joins the output
         and its exact image (y_to_t) leaves the residual without degree d.
-        The substitution h -> h(M^-1 Y) is F_q-linear, so its results are
-        cached for forms scaled to 1 at their least exponent, and a form c*h
-        reads the image of h scaled by c (_form_image).
+        The substitution h -> h(M^-1 Y) runs as the elementary steps of
+        shear_steps; it is F_q-linear, so its results are cached for forms
+        scaled to 1 at their least exponent, and a form c*h reads the image
+        of h scaled by c (_form_image).
         """
         bound = min(s.cutoff, self.tdepth) if bound is None else bound
         if bound > min(s.cutoff, self.tdepth):
@@ -716,19 +698,13 @@ class ChartContext:
                 residual = residual - self.y_to_t(form, bound)
         return AElement(self.field, self.f, bound, out)
 
-    @functools.cached_property
-    def linear_forms(self):
-        """The rows of M^-1 as linear forms in Y: T_l is (M^-1 Y)_l to first
-        order, with M the Jacobian."""
-        fld, f = self.field, self.f
-        unit_vecs = [tuple(1 if i == j else 0 for i in range(f)) for j in range(f)]
-        return [AElement(fld, f, INF, {unit_vecs[j]: c for j, c in enumerate(row) if c})
-                for row in self.jacobian_inverse]
-
     def _form_image(self, lead):
         """h(M^-1 Y) for the form h = `lead`, read from a cache of forms
         divided by the coefficient c of their least exponent: substitution is
-        F_q-linear, so h is looked up as c * (h / c)."""
+        F_q-linear, so h is looked up as c * (h / c).  A miss applies the
+        shear_steps in order to a dict of encodings: T_i -> T_i + s*T_j sends
+        T_i^a to sum_m C(a, m) s^m T_i^(a-m) T_j^m, C(a, m) mod p from
+        _binomial_row, and T_i -> s*T_i scales each coefficient by s^(a_i)."""
         fld = self.field
         items = sorted(lead.items())
         c = items[0][1]
@@ -738,7 +714,21 @@ class ChartContext:
         key = tuple(items)
         hit = self._form_cache.get(key)
         if hit is None:
-            hit = self._form_cache[key] = _substitute_linear(dict(items), self.linear_forms)
+            terms, deg = dict(items), sum(items[0][0])
+            for i, j, s in self.shear_steps:
+                spow = [fld.pow(s, m) for m in range(deg + 1)]
+                if i == j:
+                    terms = {k: fld.mul(v, spow[k[i]]) for k, v in terms.items()}
+                    continue
+                moves = [tuple(m if l == j else -m if l == i else 0 for l in range(self.f))
+                         for m in range(deg + 1)]
+                out = {}
+                for k, v in terms.items():
+                    row = _binomial_row(self.p, k[i], k[i] + 1)
+                    _accumulate(fld, out, {tuple(map(add, k, moves[m])): fld.mul(spow[m], b)
+                                           for m, b in enumerate(row) if b}, INF, v)
+                terms = out
+            hit = self._form_cache[key] = AElement(fld, self.f, INF, terms)
         return hit if c == 1 else hit.scale(c)
 
     def y_to_t(self, x, bound=None):

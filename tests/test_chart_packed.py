@@ -10,10 +10,13 @@ conversion that substitutes that table into an
 additive-chart series.  ``ChartContext.t_to_y`` eliminates leading forms
 instead and shares no code with the table, so the table is an independent
 oracle for it; the packed eigencoordinate sum must reproduce its reference
-exactly too.
+exactly too.  The leading forms themselves are substituted by elementary
+shears in the chart; the multivariate Horner scheme over the rows of M^-1
+below is their oracle.
 """
 
 import functools
+import math
 import random
 import sys
 import threading
@@ -23,7 +26,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modpcheck import iwasawa
-from modpcheck.iwasawa import AElement, ChartContext, _graded_exponents
+from modpcheck.errors import SingularJacobian
+from modpcheck.iwasawa import INF, AElement, ChartContext, _graded_exponents
 from test_binomial_layer import reference_n_series
 
 
@@ -46,6 +50,36 @@ def reference_y_series(ctx):
     for _ in range(1, ctx.f):
         ys.append(ys[-1].map_coeffs(lambda c: fld.pow(c, fld.p)))
     return tuple(ys)
+
+
+def linear_forms(ctx):
+    """The rows of M^-1 as linear forms in Y: T_l is (M^-1 Y)_l to first
+    order, with M the Jacobian."""
+    fld, f = ctx.field, ctx.f
+    unit_vecs = [tuple(1 if i == j else 0 for i in range(f)) for j in range(f)]
+    return [AElement(fld, f, INF, {unit_vecs[j]: c for j, c in enumerate(row) if c})
+            for row in ctx.jacobian_inverse]
+
+
+def substitute_linear(terms, forms):
+    """The polynomial `terms` in T_0..T_{f-1} with each T_l replaced by the
+    AElement forms[l], by the multivariate Horner scheme (Pena and Sauer,
+    SIAM J. Numer. Anal. 37, 2000): P = P(0) + sum_l T_l * P_l, where P_l
+    holds the terms whose first nonzero exponent is at slot l, divided by
+    T_l, and is evaluated the same way."""
+    const = 0
+    parts = [{} for _ in forms]
+    for k, c in terms.items():
+        l = next((i for i, e in enumerate(k) if e), None)
+        if l is None:
+            const = c
+        else:
+            parts[l][k[:l] + (k[l] - 1,) + k[l + 1:]] = c
+    out = AElement.const(forms[0].field, forms[0].f, const)
+    for form, part in zip(forms, parts):
+        if part:
+            out = out + form * substitute_linear(part, forms)
+    return out
 
 
 def _accumulate(fld, acc, k, v):
@@ -149,6 +183,38 @@ def test_y_series_matches_n_series_sum(p, f, cutoff):
     assert [y.terms for y in got] == [y.terms for y in want]
 
 
+def y0_coefficient_by_definition(ctx, units, beta):
+    """sum over units a of a^-1 prod_l C(c_l([a]), beta_l) mod p, with
+    math.comb on the whole lift coordinates; `units` holds (digits of a^-1,
+    lift) and the sum runs digit by digit, since F_q adds digitwise."""
+    p = ctx.p
+    acc = [0] * ctx.f
+    for digits, lift in units:
+        x = math.prod(math.comb(c, b) for c, b in zip(lift, beta)) % p
+        if x:
+            acc = [s + x * d for s, d in zip(acc, digits)]
+    return ctx.field.from_coords([s % p for s in acc])
+
+
+def test_y0_matches_definition_at_the_preset_depth():
+    # at depth 18 > p the binomials read the second base-p digit of the lift
+    # coordinates, which the (17, 3, 24) comparison above never reaches
+    ctx = ChartContext(17, 3, 34)
+    fld, ring = ctx.field, ctx.ring
+    gen, lift, units = ring.teichmuller(fld.generator), ring.one, []
+    for a in fld.EXP:  # lifts as powers of the generator's lift
+        units.append((fld.coords(fld.inv(a)), lift))
+        lift = ring.mul(lift, gen)
+    rng = random.Random(17)
+    top = [m for m in _graded_exponents(3, 17) if sum(m) == 17]
+    lower = _graded_exponents(3, 16)
+    betas = [(17, 0, 0), (0, 17, 0), (0, 0, 17)] + rng.sample(top, 8) + rng.sample(lower, 24)
+    assert len(set(betas)) == 35
+    got = ctx.y_series[0].terms
+    for beta in betas:
+        assert got.get(beta, 0) == y0_coefficient_by_definition(ctx, units, beta), beta
+
+
 @pytest.mark.parametrize("p,f,cutoff", [(13, 2, 12), (17, 3, 24)])
 def test_tau_table_and_t_to_y_match_reference(p, f, cutoff):
     ctx, want = reference_case(p, f, cutoff)
@@ -244,22 +310,81 @@ def test_y_power_cache_is_thread_safe():
     serial = ChartContext(13, 2, 12)
     for (m, rel), y in list(ctx._ypow_cache.items()):
         assert y == serial._y_power(m, rel)
+    forms = linear_forms(serial)
     for key, img in list(ctx._form_cache.items()):
-        assert img == iwasawa._substitute_linear(dict(key), serial.linear_forms)
+        assert img == substitute_linear(dict(key), forms)
 
 
 def uncached_t_to_y(ctx, s, bound):
     """The leading-form elimination of ChartContext.t_to_y with every form
-    substituted by _substitute_linear, bypassing the form cache."""
+    substituted by the Horner scheme, bypassing the form cache."""
+    forms = linear_forms(ctx)
     residual = s.copy_truncated(bound)
     out = {}
     for d in range(bound):
         lead = {k: c for k, c in residual.terms.items() if sum(k) == d}
         if lead:
-            form = iwasawa._substitute_linear(lead, ctx.linear_forms)
+            form = substitute_linear(lead, forms)
             out.update(form.terms)
             residual = residual - ctx.y_to_t(form, bound)
     return out
+
+
+def random_form(ctx, rng, d):
+    """A form of degree d in T with random support and coefficients."""
+    monomials = [m for m in _graded_exponents(ctx.f, d) if sum(m) == d]
+    support = rng.sample(monomials, rng.randint(1, len(monomials)))
+    return {m: rng.randrange(1, ctx.q) for m in support}
+
+
+def with_jacobian_inverse(p, f, cutoff, minv):
+    """A fresh context, form cache empty, whose M^-1 is `minv`."""
+    ctx = ChartContext(p, f, cutoff)
+    ctx.jacobian_inverse = minv
+    return ctx
+
+
+@settings(max_examples=5, deadline=None)
+@given(rng=st.randoms(use_true_random=False))
+@pytest.mark.parametrize("p,f,cutoff", [(11, 1, 40), (13, 2, 30), (17, 3, 34)])
+def test_shear_substitution_matches_horner_at_every_degree(p, f, cutoff, rng):
+    ctx = with_jacobian_inverse(p, f, cutoff, iwasawa.chart_context(p, f, cutoff).jacobian_inverse)
+    forms = linear_forms(ctx)
+    for d in range(ctx.tdepth):
+        h = random_form(ctx, rng, d)
+        assert ctx._form_image(h) == substitute_linear(h, forms), d
+
+
+@st.composite
+def zero_pivot_matrices(draw, q, f):
+    """Invertible f x f matrices over F_q whose Gauss-Jordan elimination
+    meets a zero pivot: the rows of an upper-triangular matrix with nonzero
+    diagonal, permuted by a permutation s other than the identity.  Columns
+    before the first c with s(c) != c leave the rows from c on untouched, so
+    the pivot at c is the entry below the diagonal U[s(c)][c] = 0."""
+    perm = draw(st.permutations(range(f)).filter(lambda s: list(s) != list(range(f))))
+    rows = [[draw(st.integers(1 if i == j else 0, q - 1)) if j >= i else 0 for j in range(f)]
+            for i in range(f)]
+    return [rows[i] for i in perm]
+
+
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+@pytest.mark.parametrize("p,f,cutoff", [(13, 2, 30), (17, 3, 34)])
+def test_shear_substitution_fills_zero_pivots(p, f, cutoff, data):
+    minv = data.draw(zero_pivot_matrices(p**f, f), label="minv")
+    ctx = with_jacobian_inverse(p, f, cutoff, minv)
+    d = data.draw(st.integers(0, ctx.tdepth - 1), label="degree")
+    h = random_form(ctx, data.draw(st.randoms(use_true_random=False)), d)
+    assert ctx._form_image(h) == substitute_linear(h, linear_forms(ctx))
+
+
+def test_singular_jacobian_raises_on_first_y_series(monkeypatch):
+    monkeypatch.setattr(ChartContext, "jacobian", property(lambda ctx: [[1, 1], [1, 1]]))
+    with pytest.raises(SingularJacobian):
+        ChartContext(13, 2, 12).y_series
+    with pytest.raises(SingularJacobian):
+        with_jacobian_inverse(13, 2, 12, [[1, 1], [1, 1]]).shear_steps
 
 
 @st.composite

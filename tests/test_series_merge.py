@@ -113,7 +113,7 @@ class ReferenceSeries:
 
     def __sub__(self, other):
         return self._binop(
-            other, lambda fld, prev, c: fld.neg(c) if prev is None else fld.sub(prev, c)
+            other, lambda fld, prev, c: fld.neg(c) if prev is None else fld.add(prev, fld.neg(c))
         )
 
     def __mul__(self, other):

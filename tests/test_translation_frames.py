@@ -7,9 +7,9 @@ tJx bumps on every call.  The frames must agree with them exactly on the
 whole hypothesis window, and must raise the same exception with the same
 message one step outside it.  A test pins which report row kills each
 mutant of the two hoisted tables, so a hoist cannot hide a mutant behind
-another row.  The origin-change sweep compares each box in one pass and
-reruns it tuple by tuple only on a mismatch; the tests at the end hold it to
-the one-call-per-tuple sweep it replaced.
+another row.  The origin-change and shifted-table sweeps compare each box or
+domain in one pass and rerun it tuple by tuple only on a mismatch; the tests
+at the end hold them to the one-call-per-tuple sweeps they replaced.
 """
 
 import itertools
@@ -505,3 +505,73 @@ def test_shifted_table_additivity_builds_one_frame_per_j_j0(monkeypatch):
                 want |= {(J.bits, j0), (Jp.bits, j0)}
     assert len(built) == len(set(built))
     assert set(built) == want
+
+
+# ---------------------------------------------------------------------------
+# the one-pass shifted-table sweep
+
+
+def shifted_additivity_reference(params, tables):
+    """The sweep as it was: two IntVec table calls and one check per n."""
+    f = params.f
+    sw = Sweep("shifted-table-additivity")
+    for J in params.subsets():
+        _, _, Jsh = params.parts(J)
+        for Jp in params.subsets():
+            if not Jp <= J:
+                continue
+            diff = J - Jp
+            rdiff = tables.rJ(diff)
+            shift = IntVec(f, tuple(1 if j in diff else 0 for j in range(f)))
+            for j0 in range(f):
+                if (j0 + 1) in diff:
+                    continue
+                if j0 in Jsh and not ((J & params.Jrho) | SubsetJ.of(f, [j0 + 1])) <= Jp:
+                    continue
+                window = _ajn_window(params, J, j0)
+                for ent in itertools.product(*(range(lo, hi + 1) for lo, hi in window)):
+                    n = IntVec(f, ent)
+                    lhs = tables.aJn(J, n, j0) + rdiff
+                    rhs = tables.aJn(Jp, n + shift, j0)
+                    sw.check(lhs == rhs, J=J, Jp=Jp, j0=j0, n=n, lhs=lhs, rhs=rhs)
+    return sw.result()
+
+
+@pytest.mark.parametrize("p,f,r,jrho", [(13, 2, (5, 6), (0,)), (13, 2, (5, 6), (0, 1)),
+                                        (17, 3, (7, 8, 7), (0,))],
+                         ids=["p13-f2-jrho0", "p13-f2-jrho01", "p17-f3-jrho0"])
+def test_shifted_table_one_pass_matches_per_n_reference_under_mutants(p, f, r, jrho):
+    # an aJn bump reaches the tuple pass; an r bump moves rdiff
+    params = RhoParams.make(p, f, r, jrho)
+    muts = [None] + [
+        Mutation(m.table, m.jmask, m.j, delta=delta)
+        for m in all_mutations(params) if m.table in ("aJn", "r")
+        for delta in ((1, -1) if f == 2 else (1,))
+    ]
+    failing = set()
+    for m in muts:
+        tables = ConstantTables(params, m)
+        got = check_shifted_table_additivity(params, tables).as_dict()
+        assert got == shifted_additivity_reference(params, tables).as_dict(), m
+        if got["status"] == "fail":
+            failing.add(m and m.table)
+    assert failing == {"aJn", "r"}
+
+
+def test_shifted_table_sweep_reads_the_frame_image(monkeypatch):
+    # a frame image wrong at one n of one table fails the row at that n, with
+    # the counterexample the per-n sweep records
+    params = RhoParams.make(17, 3, (7, 8, 7), (0,))
+    original = AJnFrame.image
+
+    def mutant(self, ent):
+        out = original(self, ent)
+        return (out[0] + 1,) + out[1:] if ent == (2, 0, 3) and self.anchor == 1 else out
+
+    monkeypatch.setattr(AJnFrame, "image", mutant)
+    tables = ConstantTables(params)
+    got = check_shifted_table_additivity(params, tables).as_dict()
+    assert got["status"] == "fail"
+    assert got == shifted_additivity_reference(params, tables).as_dict()
+    frame = AJnFrame(params, SubsetJ.of(3, []), 0)
+    assert frame(IntVec.of((2, 0, 3))).entries == frame.image((2, 0, 3)) != original(frame, (2, 0, 3))
