@@ -14,14 +14,19 @@ tuples mod p^N.
 Multiplication is table-driven: full flat tables for q <= 169, discrete
 log/antilog tables over a generator (a*b = EXP[LOG a + LOG b]) above that.
 Addition is a flat table when small and a loop over the base-p digits
-otherwise; it does not use Zech logarithms.  gauss_jordan inverts the small
-matrices of the chart's linear coordinate change and records its row
-operations.
+otherwise; it does not use Zech logarithms.  _Packing holds elements as
+Kronecker-packed ints, whose sums and products are plain int arithmetic.
+gauss_jordan inverts the small matrices of the chart's linear coordinate
+change and records its row operations.
 """
 
 from __future__ import annotations
 
-from .errors import NotAUnit, SingularJacobian
+import sys
+from itertools import repeat
+from operator import add, mod, mul
+
+from .errors import NotAUnit, RangeViolation, SingularJacobian
 
 
 def _poly_mulmod(a, b, g, p):
@@ -274,6 +279,93 @@ class Fq:
 
     def __repr__(self):
         return f"Fq(p={self.p}, k={self.k})"
+
+
+class _Packing:
+    """Kronecker packing of F_q coefficients into single ints.
+
+    The k power-basis digits of an element sit in consecutive `bits`-wide
+    slots, so the product of two packed elements is their unreduced
+    polynomial product (2k-1 slots) and a sum of packed values or products
+    is plain int addition, exact while no slot reaches 2^bits.  `encode`
+    turns such a sum back into a field encoding: slots mod p, then
+    reduction by the minimal polynomial.
+
+    It serves the iwasawa eigencoordinate sum, series product (_mul_terms)
+    and torus-eigenvector sum; each of them states the bound on one slot of
+    its sums that fixes its width, and takes instances from the shared
+    cache `iwasawa._packing`.  `decode` turns many blocks at once when the
+    width is a byte lane (_lane_bits), as in the torus sum.
+    """
+
+    def __init__(self, field, bits):
+        self.bits = bits
+        self.p = p = field.p
+        k = field.k
+        self.mask = (1 << bits) - 1
+        table = []
+        for e in field.elements():
+            v = 0
+            for i, d in enumerate(field.coords(e)):
+                v |= d << (bits * i)
+            table.append(v)
+        self.table = table  # field encoding -> packed
+        # slot i >= k of a product stands for x^i mod g, so digit j is slot j
+        # plus each such slot times the coefficient of x^j in x^i mod g, all
+        # mod p; digit_terms holds the (shift, factor) pairs, top digit first
+        x = [0, 1] + [0] * (k - 2)
+        high = {i: _poly_powmod(x, i, list(field.g_coeffs), p)
+                for i in range(k, 2 * k - 1)}
+        self.digit_terms = [[(bits * j, 1)] + [(bits * i, r[j]) for i, r in high.items() if r[j]]
+                            for j in range(k - 1, -1, -1)]
+
+    def encode(self, v):
+        """Field encoding of a sum of packed elements and packed products."""
+        mask, p = self.mask, self.p
+        e = 0
+        for terms in self.digit_terms:
+            t = 0
+            for shift, r in terms:
+                t += (v >> shift & mask) * r
+            e = e * p + t % p
+        return e
+
+    def decode(self, v, count, stride):
+        """encode of each of the `count` blocks of `stride` slots at the
+        bottom of v, for a width of 8, 16, 32 or 64 bits: v is read as an
+        array of lanes, one list per slot position by strided slices, and
+        digit_terms combine the lists; a slot position past the stride is
+        not read, so stride k decodes sums of packed elements.  Slots above
+        the blocks are cut off, so a carry gives wrong digits, never an
+        error."""
+        p, bits = self.p, self.bits
+        n = count * stride * bits
+        lanes = memoryview((v & (1 << n) - 1).to_bytes(n // 8, sys.byteorder)).cast(
+            _LANE_FORMATS[bits])
+        if sys.byteorder == "big":
+            lanes = lanes[::-1]
+        out = None
+        for terms in self.digit_terms:
+            t = None
+            for shift, r in terms:
+                if shift < stride * bits:
+                    col = lanes[shift // bits::stride]
+                    col = col.tolist() if r == 1 else list(map(mul, col, repeat(r)))
+                    t = col if t is None else list(map(add, t, col))
+            t = map(mod, t, repeat(p))
+            out = list(t) if out is None else list(map(add, map(mul, out, repeat(p)), t))
+        return out
+
+
+_LANE_FORMATS = {8: "B", 16: "H", 32: "I", 64: "Q"}
+
+
+def _lane_bits(bits):
+    """The narrowest byte lane (_LANE_FORMATS) holding a `bits`-wide slot."""
+    lane = next((w for w in _LANE_FORMATS if w >= bits), None)
+    if lane is None:
+        raise RangeViolation(f"a {bits}-bit slot is wider than any byte lane")
+    return lane
 
 
 def gauss_jordan(field, rows):

@@ -43,9 +43,10 @@ import math
 import random
 import threading
 from dataclasses import dataclass
-from operator import add
+from itertools import repeat
+from operator import add, mul
 
-from .arith import Fq, WittRing, _poly_powmod, gauss_jordan, witt_precision
+from .arith import Fq, WittRing, _lane_bits, _Packing, gauss_jordan, witt_precision
 from .errors import (
     ExponentPrecisionTooLow,
     HypothesisViolation,
@@ -460,55 +461,6 @@ def _slot_bits(per_term, terms):
     return (per_term * terms).bit_length()
 
 
-class _Packing:
-    """Kronecker packing of F_q coefficients into single ints.
-
-    The k power-basis digits of an element sit in consecutive `bits`-wide
-    slots, so the product of two packed elements is their unreduced
-    polynomial product (2k-1 slots) and a sum of packed values or products
-    is plain int addition, exact while no slot reaches 2^bits.  `encode`
-    turns such a sum back into a field encoding: slots mod p, then
-    reduction by the minimal polynomial.
-
-    It serves the eigencoordinate sum, the series product (_mul_terms) and
-    the torus-eigenvector sum; each of them states the bound on one slot of
-    its sums that fixes its width.  Instances come from the shared cache
-    `_packing`.
-    """
-
-    def __init__(self, field, bits):
-        self.bits = bits
-        self.p = p = field.p
-        k = field.k
-        self.mask = (1 << bits) - 1
-        table = []
-        for e in field.elements():
-            v = 0
-            for i, d in enumerate(field.coords(e)):
-                v |= d << (bits * i)
-            table.append(v)
-        self.table = table  # field encoding -> packed
-        # slot i >= k of a product stands for x^i mod g, so digit j is slot j
-        # plus each such slot times the coefficient of x^j in x^i mod g, all
-        # mod p; digit_terms holds the (shift, factor) pairs, top digit first
-        x = [0, 1] + [0] * (k - 2)
-        high = {i: _poly_powmod(x, i, list(field.g_coeffs), p)
-                for i in range(k, 2 * k - 1)}
-        self.digit_terms = [[(bits * j, 1)] + [(bits * i, r[j]) for i, r in high.items() if r[j]]
-                            for j in range(k - 1, -1, -1)]
-
-    def encode(self, v):
-        """Field encoding of a sum of packed elements and packed products."""
-        mask, p = self.mask, self.p
-        e = 0
-        for terms in self.digit_terms:
-            t = 0
-            for shift, r in terms:
-                t += (v >> shift & mask) * r
-            e = e * p + t % p
-        return e
-
-
 _PACKINGS = {}
 _PACKINGS_LOCK = threading.Lock()
 
@@ -570,11 +522,11 @@ class ChartContext:
 
     # ---- additive-chart generator data ----
 
-    def n_series(self, a, depth=None):
-        """n([a]) = prod_l (1+T_l)^(c_l of the Teichmuller lift), truncated."""
+    def n_series(self, g, depth=None):
+        """n(g) = prod_l (1+T_l)^(c_l), c_l the coordinates of the ring
+        element g (so n([a]) takes the Teichmuller lift of a), truncated."""
         depth = self.tdepth if depth is None else depth
-        return AElement(self.field, self.f, depth, _binomial_product(
-            self.field, self.ring.teichmuller(a), depth, self.N))
+        return AElement(self.field, self.f, depth, _binomial_product(self.field, g, depth, self.N))
 
     @property
     def y_series(self):
@@ -981,7 +933,8 @@ def check_frobenius_generators(ctx):
 
 def _torus_slot_bits(fld):
     """Slot width S of the packed torus-eigenvector sum: q-1 products of two
-    reduced packed coefficients, each adding at most k*(p-1)^2 to a slot."""
+    reduced packed coefficients, each adding at most k*(p-1)^2 to a slot.
+    The sum is read in the byte lane _lane_bits(S)."""
     return _slot_bits(fld.k * (fld.p - 1) ** 2, fld.q - 1)
 
 
@@ -989,48 +942,61 @@ def check_torus_eigenvector(ctx):
     """Scaling by a Teichmuller representative multiplies the j-th
     eigencoordinate by a^(p^j): reindexed summand comparison, all a.
 
+    The reindexing rests on the multiplicativity of the lifts, one
+    Teichmuller lift per unit.  F_q^x is cyclic, so [g][c] == [gc] for the
+    generator g and every unit c, with [1] idempotent, gives [a][b] == [ab]
+    for all a, b; only a failing chain sweeps every pair for the first
+    witness.
+
     The sum over b of b^(-p^j) n([ab]) is Kronecker-packed.  Each n([c]) is
-    one int with a block of (2k-1)*S bits per monomial of degree < depth (in
+    one int with a block of 2k-1 slots per monomial of degree < depth (in
     the order of _graded_exponents) holding its _Packing coefficient, so the
-    sum for one (a, j) is q-1 int multiply-adds, and each block is encoded
-    once.  S = _slot_bits(k*(p-1)^2, q-1) (see _torus_slot_bits).
+    sum for one (a, j) is q-1 int multiply-adds, decoded in one pass
+    (_Packing.decode) and compared with a^(p^j) Y_j as dense lists; only a
+    failing (a, j) builds the dict and the difference that count its
+    discrepancies.  A slot is the byte lane (_lane_bits) of
+    S = _slot_bits(k*(p-1)^2, q-1) (see _torus_slot_bits).
     """
     sweep = Sweep("torus-reindex-eigenvector")
-    fld = ctx.field
+    fld, ring = ctx.field, ctx.ring
     depth = ctx.tdepth
-    lifts = {a: ctx.ring.teichmuller(a) for a in fld.units()}
-    for a in fld.units():
-        for b in fld.units():
-            # multiplicativity of the lifts backs the reindexing step
-            if ctx.ring.mul(lifts[a], lifts[b]) != lifts[fld.mul(a, b)]:
-                sweep.check(False, a=a, b=b, stage="teichmuller-product")
-                return sweep.result()
     units = fld.units()
-    pack = _packing(fld, _torus_slot_bits(fld))
+    lifts = {a: ring.teichmuller(a) for a in units}
+    g = fld.generator
+    if ring.mul(lifts[1], lifts[1]) != lifts[1] or any(
+            ring.mul(lifts[g], lifts[c]) != lifts[fld.mul(g, c)] for c in units):
+        for a in units:
+            for b in units:
+                if ring.mul(lifts[a], lifts[b]) != lifts[fld.mul(a, b)]:
+                    sweep.check(False, a=a, b=b, stage="teichmuller-product")
+                    return sweep.result()
+    pack = _packing(fld, _lane_bits(_torus_slot_bits(fld)))
     pk = pack.table
-    encode = pack.encode
-    width = (2 * fld.k - 1) * pack.bits
-    mask = (1 << width) - 1
+    stride = 2 * fld.k - 1
     monomials = _graded_exponents(ctx.f, depth - 1)
-    shift = {m: i * width for i, m in enumerate(monomials)}
-    packed = {c: sum(pk[e] << shift[m] for m, e in ctx.n_series(c, depth).terms.items())
-              for c in units}
-    weights = [[(b, pk[fld.inv(fld.frob(b, j))]) for b in units]  # b^(-p^j)
+    # n([c]) as one int of little-endian blocks of 2k-1 lanes, for c = EXP[i]
+    # in order and then once more, so n([a*EXP[i]]) is packed[LOG[a] + i]
+    block = [e.to_bytes(stride * pack.bits // 8, "little") for e in pk]
+    packed = []
+    for c in fld.EXP:
+        terms = ctx.n_series(lifts[c], depth).terms
+        packed.append(int.from_bytes(b"".join([block[terms.get(m, 0)] for m in monomials]),
+                                     "little"))
+    packed *= 2
+    weights = [[pk[fld.inv(fld.frob(b, j))] for b in fld.EXP]  # b^(-p^j), b = EXP[i]
                for j in range(ctx.f)]
+    dense = [[y.terms.get(m, 0) for m in monomials] for y in ctx.y_series]
     for a in units:
+        nab = packed[fld.LOG[a]:fld.LOG[a] + fld.q - 1]  # n([ab]), b = EXP[i]
         for j in range(ctx.f):
-            v = 0
-            for b, w in weights[j]:
-                v += w * packed[fld.mul(a, b)]
-            acc = {}
-            for m in monomials:
-                if e := encode(v & mask):
-                    acc[m] = e
-                v >>= width
-            want = ctx.y_series[j].scale(fld.frob(a, j))
-            ok = acc == want.terms
-            # only a failing (a, j) forms the difference to count its terms
-            bad = 0 if ok else len((AElement(fld, ctx.f, depth, acc) - want).terms)
+            v = sum(map(mul, weights[j], nab))
+            got = pack.decode(v, len(monomials), stride)
+            ok = got == list(map(fld.mul, repeat(fld.frob(a, j)), dense[j]))
+            bad = 0
+            if not ok:
+                acc = {m: e for m, e in zip(monomials, got) if e}
+                want = ctx.y_series[j].scale(fld.frob(a, j))
+                bad = len((AElement(fld, ctx.f, depth, acc) - want).terms)
             sweep.check(ok, a=a, j=j, discrepancies=bad)
     return sweep.result(info={"depth": depth})
 
@@ -1039,18 +1005,14 @@ def check_exponent_additivity(ctx, samples=20, seed=0):
     """n(g)n(h) == n(g+h) for sampled ring elements g, h."""
     sweep = Sweep("binomial-exponent-additivity")
     rng = random.Random(seed)
-    fld = ctx.field
     depth = min(ctx.tdepth, 2 * ctx.p)
     span = ctx.p**ctx.N
-
-    def n_of(coords):
-        return AElement(fld, ctx.f, depth, _binomial_product(fld, coords, depth, ctx.N))
-
+    n = functools.partial(ctx.n_series, depth=depth)
     for _ in range(samples):
         g = tuple(rng.randrange(span) for _ in range(ctx.f))
         h = tuple(rng.randrange(span) for _ in range(ctx.f))
         gh = tuple((x + y) % span for x, y in zip(g, h))
-        diff = n_of(g).mul_below(n_of(h), depth) - n_of(gh)
+        diff = n(g).mul_below(n(h), depth) - n(gh)
         sweep.check(diff.is_zero(), g=list(g), h=list(h))
     return sweep.result(info={"depth": depth})
 

@@ -1,17 +1,26 @@
 """The packed torus-eigenvector sweep against the field-op reference loop.
 
-`reference_torus_eigenvector` is the straightforward form of the check: for
-each unit a and slot j it adds b^(-p^j) n([ab]) over all units b into a dict,
-one field call per coefficient, and compares the sum with a^(p^j) Y_j.  The
-packed sweep in ``modpcheck.iwasawa`` must give the same row, on passing
-data and on a perturbed generator series, and must fail when its slots are
-too narrow to hold the sum.
+`reference_torus_eigenvector` is the straightforward form of the check: it
+tests the multiplicativity of the Teichmuller lifts on every pair of units,
+then for each unit a and slot j it adds b^(-p^j) n([ab]) over all units b
+into a dict, one field call per coefficient, and compares the sum with
+a^(p^j) Y_j.  The packed sweep in ``modpcheck.iwasawa``, which checks the
+lifts along the generator first and decodes its sums in byte lanes, must
+give the same row on passing data, on perturbed series and on perturbed
+lifts, and must fail when its lanes are too narrow to hold the sum.  The
+lane decode itself must agree with the per-block encode.
 """
 
-import pytest
+import math
 
-from modpcheck import iwasawa
-from modpcheck.arith import Fq
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from modpcheck import arith, iwasawa
+from modpcheck.arith import Fq, _lane_bits, _Packing
+from modpcheck.errors import PACKAGE_ERRORS
+from modpcheck.harness import MAX_CHART_Q
 from modpcheck.iwasawa import (
     AElement,
     ChartContext,
@@ -20,7 +29,9 @@ from modpcheck.iwasawa import (
     chart_context,
     check_torus_eigenvector,
 )
-from modpcheck.reporting import Sweep
+from modpcheck.reporting import Sweep, run_table
+
+FIELDS = [(11, 1), (5, 2), (7, 2), (13, 2)]
 
 
 def reference_torus_eigenvector(ctx):
@@ -33,7 +44,7 @@ def reference_torus_eigenvector(ctx):
             if ctx.ring.mul(lifts[a], lifts[b]) != lifts[fld.mul(a, b)]:
                 sweep.check(False, a=a, b=b, stage="teichmuller-product")
                 return sweep.result()
-    series = {c: ctx.n_series(c, depth) for c in fld.units()}
+    series = {c: ctx.n_series(lifts[c], depth) for c in fld.units()}
     for a in fld.units():
         for j in range(ctx.f):
             acc = {}
@@ -56,7 +67,7 @@ def reference_torus_eigenvector(ctx):
     return sweep.result(info={"depth": depth})
 
 
-@pytest.mark.parametrize("p,f", [(11, 1), (5, 2), (7, 2), (13, 2)])
+@pytest.mark.parametrize("p,f", FIELDS)
 def test_packed_sweep_matches_reference(p, f):
     ctx = chart_context(p, f)
     got = check_torus_eigenvector(ctx).as_dict()
@@ -71,13 +82,34 @@ def test_perturbed_generator_series_fails_the_same_row(monkeypatch):
     fld = ctx.field
     depth = ctx.tdepth
     c = 5
-    good = ctx.n_series(c, depth)
+    lift = ctx.ring.teichmuller(c)
+    good = ctx.n_series(lift, depth)
     k = next(k for k in sorted(good.terms) if sum(k) == 3)
     terms = dict(good.terms)
     terms[k] = fld.add(terms[k], 1) or 1
     bad = AElement(fld, 2, depth, terms)
     right = ctx.n_series
-    monkeypatch.setattr(ctx, "n_series", lambda a, d=None: bad if a == c else right(a, d))
+    monkeypatch.setattr(ctx, "n_series", lambda g, d=None: bad if g == lift else right(g, d))
+
+    got = check_torus_eigenvector(ctx).as_dict()
+    assert got["status"] == "fail"
+    assert got["counterexample"] == {"a": 1, "j": 0, "discrepancies": 1}
+    assert got == reference_torus_eigenvector(ctx).as_dict()
+
+
+@pytest.mark.parametrize("p,f", FIELDS)
+def test_perturbed_top_coefficient_of_y0_fails_the_same_row(p, f):
+    # one coefficient of Y_0 off by 1 at the top degree the chart keeps
+    # (degree 20 at p=13, f=2, where no other row sees it): every (a, 0)
+    # fails with one discrepancy, as in the reference
+    ctx = ChartContext(p, f, iwasawa.default_cutoff(p, f))
+    fld = ctx.field
+    y0, *rest = ctx.y_series
+    degree = 20 if (p, f) == (13, 2) else ctx.tdepth - 1
+    k = next(k for k in sorted(y0.terms) if sum(k) == degree)
+    terms = dict(y0.terms)
+    terms[k] = fld.add(terms[k], 1) or 1
+    ctx._y_series = (AElement(fld, f, y0.cutoff, terms), *rest)
 
     got = check_torus_eigenvector(ctx).as_dict()
     assert got["status"] == "fail"
@@ -86,19 +118,137 @@ def test_perturbed_generator_series_fails_the_same_row(monkeypatch):
 
 
 def test_slot_width_formula_is_pinned():
-    # S = bit length of k*(p-1)^2 * (q-1)
+    # S = bit length of k*(p-1)^2 * (q-1), and the row reads its sums in
+    # the narrowest byte lane that holds S bits
     assert _torus_slot_bits(Fq(11, 1)) == _slot_bits(100, 10) == 10
     assert _torus_slot_bits(Fq(13, 2)) == _slot_bits(2 * 144, 168) == 16
     assert _torus_slot_bits(Fq(7, 2)) == (2 * 36 * 48).bit_length()
+    assert [_lane_bits(_torus_slot_bits(Fq(p, f))) for p, f in FIELDS] == [16, 16, 16, 16]
+    assert [_lane_bits(b) for b in (1, 8, 9, 16, 17, 32, 33, 64)] == [8, 8, 16, 16, 32, 32, 64, 64]
 
 
-@pytest.mark.parametrize("cut,passes", [(1, True), (3, True), (6, False)])
-def test_narrowed_slots(monkeypatch, cut, passes):
-    # the width is a worst-case bound, so a few bits less still hold the
-    # sums at p=13, f=2; six bits less let slots carry into their neighbours
-    bits = iwasawa._torus_slot_bits
-    monkeypatch.setattr(iwasawa, "_torus_slot_bits", lambda fld: bits(fld) - cut)
+@pytest.mark.parametrize("lane,passes", [(16, True), (8, False)])
+def test_narrowed_slots(monkeypatch, lane, passes):
+    # at p=13, f=2 the slot bound is exactly 16 bits, so its lane holds the
+    # sums and the next lane down lets slots carry into their neighbours
+    widths = []
+    packing = iwasawa._packing
+
+    def spy(fld, bits):
+        widths.append(bits)
+        return packing(fld, bits)
+
+    monkeypatch.setattr(iwasawa, "_lane_bits", lambda bits: lane)
+    monkeypatch.setattr(iwasawa, "_packing", spy)
     assert check_torus_eigenvector(chart_context(13, 2)).passed is passes
+    assert widths == [lane]
+
+
+def _primes(n):
+    return [p for p in range(2, n + 1) if all(p % d for d in range(2, math.isqrt(p) + 1))]
+
+
+def test_every_admitted_torus_field_has_a_lane():
+    # the chart suites admit q <= MAX_CHART_Q and run the torus row at f <= 2;
+    # the lane follows from the formula alone, so no field is built
+    built = set(arith._FIELD_CACHE)
+    lanes = {f: max(_lane_bits(_slot_bits(f * (p - 1) ** 2, p**f - 1))
+                    for p in _primes(MAX_CHART_Q) if p**f <= MAX_CHART_Q)
+             for f in (1, 2)}
+    assert lanes == {1: 64, 2: 32}
+    assert set(arith._FIELD_CACHE) == built
+
+
+def test_slot_wider_than_every_lane_fails_the_row(monkeypatch):
+    # a width with no lane is a package error, so the row fails and the
+    # table goes on
+    with pytest.raises(PACKAGE_ERRORS):
+        _lane_bits(65)
+    monkeypatch.setattr(iwasawa, "_torus_slot_bits", lambda fld: 65)
+    ctx = chart_context(11, 1)
+    rows = run_table([(("torus-reindex-eigenvector",), lambda: [check_torus_eigenvector(ctx)]),
+                      (("frobenius-generator-images",),
+                       lambda: [iwasawa.check_frobenius_generators(ctx)])])
+    assert [r.as_dict()["status"] for r in rows] == ["fail", "pass"]
+    assert rows[0].as_dict()["counterexample"] == {
+        "error": "RangeViolation: a 65-bit slot is wider than any byte lane"}
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@settings(max_examples=30)
+@given(data=st.data())
+def test_lane_decode_matches_per_block_encode(k, data):
+    # at every lane width, blocks of sums of packed elements (stride k) and
+    # of products (stride 2k-1), each sum of as many terms as the worst-case
+    # slot bound lets the lane hold, with junk above the last block
+    fld = Fq(data.draw(st.sampled_from([3, 5, 7, 11]), label="p"), k)
+    elem = st.integers(0, fld.q - 1)
+    for lane in (8, 16, 32, 64):
+        pack = _Packing(fld, lane)
+        for products, stride, per_term in ((False, k, fld.p - 1),
+                                           (True, 2 * k - 1, k * (fld.p - 1) ** 2)):
+            most = (2**lane - 1) // per_term
+            assert _slot_bits(per_term, most) <= lane < _slot_bits(per_term, most + 1)
+            blocks = []
+            for _ in range(data.draw(st.integers(1, 5), label="count")):
+                block, left = 0, most
+                for x, y in data.draw(st.lists(st.tuples(elem, elem), min_size=1, max_size=3)):
+                    n = data.draw(st.integers(0, left), label="n")
+                    block += n * (pack.table[x] * pack.table[y] if products else pack.table[x])
+                    left -= n
+                blocks.append(block)
+            width = stride * lane
+            v = sum(b << (i * width) for i, b in enumerate(blocks))
+            v += data.draw(st.integers(0, 2**64), label="junk") << (len(blocks) * width)
+            assert pack.decode(v, len(blocks), stride) == [pack.encode(b) for b in blocks]
+
+
+def _lift_mutant(monkeypatch, ctx, mutant):
+    """Patch the ring's Teichmuller lift; the series are built beforehand."""
+    ctx.y_series
+    right = ctx.ring.teichmuller
+    monkeypatch.setattr(ctx.ring, "teichmuller", lambda e: mutant(e, right))
+
+
+@pytest.mark.parametrize("p,f", FIELDS)
+@pytest.mark.parametrize("kind", ["generator-top-digit", "one-not-idempotent", "two-swapped"])
+def test_generator_chain_keeps_the_first_witness(monkeypatch, p, f, kind):
+    # each mutant fails the chain [g][c] == [gc] or [1]^2 == [1], and the
+    # row then sweeps all pairs: status, checked and the first (a, b)
+    # witness equal those of the reference's full sweep
+    ctx = chart_context(p, f)
+    g, top = ctx.field.generator, ctx.p ** (ctx.N - 1)
+    u, v = (3, 4) if f == 1 else (2, 3)  # units apart from 1 and g
+
+    def mutant(e, right):
+        if kind == "generator-top-digit" and e == g:
+            c0, *rest = right(e)
+            return ((c0 + top) % ctx.ring.pN, *rest)
+        if kind == "one-not-idempotent" and e == 1:
+            return (1 + top,) + (0,) * (f - 1)
+        if kind == "two-swapped" and e in (u, v):
+            return right(u + v - e)
+        return right(e)
+
+    _lift_mutant(monkeypatch, ctx, mutant)
+    got = check_torus_eigenvector(ctx).as_dict()
+    want = reference_torus_eigenvector(ctx).as_dict()
+    assert got["status"] == "fail" and got["checked"] == 1
+    assert got == want
+    a, b = got["counterexample"]["a"], got["counterexample"]["b"]
+    if kind == "one-not-idempotent":
+        assert (a, b) == (1, 1)
+    if kind == "two-swapped" and f == 2:
+        # the first failing pair involves neither g nor 1
+        assert g not in (a, b) and 1 not in (a, b)
+
+
+def test_one_teichmuller_lift_per_unit(monkeypatch):
+    ctx = chart_context(13, 2)
+    calls = []
+    _lift_mutant(monkeypatch, ctx, lambda e, right: calls.append(e) or right(e))
+    assert check_torus_eigenvector(ctx).passed
+    assert sorted(calls) == list(ctx.field.units())
 
 
 def test_perturbed_second_eigencoordinate_fails_only_slot_one(monkeypatch):
