@@ -127,10 +127,7 @@ def test_slot_width_formula_is_pinned():
     assert [_lane_bits(b) for b in (1, 8, 9, 16, 17, 32, 33, 64)] == [8, 8, 16, 16, 32, 32, 64, 64]
 
 
-@pytest.mark.parametrize("lane,passes", [(16, True), (8, False)])
-def test_narrowed_slots(monkeypatch, lane, passes):
-    # at p=13, f=2 the slot bound is exactly 16 bits, so its lane holds the
-    # sums and the next lane down lets slots carry into their neighbours
+def _spy_packing(monkeypatch):
     widths = []
     packing = iwasawa._packing
 
@@ -138,8 +135,27 @@ def test_narrowed_slots(monkeypatch, lane, passes):
         widths.append(bits)
         return packing(fld, bits)
 
-    monkeypatch.setattr(iwasawa, "_lane_bits", lambda bits: lane)
     monkeypatch.setattr(iwasawa, "_packing", spy)
+    return widths
+
+
+@pytest.mark.parametrize("cut,passes", [(1, True), (3, True)])
+def test_narrowed_slots(monkeypatch, cut, passes):
+    # the width is a worst-case bound, so a few bits less still hold the
+    # sums at p=13, f=2: the row rounds them back up to the 16-bit lane
+    bits = iwasawa._torus_slot_bits
+    monkeypatch.setattr(iwasawa, "_torus_slot_bits", lambda fld: bits(fld) - cut)
+    widths = _spy_packing(monkeypatch)
+    assert check_torus_eigenvector(chart_context(13, 2)).passed is passes
+    assert widths == [16]
+
+
+@pytest.mark.parametrize("lane,passes", [(16, True), (8, False)])
+def test_narrowed_lane(monkeypatch, lane, passes):
+    # at p=13, f=2 the slot bound is exactly 16 bits, so its lane holds the
+    # sums and the next lane down lets slots carry into their neighbours
+    monkeypatch.setattr(iwasawa, "_lane_bits", lambda bits: lane)
+    widths = _spy_packing(monkeypatch)
     assert check_torus_eigenvector(chart_context(13, 2)).passed is passes
     assert widths == [lane]
 
