@@ -12,7 +12,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from operator import add, eq, mul
+from operator import add, eq, ge, le, mul
 
 from .arith import Fq
 from .base_combinatorics import (
@@ -22,7 +22,7 @@ from .base_combinatorics import (
     right_boundary,
 )
 from .errors import ConfigInvalid, HypothesisViolation, PairNotDefined, RangeViolation
-from .reporting import Sweep, run_table
+from .reporting import Sweep, run_table, witness
 from .weights import (
     Translation,
     aJ,
@@ -98,9 +98,10 @@ def tJJp(params, J, Jp):
 
 
 def _m_frame(params, J, Jp):
-    # signed exponent vector of the i-indexed element in a J-block, as a
-    # function of i: m_j = sign_j (2 i_j + e^Kss_j - e^{J^Kss}_j + e^{Jp+1}_j)
-    # with Kss = (J-1) & Jrho; the reindexing sweep evaluates it formally,
+    # (signs, offsets) of the signed exponent vector of the i-indexed element
+    # in a J-block: m_j = signs_j (2 i_j + offsets_j), that is
+    # sign_j (2 i_j + e^Kss_j - e^{J^Kss}_j + e^{Jp+1}_j) with
+    # Kss = (J-1) & Jrho; the reindexing sweep evaluates it formally,
     # outside the small box of i too
     f = params.f
     Kss = J.shift(-1) & params.Jrho
@@ -110,9 +111,12 @@ def _m_frame(params, J, Jp):
         (1 if j in Kss else 0) - (1 if j in sym else 0) + (1 if (j - 1) in Jp else 0)
         for j in range(f)
     )
-    return lambda i: IntVec(
-        f, tuple(s * (2 * x + o) for s, x, o in zip(signs, i.entries, offsets))
-    )
+    return signs, offsets
+
+
+def _m_vec(frame, i):
+    signs, offsets = frame
+    return tuple(s * (2 * x + o) for s, x, o in zip(signs, i, offsets))
 
 
 def _tjx_bump(params, J, j):
@@ -120,11 +124,25 @@ def _tjx_bump(params, J, j):
     return (params.r[j] + 1) if (j + 1) not in J else (params.p - 1 - params.r[j])
 
 
+def _a_domain(params, J, j0):
+    # the hypothesis domain of aJn(J, ., j0): n_{j0+1} = 0, 1 <= n_j <= 2f - e^J_j
+    f = params.f
+    anchor = (j0 + 1) % f
+    ranges = []
+    for j in range(f):
+        if j == anchor:
+            ranges.append((0,))
+        else:
+            ranges.append(tuple(range(1, 2 * f - (1 if j in J else 0) + 1)))
+    return list(itertools.product(*ranges))
+
+
 class AJnFrame:
     """Exponent table aJn(J, ., j0) with its per-(J, j0) data computed once:
-    the anchor slot j0+1, the hypothesis bounds, the zero slot and the bumps."""
+    the anchor slot j0+1, the hypothesis bounds, the zero slot, the bumps and
+    the image of every n of the hypothesis domain, at most (2f)^(f-1)."""
 
-    __slots__ = ("f", "p", "anchor", "bounds", "bumps")
+    __slots__ = ("f", "p", "anchor", "bounds", "bumps", "images")
 
     def __init__(self, params, J, j0):
         f = params.f
@@ -139,11 +157,19 @@ class AJnFrame:
             None if j == j0 % f and j0 in Jsh else _tjx_bump(params, J, j)
             for j in range(f)
         )
+        self.images = {ent: self._formula(ent) for ent in _a_domain(params, J, j0)}
 
     def image(self, ent):
         """Entries of aJn(J, n, j0) for the entries of n; HypothesisViolation
         names a wrong length, a nonzero anchor slot or the first slot outside
-        its bounds, in that order."""
+        its bounds, in that order.  One lookup on the hypothesis domain;
+        only a miss computes."""
+        try:
+            return self.images[ent]
+        except (KeyError, TypeError):
+            return self._formula(ent)
+
+    def _formula(self, ent):
         if len(ent) != self.f:
             raise HypothesisViolation(f"n indexed by f={len(ent)}, table by f={self.f}")
         if ent[self.anchor] != 0:
@@ -282,6 +308,7 @@ class ConstantTables:
     def __init__(self, params, mutation=None):
         self.params = params
         self.mutation = mutation
+        self._aJn = {}
 
     def _bump(self, table, J, vec, Jp=None):
         m = self.mutation
@@ -315,23 +342,19 @@ class ConstantTables:
         return self._bump("tJJp", J, tJJp(self.params, J, Jp), Jp=Jp)
 
     def aJn(self, J, n, j0):
-        return self.aJn_at(J, j0)(n)
-
-    def aJn_at(self, J, j0):
-        """aJn(J, ., j0) as a function of n, for a caller that holds it over
-        many n: the (J, j0) frame is built once, and the mutation bump still
-        applies to every output."""
-        image = self.aJn_image_at(J, j0)
-        return lambda n: IntVec(self.params.f, image(n.entries))
+        return IntVec(self.params.f, self.aJn_image_at(J, j0)(n.entries))
 
     def aJn_image_at(self, J, j0):
-        """aJn_at on entries tuples (AJnFrame.image), the bump added as a
-        vector."""
-        image = AJnFrame(self.params, J, j0).image
-        bump = self._bump("aJn", J, IntVec.zero(self.params.f)).entries
-        if not any(bump):
-            return image
-        return lambda ent: tuple(map(add, image(ent), bump))
+        """aJn(J, ., j0) on entries tuples (AJnFrame.image), for a caller
+        that holds it over many n: each (J, j0) frame is built once per
+        instance, and the mutation bump is added to every output."""
+        image = self._aJn.get((J, j0))
+        if image is None:
+            frame = AJnFrame(self.params, J, j0).image
+            bump = self._bump("aJn", J, IntVec.zero(self.params.f)).entries
+            image = (lambda ent: tuple(map(add, frame(ent), bump))) if any(bump) else frame
+            self._aJn[J, j0] = image
+        return image
 
 
 def all_mutations(params):
@@ -360,26 +383,6 @@ def _pairs_same_class(params, subs):
         for Jp in subs:
             if (Jp & params.Jrho) == cls:
                 yield J, Jp
-
-
-def _small_boxes(params, J):
-    f = params.f
-    _, _, Jsh = params.parts(J)
-    ranges = [range(0, f - (1 if j in Jsh else 0) + 1) for j in range(f)]
-    for ent in itertools.product(*ranges):
-        yield IntVec(f, ent)
-
-
-def _a_domain(params, J, j0):
-    f = params.f
-    anchor = (j0 + 1) % f
-    ranges = []
-    for j in range(f):
-        if j == anchor:
-            ranges.append((0,))
-        else:
-            ranges.append(tuple(range(1, 2 * f - (1 if j in J else 0) + 1)))
-    return list(itertools.product(*ranges))
 
 
 # ---------------------------------------------------------------------------
@@ -435,42 +438,58 @@ def check_weight_table_bounds(params, tables):
 # identity checks
 
 
-def check_change_origin(params, tables):
+def check_change_origin(params, tables, boxes=None):
     """Origin translation acts as base offset a(J) plus a successor-driven
     sign flip on the whole admissible window.
 
     Each box is compared with the separable formula in one pass; only a box
     that fails it is swept again tuple by tuple, to record the first
-    counterexample.  An image outside a window fails the row."""
+    counterexample.  An image outside a window fails the row.
+
+    boxes maps the inputs of a box to its checked count and first witness.
+    A box sees Jrho only through J^sh, so a caller that passes one dict to
+    the runs of several Jrho checks each distinct box once; None shares
+    nothing."""
     f = params.f
+    boxes = {} if boxes is None else boxes
     sw = Sweep("change-origin-composition")
     for J in params.subsets():
         translate = Translation(params, J)
         base = tables.a(J).entries
         signs = tuple(-1 if (j + 1) in J else 1 for j in range(f))
         _, _, Jsh = params.parts(J)
-        ranges = []
-        for j in range(f):
-            dsh = 1 if j in Jsh else 0
-            ranges.append(range(-(2 * (f - dsh) + 1), 2 * (f + dsh) + 1))
-        formula = itertools.product(
-            *[[a + s * v for v in rng] for a, s, rng in zip(base, signs, ranges)]
+        ranges = tuple(
+            range(-(2 * (f - dsh) + 1), 2 * (f + dsh) + 1)
+            for dsh in (1 if j in Jsh else 0 for j in range(f))
         )
-        try:
-            if all(map(eq, map(translate.image, itertools.product(*ranges)), formula)):
-                sw.checked += math.prod(map(len, ranges))
-                continue
-        except RangeViolation:
-            pass
-        for ent in itertools.product(*ranges):
-            try:
-                got = translate.image(ent)
-            except RangeViolation as exc:
-                sw.check(False, J=J, b=ent, error=str(exc))
-                continue
-            want = tuple(map(add, base, map(mul, signs, ent)))
-            sw.check(got == want, J=J, b=ent)
+        key = (J, ranges, base, translate.lo, translate.hi, translate.signs,
+               translate.offsets, params.b_window)
+        if key not in boxes:
+            boxes[key] = _change_origin_box(J, translate.image, base, signs, ranges)
+        sw.add(*boxes[key])
     return sw.result()
+
+
+def _change_origin_box(J, image, base, signs, ranges):
+    # (checked, first witness) of one box
+    formula = itertools.product(
+        *[[a + s * v for v in rng] for a, s, rng in zip(base, signs, ranges)]
+    )
+    try:
+        if all(map(eq, map(image, itertools.product(*ranges)), formula)):
+            return math.prod(map(len, ranges)), None
+    except RangeViolation:
+        pass
+    sw = Sweep("change-origin-composition")
+    for ent in itertools.product(*ranges):
+        try:
+            got = image(ent)
+        except RangeViolation as exc:
+            sw.check(False, J=J, b=ent, error=str(exc))
+            continue
+        want = tuple(map(add, base, map(mul, signs, ent)))
+        sw.check(got == want, J=J, b=ent)
+    return sw.checked, sw.failure
 
 
 def _check_t_vs_r(params, tables, subs):
@@ -515,107 +534,107 @@ def _check_s_complement(params, tables, subs):
 def _check_m_closed_form(params, tables, subs):
     sw = Sweep("m-closed-form")
     for J, Jp in _pairs_same_class(params, subs):
-        i = indicator((J & Jp) - params.Jrho)
-        m = _m_frame(params, J, (J ^ Jp).shift(-1))(i)
+        i = indicator((J & Jp) - params.Jrho).entries
+        m = _m_vec(_m_frame(params, J, (J ^ Jp).shift(-1)), i)
         for j in range(params.f):
             want = (1 if j in Jp else 0) * (-1 if (j + 1) not in J else 1)
             sw.check(m[j] == want, J=J, Jp=Jp, j=j, m=m[j], want=want)
     return sw.result()
 
 
-def _reindex_tuples(params, subs):
+def _reindex_tuples(params, subs, frame):
+    # (J, i, j0, Jp, frame(J, j0, Jp)), nested in that order, each frame
+    # built once: i runs over the small box 0 <= i_j <= f - e^{J^sh}_j with
+    # i_{j0+1} = 0
     f = params.f
     for J in subs:
         nss = J.shift(-1) - params.Jrho
+        _, _, Jsh = params.parts(J)
         for j0 in range(f):
-            if (j0 + 1) % f not in nss:
+            anchor = (j0 + 1) % f
+            if anchor not in nss:
                 continue
-            for i in _small_boxes(params, J):
-                if i[j0 + 1] != 0:
-                    continue
-                for Jp in subs:
-                    if (j0 in Jp) != ((j0 + 1) in J):
-                        continue
-                    yield J, i, j0, Jp
+            frames = [(Jp, frame(J, j0, Jp)) for Jp in subs if (j0 in Jp) == ((j0 + 1) in J)]
+            ranges = [
+                range(1 if j == anchor else f - (1 if j in Jsh else 0) + 1)
+                for j in range(f)
+            ]
+            for i in itertools.product(*ranges):
+                for Jp, fr in frames:
+                    yield J, i, j0, Jp, fr
+
+
+_REINDEX_PARTS = ("m", "shift", "carry", "positivity", "box")
 
 
 def _check_shift_overlap_reindex(params, tables, subs):
     """Reindexing a block across the overlap at j0: the m-vector, the shift
-    exponents, the assembled carry digits, and positivity all transport."""
+    exponents, the assembled carry digits, and positivity all transport.
+
+    Runs on entries tuples: a part that holds is only counted, and only the
+    first failing part builds its witness."""
     sw = Sweep("shift-overlap-reindex")
     p, f, r = params.p, params.f, params.r
     # the tables depend on the subsets only, not on i: read each one once
     tJJp, s_of = functools.cache(tables.tJJp), functools.cache(tables.s)
 
-    @functools.cache
     def frame(J, j0, Jp):
-        # everything but i: the reindexed subsets J2 and Jpp, their m maps
-        # and shift exponents, the i-free parts of the carry digits and of
-        # the positivity hypothesis, and the small box of J2
+        # everything but i: for the block (J, Jp) and the reindexed (J2, Jpp),
+        # the m frame, the shift exponents and the carry digits as
+        # p i_{j+1} + const_j - twice_j i_j; then the bumped slot and its
+        # bump, the anchor values of the shift exponents, the i-free part of
+        # the positivity hypothesis and the small box of J2
         J2 = J - SubsetJ.of(f, [j0 + 2])
         Jpp = Jp ^ SubsetJ.of(f, [j0 + 1])
         Kss = J.shift(-1) & params.Jrho  # same for J2 since j0+2 is not special
-        bump = -(0 if (j0 + 1) in Jp else 1) + (1 if (j0 + 2) in Kss else 0)
-        sym1, sym2 = J ^ Kss, J2 ^ Kss
         svec = s_of(Kss)
+        anchor = (j0 + 1) % f
+        anchor_out = 1 if (j0 + 1) not in J else 0
+
+        def block(K, Kp):
+            sym, tv = K ^ Kss, tJJp(K, Kp).entries
+            const = tuple(
+                (svec[j] if (j + 1) in sym else p - 1)
+                - (0 if j in Kp else tv[j])
+                - (anchor_out if j == anchor else 0)
+                for j in range(f)
+            )
+            twice = tuple(0 if j in Kp else 2 for j in range(f))
+            return _m_frame(params, K, Kp), tv, const, twice
+
         _, _, J2sh = params.parts(J2)
         return (
-            J2, Jpp, bump, _m_frame(params, J, Jp), _m_frame(params, J2, Jpp),
-            tJJp(J, Jp), tJJp(J2, Jpp),
-            tuple(svec[j] if (j + 1) in sym1 else p - 1 for j in range(f)),
-            tuple(svec[j] if (j + 1) in sym2 else p - 1 for j in range(f)),
-            tuple((1 if (j - 1) in Jp else 0) - (1 if j in sym1 else 0) for j in range(f)),
+            block(J, Jp), block(J2, Jpp), (j0 + 2) % f,
+            -(0 if (j0 + 1) in Jp else 1) + (1 if (j0 + 2) in Kss else 0),
+            (r[anchor] + 1, p - 1 - r[anchor]),
+            tuple((1 if (j - 1) in Jp else 0) - (1 if j in (J ^ Kss) else 0)
+                  for j in range(f)),
             tuple(f - (1 if j in J2sh else 0) for j in range(f)),
         )
 
-    for J, i, j0, Jp in _reindex_tuples(params, subs):
-        J2, Jpp, bump, m_of, m2_of, tv, tv2, dig1, dig2, hyp_off, box = frame(J, j0, Jp)
+    for J, i, j0, Jp, fr in _reindex_tuples(params, subs, frame):
+        (m_of, tv, c1, w1), (m2_of, tv2, c2, w2), k, bump, at_anchor, hyp_off, box = fr
         anchor = (j0 + 1) % f
-
-        ent = list(i.entries)
-        ent[(j0 + 2) % f] += bump
-        ip = IntVec(f, tuple(ent))
-
-        m1 = m_of(i)
-        m2 = m2_of(ip)
-        sw.check(m1 == m2 and m1[anchor] == 0, J=J, j0=j0, i=i, Jp=Jp, part="m")
-
-        ok = True
-        for j in range(f):
-            lhs = 2 * i[j] + tv[j]
-            rhs = 2 * ip[j] + tv2[j]
-            if j == anchor:
-                ok = ok and lhs == r[j] + 1 and rhs == p - 1 - r[j]
-            else:
-                ok = ok and lhs == rhs
-        sw.check(ok, J=J, j0=j0, i=i, Jp=Jp, part="shift")
-
-        anchor_out = 1 if (j0 + 1) not in J else 0
-        cvec, cpvec = [], []
-        for j in range(f):
-            v = p * i[j + 1] + dig1[j]
-            if j not in Jp:
-                v -= 2 * i[j] + tv[j]
-            if j == anchor:
-                v -= anchor_out
-            cvec.append(v)
-            v2 = p * ip[j + 1] + dig2[j]
-            if j not in Jpp:
-                v2 -= 2 * ip[j] + tv2[j]
-            if j == anchor:
-                v2 -= anchor_out
-            cpvec.append(v2)
-        sw.check(cvec == cpvec, J=J, j0=j0, i=i, Jp=Jp, part="carry", c=cvec, c2=cpvec)
-
-        if all(2 * i[j] + hyp_off[j] >= 0 for j in range(f)):
-            sw.check(
-                min(cvec) >= 0 and all(ip[j] >= 0 for j in range(f)),
-                J=J, j0=j0, i=i, Jp=Jp, part="positivity",
-            )
-        sw.check(
-            all(ip[j] <= box[j] for j in range(f)),
-            J=J, j0=j0, i=i, Jp=Jp, part="box",
+        ip = i[:k] + (i[k] + bump,) + i[k + 1:]
+        m1 = _m_vec(m_of, i)
+        shift = [(2 * x + t, 2 * y + u) for x, t, y, u in zip(i, tv, ip, tv2)]
+        cvec = [p * x1 + c - w * x for x, x1, c, w in zip(i, i[1:] + i[:1], c1, w1)]
+        cpvec = [p * x1 + c - w * x for x, x1, c, w in zip(ip, ip[1:] + ip[:1], c2, w2)]
+        hyp = all(2 * x + h >= 0 for x, h in zip(i, hyp_off))
+        oks = (
+            m1 == _m_vec(m2_of, ip) and m1[anchor] == 0,
+            all(pair == at_anchor if j == anchor else pair[0] == pair[1]
+                for j, pair in enumerate(shift)),
+            cvec == cpvec,
+            not hyp or (min(cvec) >= 0 and min(ip) >= 0),
+            all(map(le, ip, box)),
         )
+        failure = None
+        if sw.failure is None and not all(oks):
+            part = _REINDEX_PARTS[oks.index(False)]
+            extra = {"c": cvec, "c2": cpvec} if part == "carry" else {}
+            failure = witness(J=J, j0=j0, i=i, Jp=Jp, part=part, **extra)
+        sw.add(4 + hyp, failure)
     return sw.result()
 
 
@@ -749,9 +768,10 @@ def _check_scalar_ratio_classes(params, mu, subs):
     return sw.result()
 
 
-def identity_sweeps(params, seed=0, mutation=None):
+def identity_sweeps(params, seed=0, mutation=None, boxes=None):
     """Bound checks plus every exact constant identity, exhaustively, as a
-    check table: (row names, thunk) entries in report order."""
+    check table: (row names, thunk) entries in report order.  boxes is the
+    change-of-origin box dict of check_change_origin."""
     tables = ConstantTables(params, mutation)
     subs = list(params.subsets())
 
@@ -763,7 +783,7 @@ def identity_sweeps(params, seed=0, mutation=None):
          lambda: check_weight_table_bounds(params, tables)),
         (("t-equals-r-plus-shift",), over_subsets(_check_t_vs_r)),
         (("pairwise-shift-vs-s",), over_subsets(_check_tpair_vs_s)),
-        (("change-origin-composition",), lambda: [check_change_origin(params, tables)]),
+        (("change-origin-composition",), lambda: [check_change_origin(params, tables, boxes)]),
         (("s-complement",), over_subsets(_check_s_complement)),
         (("m-closed-form",), over_subsets(_check_m_closed_form)),
         (("shift-overlap-reindex",), over_subsets(_check_shift_overlap_reindex)),
@@ -780,10 +800,10 @@ def identity_sweeps(params, seed=0, mutation=None):
     ]
 
 
-def run_identities(params, seed=0, mutation=None):
+def run_identities(params, seed=0, mutation=None, boxes=None):
     """The rows of identity_sweeps; a package error fails only the rows of
     the sweep that raised it."""
-    return run_table(identity_sweeps(params, seed, mutation))
+    return run_table(identity_sweeps(params, seed, mutation, boxes))
 
 
 def check_shifted_table_additivity(params, tables):
@@ -791,12 +811,10 @@ def check_shifted_table_additivity(params, tables):
     j0+1 avoids the difference and the anchor condition holds.
 
     Each (J, Jp, j0) domain is compared on entries tuples in one pass; only
-    a domain that fails is swept again through the IntVec tables, to record
-    the first counterexample."""
+    a domain that fails is walked n by n, to record the first
+    counterexample."""
     f = params.f
     sw = Sweep("shifted-table-additivity")
-    # one frame per (J, j0): J reappears as the Jp of every superset
-    image_at = functools.cache(tables.aJn_image_at)
     for J in params.subsets():
         Jss = J & params.Jrho
         _, _, Jsh = params.parts(J)
@@ -805,25 +823,22 @@ def check_shifted_table_additivity(params, tables):
             if not Jp <= J:
                 continue
             diff = J - Jp
-            rdiff = tables.rJ(diff)
-            shift = indicator(diff)
+            rdiff = tables.rJ(diff).entries
+            shift = indicator(diff).entries
             for j0 in range(f):
                 if (j0 + 1) in diff:
                     continue
                 if j0 in Jsh and not (Jss | SubsetJ.of(f, [j0 + 1])) <= Jp:
                     continue
-                at_J, at_Jp = image_at(J, j0), image_at(Jp, j0)
-                lhs = (tuple(map(add, at_J(e), rdiff.entries)) for e in domains[j0])
-                rhs = (at_Jp(tuple(map(add, e, shift.entries))) for e in domains[j0])
-                if all(map(eq, lhs, rhs)):
-                    sw.checked += len(domains[j0])
+                at_J, at_Jp = tables.aJn_image_at(J, j0), tables.aJn_image_at(Jp, j0)
+                domain = domains[j0]
+                lhs = [tuple(map(add, at_J(e), rdiff)) for e in domain]
+                rhs = [at_Jp(tuple(map(add, e, shift))) for e in domain]
+                if lhs == rhs:
+                    sw.checked += len(domain)
                     continue
-                at_J, at_Jp = tables.aJn_at(J, j0), tables.aJn_at(Jp, j0)
-                for e in domains[j0]:
-                    n = IntVec(f, e)
-                    lhs = at_J(n) + rdiff
-                    rhs = at_Jp(n + shift)
-                    sw.check(lhs == rhs, J=J, Jp=Jp, j0=j0, n=n, lhs=lhs, rhs=rhs)
+                for e, left, right in zip(domain, lhs, rhs):
+                    sw.check(left == right, J=J, Jp=Jp, j0=j0, n=e, lhs=left, rhs=right)
     return sw.result()
 
 
@@ -839,18 +854,17 @@ def check_domination_claims(params, tables):
     env = Sweep("vanishing-region-envelope")
     if f == 1:
         for J in params.subsets():
-            a = tables.aJn(J, IntVec.zero(1), 0)
+            a = tables.aJn_image_at(J, 0)((0,))
             env.check(a[0] == 0, J=J, a=a)
     else:
         for J in params.subsets():
             for j0 in range(f):
-                at = tables.aJn_at(J, j0)
+                at = tables.aJn_image_at(J, j0)
                 for mp in range(1, p):
                     nval = min(mp, 2 * f - 1)
                     ent = [nval] * f
                     ent[(j0 + 1) % f] = 0
-                    n = IntVec(f, tuple(ent))
-                    a = at(n)
+                    a = at(tuple(ent))
                     bound = (f - 1) * mp + f
                     ok = a[j0] >= -mp
                     for j in range(f):
@@ -874,13 +888,9 @@ def check_domination_claims(params, tables):
                     ent = [2] * f
                     ent[(j0 + 1) % f] = 0
                     ent[j0 % f] = 1 + (1 if j0 in diff else 0)
-                    n = IntVec(f, tuple(ent))
-                    lhs = tables.aJn(Jp, n, j0) - IntVec.unit(f, (j0 + 1) % f)
-                    drop = f + 1 - (1 if j0 in Jsh else 0)
-                    rhs = (
-                        tables.rJ(diff)
-                        + IntVec.const(f, f)
-                        - drop * IntVec.unit(f, j0 % f)
-                    )
-                    cor.check(lhs.geq(rhs), J=J, Jp=Jp, j0=j0, lhs=lhs, rhs=rhs)
+                    lhs = list(tables.aJn_image_at(Jp, j0)(tuple(ent)))
+                    lhs[(j0 + 1) % f] -= 1
+                    rhs = [x + f for x in tables.rJ(diff).entries]
+                    rhs[j0 % f] -= f + 1 - (1 if j0 in Jsh else 0)
+                    cor.check(all(map(ge, lhs, rhs)), J=J, Jp=Jp, j0=j0, lhs=lhs, rhs=rhs)
     return [env.result(), cor.result()]

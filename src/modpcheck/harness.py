@@ -169,10 +169,11 @@ def _resolve_mutation(config, params):
 # so that its build counts toward the job and a failed build fails the rows.
 
 
-def identities_table(config, params):
+def identities_table(config, params, boxes=None):
+    """boxes: the change-of-origin box dict of the run (check_change_origin)."""
     mutation, _ = _resolve_mutation(config, params)
     rows = tuple(name for names, _ in identity_sweeps(params) for name in names)
-    return [(rows, lambda: run_identities(params, config.seed, mutation))]
+    return [(rows, lambda: run_identities(params, config.seed, mutation, boxes))]
 
 
 def weights_table(config, params):
@@ -220,7 +221,7 @@ def phigamma_table(config, params):
     ]
 
 
-_TABLES = {"identities": identities_table, "weights": weights_table, "phigamma": phigamma_table}
+_TABLES = {"weights": weights_table, "phigamma": phigamma_table}
 
 
 # ---- report assembly -------------------------------------------------------
@@ -253,8 +254,9 @@ def _tag(params):
     )
 
 
-def _jobs(config):
-    """(suite, tag, check table) per job: canonical suite order, then Jrho."""
+def _jobs(config, boxes=None):
+    """(suite, tag, check table) per job: canonical suite order, then Jrho.
+    The identities jobs share boxes, the change-of-origin box dict."""
     plist = config.param_sets()
     for suite in SUITES:
         if suite not in config.suites:
@@ -262,6 +264,9 @@ def _jobs(config):
         if suite == "iwasawa":
             # the axioms only see (p, f, cutoff), so one job covers all Jrho
             yield suite, f"p={config.p},f={config.f}", iwasawa_table(config)
+        elif suite == "identities":
+            for params in plist:
+                yield suite, _tag(params), identities_table(config, params, boxes)
         else:
             for params in plist:
                 yield suite, _tag(params), _TABLES[suite](config, params)
@@ -270,9 +275,11 @@ def _jobs(config):
 def run_suite(config):
     """Run every entry of every job's check table, one after another, and
     assemble the report.  A package error raised by an entry fails the rows
-    it names, with checked 0, and the next entry runs."""
+    it names, with checked 0, and the next entry runs.  The identities jobs
+    of this call share one change-of-origin box dict, so a box common to
+    several Jrho is checked, and timed, in the first job that needs it."""
     rows, timings = [], {}
-    for suite, tag, table in _jobs(config):
+    for suite, tag, table in _jobs(config, boxes={}):
         t0 = perf_counter()
         for res in run_table(table):
             row = res.as_dict()

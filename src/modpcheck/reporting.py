@@ -61,6 +61,12 @@ class Sweep:
             self.failure = witness(**ctx)
         return ok
 
+    def add(self, checked, failure=None):
+        """Count checks made elsewhere, with their first witness or None."""
+        self.checked += checked
+        if self.failure is None:
+            self.failure = failure
+
     def result(self, info=None):
         return CheckResult(self.name, self.failure is None, self.checked, self.failure, info)
 

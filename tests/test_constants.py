@@ -1,13 +1,19 @@
 """Constant tables: frozen values, windows, identity sweeps, mutation kills."""
 
+import functools
+import itertools
+
 import pytest
 
+from modpcheck import constants
 from modpcheck.base_combinatorics import IntVec, SubsetJ, all_subsets
 from modpcheck.constants import (
     AJnFrame,
     ConstantTables,
     Mutation,
     _m_frame,
+    _check_shift_overlap_reindex,
+    _m_vec,
     _tjx_bump,
     all_mutations,
     cJ,
@@ -27,6 +33,7 @@ from modpcheck.errors import (
     RangeViolation,
 )
 from modpcheck.harness import run_identities
+from modpcheck.reporting import Sweep
 from modpcheck.weights import RhoParams
 
 P1 = RhoParams.make(11, 1, (4,))
@@ -63,7 +70,7 @@ def mVec(params, i, J, Jp):
     """Signed exponent vector of the i-indexed element in a J-block, for the
     comparison subset Jp.  i must lie in the small box [0, f - e^{Jsh}]."""
     _require_small_box(params, J, i)
-    return _m_frame(params, J, Jp)(i)
+    return IntVec(params.f, _m_vec(_m_frame(params, J, Jp), i.entries))
 
 
 def J(params, *members):
@@ -345,3 +352,146 @@ def test_domination_fails_below_genericity_floor():
     env = check_domination_claims(bad, ConstantTables(bad))[0]
     assert not env.passed
     assert env.counterexample is not None
+
+
+# ---------------------------------------------------------------------------
+# the int-tuple overlap sweep against the IntVec sweep it replaced
+
+
+def _small_boxes(params, J):
+    f = params.f
+    _, _, Jsh = params.parts(J)
+    ranges = [range(0, f - (1 if j in Jsh else 0) + 1) for j in range(f)]
+    for ent in itertools.product(*ranges):
+        yield IntVec(f, ent)
+
+
+def _m_map(params, J, Jp):
+    # m_j = sign_j (2 i_j + e^Kss_j - e^{J^Kss}_j + e^{Jp+1}_j), Kss = (J-1) & Jrho
+    f = params.f
+    Kss = J.shift(-1) & params.Jrho
+    sym = J ^ Kss
+    signs = tuple(-1 if (j + 1) not in J else 1 for j in range(f))
+    offsets = tuple(
+        (1 if j in Kss else 0) - (1 if j in sym else 0) + (1 if (j - 1) in Jp else 0)
+        for j in range(f)
+    )
+    return lambda i: IntVec(
+        f, tuple(s * (2 * x + o) for s, x, o in zip(signs, i.entries, offsets))
+    )
+
+
+def overlap_reindex_reference(params, tables, subs):
+    """The sweep as it was: IntVec indices and m-vectors, one check per part."""
+    sw = Sweep("shift-overlap-reindex")
+    p, f, r = params.p, params.f, params.r
+    tJJp, s_of = functools.cache(tables.tJJp), functools.cache(tables.s)
+
+    @functools.cache
+    def frame(J, j0, Jp):
+        J2 = J - SubsetJ.of(f, [j0 + 2])
+        Jpp = Jp ^ SubsetJ.of(f, [j0 + 1])
+        Kss = J.shift(-1) & params.Jrho
+        bump = -(0 if (j0 + 1) in Jp else 1) + (1 if (j0 + 2) in Kss else 0)
+        sym1, sym2 = J ^ Kss, J2 ^ Kss
+        svec = s_of(Kss)
+        _, _, J2sh = params.parts(J2)
+        return (
+            bump, _m_map(params, J, Jp), _m_map(params, J2, Jpp),
+            tJJp(J, Jp), tJJp(J2, Jpp), Jpp,
+            tuple(svec[j] if (j + 1) in sym1 else p - 1 for j in range(f)),
+            tuple(svec[j] if (j + 1) in sym2 else p - 1 for j in range(f)),
+            tuple((1 if (j - 1) in Jp else 0) - (1 if j in sym1 else 0) for j in range(f)),
+            tuple(f - (1 if j in J2sh else 0) for j in range(f)),
+        )
+
+    for J in subs:
+        nss = J.shift(-1) - params.Jrho
+        for j0 in range(f):
+            if (j0 + 1) % f not in nss:
+                continue
+            for i in _small_boxes(params, J):
+                if i[j0 + 1] != 0:
+                    continue
+                for Jp in subs:
+                    if (j0 in Jp) != ((j0 + 1) in J):
+                        continue
+                    bump, m_of, m2_of, tv, tv2, Jpp, dig1, dig2, hyp_off, box = frame(J, j0, Jp)
+                    anchor = (j0 + 1) % f
+                    ent = list(i.entries)
+                    ent[(j0 + 2) % f] += bump
+                    ip = IntVec(f, tuple(ent))
+                    m1, m2 = m_of(i), m2_of(ip)
+                    sw.check(m1 == m2 and m1[anchor] == 0, J=J, j0=j0, i=i, Jp=Jp, part="m")
+                    ok = True
+                    for j in range(f):
+                        lhs, rhs = 2 * i[j] + tv[j], 2 * ip[j] + tv2[j]
+                        if j == anchor:
+                            ok = ok and lhs == r[j] + 1 and rhs == p - 1 - r[j]
+                        else:
+                            ok = ok and lhs == rhs
+                    sw.check(ok, J=J, j0=j0, i=i, Jp=Jp, part="shift")
+                    anchor_out = 1 if (j0 + 1) not in J else 0
+                    cvec, cpvec = [], []
+                    for j in range(f):
+                        v = p * i[j + 1] + dig1[j]
+                        if j not in Jp:
+                            v -= 2 * i[j] + tv[j]
+                        v2 = p * ip[j + 1] + dig2[j]
+                        if j not in Jpp:
+                            v2 -= 2 * ip[j] + tv2[j]
+                        if j == anchor:
+                            v, v2 = v - anchor_out, v2 - anchor_out
+                        cvec.append(v)
+                        cpvec.append(v2)
+                    sw.check(cvec == cpvec, J=J, j0=j0, i=i, Jp=Jp, part="carry",
+                             c=cvec, c2=cpvec)
+                    if all(2 * i[j] + hyp_off[j] >= 0 for j in range(f)):
+                        sw.check(min(cvec) >= 0 and all(ip[j] >= 0 for j in range(f)),
+                                 J=J, j0=j0, i=i, Jp=Jp, part="positivity")
+                    sw.check(all(ip[j] <= box[j] for j in range(f)),
+                             J=J, j0=j0, i=i, Jp=Jp, part="box")
+    return sw.result()
+
+
+def _overlap_rows_agree(params, mutations):
+    """Both sweeps give the same row under every mutation; the failing parts."""
+    subs = list(params.subsets())
+    parts = set()
+    for m in [None, *mutations]:
+        tables = ConstantTables(params, m)
+        got = _check_shift_overlap_reindex(params, tables, subs).as_dict()
+        assert got == overlap_reindex_reference(params, tables, subs).as_dict(), m
+        if got["status"] == "fail":
+            parts.add(got["counterexample"]["part"])
+    return parts
+
+
+@pytest.mark.parametrize("jrho", [(), (0,), (1,), (0, 1)], ids=lambda j: f"jrho{j}")
+def test_overlap_sweep_matches_intvec_reference_under_every_mutant(jrho):
+    # every +1 mutant, plus s lowered by p, which moves both carry vectors
+    # alike at some slots and so reaches the positivity part
+    params = RhoParams.make(13, 2, (5, 6), jrho)
+    muts = all_mutations(params)
+    muts += [Mutation("s", m.jmask, m.j, delta=-13) for m in muts if m.table == "s"]
+    parts = _overlap_rows_agree(params, muts)
+    # the sweep is vacuous when J-1 has no non-special slot for any J
+    assert parts == (set() if jrho == (0, 1) else
+                     {"shift", "carry"} | ({"positivity"} if jrho else set()))
+
+
+def test_overlap_sweep_matches_intvec_reference_at_f3():
+    params = RhoParams.make(17, 3, (7, 8, 7), (0,))
+    muts = [m for m in all_mutations(params) if m.table in ("s", "tJJp")]
+    assert _overlap_rows_agree(params, muts) >= {"shift", "carry"}
+
+
+def test_overlap_sweep_names_the_m_part(monkeypatch):
+    # equal m-vectors that miss 0 at the anchor fail the first tuple at "m"
+    params = RhoParams.make(13, 2, (5, 6), (0,))
+    subs = list(params.subsets())
+    healthy = _check_shift_overlap_reindex(params, ConstantTables(params), subs)
+    monkeypatch.setattr(constants, "_m_vec", lambda frame, i: (1,) * len(i))
+    res = _check_shift_overlap_reindex(params, ConstantTables(params), subs)
+    assert res.checked == healthy.checked
+    assert res.counterexample == {"J": [0], "j0": 0, "i": [0, 0], "Jp": [], "part": "m"}

@@ -29,6 +29,14 @@ GOLDEN = [
     # counts in the payload pin the size of each exhaustive sweep
     (RunConfig(p=17, f=3, r=(7, 7, 7), suites=("identities", "weights")),
      "f78d3ed14f76cbce2960e8929e2867abea49a654c4e6b54bd2cd7d4a342df7c3"),
+    # the other presets of the benchmark's f3-tables workload, whose Jrho
+    # jobs share change-of-origin boxes
+    (RunConfig(p=17, f=3, r=(7, 8, 7), suites=("identities", "weights")),
+     "57bd7dc75667e57571ca732c812218665e84a2538efe6678c6c28491542720e7"),
+    (RunConfig(p=17, f=3, r=(8, 7, 7), suites=("identities", "weights")),
+     "9c17417a6cf7570f3c5f917370a8df4641647f9124509948c80190a75b9f4088"),
+    (RunConfig(p=17, f=3, r=(8, 8, 7), suites=("identities", "weights")),
+     "3046a48481cdb5a8357d3f2c8360fd90473e497bf7e4a587fa0cde2927f519b1"),
     # full f=3 verify: every suite on all 8 Jrho, so the pairing scalars
     # mu(J, J') and gamma(J, J') of every Jrho reach the payload
     (RunConfig(p=17, f=3, r=(7, 8, 7)),
@@ -39,7 +47,9 @@ GOLDEN = [
 @pytest.mark.parametrize("config,digest", GOLDEN,
                          ids=["p11-f1-all", "p13-f2-all", "p17-f3-phigamma",
                               "p17-f3-iwasawa", "p13-f2-cutoff40", "p11-f1-cutoff80",
-                              "p17-f3-identities-weights", "p17-f3-all"])
+                              "p17-f3-identities-weights", "p17-f3-787-identities-weights",
+                              "p17-f3-877-identities-weights", "p17-f3-887-identities-weights",
+                              "p17-f3-all"])
 def test_report_digest_is_pinned(config, digest):
     report = run_suite(config)
     assert report.passed

@@ -9,7 +9,9 @@ message one step outside it.  A test pins which report row kills each
 mutant of the two hoisted tables, so a hoist cannot hide a mutant behind
 another row.  The origin-change and shifted-table sweeps compare each box or
 domain in one pass and rerun it tuple by tuple only on a mismatch; the tests
-at the end hold them to the one-call-per-tuple sweeps they replaced.
+at the end hold them to the one-call-per-tuple sweeps they replaced, and
+hold ``run_suite`` to checking each distinct change-of-origin box once per
+run and never across runs.
 """
 
 import itertools
@@ -32,7 +34,7 @@ from modpcheck.constants import (
     check_shifted_table_additivity,
 )
 from modpcheck.errors import HypothesisViolation, RangeViolation
-from modpcheck.harness import run_identities
+from modpcheck.harness import RunConfig, run_identities, run_suite
 from modpcheck.reporting import Sweep
 from modpcheck.weights import RhoParams, Translation, WeightB
 
@@ -178,13 +180,13 @@ def test_ajn_frame_matches_reference_on_window(params):
     tables = ConstantTables(params)
     for J in params.subsets():
         for j0 in range(f):
-            at = tables.aJn_at(J, j0)
+            at = tables.aJn_image_at(J, j0)
             window = _ajn_window(params, J, j0)
             for ent in itertools.product(*(range(lo, hi + 1) for lo, hi in window)):
                 n = IntVec(f, ent)
                 want = aJn_reference(params, J, n, j0)
                 assert aJn(params, J, n, j0) == want
-                assert at(n) == want
+                assert at(ent) == want.entries
                 assert tables.aJn(J, n, j0) == want
 
 
@@ -250,18 +252,23 @@ def test_translation_names_first_bad_slot(params):
 # the origin-change sweep visits every tuple
 
 
-def test_change_origin_sweep_kills_non_separable_mutant(monkeypatch):
-    """A translation that moves b'_0 only when b_1 sits at the top of its
-    window agrees with the separable formula on every one-coordinate probe,
-    so only a sweep over whole tuples can see it.  The mutant replaces
-    ``Translation.image``, the one code path of the sweep and of __call__."""
-    original = Translation.image
-
+def _non_separable(original):
+    # moves b'_0 only when b_1 sits at the top of its window
     def mutant(self, ent):
         out = original(self, ent)
         if ent[1] != self.hi[1]:
             return out
         return (out[0] + 1,) + out[1:]
+
+    return mutant
+
+
+def test_change_origin_sweep_kills_non_separable_mutant(monkeypatch):
+    """A translation that moves b'_0 only when b_1 sits at the top of its
+    window agrees with the separable formula on every one-coordinate probe,
+    so only a sweep over whole tuples can see it.  The mutant replaces
+    ``Translation.image``, the one code path of the sweep and of __call__."""
+    mutant = _non_separable(Translation.image)
 
     for Jrho in all_subsets(3):
         params = RhoParams.make(17, 3, (7, 8, 7), Jrho.members())
@@ -575,3 +582,68 @@ def test_shifted_table_sweep_reads_the_frame_image(monkeypatch):
     assert got == shifted_additivity_reference(params, tables).as_dict()
     frame = AJnFrame(params, SubsetJ.of(3, []), 0)
     assert frame(IntVec.of((2, 0, 3))).entries == frame.image((2, 0, 3)) != original(frame, (2, 0, 3))
+
+
+# ---------------------------------------------------------------------------
+# change-of-origin boxes shared by the Jrho jobs of one run
+
+F3_IDENTITIES = RunConfig(p=17, f=3, r=(7, 8, 7), suites=("identities",))
+
+
+def _origin_rows(report):
+    return [row for row in report.suites if "/change-origin-composition@" in row["name"]]
+
+
+def test_run_suite_images_each_distinct_box_once(monkeypatch):
+    # 8 Jrho x 8 J = 64 boxes, of which 18 are distinct: each goes through
+    # image once, whole and in order, and every Jrho row still equals the
+    # per-tuple reference
+    calls = []
+    original = Translation.image
+
+    def recording(self, ent):
+        calls.append(((self.lo, self.hi, self.signs, self.offsets), ent))
+        return original(self, ent)
+
+    with monkeypatch.context() as m:
+        m.setattr(Translation, "image", recording)
+        report = run_suite(F3_IDENTITIES)
+    runs = [(state, [ent for _, ent in group])
+            for state, group in itertools.groupby(calls, key=lambda call: call[0])]
+    assert len(runs) == len({state for state, _ in runs}) == 18
+    for (lo, hi, _, _), ents in runs:
+        assert ents == list(itertools.product(*map(range, lo, (h + 1 for h in hi))))
+    rows = _origin_rows(report)
+    assert len(rows) == 8
+    for params, row in zip(F3_IDENTITIES.param_sets(), rows):
+        want = change_origin_reference(params, ConstantTables(params)).as_dict()
+        assert dict(row, name=want["name"]) == want
+
+
+def test_box_sharing_ends_with_the_run(monkeypatch):
+    # a healthy run first; the mutant must then fail every Jrho, so no box
+    # outlives the run that checked it
+    assert run_suite(F3_IDENTITIES).passed
+    monkeypatch.setattr(Translation, "image", _non_separable(Translation.image))
+    res = CliRunner().invoke(
+        main, ["verify", "--p", "17", "--f", "3", "--r", "7,8,7", "--suite", "identities"]
+    )
+    assert res.exit_code == 1, res.output
+    for rows in (run_suite(F3_IDENTITIES).suites, json.loads(res.stdout)["suites"]):
+        failed = [row for row in rows if row["status"] == "fail"]
+        assert failed == [row for row in rows if "/change-origin-composition@" in row["name"]]
+        assert len(failed) == 8
+
+
+def test_shared_boxes_key_on_the_base():
+    # one dict over a healthy run and then every a mutant: each mutant row
+    # equals its unshared row, so a healthy box never stands in for it
+    params = RhoParams.make(13, 2, (5, 6), (0,))
+    boxes = {}
+    assert all(res.passed for res in run_identities(params, 0, None, boxes))
+    for m in all_mutations(params):
+        if m.table != "a":
+            continue
+        shared = [res.as_dict() for res in run_identities(params, 0, m, boxes)]
+        assert shared == [res.as_dict() for res in run_identities(params, 0, m)]
+        assert any(row["status"] == "fail" for row in shared)
