@@ -17,16 +17,41 @@ Addition is a flat table when small and a loop over the base-p digits
 otherwise; it does not use Zech logarithms.  _Packing holds elements as
 Kronecker-packed ints, whose sums and products are plain int arithmetic.
 gauss_jordan inverts the small matrices of the chart's linear coordinate
-change and records its row operations.
+change and records its row operations.  Memo is the keyed cache that keeps
+fields, Witt rings and the chart's tables for the life of the process.
 """
 
 from __future__ import annotations
 
 import sys
+import threading
 from itertools import repeat
 from operator import add, mod, mul
 
 from .errors import NotAUnit, RangeViolation, SingularJacobian
+
+
+class Memo(dict):
+    """A dict that fills itself: memo[key] is build(*key), built once per key
+    and kept.
+
+    A hit is a plain dict lookup.  A miss takes the memo's lock, looks again
+    and builds, so threads that miss the same key at once get one object.
+    The lock is re-entrant, so a build may look up its own memo; the builds
+    of different memos call each other in one order only, so their locks
+    cannot deadlock.  A build that raises stores nothing.
+    """
+
+    def __init__(self, build):
+        super().__init__()
+        self.build = build
+        self._lock = threading.RLock()
+
+    def __missing__(self, key):
+        with self._lock:
+            if key not in self:  # another thread may have built it meanwhile
+                self[key] = self.build(*key)
+            return self.get(key)
 
 
 def _poly_mulmod(a, b, g, p):
@@ -133,21 +158,14 @@ def minimal_irreducible(p, k):
     raise ArithmeticError("no irreducible found (unreachable)")
 
 
-_FIELD_CACHE = {}
+_FIELD_CACHE = Memo(lambda p, k: object.__new__(Fq)._init(p, k))
 
 
 class Fq:
-    """F_{p^k} with int-encoded elements."""
+    """F_{p^k} with int-encoded elements, one instance per (p, k)."""
 
     def __new__(cls, p, k):
-        key = (p, k)
-        hit = _FIELD_CACHE.get(key)
-        if hit is not None:
-            return hit
-        self = super().__new__(cls)
-        self._init(p, k)
-        _FIELD_CACHE[key] = self
-        return self
+        return _FIELD_CACHE[p, k]
 
     def _init(self, p, k):
         self.p = p
@@ -235,6 +253,7 @@ class Fq:
         for a in range(q):
             NEG[a] = enc([-d % p for d in digits(a)])
         self.neg = lambda a: NEG[a]
+        return self
 
     def inv(self, a):
         if a == 0:
@@ -411,11 +430,12 @@ def witt_precision(p, D):
     return n + 1  # floor(log_p D) + 2 == n + 1 since n = floor(log_p D) + 1
 
 
-_WITT_CACHE = {}
+_WITT_CACHE = Memo(lambda p, f, N: object.__new__(WittRing)._init(p, f, N))
 
 
 class WittRing:
-    """O_K/p^N: unramified degree-f extension truncated at p^N.
+    """O_K/p^N: unramified degree-f extension truncated at p^N, one instance
+    per (p, f, N).
 
     Elements are coordinate tuples of length f mod p^N in the power basis,
     with the residue field's minimal polynomial lifted to integer
@@ -423,14 +443,7 @@ class WittRing:
     """
 
     def __new__(cls, p, f, N):
-        key = (p, f, N)
-        hit = _WITT_CACHE.get(key)
-        if hit is not None:
-            return hit
-        self = super().__new__(cls)
-        self._init(p, f, N)
-        _WITT_CACHE[key] = self
-        return self
+        return _WITT_CACHE[p, f, N]
 
     def _init(self, p, f, N):
         self.p = p
@@ -440,6 +453,7 @@ class WittRing:
         self.field = Fq(p, f)
         self.mod_coeffs = self.field.g_coeffs  # lifted verbatim
         self.one = (1,) + (0,) * (f - 1)
+        return self
 
     def add(self, a, b):
         pN = self.pN

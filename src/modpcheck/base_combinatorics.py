@@ -11,7 +11,7 @@ singleton is empty) fall out of the mod-f arithmetic with no special-casing.
 
 from __future__ import annotations
 
-from operator import add, ge, neg, sub
+from operator import add, neg, sub
 
 MAX_F = 16
 
@@ -196,11 +196,6 @@ class IntVec:
 
     def __rmul__(self, c):
         return IntVec(self.f, tuple(c * a for a in self.entries))
-
-    def geq(self, other):
-        if other.f != self.f:
-            raise _f_mismatch(self, other)
-        return all(map(ge, self.entries, other.entries))
 
     def __repr__(self):
         return "(" + ",".join(str(a) for a in self.entries) + ")"

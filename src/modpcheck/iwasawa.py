@@ -34,19 +34,19 @@ precision (Caruso, Roe and Vaccon, LMS J. Comput. Math. 17A, 2014).
 Two routines make every binomial expansion from the Lucas rows C(c, m) mod p
 of _binomial_row: _binomial_product gives prod_l (1 + T_l)^(c_l) below a
 depth (the generator series, the unit-action factors; the eigencoordinate
-sum multiplies the rows with _row_product), and _binomial_series raises a series 1 + v to an integer or p-adic
-power (inverses, the unit action, p-adic powers of the unit ratios).
+sum multiplies the rows with _row_product), and _binomial_series raises a
+series 1 + v to an integer or p-adic power (inverses, the unit action,
+p-adic powers of the unit ratios).
 """
 
 import functools
 import math
 import random
-import threading
 from dataclasses import dataclass
 from itertools import repeat
 from operator import add, mul
 
-from .arith import Fq, WittRing, _lane_bits, _Packing, gauss_jordan, witt_precision
+from .arith import Fq, Memo, WittRing, _lane_bits, _Packing, gauss_jordan, witt_precision
 from .errors import (
     ExponentPrecisionTooLow,
     HypothesisViolation,
@@ -77,12 +77,10 @@ def _binomial_row(p, c, length):
     pe = p
     while pe < length:
         pe *= p
-    return _lucas_row(p, c % pe, length)
+    return _LUCAS_ROWS[p, c % pe, length]
 
 
-@functools.lru_cache(maxsize=None)
-def _lucas_row(p, r, length):
-    return tuple(math.comb(r, m) % p for m in range(length))
+_LUCAS_ROWS = Memo(lambda p, r, length: tuple(math.comb(r, m) % p for m in range(length)))
 
 
 def _binomial_product(field, coords, depth, digits):
@@ -461,21 +459,13 @@ def _slot_bits(per_term, terms):
     return (per_term * terms).bit_length()
 
 
-_PACKINGS = {}
-_PACKINGS_LOCK = threading.Lock()
+_PACKINGS = Memo(lambda field, bits: _Packing(field, bits))
 
 
 def _packing(field, bits):
-    """The _Packing of `field` with `bits`-wide slots, built once per
-    (field, width) even when threads ask for it at the same time."""
-    key = (field, bits)
-    hit = _PACKINGS.get(key)
-    if hit is None:
-        with _PACKINGS_LOCK:
-            hit = _PACKINGS.get(key)
-            if hit is None:
-                hit = _PACKINGS[key] = _Packing(field, bits)
-    return hit
+    """The _Packing of `field` with `bits`-wide slots: one per (field, width)
+    for the process, from the Memo _PACKINGS."""
+    return _PACKINGS[field, bits]
 
 
 def _graded_exponents(f, deg_max):
@@ -498,9 +488,11 @@ def chart_depth(p, f, cutoff):
 
 
 class ChartContext:
-    """Shared, cached per (p, f, cutoff): eigencoordinate series, coordinate
-    Jacobian, the Y^m cache of both chart conversions, and the unit-action
-    caches (unit data, conversion blocks, distortion pieces)."""
+    """The chart at one (p, f, cutoff), shared through chart_context.  Beside
+    the eigencoordinate series and Jacobian it keeps five Memo tables, each
+    filled by one builder method: Y^m (_y_power), leading-form images
+    (_shear_image), unit data (_split_unit), conversion blocks
+    (_conversion_block) and distortion pieces (_u1_pieces)."""
 
     def __init__(self, p, f, cutoff):
         self.p = p
@@ -514,11 +506,11 @@ class ChartContext:
         self.alpha_max = (cutoff - 1) // p
         self.piece_cap = -(-cutoff // p)
         self._y_series = None
-        self._convb = {}
-        self._unit_data = {}
-        self._u1_cache = {}
-        self._ypow_cache = {}
-        self._form_cache = {}
+        self._convb = Memo(self._conversion_block)
+        self._unit_data = Memo(self._split_unit)
+        self._u1_cache = Memo(self._u1_pieces)
+        self._ypow_cache = Memo(self._y_power)
+        self._form_cache = Memo(self._shear_image)
 
     # ---- additive-chart generator data ----
 
@@ -651,37 +643,41 @@ class ChartContext:
         return AElement(self.field, self.f, bound, out)
 
     def _form_image(self, lead):
-        """h(M^-1 Y) for the form h = `lead`, read from a cache of forms
-        divided by the coefficient c of their least exponent: substitution is
-        F_q-linear, so h is looked up as c * (h / c).  A miss applies the
-        shear_steps in order to a dict of encodings: T_i -> T_i + s*T_j sends
-        T_i^a to sum_m C(a, m) s^m T_i^(a-m) T_j^m, C(a, m) mod p from
-        _binomial_row, and T_i -> s*T_i scales each coefficient by s^(a_i)."""
+        """h(M^-1 Y) for the form h = `lead`, read from _form_cache under
+        the form divided by the coefficient c of its least exponent, as its
+        sorted (exponent, coefficient) items: substitution is F_q-linear, so
+        h is looked up as c * (h / c)."""
         fld = self.field
         items = sorted(lead.items())
         c = items[0][1]
         if c != 1:
             inv = fld.inv(c)
             items = [(k, fld.mul(inv, v)) for k, v in items]
-        key = tuple(items)
-        hit = self._form_cache.get(key)
-        if hit is None:
-            terms, deg = dict(items), sum(items[0][0])
-            for i, j, s in self.shear_steps:
-                spow = [fld.pow(s, m) for m in range(deg + 1)]
-                if i == j:
-                    terms = {k: fld.mul(v, spow[k[i]]) for k, v in terms.items()}
-                    continue
-                moves = [tuple(m if l == j else -m if l == i else 0 for l in range(self.f))
-                         for m in range(deg + 1)]
-                out = {}
-                for k, v in terms.items():
-                    row = _binomial_row(self.p, k[i], k[i] + 1)
-                    _accumulate(fld, out, {tuple(map(add, k, moves[m])): fld.mul(spow[m], b)
-                                           for m, b in enumerate(row) if b}, INF, v)
-                terms = out
-            hit = self._form_cache[key] = AElement(fld, self.f, INF, terms)
+        hit = self._form_cache[tuple(items)]
         return hit if c == 1 else hit.scale(c)
+
+    def _shear_image(self, *items):
+        """h(M^-1 Y) for the form h with these (exponent, coefficient)
+        items: the shear_steps applied in order to a dict of encodings.
+        T_i -> T_i + s*T_j sends T_i^a to sum_m C(a, m) s^m T_i^(a-m) T_j^m,
+        C(a, m) mod p from _binomial_row, and T_i -> s*T_i scales each
+        coefficient by s^(a_i)."""
+        fld = self.field
+        terms, deg = dict(items), sum(items[0][0])
+        for i, j, s in self.shear_steps:
+            spow = [fld.pow(s, m) for m in range(deg + 1)]
+            if i == j:
+                terms = {k: fld.mul(v, spow[k[i]]) for k, v in terms.items()}
+                continue
+            moves = [tuple(m if l == j else -m if l == i else 0 for l in range(self.f))
+                     for m in range(deg + 1)]
+            out = {}
+            for k, v in terms.items():
+                row = _binomial_row(self.p, k[i], k[i] + 1)
+                _accumulate(fld, out, {tuple(map(add, k, moves[m])): fld.mul(spow[m], b)
+                                       for m, b in enumerate(row) if b}, INF, v)
+            terms = out
+        return AElement(fld, self.f, INF, terms)
 
     def y_to_t(self, x, bound=None):
         """Additive-chart image; defined on nonnegative supports only."""
@@ -697,7 +693,7 @@ class ChartContext:
                     "additive chart only holds nonnegative supports")
             rel = bound - sum(k)
             if rel > 0:
-                _accumulate(fld, out, self._y_power(k, rel).terms, INF, c)
+                _accumulate(fld, out, self._ypow_cache[k, rel].terms, INF, c)
         return AElement(fld, self.f, bound, out)
 
     def _y_power(self, m, rel):
@@ -706,44 +702,35 @@ class ChartContext:
         Y^m = Y^(m - e_l) * Y_l, with l the first nonzero slot of m and the
         same rel for both factors, so Y_l is needed below rel + 1 only.
         """
-        key = (m, rel)
-        hit = self._ypow_cache.get(key)
-        if hit is None:
-            l = next((i for i, e in enumerate(m) if e), None)
-            if l is None:
-                hit = AElement.const(self.field, self.f, 1, cutoff=rel)
-            else:
-                prev = m[:l] + (m[l] - 1,) + m[l + 1:]
-                hit = self.y_series[l].copy_truncated(rel + 1)
-                if any(prev):
-                    hit = self._y_power(prev, rel) * hit
-            self._ypow_cache[key] = hit
-        return hit
+        l = next((i for i, e in enumerate(m) if e), None)
+        if l is None:
+            return AElement.const(self.field, self.f, 1, cutoff=rel)
+        prev = m[:l] + (m[l] - 1,) + m[l + 1:]
+        y = self.y_series[l].copy_truncated(rel + 1)
+        return self._ypow_cache[prev, rel] * y if any(prev) else y
 
     # ---- unit action ----
 
     def convb(self, j, gamma):
         """Unit-independent conversion block: multiplicative-chart image of
         D^gamma(Y_j) * (1+T)^gamma, known below D - p*|gamma|."""
-        key = (j, tuple(gamma))
-        hit = self._convb.get(key)
-        if hit is not None:
-            return hit
+        return self._convb[j, tuple(gamma)]
+
+    def _conversion_block(self, j, gamma):
         bound = self.D - self.p * sum(gamma)
         # (1+T)^gamma is a polynomial of degree |gamma|, so it is exact
         onep = AElement(self.field, self.f, INF, _binomial_product(
             self.field, gamma, sum(gamma) + 1, self.N))
         s = self.y_series[j].hasse_derivative(gamma) * onep
-        out = self.t_to_y(s.copy_truncated(max(bound, 0)), max(bound, 0))
-        self._convb[key] = out
-        return out
+        return self.t_to_y(s.copy_truncated(max(bound, 0)), max(bound, 0))
 
     def unit_data(self, u):
-        """Split the unit tuple u = [a0]*u1 and extract the mod-p digit matrix
-        of u1, once per unit."""
-        hit = self._unit_data.get(u)
-        if hit is not None:
-            return hit
+        """The UnitData of the unit tuple u, split once per unit."""
+        return self._unit_data[u]
+
+    def _split_unit(self, *u):
+        """Split the unit u = [a0]*u1 and extract the mod-p digit matrix of
+        u1."""
         p, f, fld = self.p, self.f, self.field
         a0, u1 = self.ring.unit_decompose(u)
         # w = (u1 - 1)/p as a residue-field element in the power basis
@@ -754,14 +741,11 @@ class ChartContext:
             basis = (fld.from_coords(tuple(1 if l == i else 0 for l in range(f)))
                      for i in range(f))
             dmat = tuple(tuple(fld.coords(fld.mul(wbar, ei))) for ei in basis)
-        hit = self._unit_data[u] = UnitData(a0, dmat)
-        return hit
+        return UnitData(a0, dmat)
 
-    def _u1_pieces(self, dmat):
-        """Principal-part distortion series v_j with u1(Y_j) = Y_j(1 + v_j)."""
-        hit = self._u1_cache.get(dmat)
-        if hit is not None:
-            return hit
+    def _u1_pieces(self, *dmat):
+        """Principal-part distortion series v_j with u1(Y_j) = Y_j(1 + v_j),
+        for the digit matrix with these rows."""
         fld = self.field
         f = self.f
         cap = self.piece_cap
@@ -792,9 +776,7 @@ class ChartContext:
             # the correction term, so divide by the leading monomial
             yinv = AElement.monomial(fld, f, tuple(-1 if i == j else 0 for i in range(f)), 1)
             vs.append(yinv.mul_below(acc, self.D - 1))
-        out = tuple(vs)
-        self._u1_cache[dmat] = out
-        return out
+        return tuple(vs)
 
     def teich_weight(self, a0, k):
         """Eigenvalue of [a0] on the monomial with exponent k."""
@@ -844,7 +826,7 @@ def unit_action(ctx, u, x):
     f = ctx.f
     if data.dmat is None and data.a0 == 1:
         return x
-    vs = ctx._u1_pieces(data.dmat) if data.dmat is not None else None
+    vs = ctx._u1_cache[data.dmat] if data.dmat is not None else None
     d0 = fdeg(x)
     if d0 == INF:
         return x
@@ -870,7 +852,7 @@ def unit_ratio(ctx, u, j):
     dmat = ctx.unit_data(u).dmat
     if dmat is None:
         return AElement.const(ctx.field, ctx.f, 1, cutoff=ctx.D - 1)
-    v = ctx._u1_pieces(dmat)[j]
+    v = ctx._u1_cache[dmat][j]
     return invert_unit(v + 1)
 
 
@@ -894,17 +876,11 @@ def principal_units(ctx, count, seed=0):
     return out
 
 
-_CTX_CACHE = {}
+_CTX_CACHE = Memo(ChartContext)
 
 
 def chart_context(p, f, cutoff=None):
-    cutoff = default_cutoff(p, f) if cutoff is None else cutoff
-    key = (p, f, cutoff)
-    hit = _CTX_CACHE.get(key)
-    if hit is None:
-        hit = ChartContext(p, f, cutoff)
-        _CTX_CACHE[key] = hit
-    return hit
+    return _CTX_CACHE[p, f, default_cutoff(p, f) if cutoff is None else cutoff]
 
 
 # ---- axiom checkers -------------------------------------------------------

@@ -140,8 +140,7 @@ def test_subset_order_and_algebra():
 
 def test_operands_of_different_f_are_rejected():
     short, long = IntVec(2, (1, 2)), IntVec(3, (1, 2, 3))
-    for op in (lambda: short + long, lambda: long - short,
-               lambda: IntVec(3, (5, 5, 5)).geq(IntVec(2, (1, 1)))):
+    for op in (lambda: short + long, lambda: long - short):
         with pytest.raises(ValueError, match="different f"):
             op()
     A, B = SubsetJ(3, 7), SubsetJ(2, 3)

@@ -70,7 +70,7 @@ def test_identities_example_passes():
 
 def test_weights_only_run_builds_no_field(monkeypatch):
     # the fingerprint reads the minimal irreducible, not the field tables
-    monkeypatch.setattr(arith, "_FIELD_CACHE", {})
+    monkeypatch.setattr(arith, "_FIELD_CACHE", arith.Memo(arith._FIELD_CACHE.build))
     rep = run_suite(RunConfig(p=17, f=3, r=(7, 8, 7), suites=("weights",)))
     assert rep.passed
     assert arith._FIELD_CACHE == {}
@@ -389,7 +389,7 @@ def _transpose_jacobian_inverse(monkeypatch):
     # a wrong chart conversion, on fresh contexts so that no cached chart
     # keeps it
     right = iwasawa.ChartContext.jacobian_inverse.func
-    monkeypatch.setattr(iwasawa, "_CTX_CACHE", {})
+    monkeypatch.setattr(iwasawa, "_CTX_CACHE", arith.Memo(iwasawa._CTX_CACHE.build))
     monkeypatch.setattr(iwasawa.ChartContext, "jacobian_inverse",
                         property(lambda ctx: [list(r) for r in zip(*right(ctx))]))
 
@@ -439,7 +439,7 @@ def _drop_p(x):
 @pytest.fixture
 def frobenius_drops_p(monkeypatch):
     # fresh contexts, so that no cached chart keeps the right map
-    monkeypatch.setattr(iwasawa, "_CTX_CACHE", {})
+    monkeypatch.setattr(iwasawa, "_CTX_CACHE", arith.Memo(iwasawa._CTX_CACHE.build))
     monkeypatch.setattr(iwasawa, "frobenius", _drop_p)
     monkeypatch.setattr(phigamma, "frobenius", _drop_p)
 

@@ -26,7 +26,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from modpcheck import iwasawa
-from modpcheck.arith import Fq
+from modpcheck.arith import Fq, Memo
 from modpcheck.errors import HypothesisViolation
 from modpcheck.iwasawa import (
     AElement,
@@ -252,7 +252,7 @@ def test_concurrent_first_products_build_each_packing_once(monkeypatch):
             time.sleep(0.01)  # hold the build open while the others arrive
             super().__init__(field, bits)
 
-    monkeypatch.setattr(iwasawa, "_PACKINGS", {})
+    monkeypatch.setattr(iwasawa, "_PACKINGS", Memo(iwasawa._PACKINGS.build))
     monkeypatch.setattr(iwasawa, "_Packing", CountingPacking)
     fld = Fq(5, 3)
     xs = [AElement(fld, 3, INF, {(i, j, (i * j) % 3): 1 + (7 * i + j) % 124

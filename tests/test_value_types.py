@@ -91,9 +91,6 @@ class OldIntVec:
     def __rmul__(self, c):
         return OldIntVec(self.f, tuple(c * a for a in self.entries))
 
-    def geq(self, other):
-        return all(a >= b for a, b in zip(self.entries, other.entries))
-
     def __repr__(self):
         return "(" + ",".join(str(a) for a in self.entries) + ")"
 
@@ -230,7 +227,6 @@ def test_intvec_values_match(data):
         same_value(c * o1, c * n1)
         for o2, n2 in zip(olds, news):
             assert (o1 == o2) == (n1 == n2)
-            assert o1.geq(o2) == n1.geq(n2)
             same_value(o1 + o2, n1 + n2)
             same_value(o1 - o2, n1 - n2)
 
