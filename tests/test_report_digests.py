@@ -2,14 +2,19 @@
 
 Each digest is the sha256 of ``emit_report(run_suite(config), "json")``.  A
 change that alters a report on purpose bumps the report schema and updates
-the digest here in the same commit.
+the digest here in the same commit.  The mutant pins cover the failing
+rows, and so the witnesses, of the identity sweeps under every mutant.
 """
 
 import hashlib
+import json
 
 import pytest
 
+from modpcheck.constants import all_mutations, run_identities
 from modpcheck.harness import RunConfig, emit_report, run_suite
+from modpcheck.reporting import _plain
+from modpcheck.weights import RhoParams
 
 GOLDEN = [
     (RunConfig(p=11, f=1, r=(4,)),
@@ -54,3 +59,29 @@ def test_report_digest_is_pinned(config, digest):
     report = run_suite(config)
     assert report.passed
     assert hashlib.sha256(emit_report(report, "json")).hexdigest() == digest
+
+
+# The identity rows of every mutant, witnesses included: one sha256 per
+# degree over json.dumps([_plain(r.as_dict()) for r in run_identities(...)])
+# for each single-cell mutant, with Jrho {0}.  At f=3 every 8th of the 360
+# mutants is run.
+MUTANT_GOLDEN = [
+    ((11, 1, (4,)), 1, 18,
+     "db06536fac71d0d99de2fbef9a45c168c46a8db0969385469d7778c2a9c9a2f5"),
+    ((13, 2, (5, 6)), 1, 88,
+     "e10b95d68ef3c5fcf8ec56d4676ec80f1ded22a3caabd642303ede93c1ade212"),
+    ((17, 3, (7, 8, 7)), 8, 45,
+     "357f79eae173fbee0b5b17cf250e6ed6f3b92703cf2e36e905c22f6091956706"),
+]
+
+
+@pytest.mark.parametrize("preset,step,count,digest", MUTANT_GOLDEN, ids=["f1", "f2", "f3"])
+def test_mutant_identity_rows_are_pinned(preset, step, count, digest):
+    params = RhoParams.make(*preset, (0,))
+    mutants = all_mutations(params)[::step]
+    assert len(mutants) == count
+    outputs = [[_plain(r.as_dict()) for r in run_identities(params, 0, m)] for m in mutants]
+    for m, rows in zip(mutants, outputs):
+        assert any(row["status"] == "fail" for row in rows), m
+    text = json.dumps(outputs, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
