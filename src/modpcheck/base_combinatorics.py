@@ -1,17 +1,16 @@
-"""Cyclic-index subset and integer-vector calculus.
+"""Cyclic-index subset calculus and the elementwise vector helper.
 
 Everything downstream indexes data by j in Z/fZ.  Subsets of the index set
-are bitmasks (bit j = membership of j); integer vectors are IntVec values
-over a tuple of entries, indexed cyclically (v[j] reads j mod f).  Both are
-plain __slots__ value classes, compared and hashed by their fields; their
-fields are never reassigned.  Operands of a binary operation must share f.
-All shifts are cyclic; the f=1 degeneracies (J-1 = J, boundary of the full
-singleton is empty) fall out of the mod-f arithmetic with no special-casing.
+are SubsetJ bitmasks (bit j = membership of j), a plain __slots__ value
+class compared and hashed by its fields, which are never reassigned;
+operands of a binary set operation must share f.  Integer vectors are plain
+int tuples of length f, read at an explicit j % f where an index can pass
+f-1.  All shifts are cyclic; the f=1 degeneracies (J-1 = J, boundary of the
+full singleton is empty) fall out of the mod-f arithmetic with no
+special-casing.
 """
 
 from __future__ import annotations
-
-from operator import add, neg, sub
 
 MAX_F = 16
 
@@ -139,69 +138,7 @@ def right_boundary(J: SubsetJ) -> SubsetJ:
     return J - J.shift(-1)
 
 
-class IntVec:
-    """Integer vector indexed by Z/fZ."""
-
-    __slots__ = ("f", "entries")
-
-    def __init__(self, f, entries):
-        if len(entries) != f:
-            raise ValueError("entry count != f")
-        self.f = f
-        self.entries = entries
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.f == other.f and self.entries == other.entries
-
-    def __hash__(self):
-        return hash((self.f, self.entries))
-
-    @classmethod
-    def of(cls, entries):
-        t = tuple(int(x) for x in entries)
-        return cls(len(t), t)
-
-    @classmethod
-    def zero(cls, f):
-        return cls(f, (0,) * f)
-
-    @classmethod
-    def const(cls, f, c):
-        return cls(f, (int(c),) * f)
-
-    @classmethod
-    def unit(cls, f, j):
-        return cls(f, tuple(1 if i == j % f else 0 for i in range(f)))
-
-    def __getitem__(self, j):
-        return self.entries[j % self.f]
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __add__(self, other):
-        if other.f != self.f:
-            raise _f_mismatch(self, other)
-        return IntVec(self.f, tuple(map(add, self.entries, other.entries)))
-
-    def __sub__(self, other):
-        if other.f != self.f:
-            raise _f_mismatch(self, other)
-        return IntVec(self.f, tuple(map(sub, self.entries, other.entries)))
-
-    def __neg__(self):
-        return IntVec(self.f, tuple(map(neg, self.entries)))
-
-    def __rmul__(self, c):
-        return IntVec(self.f, tuple(c * a for a in self.entries))
-
-    def __repr__(self):
-        return "(" + ",".join(str(a) for a in self.entries) + ")"
-
-
-def indicator(J: SubsetJ) -> IntVec:
-    """e^J: 1 on J, 0 elsewhere."""
-    return IntVec(J.f, tuple(1 if j in J else 0 for j in range(J.f)))
-
+def vmap(op, *vecs):
+    """op entrywise over int tuples of one length, as a tuple: vmap(add, u, v)
+    is the vector sum.  Tuples of different lengths raise ValueError."""
+    return tuple(op(*xs) for xs in zip(*vecs, strict=True))

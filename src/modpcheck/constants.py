@@ -1,9 +1,10 @@
 """Integer constant tables, index bookkeeping, and the scalar pairing algebra.
 
-Everything here is exact: integer vectors indexed cyclically by embeddings,
-plus finite-field scalars for the pairing constants.  The check_* functions
-sweep every tuple allowed by the hypotheses of the identity they verify and
-report the first counterexample rather than raising.
+Everything here is exact: integer vectors are int tuples indexed by the
+embeddings j = 0..f-1, plus finite-field scalars for the pairing constants.
+The check_* functions sweep every tuple allowed by the hypotheses of the
+identity they verify and report the first counterexample rather than
+raising.
 """
 
 import dataclasses
@@ -12,15 +13,10 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from operator import add, eq, ge, le, mul
+from operator import add, eq, ge, le, mul, sub
 
-from .arith import Fq
-from .base_combinatorics import (
-    IntVec,
-    SubsetJ,
-    indicator,
-    right_boundary,
-)
+from .arith import Fq, Memo
+from .base_combinatorics import SubsetJ, right_boundary, vmap
 from .errors import ConfigInvalid, HypothesisViolation, PairNotDefined, RangeViolation
 from .reporting import Sweep, run_table, witness
 from .weights import (
@@ -44,7 +40,7 @@ def rJ(params, J):
     for j in range(f):
         v = (r[j] + 1 if (j + 1) in J else 0) - (1 if j in J else 0)
         out.append(v)
-    return IntVec(f, tuple(out))
+    return tuple(out)
 
 
 def cJ(params, J):
@@ -58,7 +54,7 @@ def cJ(params, J):
         if (j + 1) not in J:
             v += r[j] + 1
         out.append(v)
-    return IntVec(f, tuple(out))
+    return tuple(out)
 
 
 def cPrimeJ(params, J):
@@ -76,7 +72,7 @@ def cPrimeJ(params, J):
         else:
             v = p - f
         out.append(v)
-    return IntVec(f, tuple(out))
+    return tuple(out)
 
 
 def epsilonJ(params, J):
@@ -92,9 +88,7 @@ def tJJp(params, J, Jp):
     """Shift exponents for the (J, Jp) comparison: p-1-s(J) plus a Jp bump."""
     s, _ = sJ_tJ(params, J)
     p, f = params.p, params.f
-    return IntVec(
-        f, tuple(p - 1 - s[j] + (1 if (j - 1) in Jp else 0) for j in range(f))
-    )
+    return tuple(p - 1 - s[j] + (1 if (j - 1) in Jp else 0) for j in range(f))
 
 
 def _m_frame(params, J, Jp):
@@ -190,9 +184,6 @@ class AJnFrame:
                 out.append(half * p + (bump if odd else 0) - nj)
         return tuple(out)
 
-    def __call__(self, n):
-        return IntVec(self.f, self.image(n.entries))
-
 
 def hj(params, h, j):
     """Base-p assembly of the cyclic vector h starting at slot j.
@@ -200,9 +191,10 @@ def hj(params, h, j):
     h=None means the default vector r+1.  Satisfies the telescoping relation
     p*hj(h, j+1) - hj(h, j) = (q-1)*h_j for any h.
     """
+    f = params.f
     if h is None:
-        h = params.r + IntVec.const(params.f, 1)
-    return sum(h[j + i] * params.p**i for i in range(params.f))
+        h = tuple(x + 1 for x in params.r)
+    return sum(h[(j + i) % f] * params.p**i for i in range(f))
 
 
 # ---------------------------------------------------------------------------
@@ -296,6 +288,24 @@ class Mutation:
             raise ConfigInvalid(f"unknown table {self.table!r}; pick one of {MUTABLE}")
 
 
+def _bump(mutation, table, J, vec, Jp=None):
+    # vec, plus the mutation when it hits this table at J (and Jp for tJJp)
+    m = mutation
+    if m is None or m.table != table or m.jmask != J.bits:
+        return vec
+    if table == "tJJp" and m.jpmask != Jp.bits:
+        return vec
+    ent = list(vec)
+    ent[m.j % len(ent)] += m.delta
+    return tuple(ent)
+
+
+def _aJn_image(params, mutation, J, j0):
+    frame = AJnFrame(params, J, j0).image
+    bump = _bump(mutation, "aJn", J, (0,) * params.f)
+    return (lambda ent: tuple(map(add, frame(ent), bump))) if any(bump) else frame
+
+
 class ConstantTables:
     """Accessors for the constant tables, with an optional one-cell mutation.
 
@@ -308,53 +318,36 @@ class ConstantTables:
     def __init__(self, params, mutation=None):
         self.params = params
         self.mutation = mutation
-        self._aJn = {}
-
-    def _bump(self, table, J, vec, Jp=None):
-        m = self.mutation
-        if m is None or m.table != table or m.jmask != J.bits:
-            return vec
-        if table == "tJJp" and m.jpmask != Jp.bits:
-            return vec
-        ent = list(vec.entries)
-        ent[m.j % self.params.f] += m.delta
-        return IntVec(self.params.f, tuple(ent))
+        # the build holds params and mutation, not self, so no reference
+        # cycle keeps the tables and their frames alive until a collection
+        self._aJn = Memo(functools.partial(_aJn_image, params, mutation))
 
     def s(self, J):
-        return self._bump("s", J, sJ_tJ(self.params, J)[0])
+        return _bump(self.mutation, "s", J, sJ_tJ(self.params, J)[0])
 
     def t(self, J):
-        return self._bump("t", J, sJ_tJ(self.params, J)[1])
+        return _bump(self.mutation, "t", J, sJ_tJ(self.params, J)[1])
 
     def a(self, J):
-        return self._bump("a", J, aJ(self.params, J))
+        return _bump(self.mutation, "a", J, aJ(self.params, J))
 
     def rJ(self, J):
-        return self._bump("r", J, rJ(self.params, J))
+        return _bump(self.mutation, "r", J, rJ(self.params, J))
 
     def cJ(self, J):
-        return self._bump("c", J, cJ(self.params, J))
+        return _bump(self.mutation, "c", J, cJ(self.params, J))
 
     def cprime(self, J):
-        return self._bump("cprime", J, cPrimeJ(self.params, J))
+        return _bump(self.mutation, "cprime", J, cPrimeJ(self.params, J))
 
     def tJJp(self, J, Jp):
-        return self._bump("tJJp", J, tJJp(self.params, J, Jp), Jp=Jp)
-
-    def aJn(self, J, n, j0):
-        return IntVec(self.params.f, self.aJn_image_at(J, j0)(n.entries))
+        return _bump(self.mutation, "tJJp", J, tJJp(self.params, J, Jp), Jp=Jp)
 
     def aJn_image_at(self, J, j0):
         """aJn(J, ., j0) on entries tuples (AJnFrame.image), for a caller
         that holds it over many n: each (J, j0) frame is built once per
         instance, and the mutation bump is added to every output."""
-        image = self._aJn.get((J, j0))
-        if image is None:
-            frame = AJnFrame(self.params, J, j0).image
-            bump = self._bump("aJn", J, IntVec.zero(self.params.f)).entries
-            image = (lambda ent: tuple(map(add, frame(ent), bump))) if any(bump) else frame
-            self._aJn[J, j0] = image
-        return image
+        return self._aJn[J, j0]
 
 
 def all_mutations(params):
@@ -455,7 +448,7 @@ def check_change_origin(params, tables, boxes=None):
     sw = Sweep("change-origin-composition")
     for J in params.subsets():
         translate = Translation(params, J)
-        base = tables.a(J).entries
+        base = tables.a(J)
         signs = tuple(-1 if (j + 1) in J else 1 for j in range(f))
         _, _, Jsh = params.parts(J)
         ranges = tuple(
@@ -496,7 +489,7 @@ def _check_t_vs_r(params, tables, subs):
     sw = Sweep("t-equals-r-plus-shift")
     for J in subs:
         _, _, Jsh = params.parts(J)
-        want = tables.rJ(J) + indicator(Jsh)
+        want = vmap(lambda j, r: r + (1 if j in Jsh else 0), range(params.f), tables.rJ(J))
         sw.check(tables.t(J) == want, J=J, t=tables.t(J), want=want)
     return sw.result()
 
@@ -534,7 +527,8 @@ def _check_s_complement(params, tables, subs):
 def _check_m_closed_form(params, tables, subs):
     sw = Sweep("m-closed-form")
     for J, Jp in _pairs_same_class(params, subs):
-        i = indicator((J & Jp) - params.Jrho).entries
+        inter_nss = (J & Jp) - params.Jrho
+        i = tuple(1 if j in inter_nss else 0 for j in range(params.f))
         m = _m_vec(_m_frame(params, J, (J ^ Jp).shift(-1)), i)
         for j in range(params.f):
             want = (1 if j in Jp else 0) * (-1 if (j + 1) not in J else 1)
@@ -592,7 +586,7 @@ def _check_shift_overlap_reindex(params, tables, subs):
         anchor_out = 1 if (j0 + 1) not in J else 0
 
         def block(K, Kp):
-            sym, tv = K ^ Kss, tJJp(K, Kp).entries
+            sym, tv = K ^ Kss, tJJp(K, Kp)
             const = tuple(
                 (svec[j] if (j + 1) in sym else p - 1)
                 - (0 if j in Kp else tv[j])
@@ -640,12 +634,12 @@ def _check_shift_overlap_reindex(params, tables, subs):
 
 def _check_character_origin(params, tables, subs):
     sw = Sweep("character-origin")
-    target = char_of_lambda(params, params.r, IntVec.zero(params.f))
+    f = params.f
+    target = char_of_lambda(params, params.r, (0,) * f)
     for J in subs:
         _, _, Jsh = params.parts(J)
-        chi = char_of_weight(params, J) * alpha_char(
-            params, indicator(Jsh) + tables.rJ(J)
-        )
+        i = vmap(lambda j, r: r + (1 if j in Jsh else 0), range(f), tables.rJ(J))
+        chi = char_of_weight(params, J) * alpha_char(params, i)
         sw.check(chi == target, J=J)
     return sw.result()
 
@@ -656,9 +650,8 @@ def _check_r_additivity(params, tables, subs):
         for J2 in subs:
             if J1 & J2:
                 continue
-            sw.check(
-                tables.rJ(J1 | J2) == tables.rJ(J1) + tables.rJ(J2), J1=J1, J2=J2
-            )
+            total = vmap(add, tables.rJ(J1), tables.rJ(J2))
+            sw.check(tables.rJ(J1 | J2) == total, J1=J1, J2=J2)
     return sw.result()
 
 
@@ -669,7 +662,8 @@ def _check_c_as_r_difference(params, tables, subs):
         c = tables.cJ(J)
         rv, rv1 = tables.rJ(J), tables.rJ(J.shift(1))
         sw.check(
-            alpha_char(params, c) == alpha_char(params, rv1 - rv), J=J, part="character"
+            alpha_char(params, c) == alpha_char(params, vmap(sub, rv1, rv)),
+            J=J, part="character",
         )
         for j in range(f):
             want = p * (0 if j in J else 1) - (0 if (j - 1) in J else 1)
@@ -688,11 +682,10 @@ def _check_carry_inequality(params, tables, subs):
             if not Jp <= J:
                 continue
             Jpp = Jp ^ J.shift(-1)
-            cvec = (
-                p * indicator(Jp & J.shift(-1))
-                + tables.cJ(Jp)
-                - IntVec.const(f, f)
-                - tables.rJ(J - Jp)
+            over = Jp & J.shift(-1)
+            cvec = vmap(
+                lambda j, c, r: p * (1 if j in over else 0) + c - f - r,
+                range(f), tables.cJ(Jp), tables.rJ(J - Jp),
             )
             Jp1 = Jp.shift(1)
             _, _, Jp1sh = params.parts(Jp1)
@@ -823,8 +816,8 @@ def check_shifted_table_additivity(params, tables):
             if not Jp <= J:
                 continue
             diff = J - Jp
-            rdiff = tables.rJ(diff).entries
-            shift = indicator(diff).entries
+            rdiff = tables.rJ(diff)
+            shift = tuple(1 if j in diff else 0 for j in range(f))
             for j0 in range(f):
                 if (j0 + 1) in diff:
                     continue
@@ -890,7 +883,7 @@ def check_domination_claims(params, tables):
                     ent[j0 % f] = 1 + (1 if j0 in diff else 0)
                     lhs = list(tables.aJn_image_at(Jp, j0)(tuple(ent)))
                     lhs[(j0 + 1) % f] -= 1
-                    rhs = [x + f for x in tables.rJ(diff).entries]
+                    rhs = [x + f for x in tables.rJ(diff)]
                     rhs[j0 % f] -= f + 1 - (1 if j0 in Jsh else 0)
                     cor.check(all(map(ge, lhs, rhs)), J=J, Jp=Jp, j0=j0, lhs=lhs, rhs=rhs)
     return [env.result(), cor.result()]

@@ -249,7 +249,7 @@ class Report:
 
 def _tag(params):
     return (
-        f"p={params.p},f={params.f},r={tuple(params.r)},"
+        f"p={params.p},f={params.f},r={params.r},"
         f"jrho={tuple(sorted(params.Jrho.members()))}"
     )
 

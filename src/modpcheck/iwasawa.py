@@ -42,6 +42,7 @@ p-adic powers of the unit ratios).
 import functools
 import math
 import random
+import threading
 from dataclasses import dataclass
 from itertools import repeat
 from operator import add, mul
@@ -80,7 +81,18 @@ def _binomial_row(p, c, length):
     return _LUCAS_ROWS[p, c % pe, length]
 
 
-_LUCAS_ROWS = Memo(lambda p, r, length: tuple(math.comb(r, m) % p for m in range(length)))
+def _lucas_row(p, r, length):
+    # C(r, m) mod p for m < length, r >= 0, as the product of the binomials
+    # of the base-p digits (Lucas): entry p*i + d is C(r // p, i) C(r % p, d),
+    # so math.comb sees only digits below p
+    low = [math.comb(r % p, d) % p for d in range(min(p, length))]
+    if length <= p:
+        return tuple(low)
+    high = _lucas_row(p, r // p, -(-length // p))
+    return tuple(h * x % p for h in high for x in low)[:length]
+
+
+_LUCAS_ROWS = Memo(_lucas_row)
 
 
 def _binomial_product(field, coords, depth, digits):
@@ -506,6 +518,7 @@ class ChartContext:
         self.alpha_max = (cutoff - 1) // p
         self.piece_cap = -(-cutoff // p)
         self._y_series = None
+        self._y_lock = threading.Lock()
         self._convb = Memo(self._conversion_block)
         self._unit_data = Memo(self._split_unit)
         self._u1_cache = Memo(self._u1_pieces)
@@ -522,17 +535,23 @@ class ChartContext:
 
     @property
     def y_series(self):
-        """Tuple of the f eigencoordinate series in the additive chart."""
+        """Tuple of the f eigencoordinate series in the additive chart, built
+        once by the first reader; readers that arrive meanwhile wait for it."""
         if self._y_series is None:
-            fld = self.field
-            ys = [AElement(fld, self.f, self.tdepth, self._y0_terms())]
-            for _ in range(1, self.f):
-                # eigencoordinate at the next slot is the coefficientwise
-                # p-th power of the previous one
-                ys.append(ys[-1].map_coeffs(lambda c: fld.pow(c, fld.p)))
-            self._y_series = tuple(ys)
-            self.jacobian_inverse  # fail fast when singular
+            with self._y_lock:
+                if self._y_series is None:  # another thread may have built it
+                    self._y_series = self._eigencoordinates()
+                    self.jacobian_inverse  # fail fast when singular
         return self._y_series
+
+    def _eigencoordinates(self):
+        fld = self.field
+        ys = [AElement(fld, self.f, self.tdepth, self._y0_terms())]
+        for _ in range(1, self.f):
+            # eigencoordinate at the next slot is the coefficientwise p-th
+            # power of the previous one
+            ys.append(ys[-1].map_coeffs(lambda c: fld.pow(c, fld.p)))
+        return tuple(ys)
 
     def _y0_terms(self):
         """Coefficients of Y_0 = sum over units a of a^{-1} n([a]).

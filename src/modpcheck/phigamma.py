@@ -21,7 +21,7 @@ import random
 from dataclasses import dataclass
 
 from .arith import Fq
-from .base_combinatorics import IntVec, SubsetJ
+from .base_combinatorics import SubsetJ, vmap
 from .constants import cJ, hj, rJ
 from .errors import (
     ConfigInvalid,
@@ -140,8 +140,8 @@ def mat_phi_untwisted(mu):
         col = J.shift(1)
         c = cJ(params, J)
         for Jp in _between(J & params.Jrho, J):
-            k = -(c + rJ(params, J - Jp))
-            ent[(Jp, col)] = AElement.monomial(fld, f, tuple(k), mu.gamma(col, Jp))
+            k = vmap(lambda cj, rj: -(cj + rj), c, rJ(params, J - Jp))
+            ent[(Jp, col)] = AElement.monomial(fld, f, k, mu.gamma(col, Jp))
     return PhiGammaMatrix(params, fld, ent)
 
 
@@ -188,7 +188,7 @@ def basis_change(params, fld):
     ent = {}
     for J in params.subsets():
         k = rJ(params, J.complement())
-        ent[(J, J)] = AElement.monomial(fld, params.f, tuple(k))
+        ent[(J, J)] = AElement.monomial(fld, params.f, k)
     return PhiGammaMatrix(params, fld, ent)
 
 
@@ -260,12 +260,12 @@ class ThetaProblem:
     J: SubsetJ
     Jp: SubsetJ
     lam: tuple
-    h: IntVec
+    h: tuple
     b: tuple
 
     def __post_init__(self):
         f = self.J.f
-        if self.Jp.f != f or len(self.lam) != f or len(self.b) != f or self.h.f != f:
+        if self.Jp.f != f or len(self.lam) != f or len(self.b) != f or len(self.h) != f:
             raise HypothesisViolation("component counts must all equal f")
         for j in range(f):
             if not 1 <= self.h[j] <= self.p - 2:
@@ -407,7 +407,7 @@ def random_theta_problem(params, fld, seed):
     Jp = J - SubsetJ.of(f, drop)
     m = len(J - Jp)
     lam = tuple(rng.randrange(1, fld.q) for _ in range(f))
-    h = IntVec(f, tuple(rng.randrange(1, p - f) for _ in range(f)))
+    h = tuple(rng.randrange(1, p - f) for _ in range(f))
 
     def kvec(blocks):
         # nonnegative combination of the depth-(p-1) torus-fixed moves
@@ -468,7 +468,7 @@ def build_q_a(ctx, mu, u):
     pj = slot_correction_units(ctx, params, u)
     if params.Jrho.is_full():
         return qa, pj
-    hvec = params.r + IntVec.const(f, 1)
+    hvec = tuple(x + 1 for x in params.r)
     empty = SubsetJ(f, 0)
     done = set()
     for m in range(1, f + 1):
@@ -573,7 +573,7 @@ def classify_phi_q_eigen(params, lam, s):
     """
     q1 = params.q - 1
     if lam == 1 and all(v % q1 == 0 for v in s):
-        t = IntVec(params.f, tuple(v // q1 for v in s))
+        t = tuple(v // q1 for v in s)
         return ("line", t)
     return ("zero", None)
 
@@ -672,7 +672,7 @@ def check_theta_basics(params, seed=0):
     zeros = tuple(_zero(fld, f) for _ in range(f))
     J = SubsetJ.of(f, (0,))
     ones = (1,) * f
-    h = IntVec.const(f, 2)
+    h = (2,) * f
     prob = ThetaProblem(p, J, J, ones, h, zeros)
     for c in (1, 5 % p):
         const = tuple(AElement.const(fld, f, c) for _ in range(f))
@@ -736,15 +736,15 @@ def check_eigen_classifier(params, samples=20, seed=0):
     fld = Fq(params.p, params.f)
     rng = random.Random(seed)
     f, q1 = params.f, params.q - 1
-    cases = [(1, IntVec.zero(f))]
+    cases = [(1, (0,) * f)]
     for _ in range(samples):
-        t = IntVec(f, tuple(rng.randrange(-3, 4) for _ in range(f)))
+        t = tuple(rng.randrange(-3, 4) for _ in range(f))
         lam = rng.randrange(1, params.q)
-        line = IntVec(f, tuple(q1 * v for v in t))
+        line = tuple(q1 * v for v in t)
         cases.append((lam, line))
         off = list(line)
         off[rng.randrange(f)] += rng.randrange(1, q1)
-        cases.append((lam, IntVec(f, tuple(off))))
+        cases.append((lam, tuple(off)))
     verdicts = [(lam, s, *classify_phi_q_eigen(params, lam, s)) for lam, s in cases]
     reach = {
         s: max(map(abs, s)) // q1 + 2 for _, s, kind, _ in verdicts if kind != "line"

@@ -3,15 +3,13 @@
 import math
 from dataclasses import dataclass
 
-from .base_combinatorics import IntVec, SubsetJ
+from .base_combinatorics import SubsetJ
 from .errors import PACKAGE_ERRORS
 
 
 def _plain(v):
     if isinstance(v, SubsetJ):
         return sorted(v.members())
-    if isinstance(v, IntVec):
-        return list(v.entries)
     if isinstance(v, (list, tuple)):
         return [_plain(x) for x in v]
     if isinstance(v, dict):

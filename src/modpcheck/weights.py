@@ -14,7 +14,7 @@ from itertools import product
 from operator import add, getitem, le, mul
 
 from .arith import _prime_divisors
-from .base_combinatorics import IntVec, SubsetJ, all_subsets, decompose_parts
+from .base_combinatorics import SubsetJ, all_subsets, decompose_parts, vmap
 from .errors import ConfigInvalid, GenericityViolation, InadmissibleS, RangeViolation
 from .reporting import Sweep
 
@@ -42,15 +42,15 @@ def validate_params(p, f, r, Jrho):
 class RhoParams:
     p: int
     f: int
-    r: IntVec
+    r: tuple
     Jrho: SubsetJ
 
     def __post_init__(self):
-        validate_params(self.p, self.f, tuple(self.r), self.Jrho)
+        validate_params(self.p, self.f, self.r, self.Jrho)
 
     @classmethod
     def make(cls, p, f, r, jrho_members=()):
-        return cls(p, f, IntVec.of(r), SubsetJ.of(f, jrho_members))
+        return cls(p, f, tuple(int(x) for x in r), SubsetJ.of(f, jrho_members))
 
     @property
     def q(self):
@@ -63,12 +63,12 @@ class RhoParams:
         return decompose_parts(J, self.Jrho)
 
     def label(self):
-        return f"p={self.p} f={self.f} r={tuple(self.r)} jrho={self.Jrho.members()}"
+        return f"p={self.p} f={self.f} r={self.r} jrho={self.Jrho.members()}"
 
     @cached_property
     def b_window(self):
         """(-r, p-2-r): the componentwise bounds on the position b of a weight."""
-        r = self.r.entries
+        r = self.r
         return tuple(-rj for rj in r), tuple(self.p - 2 - rj for rj in r)
 
 
@@ -99,10 +99,10 @@ def sJ_tJ(params: RhoParams, J: SubsetJ):
         else:
             s.append(p - 1 - r[j])
             t.append(r[j])
-    return IntVec(f, tuple(s)), IntVec(f, tuple(t))
+    return tuple(s), tuple(t)
 
 
-def aJ(params: RhoParams, J: SubsetJ) -> IntVec:
+def aJ(params: RhoParams, J: SubsetJ) -> tuple:
     """Graph position of the weight generated by J: +-1 on J (sign from the
     successor), shifted by 2 on the doubled part J^sh."""
     f = params.f
@@ -115,7 +115,7 @@ def aJ(params: RhoParams, J: SubsetJ) -> IntVec:
         if j in Jsh:
             v += 2
         out.append(v)
-    return IntVec(f, tuple(out))
+    return tuple(out)
 
 
 def _window_fault(ent, lo, hi, bounds="[{}, {}]"):
@@ -130,13 +130,12 @@ class WeightB:
 
     __slots__ = ("params", "b")
 
-    def __init__(self, params: RhoParams, b: IntVec):
-        if b.f != params.f:
-            raise RangeViolation(f"b indexed by f={b.f}, weight by f={params.f}")
+    def __init__(self, params: RhoParams, b: tuple):
+        if len(b) != params.f:
+            raise RangeViolation(f"b indexed by f={len(b)}, weight by f={params.f}")
         lo, hi = params.b_window
-        ent = b.entries
-        if not (all(map(le, lo, ent)) and all(map(le, ent, hi))):
-            _window_fault(ent, lo, hi, "[-r_j, p-2-r_j]")
+        if not (all(map(le, lo, b)) and all(map(le, b, hi))):
+            _window_fault(b, lo, hi, "[-r_j, p-2-r_j]")
         self.params = params
         self.b = b
 
@@ -208,22 +207,19 @@ class Translation:
         _window_fault(out, *self.params.b_window, "[-r_j, p-2-r_j]")
         return out
 
-    def __call__(self, b: IntVec) -> WeightB:
-        return WeightB(self.params, IntVec(self.f, self.image(b.entries)))
-
 
 def serre_weights_of_rhobar(params: RhoParams) -> frozenset:
     """W(rhobar): b supported on Jrho with entries in {0, 1}."""
     f = params.f
     ranges = [(0, 1) if j in params.Jrho else (0,) for j in range(f)]
-    return frozenset(WeightB(params, IntVec(f, bs)) for bs in product(*ranges))
+    return frozenset(WeightB(params, bs) for bs in product(*ranges))
 
 
 def jh_D0(params: RhoParams) -> frozenset:
     """Constituents of the full block: {-1,0,1} off Jrho, {-1,0,1,2} on it."""
     f = params.f
     ranges = [(-1, 0, 1, 2) if j in params.Jrho else (-1, 0, 1) for j in range(f)]
-    return frozenset(WeightB(params, IntVec(f, bs)) for bs in product(*ranges))
+    return frozenset(WeightB(params, bs) for bs in product(*ranges))
 
 
 def jh_D0_component(params: RhoParams, J: SubsetJ) -> frozenset:
@@ -243,7 +239,7 @@ def jh_D0_component(params: RhoParams, J: SubsetJ) -> frozenset:
             ranges.append((1, 2))
         else:
             ranges.append((-1, 0))
-    return frozenset(WeightB(params, IntVec(f, bs)) for bs in product(*ranges))
+    return frozenset(WeightB(params, bs) for bs in product(*ranges))
 
 
 def _shift_orbits(f):
@@ -391,7 +387,7 @@ class HCharacter:
         return HCharacter(self.qm1, self.exp1 * n, self.exp2 * n)
 
 
-def char_of_lambda(params: RhoParams, lam1: IntVec, lam2: IntVec) -> HCharacter:
+def char_of_lambda(params: RhoParams, lam1: tuple, lam2: tuple) -> HCharacter:
     p, qm1 = params.p, params.q - 1
     e1 = sum(lam1[j] * p**j for j in range(params.f))
     e2 = sum(lam2[j] * p**j for j in range(params.f))
@@ -401,10 +397,10 @@ def char_of_lambda(params: RhoParams, lam1: IntVec, lam2: IntVec) -> HCharacter:
 def char_of_weight(params: RhoParams, J: SubsetJ) -> HCharacter:
     """chi_J, the character of the J-indexed weight: lambda = (s^J+t^J, t^J)."""
     s, t = sJ_tJ(params, J)
-    return char_of_lambda(params, s + t, t)
+    return char_of_lambda(params, vmap(add, s, t), t)
 
 
-def alpha_char(params: RhoParams, i: IntVec) -> HCharacter:
+def alpha_char(params: RhoParams, i: tuple) -> HCharacter:
     """alpha^i; alpha_j has exponent pair (p^j, -p^j)."""
     e = sum(i[j] * params.p**j for j in range(params.f))
     return HCharacter(params.q - 1, e, -e)

@@ -20,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from modpcheck import iwasawa
 from modpcheck.arith import Fq
 from modpcheck.errors import (
     ExponentPrecisionTooLow,
@@ -31,6 +32,7 @@ from modpcheck.iwasawa import (
     _binomial_product,
     _binomial_series,
     _graded_exponents,
+    _lucas_row,
     chart_context,
     eq_below,
     fdeg,
@@ -394,3 +396,32 @@ def test_zp_power_of_exact_unit_raises():
         zp_power(g, 5, 3)
     one = zp_power(AElement.const(Fq(11, 1), 1, 1), 5, 3)
     assert one.terms == {(0,): 1} and one.cutoff == INF
+
+
+# ---------------------------------------------------------------------------
+# Lucas rows by base-p digits
+
+
+def test_lucas_rows_match_math_comb_below_p_cubed():
+    p = 5
+    for r in range(p**3):
+        for length in (1, 4, 5, 6, 25, 26, p**3):
+            want = tuple(math.comb(r, m) % p for m in range(length))
+            assert _lucas_row(p, r, length) == want, (r, length)
+
+
+def test_lucas_row_calls_math_comb_on_digits_only(monkeypatch):
+    p, length = 271, 342
+    comb, calls = math.comb, []
+
+    def digit_comb(n, k):
+        assert 0 <= n < p and 0 <= k < p, (n, k)
+        calls.append((n, k))
+        return comb(n, k)
+
+    monkeypatch.setattr(iwasawa.math, "comb", digit_comb)
+    r = p**2 - 2  # base-p digits 269, 270
+    row = _lucas_row(p, r, length)
+    assert calls and len(row) == length
+    assert row[:3] == (1, r % p, r * (r - 1) // 2 % p)
+    assert row[p] == (r // p) % p

@@ -1,12 +1,16 @@
 """Constant tables: frozen values, windows, identity sweeps, mutation kills."""
 
 import functools
+import gc
 import itertools
+import weakref
+from operator import add
 
 import pytest
 
+from intvec import IntVec
 from modpcheck import constants
-from modpcheck.base_combinatorics import IntVec, SubsetJ, all_subsets
+from modpcheck.base_combinatorics import SubsetJ, all_subsets, vmap
 from modpcheck.constants import (
     AJnFrame,
     ConstantTables,
@@ -54,7 +58,7 @@ def tJx(params, J, j, x):
 
 def aJn(params, J, n, j0):
     """Exponent table for the n-indexed family anchored at j0."""
-    return AJnFrame(params, J, j0)(n)
+    return AJnFrame(params, J, j0).image(n)
 
 
 def _require_small_box(params, J, i):
@@ -70,7 +74,7 @@ def mVec(params, i, J, Jp):
     """Signed exponent vector of the i-indexed element in a J-block, for the
     comparison subset Jp.  i must lie in the small box [0, f - e^{Jsh}]."""
     _require_small_box(params, J, i)
-    return IntVec(params.f, _m_vec(_m_frame(params, J, Jp), i.entries))
+    return _m_vec(_m_frame(params, J, Jp), i)
 
 
 def J(params, *members):
@@ -110,24 +114,24 @@ def run_all_checks(params, mutation=None):
 
 
 def test_rj_frozen():
-    assert rJ(P2, J(P2)) == IntVec.zero(2)
+    assert rJ(P2, J(P2)) == (0, 0)
     assert rJ(P2, SubsetJ.full(2)) == P2.r
-    assert rJ(P2, J(P2, 0)) == IntVec.of((-1, 7))
-    assert rJ(P2, J(P2, 1)) == IntVec.of((6, -1))
+    assert rJ(P2, J(P2, 0)) == (-1, 7)
+    assert rJ(P2, J(P2, 1)) == (6, -1)
     # additivity on a disjoint pair
-    assert rJ(P2, J(P2, 0)) + rJ(P2, J(P2, 1)) == P2.r
+    assert vmap(add, rJ(P2, J(P2, 0)), rJ(P2, J(P2, 1))) == P2.r
 
 
 def test_cj_frozen():
-    assert cJ(P1, J(P1)) == IntVec.of((10,))
-    assert cJ(P1, J(P1, 0)) == IntVec.of((0,))
-    assert cJ(P2, J(P2)) == IntVec.of((12, 12))
-    assert cJ(P2, SubsetJ.full(2)) == IntVec.zero(2)
+    assert cJ(P1, J(P1)) == (10,)
+    assert cJ(P1, J(P1, 0)) == (0,)
+    assert cJ(P2, J(P2)) == (12, 12)
+    assert cJ(P2, SubsetJ.full(2)) == (0, 0)
 
 
 def test_cprime_frozen_and_difference():
-    assert cPrimeJ(P1, J(P1)) == IntVec.of((10 - 1,))
-    assert cPrimeJ(P1, J(P1, 0)) == IntVec.of((10,))
+    assert cPrimeJ(P1, J(P1)) == (10 - 1,)
+    assert cPrimeJ(P1, J(P1, 0)) == (10,)
     for params in ALL_PARAMS:
         f, p = params.f, params.p
         for Jset in params.subsets():
@@ -147,8 +151,8 @@ def test_epsilon_frozen():
 
 
 def test_tjjp_frozen():
-    assert tJJp(P2F, J(P2F), J(P2F)) == IntVec.of((7, 6))
-    assert tJJp(P2F, J(P2F), SubsetJ.full(2)) == IntVec.of((8, 7))
+    assert tJJp(P2F, J(P2F), J(P2F)) == (7, 6)
+    assert tJJp(P2F, J(P2F), SubsetJ.full(2)) == (8, 7)
 
 
 def test_tjx_frozen():
@@ -161,25 +165,25 @@ def test_tjx_frozen():
 
 
 def test_mvec_frozen_and_guard():
-    assert mVec(P1, IntVec.of((0,)), J(P1), J(P1)) == IntVec.zero(1)
+    assert mVec(P1, (0,), J(P1), J(P1)) == (0,)
     with pytest.raises(RangeViolation):
-        mVec(P1, IntVec.of((2,)), J(P1), J(P1))
+        mVec(P1, (2,), J(P1), J(P1))
     # closed form on the canonical pair input
     Jset, Jp = SubsetJ.full(2), J(P2, 0)
-    i = IntVec.of((1, 0))  # e^{(J cap Jp)^nss}
+    i = (1, 0)  # e^{(J cap Jp)^nss}
     m = mVec(P2, i, Jset, (Jset ^ Jp).shift(-1))
-    assert m == IntVec.of((1, 0))
+    assert m == (1, 0)
 
 
 def test_ajn_frozen_and_guards():
-    assert aJn(P1, J(P1), IntVec.zero(1), 0) == IntVec.zero(1)
-    assert aJn(P2, J(P2), IntVec.of((2, 0)), 0) == IntVec.of((-2, 13))
+    assert aJn(P1, J(P1), (0,), 0) == (0,)
+    assert aJn(P2, J(P2), (2, 0), 0) == (-2, 13)
     # anchored zero clause when j0 sits in the special overlap
-    assert aJn(P2F, SubsetJ.full(2), IntVec.of((1, 0)), 0) == IntVec.of((0, 6))
+    assert aJn(P2F, SubsetJ.full(2), (1, 0), 0) == (0, 6)
     with pytest.raises(HypothesisViolation):
-        aJn(P2, J(P2), IntVec.of((2, 1)), 0)  # slot j0+1 not zero
+        aJn(P2, J(P2), (2, 1), 0)  # slot j0+1 not zero
     with pytest.raises(HypothesisViolation):
-        aJn(P2, J(P2), IntVec.of((5, 0)), 0)  # n_0 above 2f
+        aJn(P2, J(P2), (5, 0), 0)  # n_0 above 2f
 
 
 def test_hj_frozen_and_telescoping():
@@ -187,7 +191,7 @@ def test_hj_frozen_and_telescoping():
     assert hj(P2, None, 1) == 85
     assert 13 * hj(P2, None, 1) - hj(P2, None, 0) == (13**2 - 1) * 6
     for params in (P1, P2, P3):
-        h = IntVec.of(tuple((3, -2, 5)[: params.f]))
+        h = (3, -2, 5)[: params.f]
         q = params.q
         for j in range(params.f):
             lhs = params.p * hj(params, h, j + 1) - hj(params, h, j)
@@ -207,7 +211,7 @@ def test_decompose_sweep():
         import itertools
 
         for Jset in params.subsets():
-            c = cJ(params, Jset)
+            c = IntVec.of(cJ(params, Jset))
             for ent in itertools.product(box, repeat=f):
                 i = IntVec(f, ent)
                 i2, ell = decompose_index(params, Jset, i)
@@ -327,6 +331,20 @@ def test_f1_ajn_mutation_caught_by_envelope():
     assert any(r.name == "vanishing-region-envelope" for r in failed)
 
 
+def test_tables_are_freed_without_a_collection():
+    # the aJn memo holds no reference back to its tables, so a run's tables
+    # and frames go as soon as the run drops them
+    tables = ConstantTables(P2A, Mutation("aJn", 0b01, 0))
+    assert tables.aJn_image_at(J(P2A, 0), 0) is tables.aJn_image_at(J(P2A, 0), 0)
+    ref = weakref.ref(tables)
+    gc.disable()
+    try:
+        del tables
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
 def test_mutation_rejects_unknown_table():
     with pytest.raises(ConfigInvalid):
         Mutation("sigma", 0, 0)
@@ -340,7 +358,7 @@ def force_params(p, f, r, jrho=()):
     obj = object.__new__(RhoParams)
     object.__setattr__(obj, "p", p)
     object.__setattr__(obj, "f", f)
-    object.__setattr__(obj, "r", IntVec.of(tuple(r)))
+    object.__setattr__(obj, "r", tuple(r))
     object.__setattr__(obj, "Jrho", SubsetJ.of(f, jrho))
     return obj
 
@@ -422,7 +440,8 @@ def overlap_reindex_reference(params, tables, subs):
                     ent[(j0 + 2) % f] += bump
                     ip = IntVec(f, tuple(ent))
                     m1, m2 = m_of(i), m2_of(ip)
-                    sw.check(m1 == m2 and m1[anchor] == 0, J=J, j0=j0, i=i, Jp=Jp, part="m")
+                    at = dict(J=J, j0=j0, i=i.entries, Jp=Jp)  # witness fields
+                    sw.check(m1 == m2 and m1[anchor] == 0, **at, part="m")
                     ok = True
                     for j in range(f):
                         lhs, rhs = 2 * i[j] + tv[j], 2 * ip[j] + tv2[j]
@@ -430,7 +449,7 @@ def overlap_reindex_reference(params, tables, subs):
                             ok = ok and lhs == r[j] + 1 and rhs == p - 1 - r[j]
                         else:
                             ok = ok and lhs == rhs
-                    sw.check(ok, J=J, j0=j0, i=i, Jp=Jp, part="shift")
+                    sw.check(ok, **at, part="shift")
                     anchor_out = 1 if (j0 + 1) not in J else 0
                     cvec, cpvec = [], []
                     for j in range(f):
@@ -444,13 +463,13 @@ def overlap_reindex_reference(params, tables, subs):
                             v, v2 = v - anchor_out, v2 - anchor_out
                         cvec.append(v)
                         cpvec.append(v2)
-                    sw.check(cvec == cpvec, J=J, j0=j0, i=i, Jp=Jp, part="carry",
+                    sw.check(cvec == cpvec, **at, part="carry",
                              c=cvec, c2=cpvec)
                     if all(2 * i[j] + hyp_off[j] >= 0 for j in range(f)):
                         sw.check(min(cvec) >= 0 and all(ip[j] >= 0 for j in range(f)),
-                                 J=J, j0=j0, i=i, Jp=Jp, part="positivity")
+                                 **at, part="positivity")
                     sw.check(all(ip[j] <= box[j] for j in range(f)),
-                             J=J, j0=j0, i=i, Jp=Jp, part="box")
+                             **at, part="box")
     return sw.result()
 
 

@@ -1,5 +1,6 @@
-"""The keyed cache arith.Memo, and the process-wide caches built on it under
-threads: each key is built once, whoever asks first."""
+"""The keyed cache arith.Memo, the process-wide caches built on it, and the
+lazy eigencoordinate series of a chart, under threads: each is built once,
+whoever asks first."""
 
 import threading
 import time
@@ -102,3 +103,22 @@ def test_shared_cache_is_built_once_under_threads(monkeypatch, module, cache, ke
     assert len(built) == 1
     assert len({id(x) for x in got}) == 1
     assert got[0] is getattr(module, cache)[key]
+
+
+def test_y_series_is_built_once_under_threads(monkeypatch):
+    # four threads read the series of a fresh context while its Y_0 sum
+    # sleeps: one build, and every thread gets the tuple the context keeps
+    ctx = iwasawa.ChartContext(13, 2, 12)
+    built = []
+    plain = iwasawa.ChartContext._y0_terms
+
+    def slow(self):
+        built.append(self)
+        time.sleep(0.05)  # hold the build open while the others arrive
+        return plain(self)
+
+    monkeypatch.setattr(iwasawa.ChartContext, "_y0_terms", slow)
+    got = _at_once(lambda: ctx.y_series)
+    assert built == [ctx]
+    assert len({id(x) for x in got}) == 1
+    assert got[0] is ctx.y_series

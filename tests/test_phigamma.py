@@ -8,7 +8,7 @@ import pytest
 
 from modpcheck import phigamma as pg
 from modpcheck.arith import Fq
-from modpcheck.base_combinatorics import IntVec, SubsetJ
+from modpcheck.base_combinatorics import SubsetJ
 from modpcheck.constants import mu_gamma
 from modpcheck.errors import HypothesisViolation, NonConvergence, NotInvertible
 from modpcheck.iwasawa import (
@@ -164,14 +164,14 @@ def test_theta_problem_validation():
     ones = (1, 1)
     J = SubsetJ.of(2, (0,))
     with pytest.raises(HypothesisViolation):
-        pg.ThetaProblem(13, J, E2, ones, IntVec.const(2, 0), zeros)
+        pg.ThetaProblem(13, J, E2, ones, (0, 0), zeros)
     with pytest.raises(HypothesisViolation):
-        pg.ThetaProblem(13, J, E2, ones, IntVec.const(2, 12), zeros)
+        pg.ThetaProblem(13, J, E2, ones, (12, 12), zeros)
     with pytest.raises(HypothesisViolation):
-        pg.ThetaProblem(13, J, E2, (0, 1), IntVec.const(2, 2), zeros)
+        pg.ThetaProblem(13, J, E2, (0, 1), (2, 2), zeros)
     bad_b = (AElement.monomial(F2, 2, (1, 0)), AElement(F2, 2, INF, {}))
     with pytest.raises(HypothesisViolation):
-        pg.ThetaProblem(13, J, E2, ones, IntVec.const(2, 2), bad_b)
+        pg.ThetaProblem(13, J, E2, ones, (2, 2), bad_b)
 
 
 def test_theta_solver_validation():
@@ -179,16 +179,16 @@ def test_theta_solver_validation():
     J = SubsetJ.of(2, (0,))
     zeros = tuple(AElement(F2, 2, INF, {}) for _ in range(2))
     # square pair: no solver branch
-    prob = pg.ThetaProblem(13, J, J, ones, IntVec.const(2, 2), zeros)
+    prob = pg.ThetaProblem(13, J, J, ones, (2, 2), zeros)
     with pytest.raises(HypothesisViolation):
         pg.theta_solve(prob)
     # h admissible for the operator but not for the solver (p-1-f = 10)
-    prob = pg.ThetaProblem(13, J, E2, ones, IntVec.const(2, 11), zeros)
+    prob = pg.ThetaProblem(13, J, E2, ones, (11, 11), zeros)
     with pytest.raises(HypothesisViolation):
         pg.theta_solve(prob)
     # right-hand side too shallow: constants have depth 0 < p-1
     const_b = tuple(one(F2, 2) for _ in range(2))
-    prob = pg.ThetaProblem(13, J, E2, ones, IntVec.const(2, 2), const_b)
+    prob = pg.ThetaProblem(13, J, E2, ones, (2, 2), const_b)
     with pytest.raises(HypothesisViolation):
         pg.theta_solve(prob)
 
@@ -197,7 +197,7 @@ def test_theta_solver_zero_rhs_exact():
     ones = (1, 1)
     J = SubsetJ.of(2, (0,))
     zeros = tuple(AElement(F2, 2, INF, {}) for _ in range(2))
-    prob = pg.ThetaProblem(13, J, E2, ones, IntVec.const(2, 2), zeros)
+    prob = pg.ThetaProblem(13, J, E2, ones, (2, 2), zeros)
     out = pg.theta_solve(prob, depth=30)
     assert all(x.is_zero() and x.cutoff == INF for x in out)
 
@@ -230,14 +230,14 @@ def test_theta_solver_stall_guard():
 
 
 def test_classifier_literals():
-    kind, t = pg.classify_phi_q_eigen(P2, 1, IntVec.zero(2))
-    assert kind == "line" and tuple(t) == (0, 0)
+    kind, t = pg.classify_phi_q_eigen(P2, 1, (0, 0))
+    assert kind == "line" and t == (0, 0)
     q1 = P2.q - 1
-    kind, t = pg.classify_phi_q_eigen(P2, 1, IntVec(2, (2 * q1, -q1)))
-    assert kind == "line" and tuple(t) == (2, -1)
-    kind, t = pg.classify_phi_q_eigen(P2, 2, IntVec(2, (2 * q1, -q1)))
+    kind, t = pg.classify_phi_q_eigen(P2, 1, (2 * q1, -q1))
+    assert kind == "line" and t == (2, -1)
+    kind, t = pg.classify_phi_q_eigen(P2, 2, (2 * q1, -q1))
     assert kind == "zero" and t is None
-    kind, t = pg.classify_phi_q_eigen(P2, 1, IntVec(2, (1, 0)))
+    kind, t = pg.classify_phi_q_eigen(P2, 1, (1, 0))
     assert kind == "zero"
 
 
@@ -265,15 +265,15 @@ def reference_eigen_classifier(params, samples=20, seed=0):
     fld = Fq(params.p, params.f)
     rng = random.Random(seed)
     f, q1 = params.f, params.q - 1
-    cases = [(1, IntVec.zero(f))]
+    cases = [(1, (0,) * f)]
     for _ in range(samples):
-        t = IntVec(f, tuple(rng.randrange(-3, 4) for _ in range(f)))
+        t = tuple(rng.randrange(-3, 4) for _ in range(f))
         lam = rng.randrange(1, params.q)
-        line = IntVec(f, tuple(q1 * v for v in t))
+        line = tuple(q1 * v for v in t)
         cases.append((lam, line))
         off = list(line)
         off[rng.randrange(f)] += rng.randrange(1, q1)
-        cases.append((lam, IntVec(f, tuple(off))))
+        cases.append((lam, tuple(off)))
     for lam, s in cases:
         kind, t = pg.classify_phi_q_eigen(params, lam, s)
         if kind == "line":
@@ -318,7 +318,7 @@ _classify = pg.classify_phi_q_eigen
 def _slot0_off_by_one(params, lam, s):
     kind, t = _classify(params, lam, s)
     if kind == "line":
-        t = IntVec(params.f, (t[0] + 1,) + tuple(t)[1:])
+        t = (t[0] + 1,) + t[1:]
     return kind, t
 
 

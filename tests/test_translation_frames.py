@@ -23,7 +23,8 @@ from click.testing import CliRunner
 from hypothesis import given
 from hypothesis import strategies as st
 
-from modpcheck.base_combinatorics import IntVec, SubsetJ, all_subsets
+from intvec import IntVec
+from modpcheck.base_combinatorics import SubsetJ, all_subsets
 from modpcheck.cli import main
 from modpcheck.constants import (
     AJnFrame,
@@ -53,7 +54,7 @@ def _ids(params):
 
 def translate_in_graph(params: RhoParams, J: SubsetJ, b: IntVec) -> WeightB:
     """Weight reached from position b after the J-translation (see Translation)."""
-    return Translation(params, J)(b)
+    return WeightB(params, Translation(params, J).image(b.entries))
 
 
 # ---------------------------------------------------------------------------
@@ -75,7 +76,7 @@ def translate_reference(params, J, b):
         if j in Jsh:
             v += 2
         out.append(v)
-    return WeightB(params, IntVec(f, tuple(out)))
+    return WeightB(params, tuple(out))
 
 
 def tJx(params, J, j, x):
@@ -86,7 +87,7 @@ def tJx(params, J, j, x):
 
 
 def aJn(params, J, n, j0):
-    return AJnFrame(params, J, j0)(n)
+    return AJnFrame(params, J, j0).image(n.entries)
 
 
 def aJn_reference(params, J, n, j0):
@@ -106,7 +107,7 @@ def aJn_reference(params, J, n, j0):
             out.append(0)
         else:
             out.append(tJx(params, J, j, n[j + 1]) - n[j])
-    return IntVec(f, tuple(out))
+    return tuple(out)
 
 
 def _same_outcome(ref, new, *args):
@@ -144,7 +145,7 @@ def test_translation_matches_reference_on_window(params):
         for ent in itertools.product(*(range(lo, hi + 1) for lo, hi in window)):
             b = IntVec(f, ent)
             want = translate_reference(params, J, b)
-            assert translate(b) == want
+            assert translate.image(ent) == want.b
             assert translate_in_graph(params, J, b) == want
 
 
@@ -186,8 +187,7 @@ def test_ajn_frame_matches_reference_on_window(params):
                 n = IntVec(f, ent)
                 want = aJn_reference(params, J, n, j0)
                 assert aJn(params, J, n, j0) == want
-                assert at(ent) == want.entries
-                assert tables.aJn(J, n, j0) == want
+                assert at(ent) == want
 
 
 @pytest.mark.parametrize("params", PARAMS, ids=_ids)
@@ -267,7 +267,7 @@ def test_change_origin_sweep_kills_non_separable_mutant(monkeypatch):
     """A translation that moves b'_0 only when b_1 sits at the top of its
     window agrees with the separable formula on every one-coordinate probe,
     so only a sweep over whole tuples can see it.  The mutant replaces
-    ``Translation.image``, the one code path of the sweep and of __call__."""
+    ``Translation.image``, the one code path of the sweep."""
     mutant = _non_separable(Translation.image)
 
     for Jrho in all_subsets(3):
@@ -293,9 +293,9 @@ def test_frames_reject_position_of_other_f():
     J = SubsetJ.of(3, [0])
     for ent in ((0, 0), (1, 0, 1, 9)):
         with pytest.raises(RangeViolation, match="b indexed by f="):
-            Translation(params, J)(IntVec.of(ent))
+            Translation(params, J).image(ent)
         with pytest.raises(HypothesisViolation, match="n indexed by f="):
-            AJnFrame(params, J, 0)(IntVec.of(ent))
+            AJnFrame(params, J, 0).image(ent)
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +317,7 @@ def _expected_image(translate, ent):
 
 
 @given(st.data())
-def test_image_matches_call_on_and_off_both_windows(data):
+def test_image_matches_formula_on_and_off_both_windows(data):
     params = data.draw(st.sampled_from(PARAMS))
     f, p = params.f, params.p
     translate = Translation(params, data.draw(st.sampled_from(list(params.subsets()))))
@@ -330,12 +330,11 @@ def test_image_matches_call_on_and_off_both_windows(data):
     want = _expected_image(translate, ent)
     if isinstance(want, tuple):
         assert translate.image(ent) == want
-        assert translate(IntVec(f, ent)).b.entries == want
+        assert WeightB(params, want).b == want
         return
-    for call in (lambda: translate.image(ent), lambda: translate(IntVec(f, ent))):
-        with pytest.raises(RangeViolation) as got:
-            call()
-        assert str(got.value) == want
+    with pytest.raises(RangeViolation) as got:
+        translate.image(ent)
+    assert str(got.value) == want
 
 
 def change_origin_reference(params, tables):
@@ -344,13 +343,13 @@ def change_origin_reference(params, tables):
     sw = Sweep("change-origin-composition")
     for J in params.subsets():
         translate = Translation(params, J)
-        base = tables.a(J).entries
+        base = tables.a(J)
         signs = tuple(-1 if (j + 1) in J else 1 for j in range(f))
         ranges = [range(lo, hi + 1) for lo, hi in _translation_window(params, J)]
         for ent in itertools.product(*ranges):
-            got = translate(IntVec(f, ent)).b
+            got = WeightB(params, translate.image(ent)).b
             want = tuple(map(add, base, map(mul, signs, ent)))
-            sw.check(got.entries == want, J=J, b=ent)
+            sw.check(got == want, J=J, b=ent)
     return sw.result()
 
 
@@ -478,11 +477,9 @@ def test_image_rejects_entries_of_other_length(params):
         for n in sorted({1, f - 1, f + 1, f + 2} - {0, f}):
             ent = (0,) * n
             want = f"b indexed by f={n}, translation by f={f}"
-            with pytest.raises(RangeViolation) as got_image:
+            with pytest.raises(RangeViolation) as got:
                 translate.image(ent)
-            with pytest.raises(RangeViolation) as got_call:
-                translate(IntVec.of(ent))
-            assert str(got_image.value) == str(got_call.value) == want
+            assert str(got.value) == want
 
 
 def test_shifted_table_additivity_builds_one_frame_per_j_j0(monkeypatch):
@@ -519,7 +516,7 @@ def test_shifted_table_additivity_builds_one_frame_per_j_j0(monkeypatch):
 
 
 def shifted_additivity_reference(params, tables):
-    """The sweep as it was: two IntVec table calls and one check per n."""
+    """The sweep as it was: two IntVec table reads and one check per n."""
     f = params.f
     sw = Sweep("shifted-table-additivity")
     for J in params.subsets():
@@ -528,7 +525,7 @@ def shifted_additivity_reference(params, tables):
             if not Jp <= J:
                 continue
             diff = J - Jp
-            rdiff = tables.rJ(diff)
+            rdiff = IntVec.of(tables.rJ(diff))
             shift = IntVec(f, tuple(1 if j in diff else 0 for j in range(f)))
             for j0 in range(f):
                 if (j0 + 1) in diff:
@@ -538,9 +535,10 @@ def shifted_additivity_reference(params, tables):
                 window = _ajn_window(params, J, j0)
                 for ent in itertools.product(*(range(lo, hi + 1) for lo, hi in window)):
                     n = IntVec(f, ent)
-                    lhs = tables.aJn(J, n, j0) + rdiff
-                    rhs = tables.aJn(Jp, n + shift, j0)
-                    sw.check(lhs == rhs, J=J, Jp=Jp, j0=j0, n=n, lhs=lhs, rhs=rhs)
+                    lhs = IntVec(f, tables.aJn_image_at(J, j0)(n.entries)) + rdiff
+                    rhs = IntVec(f, tables.aJn_image_at(Jp, j0)((n + shift).entries))
+                    sw.check(lhs == rhs, J=J, Jp=Jp, j0=j0, n=ent,
+                             lhs=lhs.entries, rhs=rhs.entries)
     return sw.result()
 
 
@@ -581,7 +579,7 @@ def test_shifted_table_sweep_reads_the_frame_image(monkeypatch):
     assert got["status"] == "fail"
     assert got == shifted_additivity_reference(params, tables).as_dict()
     frame = AJnFrame(params, SubsetJ.of(3, []), 0)
-    assert frame(IntVec.of((2, 0, 3))).entries == frame.image((2, 0, 3)) != original(frame, (2, 0, 3))
+    assert frame.image((2, 0, 3)) != original(frame, (2, 0, 3))
 
 
 # ---------------------------------------------------------------------------

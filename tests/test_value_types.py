@@ -5,7 +5,10 @@ bodies as they stood before the value types became plain classes, and
 ``old_plain`` is the matching report serialiser.  Under Hypothesis at
 f = 1..3 the new types must agree with them on equality, hash, order, repr,
 report output, frozenset membership and iteration order, and on the type
-and message of every exception for bad input.  The hoisted
+and message of every exception for bad input.  IntVec now lives with the
+tests, and ``modpcheck`` holds a vector as its entries tuple: the report
+output of that tuple must be the old report output of the OldIntVec, and
+``OldWeightB`` holds b as the same tuple.  The hoisted
 ``MuAlgebra.defined``/``mu`` is compared with the definedness formula it
 replaced, on every pair and every Jrho.
 """
@@ -16,7 +19,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from modpcheck.base_combinatorics import MAX_F, IntVec, SubsetJ, all_subsets
+from intvec import IntVec
+from modpcheck.base_combinatorics import MAX_F, SubsetJ, all_subsets
 from modpcheck.constants import mu_gamma
 from modpcheck.errors import PairNotDefined, RangeViolation
 from modpcheck.reporting import _plain
@@ -102,7 +106,7 @@ class OldWeightB:
 
     def __post_init__(self):
         p = self.params.p
-        for j, (rj, bj) in enumerate(zip(self.params.r.entries, self.b.entries)):
+        for j, (rj, bj) in enumerate(zip(self.params.r, self.b)):
             if not -rj <= bj <= p - 2 - rj:
                 raise RangeViolation(f"b_{j}={bj} outside [-r_j, p-2-r_j]")
 
@@ -139,7 +143,8 @@ def same_value(old, new):
     )
     assert hash(old) == hash(new)
     assert repr(old) == repr(new)
-    assert old_plain(old) == _plain(new)
+    # modpcheck holds a vector as its entries tuple
+    assert old_plain(old) == _plain(new.entries if isinstance(new, IntVec) else new)
 
 
 def same_set_behaviour(olds, news, key):
@@ -262,28 +267,27 @@ def test_weight_values_match(data):
     for ent in rows:
         # out-of-window positions raise the same type with the same message
         got = same_outcome(
-            lambda e: OldWeightB(params, OldIntVec(params.f, e)),
-            lambda e: WeightB(params, IntVec(params.f, e)),
+            lambda e: OldWeightB(params, e),
+            lambda e: WeightB(params, e),
             ent,
         )
         if got is None:
             continue
         old, new = got
-        assert old.params is new.params and old.b.entries == new.b.entries
+        assert old.params is new.params and old.b == new.b
         assert hash(old) == hash(new)
         assert repr(old) == "Old" + repr(new)
         olds.append(old)
         news.append(new)
-    # the dataclass hashed (params, b) with b an OldIntVec; the hash of b is
-    # the same field tuple, so the set order is too
-    same_set_behaviour(olds, news, lambda w: w.b.entries)
+    # both hash (params, b) with b the same tuple, so the set order is the same
+    same_set_behaviour(olds, news, lambda w: w.b)
     for o1, n1 in zip(olds, news):
         for o2, n2 in zip(olds, news):
             assert (o1 == o2) == (n1 == n2)
 
 
 def test_weight_equality_across_params():
-    b = IntVec(3, (0, 0, 0))
+    b = (0, 0, 0)
     w1 = WeightB(RhoParams.make(17, 3, (7, 8, 7), (0,)), b)
     w2 = WeightB(RhoParams.make(17, 3, (7, 8, 7), (0,)), b)
     w3 = WeightB(RhoParams.make(17, 3, (7, 8, 7), (1,)), b)

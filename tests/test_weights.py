@@ -1,6 +1,7 @@
 from itertools import product
 
-from modpcheck.base_combinatorics import IntVec, SubsetJ, all_subsets, indicator
+from intvec import IntVec, indicator
+from modpcheck.base_combinatorics import SubsetJ, all_subsets
 from modpcheck.errors import ConfigInvalid, GenericityViolation, InadmissibleS, RangeViolation
 from modpcheck.weights import (
     HCharacter,
@@ -29,7 +30,7 @@ import pytest
 
 def translate_in_graph(params: RhoParams, J: SubsetJ, b: IntVec) -> WeightB:
     """Weight reached from position b after the J-translation (see Translation)."""
-    return Translation(params, J)(b)
+    return WeightB(params, Translation(params, J).image(b.entries))
 
 
 def shift_generated_constituents(params: RhoParams, J: SubsetJ, i: IntVec) -> frozenset:
@@ -48,7 +49,7 @@ def shift_generated_constituents(params: RhoParams, J: SubsetJ, i: IntVec) -> fr
             ranges.append((0, -1 if (j + 1) in J else 1))
         else:
             ranges.append((-1, 0, 1))
-    return frozenset(WeightB(params, IntVec(f, bs)) for bs in product(*ranges))
+    return frozenset(WeightB(params, bs) for bs in product(*ranges))
 
 
 def conjugate_char(chi: HCharacter) -> HCharacter:
@@ -56,7 +57,7 @@ def conjugate_char(chi: HCharacter) -> HCharacter:
 
 
 def mul_alpha(params: RhoParams, chi: HCharacter, i: IntVec) -> HCharacter:
-    return chi * alpha_char(params, i)
+    return chi * alpha_char(params, i.entries)
 
 
 def char_of_x_index(params: RhoParams, J: SubsetJ, i: IntVec) -> HCharacter:
@@ -107,14 +108,14 @@ def test_validate_params_accepts_prime(p):
 
 def test_sJ_tJ_frozen():
     s, t = sJ_tJ(P2F, SubsetJ.of(2, []))
-    assert s.entries == (5, 6) and t.entries == (0, 0)
+    assert s == (5, 6) and t == (0, 0)
     s, t = sJ_tJ(P2F, SubsetJ.of(2, [0]))
-    assert s.entries == (6, 5) and t.entries == (-1, 7)
+    assert s == (6, 5) and t == (-1, 7)
     # full J splits on Jrho membership
     s, t = sJ_tJ(P2F, SubsetJ.full(2))
-    assert s.entries == (13 - 3 - 5, 13 - 3 - 6) and t.entries == (6, 7)
+    assert s == (13 - 3 - 5, 13 - 3 - 6) and t == (6, 7)
     s, t = sJ_tJ(P2E, SubsetJ.full(2))
-    assert s.entries == (13 - 1 - 6, 13 - 1 - 5) and t.entries == (6, 5)
+    assert s == (13 - 1 - 6, 13 - 1 - 5) and t == (6, 5)
 
 
 def _rJ_oracle(params, J):
@@ -133,7 +134,7 @@ def test_t_is_rJ_plus_shear():
         for J in params.subsets():
             _, _, Jsh = params.parts(J)
             _, t = sJ_tJ(params, J)
-            assert t == _rJ_oracle(params, J) + indicator(Jsh)
+            assert t == (_rJ_oracle(params, J) + indicator(Jsh)).entries
 
 
 def test_translate_at_origin_hits_aJ():
@@ -184,15 +185,15 @@ def test_translate_range_violation():
 
 def test_weightb_window():
     with pytest.raises(RangeViolation):
-        WeightB(P1, IntVec.of((-5,)))
-    WeightB(P1, IntVec.of((-4,)))
+        WeightB(P1, (-5,))
+    WeightB(P1, (-4,))
 
 
 def test_weightb_rejects_position_of_other_f():
     params = RhoParams.make(17, 3, (7, 8, 7), (0,))
     for ent in ((0, 0), (0, 0, 0, 0)):
         with pytest.raises(RangeViolation, match="b indexed by f="):
-            WeightB(params, IntVec.of(ent))
+            WeightB(params, ent)
 
 
 def test_serre_weights_count():
@@ -225,17 +226,18 @@ def test_component_contains_its_corner():
     for params in ALL_PARAMS:
         for J in params.subsets():
             if J <= params.Jrho:
-                assert WeightB(params, indicator(J)) in jh_D0_component(params, J)
-                assert aJ(params, J) == indicator(J)  # sigma_J = sigma_{e^J} inside Jrho
+                e_J = indicator(J).entries
+                assert WeightB(params, e_J) in jh_D0_component(params, J)
+                assert aJ(params, J) == e_J  # sigma_J = sigma_{e^J} inside Jrho
 
 
 def test_region_examples():
     # all entries forced when J has no non-split part and i = 0
     got = shift_generated_constituents(P2F, SubsetJ.of(2, [0]), IntVec.zero(2))
-    assert got == frozenset({WeightB(P2F, indicator(SubsetJ.of(2, [0])))})
+    assert got == frozenset({WeightB(P2F, (1, 0))})
     # one free coordinate
     got = shift_generated_constituents(P2E, SubsetJ.of(2, [0]), IntVec.of((1, 0)))
-    assert got == frozenset(WeightB(P2E, IntVec.of((b0, 0))) for b0 in (-1, 0, 1))
+    assert got == frozenset(WeightB(P2E, (b0, 0)) for b0 in (-1, 0, 1))
     with pytest.raises(RangeViolation):
         shift_generated_constituents(P2E, SubsetJ.of(2, [0]), IntVec.of((3, 0)))
     with pytest.raises(RangeViolation):
@@ -245,10 +247,10 @@ def test_region_examples():
 def test_region_row2_sign():
     # at i_j = 0 the free value leans away from the successor
     got = shift_generated_constituents(P2E, SubsetJ.of(2, [0]), IntVec.zero(2))
-    assert got == frozenset(WeightB(P2E, IntVec.of((b0, 0))) for b0 in (0, 1))
+    assert got == frozenset(WeightB(P2E, (b0, 0)) for b0 in (0, 1))
     got = shift_generated_constituents(P2E, SubsetJ.full(2), IntVec.zero(2))
     assert got == frozenset(
-        WeightB(P2E, IntVec.of((b0, b1))) for b0 in (0, -1) for b1 in (0, -1)
+        WeightB(P2E, (b0, b1)) for b0 in (0, -1) for b1 in (0, -1)
     )
 
 
@@ -288,19 +290,19 @@ def test_rank_and_pi1():
 
 
 def test_characters():
-    chi = char_of_lambda(P2, IntVec.of((3, 4)), IntVec.of((1, 2)))
+    chi = char_of_lambda(P2, (3, 4), (1, 2))
     assert conjugate_char(conjugate_char(chi)) == chi
     assert chi.exp1 == (3 + 4 * 13) % (13**2 - 1)
     # alpha_j^p = alpha_{j+1}
     for params in ALL_PARAMS:
         f = params.f
         for j in range(f):
-            aj = alpha_char(params, IntVec.unit(f, j))
-            assert aj**params.p == alpha_char(params, IntVec.unit(f, j + 1))
+            aj = alpha_char(params, IntVec.unit(f, j).entries)
+            assert aj**params.p == alpha_char(params, IntVec.unit(f, j + 1).entries)
     # chi of the empty translate is lambda = (r, 0)
     for params in ALL_PARAMS:
         assert char_of_weight(params, SubsetJ.of(params.f, [])) == char_of_lambda(
-            params, params.r, IntVec.zero(params.f)
+            params, params.r, (0,) * params.f
         )
     # x-index character at i=0 is chi_J shifted by the shear
     for params in ALL_PARAMS:
