@@ -75,6 +75,26 @@ MUTANT_GOLDEN = [
 ]
 
 
+# The failing rows of the matrix layer: mutate="eps" negates one scalar of
+# the substitution matrix, and unit-substitution-commutation fails with a
+# floor/leading witness.
+EPS_GOLDEN = [
+    (RunConfig(p=11, f=1, r=(4,), mutate="eps", suites=("phigamma",)),
+     "56456b720ef67c5a64c22f1b99d96c088071f91439398f40b31ea89aea8ffce0"),
+    (RunConfig(p=13, f=2, r=(5, 6), mutate="eps", suites=("phigamma",)),
+     "ded2c840a75ee6b352a0cc22b52c7b368e6db69086a56be38a426d34f6461c12"),
+    (RunConfig(p=17, f=3, r=(7, 8, 7), jrho=(0,), mutate="eps", suites=("phigamma",)),
+     "9cf883e6205c710678807dbc8a4cbde409acec9e5d7daa579626ee5e233c6880"),
+]
+
+
+@pytest.mark.parametrize("config,digest", EPS_GOLDEN, ids=["f1", "f2", "f3"])
+def test_eps_mutant_phigamma_rows_are_pinned(config, digest):
+    report = run_suite(config)
+    assert not report.passed
+    assert hashlib.sha256(emit_report(report, "json")).hexdigest() == digest
+
+
 @pytest.mark.parametrize("preset,step,count,digest", MUTANT_GOLDEN, ids=["f1", "f2", "f3"])
 def test_mutant_identity_rows_are_pinned(preset, step, count, digest):
     params = RhoParams.make(*preset, (0,))
