@@ -455,17 +455,9 @@ class WittRing:
         self.one = (1,) + (0,) * (f - 1)
         return self
 
-    def add(self, a, b):
-        pN = self.pN
-        return tuple((x + y) % pN for x, y in zip(a, b))
-
     def sub(self, a, b):
         pN = self.pN
         return tuple((x - y) % pN for x, y in zip(a, b))
-
-    def neg(self, a):
-        pN = self.pN
-        return tuple(-x % pN for x in a)
 
     def scale(self, c, a):
         pN = self.pN

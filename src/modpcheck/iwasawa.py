@@ -355,8 +355,7 @@ class AElement:
         """Substitution T_l -> T_l^p (coefficients unchanged)."""
         p = self.field.p
         terms = {tuple(p * ki for ki in k): c for k, c in self.terms.items()}
-        cut = self.cutoff * p if self.cutoff != INF else INF
-        return AElement(self.field, self.f, cut, terms)
+        return AElement(self.field, self.f, self.cutoff * p, terms)
 
     def is_zero(self):
         return not self.terms
@@ -461,8 +460,7 @@ def frobenius(x):
     terms = {}
     for k, c in x.terms.items():
         terms[tuple(p * k[(j + 1) % f] for j in range(f))] = c
-    cut = x.cutoff if x.cutoff == INF else x.cutoff * p
-    return AElement(x.field, f, cut, terms)
+    return AElement(x.field, f, x.cutoff * p, terms)
 
 
 def _slot_bits(per_term, terms):
@@ -1020,8 +1018,7 @@ def check_unit_ratio_depth(ctx, count=20, seed=0):
         for j in range(ctx.f):
             r = unit_ratio(ctx, u, j)
             d = fdeg(r - 1)
-            sweep.check(d >= ctx.p - 1, unit=list(u), j=j,
-                        depth=None if d == INF else d)
+            sweep.check(d >= ctx.p - 1, unit=list(u), j=j, depth=d)
     return sweep.result(info={"units": len(units)})
 
 

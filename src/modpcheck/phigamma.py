@@ -9,10 +9,14 @@ the structural claims: support patterns, filtration depths, leading-term
 congruences, commutation of the two actions, and the eigenline classifier
 for twisted fixed vectors.
 
-Entries are AElement values; missing entries are exact zeros.  Every
+Entries are AElement values; missing entries are exact zeros, and no
+matrix stores one: every builder drops them through _nonzero.  Every
 comparison respects the tracked knowledge cutoffs, so a check can only
 assert agreement strictly below the propagated precision floor of the
 entry it looks at.
+
+Every twist monomial is prod_j (Y_j * Y_{j-1}^(-p))^(h_j) for some integer
+vector h, whose exponent _twist gives: slot j gets h_j - p*h_{j+1}.
 """
 
 import functools
@@ -63,6 +67,17 @@ def _zero(fld, f):
     return AElement(fld, f, INF, {})
 
 
+def _nonzero(entries):
+    """The (key, entry) pairs whose entry is not an exact zero, as a dict."""
+    return {rc: v for rc, v in entries if v.terms or v.cutoff != INF}
+
+
+def _twist(p, h):
+    """Exponent of prod_j (Y_j * Y_{j-1}^(-p))^(h_j), indices cyclic."""
+    f = len(h)
+    return tuple(h[j] - p * h[(j + 1) % f] for j in range(f))
+
+
 # ---------------------------------------------------------------------------
 # matrices
 
@@ -101,10 +116,7 @@ class PhiGammaMatrix:
                 prod = x * y
                 prev = acc.get((r, c))
                 acc[(r, c)] = prod if prev is None else prev + prod
-        acc = {
-            rc: v for rc, v in acc.items() if v.terms or v.cutoff != INF
-        }
-        return PhiGammaMatrix(self.params, self.field, acc)
+        return PhiGammaMatrix(self.params, self.field, _nonzero(acc.items()))
 
 
 def _entry_pairs(A, B):
@@ -126,52 +138,41 @@ def phi_support(params):
     return out
 
 
-def mat_phi_untwisted(mu):
-    """Substitution matrix in the raw basis.
-
-    Column J+1 carries gamma(J+1, J') times the monomial with exponent
-    -(c^J + r^(J minus J')) on each row J' of the support.
-    """
-    params = mu.params
-    fld = mu.field
-    f = params.f
-    ent = {}
-    for J in params.subsets():
-        col = J.shift(1)
-        c = cJ(params, J)
-        for Jp in _between(J & params.Jrho, J):
-            k = vmap(lambda cj, rj: -(cj + rj), c, rJ(params, J - Jp))
-            ent[(Jp, col)] = AElement.monomial(fld, f, k, mu.gamma(col, Jp))
-    return PhiGammaMatrix(params, fld, ent)
-
-
-def mat_phi_twisted(mu, flip=None):
-    """Substitution matrix in the pole-normalized basis.
-
-    Same support as the raw matrix; the column J+1 monomial is
-    prod over j outside J of Y_j^(r_j+1) * Y_{j-1}^(-p(r_j+1)), so every
-    entry of that column sits at filtration depth -(p-1)*sum(r_j+1).
+def _phi_matrix(mu, exponent, flip=None):
+    """Substitution matrix: each slot (J', J+1) of phi_support holds
+    gamma(J+1, J') times the monomial Y^exponent(J, J').
 
     flip, a (rowJ, colJ) pair on the support, negates that one scalar; it
     is the detectability hook used by mutation runs.
     """
     params = mu.params
     fld = mu.field
-    f, p, r = params.f, params.p, params.r
     ent = {}
     for J in params.subsets():
         col = J.shift(1)
-        k = [0] * f
-        for j in range(f):
-            if j not in J:
-                k[j] += r[j] + 1
-                k[(j - 1) % f] -= p * (r[j] + 1)
         for Jp in _between(J & params.Jrho, J):
             g = mu.gamma(col, Jp)
-            if flip is not None and flip == (Jp, col):
+            if flip == (Jp, col):
                 g = fld.neg(g)
-            ent[(Jp, col)] = AElement.monomial(fld, f, tuple(k), g)
+            ent[(Jp, col)] = AElement.monomial(fld, params.f, exponent(J, Jp), g)
     return PhiGammaMatrix(params, fld, ent)
+
+
+def mat_phi_untwisted(mu):
+    """Substitution matrix in the raw basis: the row J' monomial of column
+    J+1 has exponent -(c^J + r^(J minus J'))."""
+    params = mu.params
+    return _phi_matrix(mu, lambda J, Jp: vmap(
+        lambda c, r: -(c + r), cJ(params, J), rJ(params, J - Jp)))
+
+
+def mat_phi_twisted(mu, flip=None):
+    """Substitution matrix in the pole-normalized basis: the column J+1
+    monomial twists by h_j = r_j+1 on the j outside J, so every entry of
+    that column sits at filtration depth -(p-1)*sum(r_j+1)."""
+    p, r = mu.params.p, mu.params.r
+    return _phi_matrix(mu, lambda J, Jp: _twist(
+        p, [0 if j in J else rj + 1 for j, rj in enumerate(r)]), flip)
 
 
 def default_flip(params):
@@ -232,11 +233,8 @@ def solve_right_inverse(M):
                 acc = term if acc is None else acc + term
             if acc is None:
                 continue
-            v = diag_inv[Jp] * acc
-            if v.terms or v.cutoff != INF:
-                sol[Jp.shift(1)] = v
-        for rowK, v in sol.items():
-            ent[(rowK, K)] = v
+            sol[Jp.shift(1)] = diag_inv[Jp] * acc
+        ent.update(_nonzero(((rowK, K), v) for rowK, v in sol.items()))
     return PhiGammaMatrix(params, fld, ent)
 
 
@@ -250,10 +248,9 @@ class ThetaProblem:
 
     Component i of the operator is
         theta(a)_i = a_i - lam_i * W_i * phi(a_{i+1}),
-    where W_i multiplies Y_j^(h_j) Y_{j-1}^(-p h_j) over the j with
-    j - i in J minus J', and the inverse monomial over the j with
-    j - i in J' minus J, all indices cyclic.  The twist scalars lam_i are
-    nonzero F_q encodings (ints).
+    where W_i is the twist monomial of h with h_j weighted by
+    (j - i in J) - (j - i in J'), all indices cyclic.  The twist scalars
+    lam_i are nonzero F_q encodings (ints).
     """
 
     p: int
@@ -284,22 +281,14 @@ class ThetaProblem:
     @functools.cached_property
     def twist_monomials(self):
         """The f twist monomials lam_i * W_i."""
-        fld = self.field
-        f, p, h = self.f, self.p, self.h
-        out = []
-        for i in range(f):
-            k = [0] * f
-            for j in range(f):
-                d = (j - i) % f
-                inJ, inJp = d in self.J, d in self.Jp
-                if inJ and not inJp:
-                    k[j] += h[j]
-                    k[(j - 1) % f] -= p * h[j]
-                elif inJp and not inJ:
-                    k[j] -= h[j]
-                    k[(j - 1) % f] += p * h[j]
-            out.append(AElement.monomial(fld, f, tuple(k), self.lam[i]))
-        return tuple(out)
+        f, J, Jp = self.f, self.J, self.Jp
+        return tuple(
+            AElement.monomial(self.field, f, _twist(self.p, [
+                v * (((j - i) % f in J) - ((j - i) % f in Jp))
+                for j, v in enumerate(self.h)
+            ]), self.lam[i])
+            for i in range(f)
+        )
 
 
 def _theta_increment(mono, a, f):
@@ -414,12 +403,7 @@ def random_theta_problem(params, fld, seed):
         c = [0] * f
         for _ in range(blocks):
             c[rng.randrange(f)] += 1
-        k = [0] * f
-        for j in range(f):
-            if c[j]:
-                k[(j - 1) % f] += p * c[j]
-                k[j] -= c[j]
-        return tuple(k)
+        return tuple(-k for k in _twist(p, c))
 
     b = []
     for _ in range(f):
@@ -486,13 +470,9 @@ def build_q_a(ctx, mu, u):
                     for i in range(f)
                 )
                 prob = ThetaProblem(p, J, Jp, lam, hvec, b)
-                sol = theta_solve(prob, depth=ctx.D)
-                for i in range(f):
-                    key = (Jp.shift(i), J.shift(i))
-                    done.add(key)
-                    x = sol[i]
-                    if x.terms or x.cutoff != INF:
-                        qa.entries[key] = x
+                keys = [(Jp.shift(i), J.shift(i)) for i in range(f)]
+                done.update(keys)
+                qa.entries.update(_nonzero(zip(keys, theta_solve(prob, depth=ctx.D))))
     return qa, pj
 
 
@@ -512,12 +492,10 @@ def _block_rhs(mu, qa, pj, Jp, J, hvec):
         x = qa.entries.get((K.shift(1), J.shift(1)))
         if x is None:
             continue
-        k = [0] * f
-        for j in J - K:
-            k[j] += hvec[j]
-            k[(j - 1) % f] -= p * hvec[j]
+        D = J - K
+        k = _twist(p, [v if j in D else 0 for j, v in enumerate(hvec)])
         g = fld.div(mu.gamma(K.shift(1), Jp), gJ)
-        acc = acc + AElement.monomial(fld, f, tuple(k), g) * frobenius(x)
+        acc = acc + AElement.monomial(fld, f, k, g) * frobenius(x)
     for K in _between(Jp | (J & Jrho), J):
         if K == J:
             continue
@@ -534,15 +512,13 @@ def _block_rhs(mu, qa, pj, Jp, J, hvec):
 def assemble_unit_matrix(params, qa, pj):
     """Multiply each normalized entry by the slot corrections of the
     embeddings outside its column index."""
-    ent = {}
+    ent = []
     for (Jp, J), x in qa.entries.items():
-        v = x
         for j in range(params.f):
             if j not in J:
-                v = v * pj[j]
-        if v.terms or v.cutoff != INF:
-            ent[(Jp, J)] = v
-    return PhiGammaMatrix(params, qa.field, ent)
+                x = x * pj[j]
+        ent.append(((Jp, J), x))
+    return PhiGammaMatrix(params, qa.field, _nonzero(ent))
 
 
 def build_mat_a(ctx, mu, u):
@@ -799,8 +775,7 @@ def check_commutation(ctx, Pphi, Pa, u):
         sweep.check(
             diff.is_zero(),
             row=key[0], col=key[1],
-            floor=None if floor == INF else floor,
-            leading=None if fdeg(diff) == INF else fdeg(diff),
+            floor=floor, leading=fdeg(diff),
         )
     max_pole = 0
     for M in (Pphi, Pa):
@@ -868,15 +843,13 @@ def check_unit_action_matrices(ctx, mu, units=10, pairs=2, seed=0, flip=None):
             d = INF if x is None else fdeg(x)
             s_struct.check(
                 d >= m * (p - 1),
-                unit=u, row=Jp, col=J, claim="depth",
-                depth=None if d == INF else d,
+                unit=u, row=Jp, col=J, claim="depth", depth=d,
             )
         for J in params.subsets():
             x = Pa.entry(J, J)
             d = fdeg(x - one)
             s_struct.check(
-                d >= p - 1, unit=u, col=J, claim="diagonal-window",
-                depth=None if d == INF else d,
+                d >= p - 1, unit=u, col=J, claim="diagonal-window", depth=d,
             )
         if params.Jrho.is_full():
             s_struct.check(
@@ -917,8 +890,7 @@ def check_unit_action_matrices(ctx, mu, units=10, pairs=2, seed=0, flip=None):
             floor = difference_floor(a, b)
             s_cocy.check(
                 eq_below(a, b, floor),
-                pair=n, row=key[0], col=key[1],
-                floor=None if floor == INF else floor,
+                pair=n, row=key[0], col=key[1], floor=floor,
             )
     struct_info = {"diagonal_normalization": "identity"} if params.Jrho.is_full() else None
     return [

@@ -8,6 +8,9 @@ from .errors import PACKAGE_ERRORS
 
 
 def _plain(v):
+    """v with subsets as member lists and tuples as lists, for JSON.  This
+    is the one place where an unbounded knowledge floor or depth (INF)
+    becomes null; the checks pass INF through as it is."""
     if isinstance(v, SubsetJ):
         return sorted(v.members())
     if isinstance(v, (list, tuple)):

@@ -383,9 +383,6 @@ class HCharacter:
     def __mul__(self, other):
         return HCharacter(self.qm1, self.exp1 + other.exp1, self.exp2 + other.exp2)
 
-    def __pow__(self, n):
-        return HCharacter(self.qm1, self.exp1 * n, self.exp2 * n)
-
 
 def char_of_lambda(params: RhoParams, lam1: tuple, lam2: tuple) -> HCharacter:
     p, qm1 = params.p, params.q - 1

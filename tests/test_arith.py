@@ -146,7 +146,7 @@ def test_zp_coordinates_linear():
         u = tuple(rng.randrange(R.pN) for _ in range(2))
         v = tuple(rng.randrange(R.pN) for _ in range(2))
         cu, cv = zp_coordinates(R, u), zp_coordinates(R, v)
-        cs = zp_coordinates(R, R.add(u, v))
+        cs = zp_coordinates(R, tuple((x + y) % R.pN for x, y in zip(u, v)))
         assert cs == tuple((x + y) % R.pN for x, y in zip(cu, cv))
 
 

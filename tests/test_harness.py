@@ -17,7 +17,8 @@ from modpcheck.harness import (
     run_suite,
     run_weights,
 )
-from modpcheck.iwasawa import AElement
+from modpcheck.iwasawa import INF, AElement
+from modpcheck.reporting import Sweep
 from modpcheck.weights import RhoParams
 
 
@@ -86,6 +87,13 @@ def test_report_bytes_stable():
     assert payload["schema"] == 1
     for row in payload["suites"]:
         assert set(row) >= {"name", "status", "checked"}
+
+
+def test_unbounded_floor_witness_is_null():
+    # checks pass INF through; the report serialiser writes it as null
+    sweep = Sweep("s")
+    sweep.check(False, floor=INF)
+    assert sweep.result().counterexample == {"floor": None}
 
 
 def test_table_mutation_detected():

@@ -8,7 +8,7 @@ import pytest
 
 from modpcheck import phigamma as pg
 from modpcheck.arith import Fq
-from modpcheck.base_combinatorics import SubsetJ
+from modpcheck.base_combinatorics import SubsetJ, all_subsets
 from modpcheck.constants import mu_gamma
 from modpcheck.errors import HypothesisViolation, NonConvergence, NotInvertible
 from modpcheck.iwasawa import (
@@ -172,6 +172,46 @@ def test_theta_problem_validation():
     bad_b = (AElement.monomial(F2, 2, (1, 0)), AElement(F2, 2, INF, {}))
     with pytest.raises(HypothesisViolation):
         pg.ThetaProblem(13, J, E2, ones, (2, 2), bad_b)
+
+
+def _reference_twist_monomials(prob):
+    # per-slot expansion of W_i: Y_j^(h_j) Y_{j-1}^(-p h_j) for j - i in
+    # J minus J', the inverse for j - i in J' minus J
+    f, p, h = prob.f, prob.p, prob.h
+    out = []
+    for i in range(f):
+        k = [0] * f
+        for j in range(f):
+            d = (j - i) % f
+            inJ, inJp = d in prob.J, d in prob.Jp
+            if inJ and not inJp:
+                k[j] += h[j]
+                k[(j - 1) % f] -= p * h[j]
+            elif inJp and not inJ:
+                k[j] -= h[j]
+                k[(j - 1) % f] += p * h[j]
+        out.append(AElement.monomial(prob.field, f, tuple(k), prob.lam[i]))
+    return out
+
+
+def test_twist_monomials_match_per_slot_reference_on_every_pair():
+    # every (J, J') pair, so J' outside J reaches the negative weights
+    pairs = 0
+    for p, f in ((11, 1), (13, 2), (17, 3)):
+        fld = Fq(p, f)
+        zeros = tuple(AElement(fld, f, INF, {}) for _ in range(f))
+        lam = tuple(range(1, f + 1))
+        h = tuple(2 + 3 * j for j in range(f))
+        for J in all_subsets(f):
+            for Jp in all_subsets(f):
+                prob = pg.ThetaProblem(p, J, Jp, lam, h, zeros)
+                got = prob.twist_monomials
+                want = _reference_twist_monomials(prob)
+                assert [(x.terms, x.cutoff) for x in got] == [
+                    (x.terms, x.cutoff) for x in want
+                ], (p, J, Jp)
+                pairs += 1
+    assert pairs == 84
 
 
 def test_theta_solver_validation():

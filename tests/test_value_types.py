@@ -1,14 +1,12 @@
 """The __slots__ value types against the frozen dataclasses they replaced.
 
-``OldSubsetJ``, ``OldIntVec`` and ``OldWeightB`` below are the dataclass
-bodies as they stood before the value types became plain classes, and
-``old_plain`` is the matching report serialiser.  Under Hypothesis at
-f = 1..3 the new types must agree with them on equality, hash, order, repr,
-report output, frozenset membership and iteration order, and on the type
-and message of every exception for bad input.  IntVec now lives with the
-tests, and ``modpcheck`` holds a vector as its entries tuple: the report
-output of that tuple must be the old report output of the OldIntVec, and
-``OldWeightB`` holds b as the same tuple.  The hoisted
+``OldSubsetJ`` and ``OldWeightB`` below are the dataclass bodies as they
+stood before the value types became plain classes, and ``old_plain`` is the
+matching report serialiser.  Under Hypothesis at f = 1..3 the new types
+must agree with them on equality, hash, order, repr, report output,
+frozenset membership and iteration order, and on the type and message of
+every exception for bad input.  ``modpcheck`` holds an integer vector as a
+plain int tuple, so ``OldWeightB`` holds b as the same tuple.  The hoisted
 ``MuAlgebra.defined``/``mu`` is compared with the definedness formula it
 replaced, on every pair and every Jrho.
 """
@@ -19,7 +17,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from intvec import IntVec
 from modpcheck.base_combinatorics import MAX_F, SubsetJ, all_subsets
 from modpcheck.constants import mu_gamma
 from modpcheck.errors import PairNotDefined, RangeViolation
@@ -75,31 +72,6 @@ class OldSubsetJ:
 
 
 @dataclass(frozen=True)
-class OldIntVec:
-    f: int
-    entries: tuple
-
-    def __post_init__(self):
-        if len(self.entries) != self.f:
-            raise ValueError("entry count != f")
-
-    def __add__(self, other):
-        return OldIntVec(self.f, tuple(a + b for a, b in zip(self.entries, other.entries)))
-
-    def __sub__(self, other):
-        return OldIntVec(self.f, tuple(a - b for a, b in zip(self.entries, other.entries)))
-
-    def __neg__(self):
-        return OldIntVec(self.f, tuple(-a for a in self.entries))
-
-    def __rmul__(self, c):
-        return OldIntVec(self.f, tuple(c * a for a in self.entries))
-
-    def __repr__(self):
-        return "(" + ",".join(str(a) for a in self.entries) + ")"
-
-
-@dataclass(frozen=True)
 class OldWeightB:
     params: RhoParams
     b: object
@@ -114,8 +86,6 @@ class OldWeightB:
 def old_plain(v):
     if isinstance(v, OldSubsetJ):
         return sorted(v.members())
-    if isinstance(v, OldIntVec):
-        return list(v.entries)
     return v
 
 
@@ -143,8 +113,7 @@ def same_value(old, new):
     )
     assert hash(old) == hash(new)
     assert repr(old) == repr(new)
-    # modpcheck holds a vector as its entries tuple
-    assert old_plain(old) == _plain(new.entries if isinstance(new, IntVec) else new)
+    assert old_plain(old) == _plain(new)
 
 
 def same_set_behaviour(olds, news, key):
@@ -198,48 +167,6 @@ def test_subset_equality_across_f_and_class():
     assert OldSubsetJ(3, 1) != OldSubsetJ(2, 1)
     assert SubsetJ(2, 1) != OldSubsetJ(2, 1)
     assert SubsetJ.__eq__(SubsetJ(2, 1), (2, 1)) is NotImplemented
-
-
-# ---------------------------------------------------------------------------
-# IntVec
-
-small = st.integers(-40, 40)
-
-
-@given(f=st.integers(0, 4), entries=st.lists(small, max_size=4))
-def test_intvec_construction_matches(f, entries):
-    got = same_outcome(OldIntVec, IntVec, f, tuple(entries))
-    if got is not None:
-        same_value(*got)
-
-
-@st.composite
-def intvec_lists(draw):
-    f = draw(fs)
-    vec = st.lists(small, min_size=f, max_size=f).map(tuple)
-    return f, draw(st.lists(vec, min_size=1, max_size=6)), draw(small)
-
-
-@given(data=intvec_lists())
-def test_intvec_values_match(data):
-    f, rows, c = data
-    olds = [OldIntVec(f, e) for e in rows]
-    news = [IntVec(f, e) for e in rows]
-    same_set_behaviour(olds, news, lambda v: v.entries)
-    for o1, n1 in zip(olds, news):
-        same_value(o1, n1)
-        same_value(-o1, -n1)
-        same_value(c * o1, c * n1)
-        for o2, n2 in zip(olds, news):
-            assert (o1 == o2) == (n1 == n2)
-            same_value(o1 + o2, n1 + n2)
-            same_value(o1 - o2, n1 - n2)
-
-
-def test_intvec_equality_across_class():
-    assert IntVec(2, (1, 2)) != (1, 2)
-    assert IntVec(2, (1, 2)) != OldIntVec(2, (1, 2))
-    assert IntVec.__eq__(IntVec(2, (1, 2)), (1, 2)) is NotImplemented
 
 
 # ---------------------------------------------------------------------------

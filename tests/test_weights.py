@@ -298,7 +298,8 @@ def test_characters():
         f = params.f
         for j in range(f):
             aj = alpha_char(params, IntVec.unit(f, j).entries)
-            assert aj**params.p == alpha_char(params, IntVec.unit(f, j + 1).entries)
+            ajp = HCharacter(aj.qm1, aj.exp1 * params.p, aj.exp2 * params.p)
+            assert ajp == alpha_char(params, IntVec.unit(f, j + 1).entries)
     # chi of the empty translate is lambda = (r, 0)
     for params in ALL_PARAMS:
         assert char_of_weight(params, SubsetJ.of(params.f, [])) == char_of_lambda(
