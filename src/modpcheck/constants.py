@@ -2,20 +2,21 @@
 
 Everything here is exact: integer vectors are int tuples indexed by the
 embeddings j = 0..f-1, plus finite-field scalars for the pairing constants.
-The check_* functions sweep every tuple allowed by the hypotheses of the
-identity they verify and report the first counterexample rather than
-raising.
+ConstantTables builds the tables of one parameter set once, as dicts, and
+applies an optional one-cell Mutation after the build.  The check_*
+functions read the tables from it, sweep every tuple allowed by the
+hypotheses of the identity they verify and report the first counterexample
+rather than raising.
 """
 
 import dataclasses
-import functools
 import itertools
 import math
 import random
 from dataclasses import dataclass
 from operator import add, eq, ge, le, mul, sub
 
-from .arith import Fq, Memo
+from .arith import Fq
 from .base_combinatorics import SubsetJ, right_boundary, vmap
 from .errors import ConfigInvalid, HypothesisViolation, PairNotDefined, RangeViolation
 from .reporting import Sweep, run_table, witness
@@ -86,9 +87,11 @@ def epsilonJ(params, J):
 
 def tJJp(params, J, Jp):
     """Shift exponents for the (J, Jp) comparison: p-1-s(J) plus a Jp bump."""
-    s, _ = sJ_tJ(params, J)
-    p, f = params.p, params.f
-    return tuple(p - 1 - s[j] + (1 if (j - 1) in Jp else 0) for j in range(f))
+    return _t_pair(params.p, sJ_tJ(params, J)[0], Jp)
+
+
+def _t_pair(p, s, Jp):
+    return tuple(p - 1 - sj + (1 if (j - 1) in Jp else 0) for j, sj in enumerate(s))
 
 
 def _m_frame(params, J, Jp):
@@ -113,7 +116,7 @@ def _m_vec(frame, i):
     return tuple(s * (2 * x + o) for s, x, o in zip(signs, i, offsets))
 
 
-def _tjx_bump(params, J, j):
+def _tjx_odd_offset(params, J, j):
     # offset added to n*p by the shift exponent at slot j when x = 2n + 1
     return (params.r[j] + 1) if (j + 1) not in J else (params.p - 1 - params.r[j])
 
@@ -148,7 +151,7 @@ class AJnFrame:
         )
         # None marks the zero slot j0, present when j0 sits in J^sh
         self.bumps = tuple(
-            None if j == j0 % f and j0 in Jsh else _tjx_bump(params, J, j)
+            None if j == j0 % f and j0 in Jsh else _tjx_odd_offset(params, J, j)
             for j in range(f)
         )
         self.images = {ent: self._formula(ent) for ent in _a_domain(params, J, j0)}
@@ -267,7 +270,7 @@ def mu_gamma(params, seed=0):
 
 
 # ---------------------------------------------------------------------------
-# mutable table frontend (for mutation kill-coverage)
+# the constant tables of one parameter set and their one-cell mutations
 
 
 MUTABLE = ("s", "t", "a", "r", "c", "cprime", "tJJp", "aJn")
@@ -288,66 +291,48 @@ class Mutation:
             raise ConfigInvalid(f"unknown table {self.table!r}; pick one of {MUTABLE}")
 
 
-def _bump(mutation, table, J, vec, Jp=None):
-    # vec, plus the mutation when it hits this table at J (and Jp for tJJp)
-    m = mutation
-    if m is None or m.table != table or m.jmask != J.bits:
-        return vec
-    if table == "tJJp" and m.jpmask != Jp.bits:
-        return vec
-    ent = list(vec)
-    ent[m.j % len(ent)] += m.delta
-    return tuple(ent)
-
-
-def _aJn_image(params, mutation, J, j0):
-    frame = AJnFrame(params, J, j0).image
-    bump = _bump(mutation, "aJn", J, (0,) * params.f)
-    return (lambda ent: tuple(map(add, frame(ent), bump))) if any(bump) else frame
-
-
 class ConstantTables:
-    """Accessors for the constant tables, with an optional one-cell mutation.
+    """The constant tables of one parameter set, as dicts named after the
+    MUTABLE entries, with an optional one-cell mutation.
 
-    A mutation bumps exactly one output cell of the named accessor; every
-    other accessor keeps the pristine formula.  The identity sweeps read the
-    constants only through an instance of this class, so any single-cell
-    perturbation must trip at least one of them.
+    s, t, a, r, c and cprime are keyed by J, tJJp by (J, Jp) and aJn by
+    (J, j0), whose value is AJnFrame(params, J, j0).image.  Every table is
+    built from the pristine formulas before the mutation adds its delta to
+    its one cell, so an s mutant leaves t and tJJp pristine; an aJn mutant
+    shifts slot j of every output of the f frames of J.  The identity sweeps
+    read the constants only through an instance of this class, so any
+    single-cell perturbation must trip at least one of them.
     """
 
     def __init__(self, params, mutation=None):
-        self.params = params
-        self.mutation = mutation
-        # the build holds params and mutation, not self, so no reference
-        # cycle keeps the tables and their frames alive until a collection
-        self._aJn = Memo(functools.partial(_aJn_image, params, mutation))
-
-    def s(self, J):
-        return _bump(self.mutation, "s", J, sJ_tJ(self.params, J)[0])
-
-    def t(self, J):
-        return _bump(self.mutation, "t", J, sJ_tJ(self.params, J)[1])
-
-    def a(self, J):
-        return _bump(self.mutation, "a", J, aJ(self.params, J))
-
-    def rJ(self, J):
-        return _bump(self.mutation, "r", J, rJ(self.params, J))
-
-    def cJ(self, J):
-        return _bump(self.mutation, "c", J, cJ(self.params, J))
-
-    def cprime(self, J):
-        return _bump(self.mutation, "cprime", J, cPrimeJ(self.params, J))
-
-    def tJJp(self, J, Jp):
-        return _bump(self.mutation, "tJJp", J, tJJp(self.params, J, Jp), Jp=Jp)
-
-    def aJn_image_at(self, J, j0):
-        """aJn(J, ., j0) on entries tuples (AJnFrame.image), for a caller
-        that holds it over many n: each (J, j0) frame is built once per
-        instance, and the mutation bump is added to every output."""
-        return self._aJn[J, j0]
+        p, f = params.p, params.f
+        subs = list(params.subsets())
+        self.s = {J: sJ_tJ(params, J)[0] for J in subs}
+        self.t = {J: sJ_tJ(params, J)[1] for J in subs}
+        self.a = {J: aJ(params, J) for J in subs}
+        self.r = {J: rJ(params, J) for J in subs}
+        self.c = {J: cJ(params, J) for J in subs}
+        self.cprime = {J: cPrimeJ(params, J) for J in subs}
+        self.tJJp = {(J, Jp): _t_pair(p, self.s[J], Jp) for J in subs for Jp in subs}
+        self.aJn = {(J, j0): AJnFrame(params, J, j0).image for J in subs for j0 in range(f)}
+        m = mutation
+        if m is None:
+            return
+        masks = range(len(subs))
+        if m.jmask not in masks or m.j not in range(f) or (
+            m.table == "tJJp" and m.jpmask not in masks
+        ):
+            raise ConfigInvalid(f"{m!r} names no cell of {m.table} at f={f}")
+        J = subs[m.jmask]
+        bump = tuple(m.delta if j == m.j else 0 for j in range(f))
+        if m.table == "aJn":
+            # the wrapped image holds its frame and the bump, never self
+            for j0 in range(f):
+                self.aJn[J, j0] = lambda ent, im=self.aJn[J, j0]: tuple(map(add, im(ent), bump))
+            return
+        table = getattr(self, m.table)
+        key = (J, subs[m.jpmask]) if m.table == "tJJp" else J
+        table[key] = tuple(map(add, table[key], bump))
 
 
 def all_mutations(params):
@@ -391,7 +376,7 @@ def check_weight_table_bounds(params, tables):
     extra = 1 if f == 1 else 0
     for J in subs:
         _, _, Jsh = params.parts(J)
-        s = tables.s(J)
+        s = tables.s[J]
         for j in range(f):
             dsh = 1 if j in Jsh else 0
             lo = 2 * (f - dsh) + 1 + extra
@@ -402,14 +387,14 @@ def check_weight_table_bounds(params, tables):
     for J in subs:
         _, _, Jsh = params.parts(J)
         for Jp in subs:
-            tv = tables.tJJp(J, Jp)
+            tv = tables.tJJp[J, Jp]
             for j in range(f):
                 hi = p - 1 - 2 * (f - (1 if j in Jsh else 0))
                 tw.check(1 <= tv[j] <= hi, J=J, Jp=Jp, j=j, t=tv[j], hi=hi)
 
     cw = Sweep("bound-carry-window")
     for J in subs:
-        c, cp = tables.cJ(J), tables.cprime(J)
+        c, cp = tables.c[J], tables.cprime[J]
         for j in range(f):
             cw.check(
                 0 <= c[j] <= p - 1 and 0 <= cp[j] <= p - 1,
@@ -418,7 +403,7 @@ def check_weight_table_bounds(params, tables):
 
     dw = Sweep("carry-difference-identity")
     for J in subs:
-        c, cp = tables.cJ(J), tables.cprime(J)
+        c, cp = tables.c[J], tables.cprime[J]
         overlap = J & J.shift(1)
         for j in range(f):
             lhs = p * (1 if (j + 1) in overlap else 0) + c[j] - cp[j]
@@ -448,7 +433,7 @@ def check_change_origin(params, tables, boxes=None):
     sw = Sweep("change-origin-composition")
     for J in params.subsets():
         translate = Translation(params, J)
-        base = tables.a(J)
+        base = tables.a[J]
         signs = tuple(-1 if (j + 1) in J else 1 for j in range(f))
         _, _, Jsh = params.parts(J)
         ranges = tuple(
@@ -489,8 +474,8 @@ def _check_t_vs_r(params, tables, subs):
     sw = Sweep("t-equals-r-plus-shift")
     for J in subs:
         _, _, Jsh = params.parts(J)
-        want = vmap(lambda j, r: r + (1 if j in Jsh else 0), range(params.f), tables.rJ(J))
-        sw.check(tables.t(J) == want, J=J, t=tables.t(J), want=want)
+        want = vmap(lambda j, r: r + (1 if j in Jsh else 0), range(params.f), tables.r[J])
+        sw.check(tables.t[J] == want, J=J, t=tables.t[J], want=want)
     return sw.result()
 
 
@@ -498,9 +483,9 @@ def _check_tpair_vs_s(params, tables, subs):
     sw = Sweep("pairwise-shift-vs-s")
     p, f = params.p, params.f
     for J in subs:
-        s = tables.s(J)
+        s = tables.s[J]
         for Jp in subs:
-            tv = tables.tJJp(J, Jp)
+            tv = tables.tJJp[J, Jp]
             for j in range(f):
                 want = p - 1 - s[j] + (1 if (j - 1) in Jp else 0)
                 sw.check(tv[j] == want, J=J, Jp=Jp, j=j, t=tv[j], want=want)
@@ -513,7 +498,7 @@ def _check_s_complement(params, tables, subs):
     for J, Jp in _pairs_same_class(params, subs):
         sym = J ^ Jp
         inter_nss = (J & Jp) - params.Jrho
-        sJ, sJp = tables.s(J), tables.s(Jp)
+        sJ, sJp = tables.s[J], tables.s[Jp]
         for j in sym.shift(-1).members():
             lhs = (
                 2 * (1 if j in inter_nss else 0)
@@ -569,8 +554,6 @@ def _check_shift_overlap_reindex(params, tables, subs):
     first failing part builds its witness."""
     sw = Sweep("shift-overlap-reindex")
     p, f, r = params.p, params.f, params.r
-    # the tables depend on the subsets only, not on i: read each one once
-    tJJp, s_of = functools.cache(tables.tJJp), functools.cache(tables.s)
 
     def frame(J, j0, Jp):
         # everything but i: for the block (J, Jp) and the reindexed (J2, Jpp),
@@ -581,12 +564,12 @@ def _check_shift_overlap_reindex(params, tables, subs):
         J2 = J - SubsetJ.of(f, [j0 + 2])
         Jpp = Jp ^ SubsetJ.of(f, [j0 + 1])
         Kss = J.shift(-1) & params.Jrho  # same for J2 since j0+2 is not special
-        svec = s_of(Kss)
+        svec = tables.s[Kss]
         anchor = (j0 + 1) % f
         anchor_out = 1 if (j0 + 1) not in J else 0
 
         def block(K, Kp):
-            sym, tv = K ^ Kss, tJJp(K, Kp)
+            sym, tv = K ^ Kss, tables.tJJp[K, Kp]
             const = tuple(
                 (svec[j] if (j + 1) in sym else p - 1)
                 - (0 if j in Kp else tv[j])
@@ -638,7 +621,7 @@ def _check_character_origin(params, tables, subs):
     target = char_of_lambda(params, params.r, (0,) * f)
     for J in subs:
         _, _, Jsh = params.parts(J)
-        i = vmap(lambda j, r: r + (1 if j in Jsh else 0), range(f), tables.rJ(J))
+        i = vmap(lambda j, r: r + (1 if j in Jsh else 0), range(f), tables.r[J])
         chi = char_of_weight(params, J) * alpha_char(params, i)
         sw.check(chi == target, J=J)
     return sw.result()
@@ -650,8 +633,8 @@ def _check_r_additivity(params, tables, subs):
         for J2 in subs:
             if J1 & J2:
                 continue
-            total = vmap(add, tables.rJ(J1), tables.rJ(J2))
-            sw.check(tables.rJ(J1 | J2) == total, J1=J1, J2=J2)
+            total = vmap(add, tables.r[J1], tables.r[J2])
+            sw.check(tables.r[J1 | J2] == total, J1=J1, J2=J2)
     return sw.result()
 
 
@@ -659,8 +642,8 @@ def _check_c_as_r_difference(params, tables, subs):
     sw = Sweep("c-as-r-difference")
     p, f = params.p, params.f
     for J in subs:
-        c = tables.cJ(J)
-        rv, rv1 = tables.rJ(J), tables.rJ(J.shift(1))
+        c = tables.c[J]
+        rv, rv1 = tables.r[J], tables.r[J.shift(1)]
         sw.check(
             alpha_char(params, c) == alpha_char(params, vmap(sub, rv1, rv)),
             J=J, part="character",
@@ -685,11 +668,11 @@ def _check_carry_inequality(params, tables, subs):
             over = Jp & J.shift(-1)
             cvec = vmap(
                 lambda j, c, r: p * (1 if j in over else 0) + c - f - r,
-                range(f), tables.cJ(Jp), tables.rJ(J - Jp),
+                range(f), tables.c[Jp], tables.r[J - Jp],
             )
             Jp1 = Jp.shift(1)
             _, _, Jp1sh = params.parts(Jp1)
-            tv = tables.tJJp(Jp1, Jpp)
+            tv = tables.tJJp[Jp1, Jpp]
             bonus = 1 if not Jpp else 0
             for j in range(f):
                 rhs = bonus
@@ -713,8 +696,8 @@ def _check_c_restriction(params, tables, subs):
         for Jp in subs:
             if not Jp <= J:
                 continue
-            cp, cw = tables.cJ(Jp), tables.cJ(J)
-            rd = tables.rJ(J - Jp)
+            cp, cw = tables.c[Jp], tables.c[J]
+            rd = tables.r[J - Jp]
             for j in range(f):
                 want = cw[j] + (p - 1 - r[j] if j in (J - Jp) else 0)
                 sw.check(
@@ -816,14 +799,14 @@ def check_shifted_table_additivity(params, tables):
             if not Jp <= J:
                 continue
             diff = J - Jp
-            rdiff = tables.rJ(diff)
+            rdiff = tables.r[diff]
             shift = tuple(1 if j in diff else 0 for j in range(f))
             for j0 in range(f):
                 if (j0 + 1) in diff:
                     continue
                 if j0 in Jsh and not (Jss | SubsetJ.of(f, [j0 + 1])) <= Jp:
                     continue
-                at_J, at_Jp = tables.aJn_image_at(J, j0), tables.aJn_image_at(Jp, j0)
+                at_J, at_Jp = tables.aJn[J, j0], tables.aJn[Jp, j0]
                 domain = domains[j0]
                 lhs = [tuple(map(add, at_J(e), rdiff)) for e in domain]
                 rhs = [at_Jp(tuple(map(add, e, shift))) for e in domain]
@@ -847,12 +830,12 @@ def check_domination_claims(params, tables):
     env = Sweep("vanishing-region-envelope")
     if f == 1:
         for J in params.subsets():
-            a = tables.aJn_image_at(J, 0)((0,))
+            a = tables.aJn[J, 0]((0,))
             env.check(a[0] == 0, J=J, a=a)
     else:
         for J in params.subsets():
             for j0 in range(f):
-                at = tables.aJn_image_at(J, j0)
+                at = tables.aJn[J, j0]
                 for mp in range(1, p):
                     nval = min(mp, 2 * f - 1)
                     ent = [nval] * f
@@ -881,9 +864,9 @@ def check_domination_claims(params, tables):
                     ent = [2] * f
                     ent[(j0 + 1) % f] = 0
                     ent[j0 % f] = 1 + (1 if j0 in diff else 0)
-                    lhs = list(tables.aJn_image_at(Jp, j0)(tuple(ent)))
+                    lhs = list(tables.aJn[Jp, j0](tuple(ent)))
                     lhs[(j0 + 1) % f] -= 1
-                    rhs = [x + f for x in tables.rJ(diff)]
+                    rhs = [x + f for x in tables.r[diff]]
                     rhs[j0 % f] -= f + 1 - (1 if j0 in Jsh else 0)
                     cor.check(all(map(ge, lhs, rhs)), J=J, Jp=Jp, j0=j0, lhs=lhs, rhs=rhs)
     return [env.result(), cor.result()]

@@ -15,7 +15,7 @@ from time import perf_counter
 
 from .arith import minimal_irreducible
 from .base_combinatorics import all_subsets
-from .constants import MUTABLE, all_mutations, identity_sweeps, mu_gamma, run_identities
+from .constants import MUTABLE, Mutation, identity_sweeps, mu_gamma, run_identities
 from .errors import ConfigInvalid
 from .iwasawa import (
     chart_context,
@@ -150,17 +150,16 @@ class RunConfig:
 def _resolve_mutation(config, params):
     """Map the mutate flag onto a concrete perturbation for these params.
 
-    Table names perturb one cell of ConstantTables (deterministically the
-    first cell of that table); "eps" flips the sign of one substitution-matrix
-    entry instead, which only the phigamma suite can see.
+    Table names perturb the first cell of that table of ConstantTables
+    (J = J' = the empty set, slot j = 0); "eps" flips the sign of one
+    substitution-matrix entry instead, which only the phigamma suite can see.
     """
     if config.mutate is None:
         return None, None
     if config.mutate == "eps":
         return None, default_flip(params)
     # RunConfig admits only MUTABLE names, and every table has cells at every f
-    name = _TABLE_ALIASES.get(config.mutate, config.mutate)
-    return next(m for m in all_mutations(params) if m.table == name), None
+    return Mutation(_TABLE_ALIASES.get(config.mutate, config.mutate), 0, 0), None
 
 
 # ---- check tables ----------------------------------------------------------

@@ -254,8 +254,6 @@ class AElement:
     def __add__(self, other):
         return self._binop(other, 1)
 
-    __radd__ = __add__
-
     def __sub__(self, other):
         return self._binop(other, self.field.neg(1))
 
@@ -316,9 +314,6 @@ class AElement:
             if n:
                 base = base.mul_below(base, inner)
         return result if inner == bound else result.copy_truncated(bound)
-
-    def __pow__(self, n):
-        return self.pow_below(n, INF)
 
     # ---- additive chart ----
 

@@ -62,9 +62,6 @@ class RhoParams:
     def parts(self, J):
         return decompose_parts(J, self.Jrho)
 
-    def label(self):
-        return f"p={self.p} f={self.f} r={self.r} jrho={self.Jrho.members()}"
-
     @cached_property
     def b_window(self):
         """(-r, p-2-r): the componentwise bounds on the position b of a weight."""

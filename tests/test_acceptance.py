@@ -58,7 +58,7 @@ def test_criterion_1_constant_identities_exhaustive():
         for cfg in list_params(f):
             for params in cfg.param_sets():
                 for res in _table_rows(identities_table(cfg, params)):
-                    assert res.passed, (params.label(), res.name, res.counterexample)
+                    assert res.passed, (params, res.name, res.counterexample)
                     checked += res.checked
         dt = time.perf_counter() - t0
         _note(f"criterion 1: f={f} identities checked={checked} in {dt:.1f}s")
@@ -70,10 +70,10 @@ def test_criterion_2_origin_change_domination_and_mutation_kill():
     for params in _param_sets():
         tables = ConstantTables(params)
         res = check_change_origin(params, tables)
-        assert res.passed, (params.label(), res.counterexample)
+        assert res.passed, (params, res.counterexample)
         checked += res.checked
         for res in check_domination_claims(params, tables):
-            assert res.passed, (params.label(), res.name, res.counterexample)
+            assert res.passed, (params, res.name, res.counterexample)
             checked += res.checked
     assert checked > 0
 
@@ -87,7 +87,7 @@ def test_criterion_2_origin_change_domination_and_mutation_kill():
     assert not undetected, undetected
     _note(
         f"criterion 2: claims checked={checked}, "
-        f"{len(muts)}/{len(muts)} single-cell mutations detected at {params.label()}"
+        f"{len(muts)}/{len(muts)} single-cell mutations detected at {params}"
     )
 
 
@@ -95,7 +95,7 @@ def test_criterion_3_table_bounds_exhaustive():
     checked = 0
     for params in _param_sets():
         for res in check_weight_table_bounds(params, ConstantTables(params)):
-            assert res.passed, (params.label(), res.name, res.counterexample)
+            assert res.passed, (params, res.name, res.counterexample)
             checked += res.checked
     _note(f"criterion 3: bound checks passed, checked={checked}")
 
@@ -124,7 +124,7 @@ def test_criterion_5_twist_and_right_inverse():
             check_twist_change_of_basis(mu),
             check_right_inverse(mu),
         ):
-            assert res.passed, (params.label(), res.name, res.counterexample)
+            assert res.passed, (params, res.name, res.counterexample)
         count += 1
     _note(f"criterion 5: twist + inverse verified on {count} parameter sets")
 
@@ -134,7 +134,7 @@ def test_criterion_6_component_solver():
     for cfg in list_params():
         params = cfg.param_sets()[0]  # problems do not depend on Jrho
         res = check_theta_solver(params, count=50, seed=0, depth=cfg.cutoff_value())
-        assert res.passed, (params.label(), res.counterexample)
+        assert res.passed, (params, res.counterexample)
         assert res.checked >= 50
         solved += 50
     _note(f"criterion 6: {solved} random problems solved, schedules agree")
@@ -153,7 +153,7 @@ def test_criterion_7_unit_matrices_and_commutation():
             mu = mu_gamma(params, 0)
             rows = check_unit_action_matrices(ctx, mu, units=10, pairs=2, seed=0)
             for res in rows:
-                assert res.passed, (params.label(), res.name, res.counterexample)
+                assert res.passed, (params, res.name, res.counterexample)
             comm = next(r for r in rows if r.name == "unit-substitution-commutation")
             _note(
                 f"criterion 7: p={p} f={f} r={tuple(cfg.r)} jrho={jrho} "
@@ -172,7 +172,7 @@ def test_criterion_8_admissible_families_and_rank():
         rows = {r.name: r for r in run_weights(params)}
         for name in ("admissible-families", "rank-formula"):
             res = rows[name]
-            assert res.passed, (params.label(), name, res.counterexample)
+            assert res.passed, (params, name, res.counterexample)
             checked += res.checked
     _note(f"criterion 8: family and rank checks passed, checked={checked}")
 
@@ -183,6 +183,6 @@ def test_criterion_9_weight_counts_and_partition():
         rows = {r.name: r for r in run_weights(params)}
         for name in ("weight-set-size", "socle-block-partition"):
             res = rows[name]
-            assert res.passed, (params.label(), name, res.counterexample)
+            assert res.passed, (params, name, res.counterexample)
             checked += res.checked
     _note(f"criterion 9: count and partition checks passed, checked={checked}")

@@ -114,7 +114,7 @@ def _digit_walk(g, c, n_digits):
         d = c % p
         c //= p
         if d:
-            out = out * ((eps + 1) ** d)
+            out = out * (eps + 1).pow_below(d, INF)
             out = out.copy_truncated(g.cutoff)
         if c:
             eps = pth_power(eps)

@@ -4,7 +4,7 @@ import functools
 import gc
 import itertools
 import weakref
-from operator import add
+from operator import add, sub
 
 import pytest
 
@@ -18,7 +18,7 @@ from modpcheck.constants import (
     _m_frame,
     _check_shift_overlap_reindex,
     _m_vec,
-    _tjx_bump,
+    _tjx_odd_offset,
     all_mutations,
     cJ,
     cPrimeJ,
@@ -38,7 +38,7 @@ from modpcheck.errors import (
 )
 from modpcheck.harness import run_identities
 from modpcheck.reporting import Sweep
-from modpcheck.weights import RhoParams
+from modpcheck.weights import RhoParams, aJ, sJ_tJ
 
 P1 = RhoParams.make(11, 1, (4,))
 P1R = RhoParams.make(11, 1, (4,), jrho_members=(0,))
@@ -50,10 +50,14 @@ P3 = RhoParams.make(17, 3, (7, 8, 7), jrho_members=(1,))
 ALL_PARAMS = (P1, P1R, P2, P2A, P2F, P3)
 
 
+def _label(params):
+    return f"p={params.p} f={params.f} r={params.r} jrho={params.Jrho.members()}"
+
+
 def tJx(params, J, j, x):
     """One-variable shift exponent: write x = 2n + d with d in {0, 1}."""
     n, d = divmod(x, 2)
-    return n * params.p + (_tjx_bump(params, J, j) if d else 0)
+    return n * params.p + (_tjx_odd_offset(params, J, j) if d else 0)
 
 
 def aJn(params, J, n, j0):
@@ -234,7 +238,7 @@ def test_decompose_terminates():
 # identity and bound sweeps on clean tables
 
 
-@pytest.mark.parametrize("params", ALL_PARAMS, ids=lambda p: p.label())
+@pytest.mark.parametrize("params", ALL_PARAMS, ids=_label)
 def test_all_checks_pass(params):
     for res in run_all_checks(params):
         assert res.passed, (res.name, res.counterexample)
@@ -332,10 +336,10 @@ def test_f1_ajn_mutation_caught_by_envelope():
 
 
 def test_tables_are_freed_without_a_collection():
-    # the aJn memo holds no reference back to its tables, so a run's tables
-    # and frames go as soon as the run drops them
+    # a mutated aJn image holds no reference back to its tables, so a run's
+    # tables and frames go as soon as the run drops them
     tables = ConstantTables(P2A, Mutation("aJn", 0b01, 0))
-    assert tables.aJn_image_at(J(P2A, 0), 0) is tables.aJn_image_at(J(P2A, 0), 0)
+    assert tables.aJn[J(P2A, 0), 0] is tables.aJn[J(P2A, 0), 0]
     ref = weakref.ref(tables)
     gc.disable()
     try:
@@ -348,6 +352,84 @@ def test_tables_are_freed_without_a_collection():
 def test_mutation_rejects_unknown_table():
     with pytest.raises(ConfigInvalid):
         Mutation("sigma", 0, 0)
+
+
+@pytest.mark.parametrize("mutation", [
+    Mutation("s", 0b100, 0),
+    Mutation("tJJp", 0b01, 0, jpmask=0b1000),
+    Mutation("r", 0b01, 2),
+    Mutation("aJn", 0b01, -1),
+], ids=repr)
+def test_mutation_naming_no_cell_is_rejected(mutation):
+    # J, J' (tJJp only) and the slot j must exist at f=2
+    with pytest.raises(ConfigInvalid, match="names no cell"):
+        run_identities(RhoParams.make(13, 2, (5, 6), (0,)), 0, mutation)
+
+
+def test_jpmask_is_ignored_outside_tjjp():
+    tables = ConstantTables(P2A, Mutation("s", 0b01, 0, jpmask=0b1000))
+    assert tables.s[J(P2A, 0)] == tuple(map(add, sJ_tJ(P2A, J(P2A, 0))[0], (1, 0)))
+
+
+TABLE_PARAMS = (P1, P2A, P3)
+
+
+def _table_cells(params, tables):
+    # every cell of every table, aJn read on its hypothesis domain
+    cells = {}
+    for name in constants.MUTABLE:
+        for key, value in getattr(tables, name).items():
+            if name == "aJn":
+                for n in constants._a_domain(params, *key):
+                    cells[name, key, n] = value(n)
+            else:
+                cells[name, key] = value
+    return cells
+
+
+@pytest.mark.parametrize("params", TABLE_PARAMS, ids=_label)
+def test_pristine_tables_match_the_formulas(params):
+    tables = ConstantTables(params)
+    subs = list(params.subsets())
+    for name in ("s", "t", "a", "r", "c", "cprime"):
+        assert list(getattr(tables, name)) == subs
+    assert list(tables.tJJp) == [(K, Kp) for K in subs for Kp in subs]
+    assert list(tables.aJn) == [(K, j0) for K in subs for j0 in range(params.f)]
+    for K in subs:
+        assert (tables.s[K], tables.t[K]) == sJ_tJ(params, K)
+        assert tables.a[K] == aJ(params, K)
+        assert tables.r[K] == rJ(params, K)
+        assert tables.c[K] == cJ(params, K)
+        assert tables.cprime[K] == cPrimeJ(params, K)
+        for Kp in subs:
+            assert tables.tJJp[K, Kp] == tJJp(params, K, Kp)
+        for j0 in range(params.f):
+            frame = AJnFrame(params, K, j0)
+            for n in constants._a_domain(params, K, j0):
+                assert tables.aJn[K, j0](n) == frame.image(n)
+
+
+@pytest.mark.parametrize("params", TABLE_PARAMS, ids=_label)
+def test_each_mutation_moves_one_cell_by_delta(params):
+    # one cell at slot j; for aJn every output of the f frames of J
+    subs = list(params.subsets())
+    pristine = _table_cells(params, ConstantTables(params))
+    for m in all_mutations(params):
+        K = subs[m.jmask]
+        got = _table_cells(params, ConstantTables(params, m))
+        assert got.keys() == pristine.keys()
+        moved = {cell for cell in got if got[cell] != pristine[cell]}
+        if m.table == "aJn":
+            want = {cell for cell in got if cell[0] == "aJn" and cell[1][0] == K}
+        elif m.table == "tJJp":
+            want = {("tJJp", (K, subs[m.jpmask]))}
+        else:
+            want = {(m.table, K)}
+        assert moved == want, m
+        for cell in moved:
+            assert tuple(map(sub, got[cell], pristine[cell])) == tuple(
+                m.delta if j == m.j else 0 for j in range(params.f)
+            ), (m, cell)
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +485,6 @@ def overlap_reindex_reference(params, tables, subs):
     """The sweep as it was: IntVec indices and m-vectors, one check per part."""
     sw = Sweep("shift-overlap-reindex")
     p, f, r = params.p, params.f, params.r
-    tJJp, s_of = functools.cache(tables.tJJp), functools.cache(tables.s)
 
     @functools.cache
     def frame(J, j0, Jp):
@@ -412,11 +493,11 @@ def overlap_reindex_reference(params, tables, subs):
         Kss = J.shift(-1) & params.Jrho
         bump = -(0 if (j0 + 1) in Jp else 1) + (1 if (j0 + 2) in Kss else 0)
         sym1, sym2 = J ^ Kss, J2 ^ Kss
-        svec = s_of(Kss)
+        svec = tables.s[Kss]
         _, _, J2sh = params.parts(J2)
         return (
             bump, _m_map(params, J, Jp), _m_map(params, J2, Jpp),
-            tJJp(J, Jp), tJJp(J2, Jpp), Jpp,
+            tables.tJJp[J, Jp], tables.tJJp[J2, Jpp], Jpp,
             tuple(svec[j] if (j + 1) in sym1 else p - 1 for j in range(f)),
             tuple(svec[j] if (j + 1) in sym2 else p - 1 for j in range(f)),
             tuple((1 if (j - 1) in Jp else 0) - (1 if j in sym1 else 0) for j in range(f)),

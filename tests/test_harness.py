@@ -130,6 +130,16 @@ def test_run_identities_mutation_direct():
     assert any(not r.passed for r in dirty)
 
 
+@pytest.mark.parametrize("p,f,r", [(11, 1, (4,)), (13, 2, (5, 6)), (17, 3, (7, 8, 7))],
+                         ids=["f1", "f2", "f3"])
+def test_mutate_flag_picks_the_first_cell_of_its_table(p, f, r):
+    for name in constants.MUTABLE:
+        config = RunConfig(p=p, f=f, r=r, mutate=name)
+        for params in config.param_sets():
+            first = next(m for m in constants.all_mutations(params) if m.table == name)
+            assert harness._resolve_mutation(config, params) == (first, None)
+
+
 def test_run_weights_rows():
     params = RhoParams.make(13, 2, (5, 6), (0, 1))
     rows = run_weights(params)

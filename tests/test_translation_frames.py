@@ -181,7 +181,7 @@ def test_ajn_frame_matches_reference_on_window(params):
     tables = ConstantTables(params)
     for J in params.subsets():
         for j0 in range(f):
-            at = tables.aJn_image_at(J, j0)
+            at = tables.aJn[J, j0]
             window = _ajn_window(params, J, j0)
             for ent in itertools.product(*(range(lo, hi + 1) for lo, hi in window)):
                 n = IntVec(f, ent)
@@ -343,7 +343,7 @@ def change_origin_reference(params, tables):
     sw = Sweep("change-origin-composition")
     for J in params.subsets():
         translate = Translation(params, J)
-        base = tables.a(J)
+        base = tables.a[J]
         signs = tuple(-1 if (j + 1) in J else 1 for j in range(f))
         ranges = [range(lo, hi + 1) for lo, hi in _translation_window(params, J)]
         for ent in itertools.product(*ranges):
@@ -525,7 +525,7 @@ def shifted_additivity_reference(params, tables):
             if not Jp <= J:
                 continue
             diff = J - Jp
-            rdiff = IntVec.of(tables.rJ(diff))
+            rdiff = IntVec.of(tables.r[diff])
             shift = IntVec(f, tuple(1 if j in diff else 0 for j in range(f)))
             for j0 in range(f):
                 if (j0 + 1) in diff:
@@ -535,8 +535,8 @@ def shifted_additivity_reference(params, tables):
                 window = _ajn_window(params, J, j0)
                 for ent in itertools.product(*(range(lo, hi + 1) for lo, hi in window)):
                     n = IntVec(f, ent)
-                    lhs = IntVec(f, tables.aJn_image_at(J, j0)(n.entries)) + rdiff
-                    rhs = IntVec(f, tables.aJn_image_at(Jp, j0)((n + shift).entries))
+                    lhs = IntVec(f, tables.aJn[J, j0](n.entries)) + rdiff
+                    rhs = IntVec(f, tables.aJn[Jp, j0]((n + shift).entries))
                     sw.check(lhs == rhs, J=J, Jp=Jp, j0=j0, n=ent,
                              lhs=lhs.entries, rhs=rhs.entries)
     return sw.result()

@@ -173,7 +173,7 @@ def test_translate_general_target():
                         )
                     b.append(v)
                 got = translate_in_graph(params, J, -IntVec(f, tuple(b)))
-                assert got.b == aJ(params, Jp), (params.label(), J, Jp)
+                assert got.b == aJ(params, Jp), (params, J, Jp)
 
 
 def test_translate_range_violation():
