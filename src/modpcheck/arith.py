@@ -18,7 +18,8 @@ otherwise; it does not use Zech logarithms.  _Packing holds elements as
 Kronecker-packed ints, whose sums and products are plain int arithmetic.
 gauss_jordan inverts the small matrices of the chart's linear coordinate
 change and records its row operations.  Memo is the keyed cache that keeps
-fields, Witt rings and the chart's tables for the life of the process.
+fields, Witt rings and the chart's tables for the life of the process;
+RunScope holds the Memos whose values live only as long as one run.
 """
 
 from __future__ import annotations
@@ -52,6 +53,21 @@ class Memo(dict):
             if key not in self:  # another thread may have built it meanwhile
                 self[key] = self.build(*key)
             return self.get(key)
+
+
+class RunScope(dict):
+    """The values that the jobs of one run share: scope[build] is the Memo
+    of build in this scope, made on first use, so build(*key) runs once per
+    key while the scope lives.  A key must hold everything its value
+    depends on.  The value is charged to the job that built it."""
+
+    def __missing__(self, build):
+        return self.setdefault(build, Memo(build))
+
+
+def scope_memo(scope, build):
+    """scope[build], or with scope None a fresh Memo that shares nothing."""
+    return Memo(build) if scope is None else scope[build]
 
 
 def _poly_mulmod(a, b, g, p):

@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 from operator import add, eq, ge, le, mul, sub
 
-from .arith import Fq
+from .arith import Fq, scope_memo
 from .base_combinatorics import SubsetJ, right_boundary, vmap
 from .errors import ConfigInvalid, HypothesisViolation, PairNotDefined, RangeViolation
 from .reporting import Sweep, run_table, witness
@@ -116,14 +116,14 @@ def _m_vec(frame, i):
     return tuple(s * (2 * x + o) for s, x, o in zip(signs, i, offsets))
 
 
-def _tjx_odd_offset(params, J, j):
+def _tjx_odd_offset(p, r, J, j):
     # offset added to n*p by the shift exponent at slot j when x = 2n + 1
-    return (params.r[j] + 1) if (j + 1) not in J else (params.p - 1 - params.r[j])
+    return (r[j] + 1) if (j + 1) not in J else (p - 1 - r[j])
 
 
-def _a_domain(params, J, j0):
+def _a_domain(J, j0):
     # the hypothesis domain of aJn(J, ., j0): n_{j0+1} = 0, 1 <= n_j <= 2f - e^J_j
-    f = params.f
+    f = J.f
     anchor = (j0 + 1) % f
     ranges = []
     for j in range(f):
@@ -137,24 +137,23 @@ def _a_domain(params, J, j0):
 class AJnFrame:
     """Exponent table aJn(J, ., j0) with its per-(J, j0) data computed once:
     the anchor slot j0+1, the hypothesis bounds, the zero slot, the bumps and
-    the image of every n of the hypothesis domain, at most (2f)^(f-1)."""
+    the image of every n of the hypothesis domain, at most (2f)^(f-1).  Of
+    Jrho it reads only zero: whether j0 sits in J^sh (see _frame_key)."""
 
     __slots__ = ("f", "p", "anchor", "bounds", "bumps", "images")
 
-    def __init__(self, params, J, j0):
-        f = params.f
-        _, _, Jsh = params.parts(J)
-        self.f, self.p = f, params.p
+    def __init__(self, p, f, r, J, j0, zero):
+        self.f, self.p = f, p
         self.anchor = (j0 + 1) % f
         self.bounds = tuple(
             (j, 2 * f - (1 if j in J else 0)) for j in range(f) if j != self.anchor
         )
-        # None marks the zero slot j0, present when j0 sits in J^sh
+        # None marks the zero slot j0
         self.bumps = tuple(
-            None if j == j0 % f and j0 in Jsh else _tjx_odd_offset(params, J, j)
+            None if j == j0 % f and zero else _tjx_odd_offset(p, r, J, j)
             for j in range(f)
         )
-        self.images = {ent: self._formula(ent) for ent in _a_domain(params, J, j0)}
+        self.images = {ent: self._formula(ent) for ent in _a_domain(J, j0)}
 
     def image(self, ent):
         """Entries of aJn(J, n, j0) for the entries of n; HypothesisViolation
@@ -186,6 +185,10 @@ class AJnFrame:
                 half, odd = divmod(x, 2)
                 out.append(half * p + (bump if odd else 0) - nj)
         return tuple(out)
+
+
+def _frame_key(params, J, j0):
+    return params.p, params.f, params.r, J, j0, j0 in params.parts(J)[2]
 
 
 def hj(params, h, j):
@@ -296,16 +299,18 @@ class ConstantTables:
     MUTABLE entries, with an optional one-cell mutation.
 
     s, t, a, r, c and cprime are keyed by J, tJJp by (J, Jp) and aJn by
-    (J, j0), whose value is AJnFrame(params, J, j0).image.  Every table is
+    (J, j0), whose value is the image of the pristine AJnFrame of (J, j0),
+    which the Jrho jobs sharing scope, a RunScope, share.  Every table is
     built from the pristine formulas before the mutation adds its delta to
     its one cell, so an s mutant leaves t and tJJp pristine; an aJn mutant
-    shifts slot j of every output of the f frames of J.  The identity sweeps
-    read the constants only through an instance of this class, so any
-    single-cell perturbation must trip at least one of them.
+    wraps the images of the f frames of J to shift slot j of every output.
+    The identity sweeps read the constants only through an instance of this
+    class, so any single-cell perturbation must trip at least one of them.
     """
 
-    def __init__(self, params, mutation=None):
+    def __init__(self, params, mutation=None, scope=None):
         p, f = params.p, params.f
+        frames = scope_memo(scope, AJnFrame)
         subs = list(params.subsets())
         self.s = {J: sJ_tJ(params, J)[0] for J in subs}
         self.t = {J: sJ_tJ(params, J)[1] for J in subs}
@@ -314,7 +319,8 @@ class ConstantTables:
         self.c = {J: cJ(params, J) for J in subs}
         self.cprime = {J: cPrimeJ(params, J) for J in subs}
         self.tJJp = {(J, Jp): _t_pair(p, self.s[J], Jp) for J in subs for Jp in subs}
-        self.aJn = {(J, j0): AJnFrame(params, J, j0).image for J in subs for j0 in range(f)}
+        self.aJn = {(J, j0): frames[_frame_key(params, J, j0)].image
+                    for J in subs for j0 in range(f)}
         m = mutation
         if m is None:
             return
@@ -416,7 +422,7 @@ def check_weight_table_bounds(params, tables):
 # identity checks
 
 
-def check_change_origin(params, tables, boxes=None):
+def check_change_origin(params, tables, scope=None):
     """Origin translation acts as base offset a(J) plus a successor-driven
     sign flip on the whole admissible window.
 
@@ -424,32 +430,29 @@ def check_change_origin(params, tables, boxes=None):
     that fails it is swept again tuple by tuple, to record the first
     counterexample.  An image outside a window fails the row.
 
-    boxes maps the inputs of a box to its checked count and first witness.
-    A box sees Jrho only through J^sh, so a caller that passes one dict to
-    the runs of several Jrho checks each distinct box once; None shares
-    nothing."""
+    A box is built once per scope, a RunScope, keyed on J, the box, the
+    base a(J) and the translation.  It sees Jrho only through J^sh, so the
+    runs of several Jrho that share a scope check each distinct box once;
+    None shares nothing."""
     f = params.f
-    boxes = {} if boxes is None else boxes
+    boxes = scope_memo(scope, _change_origin_box)
     sw = Sweep("change-origin-composition")
     for J in params.subsets():
         translate = Translation(params, J)
         base = tables.a[J]
-        signs = tuple(-1 if (j + 1) in J else 1 for j in range(f))
         _, _, Jsh = params.parts(J)
         ranges = tuple(
             range(-(2 * (f - dsh) + 1), 2 * (f + dsh) + 1)
             for dsh in (1 if j in Jsh else 0 for j in range(f))
         )
-        key = (J, ranges, base, translate.lo, translate.hi, translate.signs,
-               translate.offsets, params.b_window)
-        if key not in boxes:
-            boxes[key] = _change_origin_box(J, translate.image, base, signs, ranges)
-        sw.add(*boxes[key])
+        sw.add(*boxes[J, ranges, base, translate])
     return sw.result()
 
 
-def _change_origin_box(J, image, base, signs, ranges):
+def _change_origin_box(J, ranges, base, translate):
     # (checked, first witness) of one box
+    image = translate.image
+    signs = tuple(-1 if (j + 1) in J else 1 for j in range(J.f))
     formula = itertools.product(
         *[[a + s * v for v in rng] for a, s, rng in zip(base, signs, ranges)]
     )
@@ -744,42 +747,51 @@ def _check_scalar_ratio_classes(params, mu, subs):
     return sw.result()
 
 
-def identity_sweeps(params, seed=0, mutation=None, boxes=None):
+# the row names of each entry of identity_sweeps, in report order
+IDENTITY_ROWS = (
+    ("bound-s", "bound-pairwise-shift", "bound-carry-window", "carry-difference-identity"),
+    ("t-equals-r-plus-shift",), ("pairwise-shift-vs-s",), ("change-origin-composition",),
+    ("s-complement",), ("m-closed-form",), ("shift-overlap-reindex",), ("character-origin",),
+    ("r-additivity",), ("c-as-r-difference",), ("carry-inequality",), ("c-restriction",),
+    ("scalar-ratio-classes",), ("shifted-table-additivity",),
+    ("vanishing-region-envelope", "reduction-target-domination"),
+)
+
+
+def identity_sweeps(params, seed=0, mutation=None, scope=None):
     """Bound checks plus every exact constant identity, exhaustively, as a
-    check table: (row names, thunk) entries in report order.  boxes is the
-    change-of-origin box dict of check_change_origin."""
-    tables = ConstantTables(params, mutation)
+    check table: (row names, thunk) entries in report order.  scope, a
+    RunScope, shares the aJn frames and change-of-origin boxes between the
+    Jrho jobs of one run."""
+    tables = ConstantTables(params, mutation, scope)
     subs = list(params.subsets())
 
     def over_subsets(check):
         return lambda: [check(params, tables, subs)]
 
-    return [
-        (("bound-s", "bound-pairwise-shift", "bound-carry-window", "carry-difference-identity"),
-         lambda: check_weight_table_bounds(params, tables)),
-        (("t-equals-r-plus-shift",), over_subsets(_check_t_vs_r)),
-        (("pairwise-shift-vs-s",), over_subsets(_check_tpair_vs_s)),
-        (("change-origin-composition",), lambda: [check_change_origin(params, tables, boxes)]),
-        (("s-complement",), over_subsets(_check_s_complement)),
-        (("m-closed-form",), over_subsets(_check_m_closed_form)),
-        (("shift-overlap-reindex",), over_subsets(_check_shift_overlap_reindex)),
-        (("character-origin",), over_subsets(_check_character_origin)),
-        (("r-additivity",), over_subsets(_check_r_additivity)),
-        (("c-as-r-difference",), over_subsets(_check_c_as_r_difference)),
-        (("carry-inequality",), over_subsets(_check_carry_inequality)),
-        (("c-restriction",), over_subsets(_check_c_restriction)),
-        (("scalar-ratio-classes",),
-         lambda: [_check_scalar_ratio_classes(params, mu_gamma(params, seed), subs)]),
-        (("shifted-table-additivity",), lambda: [check_shifted_table_additivity(params, tables)]),
-        (("vanishing-region-envelope", "reduction-target-domination"),
-         lambda: check_domination_claims(params, tables)),
-    ]
+    return list(zip(IDENTITY_ROWS, (
+        lambda: check_weight_table_bounds(params, tables),
+        over_subsets(_check_t_vs_r),
+        over_subsets(_check_tpair_vs_s),
+        lambda: [check_change_origin(params, tables, scope)],
+        over_subsets(_check_s_complement),
+        over_subsets(_check_m_closed_form),
+        over_subsets(_check_shift_overlap_reindex),
+        over_subsets(_check_character_origin),
+        over_subsets(_check_r_additivity),
+        over_subsets(_check_c_as_r_difference),
+        over_subsets(_check_carry_inequality),
+        over_subsets(_check_c_restriction),
+        lambda: [_check_scalar_ratio_classes(params, mu_gamma(params, seed), subs)],
+        lambda: [check_shifted_table_additivity(params, tables)],
+        lambda: check_domination_claims(params, tables),
+    ), strict=True))
 
 
-def run_identities(params, seed=0, mutation=None, boxes=None):
+def run_identities(params, seed=0, mutation=None, scope=None):
     """The rows of identity_sweeps; a package error fails only the rows of
     the sweep that raised it."""
-    return run_table(identity_sweeps(params, seed, mutation, boxes))
+    return run_table(identity_sweeps(params, seed, mutation, scope))
 
 
 def check_shifted_table_additivity(params, tables):
@@ -794,7 +806,7 @@ def check_shifted_table_additivity(params, tables):
     for J in params.subsets():
         Jss = J & params.Jrho
         _, _, Jsh = params.parts(J)
-        domains = [_a_domain(params, J, j0) for j0 in range(f)]
+        domains = [_a_domain(J, j0) for j0 in range(f)]
         for Jp in params.subsets():
             if not Jp <= J:
                 continue

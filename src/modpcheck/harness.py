@@ -2,9 +2,10 @@
 
 A RunConfig pins every source of variation (parameters, truncation depth,
 seed, selected suites, optional mutation).  Each suite job is a check table
-of (row names, thunk) entries; run_suite runs them all in one loop and
-returns a Report whose JSON payload is byte-stable for a fixed config.
-Wall-clock timings live next to the payload but never inside it.
+of (row names, thunk) entries; run_suite runs them all in one loop, with one
+RunScope for the work its Jrho jobs share, and returns a Report whose JSON
+payload is byte-stable for a fixed config.  Wall-clock timings live next to
+the payload but never inside it.
 """
 
 import json
@@ -13,9 +14,9 @@ from dataclasses import dataclass
 from itertools import product
 from time import perf_counter
 
-from .arith import minimal_irreducible
+from .arith import RunScope, minimal_irreducible
 from .base_combinatorics import all_subsets
-from .constants import MUTABLE, Mutation, identity_sweeps, mu_gamma, run_identities
+from .constants import IDENTITY_ROWS, MUTABLE, Mutation, mu_gamma, run_identities
 from .errors import ConfigInvalid
 from .iwasawa import (
     chart_context,
@@ -166,16 +167,16 @@ def _resolve_mutation(config, params):
 # One table per suite job: (row names, thunk) entries in report order, each
 # thunk returning the rows it names.  Thunks look the chart up when they run,
 # so that its build counts toward the job and a failed build fails the rows.
+# scope is the RunScope of the run; a table given None shares nothing.
 
 
-def identities_table(config, params, boxes=None):
-    """boxes: the change-of-origin box dict of the run (check_change_origin)."""
+def identities_table(config, params, scope=None):
     mutation, _ = _resolve_mutation(config, params)
-    rows = tuple(name for names, _ in identity_sweeps(params) for name in names)
-    return [(rows, lambda: run_identities(params, config.seed, mutation, boxes))]
+    rows = tuple(name for names in IDENTITY_ROWS for name in names)
+    return [(rows, lambda: run_identities(params, config.seed, mutation, scope))]
 
 
-def weights_table(config, params):
+def weights_table(config, params, scope=None):
     names = ("weight-set-size", "socle-block-partition", "admissible-families", "rank-formula")
     return [(names, lambda: run_weights(params))]
 
@@ -200,7 +201,7 @@ def iwasawa_table(config):
     ]
 
 
-def phigamma_table(config, params):
+def phigamma_table(config, params, scope=None):
     """Matrix layer: twist, right inverse, the solver, unit-action matrices."""
     _, flip = _resolve_mutation(config, params)
     seed, cutoff = config.seed, config.cutoff_value()
@@ -216,11 +217,12 @@ def phigamma_table(config, params):
          lambda: [check_eigen_classifier(params, seed=seed)]),
         (("unit-matrix-structure", "unit-substitution-commutation", "unit-matrix-cocycle"),
          lambda: check_unit_action_matrices(chart_context(params.p, params.f, cutoff), mu,
-                                            units=config.units, pairs=2, seed=seed, flip=flip)),
+                                            units=config.units, pairs=2, seed=seed, flip=flip,
+                                            scope=scope)),
     ]
 
 
-_TABLES = {"weights": weights_table, "phigamma": phigamma_table}
+_TABLES = {"identities": identities_table, "weights": weights_table, "phigamma": phigamma_table}
 
 
 # ---- report assembly -------------------------------------------------------
@@ -253,9 +255,9 @@ def _tag(params):
     )
 
 
-def _jobs(config, boxes=None):
+def _jobs(config, scope=None):
     """(suite, tag, check table) per job: canonical suite order, then Jrho.
-    The identities jobs share boxes, the change-of-origin box dict."""
+    The jobs share scope, a RunScope."""
     plist = config.param_sets()
     for suite in SUITES:
         if suite not in config.suites:
@@ -263,22 +265,21 @@ def _jobs(config, boxes=None):
         if suite == "iwasawa":
             # the axioms only see (p, f, cutoff), so one job covers all Jrho
             yield suite, f"p={config.p},f={config.f}", iwasawa_table(config)
-        elif suite == "identities":
-            for params in plist:
-                yield suite, _tag(params), identities_table(config, params, boxes)
         else:
             for params in plist:
-                yield suite, _tag(params), _TABLES[suite](config, params)
+                yield suite, _tag(params), _TABLES[suite](config, params, scope)
 
 
 def run_suite(config):
     """Run every entry of every job's check table, one after another, and
     assemble the report.  A package error raised by an entry fails the rows
-    it names, with checked 0, and the next entry runs.  The identities jobs
-    of this call share one change-of-origin box dict, so a box common to
-    several Jrho is checked, and timed, in the first job that needs it."""
+    it names, with checked 0, and the next entry runs.  The jobs of this
+    call share one RunScope, which ends with the call: the aJn frames and
+    change-of-origin boxes of the identities jobs, the slot corrections and
+    monomial unit actions of the phigamma jobs.  A value common to several
+    Jrho is built, and timed, in the first job that needs it."""
     rows, timings = [], {}
-    for suite, tag, table in _jobs(config, boxes={}):
+    for suite, tag, table in _jobs(config, RunScope()):
         t0 = perf_counter()
         for res in run_table(table):
             row = res.as_dict()

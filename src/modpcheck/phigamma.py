@@ -24,7 +24,7 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from .arith import Fq
+from .arith import Fq, scope_memo
 from .base_combinatorics import SubsetJ, vmap
 from .constants import cJ, hj, rJ
 from .errors import (
@@ -419,19 +419,18 @@ def random_theta_problem(params, fld, seed):
 # unit-action matrices
 
 
-def slot_correction_units(ctx, params, u):
+def slot_correction_units(ctx, r, u):
     """The depth-(p-1) unit attached to each embedding slot: the ratio
     distortion of that slot raised to the cyclic base-p weight of r+1,
     with its own substitution image divided out."""
-    return {
-        j: cocycle_factor(ctx, u, j, hj(params, None, j))
-        for j in range(params.f)
-    }
+    h = tuple(x + 1 for x in r)
+    # given h, hj reads only the p and f that ctx carries
+    return {j: cocycle_factor(ctx, u, j, hj(ctx, h, j)) for j in range(ctx.f)}
 
 
-def build_q_a(ctx, mu, u):
+def build_q_a(ctx, mu, u, scope=None):
     """Normalized unit-action matrix (slot corrections divided out) plus
-    the slot correction units themselves.
+    the slot correction units themselves, built once per scope (RunScope).
 
     Teichmuller units give the exact identity.  When every embedding is
     special the matrix stays the identity; the leftover diagonal scalar
@@ -449,7 +448,7 @@ def build_q_a(ctx, mu, u):
     qa = PhiGammaMatrix.identity(params, fld)
     if ctx.unit_data(u).dmat is None:
         return qa, {j: AElement.const(fld, f, 1) for j in range(f)}
-    pj = slot_correction_units(ctx, params, u)
+    pj = scope_memo(scope, slot_correction_units)[ctx, params.r, u]
     if params.Jrho.is_full():
         return qa, pj
     hvec = tuple(x + 1 for x in params.r)
@@ -521,9 +520,9 @@ def assemble_unit_matrix(params, qa, pj):
     return PhiGammaMatrix(params, qa.field, _nonzero(ent))
 
 
-def build_mat_a(ctx, mu, u):
+def build_mat_a(ctx, mu, u, scope=None):
     """Matrix of the unit substitution u in the pole-normalized basis."""
-    qa, pj = build_q_a(ctx, mu, u)
+    qa, pj = build_q_a(ctx, mu, u, scope)
     return assemble_unit_matrix(mu.params, qa, pj)
 
 
@@ -745,7 +744,28 @@ def check_eigen_classifier(params, samples=20, seed=0):
     return sweep.result()
 
 
-def check_commutation(ctx, Pphi, Pa, u):
+def _monomial_action(ctx, u, k, cutoff):
+    return unit_action(ctx, u, AElement.monomial(ctx.field, ctx.f, k, 1, cutoff))
+
+
+def _acting(ctx, u, scope):
+    """x -> unit_action(ctx, u, x).  With a scope, a one-term x = c Y^k is
+    the _monomial_action of Y^k, keyed on (ctx, u, k, cutoff) and shared by
+    the run, scaled by c into a fresh element."""
+    if scope is None:
+        return lambda x: unit_action(ctx, u, x)
+    actions = scope[_monomial_action]
+
+    def act(x):
+        if len(x.terms) != 1:
+            return unit_action(ctx, u, x)
+        [(k, c)] = x.terms.items()
+        return actions[ctx, u, k, x.cutoff].scale(c)
+
+    return act
+
+
+def check_commutation(ctx, Pphi, Pa, u, scope=None):
     """Both orders of substitution against unit action agree entrywise.
 
     Left product applies the unit to the substitution matrix; right
@@ -757,7 +777,7 @@ def check_commutation(ctx, Pphi, Pa, u):
     vacuous and visible in the report.
     """
     sweep = Sweep("unit-substitution-commutation")
-    lhs = Pa @ Pphi.map_entries(lambda x: unit_action(ctx, u, x))
+    lhs = Pa @ Pphi.map_entries(_acting(ctx, u, scope))
     rhs = Pphi @ Pa.map_entries(frobenius)
     worst = None
     nonvac = 0
@@ -792,12 +812,13 @@ def check_commutation(ctx, Pphi, Pa, u):
     return sweep.result(info=info)
 
 
-def check_unit_action_matrices(ctx, mu, units=10, pairs=2, seed=0, flip=None):
+def check_unit_action_matrices(ctx, mu, units=10, pairs=2, seed=0, flip=None, scope=None):
     """Build the unit matrices once per sampled unit and run the structure,
     commutation, and cocycle sweeps on them.  Returns three results.
 
     flip propagates to the substitution matrix used by the commutation
-    sweep (the detectability hook for mutation runs)."""
+    sweep (the detectability hook for mutation runs).  scope, a RunScope,
+    shares the slot corrections and monomial unit actions between jobs."""
     params = mu.params
     fld = mu.field
     f, p = params.f, params.p
@@ -810,7 +831,7 @@ def check_unit_action_matrices(ctx, mu, units=10, pairs=2, seed=0, flip=None):
     one = AElement.const(fld, f, 1)
 
     lift = ctx.ring.teichmuller(min(2, ctx.field.q - 1))
-    qa, pj = build_q_a(ctx, mu, lift)
+    qa, pj = build_q_a(ctx, mu, lift, scope)
     ident = PhiGammaMatrix.identity(params, fld)
     ok = (
         set(qa.entries) == set(ident.entries)
@@ -818,7 +839,7 @@ def check_unit_action_matrices(ctx, mu, units=10, pairs=2, seed=0, flip=None):
         and all((pj[j] - one).is_zero() for j in range(f))
     )
     s_struct.check(ok, unit="teichmuller", claim="identity")
-    r = check_commutation(ctx, Pphi, assemble_unit_matrix(params, qa, pj), lift)
+    r = check_commutation(ctx, Pphi, assemble_unit_matrix(params, qa, pj), lift, scope)
     s_comm.check(r.passed, unit="teichmuller", inner=r.counterexample)
     s_comm.checked += r.checked - 1
     comm_info = r.info
@@ -827,7 +848,7 @@ def check_unit_action_matrices(ctx, mu, units=10, pairs=2, seed=0, flip=None):
     built = []
     for u in principal_units(ctx, units, seed):
         try:
-            qa, pj = build_q_a(ctx, mu, u)
+            qa, pj = build_q_a(ctx, mu, u, scope)
         except HypothesisViolation as exc:
             s_struct.check(False, unit=u, claim="buildable", error=str(exc))
             continue
@@ -871,7 +892,7 @@ def check_unit_action_matrices(ctx, mu, units=10, pairs=2, seed=0, flip=None):
                 eq_below(x, target, floor),
                 unit=u, row=Jp, col=J, claim="leading-congruence", floor=floor,
             )
-        r = check_commutation(ctx, Pphi, Pa, u)
+        r = check_commutation(ctx, Pphi, Pa, u, scope)
         comm_info = r.info
         s_comm.check(r.passed, unit=u, inner=r.counterexample)
         s_comm.checked += r.checked - 1
@@ -881,11 +902,11 @@ def check_unit_action_matrices(ctx, mu, units=10, pairs=2, seed=0, flip=None):
         u2, P2 = built[2 * n + 1]
         u12 = ctx.ring.mul(u1, u2)
         try:
-            P12 = build_mat_a(ctx, mu, u12)
+            P12 = build_mat_a(ctx, mu, u12, scope)
         except HypothesisViolation as exc:
             s_cocy.check(False, pair=n, unit=u12, error=str(exc))
             continue
-        rhs = P1 @ P2.map_entries(lambda x: unit_action(ctx, u1, x))
+        rhs = P1 @ P2.map_entries(_acting(ctx, u1, scope))
         for key, a, b in _entry_pairs(P12, rhs):
             floor = difference_floor(a, b)
             s_cocy.check(

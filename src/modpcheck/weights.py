@@ -156,6 +156,7 @@ class Translation:
     that is b' = signs * b + offsets.  Hypothesis window:
     lo = -(2(f - e^{J^sh}) + 1) <= b <= 2(f + e^{J^sh}) = hi componentwise.
     Setting offsets rebuilds the per-slot image tables that image() reads.
+    Translations with the same windows, signs and offsets are equal.
     """
 
     __slots__ = ("params", "f", "lo", "hi", "signs", "_offsets", "_images")
@@ -187,6 +188,15 @@ class Translation:
             for lo_j, hi_j, s, o, wlo_j, whi_j
             in zip(self.lo, self.hi, self.signs, offsets, *self.params.b_window)
         )
+
+    def _state(self):
+        return self.lo, self.hi, self.signs, self._offsets, self.params.b_window
+
+    def __eq__(self, other):
+        return isinstance(other, Translation) and self._state() == other._state()
+
+    def __hash__(self):
+        return hash(self._state())
 
     def image(self, ent: tuple) -> tuple:
         """Entries of b' for the entries of b: b must have f entries, lie in
@@ -346,10 +356,13 @@ def run_weights(params):
                         fams_sw.check(sub in S, family=masks, J=J, Jp=sub)
 
     rank = Sweep("rank-formula")
-    rank.check(rank_for_S(params, full) == 2**f, got=rank_for_S(params, full))
+    full_rank = rank_for_S(params, full)
+    rank.check(full_rank == 2**f, got=full_rank)
+    ranks = {}
     for S in order:
         masks = sorted(J.bits for J in S)
-        rank.check(rank_for_S(params, S) == len(S), family=masks)
+        ranks[S] = rank_for_S(params, S)
+        rank.check(ranks[S] == len(S), family=masks)
         pi1 = jh_pi1(params, S)
         ss_like = {w for w in pi1 if all(v in (0, 1) for v in w.b)}
         rank.check(len(ss_like) == len(S), family=masks, got=len(ss_like))
@@ -357,7 +370,7 @@ def run_weights(params):
         for S2 in order:
             if S1 <= S2:
                 rank.check(
-                    rank_for_S(params, S1) <= rank_for_S(params, S2),
+                    ranks[S1] <= ranks[S2],
                     small=sorted(J.bits for J in S1),
                     large=sorted(J.bits for J in S2),
                 )

@@ -15,6 +15,7 @@ from modpcheck.constants import (
     AJnFrame,
     ConstantTables,
     Mutation,
+    _frame_key,
     _m_frame,
     _check_shift_overlap_reindex,
     _m_vec,
@@ -57,12 +58,12 @@ def _label(params):
 def tJx(params, J, j, x):
     """One-variable shift exponent: write x = 2n + d with d in {0, 1}."""
     n, d = divmod(x, 2)
-    return n * params.p + (_tjx_odd_offset(params, J, j) if d else 0)
+    return n * params.p + (_tjx_odd_offset(params.p, params.r, J, j) if d else 0)
 
 
 def aJn(params, J, n, j0):
     """Exponent table for the n-indexed family anchored at j0."""
-    return AJnFrame(params, J, j0).image(n)
+    return AJnFrame(*_frame_key(params, J, j0)).image(n)
 
 
 def _require_small_box(params, J, i):
@@ -380,7 +381,7 @@ def _table_cells(params, tables):
     for name in constants.MUTABLE:
         for key, value in getattr(tables, name).items():
             if name == "aJn":
-                for n in constants._a_domain(params, *key):
+                for n in constants._a_domain(*key):
                     cells[name, key, n] = value(n)
             else:
                 cells[name, key] = value
@@ -404,8 +405,8 @@ def test_pristine_tables_match_the_formulas(params):
         for Kp in subs:
             assert tables.tJJp[K, Kp] == tJJp(params, K, Kp)
         for j0 in range(params.f):
-            frame = AJnFrame(params, K, j0)
-            for n in constants._a_domain(params, K, j0):
+            frame = AJnFrame(*_frame_key(params, K, j0))
+            for n in constants._a_domain(K, j0):
                 assert tables.aJn[K, j0](n) == frame.image(n)
 
 

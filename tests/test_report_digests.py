@@ -105,3 +105,22 @@ def test_mutant_identity_rows_are_pinned(preset, step, count, digest):
         assert any(row["status"] == "fail" for row in rows), m
     text = json.dumps(outputs, sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+# --mutate through run_suite: every Jrho job of the run reads the mutated
+# tables, and the jobs share what run_suite shares between them, so these
+# pin that sharing never lets a healthy value stand in for a mutated one.
+SUITE_MUTANT_GOLDEN = [
+    ("aJn", "9b61a43dfc2d38fd273e7a65a87d053325b9c986807ffd79eef62e1be37142d9"),
+    ("a", "56c95b051465256b398b0b3242bc4bb8adbf50ccc2c42a494e539c3a7f24d5a4"),
+    ("s", "3df977686cf56006ba396940235bfd22e89abcbaf8ba8382a4fa34ce2a9ee285"),
+]
+
+
+@pytest.mark.parametrize("mutate,digest", SUITE_MUTANT_GOLDEN,
+                         ids=[m for m, _ in SUITE_MUTANT_GOLDEN])
+def test_run_suite_mutant_identity_rows_are_pinned(mutate, digest):
+    config = RunConfig(p=17, f=3, r=(7, 8, 7), suites=("identities",), mutate=mutate)
+    report = run_suite(config)
+    assert not report.passed
+    assert hashlib.sha256(emit_report(report, "json")).hexdigest() == digest

@@ -1,0 +1,213 @@
+"""The RunScope of run_suite: the work its Jrho jobs share, built once per run.
+
+Each memo of the scope has two tests here.  A wrong value patched into the
+build after a healthy run must fail its row on every Jrho, so no value
+outlives the run that built it.  A mutated table or a flipped substitution
+matrix that shares a scope with healthy jobs must get the rows it gets with
+no scope, so each key holds what its value depends on.  The
+change-of-origin boxes have theirs in test_translation_frames.py.
+"""
+
+import pytest
+
+from modpcheck import harness, phigamma
+from modpcheck.arith import RunScope
+from modpcheck.constants import (
+    AJnFrame,
+    ConstantTables,
+    all_mutations,
+    identity_sweeps,
+    mu_gamma,
+)
+from modpcheck.harness import RunConfig, run_identities, run_suite
+from modpcheck.iwasawa import AElement, chart_context, principal_units, unit_action
+from modpcheck.phigamma import (
+    _acting,
+    _monomial_action,
+    check_unit_action_matrices,
+    default_flip,
+    slot_correction_units,
+)
+from modpcheck.reporting import _plain, run_table
+from modpcheck.weights import RhoParams
+
+F3_IDENTITIES = RunConfig(p=17, f=3, r=(7, 8, 7), suites=("identities",))
+F2_PHIGAMMA = RunConfig(p=13, f=2, r=(5, 6), suites=("phigamma",), units=4)
+F2_PARAMS = RunConfig(p=13, f=2, r=(5, 6)).param_sets()
+
+
+def _failing(report):
+    return [row["name"] for row in report.suites if row["status"] != "pass"]
+
+
+def _rows_named(report, row):
+    return [r["name"] for r in report.suites if f"/{row}@" in r["name"]]
+
+
+def _counting(monkeypatch, cls, counts, name):
+    original = cls.__init__
+
+    def init(self, *args, **kwargs):
+        counts[name] = counts.get(name, 0) + 1
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(cls, "__init__", init)
+
+
+def test_identity_rows_are_listed_without_building_tables(monkeypatch):
+    # one table per Jrho job, and each of the 30 distinct frames once
+    # (8 J x 3 j0, plus the zero-slot variants of some j0 in J^sh)
+    counts = {}
+    _counting(monkeypatch, ConstantTables, counts, "tables")
+    _counting(monkeypatch, AJnFrame, counts, "frames")
+    report = run_suite(F3_IDENTITIES)
+    assert report.passed
+    assert counts == {"tables": 8, "frames": 30}
+    params = F3_IDENTITIES.param_sets()[0]
+    [(listed, _)] = harness.identities_table(F3_IDENTITIES, params)
+    assert listed == tuple(name for names, _ in identity_sweeps(params) for name in names)
+
+
+# ---------------------------------------------------------------------------
+# aJn frames
+
+
+def test_frame_fault_after_a_healthy_run_fails_every_jrho(monkeypatch):
+    assert run_suite(F3_IDENTITIES).passed
+    original = AJnFrame._formula
+
+    def mutant(self, ent):
+        out = original(self, ent)
+        return (out[0] + 1,) + out[1:] if ent == (2, 0, 3) and self.anchor == 1 else out
+
+    monkeypatch.setattr(AJnFrame, "_formula", mutant)
+    report = run_suite(F3_IDENTITIES)
+    assert _failing(report) == _rows_named(report, "shifted-table-additivity")
+    assert len(_failing(report)) == 8
+
+
+def test_aJn_mutants_sharing_frames_get_their_unshared_rows():
+    scope = RunScope()
+    for params in F2_PARAMS:
+        assert all(res.passed for res in run_identities(params, 0, None, scope))
+    # 4 Jrho x 8 (J, j0) tables read 10 distinct frames
+    assert len(scope[AJnFrame]) == 10
+    killed = 0
+    for params in F2_PARAMS:
+        for m in all_mutations(params):
+            if m.table != "aJn":
+                continue
+            shared = [res.as_dict() for res in run_identities(params, 0, m, scope)]
+            assert shared == [res.as_dict() for res in run_identities(params, 0, m)]
+            killed += any(row["status"] == "fail" for row in shared)
+    assert killed == 30  # of 32; two survive at the full Jrho
+    assert len(scope[AJnFrame]) == 10
+
+
+# ---------------------------------------------------------------------------
+# slot corrections and unit actions on monomials
+
+
+def _flipped_rows(params, scope):
+    ctx = chart_context(params.p, params.f)
+    mu = mu_gamma(params, 0)
+    return [res.as_dict() for res in check_unit_action_matrices(
+        ctx, mu, units=3, pairs=1, seed=0, flip=default_flip(params), scope=scope)]
+
+
+def _healthy_jobs(scope, plist):
+    ctx = chart_context(13, 2)
+    for params in plist:
+        rows = check_unit_action_matrices(ctx, mu_gamma(params, 0), units=3, pairs=1,
+                                          seed=0, scope=scope)
+        assert all(res.passed for res in rows)
+
+
+def test_slot_correction_fault_after_a_healthy_run_fails_every_jrho(monkeypatch):
+    assert run_suite(F2_PHIGAMMA).passed
+    original = phigamma.cocycle_factor
+    monkeypatch.setattr(phigamma, "cocycle_factor",
+                        lambda ctx, u, j, numerator: original(ctx, u, j, numerator + 1))
+    report = run_suite(F2_PHIGAMMA)
+    assert _failing(report) == _rows_named(report, "unit-substitution-commutation")
+    assert len(_failing(report)) == 4
+
+
+def test_flipped_jobs_sharing_slot_corrections_get_their_unshared_rows():
+    # the slot corrections depend on neither Jrho nor the pairing scalars:
+    # the 4 healthy jobs build them for 3 units and one product only once
+    scope = RunScope()
+    _healthy_jobs(scope, F2_PARAMS)
+    assert len(scope[slot_correction_units]) == 4
+    failed = 0
+    for params in F2_PARAMS:
+        shared = _flipped_rows(params, scope)
+        assert shared == _flipped_rows(params, None)
+        failed += shared[1]["status"] == "fail"
+    assert failed == 3  # the flip of the full Jrho sits on the diagonal
+    assert len(scope[slot_correction_units]) == 4
+    # another r needs its own: the key holds r
+    other = RhoParams.make(13, 2, (6, 5), (0,))
+    assert _flipped_rows(other, scope) == _flipped_rows(other, None)
+    assert len(scope[slot_correction_units]) == 8
+
+
+def test_unit_action_fault_after_a_healthy_run_fails_every_jrho(monkeypatch):
+    assert run_suite(F2_PHIGAMMA).passed
+    original = phigamma.unit_action
+
+    def doubled(ctx, u, x):
+        y = original(ctx, u, x)
+        return y if ctx.unit_data(u).dmat is None else y.scale(2)
+
+    monkeypatch.setattr(phigamma, "unit_action", doubled)
+    report = run_suite(F2_PHIGAMMA)
+    want = (_rows_named(report, "unit-substitution-commutation")
+            + _rows_named(report, "unit-matrix-cocycle"))
+    assert sorted(_failing(report)) == sorted(want)
+    assert len(want) == 8
+
+
+def test_flipped_job_sharing_unit_actions_gets_its_unshared_rows():
+    # the flip negates one scalar of the substitution matrix; its monomial
+    # is acted on with coefficient 1 and the shared image scaled afterwards
+    params = F2_PARAMS[1]
+    scope = RunScope()
+    _healthy_jobs(scope, [params])
+    built = len(scope[_monomial_action])
+    assert built > 0
+    shared = _flipped_rows(params, scope)
+    assert shared == _flipped_rows(params, None)
+    assert shared[1]["status"] == "fail"
+    assert len(scope[_monomial_action]) == built
+
+
+@pytest.mark.parametrize("c", [1, 2, 168])
+def test_shared_unit_action_is_a_fresh_scaled_copy(c):
+    ctx = chart_context(13, 2)
+    u = principal_units(ctx, 1, 0)[0]
+    act = _acting(ctx, u, RunScope())
+    for k in ((0, 0), (1, 0), (-5, 2), (3, -60)):
+        x = AElement.monomial(ctx.field, 2, k, c)
+        want = unit_action(ctx, u, x)
+        got = act(x)
+        assert (got.terms, got.cutoff) == (want.terms, want.cutoff)
+        got.terms.clear()
+        again = act(x)
+        assert again is not got
+        assert (again.terms, again.cutoff) == (want.terms, want.cutoff)
+
+
+# ---------------------------------------------------------------------------
+# the scope changes no row
+
+
+def test_f2_run_suite_rows_equal_unshared_job_rows():
+    config = RunConfig(p=13, f=2, r=(5, 6))
+    unshared = []
+    for suite, tag, table in harness._jobs(config):
+        for res in run_table(table):
+            row = res.as_dict()
+            row["name"] = f"{suite}/{row['name']}@{tag}"
+            unshared.append(_plain(row))
+    assert run_suite(config).suites == unshared

@@ -24,12 +24,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from intvec import IntVec
+from modpcheck.arith import RunScope
 from modpcheck.base_combinatorics import SubsetJ, all_subsets
 from modpcheck.cli import main
 from modpcheck.constants import (
     AJnFrame,
     ConstantTables,
     Mutation,
+    _frame_key,
     all_mutations,
     check_change_origin,
     check_shifted_table_additivity,
@@ -87,7 +89,7 @@ def tJx(params, J, j, x):
 
 
 def aJn(params, J, n, j0):
-    return AJnFrame(params, J, j0).image(n.entries)
+    return AJnFrame(*_frame_key(params, J, j0)).image(n.entries)
 
 
 def aJn_reference(params, J, n, j0):
@@ -295,7 +297,7 @@ def test_frames_reject_position_of_other_f():
         with pytest.raises(RangeViolation, match="b indexed by f="):
             Translation(params, J).image(ent)
         with pytest.raises(HypothesisViolation, match="n indexed by f="):
-            AJnFrame(params, J, 0).image(ent)
+            AJnFrame(*_frame_key(params, J, 0)).image(ent)
 
 
 # ---------------------------------------------------------------------------
@@ -488,9 +490,9 @@ def test_shifted_table_additivity_builds_one_frame_per_j_j0(monkeypatch):
     built = []
     original = AJnFrame.__init__
 
-    def recording(self, params, J, j0):
+    def recording(self, p, f, r, J, j0, zero):
         built.append((J.bits, j0))
-        original(self, params, J, j0)
+        original(self, p, f, r, J, j0, zero)
 
     monkeypatch.setattr(AJnFrame, "__init__", recording)
     res = check_shifted_table_additivity(params, ConstantTables(params))
@@ -578,12 +580,12 @@ def test_shifted_table_sweep_reads_the_frame_image(monkeypatch):
     got = check_shifted_table_additivity(params, tables).as_dict()
     assert got["status"] == "fail"
     assert got == shifted_additivity_reference(params, tables).as_dict()
-    frame = AJnFrame(params, SubsetJ.of(3, []), 0)
+    frame = AJnFrame(*_frame_key(params, SubsetJ.of(3, []), 0))
     assert frame.image((2, 0, 3)) != original(frame, (2, 0, 3))
 
 
 # ---------------------------------------------------------------------------
-# change-of-origin boxes shared by the Jrho jobs of one run
+# change-of-origin boxes shared by the Jrho jobs of one run, in its RunScope
 
 F3_IDENTITIES = RunConfig(p=17, f=3, r=(7, 8, 7), suites=("identities",))
 
@@ -634,14 +636,14 @@ def test_box_sharing_ends_with_the_run(monkeypatch):
 
 
 def test_shared_boxes_key_on_the_base():
-    # one dict over a healthy run and then every a mutant: each mutant row
+    # one scope over a healthy run and then every a mutant: each mutant row
     # equals its unshared row, so a healthy box never stands in for it
     params = RhoParams.make(13, 2, (5, 6), (0,))
-    boxes = {}
-    assert all(res.passed for res in run_identities(params, 0, None, boxes))
+    scope = RunScope()
+    assert all(res.passed for res in run_identities(params, 0, None, scope))
     for m in all_mutations(params):
         if m.table != "a":
             continue
-        shared = [res.as_dict() for res in run_identities(params, 0, m, boxes)]
+        shared = [res.as_dict() for res in run_identities(params, 0, m, scope)]
         assert shared == [res.as_dict() for res in run_identities(params, 0, m)]
         assert any(row["status"] == "fail" for row in shared)
