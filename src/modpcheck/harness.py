@@ -177,6 +177,7 @@ def identities_table(config, params, scope=None):
 
 
 def weights_table(config, params, scope=None):
+    # the weight sweeps share nothing; scope is taken for _jobs' uniform call
     names = ("weight-set-size", "socle-block-partition", "admissible-families", "rank-formula")
     return [(names, lambda: run_weights(params))]
 

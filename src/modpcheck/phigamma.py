@@ -419,13 +419,11 @@ def random_theta_problem(params, fld, seed):
 # unit-action matrices
 
 
-def slot_correction_units(ctx, r, u):
-    """The depth-(p-1) unit attached to each embedding slot: the ratio
-    distortion of that slot raised to the cyclic base-p weight of r+1,
-    with its own substitution image divided out."""
-    h = tuple(x + 1 for x in r)
-    # given h, hj reads only the p and f that ctx carries
-    return {j: cocycle_factor(ctx, u, j, hj(ctx, h, j)) for j in range(ctx.f)}
+def slot_correction_units(ctx, weights, u):
+    """The depth-(p-1) unit attached to each embedding slot j: the ratio
+    distortion of that slot raised to weights[j], the cyclic base-p weight
+    of r+1 from slot j, with its own substitution image divided out."""
+    return {j: cocycle_factor(ctx, u, j, w) for j, w in enumerate(weights)}
 
 
 def build_q_a(ctx, mu, u, scope=None):
@@ -448,7 +446,8 @@ def build_q_a(ctx, mu, u, scope=None):
     qa = PhiGammaMatrix.identity(params, fld)
     if ctx.unit_data(u).dmat is None:
         return qa, {j: AElement.const(fld, f, 1) for j in range(f)}
-    pj = scope_memo(scope, slot_correction_units)[ctx, params.r, u]
+    weights = tuple(hj(params, None, j) for j in range(f))
+    pj = scope_memo(scope, slot_correction_units)[ctx, weights, u]
     if params.Jrho.is_full():
         return qa, pj
     hvec = tuple(x + 1 for x in params.r)
@@ -749,12 +748,10 @@ def _monomial_action(ctx, u, k, cutoff):
 
 
 def _acting(ctx, u, scope):
-    """x -> unit_action(ctx, u, x).  With a scope, a one-term x = c Y^k is
-    the _monomial_action of Y^k, keyed on (ctx, u, k, cutoff) and shared by
-    the run, scaled by c into a fresh element."""
-    if scope is None:
-        return lambda x: unit_action(ctx, u, x)
-    actions = scope[_monomial_action]
+    """x -> unit_action(ctx, u, x), where a one-term x = c Y^k is the
+    _monomial_action of Y^k, built once per (ctx, u, k, cutoff) in scope, a
+    RunScope (None shares nothing), scaled by c into a fresh element."""
+    actions = scope_memo(scope, _monomial_action)
 
     def act(x):
         if len(x.terms) != 1:
@@ -853,7 +850,8 @@ def check_unit_action_matrices(ctx, mu, units=10, pairs=2, seed=0, flip=None, sc
             s_struct.check(False, unit=u, claim="buildable", error=str(exc))
             continue
         Pa = assemble_unit_matrix(params, qa, pj)
-        built.append((u, Pa))
+        if len(built) < 2 * pairs:  # all that the cocycle sweep reads
+            built.append((u, Pa))
         for key in Pa.entries:
             s_struct.check(
                 key in allowed, unit=u, row=key[0], col=key[1], claim="support"

@@ -8,6 +8,7 @@ vector corresponding to the base point of the graph.
 
 from __future__ import annotations
 
+from copy import copy
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
@@ -155,8 +156,8 @@ class Translation:
     b'_j = sign_j (b_j + e^J_j) + 2 e^{J^sh}_j, sign_j = -1 iff j+1 in J,
     that is b' = signs * b + offsets.  Hypothesis window:
     lo = -(2(f - e^{J^sh}) + 1) <= b <= 2(f + e^{J^sh}) = hi componentwise.
-    Setting offsets rebuilds the per-slot image tables that image() reads.
-    Translations with the same windows, signs and offsets are equal.
+    A Translation never changes, and those with the same windows, signs
+    and offsets are equal; with_offsets makes one with other offsets.
     """
 
     __slots__ = ("params", "f", "lo", "hi", "signs", "_offsets", "_images")
@@ -169,19 +170,25 @@ class Translation:
         self.lo = tuple(-(2 * (f - d) + 1) for d in sh)
         self.hi = tuple(2 * (f + d) for d in sh)
         self.signs = tuple(-1 if (j + 1) in J else 1 for j in range(f))
-        self.offsets = tuple(
+        self._tabulate(tuple(
             sign * (1 if j in J else 0) + 2 * d
             for j, (sign, d) in enumerate(zip(self.signs, sh))
-        )
+        ))
 
     @property
     def offsets(self):
         return self._offsets
 
-    @offsets.setter
-    def offsets(self, offsets):
-        # slot j maps each b_j of the hypothesis window whose image lies in
-        # the weight window to that image
+    def with_offsets(self, offsets):
+        """This translation with offsets in place of its own."""
+        moved = copy(self)
+        moved._tabulate(offsets)
+        return moved
+
+    def _tabulate(self, offsets):
+        # the per-slot image tables that image() reads: slot j maps each b_j
+        # of the hypothesis window whose image lies in the weight window to
+        # that image
         self._offsets = offsets
         self._images = tuple(
             {b: v for b in range(lo_j, hi_j + 1) if wlo_j <= (v := s * b + o) <= whi_j}

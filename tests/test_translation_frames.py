@@ -24,6 +24,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from intvec import IntVec
+from modpcheck import constants
 from modpcheck.arith import RunScope
 from modpcheck.base_combinatorics import SubsetJ, all_subsets
 from modpcheck.cli import main
@@ -328,7 +329,7 @@ def test_image_matches_formula_on_and_off_both_windows(data):
     # moved offsets take the image off the weight window, which the genuine
     # translation never leaves on its hypothesis window
     shift = tuple(data.draw(st.integers(-p, p)) for _ in range(f))
-    translate.offsets = tuple(map(add, translate.offsets, shift))
+    translate = translate.with_offsets(tuple(map(add, translate.offsets, shift)))
     want = _expected_image(translate, ent)
     if isinstance(want, tuple):
         assert translate.image(ent) == want
@@ -400,13 +401,11 @@ def test_change_origin_sweep_images_every_tuple(monkeypatch):
 
 def _offsets_leave_weight_window(monkeypatch):
     # every image moves p to the right in slot 0, past p-2-r_0
-    original = Translation.__init__
+    def leaving(params, J):
+        genuine = Translation(params, J)
+        return genuine.with_offsets((genuine.offsets[0] + params.p,) + genuine.offsets[1:])
 
-    def leaving(self, params, J):
-        original(self, params, J)
-        self.offsets = (self.offsets[0] + params.p,) + self.offsets[1:]
-
-    monkeypatch.setattr(Translation, "__init__", leaving)
+    monkeypatch.setattr(constants, "Translation", leaving)
 
 
 def test_image_off_weight_window_fails_the_row(monkeypatch):
@@ -460,7 +459,7 @@ def test_image_tables_match_expected_on_widened_window(params):
             *(range(lo - 2, hi + 3) for lo, hi in zip(translate.lo, translate.hi))
         ))
         for shift in ((0,) * f, (p // 2,) + (-p // 2,) * (f - 1), (-3,) * f):
-            translate.offsets = tuple(map(add, genuine, shift))
+            translate = translate.with_offsets(tuple(map(add, genuine, shift)))
             for ent in box:
                 want = _expected_image(translate, ent)
                 if isinstance(want, tuple):
@@ -482,6 +481,25 @@ def test_image_rejects_entries_of_other_length(params):
             with pytest.raises(RangeViolation) as got:
                 translate.image(ent)
             assert str(got.value) == want
+
+
+def test_translation_is_a_value_that_never_changes():
+    # a translation keys the shared change-of-origin boxes, so its hash
+    # must not move: offsets cannot be set, and with_offsets makes another
+    params = RhoParams.make(13, 2, (5, 6), (0,))
+    J = SubsetJ(2, 1)
+    translate = Translation(params, J)
+    genuine = translate.offsets
+    assert translate == Translation(params, J)
+    assert hash(translate) == hash(Translation(params, J))
+    with pytest.raises(AttributeError):
+        translate.offsets = genuine
+    moved = translate.with_offsets(tuple(x + 1 for x in genuine))
+    assert moved != translate
+    assert moved == translate.with_offsets(moved.offsets)
+    assert translate.offsets == genuine
+    assert translate.image((0, 0)) == genuine
+    assert moved.image((0, 0)) == moved.offsets
 
 
 def test_shifted_table_additivity_builds_one_frame_per_j_j0(monkeypatch):
