@@ -15,11 +15,12 @@ Multiplication is table-driven: full flat tables for q <= 169, discrete
 log/antilog tables over a generator (a*b = EXP[LOG a + LOG b]) above that.
 Addition is a flat table when small and a loop over the base-p digits
 otherwise; it does not use Zech logarithms.  _Packing holds elements as
-Kronecker-packed ints, whose sums and products are plain int arithmetic.
-gauss_jordan inverts the small matrices of the chart's linear coordinate
-change and records its row operations.  Memo is the keyed cache that keeps
-fields, Witt rings and the chart's tables for the life of the process;
-RunScope holds the Memos whose values live only as long as one run.
+Kronecker-packed ints, whose sums and products are plain int arithmetic;
+`packing` picks the slot width of every one of them.  gauss_jordan inverts
+the small matrices of the chart's linear coordinate change and records its
+row operations.  Memo is the keyed cache that keeps fields, Witt rings,
+packings and the chart's tables for the life of the process; RunScope
+holds the Memos whose values live only as long as one run.
 """
 
 from __future__ import annotations
@@ -328,9 +329,8 @@ class _Packing:
 
     It serves the iwasawa eigencoordinate sum, series product (_mul_terms)
     and torus-eigenvector sum; each of them states the bound on one slot of
-    its sums that fixes its width, and takes instances from the shared
-    cache `iwasawa._packing`.  `decode` turns many blocks at once when the
-    width is a byte lane (_lane_bits), as in the torus sum.
+    its sums and takes its instance from `packing`, which picks every width
+    as a byte lane, so `decode` turns many blocks of any of them at once.
     """
 
     def __init__(self, field, bits):
@@ -393,14 +393,21 @@ class _Packing:
 
 
 _LANE_FORMATS = {8: "B", 16: "H", 32: "I", 64: "Q"}
+_PACKINGS = Memo(_Packing)
 
 
-def _lane_bits(bits):
-    """The narrowest byte lane (_LANE_FORMATS) holding a `bits`-wide slot."""
+def packing(field, per_term, terms):
+    """The _Packing of `field` whose slots hold a sum of `terms` nonnegative
+    values, each at most `per_term`, without carrying into the next slot.
+
+    A slot is the narrowest byte lane (_LANE_FORMATS) of at least the bit
+    length of per_term*terms; wider than 64 bits raises RangeViolation.  One
+    instance per (field, width) is built for the process."""
+    bits = (per_term * terms).bit_length()
     lane = next((w for w in _LANE_FORMATS if w >= bits), None)
     if lane is None:
         raise RangeViolation(f"a {bits}-bit slot is wider than any byte lane")
-    return lane
+    return _PACKINGS[field, lane]
 
 
 def gauss_jordan(field, rows):

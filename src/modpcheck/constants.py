@@ -85,12 +85,8 @@ def epsilonJ(params, J):
     return -1 if len(core) % 2 else 1
 
 
-def tJJp(params, J, Jp):
-    """Shift exponents for the (J, Jp) comparison: p-1-s(J) plus a Jp bump."""
-    return _t_pair(params.p, sJ_tJ(params, J)[0], Jp)
-
-
 def _t_pair(p, s, Jp):
+    """Shift exponents for the (J, Jp) comparison: p-1-s(J) plus a Jp bump."""
     return tuple(p - 1 - sj + (1 if (j - 1) in Jp else 0) for j, sj in enumerate(s))
 
 
@@ -194,12 +190,10 @@ def _frame_key(params, J, j0):
 def hj(params, h, j):
     """Base-p assembly of the cyclic vector h starting at slot j.
 
-    h=None means the default vector r+1.  Satisfies the telescoping relation
-    p*hj(h, j+1) - hj(h, j) = (q-1)*h_j for any h.
+    Satisfies the telescoping relation p*hj(h, j+1) - hj(h, j) = (q-1)*h_j
+    for any h.
     """
     f = params.f
-    if h is None:
-        h = tuple(x + 1 for x in params.r)
     return sum(h[(j + i) % f] * params.p**i for i in range(f))
 
 

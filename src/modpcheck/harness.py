@@ -15,7 +15,7 @@ from itertools import product
 from time import perf_counter
 
 from .arith import RunScope, minimal_irreducible
-from .base_combinatorics import all_subsets
+from .base_combinatorics import MAX_F, all_subsets
 from .constants import IDENTITY_ROWS, MUTABLE, Mutation, mu_gamma, run_identities
 from .errors import ConfigInvalid
 from .iwasawa import (
@@ -102,6 +102,8 @@ class RunConfig:
         # p^f >= 2^f for p >= 2, so no f past the limit's bit length fits
         if f > MAX_Q.bit_length() or p**f > MAX_Q:
             raise ConfigInvalid(f"q={p}^{f} exceeds {MAX_Q}")
+        if f > MAX_F:
+            raise ConfigInvalid(f"f={f} outside [1, {MAX_F}]")
         q = p**f
         if self.cutoff is not None:
             depth = chart_depth(p, f, self.cutoff)

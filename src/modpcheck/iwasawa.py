@@ -47,7 +47,7 @@ from dataclasses import dataclass
 from itertools import repeat
 from operator import add, mul
 
-from .arith import Fq, Memo, WittRing, _lane_bits, _Packing, gauss_jordan, witt_precision
+from .arith import Fq, Memo, WittRing, gauss_jordan, packing, witt_precision
 from .errors import (
     ExponentPrecisionTooLow,
     HypothesisViolation,
@@ -132,9 +132,9 @@ def _mul_terms(field, xt, yt, bound):
 
     Otherwise coefficients are multiplied and summed as _Packing ints and
     each output key is encoded once.  A key receives at most
-    min(len(xt), len(yt)) products of two reduced packed coefficients, so S
-    is _slot_bits of k*(p-1)^2 and that count, rounded up to a multiple of 8
-    bits so that only a few packings are ever built.
+    min(len(xt), len(yt)) products of two reduced packed coefficients, each
+    adding at most k*(p-1)^2 to a slot, and `packing` picks the byte lane
+    that holds that bound.
     """
     if not xt or not yt:
         return {}
@@ -145,8 +145,7 @@ def _mul_terms(field, xt, yt, bound):
         rem = bound - sum(kx)
         mul = field.mul
         return {tuple(map(add, kx, k)): mul(cx, c) for k, c in yt.items() if sum(k) < rem}
-    bits = _slot_bits(field.k * (field.p - 1) ** 2, min(len(xt), len(yt)))
-    pack = _packing(field, -(-bits // 8) * 8)
+    pack = packing(field, field.k * (field.p - 1) ** 2, min(len(xt), len(yt)))
     pk = pack.table
     acc = {}
     get = acc.get
@@ -458,21 +457,6 @@ def frobenius(x):
     return AElement(x.field, f, x.cutoff * p, terms)
 
 
-def _slot_bits(per_term, terms):
-    """Width of a packed slot that holds a sum of `terms` nonnegative values,
-    each at most `per_term`, without carrying into the next slot."""
-    return (per_term * terms).bit_length()
-
-
-_PACKINGS = Memo(lambda field, bits: _Packing(field, bits))
-
-
-def _packing(field, bits):
-    """The _Packing of `field` with `bits`-wide slots: one per (field, width)
-    for the process, from the Memo _PACKINGS."""
-    return _PACKINGS[field, bits]
-
-
 def _graded_exponents(f, deg_max):
     out = []
     def rec(prefix, remaining, slots):
@@ -563,11 +547,14 @@ class ChartContext:
         partial sum is multiplied by the group's row once before the next
         group is summed; f = 1 has one group.  A unit adds at most
         (p-1)^(f+1) per slot (weight digit * first-row binomial * middle
-        product reduced mod p * last binomial), over q-1 units.
+        product reduced mod p * last binomial), over q-1 units, so S is the
+        byte lane that `packing` picks for that bound, and _Packing.decode
+        reads the depth - |t| blocks of the sum for each T^t of the other
+        variables.
         """
         fld, ring = self.field, self.ring
         p, f, depth = self.p, self.f, self.tdepth
-        pack = _packing(fld, _slot_bits((p - 1) ** (f + 1), self.q - 1))
+        pack = packing(fld, (p - 1) ** (f + 1), self.q - 1)
         width = fld.k * pack.bits
         # C(c, m) mod p for m < depth, packed in blocks, once per distinct row
         packed = functools.cache(lambda row: sum(b << (width * m) for m, b in enumerate(row)))
@@ -592,13 +579,10 @@ class ChartContext:
                         acc[h + t] = acc.get(h + t, 0) + b * v
 
         terms = {}
-        bmask = (1 << width) - 1
         for t, v in acc.items():
-            for m in range(depth - sum(t)):
-                e = pack.encode(v & bmask)
+            for m, e in enumerate(pack.decode(v, depth - sum(t), fld.k)):
                 if e:
                     terms[t + (m,)] = e
-                v >>= width
         return terms
 
     @property
@@ -919,13 +903,6 @@ def check_frobenius_generators(ctx):
     return sweep.result(info={"depth": depth})
 
 
-def _torus_slot_bits(fld):
-    """Slot width S of the packed torus-eigenvector sum: q-1 products of two
-    reduced packed coefficients, each adding at most k*(p-1)^2 to a slot.
-    The sum is read in the byte lane _lane_bits(S)."""
-    return _slot_bits(fld.k * (fld.p - 1) ** 2, fld.q - 1)
-
-
 def check_torus_eigenvector(ctx):
     """Scaling by a Teichmuller representative multiplies the j-th
     eigencoordinate by a^(p^j): reindexed summand comparison, all a.
@@ -942,8 +919,9 @@ def check_torus_eigenvector(ctx):
     sum for one (a, j) is q-1 int multiply-adds, decoded in one pass
     (_Packing.decode) and compared with a^(p^j) Y_j as dense lists; only a
     failing (a, j) builds the dict and the difference that count its
-    discrepancies.  A slot is the byte lane (_lane_bits) of
-    S = _slot_bits(k*(p-1)^2, q-1) (see _torus_slot_bits).
+    discrepancies.  The sum adds q-1 products of two reduced packed
+    coefficients, each at most k*(p-1)^2 in a slot, and `packing` picks the
+    byte lane that holds it.
     """
     sweep = Sweep("torus-reindex-eigenvector")
     fld, ring = ctx.field, ctx.ring
@@ -958,7 +936,7 @@ def check_torus_eigenvector(ctx):
                 if ring.mul(lifts[a], lifts[b]) != lifts[fld.mul(a, b)]:
                     sweep.check(False, a=a, b=b, stage="teichmuller-product")
                     return sweep.result()
-    pack = _packing(fld, _lane_bits(_torus_slot_bits(fld)))
+    pack = packing(fld, fld.k * (fld.p - 1) ** 2, fld.q - 1)
     pk = pack.table
     stride = 2 * fld.k - 1
     monomials = _graded_exponents(ctx.f, depth - 1)

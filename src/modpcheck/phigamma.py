@@ -446,11 +446,11 @@ def build_q_a(ctx, mu, u, scope=None):
     qa = PhiGammaMatrix.identity(params, fld)
     if ctx.unit_data(u).dmat is None:
         return qa, {j: AElement.const(fld, f, 1) for j in range(f)}
-    weights = tuple(hj(params, None, j) for j in range(f))
+    hvec = tuple(x + 1 for x in params.r)
+    weights = tuple(hj(params, hvec, j) for j in range(f))
     pj = scope_memo(scope, slot_correction_units)[ctx, weights, u]
     if params.Jrho.is_full():
         return qa, pj
-    hvec = tuple(x + 1 for x in params.r)
     empty = SubsetJ(f, 0)
     done = set()
     for m in range(1, f + 1):

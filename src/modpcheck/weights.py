@@ -15,15 +15,15 @@ from itertools import product
 from operator import add, getitem, le, mul
 
 from .arith import _prime_divisors
-from .base_combinatorics import SubsetJ, all_subsets, decompose_parts, vmap
+from .base_combinatorics import MAX_F, SubsetJ, all_subsets, decompose_parts, vmap
 from .errors import ConfigInvalid, GenericityViolation, InadmissibleS, RangeViolation
 from .reporting import Sweep
 
 
 def validate_params(p, f, r, Jrho):
     """Raise unless (p, f, r, Jrho) is structurally sound and generic."""
-    if not isinstance(f, int) or not 1 <= f <= 16:
-        raise ConfigInvalid(f"f={f} outside [1, 16]")
+    if not isinstance(f, int) or not 1 <= f <= MAX_F:
+        raise ConfigInvalid(f"f={f} outside [1, {MAX_F}]")
     if _prime_divisors(p) != [p]:
         raise ConfigInvalid(f"p={p} is not prime")
     if len(tuple(r)) != f:

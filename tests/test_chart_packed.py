@@ -259,18 +259,22 @@ def test_t_to_y_inverts_y_to_t_below_the_bound(data):
     assert back.terms == x.terms
 
 
-def _undersized(bits):
-    """A slot-width rule that forgets how many terms share a slot."""
-    return lambda per_term, terms: bits(per_term, 1)
+def _undersized(rule):
+    """A packing rule that picks the byte lane below the one its bound needs."""
+    def narrow(fld, per_term, terms):
+        return rule(fld, 1, 2 ** (rule(fld, per_term, terms).bits // 2) - 1)
+
+    return narrow
 
 
 def test_undersized_slot_width_is_caught_at_f3(monkeypatch):
     # the f=3 comparison of the eigencoordinate sum must fail when a slot
-    # can carry into its neighbour
-    bits = iwasawa._slot_bits
+    # can carry into its neighbour: the 16-bit lane below the 32-bit one
+    # that its 29-bit bound needs (a rule that forgets the term count asks
+    # for 17 bits and so lands on the same 32-bit lane)
     want_y = reference_y_series(ChartContext(17, 3, 24))
 
-    monkeypatch.setattr(iwasawa, "_slot_bits", _undersized(bits))
+    monkeypatch.setattr(iwasawa, "packing", _undersized(iwasawa.packing))
     bad = ChartContext(17, 3, 24)
     assert bad.y_series[0].terms != want_y[0].terms
 

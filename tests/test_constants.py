@@ -28,7 +28,6 @@ from modpcheck.constants import (
     hj,
     mu_gamma,
     rJ,
-    tJJp,
 )
 from modpcheck.errors import (
     ConfigInvalid,
@@ -156,8 +155,9 @@ def test_epsilon_frozen():
 
 
 def test_tjjp_frozen():
-    assert tJJp(P2F, J(P2F), J(P2F)) == (7, 6)
-    assert tJJp(P2F, J(P2F), SubsetJ.full(2)) == (8, 7)
+    tables = ConstantTables(P2F)
+    assert tables.tJJp[J(P2F), J(P2F)] == (7, 6)
+    assert tables.tJJp[J(P2F), SubsetJ.full(2)] == (8, 7)
 
 
 def test_tjx_frozen():
@@ -192,9 +192,10 @@ def test_ajn_frozen_and_guards():
 
 
 def test_hj_frozen_and_telescoping():
-    assert hj(P2, None, 0) == 97
-    assert hj(P2, None, 1) == 85
-    assert 13 * hj(P2, None, 1) - hj(P2, None, 0) == (13**2 - 1) * 6
+    h2 = (6, 7)  # r + 1
+    assert hj(P2, h2, 0) == 97
+    assert hj(P2, h2, 1) == 85
+    assert 13 * hj(P2, h2, 1) - hj(P2, h2, 0) == (13**2 - 1) * 6
     for params in (P1, P2, P3):
         h = (3, -2, 5)[: params.f]
         q = params.q
@@ -403,7 +404,10 @@ def test_pristine_tables_match_the_formulas(params):
         assert tables.c[K] == cJ(params, K)
         assert tables.cprime[K] == cPrimeJ(params, K)
         for Kp in subs:
-            assert tables.tJJp[K, Kp] == tJJp(params, K, Kp)
+            # p-1-s_j plus 1 where j-1 lies in Kp
+            want = tuple(params.p - 1 - sj + (j - 1 in Kp)
+                         for j, sj in enumerate(tables.s[K]))
+            assert tables.tJJp[K, Kp] == want
         for j0 in range(params.f):
             frame = AJnFrame(*_frame_key(params, K, j0))
             for n in constants._a_domain(K, j0):

@@ -283,6 +283,8 @@ def no_field_builds(monkeypatch):
     (dict(p=11, f=1, r=(4,), thetas=1001), "thetas=1001 outside"),
     (dict(p=11, f=1, r=(4,), thetas=0), "thetas=0 outside"),
     (dict(p=11, f=0, r=()), "f=0 must be positive"),
+    # q = 2^17 is inside the field limit, so f itself must be refused
+    (dict(p=2, f=17, r=(1,) * 17, suites=("weights",)), "f=17 outside [1, 16]"),
 ])
 def test_admission_limits_before_any_field_build(no_field_builds, kwargs, message):
     # the cutoff bounds the chart, so only runs of the chart suites are
@@ -310,12 +312,14 @@ def test_admission_accepts_presets_and_benchmark_configs(no_field_builds):
     ["--p", "17", "--f", "3", "--r", "7,8,7", "--cutoff", "1000000"],
     ["--p", "11", "--f", "1", "--r", "4", "--units", "1000000000"],
     ["--p", "11", "--f", "1", "--r", "4", "--thetas", "5000"],
+    ["--p", "2", "--f", "17", "--r", ",".join(["1"] * 17), "--suite", "weights"],
 ])
 def test_cli_admission_limits_exit_2(no_field_builds, args):
     res = CliRunner().invoke(main, ["verify", *args])
     assert res.exit_code == 2
     assert res.stdout == ""
     assert res.stderr.startswith("config error: ")
+    assert res.stderr.count("\n") == 1
     assert not no_field_builds
 
 

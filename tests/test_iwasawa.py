@@ -449,8 +449,8 @@ def test_unit_ratio_frobenius_shift():
 def _cocycle_case(ctx, rvec, u, j):
     params = RhoParams.make(ctx.p, ctx.f, rvec)
     h = tuple(x + 1 for x in rvec)
-    num_j = hj(params, None, j)
-    num_next = hj(params, None, (j + 1) % ctx.f)
+    num_j = hj(params, h, j)
+    num_next = hj(params, h, (j + 1) % ctx.f)
     P_j = cocycle_factor(ctx, u, j, num_j)
     P_next = cocycle_factor(ctx, u, (j + 1) % ctx.f, num_next)
     kvec = [0] * ctx.f

@@ -25,7 +25,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from modpcheck import iwasawa
+from modpcheck import arith
 from modpcheck.arith import Fq, Memo
 from modpcheck.errors import HypothesisViolation
 from modpcheck.iwasawa import (
@@ -246,14 +246,13 @@ def test_concurrent_first_products_build_each_packing_once(monkeypatch):
     # the field-op reference
     built = collections.Counter()
 
-    class CountingPacking(iwasawa._Packing):
+    class CountingPacking(arith._Packing):
         def __init__(self, field, bits):
             built[bits] += 1
             time.sleep(0.01)  # hold the build open while the others arrive
             super().__init__(field, bits)
 
-    monkeypatch.setattr(iwasawa, "_PACKINGS", Memo(iwasawa._PACKINGS.build))
-    monkeypatch.setattr(iwasawa, "_Packing", CountingPacking)
+    monkeypatch.setattr(arith, "_PACKINGS", Memo(CountingPacking))
     fld = Fq(5, 3)
     xs = [AElement(fld, 3, INF, {(i, j, (i * j) % 3): 1 + (7 * i + j) % 124
                                  for i in range(n) for j in range(n)})

@@ -18,14 +18,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modpcheck import arith, iwasawa
-from modpcheck.arith import Fq, _lane_bits, _Packing
+from modpcheck.arith import Fq, Memo, _Packing, packing
 from modpcheck.errors import PACKAGE_ERRORS
-from modpcheck.harness import MAX_CHART_Q
+from modpcheck.harness import MAX_CHART_Q, RunConfig, run_suite
 from modpcheck.iwasawa import (
     AElement,
     ChartContext,
-    _slot_bits,
-    _torus_slot_bits,
     chart_context,
     check_torus_eigenvector,
 )
@@ -117,47 +115,60 @@ def test_perturbed_top_coefficient_of_y0_fails_the_same_row(p, f):
     assert got == reference_torus_eigenvector(ctx).as_dict()
 
 
-def test_slot_width_formula_is_pinned():
+def _spy_packing(monkeypatch, rule=packing):
+    """Route iwasawa's packings through `rule`; returns the list of
+    (per_term, terms, width) of each call."""
+    calls = []
+
+    def spy(fld, per_term, terms):
+        pack = rule(fld, per_term, terms)
+        calls.append((per_term, terms, pack.bits))
+        return pack
+
+    monkeypatch.setattr(iwasawa, "packing", spy)
+    return calls
+
+
+def _torus_case(p, f):
+    """The chart context, its series built with the packing rule intact."""
+    ctx = chart_context(p, f)
+    ctx.y_series
+    return ctx
+
+
+def test_slot_width_formula_is_pinned(monkeypatch):
     # S = bit length of k*(p-1)^2 * (q-1), and the row reads its sums in
     # the narrowest byte lane that holds S bits
-    assert _torus_slot_bits(Fq(11, 1)) == _slot_bits(100, 10) == 10
-    assert _torus_slot_bits(Fq(13, 2)) == _slot_bits(2 * 144, 168) == 16
-    assert _torus_slot_bits(Fq(7, 2)) == (2 * 36 * 48).bit_length()
-    assert [_lane_bits(_torus_slot_bits(Fq(p, f))) for p, f in FIELDS] == [16, 16, 16, 16]
-    assert [_lane_bits(b) for b in (1, 8, 9, 16, 17, 32, 33, 64)] == [8, 8, 16, 16, 32, 32, 64, 64]
-
-
-def _spy_packing(monkeypatch):
-    widths = []
-    packing = iwasawa._packing
-
-    def spy(fld, bits):
-        widths.append(bits)
-        return packing(fld, bits)
-
-    monkeypatch.setattr(iwasawa, "_packing", spy)
-    return widths
+    ctx = _torus_case(13, 2)
+    calls = _spy_packing(monkeypatch)
+    check_torus_eigenvector(ctx)
+    assert calls == [(2 * 144, 168, 16)]
+    assert [(f * (p - 1) ** 2 * (p**f - 1)).bit_length() for p, f in FIELDS] == [10, 10, 12, 16]
+    assert [packing(Fq(p, f), f * (p - 1) ** 2, p**f - 1).bits for p, f in FIELDS] == [16] * 4
+    lanes = [packing(Fq(11, 1), 1, 2**b - 1).bits for b in (1, 8, 9, 16, 17, 32, 33, 64)]
+    assert lanes == [8, 8, 16, 16, 32, 32, 64, 64]
 
 
 @pytest.mark.parametrize("cut,passes", [(1, True), (3, True)])
 def test_narrowed_slots(monkeypatch, cut, passes):
     # the width is a worst-case bound, so a few bits less still hold the
-    # sums at p=13, f=2: the row rounds them back up to the 16-bit lane
-    bits = iwasawa._torus_slot_bits
-    monkeypatch.setattr(iwasawa, "_torus_slot_bits", lambda fld: bits(fld) - cut)
-    widths = _spy_packing(monkeypatch)
-    assert check_torus_eigenvector(chart_context(13, 2)).passed is passes
-    assert widths == [16]
+    # sums at p=13, f=2: the rule rounds them back up to the 16-bit lane
+    ctx = _torus_case(13, 2)
+    calls = _spy_packing(monkeypatch, lambda fld, per_term, terms:
+                         packing(fld, per_term * terms >> cut, 1))
+    assert check_torus_eigenvector(ctx).passed is passes
+    assert [bits for *_, bits in calls] == [16]
 
 
 @pytest.mark.parametrize("lane,passes", [(16, True), (8, False)])
 def test_narrowed_lane(monkeypatch, lane, passes):
     # at p=13, f=2 the slot bound is exactly 16 bits, so its lane holds the
     # sums and the next lane down lets slots carry into their neighbours
-    monkeypatch.setattr(iwasawa, "_lane_bits", lambda bits: lane)
-    widths = _spy_packing(monkeypatch)
-    assert check_torus_eigenvector(chart_context(13, 2)).passed is passes
-    assert widths == [lane]
+    ctx = _torus_case(13, 2)
+    calls = _spy_packing(monkeypatch, lambda fld, per_term, terms:
+                         packing(fld, 1, 2**lane - 1))
+    assert check_torus_eigenvector(ctx).passed is passes
+    assert [bits for *_, bits in calls] == [lane]
 
 
 def _primes(n):
@@ -165,24 +176,49 @@ def _primes(n):
 
 
 def test_every_admitted_torus_field_has_a_lane():
-    # the chart suites admit q <= MAX_CHART_Q and run the torus row at f <= 2;
-    # the lane follows from the formula alone, so no field is built
+    # the chart suites admit q <= MAX_CHART_Q, build Y_0 at f <= 3 and run
+    # the torus row at f <= 2; the lanes follow from the slot bounds alone,
+    # so no field is built
     built = set(arith._FIELD_CACHE)
-    lanes = {f: max(_lane_bits(_slot_bits(f * (p - 1) ** 2, p**f - 1))
-                    for p in _primes(MAX_CHART_Q) if p**f <= MAX_CHART_Q)
-             for f in (1, 2)}
-    assert lanes == {1: 64, 2: 32}
+
+    def widest(bound, fs):
+        return {f: max(bound(p, f).bit_length()
+                       for p in _primes(MAX_CHART_Q) if p**f <= MAX_CHART_Q)
+                for f in fs}
+
+    def lanes(bits):
+        return {f: min(w for w in arith._LANE_FORMATS if w >= b) for f, b in bits.items()}
+
+    torus = widest(lambda p, f: f * (p - 1) ** 2 * (p**f - 1), (1, 2))
+    y0 = widest(lambda p, f: (p - 1) ** (f + 1) * (p**f - 1), (1, 2, 3))
+    assert torus == {1: 39, 2: 27} and y0 == {1: 39, 2: 33, 3: 30}
+    assert lanes(torus) == {1: 64, 2: 32}
+    assert lanes(y0) == {1: 64, 2: 64, 3: 32}
     assert set(arith._FIELD_CACHE) == built
+
+
+def test_f2_session_run_builds_the_16_and_32_bit_packings(monkeypatch):
+    # the README f=2 verify, from a cold chart: products and the torus sum
+    # share the 16-bit lane, the Y_0 sum takes the 32-bit one
+    monkeypatch.setattr(arith, "_PACKINGS", Memo(_Packing))
+    monkeypatch.setattr(iwasawa, "_CTX_CACHE", Memo(ChartContext))
+    run_suite(RunConfig(p=13, f=2, r=(5, 6)))
+    assert set(arith._PACKINGS) == {(Fq(13, 2), 16), (Fq(13, 2), 32)}
 
 
 def test_slot_wider_than_every_lane_fails_the_row(monkeypatch):
     # a width with no lane is a package error, so the row fails and the
     # table goes on
     with pytest.raises(PACKAGE_ERRORS):
-        _lane_bits(65)
-    monkeypatch.setattr(iwasawa, "_torus_slot_bits", lambda fld: 65)
-    ctx = chart_context(11, 1)
-    rows = run_table([(("torus-reindex-eigenvector",), lambda: [check_torus_eigenvector(ctx)]),
+        packing(Fq(11, 1), 2**65 - 1, 1)
+    ctx = _torus_case(11, 1)
+
+    def torus_row():
+        with monkeypatch.context() as m:
+            m.setattr(iwasawa, "packing", lambda fld, per_term, terms: packing(fld, 2**65 - 1, 1))
+            return [check_torus_eigenvector(ctx)]
+
+    rows = run_table([(("torus-reindex-eigenvector",), torus_row),
                       (("frobenius-generator-images",),
                        lambda: [iwasawa.check_frobenius_generators(ctx)])])
     assert [r.as_dict()["status"] for r in rows] == ["fail", "pass"]
@@ -204,7 +240,7 @@ def test_lane_decode_matches_per_block_encode(k, data):
         for products, stride, per_term in ((False, k, fld.p - 1),
                                            (True, 2 * k - 1, k * (fld.p - 1) ** 2)):
             most = (2**lane - 1) // per_term
-            assert _slot_bits(per_term, most) <= lane < _slot_bits(per_term, most + 1)
+            assert (per_term * most).bit_length() <= lane < (per_term * (most + 1)).bit_length()
             blocks = []
             for _ in range(data.draw(st.integers(1, 5), label="count")):
                 block, left = 0, most
