@@ -46,6 +46,10 @@ GOLDEN = [
     # mu(J, J') and gamma(J, J') of every Jrho reach the payload
     (RunConfig(p=17, f=3, r=(7, 8, 7)),
      "d560a7dee4c7253ca8f67352a2321bc5d61c9a73cd5b0acdd2aa7855ebe61fba"),
+    # f=4 identity and weight sweeps on all 16 Jrho: J stops being an
+    # interval, and two Jrho can share a non-interval J
+    (RunConfig(p=23, f=4, r=(9, 10, 9, 10), suites=("identities", "weights")),
+     "f3e332cd7302b2367411aacc0dbdd6a020cbbfb76b225c5c7fffb0b567e258b0"),
 ]
 
 
@@ -54,7 +58,7 @@ GOLDEN = [
                               "p17-f3-iwasawa", "p13-f2-cutoff40", "p11-f1-cutoff80",
                               "p17-f3-identities-weights", "p17-f3-787-identities-weights",
                               "p17-f3-877-identities-weights", "p17-f3-887-identities-weights",
-                              "p17-f3-all"])
+                              "p17-f3-all", "p23-f4-identities-weights"])
 def test_report_digest_is_pinned(config, digest):
     report = run_suite(config)
     assert report.passed
