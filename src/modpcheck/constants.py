@@ -90,14 +90,13 @@ def _t_pair(p, s, Jp):
     return tuple(p - 1 - sj + (1 if (j - 1) in Jp else 0) for j, sj in enumerate(s))
 
 
-def _m_frame(params, J, Jp):
+def _m_frame(Kss, J, Jp):
     # (signs, offsets) of the signed exponent vector of the i-indexed element
     # in a J-block: m_j = signs_j (2 i_j + offsets_j), that is
     # sign_j (2 i_j + e^Kss_j - e^{J^Kss}_j + e^{Jp+1}_j) with
     # Kss = (J-1) & Jrho; the reindexing sweep evaluates it formally,
     # outside the small box of i too
-    f = params.f
-    Kss = J.shift(-1) & params.Jrho
+    f = J.f
     sym = J ^ Kss
     signs = tuple(-1 if (j + 1) not in J else 1 for j in range(f))
     offsets = tuple(
@@ -511,105 +510,108 @@ def _check_m_closed_form(params, tables, subs):
     for J, Jp in _pairs_same_class(params, subs):
         inter_nss = (J & Jp) - params.Jrho
         i = tuple(1 if j in inter_nss else 0 for j in range(params.f))
-        m = _m_vec(_m_frame(params, J, (J ^ Jp).shift(-1)), i)
+        m = _m_vec(_m_frame(J.shift(-1) & params.Jrho, J, (J ^ Jp).shift(-1)), i)
         for j in range(params.f):
             want = (1 if j in Jp else 0) * (-1 if (j + 1) not in J else 1)
             sw.check(m[j] == want, J=J, Jp=Jp, j=j, m=m[j], want=want)
     return sw.result()
 
 
-def _reindex_tuples(params, subs, frame):
-    # (J, i, j0, Jp, frame(J, j0, Jp)), nested in that order, each frame
-    # built once: i runs over the small box 0 <= i_j <= f - e^{J^sh}_j with
-    # i_{j0+1} = 0
-    f = params.f
+_REINDEX_PARTS = ("m", "shift", "carry", "positivity", "box")
+
+
+def _check_shift_overlap_reindex(params, tables, subs, scope=None):
+    """Reindexing a block across the overlap at j0: the m-vector, the shift
+    exponents, the assembled carry digits, and positivity all transport.
+
+    Each (J, j0) block runs through _reindex_block, built once per scope, a
+    RunScope, keyed on what the block reads: p, r_{j0+1}, J, j0, Jrho
+    through K^ss = (J-1) & Jrho and J2^sh, s(K^ss), per Jp the shift
+    exponents of (J, Jp) and of the reindexed (J2, Jpp), and the box of i.
+    So the runs of several Jrho that share a scope check each distinct
+    block once, and a mutated s or tJJp makes its own; None shares
+    nothing."""
+    sw = Sweep("shift-overlap-reindex")
+    p, f, r = params.p, params.f, params.r
+    blocks = scope_memo(scope, _reindex_block)
     for J in subs:
+        Kss = J.shift(-1) & params.Jrho
         nss = J.shift(-1) - params.Jrho
         _, _, Jsh = params.parts(J)
         for j0 in range(f):
             anchor = (j0 + 1) % f
             if anchor not in nss:
                 continue
-            frames = [(Jp, frame(J, j0, Jp)) for Jp in subs if (j0 in Jp) == ((j0 + 1) in J)]
-            ranges = [
-                range(1 if j == anchor else f - (1 if j in Jsh else 0) + 1)
-                for j in range(f)
-            ]
-            for i in itertools.product(*ranges):
-                for Jp, fr in frames:
-                    yield J, i, j0, Jp, fr
-
-
-_REINDEX_PARTS = ("m", "shift", "carry", "positivity", "box")
-
-
-def _check_shift_overlap_reindex(params, tables, subs):
-    """Reindexing a block across the overlap at j0: the m-vector, the shift
-    exponents, the assembled carry digits, and positivity all transport.
-
-    Runs on entries tuples: a part that holds is only counted, and only the
-    first failing part builds its witness."""
-    sw = Sweep("shift-overlap-reindex")
-    p, f, r = params.p, params.f, params.r
-
-    def frame(J, j0, Jp):
-        # everything but i: for the block (J, Jp) and the reindexed (J2, Jpp),
-        # the m frame, the shift exponents and the carry digits as
-        # p i_{j+1} + const_j - twice_j i_j; then the bumped slot and its
-        # bump, the anchor values of the shift exponents, the i-free part of
-        # the positivity hypothesis and the small box of J2
-        J2 = J - SubsetJ.of(f, [j0 + 2])
-        Jpp = Jp ^ SubsetJ.of(f, [j0 + 1])
-        Kss = J.shift(-1) & params.Jrho  # same for J2 since j0+2 is not special
-        svec = tables.s[Kss]
-        anchor = (j0 + 1) % f
-        anchor_out = 1 if (j0 + 1) not in J else 0
-
-        def block(K, Kp):
-            sym, tv = K ^ Kss, tables.tJJp[K, Kp]
-            const = tuple(
-                (svec[j] if (j + 1) in sym else p - 1)
-                - (0 if j in Kp else tv[j])
-                - (anchor_out if j == anchor else 0)
-                for j in range(f)
-            )
-            twice = tuple(0 if j in Kp else 2 for j in range(f))
-            return _m_frame(params, K, Kp), tv, const, twice
-
-        _, _, J2sh = params.parts(J2)
-        return (
-            block(J, Jp), block(J2, Jpp), (j0 + 2) % f,
-            -(0 if (j0 + 1) in Jp else 1) + (1 if (j0 + 2) in Kss else 0),
-            (r[anchor] + 1, p - 1 - r[anchor]),
-            tuple((1 if (j - 1) in Jp else 0) - (1 if j in (J ^ Kss) else 0)
-                  for j in range(f)),
-            tuple(f - (1 if j in J2sh else 0) for j in range(f)),
-        )
-
-    for J, i, j0, Jp, fr in _reindex_tuples(params, subs, frame):
-        (m_of, tv, c1, w1), (m2_of, tv2, c2, w2), k, bump, at_anchor, hyp_off, box = fr
-        anchor = (j0 + 1) % f
-        ip = i[:k] + (i[k] + bump,) + i[k + 1:]
-        m1 = _m_vec(m_of, i)
-        shift = [(2 * x + t, 2 * y + u) for x, t, y, u in zip(i, tv, ip, tv2)]
-        cvec = [p * x1 + c - w * x for x, x1, c, w in zip(i, i[1:] + i[:1], c1, w1)]
-        cpvec = [p * x1 + c - w * x for x, x1, c, w in zip(ip, ip[1:] + ip[:1], c2, w2)]
-        hyp = all(2 * x + h >= 0 for x, h in zip(i, hyp_off))
-        oks = (
-            m1 == _m_vec(m2_of, ip) and m1[anchor] == 0,
-            all(pair == at_anchor if j == anchor else pair[0] == pair[1]
-                for j, pair in enumerate(shift)),
-            cvec == cpvec,
-            not hyp or (min(cvec) >= 0 and min(ip) >= 0),
-            all(map(le, ip, box)),
-        )
-        failure = None
-        if sw.failure is None and not all(oks):
-            part = _REINDEX_PARTS[oks.index(False)]
-            extra = {"c": cvec, "c2": cpvec} if part == "carry" else {}
-            failure = witness(J=J, j0=j0, i=i, Jp=Jp, part=part, **extra)
-        sw.add(4 + hyp, failure)
+            J2 = J - SubsetJ.of(f, [j0 + 2])
+            flip = SubsetJ.of(f, [j0 + 1])
+            shifts = tuple((Jp, tables.tJJp[J, Jp], tables.tJJp[J2, Jp ^ flip])
+                           for Jp in subs if (j0 in Jp) == ((j0 + 1) in J))
+            # i runs over the small box 0 <= i_j <= f - e^{J^sh}_j with
+            # i_{j0+1} = 0
+            ranges = tuple(range(1 if j == anchor else f - (1 if j in Jsh else 0) + 1)
+                           for j in range(f))
+            sw.add(*blocks[p, r[anchor], J, j0, Kss, params.parts(J2)[2], tables.s[Kss],
+                           shifts, ranges])
     return sw.result()
+
+
+def _reindex_block(p, r_anchor, J, j0, Kss, J2sh, svec, shifts, ranges):
+    # (checked, first witness) of one (J, j0) block, every i of the box
+    # against every (Jp, tJJp[J, Jp], tJJp[J2, Jpp]) of shifts, i first.
+    # Runs on entries tuples: a part that holds is only counted, and only
+    # the first failing part builds its witness
+    f = J.f
+    anchor, k = (j0 + 1) % f, (j0 + 2) % f
+    J2 = J - SubsetJ.of(f, [j0 + 2])  # K^ss of J2 is Kss: j0+2 is not special
+    anchor_out = 1 if (j0 + 1) not in J else 0
+
+    def frame(K, Kp, tv):
+        # the m frame, the shift exponents and the carry digits of the block
+        # (K, Kp) as p i_{j+1} + const_j - twice_j i_j
+        sym = K ^ Kss
+        const = tuple(
+            (svec[j] if (j + 1) in sym else p - 1)
+            - (0 if j in Kp else tv[j])
+            - (anchor_out if j == anchor else 0)
+            for j in range(f)
+        )
+        twice = tuple(0 if j in Kp else 2 for j in range(f))
+        return _m_frame(Kss, K, Kp), tv, const, twice
+
+    # the anchor values of the shift exponents and the small box of J2;
+    # per Jp, the bump of slot k and the i-free part of the positivity
+    # hypothesis
+    at_anchor = (r_anchor + 1, p - 1 - r_anchor)
+    box = tuple(f - (1 if j in J2sh else 0) for j in range(f))
+    frames = [
+        (Jp, frame(J, Jp, tv), frame(J2, Jp ^ SubsetJ.of(f, [j0 + 1]), tv2),
+         -(0 if (j0 + 1) in Jp else 1) + (1 if (j0 + 2) in Kss else 0),
+         tuple((1 if (j - 1) in Jp else 0) - (1 if j in (J ^ Kss) else 0) for j in range(f)))
+        for Jp, tv, tv2 in shifts
+    ]
+    checked, failure = 0, None
+    for i in itertools.product(*ranges):
+        for Jp, (m_of, tv, c1, w1), (m2_of, tv2, c2, w2), bump, hyp_off in frames:
+            ip = i[:k] + (i[k] + bump,) + i[k + 1:]
+            m1 = _m_vec(m_of, i)
+            shift = [(2 * x + t, 2 * y + u) for x, t, y, u in zip(i, tv, ip, tv2)]
+            cvec = [p * x1 + c - w * x for x, x1, c, w in zip(i, i[1:] + i[:1], c1, w1)]
+            cpvec = [p * x1 + c - w * x for x, x1, c, w in zip(ip, ip[1:] + ip[:1], c2, w2)]
+            hyp = all(2 * x + h >= 0 for x, h in zip(i, hyp_off))
+            oks = (
+                m1 == _m_vec(m2_of, ip) and m1[anchor] == 0,
+                all(pair == at_anchor if j == anchor else pair[0] == pair[1]
+                    for j, pair in enumerate(shift)),
+                cvec == cpvec,
+                not hyp or (min(cvec) >= 0 and min(ip) >= 0),
+                all(map(le, ip, box)),
+            )
+            if failure is None and not all(oks):
+                part = _REINDEX_PARTS[oks.index(False)]
+                extra = {"c": cvec, "c2": cpvec} if part == "carry" else {}
+                failure = witness(J=J, j0=j0, i=i, Jp=Jp, part=part, **extra)
+            checked += 4 + hyp
+    return checked, failure
 
 
 def _check_character_origin(params, tables, subs):
@@ -755,8 +757,9 @@ IDENTITY_ROWS = (
 def identity_sweeps(params, seed=0, mutation=None, scope=None):
     """Bound checks plus every exact constant identity, exhaustively, as a
     check table: (row names, thunk) entries in report order.  scope, a
-    RunScope, shares the aJn frames and change-of-origin boxes between the
-    Jrho jobs of one run."""
+    RunScope, shares the aJn frames, the change-of-origin boxes, the
+    reindexing blocks and the shifted-table domains between the Jrho jobs
+    of one run."""
     tables = ConstantTables(params, mutation, scope)
     subs = list(params.subsets())
 
@@ -770,14 +773,14 @@ def identity_sweeps(params, seed=0, mutation=None, scope=None):
         lambda: [check_change_origin(params, tables, scope)],
         over_subsets(_check_s_complement),
         over_subsets(_check_m_closed_form),
-        over_subsets(_check_shift_overlap_reindex),
+        lambda: [_check_shift_overlap_reindex(params, tables, subs, scope)],
         over_subsets(_check_character_origin),
         over_subsets(_check_r_additivity),
         over_subsets(_check_c_as_r_difference),
         over_subsets(_check_carry_inequality),
         over_subsets(_check_c_restriction),
         lambda: [_check_scalar_ratio_classes(params, mu_gamma(params, seed), subs)],
-        lambda: [check_shifted_table_additivity(params, tables)],
+        lambda: [check_shifted_table_additivity(params, tables, scope)],
         lambda: check_domination_claims(params, tables),
     ), strict=True))
 
@@ -788,40 +791,47 @@ def run_identities(params, seed=0, mutation=None, scope=None):
     return run_table(identity_sweeps(params, seed, mutation, scope))
 
 
-def check_shifted_table_additivity(params, tables):
+def check_shifted_table_additivity(params, tables, scope=None):
     """aJn(J, n) + rJ(J minus Jp) == aJn(Jp, n + e^{J minus Jp}) whenever
     j0+1 avoids the difference and the anchor condition holds.
 
-    Each (J, Jp, j0) domain is compared on entries tuples in one pass; only
-    a domain that fails is walked n by n, to record the first
-    counterexample."""
+    Each (J, Jp, j0) domain runs through _additivity_domain, built once per
+    scope, a RunScope, keyed on J, Jp, j0, the images aJn(J, ., j0) and
+    aJn(Jp, ., j0) and rJ(J minus Jp).  A mutant's tables wrap the images
+    anew, so they never read a pristine domain; None shares nothing."""
     f = params.f
+    domains = scope_memo(scope, _additivity_domain)
     sw = Sweep("shifted-table-additivity")
     for J in params.subsets():
         Jss = J & params.Jrho
         _, _, Jsh = params.parts(J)
-        domains = [_a_domain(J, j0) for j0 in range(f)]
         for Jp in params.subsets():
             if not Jp <= J:
                 continue
             diff = J - Jp
             rdiff = tables.r[diff]
-            shift = tuple(1 if j in diff else 0 for j in range(f))
             for j0 in range(f):
                 if (j0 + 1) in diff:
                     continue
                 if j0 in Jsh and not (Jss | SubsetJ.of(f, [j0 + 1])) <= Jp:
                     continue
-                at_J, at_Jp = tables.aJn[J, j0], tables.aJn[Jp, j0]
-                domain = domains[j0]
-                lhs = [tuple(map(add, at_J(e), rdiff)) for e in domain]
-                rhs = [at_Jp(tuple(map(add, e, shift))) for e in domain]
-                if lhs == rhs:
-                    sw.checked += len(domain)
-                    continue
-                for e, left, right in zip(domain, lhs, rhs):
-                    sw.check(left == right, J=J, Jp=Jp, j0=j0, n=e, lhs=left, rhs=right)
+                sw.add(*domains[J, Jp, j0, tables.aJn[J, j0], tables.aJn[Jp, j0], rdiff])
     return sw.result()
+
+
+def _additivity_domain(J, Jp, j0, at_J, at_Jp, rdiff):
+    # (checked, first witness) of one (J, Jp, j0) domain, compared on
+    # entries tuples in one pass; only a domain that fails is walked n by n
+    domain, diff = _a_domain(J, j0), J - Jp
+    shift = tuple(1 if j in diff else 0 for j in range(J.f))
+    lhs = [tuple(map(add, at_J(e), rdiff)) for e in domain]
+    rhs = [at_Jp(tuple(map(add, e, shift))) for e in domain]
+    if lhs == rhs:
+        return len(domain), None
+    sw = Sweep("shifted-table-additivity")
+    for e, left, right in zip(domain, lhs, rhs):
+        sw.check(left == right, J=J, Jp=Jp, j0=j0, n=e, lhs=left, rhs=right)
+    return sw.checked, sw.failure
 
 
 def check_domination_claims(params, tables):

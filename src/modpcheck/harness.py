@@ -277,9 +277,10 @@ def run_suite(config):
     """Run every entry of every job's check table, one after another, and
     assemble the report.  A package error raised by an entry fails the rows
     it names, with checked 0, and the next entry runs.  The jobs of this
-    call share one RunScope, which ends with the call: the aJn frames and
-    change-of-origin boxes of the identities jobs, the slot corrections and
-    monomial unit actions of the phigamma jobs.  A value common to several
+    call share one RunScope, which ends with the call: the aJn frames,
+    change-of-origin boxes, reindexing blocks and shifted-table domains of
+    the identities jobs, the slot corrections and monomial unit actions of
+    the phigamma jobs.  A value common to several
     Jrho is built, and timed, in the first job that needs it."""
     rows, timings = [], {}
     for suite, tag, table in _jobs(config, RunScope()):

@@ -176,9 +176,11 @@ def mat_phi_twisted(mu, flip=None):
 
 
 def default_flip(params):
-    """Sign-flip slot whose effect commutation checks can always see: the
-    lowest row of the constant column (diagonal slot when every embedding
-    is special)."""
+    """Sign-flip slot of the eps mutant: the lowest row of the constant
+    column, that is (Jrho, full).  Off the full Jrho the flip fails
+    unit-substitution-commutation.  At the full Jrho the slot is the
+    diagonal one, (full, full), which that row cannot see: the flip passes
+    every phigamma row there."""
     full = SubsetJ.full(params.f)
     row = params.Jrho if not params.Jrho.is_full() else full
     return (row, full.shift(1))

@@ -314,13 +314,20 @@ def jh_pi1(params: RhoParams, S) -> frozenset:
     """Constituents of jh_D0 whose positive support lies in S."""
     if not is_admissible_S(params, S):
         raise InadmissibleS("family is not admissible")
-    masks = {J.bits for J in S}
-    out = set()
-    for w in jh_D0(params):
-        pos = SubsetJ.of(params.f, (j for j in range(params.f) if w.b[j] >= 1))
-        if pos.bits in masks:
-            out.add(w)
-    return frozenset(out)
+    return _supported_in(_by_positive_support(jh_D0(params)), S)
+
+
+def _by_positive_support(block):
+    # the weights of block grouped by the mask of {j : b_j >= 1}
+    groups = {}
+    for w in block:
+        groups.setdefault(sum(1 << j for j, v in enumerate(w.b) if v >= 1), []).append(w)
+    return groups
+
+
+def _supported_in(groups, S):
+    # the weights of the groups whose positive support is a member of S
+    return frozenset(w for J in S for w in groups.get(J.bits, ()))
 
 
 def run_weights(params):
@@ -366,11 +373,12 @@ def run_weights(params):
     full_rank = rank_for_S(params, full)
     rank.check(full_rank == 2**f, got=full_rank)
     ranks = {}
+    groups = _by_positive_support(block)
     for S in order:
         masks = sorted(J.bits for J in S)
         ranks[S] = rank_for_S(params, S)
         rank.check(ranks[S] == len(S), family=masks)
-        pi1 = jh_pi1(params, S)
+        pi1 = _supported_in(groups, S)
         ss_like = {w for w in pi1 if all(v in (0, 1) for v in w.b)}
         rank.check(len(ss_like) == len(S), family=masks, got=len(ss_like))
     for S1 in order:

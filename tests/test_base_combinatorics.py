@@ -100,6 +100,19 @@ def test_right_boundary():
     assert right_boundary(SubsetJ.of(1, [0])).members() == ()
 
 
+def test_f4_non_interval_subset():
+    # {0, 2} is an interval at f=3 (2, 0 are cyclic neighbours) but not at
+    # f=4: two runs, two boundary points, and no member whose successor lies
+    # in J, so J^sh is empty for every Jrho although |J| = 2
+    J = SubsetJ.of(4, [0, 2])
+    assert len(J) == 2
+    assert right_boundary(J).members() == (0, 2)
+    assert cyclic_run_count(J) == 2
+    for Jrho in all_subsets(4):
+        assert not decompose_parts(J, Jrho)[2]
+    assert decompose_parts(SubsetJ.of(3, [0, 2]), SubsetJ.full(3))[2].members() == (2,)
+
+
 def test_boundary_counts_runs():
     for f in (1, 2, 3, 4, 5):
         for J in all_subsets(f):

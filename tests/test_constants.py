@@ -78,7 +78,7 @@ def mVec(params, i, J, Jp):
     """Signed exponent vector of the i-indexed element in a J-block, for the
     comparison subset Jp.  i must lie in the small box [0, f - e^{Jsh}]."""
     _require_small_box(params, J, i)
-    return _m_vec(_m_frame(params, J, Jp), i)
+    return _m_vec(_m_frame(J.shift(-1) & params.Jrho, J, Jp), i)
 
 
 def J(params, *members):

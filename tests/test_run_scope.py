@@ -5,16 +5,20 @@ build after a healthy run must fail its row on every Jrho, so no value
 outlives the run that built it.  A mutated table or a flipped substitution
 matrix that shares a scope with healthy jobs must get the rows it gets with
 no scope, so each key holds what its value depends on.  The
-change-of-origin boxes have theirs in test_translation_frames.py.
+change-of-origin boxes have theirs in test_translation_frames.py.  For the
+shifted-table domains and reindexing blocks a third test pins how many a
+run builds, so a key that picked up a per-job object would fail it.
 """
 
 import pytest
 
-from modpcheck import harness, phigamma
+from modpcheck import constants, harness, phigamma
 from modpcheck.arith import RunScope
 from modpcheck.constants import (
     AJnFrame,
     ConstantTables,
+    _additivity_domain,
+    _reindex_block,
     all_mutations,
     identity_sweeps,
     mu_gamma,
@@ -102,6 +106,90 @@ def test_aJn_mutants_sharing_frames_get_their_unshared_rows():
             killed += any(row["status"] == "fail" for row in shared)
     assert killed == 30  # of 32; two survive at the full Jrho
     assert len(scope[AJnFrame]) == 10
+
+
+# ---------------------------------------------------------------------------
+# shifted-table domains and reindexing blocks
+
+
+def _counting_builds(monkeypatch):
+    # how many times each build runs; the scope keys its memo on the wrapper
+    counts = {}
+    for build in (_additivity_domain, _reindex_block):
+        def wrapped(*key, build=build):
+            counts[build.__name__] = counts.get(build.__name__, 0) + 1
+            return build(*key)
+        monkeypatch.setattr(constants, build.__name__, wrapped)
+    return counts
+
+
+def test_each_distinct_domain_and_block_is_built_once_per_run(monkeypatch):
+    # 8 Jrho look up 390 additivity domains, 63 of them distinct, and 48
+    # reindexing blocks, 27 of them distinct; a key that held a per-job
+    # object would build all of them
+    counts = _counting_builds(monkeypatch)
+    assert run_suite(F3_IDENTITIES).passed
+    assert counts == {"_additivity_domain": 63, "_reindex_block": 27}
+    counts.clear()
+    for params in F3_IDENTITIES.param_sets():
+        assert all(res.passed for res in run_identities(params, 0, None, None))
+    assert counts == {"_additivity_domain": 390, "_reindex_block": 48}
+
+
+def test_f3_run_suite_identity_rows_equal_unshared_job_rows():
+    assert run_suite(F3_IDENTITIES).suites == _unshared_rows(F3_IDENTITIES)
+
+
+def test_mutants_sharing_domains_and_blocks_get_their_unshared_rows():
+    # aJn and r reach the additivity domains, s and tJJp the reindexing
+    # blocks; a mutant of a table neither sweep reads adds no entry
+    scope = RunScope()
+    for params in F2_PARAMS:
+        assert all(res.passed for res in run_identities(params, 0, None, scope))
+
+    def sizes():
+        return len(scope[_additivity_domain]), len(scope[_reindex_block])
+
+    assert sizes() == (14, 6)
+    failing = {}
+    for params in F2_PARAMS:
+        for m in all_mutations(params):
+            before = sizes()
+            shared = [res.as_dict() for res in run_identities(params, 0, m, scope)]
+            assert shared == [res.as_dict() for res in run_identities(params, 0, m)], m
+            if m.table in ("a", "t", "c", "cprime"):
+                assert sizes() == before, m
+            for row in shared:
+                if row["status"] == "fail" and row["name"] in (
+                        "shifted-table-additivity", "shift-overlap-reindex"):
+                    assert "counterexample" in row
+                    failing.setdefault(row["name"], set()).add(m.table)
+    assert failing == {"shifted-table-additivity": {"aJn", "r"},
+                       "shift-overlap-reindex": {"s", "tJJp"}}
+
+
+def test_domain_fault_after_a_healthy_run_fails_every_jrho(monkeypatch):
+    assert run_suite(F3_IDENTITIES).passed
+
+    def bumped(J, Jp, j0, at_J, at_Jp, rdiff):
+        return _additivity_domain(J, Jp, j0, at_J, at_Jp, (rdiff[0] + 1,) + rdiff[1:])
+
+    monkeypatch.setattr(constants, "_additivity_domain", bumped)
+    report = run_suite(F3_IDENTITIES)
+    assert _failing(report) == _rows_named(report, "shifted-table-additivity")
+    assert len(_failing(report)) == 8
+
+
+def test_block_fault_after_a_healthy_run_fails_every_jrho_it_reads(monkeypatch):
+    # the sweep reads no block at the full Jrho, where J-1 has no
+    # non-special slot for any J
+    assert run_suite(F3_IDENTITIES).passed
+    monkeypatch.setattr(constants, "_reindex_block",
+                        lambda p, *key: _reindex_block(p + 1, *key))
+    report = run_suite(F3_IDENTITIES)
+    want = _rows_named(report, "shift-overlap-reindex")[:-1]
+    assert _failing(report) == want
+    assert len(want) == 7
 
 
 # ---------------------------------------------------------------------------
@@ -202,12 +290,17 @@ def test_shared_unit_action_is_a_fresh_scaled_copy(c):
 # the scope changes no row
 
 
-def test_f2_run_suite_rows_equal_unshared_job_rows():
-    config = RunConfig(p=13, f=2, r=(5, 6))
-    unshared = []
+def _unshared_rows(config):
+    # the rows of run_suite, each job run with no scope
+    rows = []
     for suite, tag, table in harness._jobs(config):
         for res in run_table(table):
             row = res.as_dict()
             row["name"] = f"{suite}/{row['name']}@{tag}"
-            unshared.append(_plain(row))
-    assert run_suite(config).suites == unshared
+            rows.append(_plain(row))
+    return rows
+
+
+def test_f2_run_suite_rows_equal_unshared_job_rows():
+    config = RunConfig(p=13, f=2, r=(5, 6))
+    assert run_suite(config).suites == _unshared_rows(config)
