@@ -562,7 +562,8 @@ def _reindex_block(p, r_anchor, J, j0, Kss, J2sh, svec, shifts, ranges):
     # the first failing part builds its witness
     f = J.f
     anchor, k = (j0 + 1) % f, (j0 + 2) % f
-    J2 = J - SubsetJ.of(f, [j0 + 2])  # K^ss of J2 is Kss: j0+2 is not special
+    # K^ss of J2 is Kss: J2-1 lacks only j0+1 of J-1, which is not special
+    J2 = J - SubsetJ.of(f, [j0 + 2])
     anchor_out = 1 if (j0 + 1) not in J else 0
 
     def frame(K, Kp, tv):
