@@ -30,6 +30,10 @@ GOLDEN = [
      "00814864dbe511920cb41aaff8fecee0bc533fb1e97db850973fae427a781eb6"),
     (RunConfig(p=11, f=1, r=(5,), cutoff=80, suites=("iwasawa", "phigamma")),
      "00228116893cf2ec75bf44f830ca94d3d6b7f5f54e2d769eb8d7821b5d2e5c07"),
+    # the f=3 chart at a deeper cutoff: its Jacobian, shear steps and the
+    # three-variable leading-form images reach the matrix rows
+    (RunConfig(p=17, f=3, r=(7, 8, 7), jrho=(0,), cutoff=40, suites=("phigamma",)),
+     "2421445698729dbff901de15e234c1ad2de869905d88f53c8104db4be0396a0d"),
     # the f=3 identity and weight sweeps on all 8 Jrho; the per-row checked
     # counts in the payload pin the size of each exhaustive sweep
     (RunConfig(p=17, f=3, r=(7, 7, 7), suites=("identities", "weights")),
@@ -56,6 +60,7 @@ GOLDEN = [
 @pytest.mark.parametrize("config,digest", GOLDEN,
                          ids=["p11-f1-all", "p13-f2-all", "p17-f3-phigamma",
                               "p17-f3-iwasawa", "p13-f2-cutoff40", "p11-f1-cutoff80",
+                              "p17-f3-cutoff40",
                               "p17-f3-identities-weights", "p17-f3-787-identities-weights",
                               "p17-f3-877-identities-weights", "p17-f3-887-identities-weights",
                               "p17-f3-all", "p23-f4-identities-weights"])
