@@ -16,10 +16,10 @@ log/antilog tables over a generator (a*b = EXP[LOG a + LOG b]) above that.
 Addition is a flat table when small and a loop over the base-p digits
 otherwise; it does not use Zech logarithms.  _Packing holds elements as
 Kronecker-packed ints, whose sums and products are plain int arithmetic;
-`packing` picks the slot width of every one of them.  gauss_jordan inverts
-the small matrices of the chart's linear coordinate change and records its
-row operations.  Memo is the keyed cache that keeps fields, Witt rings,
-packings and the chart's tables for the life of the process; RunScope
+`packing` picks the slot width of every one of them.  gauss_jordan records
+the row operations that reduce the Jacobian of the chart's linear coordinate
+change to the identity.  Memo is the keyed cache that keeps fields, Witt
+rings, packings and the chart's tables for the life of the process; RunScope
 holds the Memos whose values live only as long as one run.
 """
 
@@ -411,32 +411,32 @@ def packing(field, per_term, terms):
 
 
 def gauss_jordan(field, rows):
-    """(inverse, ops) of a small matrix over F_q (list of lists of
-    encodings), ops the row operations E_k with E_n...E_1 rows = I in order:
-    (i, j, c) adds c times row j to row i, (i, i, c) scales row i by c.  A
-    zero pivot gets a lower row added, so no rows are exchanged; a singular
+    """The row operations E_k of the Gauss-Jordan elimination of a small
+    matrix over F_q (list of lists of encodings), with E_n...E_1 rows = I, in
+    order: (i, j, c) adds c times row j to row i, (i, i, c) scales row i by c.
+    A zero pivot gets a lower row added, so no rows are exchanged; a singular
     matrix raises SingularJacobian."""
     n = len(rows)
-    aug = [list(r) + [1 if i == j else 0 for j in range(n)] for i, r in enumerate(rows)]
+    m = [list(r) for r in rows]
     ops = []
 
     def op(i, j, c):
         ops.append((i, j, c))
-        scaled = [field.mul(c, w) for w in aug[j]]
-        aug[i] = scaled if i == j else list(map(field.add, aug[i], scaled))
+        scaled = [field.mul(c, w) for w in m[j]]
+        m[i] = scaled if i == j else list(map(field.add, m[i], scaled))
 
     for col in range(n):
-        if not aug[col][col]:
-            piv = next((r for r in range(col + 1, n) if aug[r][col]), None)
+        if not m[col][col]:
+            piv = next((r for r in range(col + 1, n) if m[r][col]), None)
             if piv is None:
                 raise SingularJacobian("matrix is singular")
             op(col, piv, 1)
-        if aug[col][col] != 1:
-            op(col, col, field.inv(aug[col][col]))
+        if m[col][col] != 1:
+            op(col, col, field.inv(m[col][col]))
         for r in range(n):
-            if r != col and aug[r][col]:
-                op(r, col, field.neg(aug[r][col]))
-    return [r[n:] for r in aug], ops
+            if r != col and m[r][col]:
+                op(r, col, field.neg(m[r][col]))
+    return ops
 
 
 def witt_precision(p, D):

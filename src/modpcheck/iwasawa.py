@@ -22,7 +22,7 @@ t_to_y) enforce the nonnegative supports of the additive chart.  y_to_t
 substitutes cached powers Y^m of the eigencoordinate series, and t_to_y
 inverts it degree by degree, eliminating leading forms.  A leading form h
 goes to h(M^-1 Y), M the Jacobian, by the elementary shears and scalings
-of a Gauss-Jordan factorization of M^-1 (ChartContext.shear_steps); its
+of the Gauss-Jordan elimination of M (ChartContext.shear_steps); its
 image is cached per context under the form divided by the coefficient of
 its least exponent, so forms that differ by an F_q scalar are substituted
 once.  All operations track how far each truncated element is known and
@@ -42,7 +42,6 @@ p-adic powers of the unit ratios).
 import functools
 import math
 import random
-import threading
 from dataclasses import dataclass
 from itertools import repeat
 from operator import add, mul
@@ -477,11 +476,13 @@ def chart_depth(p, f, cutoff):
 
 
 class ChartContext:
-    """The chart at one (p, f, cutoff), shared through chart_context.  Beside
-    the eigencoordinate series and Jacobian it keeps five Memo tables, each
-    filled by one builder method: Y^m (_y_power), leading-form images
-    (_shear_image), unit data (_split_unit), conversion blocks
-    (_conversion_block) and distortion pieces (_u1_pieces)."""
+    """The chart at one (p, f, cutoff), shared through chart_context and
+    complete when built: the eigencoordinate series y_series, their Jacobian
+    M (jacobian) and the shear_steps that substitute M^-1; a singular M
+    raises SingularJacobian here.  Five Memo tables are each filled by one
+    builder method: Y^m (_y_power), leading-form images (_shear_image), unit
+    data (unit_data, _split_unit), conversion blocks (convb,
+    _conversion_block) and distortion pieces (u1_pieces, _u1_pieces)."""
 
     def __init__(self, p, f, cutoff):
         self.p = p
@@ -494,13 +495,19 @@ class ChartContext:
         self.tdepth = chart_depth(p, f, cutoff)
         self.alpha_max = (cutoff - 1) // p
         self.piece_cap = -(-cutoff // p)
-        self._y_series = None
-        self._y_lock = threading.Lock()
-        self._convb = Memo(self._conversion_block)
-        self._unit_data = Memo(self._split_unit)
-        self._u1_cache = Memo(self._u1_pieces)
+        self.convb = Memo(self._conversion_block)
+        self.unit_data = Memo(self._split_unit)
+        self.u1_pieces = Memo(self._u1_pieces)
         self._ypow_cache = Memo(self._y_power)
         self._form_cache = Memo(self._shear_image)
+        self.y_series = self._eigencoordinates()
+        # M[j][l] is the coefficient of T_l in Y_j
+        self.jacobian = [[y.terms.get(tuple(int(i == l) for i in range(f)), 0)
+                          for l in range(f)] for y in self.y_series]
+        # E_n...E_1 M = I, so M^-1 = E_n...E_1 and h(M^-1 Y) is h with the
+        # row operations substituted from E_n down: (i, j, c) substitutes
+        # T_i -> T_i + c*T_j and (i, i, c) substitutes T_i -> c*T_i
+        self.shear_steps = gauss_jordan(self.field, self.jacobian)[::-1]
 
     # ---- additive-chart generator data ----
 
@@ -510,18 +517,8 @@ class ChartContext:
         depth = self.tdepth if depth is None else depth
         return AElement(self.field, self.f, depth, _binomial_product(self.field, g, depth, self.N))
 
-    @property
-    def y_series(self):
-        """Tuple of the f eigencoordinate series in the additive chart, built
-        once by the first reader; readers that arrive meanwhile wait for it."""
-        if self._y_series is None:
-            with self._y_lock:
-                if self._y_series is None:  # another thread may have built it
-                    self._y_series = self._eigencoordinates()
-                    self.jacobian_inverse  # fail fast when singular
-        return self._y_series
-
     def _eigencoordinates(self):
+        """Tuple of the f eigencoordinate series in the additive chart."""
         fld = self.field
         ys = [AElement(fld, self.f, self.tdepth, self._y0_terms())]
         for _ in range(1, self.f):
@@ -584,26 +581,6 @@ class ChartContext:
                 if e:
                     terms[t + (m,)] = e
         return terms
-
-    @property
-    def jacobian(self):
-        ys = self.y_series
-        unit = [tuple(1 if i == l else 0 for i in range(self.f)) for l in range(self.f)]
-        return [[ys[j].terms.get(unit[l], 0) for l in range(self.f)] for j in range(self.f)]
-
-    @functools.cached_property
-    def jacobian_inverse(self):
-        return gauss_jordan(self.field, self.jacobian)[0]
-
-    @functools.cached_property
-    def shear_steps(self):
-        """M^-1 = E_1^-1...E_n^-1 for the row operations E_k of its
-        Gauss-Jordan elimination, so h(M^-1 Y) is h with the inverse steps
-        applied in order: (i, j, c) substitutes T_i -> T_i + c*T_j and
-        (i, i, c) substitutes T_i -> c*T_i."""
-        fld = self.field
-        return [(i, j, fld.inv(c) if i == j else fld.neg(c))
-                for i, j, c in gauss_jordan(fld, self.jacobian_inverse)[1]]
 
     # ---- chart conversions ----
 
@@ -707,22 +684,15 @@ class ChartContext:
 
     # ---- unit action ----
 
-    def convb(self, j, gamma):
+    def _conversion_block(self, j, gamma):
         """Unit-independent conversion block: multiplicative-chart image of
         D^gamma(Y_j) * (1+T)^gamma, known below D - p*|gamma|."""
-        return self._convb[j, tuple(gamma)]
-
-    def _conversion_block(self, j, gamma):
         bound = self.D - self.p * sum(gamma)
         # (1+T)^gamma is a polynomial of degree |gamma|, so it is exact
         onep = AElement(self.field, self.f, INF, _binomial_product(
             self.field, gamma, sum(gamma) + 1, self.N))
         s = self.y_series[j].hasse_derivative(gamma) * onep
         return self.t_to_y(s.copy_truncated(max(bound, 0)), max(bound, 0))
-
-    def unit_data(self, u):
-        """The UnitData of the unit tuple u, split once per unit."""
-        return self._unit_data[u]
 
     def _split_unit(self, *u):
         """Split the unit u = [a0]*u1 and extract the mod-p digit matrix of
@@ -767,7 +737,7 @@ class ChartContext:
         for j in range(f):
             acc = AElement(fld, f, self.D, {})
             for gamma, image in images:
-                acc = acc + self.convb(j, gamma).mul_below(image, self.D)
+                acc = acc + self.convb[j, gamma].mul_below(image, self.D)
             # v_j = Y_j^{-1} * (u1(Y_j) - Y_j); the gamma sum above is already
             # the correction term, so divide by the leading monomial
             yinv = AElement.monomial(fld, f, tuple(-1 if i == j else 0 for i in range(f)), 1)
@@ -817,12 +787,12 @@ def _binomial_series(v, n, bound):
 def unit_action(ctx, u, x):
     """Action of a unit u of O_K (ring coordinate tuple) on a
     multiplicative-chart element, exact below min(K_x, D-1+fdeg(x))."""
-    data = ctx.unit_data(u)
+    data = ctx.unit_data[u]
     fld = ctx.field
     f = ctx.f
     if data.dmat is None and data.a0 == 1:
         return x
-    vs = ctx._u1_cache[data.dmat] if data.dmat is not None else None
+    vs = ctx.u1_pieces[data.dmat] if data.dmat is not None else None
     d0 = fdeg(x)
     if d0 == INF:
         return x
@@ -845,10 +815,10 @@ def unit_ratio(ctx, u, j):
 
     Equals (1 + v_j)^{-1}; fdeg(f - 1) >= p - 1 and it is known below D-1.
     """
-    dmat = ctx.unit_data(u).dmat
+    dmat = ctx.unit_data[u].dmat
     if dmat is None:
         return AElement.const(ctx.field, ctx.f, 1, cutoff=ctx.D - 1)
-    v = ctx._u1_cache[dmat][j]
+    v = ctx.u1_pieces[dmat][j]
     return invert_unit(v + 1)
 
 

@@ -19,7 +19,6 @@ Every twist monomial is prod_j (Y_j * Y_{j-1}^(-p))^(h_j) for some integer
 vector h, whose exponent _twist gives: slot j gets h_j - p*h_{j+1}.
 """
 
-import functools
 import itertools
 import random
 from dataclasses import dataclass
@@ -275,22 +274,18 @@ class ThetaProblem:
             if not is_torus_fixed(x, self.p):
                 raise HypothesisViolation("right-hand side must be torus-fixed")
         self.field = self.b[0].field
-
-    @property
-    def f(self):
-        return self.J.f
-
-    @functools.cached_property
-    def twist_monomials(self):
-        """The f twist monomials lam_i * W_i."""
-        f, J, Jp = self.f, self.J, self.Jp
-        return tuple(
+        # the f twist monomials lam_i * W_i
+        self.twist_monomials = tuple(
             AElement.monomial(self.field, f, _twist(self.p, [
-                v * (((j - i) % f in J) - ((j - i) % f in Jp))
+                v * (((j - i) % f in self.J) - ((j - i) % f in self.Jp))
                 for j, v in enumerate(self.h)
             ]), self.lam[i])
             for i in range(f)
         )
+
+    @property
+    def f(self):
+        return self.J.f
 
 
 def _theta_increment(mono, a, f):
@@ -446,7 +441,7 @@ def build_q_a(ctx, mu, u, scope=None):
     if ctx.p != p or ctx.f != f:
         raise ConfigInvalid("chart context and parameters disagree on (p, f)")
     qa = PhiGammaMatrix.identity(params, fld)
-    if ctx.unit_data(u).dmat is None:
+    if ctx.unit_data[u].dmat is None:
         return qa, {j: AElement.const(fld, f, 1) for j in range(f)}
     hvec = tuple(x + 1 for x in params.r)
     weights = tuple(hj(params, hvec, j) for j in range(f))

@@ -294,7 +294,7 @@ def test_convb_matches_per_slot_products(p, f, cutoff):
                     tuple(m if i == l else 0 for i in range(f)): fld.from_int(math.comb(g, m))
                     for m in range(g + 1)})
         bound = max(ctx.D - p * sum(gamma), 0)
-        assert ctx.convb(0, gamma) == ctx.t_to_y(s.copy_truncated(bound), bound)
+        assert ctx.convb[0, gamma] == ctx.t_to_y(s.copy_truncated(bound), bound)
 
 
 @settings(max_examples=40)

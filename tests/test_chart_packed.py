@@ -12,7 +12,8 @@ instead and shares no code with the table, so the table is an independent
 oracle for it; the packed eigencoordinate sum must reproduce its reference
 exactly too.  The leading forms themselves are substituted by elementary
 shears in the chart; the multivariate Horner scheme over the rows of M^-1
-below is their oracle.
+below is their oracle, with M^-1 formed here from the chart's row
+operations.
 """
 
 import functools
@@ -25,8 +26,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modpcheck import iwasawa
+from modpcheck import arith, iwasawa
+from modpcheck.arith import gauss_jordan
 from modpcheck.errors import SingularJacobian
+from modpcheck.harness import RunConfig, run_suite
 from modpcheck.iwasawa import INF, AElement, ChartContext, _graded_exponents
 from test_binomial_layer import reference_n_series
 
@@ -52,13 +55,28 @@ def reference_y_series(ctx):
     return tuple(ys)
 
 
+def jacobian_inverse(ctx):
+    """M^-1 = E_n...E_1 for the row operations E_k that reduce the Jacobian M
+    to I, applied in order to the identity; checked to be a left inverse."""
+    fld, f = ctx.field, ctx.f
+    identity = [[int(i == j) for j in range(f)] for i in range(f)]
+    rows = [list(r) for r in identity]
+    for i, j, c in gauss_jordan(fld, ctx.jacobian):
+        scaled = [fld.mul(c, w) for w in rows[j]]
+        rows[i] = scaled if i == j else list(map(fld.add, rows[i], scaled))
+    product = [[functools.reduce(fld.add, map(fld.mul, row, col), 0) for col in zip(*ctx.jacobian)]
+               for row in rows]
+    assert product == identity
+    return rows
+
+
 def linear_forms(ctx):
     """The rows of M^-1 as linear forms in Y: T_l is (M^-1 Y)_l to first
     order, with M the Jacobian."""
     fld, f = ctx.field, ctx.f
     unit_vecs = [tuple(1 if i == j else 0 for i in range(f)) for j in range(f)]
     return [AElement(fld, f, INF, {unit_vecs[j]: c for j, c in enumerate(row) if c})
-            for row in ctx.jacobian_inverse]
+            for row in jacobian_inverse(ctx)]
 
 
 def substitute_linear(terms, forms):
@@ -94,7 +112,7 @@ def reference_tau_powers(ctx, depth):
     """powers[beta][d]: degree-d part of tau^beta as {exponent tuple: encoding}."""
     fld = ctx.field
     f = ctx.f
-    minv = ctx.jacobian_inverse
+    minv = jacobian_inverse(ctx)
     ys = ctx.y_series
     unit_vecs = [tuple(1 if i == l else 0 for i in range(f)) for l in range(f)]
     powers = {e: {1: {unit_vecs[j]: minv[l][j] for j in range(f) if minv[l][j]}}
@@ -341,18 +359,25 @@ def random_form(ctx, rng, d):
     return {m: rng.randrange(1, ctx.q) for m in support}
 
 
-def with_jacobian_inverse(p, f, cutoff, minv):
-    """A fresh context, form cache empty, whose M^-1 is `minv`."""
-    ctx = ChartContext(p, f, cutoff)
-    ctx.jacobian_inverse = minv
-    return ctx
+def with_jacobian(p, f, cutoff, m):
+    """A fresh context, form cache empty, whose eigencoordinates are the
+    linear forms Y_j = sum_l m[j][l] T_l, so that its Jacobian is `m`."""
+    def linear(ctx):
+        return tuple(AElement(ctx.field, f, ctx.tdepth,
+                              {tuple(int(i == l) for i in range(f)): c
+                               for l, c in enumerate(row) if c})
+                     for row in m)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ChartContext, "_eigencoordinates", linear)
+        return ChartContext(p, f, cutoff)
 
 
 @settings(max_examples=5, deadline=None)
 @given(rng=st.randoms(use_true_random=False))
 @pytest.mark.parametrize("p,f,cutoff", [(11, 1, 40), (13, 2, 30), (17, 3, 34)])
 def test_shear_substitution_matches_horner_at_every_degree(p, f, cutoff, rng):
-    ctx = with_jacobian_inverse(p, f, cutoff, iwasawa.chart_context(p, f, cutoff).jacobian_inverse)
+    ctx = with_jacobian(p, f, cutoff, iwasawa.chart_context(p, f, cutoff).jacobian)
     forms = linear_forms(ctx)
     for d in range(ctx.tdepth):
         h = random_form(ctx, rng, d)
@@ -376,19 +401,36 @@ def zero_pivot_matrices(draw, q, f):
 @given(data=st.data())
 @pytest.mark.parametrize("p,f,cutoff", [(13, 2, 30), (17, 3, 34)])
 def test_shear_substitution_fills_zero_pivots(p, f, cutoff, data):
-    minv = data.draw(zero_pivot_matrices(p**f, f), label="minv")
-    ctx = with_jacobian_inverse(p, f, cutoff, minv)
+    m = data.draw(zero_pivot_matrices(p**f, f), label="jacobian")
+    ctx = with_jacobian(p, f, cutoff, m)
     d = data.draw(st.integers(0, ctx.tdepth - 1), label="degree")
     h = random_form(ctx, data.draw(st.randoms(use_true_random=False)), d)
     assert ctx._form_image(h) == substitute_linear(h, linear_forms(ctx))
 
 
-def test_singular_jacobian_raises_on_first_y_series(monkeypatch):
-    monkeypatch.setattr(ChartContext, "jacobian", property(lambda ctx: [[1, 1], [1, 1]]))
-    with pytest.raises(SingularJacobian):
-        ChartContext(13, 2, 12).y_series
-    with pytest.raises(SingularJacobian):
-        with_jacobian_inverse(13, 2, 12, [[1, 1], [1, 1]]).shear_steps
+def test_singular_jacobian_fails_every_row_that_reads_the_chart(monkeypatch):
+    # Y_1 = Y_0 makes M singular: every build of the chart raises, none is
+    # cached, so each row that looks the chart up fails with the error,
+    # whatever ran before it
+    plain = ChartContext._eigencoordinates
+    monkeypatch.setattr(ChartContext, "_eigencoordinates",
+                        lambda ctx: (plain(ctx)[0],) * 2)
+    monkeypatch.setattr(iwasawa, "_CTX_CACHE", arith.Memo(ChartContext))
+    for _ in range(2):
+        with pytest.raises(SingularJacobian):
+            ChartContext(13, 2, 12)
+    report = run_suite(RunConfig(p=13, f=2, r=(5, 6), jrho=(0,), suites=("iwasawa", "phigamma")))
+    assert not iwasawa._CTX_CACHE
+    chart_rows = ("frobenius-generator-images", "torus-reindex-eigenvector",
+                  "binomial-exponent-additivity", "principal-unit-ratio-depth",
+                  "unit-action-composition", "frobenius-action-commute",
+                  "unit-matrix-structure", "unit-substitution-commutation",
+                  "unit-matrix-cocycle")
+    failed = [row for row in report.suites if row["status"] != "pass"]
+    assert sorted(row["name"].split("/")[1].split("@")[0] for row in failed) == sorted(chart_rows)
+    for row in failed:
+        assert row["checked"] == 0
+        assert row["counterexample"] == {"error": "SingularJacobian: matrix is singular"}
 
 
 @st.composite
@@ -437,6 +479,6 @@ def test_convb_blocks_substitute_three_leading_forms_at_f3():
     ctx = ChartContext(17, 3, 34)
     for j in range(3):
         for l in range(3):
-            ctx.convb(j, tuple(int(i == l) for i in range(3)))
+            ctx.convb[j, tuple(int(i == l) for i in range(3))]
     top = [key for key in ctx._form_cache if sum(key[0][0]) == 16]
     assert 1 <= len(top) <= 3

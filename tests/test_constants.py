@@ -331,6 +331,27 @@ def test_tjjp_mutation_caught():
     assert failed
 
 
+def test_every_single_cell_mutant_dies_at_every_jrho_but_two():
+    # every all_mutations cell through run_identities at every Jrho dies,
+    # that is fails a row, at p=11 f=1 (36 of 36) and p=13 f=2 (350 of 352),
+    # except the aJn cells of the full J at the full Jrho: there
+    # check_shifted_table_additivity compares aJn(J) only with Jp = J, where
+    # a uniform bump cancels (open under ROADMAP item 7).  A new survivor
+    # fails this test.
+    runs, survivors = {}, []
+    for p, f, r in ((11, 1, (4,)), (13, 2, (5, 6))):
+        for size in range(f + 1):
+            for jrho in itertools.combinations(range(f), size):
+                params = RhoParams.make(p, f, r, jrho)
+                for m in all_mutations(params):
+                    runs[f] = runs.get(f, 0) + 1
+                    if all(row.passed for row in run_identities(params, 0, m)):
+                        survivors.append((p, f, jrho, m))
+    assert runs == {1: 36, 2: 352}
+    assert survivors == [(13, 2, (0, 1), Mutation("aJn", 3, 0)),
+                         (13, 2, (0, 1), Mutation("aJn", 3, 1))]
+
+
 def test_f1_ajn_mutation_caught_by_envelope():
     mutation = Mutation("aJn", 0b0, 0)
     failed = [r for r in run_all_checks(P1, mutation) if not r.passed]

@@ -409,11 +409,12 @@ def test_cli_internal_error_exit_code(monkeypatch, exc):
 
 def _transpose_jacobian_inverse(monkeypatch):
     # a wrong chart conversion, on fresh contexts so that no cached chart
-    # keeps it
-    right = iwasawa.ChartContext.jacobian_inverse.func
+    # keeps it: the row operations of M^T substitute (M^T)^-1, the
+    # transpose of M^-1
+    right = iwasawa.gauss_jordan
     monkeypatch.setattr(iwasawa, "_CTX_CACHE", arith.Memo(iwasawa._CTX_CACHE.build))
-    monkeypatch.setattr(iwasawa.ChartContext, "jacobian_inverse",
-                        property(lambda ctx: [list(r) for r in zip(*right(ctx))]))
+    monkeypatch.setattr(iwasawa, "gauss_jordan",
+                        lambda field, rows: right(field, [list(r) for r in zip(*rows)]))
 
 
 def test_wrong_chart_conversion_fails_a_unit_matrix_row(monkeypatch):

@@ -39,6 +39,7 @@ from modpcheck.iwasawa import (
 )
 from modpcheck.weights import RhoParams
 from test_binomial_layer import pth_power
+from test_chart_packed import jacobian_inverse
 
 INF = math.inf
 
@@ -87,7 +88,7 @@ def test_y0_linear_coefficient_f1_matches_direct_sum():
 def test_jacobian_invertible_and_consistent():
     for ctx in (C1, C2S):
         m = ctx.jacobian
-        minv = ctx.jacobian_inverse
+        minv = jacobian_inverse(ctx)
         fld = ctx.field
         n = ctx.f
         for i in range(n):
@@ -186,16 +187,29 @@ def test_frobenius_generator_images():
     assert check_frobenius_generators(C2S).passed
 
 
-def _perturb_eigencoordinate(ctx, slot, degree):
-    # add 1 to the coefficient of one exponent of Y_slot at the given degree
-    fld = ctx.field
-    ys = list(ctx.y_series)
-    k = max(k for k in ys[slot].terms if sum(k) == degree)
-    terms = dict(ys[slot].terms)
-    terms[k] = fld.add(terms[k], 1) or 1
-    ys[slot] = AElement(fld, ctx.f, ys[slot].cutoff, terms)
-    ctx._y_series = tuple(ys)
-    return k
+def _perturbed_context(monkeypatch, p, f, slot, degree):
+    # a fresh context at the preset cutoff built with 2 added to the
+    # coefficient of one exponent of Y_slot at the given degree, which may be
+    # 1, so the Jacobian is that of the perturbed series; returns the
+    # context and the exponent.  Adding 1 to the T_0 coefficient of Y_{f-1}
+    # makes the Jacobian singular at p=13 f=2 and p=17 f=3.
+    plain = ChartContext._eigencoordinates
+    bumped = []
+
+    def perturbed(ctx):
+        fld = ctx.field
+        ys = list(plain(ctx))
+        k = max(k for k in ys[slot].terms if sum(k) == degree)
+        terms = dict(ys[slot].terms)
+        terms[k] = fld.add(terms[k], 2) or 2
+        ys[slot] = AElement(fld, ctx.f, ys[slot].cutoff, terms)
+        bumped.append(k)
+        return tuple(ys)
+
+    with monkeypatch.context() as m:
+        m.setattr(ChartContext, "_eigencoordinates", perturbed)
+        ctx = ChartContext(p, f, default_cutoff(p, f))
+    return ctx, bumped[0]
 
 
 def _full_precision_generator_images(ctx):
@@ -210,7 +224,7 @@ def _full_precision_generator_images(ctx):
 
 
 @pytest.mark.parametrize("p,f", [(13, 2), (17, 3)])
-def test_frobenius_generators_fail_at_every_compared_degree(p, f):
+def test_frobenius_generators_fail_at_every_compared_degree(monkeypatch, p, f):
     # phi(Y_0) = Y_{f-1}^p is compared in the degrees p*k below the depth;
     # a wrong coefficient of Y_{f-1} at each such k, the highest included,
     # fails the row, and the base that the bounded power keeps reaches it
@@ -218,8 +232,7 @@ def test_frobenius_generators_fail_at_every_compared_degree(p, f):
     top = (depth - 1) // p
     assert top < depth - (p - 1)
     for degree in range(1, top + 1):
-        ctx = ChartContext(p, f, default_cutoff(p, f))
-        k = _perturb_eigencoordinate(ctx, f - 1, degree)
+        ctx, k = _perturbed_context(monkeypatch, p, f, f - 1, degree)
         res = check_frobenius_generators(ctx)
         assert not res.passed
         assert res.counterexample["j"] == 0
@@ -227,15 +240,14 @@ def test_frobenius_generators_fail_at_every_compared_degree(p, f):
 
 
 @pytest.mark.parametrize("p,f", [(11, 1), (13, 2)])
-def test_frobenius_generators_match_full_precision_under_perturbation(p, f):
+def test_frobenius_generators_match_full_precision_under_perturbation(monkeypatch, p, f):
     # a wrong coefficient at the highest degree the truncated base keeps, or
     # at the highest compared degree: the bounded power gives the verdicts
     # of the power formed at full precision (at f = 1 every series over F_p
     # passes, since c^p = c)
     depth = chart_context(p, f).tdepth
     for degree in {depth - p, (depth - 1) // p}:
-        ctx = ChartContext(p, f, default_cutoff(p, f))
-        _perturb_eigencoordinate(ctx, f - 1, degree)
+        ctx, _ = _perturbed_context(monkeypatch, p, f, f - 1, degree)
         verdicts = _full_precision_generator_images(ctx)
         res = check_frobenius_generators(ctx)
         assert res.passed == all(verdicts)
@@ -248,7 +260,6 @@ def test_frobenius_generators_multiply_only_the_linear_part_at_f3(monkeypatch):
     # 18 needs Y below 2: every operand of the products is a power of the
     # linear part, homogeneous of one degree
     ctx = chart_context(17, 3)
-    ctx.y_series
     seen = []
     mul_terms = iwasawa._mul_terms
 

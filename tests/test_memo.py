@@ -1,6 +1,6 @@
-"""The keyed cache arith.Memo, the process-wide caches built on it, and the
-lazy eigencoordinate series of a chart, under threads: each is built once,
-whoever asks first."""
+"""The keyed cache arith.Memo and the process-wide caches built on it, the
+chart contexts and their eigencoordinate series included, under threads:
+each is built once, whoever asks first."""
 
 import threading
 import time
@@ -106,9 +106,9 @@ def test_shared_cache_is_built_once_under_threads(monkeypatch, module, cache, ke
 
 
 def test_y_series_is_built_once_under_threads(monkeypatch):
-    # four threads read the series of a fresh context while its Y_0 sum
-    # sleeps: one build, and every thread gets the tuple the context keeps
-    ctx = iwasawa.ChartContext(13, 2, 12)
+    # four threads ask chart_context for a key that is not cached yet while
+    # its Y_0 sum sleeps: one sum, one context and one series tuple
+    monkeypatch.delitem(iwasawa._CTX_CACHE, (13, 2, 12), raising=False)
     built = []
     plain = iwasawa.ChartContext._y0_terms
 
@@ -118,7 +118,8 @@ def test_y_series_is_built_once_under_threads(monkeypatch):
         return plain(self)
 
     monkeypatch.setattr(iwasawa.ChartContext, "_y0_terms", slow)
-    got = _at_once(lambda: ctx.y_series)
-    assert built == [ctx]
-    assert len({id(x) for x in got}) == 1
-    assert got[0] is ctx.y_series
+    got = _at_once(lambda: iwasawa.chart_context(13, 2, 12))
+    assert len(built) == 1
+    assert len({id(ctx) for ctx in got}) == 1
+    assert len({id(ctx.y_series) for ctx in got}) == 1
+    assert got[0] is built[0] is iwasawa._CTX_CACHE[13, 2, 12]

@@ -104,10 +104,11 @@ def test_perturbed_top_coefficient_of_y0_fails_the_same_row(p, f):
     fld = ctx.field
     y0, *rest = ctx.y_series
     degree = 20 if (p, f) == (13, 2) else ctx.tdepth - 1
+    assert degree >= 2  # the Jacobian, and so the shear steps, stay right
     k = next(k for k in sorted(y0.terms) if sum(k) == degree)
     terms = dict(y0.terms)
     terms[k] = fld.add(terms[k], 1) or 1
-    ctx._y_series = (AElement(fld, f, y0.cutoff, terms), *rest)
+    ctx.y_series = (AElement(fld, f, y0.cutoff, terms), *rest)
 
     got = check_torus_eigenvector(ctx).as_dict()
     assert got["status"] == "fail"
@@ -129,17 +130,10 @@ def _spy_packing(monkeypatch, rule=packing):
     return calls
 
 
-def _torus_case(p, f):
-    """The chart context, its series built with the packing rule intact."""
-    ctx = chart_context(p, f)
-    ctx.y_series
-    return ctx
-
-
 def test_slot_width_formula_is_pinned(monkeypatch):
     # S = bit length of k*(p-1)^2 * (q-1), and the row reads its sums in
     # the narrowest byte lane that holds S bits
-    ctx = _torus_case(13, 2)
+    ctx = chart_context(13, 2)
     calls = _spy_packing(monkeypatch)
     check_torus_eigenvector(ctx)
     assert calls == [(2 * 144, 168, 16)]
@@ -153,7 +147,7 @@ def test_slot_width_formula_is_pinned(monkeypatch):
 def test_narrowed_slots(monkeypatch, cut, passes):
     # the width is a worst-case bound, so a few bits less still hold the
     # sums at p=13, f=2: the rule rounds them back up to the 16-bit lane
-    ctx = _torus_case(13, 2)
+    ctx = chart_context(13, 2)
     calls = _spy_packing(monkeypatch, lambda fld, per_term, terms:
                          packing(fld, per_term * terms >> cut, 1))
     assert check_torus_eigenvector(ctx).passed is passes
@@ -164,7 +158,7 @@ def test_narrowed_slots(monkeypatch, cut, passes):
 def test_narrowed_lane(monkeypatch, lane, passes):
     # at p=13, f=2 the slot bound is exactly 16 bits, so its lane holds the
     # sums and the next lane down lets slots carry into their neighbours
-    ctx = _torus_case(13, 2)
+    ctx = chart_context(13, 2)
     calls = _spy_packing(monkeypatch, lambda fld, per_term, terms:
                          packing(fld, 1, 2**lane - 1))
     assert check_torus_eigenvector(ctx).passed is passes
@@ -211,7 +205,7 @@ def test_slot_wider_than_every_lane_fails_the_row(monkeypatch):
     # table goes on
     with pytest.raises(PACKAGE_ERRORS):
         packing(Fq(11, 1), 2**65 - 1, 1)
-    ctx = _torus_case(11, 1)
+    ctx = chart_context(11, 1)
 
     def torus_row():
         with monkeypatch.context() as m:
@@ -256,8 +250,7 @@ def test_lane_decode_matches_per_block_encode(k, data):
 
 
 def _lift_mutant(monkeypatch, ctx, mutant):
-    """Patch the ring's Teichmuller lift; the series are built beforehand."""
-    ctx.y_series
+    """Patch the ring's Teichmuller lift of a built chart."""
     right = ctx.ring.teichmuller
     monkeypatch.setattr(ctx.ring, "teichmuller", lambda e: mutant(e, right))
 
@@ -317,11 +310,12 @@ def test_perturbed_second_eigencoordinate_fails_only_slot_one(monkeypatch):
     ctx = ChartContext(13, 2, 30)
     fld = ctx.field
     y0, y1 = ctx.y_series
-    keys = [next(k for k in sorted(y1.terms) if sum(k) == d) for d in (2, 5)]
+    degrees = (2, 5)  # >= 2: the Jacobian, and so the shear steps, stay right
+    keys = [next(k for k in sorted(y1.terms) if sum(k) == d) for d in degrees]
     terms = dict(y1.terms)
     for k in keys:
         terms[k] = fld.add(terms[k], 1) or 1
-    ctx._y_series = (y0, AElement(fld, 2, y1.cutoff, terms))
+    ctx.y_series = (y0, AElement(fld, 2, y1.cutoff, terms))
 
     monkeypatch.setattr(iwasawa, "Sweep", RecordingSweep)
     got = check_torus_eigenvector(ctx).as_dict()
