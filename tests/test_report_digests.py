@@ -54,6 +54,12 @@ GOLDEN = [
     # interval, and two Jrho can share a non-interval J
     (RunConfig(p=23, f=4, r=(9, 10, 9, 10), suites=("identities", "weights")),
      "f3e332cd7302b2367411aacc0dbdd6a020cbbfb76b225c5c7fffb0b567e258b0"),
+    # the Witt precisions no other pin reaches: N = 4 at the largest f=1
+    # cutoff admitted for p=11 (p^2), N = 2 at a prime above the default cutoff
+    (RunConfig(p=11, f=1, r=(4,), cutoff=121, suites=("iwasawa", "phigamma")),
+     "532532b607b4849560cac392423c3b85d37fca194724708ebe2b746f0d239262"),
+    (RunConfig(p=101, f=1, r=(5,), jrho=(0,), suites=("iwasawa", "phigamma")),
+     "ded54642eb86570d6fbe157411214b48c0aea360843b92fa9556ff212a60d55b"),
 ]
 
 
@@ -63,7 +69,8 @@ GOLDEN = [
                               "p17-f3-cutoff40",
                               "p17-f3-identities-weights", "p17-f3-787-identities-weights",
                               "p17-f3-877-identities-weights", "p17-f3-887-identities-weights",
-                              "p17-f3-all", "p23-f4-identities-weights"])
+                              "p17-f3-all", "p23-f4-identities-weights",
+                              "p11-f1-cutoff121-N4", "p101-f1-N2"])
 def test_report_digest_is_pinned(config, digest):
     report = run_suite(config)
     assert report.passed
