@@ -9,9 +9,11 @@ is part of every report fingerprint.
 
 O_K/p^N (unramified, degree f) uses the same basis with the coefficients of
 the minimal polynomial lifted verbatim to [0, p); elements are coordinate
-tuples mod p^N.
+tuples mod p^N.  Both rings share one polynomial layer: _poly_mulmod and
+_poly_powmod work mod any m (p for the F_q tables, p^N for WittRing), and
+_digits and _encode convert between encodings and coordinates.
 
-Multiplication is table-driven: full flat tables for q <= 169, discrete
+F_q multiplication is table-driven: full flat tables for q <= 169, discrete
 log/antilog tables over a generator (a*b = EXP[LOG a + LOG b]) above that.
 Addition is a flat table when small and a loop over the base-p digits
 otherwise; it does not use Zech logarithms.  _Packing holds elements as
@@ -71,34 +73,51 @@ def scope_memo(scope, build):
     return Memo(build) if scope is None else scope[build]
 
 
-def _poly_mulmod(a, b, g, p):
-    # a, b, g lists; g the non-leading coeffs of a monic degree-k modulus
+def _poly_mulmod(a, b, g, m):
+    """a*b in (Z/m)[x]/(x^k + g), g the k non-leading coefficients of the
+    monic modulus; a, b and g are sequences of ints.  Each slot is reduced
+    mod m once, when it is complete."""
     k = len(g)
     prod = [0] * (2 * k - 1)
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b):
-                prod[i + j] = (prod[i + j] + ai * bj) % p
+                prod[i + j] += ai * bj
     for i in range(2 * k - 2, k - 1, -1):
-        c = prod[i]
+        c = prod[i] % m
         if c:
-            prod[i] = 0
-            for t in range(k):
-                if g[t]:
-                    prod[i - k + t] = (prod[i - k + t] - c * g[t]) % p
-    return prod[:k]
+            for t, gt in enumerate(g):
+                if gt:
+                    prod[i - k + t] -= c * gt
+    return [x % m for x in prod[:k]]
 
 
-def _poly_powmod(a, n, g, p):
-    k = len(g)
-    r = [1] + [0] * (k - 1)
-    base = list(a)
+def _poly_powmod(a, n, g, m):
+    """a^n in (Z/m)[x]/(x^k + g), n >= 0, by square and multiply."""
+    r = [1] + [0] * (len(g) - 1)
     while n:
         if n & 1:
-            r = _poly_mulmod(r, base, g, p)
-        base = _poly_mulmod(base, base, g, p)
+            r = _poly_mulmod(r, a, g, m)
+        a = _poly_mulmod(a, a, g, m)
         n >>= 1
     return r
+
+
+def _digits(e, p, k):
+    """The k base-p digits of e, least significant first."""
+    out = []
+    for _ in range(k):
+        out.append(e % p)
+        e //= p
+    return out
+
+
+def _encode(cs, p):
+    """sum (cs[i] mod p) p^i: the field encoding of coordinates cs."""
+    e = 0
+    for c in reversed(cs):
+        e = e * p + c % p
+    return e
 
 
 def _is_irreducible(g, p):
@@ -139,7 +158,6 @@ def _prime_divisors(n):
 
 def _poly_gcd_is_one(a, g, p):
     # gcd of a (deg < k) with the monic modulus given by non-leading coeffs g
-    k = len(g)
     b = g + [1]
     a = list(a)
     while any(a):
@@ -163,11 +181,7 @@ def _poly_gcd_is_one(a, g, p):
 def minimal_irreducible(p, k):
     """Non-leading coefficients of the first monic irreducible of degree k."""
     for m in range(p**k):
-        g = []
-        mm = m
-        for _ in range(k):
-            g.append(mm % p)
-            mm //= p
+        g = _digits(m, p, k)
         if k > 1 and g[0] == 0:
             continue  # divisible by x
         if _is_irreducible(g, p):
@@ -190,39 +204,18 @@ class Fq:
         self.q = q = p**k
         self.g_coeffs = g = minimal_irreducible(p, k)
 
-        def digits(e):
-            out = []
-            for _ in range(k):
-                out.append(e % p)
-                e //= p
-            return out
-
-        def enc(poly):
-            e = 0
-            for c in reversed(poly):
-                e = e * p + c % p
-            return e
-
-        self._digits = digits
-        self._enc = enc
-
-        # generator and log/exp tables
+        # generator (the least element of order q - 1) and log/exp tables
         fact = _prime_divisors(q - 1)
-        gen = None
-        for cand in range(2, q):
-            cd = digits(cand)
-            if all(enc(_poly_powmod(cd, (q - 1) // ell, list(g), p)) != 1 for ell in fact):
-                gen = cand
-                break
-        if gen is None:
-            raise ArithmeticError("no generator (unreachable)")
-        self.generator = gen
+        self.generator = gen = next(
+            c for c in range(2, q)
+            if all(_encode(_poly_powmod(_digits(c, p, k), (q - 1) // ell, g, p), p) != 1
+                   for ell in fact))
         EXP = [1] * (q - 1)
-        gd = digits(gen)
+        gd = _digits(gen, p, k)
         cur = [1] + [0] * (k - 1)
         for n in range(1, q - 1):
-            cur = _poly_mulmod(cur, gd, list(g), p)
-            EXP[n] = enc(cur)
+            cur = _poly_mulmod(cur, gd, g, p)
+            EXP[n] = _encode(cur, p)
         LOG = [0] * q
         for n, e in enumerate(EXP):
             LOG[e] = n
@@ -266,9 +259,7 @@ class Fq:
 
             self.mul = mul
 
-        NEG = [0] * q
-        for a in range(q):
-            NEG[a] = enc([-d % p for d in digits(a)])
+        NEG = [_encode([-d for d in _digits(a, p, k)], p) for a in range(q)]
         self.neg = lambda a: NEG[a]
         return self
 
@@ -308,10 +299,10 @@ class Fq:
         return range(1, self.q)
 
     def coords(self, a):
-        return tuple(self._digits(a))
+        return tuple(_digits(a, self.p, self.k))
 
     def from_coords(self, cs):
-        return self._enc(list(cs))
+        return _encode(cs, self.p)
 
     def __repr__(self):
         return f"Fq(p={self.p}, k={self.k})"
@@ -349,7 +340,7 @@ class _Packing:
         # plus each such slot times the coefficient of x^j in x^i mod g, all
         # mod p; digit_terms holds the (shift, factor) pairs, top digit first
         x = [0, 1] + [0] * (k - 2)
-        high = {i: _poly_powmod(x, i, list(field.g_coeffs), p)
+        high = {i: _poly_powmod(x, i, field.g_coeffs, p)
                 for i in range(k, 2 * k - 1)}
         self.digit_terms = [[(bits * j, 1)] + [(bits * i, r[j]) for i, r in high.items() if r[j]]
                             for j in range(k - 1, -1, -1)]
@@ -440,17 +431,16 @@ def gauss_jordan(field, rows):
 
 
 def witt_precision(p, D):
-    """Digit count N for residue characteristic p at series cutoff D.
+    """Digit count N for residue characteristic p at series cutoff D: the
+    least N with p^(N-1) > D.
 
-    One guard digit beyond what base-p exponent digit walks require.
+    _binomial_product needs p^N >= depth for each depth it is asked for, at
+    most D; N keeps one guard digit beyond that.
     """
-    D = max(D, 1)
-    n = 0
-    x = 1
-    while x <= D:
-        x *= p
-        n += 1
-    return n + 1  # floor(log_p D) + 2 == n + 1 since n = floor(log_p D) + 1
+    N = 2
+    while p ** (N - 1) <= D:
+        N += 1
+    return N
 
 
 _WITT_CACHE = Memo(lambda p, f, N: object.__new__(WittRing)._init(p, f, N))
@@ -462,7 +452,8 @@ class WittRing:
 
     Elements are coordinate tuples of length f mod p^N in the power basis,
     with the residue field's minimal polynomial lifted to integer
-    coefficients in [0, p).
+    coefficients in [0, p); products and powers are F_q's polynomial
+    arithmetic mod p^N.
     """
 
     def __new__(cls, p, f, N):
@@ -474,90 +465,33 @@ class WittRing:
         self.N = N
         self.pN = p**N
         self.field = Fq(p, f)
-        self.mod_coeffs = self.field.g_coeffs  # lifted verbatim
         self.one = (1,) + (0,) * (f - 1)
         return self
 
-    def sub(self, a, b):
-        pN = self.pN
-        return tuple((x - y) % pN for x, y in zip(a, b))
-
-    def scale(self, c, a):
-        pN = self.pN
-        return tuple(c * x % pN for x in a)
-
     def mul(self, a, b):
-        f = self.f
-        pN = self.pN
-        g = self.mod_coeffs
-        prod = [0] * (2 * f - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    prod[i + j] += ai * bj
-        for i in range(2 * f - 2, f - 1, -1):
-            c = prod[i] % pN
-            if c:
-                for t in range(f):
-                    if g[t]:
-                        prod[i - f + t] -= c * g[t]
-        return tuple(x % pN for x in prod[:f])
+        return tuple(_poly_mulmod(a, b, self.field.g_coeffs, self.pN))
 
     def pow(self, a, n):
-        r = self.one
-        while n:
-            if n & 1:
-                r = self.mul(r, a)
-            a = self.mul(a, a)
-            n >>= 1
-        return r
+        return tuple(_poly_powmod(a, n, self.field.g_coeffs, self.pN))
 
     def reduce_mod_p(self, a):
         """Residue-field encoding of a mod p."""
-        p = self.p
-        e = 0
-        mul = 1
-        for c in a:
-            e += (c % p) * mul
-            mul *= p
-        return e
-
-    def lift(self, e):
-        """Field encoding -> coordinate tuple with digits in [0, p)."""
-        return tuple(self.field.coords(e))
+        return _encode(a, self.p)
 
     def is_unit(self, a):
         return self.reduce_mod_p(a) != 0
 
-    def inv(self, a):
-        if not self.is_unit(a):
-            raise NotAUnit(f"{a} not a unit")
-        # Newton from the residue-field inverse
-        x = self.lift(self.field.inv(self.reduce_mod_p(a)))
-        prec = 1
-        while prec < self.N:
-            # x <- x(2 - a x)
-            x = self.mul(x, self.sub(self.scale(2, self.one), self.mul(a, x)))
-            prec *= 2
-        return x
-
     def teichmuller(self, e):
-        """Multiplicative lift of the field element with encoding e."""
-        y = self.lift(e)
-        for _ in range(self.N + 1):
-            y2 = self.pow(y, self.field.q)
-            if y2 == y:
-                return y
-            y = y2
-        return y
+        """Multiplicative lift [e] of the field element with encoding e: any
+        lift y of e has y^(q^n) = [e] mod p^(n+1), so [e] = y^(q^(N-1))."""
+        return self.pow(self.field.coords(e), self.field.q ** (self.N - 1))
 
     def unit_decompose(self, u):
-        """u = [a0]·u1 with u1 = 1 mod p; returns (a0 encoding, u1 tuple)."""
+        """u = [a0]·u1 with u1 = 1 mod p; returns (a0 encoding, u1 tuple).
+        The lift is multiplicative, so [a0]^-1 = [a0^-1]; a0 = 0 raises
+        NotAUnit."""
         a0 = self.reduce_mod_p(u)
-        if a0 == 0:
-            raise NotAUnit("decomposition needs a unit")
-        u1 = self.mul(u, self.inv(self.teichmuller(a0)))
-        return a0, u1
+        return a0, self.mul(u, self.teichmuller(self.field.inv(a0)))
 
     def __repr__(self):
         return f"WittRing(p={self.p}, f={self.f}, N={self.N})"

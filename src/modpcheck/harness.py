@@ -118,6 +118,11 @@ class RunConfig:
                 raise ConfigInvalid(
                     f"cutoff={self.cutoff_value()} too large: {monomials} monomials below "
                     f"chart depth {depth}, limit {MAX_CHART_MONOMIALS}")
+            # _u1_pieces reads a unit's distortion from its digits mod p,
+            # exact to depth p, and needs it to depth ceil(cutoff/p)
+            if self.cutoff_value() > p * p:
+                raise ConfigInvalid(f"cutoff={self.cutoff_value()} too large: "
+                                    f"the chart suites need cutoff <= p^2 = {p * p}")
         for name in ("units", "thetas"):
             n = getattr(self, name)
             if not 1 <= n <= MAX_SAMPLES:

@@ -469,6 +469,12 @@ def _graded_exponents(f, deg_max):
     return out
 
 
+def _peel(m):
+    """(l, m - e_l) for the first nonzero slot l of m; (None, m) at m = 0."""
+    l = next((i for i, e in enumerate(m) if e), None)
+    return l, m if l is None else m[:l] + (m[l] - 1,) + m[l + 1:]
+
+
 def chart_depth(p, f, cutoff):
     """Depth of the additive chart (the eigencoordinate series) at a
     filtration cutoff; the Jacobian needs it to be at least 2."""
@@ -673,12 +679,19 @@ class ChartContext:
         """Y^m in the additive chart, known below |m| + rel (rel >= 1).
 
         Y^m = Y^(m - e_l) * Y_l, with l the first nonzero slot of m and the
-        same rel for both factors, so Y_l is needed below rel + 1 only.
+        same rel for both factors, so Y_l is needed below rel + 1 only.  The
+        uncached powers below m are built first, lowest first, so a build
+        finds its Y^(m - e_l) cached and recurses one level at most.
         """
-        l = next((i for i, e in enumerate(m) if e), None)
+        l, prev = _peel(m)
         if l is None:
             return AElement.const(self.field, self.f, 1, cutoff=rel)
-        prev = m[:l] + (m[l] - 1,) + m[l + 1:]
+        chain, k = [], prev
+        while any(k) and (k, rel) not in self._ypow_cache:
+            chain.append(k)
+            k = _peel(k)[1]
+        for k in reversed(chain):
+            self._ypow_cache[k, rel]
         y = self.y_series[l].copy_truncated(rel + 1)
         return self._ypow_cache[prev, rel] * y if any(prev) else y
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -107,14 +108,15 @@ def test_witt_precision_rule():
 
 
 def test_teichmuller_fixed_point_and_reduction():
-    for p, f, N in ((11, 1, 3), (13, 2, 3), (17, 3, 3)):
+    # N = 2, 3, 4 are the precisions that runs use
+    for (p, f), N in itertools.product(((11, 1), (13, 2), (17, 3)), (2, 3, 4)):
         R = WittRing(p, f, N)
         sample = range(1, R.field.q) if R.field.q <= 200 else random.Random(3).sample(range(1, R.field.q), 40)
         for x in sample:
             y = R.teichmuller(x)
             assert R.pow(y, R.field.q) == y
             assert R.reduce_mod_p(y) == x
-    assert WittRing(11, 1, 3).teichmuller(0) == (0,)
+        assert R.teichmuller(0) == (0,) * f
 
 
 def test_teichmuller_multiplicative():
@@ -131,12 +133,13 @@ def test_teichmuller_multiplicative():
 
 def test_f1_matches_plain_zp():
     # degree-1 Witt ring is Z/p^N; Teichmuller is x^(p^(N-1))
-    p, N = 11, 3
-    R = WittRing(p, 1, N)
-    for x in range(1, p):
-        assert R.teichmuller(x) == (pow(x, p ** (N - 1), p**N),)
-    a, b = (123 % p**N,), (4567 % p**N,)
-    assert R.mul(a, b) == ((a[0] * b[0]) % p**N,)
+    p = 11
+    for N in (2, 3, 4):
+        R = WittRing(p, 1, N)
+        for x in range(1, p):
+            assert R.teichmuller(x) == (pow(x, p ** (N - 1), p**N),)
+        a, b = (123 % p**N,), (4567 % p**N,)
+        assert R.mul(a, b) == ((a[0] * b[0]) % p**N,)
 
 
 def test_zp_coordinates_linear():
@@ -151,8 +154,8 @@ def test_zp_coordinates_linear():
 
 
 def test_unit_decompose():
-    for p, f in ((11, 1), (13, 2), (17, 3)):
-        R = WittRing(p, f, 3)
+    for (p, f), N in itertools.product(((11, 1), (13, 2), (17, 3)), (2, 3, 4)):
+        R = WittRing(p, f, N)
         rng = random.Random(6)
         for _ in range(25):
             u = tuple(rng.randrange(R.pN) for _ in range(f))
@@ -162,17 +165,41 @@ def test_unit_decompose():
                 continue
             a0, u1 = R.unit_decompose(u)
             assert R.reduce_mod_p(u1) == 1
-            assert all(c % p == 0 for c in R.sub(u1, R.one))
+            assert all((c - e) % p == 0 for c, e in zip(u1, R.one))
             assert R.mul(R.teichmuller(a0), u1) == u
 
 
-def test_inv_roundtrip():
-    R = WittRing(13, 2, 3)
-    rng = random.Random(7)
-    for _ in range(30):
-        u = tuple(rng.randrange(R.pN) for _ in range(2))
-        if R.is_unit(u):
-            assert R.mul(u, R.inv(u)) == R.one
+# --- WittRing against sympy's ZZ[x] arithmetic -------------------------------
+# The oracle multiplies in ZZ[x], divides by the monic lift of the minimal
+# polynomial and only then reduces the coefficients mod p^N.
+
+
+def _zz_oracle(R):
+    x = Symbol("x")
+    modulus = Poly([1, *reversed(R.field.g_coeffs)], x, domain=ZZ)
+
+    def reduce(poly):
+        coeffs = poly.rem(modulus).all_coeffs()[::-1]
+        return tuple(c % R.pN for c in coeffs + [0] * (R.f - len(coeffs)))
+
+    def poly(a):
+        return Poly(list(reversed(a)), x, domain=ZZ)
+
+    return poly, reduce
+
+
+@pytest.mark.parametrize("N", [2, 3, 4])
+@pytest.mark.parametrize("p,f", [(13, 2), (17, 3)])
+def test_witt_mul_and_pow_match_sympy(p, f, N):
+    R = WittRing(p, f, N)
+    poly, reduce = _zz_oracle(R)
+    rng = random.Random(p * 10 + N)
+    for _ in range(40):
+        a = tuple(rng.randrange(R.pN) for _ in range(f))
+        b = tuple(rng.randrange(R.pN) for _ in range(f))
+        assert R.mul(a, b) == reduce(poly(a) * poly(b)), (a, b)
+        n = rng.randrange(12)
+        assert R.pow(a, n) == reduce(poly(a) ** n), (a, n)
 
 
 def test_field_construction_deterministic():

@@ -285,6 +285,11 @@ def no_field_builds(monkeypatch):
     (dict(p=11, f=0, r=()), "f=0 must be positive"),
     # q = 2^17 is inside the field limit, so f itself must be refused
     (dict(p=2, f=17, r=(1,) * 17, suites=("weights",)), "f=17 outside [1, 16]"),
+    # the chart suites need cutoff <= p^2, as a unit's distortion pieces are
+    # exact to depth p only; at f=1 with p < 64 that is below the monomial limit
+    (dict(p=11, f=1, r=(4,), cutoff=121), None),
+    (dict(p=11, f=1, r=(4,), cutoff=122), "cutoff=122 too large: the chart suites need cutoff <= p^2 = 121"),
+    (dict(p=11, f=1, r=(4,), cutoff=122, suites=("identities", "weights")), None),
 ])
 def test_admission_limits_before_any_field_build(no_field_builds, kwargs, message):
     # the cutoff bounds the chart, so only runs of the chart suites are
@@ -313,6 +318,7 @@ def test_admission_accepts_presets_and_benchmark_configs(no_field_builds):
     ["--p", "11", "--f", "1", "--r", "4", "--units", "1000000000"],
     ["--p", "11", "--f", "1", "--r", "4", "--thetas", "5000"],
     ["--p", "2", "--f", "17", "--r", ",".join(["1"] * 17), "--suite", "weights"],
+    ["--p", "11", "--f", "1", "--r", "4", "--cutoff", "122", "--jrho", "0"],
 ])
 def test_cli_admission_limits_exit_2(no_field_builds, args):
     res = CliRunner().invoke(main, ["verify", *args])
