@@ -14,6 +14,7 @@ from modpcheck.base_combinatorics import SubsetJ, all_subsets, vmap
 from modpcheck.constants import (
     AJnFrame,
     ConstantTables,
+    MuAlgebra,
     Mutation,
     _frame_key,
     _m_frame,
@@ -26,6 +27,7 @@ from modpcheck.constants import (
     check_domination_claims,
     epsilonJ,
     hj,
+    identity_sweeps,
     mu_gamma,
     rJ,
 )
@@ -293,6 +295,100 @@ def test_gamma_sign_table_matches_epsilon(p, r):
             assert alg.col_sign[Jp.bits] == want
             sigma = alg.sigma_factor[Jp]
             assert alg.gamma_star(Jp) == (sigma if want == 1 else alg.field.neg(sigma))
+
+
+def _scalar_ratio_row(p, r, jrho, method, perturb):
+    # the scalar-ratio-classes row of (p, r, jrho) at seed 0, with
+    # MuAlgebra.<method> replaced by perturb(field, value, *its subsets)
+    params = RhoParams.make(p, len(r), r, jrho_members=jrho)
+    original = getattr(MuAlgebra, method)
+
+    def perturbed(self, *subsets):
+        return perturb(self.field, original(self, *subsets), *subsets)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(MuAlgebra, method, perturbed)
+        (res,) = dict(identity_sweeps(params))[("scalar-ratio-classes",)]()
+    return res.as_dict()
+
+
+_R_BY_P = {13: (5, 6), 17: (7, 8, 7)}
+
+
+# the row with MuAlgebra.<method> plus 1 at the subset {0} or at the full set
+# (its last argument: Jp for mu, gamma and gamma_star, J for mu_star); every
+# row fails, with the checked count of the pristine row
+@pytest.mark.parametrize("method,p,jrho,at_full,checked,witness", [
+    ("mu", 13, (), False, 400, {"cls": [], "J1": [], "J2": [0], "J3": [], "J4": [0]}),
+    ("mu", 13, (0,), False, 72,
+     {"cls": [0], "J1": [1], "J2": [0, 1], "J3": [0], "J4": [0, 1]}),
+    ("mu", 17, (), False, 5184, {"cls": [], "J1": [], "J2": [0], "J3": [], "J4": [0]}),
+    ("mu", 17, (0,), False, 800,
+     {"cls": [0], "J1": [1], "J2": [0, 1], "J3": [0], "J4": [0, 1]}),
+    ("mu_star", 13, (), False, 400,
+     {"cls": [], "J1": [], "J2": [0], "K": [], "part": "mu-star"}),
+    ("mu_star", 13, (0,), False, 72,
+     {"cls": [], "J1": [], "J2": [0], "K": [], "part": "mu-star"}),
+    ("mu_star", 17, (), False, 5184,
+     {"cls": [], "J1": [], "J2": [0], "K": [], "part": "mu-star"}),
+    ("mu_star", 17, (0,), False, 800,
+     {"cls": [], "J1": [], "J2": [0], "K": [], "part": "mu-star"}),
+    ("gamma_star", 13, (), False, 400,
+     {"cls": [], "J": [], "J3": [], "J4": [0], "part": "gamma-star"}),
+    ("gamma_star", 13, (0,), False, 72,
+     {"cls": [0], "J": [1], "J3": [0], "J4": [0, 1], "part": "gamma-star"}),
+    ("gamma_star", 17, (), False, 5184,
+     {"cls": [], "J": [], "J3": [], "J4": [0], "part": "gamma-star"}),
+    ("gamma_star", 17, (0,), False, 800,
+     {"cls": [0], "J": [1], "J3": [0], "J4": [0, 1], "part": "gamma-star"}),
+    ("gamma", 13, (), False, 400,
+     {"cls": [], "J": [], "J3": [], "J4": [0], "part": "gamma-star"}),
+    ("gamma", 17, (0,), False, 800,
+     {"cls": [0], "J": [1], "J3": [0], "J4": [0, 1], "part": "gamma-star"}),
+    ("mu", 13, (), True, 400, {"cls": [], "J1": [], "J2": [0], "J3": [], "J4": [0, 1]}),
+    ("mu", 17, (0,), True, 800,
+     {"cls": [0], "J1": [1], "J2": [0, 1], "J3": [0], "J4": [0, 1, 2]}),
+    ("mu_star", 13, (0,), True, 72,
+     {"cls": [0], "J1": [1], "J2": [0, 1], "K": [0], "part": "mu-star"}),
+    ("mu_star", 17, (), True, 5184,
+     {"cls": [], "J1": [], "J2": [0, 1, 2], "K": [], "part": "mu-star"}),
+    ("gamma_star", 13, (), True, 400,
+     {"cls": [], "J": [], "J3": [], "J4": [0, 1], "part": "gamma-star"}),
+    ("gamma_star", 17, (0,), True, 800,
+     {"cls": [0], "J": [1], "J3": [0], "J4": [0, 1, 2], "part": "gamma-star"}),
+])
+def test_scalar_ratio_row_pins_a_perturbed_scalar(method, p, jrho, at_full, checked, witness):
+    r = _R_BY_P[p]
+    at = SubsetJ.full(len(r)) if at_full else SubsetJ.of(len(r), (0,))
+
+    def plus_one(field, value, *subsets):
+        return field.add(value, 1) if subsets[-1] == at else value
+
+    row = _scalar_ratio_row(p, r, jrho, method, plus_one)
+    assert row == {"name": "scalar-ratio-classes", "status": "fail",
+                   "checked": checked, "counterexample": witness}
+
+
+# gamma negated along the row J = {0} or J = full: every ratio within a row
+# still holds, so only the gamma-sign part fails
+@pytest.mark.parametrize("p,jrho,at_full,checked,witness", [
+    (13, (), False, 400, {"J": [0], "Jp": [], "part": "gamma-sign"}),
+    (13, (0,), False, 72, {"J": [0], "Jp": [], "part": "gamma-sign"}),
+    (17, (), False, 5184, {"J": [0], "Jp": [], "part": "gamma-sign"}),
+    (17, (0,), False, 800, {"J": [0], "Jp": [], "part": "gamma-sign"}),
+    (13, (0,), True, 72, {"J": [0, 1], "Jp": [0], "part": "gamma-sign"}),
+    (17, (), True, 5184, {"J": [0, 1, 2], "Jp": [], "part": "gamma-sign"}),
+])
+def test_scalar_ratio_row_pins_a_gamma_sign_flip(p, jrho, at_full, checked, witness):
+    r = _R_BY_P[p]
+    at = SubsetJ.full(len(r)) if at_full else SubsetJ.of(len(r), (0,))
+
+    def negate(field, value, J, Jp):
+        return field.neg(value) if J == at else value
+
+    row = _scalar_ratio_row(p, r, jrho, "gamma", negate)
+    assert row == {"name": "scalar-ratio-classes", "status": "fail",
+                   "checked": checked, "counterexample": witness}
 
 
 # ---------------------------------------------------------------------------
