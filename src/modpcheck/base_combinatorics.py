@@ -12,6 +12,8 @@ special-casing.
 
 from __future__ import annotations
 
+from .arith import Memo
+
 MAX_F = 16
 
 
@@ -114,10 +116,12 @@ class SubsetJ:
         return "{" + ",".join(str(j) for j in self.members()) + "}"
 
 
+_SUBSETS = Memo(lambda f: tuple(SubsetJ(f, bits) for bits in range(1 << f)))
+
+
 def all_subsets(f):
-    """All 2^f subsets, in mask order."""
-    for bits in range(1 << f):
-        yield SubsetJ(f, bits)
+    """All 2^f subsets, in mask order: one tuple per f, built once."""
+    return _SUBSETS[f,]
 
 
 def decompose_parts(J: SubsetJ, Jrho: SubsetJ):

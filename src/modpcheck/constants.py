@@ -222,7 +222,7 @@ class MuAlgebra:
     col_sign: tuple = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        subs = list(self.params.subsets())
+        subs = self.params.subsets()
         Jrho = self.params.Jrho
         rows = tuple((J.shift(-1) & Jrho).bits for J in subs)
         cols = tuple((Jp & Jrho).bits for Jp in subs)
@@ -304,7 +304,7 @@ class ConstantTables:
     def __init__(self, params, mutation=None, scope=None):
         p, f = params.p, params.f
         frames = scope_memo(scope, AJnFrame)
-        subs = list(params.subsets())
+        subs = params.subsets()
         self.s = {J: sJ_tJ(params, J)[0] for J in subs}
         self.t = {J: sJ_tJ(params, J)[1] for J in subs}
         self.a = {J: aJ(params, J) for J in subs}
@@ -336,7 +336,7 @@ class ConstantTables:
 
 def all_mutations(params):
     """Every single-cell +1 mutation of the mutable tables."""
-    subs = list(params.subsets())
+    subs = params.subsets()
     out = []
     for table in MUTABLE:
         for J in subs:
@@ -369,7 +369,7 @@ def _pairs_same_class(params, subs):
 def check_weight_table_bounds(params, tables):
     """Window checks for the s, pairwise-shift, and carry tables."""
     p, f = params.p, params.f
-    subs = list(params.subsets())
+    subs = params.subsets()
 
     sw = Sweep("bound-s")
     extra = 1 if f == 1 else 0
@@ -708,6 +708,28 @@ def _check_c_restriction(params, tables, subs):
 
 
 def _check_scalar_ratio_classes(params, mu, subs):
+    """The cross-ratio relations of the pairing scalars, class by class.
+
+    A class C is a subset of Jrho; its rows are the J with (J-1)^ss == C and
+    its columns the Jp with Jp^ss == C, so every (row, col) pair is defined.
+    The row has four parts; per class of n rows and k columns they count
+
+    - cross ratios: mu(J1, J3) mu(J2, J4) == mu(J1, J4) mu(J2, J3), n^2 k^2;
+    - mu-star: mu(J1, K) mu_star(J2) == mu(J2, K) mu_star(J1), n^2 k;
+    - gamma-star: gamma(J, J3) gamma_star(J4) == gamma(J, J4) gamma_star(J3),
+      n k^2;
+    - gamma-sign: gamma(J, Jp) == (-1)^(f-1) eps(Jp) mu(J, Jp), n k, one per
+      defined pair, checked after every class in subset order.
+
+    Each of the first three is one flat pass: the class's scalars are read
+    once into lists indexed by position, both sides of every comparison are
+    computed into two lists, in the order of the part's nested loops (the
+    last fastest), and the lists are compared.  Every comparison is still
+    made and counted, so the row stays exhaustive, never sampled.  If a
+    part fails, _add_family reads its first failing index back as one
+    digit per loop (i mod the last loop's size, and so on outwards) and
+    builds the witness of those subsets, with the keys in loop order.
+    """
     sw = Sweep("scalar-ratio-classes")
     fmul = mu.field.mul
     for C in subs:
@@ -715,33 +737,48 @@ def _check_scalar_ratio_classes(params, mu, subs):
             continue
         rows = [J for J in subs if (J.shift(-1) & params.Jrho) == C]
         cols = [Jp for Jp in subs if (Jp & params.Jrho) == C]
-        # every (row, col) pair of the class is defined: read each scalar once
-        m = {(J, Jp): mu.mu(J, Jp) for J in rows for Jp in cols}
-        g = {(J, Jp): mu.gamma(J, Jp) for J in rows for Jp in cols}
-        m_star = {J: mu.mu_star(J) for J in rows}
-        g_star = {Jp: mu.gamma_star(Jp) for Jp in cols}
-        for J1, J2 in itertools.product(rows, rows):
-            for J3, J4 in itertools.product(cols, cols):
-                lhs = fmul(m[J1, J3], m[J2, J4])
-                rhs = fmul(m[J1, J4], m[J2, J3])
-                sw.check(lhs == rhs, cls=C, J1=J1, J2=J2, J3=J3, J4=J4)
-        for J1, J2 in itertools.product(rows, rows):
-            for K in cols:
-                sw.check(
-                    fmul(m[J1, K], m_star[J2]) == fmul(m[J2, K], m_star[J1]),
-                    cls=C, J1=J1, J2=J2, K=K, part="mu-star",
-                )
-        for J in rows:
-            for J3, J4 in itertools.product(cols, cols):
-                sw.check(
-                    fmul(g[J, J3], g_star[J4]) == fmul(g[J, J4], g_star[J3]),
-                    cls=C, J=J, J3=J3, J4=J4, part="gamma-star",
-                )
+        m = [[mu.mu(J, Jp) for Jp in cols] for J in rows]
+        g = [[mu.gamma(J, Jp) for Jp in cols] for J in rows]
+        by_row = list(zip(m, [mu.mu_star(J) for J in rows]))
+        g_star = [mu.gamma_star(Jp) for Jp in cols]
+        _add_family(
+            sw, C, (("J1", rows), ("J2", rows), ("J3", cols), ("J4", cols)),
+            [fmul(x, y) for m1 in m for m2 in m for x in m1 for y in m2],
+            [fmul(x, y) for m1 in m for m2 in m for y in m2 for x in m1],
+        )
+        _add_family(
+            sw, C, (("J1", rows), ("J2", rows), ("K", cols)),
+            [fmul(x, s2) for m1, _ in by_row for m2, s2 in by_row for x in m1],
+            [fmul(y, s1) for m1, s1 in by_row for m2, _ in by_row for y in m2],
+            part="mu-star",
+        )
+        _add_family(
+            sw, C, (("J", rows), ("J3", cols), ("J4", cols)),
+            [fmul(x, t) for row in g for x in row for t in g_star],
+            [fmul(y, t) for row in g for t in g_star for y in row],
+            part="gamma-star",
+        )
     sign0 = 1 if params.f % 2 == 1 else -1
     for J, Jp in _pairs_same_class(params, subs):
         want = mu.field.scale_int(mu.mu(J, Jp), sign0 * epsilonJ(params, Jp))
         sw.check(mu.gamma(J, Jp) == want, J=J, Jp=Jp, part="gamma-sign")
     return sw.result()
+
+
+def _add_family(sw, cls, loops, lhs, rhs, part=None):
+    # add the comparisons lhs[i] == rhs[i] to sw; the lists run over the
+    # nested loops, ((key, subsets), ...) outermost first, so a failing i
+    # is a mixed-radix number with one digit per loop
+    if lhs == rhs:
+        sw.add(len(lhs))
+        return
+    i = next(n for n, (x, y) in enumerate(zip(lhs, rhs)) if x != y)
+    picks = []
+    for key, values in reversed(loops):
+        i, k = divmod(i, len(values))
+        picks.append((key, values[k]))
+    tail = {} if part is None else {"part": part}
+    sw.add(len(lhs), witness(cls=cls, **dict(reversed(picks)), **tail))
 
 
 # the row names of each entry of identity_sweeps, in report order
@@ -762,7 +799,7 @@ def identity_sweeps(params, seed=0, mutation=None, scope=None):
     reindexing blocks and the shifted-table domains between the Jrho jobs
     of one run."""
     tables = ConstantTables(params, mutation, scope)
-    subs = list(params.subsets())
+    subs = params.subsets()
 
     def over_subsets(check):
         return lambda: [check(params, tables, subs)]

@@ -206,7 +206,7 @@ def solve_right_inverse(M):
     params = M.params
     fld = M.field
     f = params.f
-    subs = list(params.subsets())
+    subs = params.subsets()
     full = SubsetJ.full(f)
     diag_inv = {}
     for J in subs:

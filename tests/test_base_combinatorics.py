@@ -9,6 +9,7 @@ from modpcheck.base_combinatorics import (
     right_boundary,
     vmap,
 )
+from modpcheck.weights import RhoParams
 
 
 # helpers only these tests use
@@ -150,6 +151,19 @@ def test_subset_order_and_algebra():
     assert (B - A).members() == (3,)
     assert A.complement().members() == (2, 3)
     assert len(list(all_subsets(4))) == 16
+
+
+@pytest.mark.parametrize("f", [1, 2, 3, 4])
+def test_all_subsets_is_one_tuple_per_f_in_mask_order(f):
+    subs = all_subsets(f)
+    assert isinstance(subs, tuple)
+    assert subs == tuple(SubsetJ(f, bits) for bits in range(1 << f))
+    assert [J.bits for J in subs] == list(range(1 << f))
+    assert all_subsets(f) is subs
+    # RhoParams.subsets() hands out the same tuple, so it iterates twice
+    params = RhoParams.make(23, f, (9, 10, 9, 10)[:f])
+    assert params.subsets() is subs
+    assert list(params.subsets()) == list(params.subsets()) == list(subs)
 
 
 def test_operands_of_different_f_are_rejected():
