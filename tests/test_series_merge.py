@@ -230,6 +230,36 @@ def test_product_matches_field_op_reference(data):
     assert _mul_terms(fld, xt, yt, bound) == reference_mul_terms(fld, xt, yt, bound)
 
 
+@st.composite
+def box_products(draw):
+    """Two term dicts that nearly fill a box of exponents, one per operand,
+    at f = 1, 2 or 3, with corners down to -6 (Laurent supports), plus a
+    bound that may fall below the operands' own top degrees or be INF:
+    (field, f, xt, yt, bound).  Most coefficients are q-1, so the packed
+    slots of the product are close to full."""
+    p, f = draw(st.sampled_from(FIELDS))
+    fld = Fq(p, f)
+    coeffs = st.one_of(st.just(fld.q - 1), st.just(fld.q - 1), st.integers(0, fld.q - 1))
+    top = {1: 30, 2: 8, 3: 5}[f]
+    out = []
+    for _ in range(2):
+        side = draw(st.integers(2, top))
+        corner = draw(st.lists(st.integers(-6, 2), min_size=f, max_size=f))
+        boxed = itertools.product(*(range(c, c + side) for c in corner))
+        cs = draw(st.lists(coeffs, min_size=side**f, max_size=side**f))
+        out.append({k: c for k, c in zip(boxed, cs) if c})
+    low = sum(min(k[l] for k in t) for t in out for l in range(f)) if all(out) else 0
+    bound = draw(st.one_of(st.just(INF), st.integers(low - 2, low + 2 * top)))
+    return fld, f, out[0], out[1], bound
+
+
+@given(box_products())
+def test_box_product_matches_field_op_reference(data):
+    fld, f, xt, yt, bound = data
+    assert _mul_terms(fld, xt, yt, bound) == reference_mul_terms(fld, xt, yt, bound)
+    assert _mul_terms(fld, yt, xt, bound) == reference_mul_terms(fld, yt, xt, bound)
+
+
 @pytest.mark.parametrize("p,f,side", [(17, 3, 5), (7, 1, 200)])
 def test_product_at_worst_case_slot_load(p, f, side):
     # a full box of exponents with every coefficient q-1: the key
