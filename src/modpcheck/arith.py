@@ -318,10 +318,12 @@ class _Packing:
     turns such a sum back into a field encoding: slots mod p, then
     reduction by the minimal polynomial.
 
-    It serves the iwasawa eigencoordinate sum, series product (_mul_terms)
-    and torus-eigenvector sum; each of them states the bound on one slot of
-    its sums and takes its instance from `packing`, which picks every width
-    as a byte lane, so `decode` turns many blocks of any of them at once.
+    It serves the iwasawa eigencoordinate sum, the series product
+    (_mul_terms: the dict sums of its pair loop and the one big-int product
+    of its dense path, _dense_mul_terms) and the torus-eigenvector sum; each
+    of them states the bound on one slot of its sums and takes its instance
+    from `packing`, which picks every width as a byte lane, so `decode`
+    turns many blocks of any of them at once.
     """
 
     def __init__(self, field, bits):

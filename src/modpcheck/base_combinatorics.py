@@ -3,7 +3,9 @@
 Everything downstream indexes data by j in Z/fZ.  Subsets of the index set
 are SubsetJ bitmasks (bit j = membership of j), a plain __slots__ value
 class compared and hashed by its fields, which are never reassigned;
-operands of a binary set operation must share f.  Integer vectors are plain
+operands of a binary set operation must share f.  SubsetJ.of, full and the
+set algebra return the values of all_subsets(f), built once per f, so they
+allocate nothing.  Integer vectors are plain
 int tuples of length f, read at an explicit j % f where an index can pass
 f-1.  All shifts are cyclic; the f=1 degeneracies (J-1 = J, boundary of the
 full singleton is empty) fall out of the mod-f arithmetic with no
@@ -47,11 +49,11 @@ class SubsetJ:
         bits = 0
         for j in members:
             bits |= 1 << (j % f)
-        return cls(f, bits)
+        return _SUBSETS[f,][bits]
 
     @classmethod
     def full(cls, f):
-        return cls(f, (1 << f) - 1)
+        return _SUBSETS[f,][-1]
 
     def members(self):
         return tuple(j for j in range(self.f) if self.bits >> j & 1)
@@ -72,22 +74,22 @@ class SubsetJ:
     def __and__(self, other):
         if other.f != self.f:
             raise _f_mismatch(self, other)
-        return SubsetJ(self.f, self.bits & other.bits)
+        return _SUBSETS[self.f,][self.bits & other.bits]
 
     def __or__(self, other):
         if other.f != self.f:
             raise _f_mismatch(self, other)
-        return SubsetJ(self.f, self.bits | other.bits)
+        return _SUBSETS[self.f,][self.bits | other.bits]
 
     def __sub__(self, other):
         if other.f != self.f:
             raise _f_mismatch(self, other)
-        return SubsetJ(self.f, self.bits & ~other.bits)
+        return _SUBSETS[self.f,][self.bits & ~other.bits]
 
     def __xor__(self, other):
         if other.f != self.f:
             raise _f_mismatch(self, other)
-        return SubsetJ(self.f, self.bits ^ other.bits)
+        return _SUBSETS[self.f,][self.bits ^ other.bits]
 
     def __le__(self, other):
         if other.f != self.f:
@@ -98,7 +100,7 @@ class SubsetJ:
         return self <= other and self.bits != other.bits
 
     def complement(self):
-        return SubsetJ(self.f, ~self.bits & ((1 << self.f) - 1))
+        return _SUBSETS[self.f,][~self.bits & ((1 << self.f) - 1)]
 
     def shift(self, k):
         """J + k = {j + k mod f : j in J}."""
@@ -107,7 +109,7 @@ class SubsetJ:
         if k == 0:
             return self
         m = (1 << f) - 1
-        return SubsetJ(f, ((self.bits << k) | (self.bits >> (f - k))) & m)
+        return _SUBSETS[f,][((self.bits << k) | (self.bits >> (f - k))) & m]
 
     def is_full(self):
         return self.bits == (1 << self.f) - 1

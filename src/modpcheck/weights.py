@@ -61,7 +61,14 @@ class RhoParams:
         return all_subsets(self.f)
 
     def parts(self, J):
-        return decompose_parts(J, self.Jrho)
+        """decompose_parts(J, Jrho), built for every J once per params."""
+        if J.f != self.f:
+            return decompose_parts(J, self.Jrho)  # raises the f-mismatch ValueError
+        return self._parts[J.bits]
+
+    @cached_property
+    def _parts(self):
+        return tuple(decompose_parts(J, self.Jrho) for J in all_subsets(self.f))
 
     @cached_property
     def b_window(self):

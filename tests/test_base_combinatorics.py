@@ -166,6 +166,36 @@ def test_all_subsets_is_one_tuple_per_f_in_mask_order(f):
     assert list(params.subsets()) == list(params.subsets()) == list(subs)
 
 
+@pytest.mark.parametrize("f", [1, 2, 3, 4])
+def test_set_algebra_returns_the_values_of_all_subsets(f):
+    # every result is the all_subsets(f) object of its mask, equal and
+    # hashed like a fresh SubsetJ; operands of another f still raise
+    subs = all_subsets(f)
+
+    def interned(J):
+        return J is subs[J.bits] and J == SubsetJ(f, J.bits) and hash(J) == hash(SubsetJ(f, J.bits))
+
+    assert SubsetJ.full(f) is subs[-1]
+    for A in subs:
+        assert interned(SubsetJ.of(f, A.members()))
+        assert interned(SubsetJ.of(f, [j + f for j in A.members()]))
+        assert interned(A.complement())
+        assert all(interned(A.shift(k)) for k in range(-2 * f, 2 * f + 1))
+        for B in subs:
+            assert all(interned(C) for C in (A & B, A | B, A - B, A ^ B))
+    other = all_subsets(f + 1)[1]
+    for op in (lambda: subs[1] & other, lambda: subs[1] | other, lambda: subs[1] - other,
+               lambda: subs[1] ^ other):
+        with pytest.raises(ValueError, match="different f"):
+            op()
+    params = RhoParams.make(23, f, (9, 10, 9, 10)[:f], [0])
+    for J in subs:
+        assert params.parts(J) == decompose_parts(J, params.Jrho)
+    assert params.parts(subs[3 % len(subs)]) is params.parts(subs[3 % len(subs)])
+    with pytest.raises(ValueError, match="different f"):
+        params.parts(other)
+
+
 def test_operands_of_different_f_are_rejected():
     short, long = (1, 2), (1, 2, 3)
     unequal = r"^zip\(\) argument 2 is (shorter|longer) than argument 1$"

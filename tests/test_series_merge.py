@@ -12,6 +12,14 @@ the scale-and-shift path of `_mul_terms`, on Laurent supports too.  The
 bounded product and power (`mul_below`, `pow_below`) must give the terms and
 cutoff of the reference product or power truncated afterwards, on Laurent
 supports, the zero element and exact (INF) cutoffs.
+
+Products of two or more terms each take the pair loop or, when the operands
+fill their box of exponents, the dense path (one big-int multiply,
+`_dense_mul_terms`); both must equal `reference_mul_terms`.  A spy on the
+dense path pins which products take it: box-shaped operands at every f, the
+f <= 2 worst-case slot loads and the p=13 f=2 Frobenius row do, the cold
+p=17 f=3 phigamma job never does.  A lane one size too narrow must change
+the dense worst-case product, so a wrong width cannot hide in that path.
 """
 
 import collections
@@ -25,18 +33,22 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from modpcheck import arith
+from modpcheck import arith, iwasawa
 from modpcheck.arith import Fq, Memo
 from modpcheck.errors import HypothesisViolation
+from modpcheck.harness import RunConfig, run_suite
 from modpcheck.iwasawa import (
     AElement,
+    ChartContext,
     _ldeg,
     _mul_bound,
     _mul_terms,
     _sorted_by_degree,
     chart_context,
+    check_frobenius_generators,
     check_torus_eigenvector,
 )
+from test_chart_packed import _undersized
 
 INF = math.inf
 
@@ -260,14 +272,71 @@ def test_box_product_matches_field_op_reference(data):
     assert _mul_terms(fld, yt, xt, bound) == reference_mul_terms(fld, yt, xt, bound)
 
 
-@pytest.mark.parametrize("p,f,side", [(17, 3, 5), (7, 1, 200)])
-def test_product_at_worst_case_slot_load(p, f, side):
+def test_box_products_take_the_dense_path_at_every_f(monkeypatch):
+    dense = spy_dense(monkeypatch)
+    test_box_product_matches_field_op_reference()
+    assert set(dense) == {1, 2, 3}
+
+
+def spy_dense(monkeypatch):
+    """Count the calls of the dense product path by f, from now on."""
+    calls = collections.Counter()
+    real = iwasawa._dense_mul_terms
+
+    def spy(k, pack, xt, sx, *rest):
+        calls[len(sx)] += 1
+        return real(k, pack, xt, sx, *rest)
+
+    monkeypatch.setattr(iwasawa, "_dense_mul_terms", spy)
+    return calls
+
+
+def worst_case_box(fld, f, side):
+    return {k: fld.q - 1 for k in itertools.product(range(side), repeat=f)}
+
+
+@pytest.mark.parametrize("p,f,side", [(17, 3, 5), (7, 1, 200), (13, 2, 16)])
+def test_product_at_worst_case_slot_load(p, f, side, monkeypatch):
     # a full box of exponents with every coefficient q-1: the key
     # (side-1, ..., side-1) receives side^f = min(len) products, each
-    # filling the middle slot to k*(p-1)^2
+    # filling the middle slot to k*(p-1)^2.  The box squared has degree
+    # span D = 2f(side-1)+1, so at f=3 (side^6 < 4*D^3) the pair loop
+    # takes it and at f <= 2 the dense path
+    dense = spy_dense(monkeypatch)
     fld = Fq(p, f)
-    xt = {k: fld.q - 1 for k in itertools.product(range(side), repeat=f)}
+    xt = worst_case_box(fld, f, side)
     assert _mul_terms(fld, xt, xt, INF) == reference_mul_terms(fld, xt, xt, INF)
+    assert set(dense) == ({f} if f < 3 else set())
+
+
+def test_undersized_lane_breaks_the_dense_product(monkeypatch):
+    # the p=13 f=2 worst case needs 256 * 288 < 2^17 per slot, so the
+    # 32-bit lane; on the 16-bit lane below it the dense product carries
+    # between slots and must differ from the reference
+    fld = Fq(13, 2)
+    xt = worst_case_box(fld, 2, 16)
+    want = reference_mul_terms(fld, xt, xt, INF)
+    assert iwasawa.packing(fld, 2 * 12**2, len(xt)).bits == 32
+    dense = spy_dense(monkeypatch)
+    monkeypatch.setattr(iwasawa, "packing", _undersized(iwasawa.packing))
+    assert _mul_terms(fld, xt, xt, INF) != want
+    assert dense[2] == 1
+
+
+def test_frobenius_row_takes_the_dense_path_at_p13_f2(monkeypatch):
+    ctx = chart_context(13, 2)
+    dense = spy_dense(monkeypatch)
+    assert check_frobenius_generators(ctx).passed
+    assert dense[2] >= 1
+
+
+def test_cold_f3_phigamma_job_never_takes_the_dense_path(monkeypatch):
+    # the f=3 products are sparse in their box: the pair loop does them all
+    monkeypatch.setattr(iwasawa, "_CTX_CACHE", Memo(ChartContext))
+    dense = spy_dense(monkeypatch)
+    rep = run_suite(RunConfig(p=17, f=3, r=(7, 8, 7), jrho=(0,), suites=("phigamma",)))
+    assert all(row["status"] == "pass" for row in rep.suites)
+    assert not dense
 
 
 def test_concurrent_first_products_build_each_packing_once(monkeypatch):
