@@ -5,11 +5,10 @@ are SubsetJ bitmasks (bit j = membership of j), a plain __slots__ value
 class compared and hashed by its fields, which are never reassigned;
 operands of a binary set operation must share f.  SubsetJ.of, full and the
 set algebra return the values of all_subsets(f), built once per f, so they
-allocate nothing.  Integer vectors are plain
-int tuples of length f, read at an explicit j % f where an index can pass
-f-1.  All shifts are cyclic; the f=1 degeneracies (J-1 = J, boundary of the
-full singleton is empty) fall out of the mod-f arithmetic with no
-special-casing.
+allocate nothing.  Integer vectors are plain int tuples of length f, read
+at an explicit j % f where an index can pass f-1.  All shifts are cyclic;
+the f=1 degeneracies (J-1 = J, boundary of the full singleton is empty)
+fall out of the mod-f arithmetic with no special-casing.
 """
 
 from __future__ import annotations

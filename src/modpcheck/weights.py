@@ -269,7 +269,7 @@ def _shift_orbits(f):
     for bits in range(1 << f):
         if bits in seen:
             continue
-        J = SubsetJ(f, bits)
+        J = all_subsets(f)[bits]
         orb = set()
         cur = J
         while cur.bits not in orb:
@@ -298,6 +298,7 @@ def is_admissible_S(params: RhoParams, S) -> bool:
 def enumerate_admissible_S(params: RhoParams) -> frozenset:
     """All admissible families, each a frozenset of SubsetJ."""
     f = params.f
+    subs = all_subsets(f)
     orbits = _shift_orbits(f)
     out = set()
     for pick in product((0, 1), repeat=len(orbits)):
@@ -305,7 +306,7 @@ def enumerate_admissible_S(params: RhoParams) -> frozenset:
         for chosen, orb in zip(pick, orbits):
             if chosen:
                 masks |= orb
-        S = frozenset(SubsetJ(f, m) for m in masks)
+        S = frozenset(subs[m] for m in masks)
         if is_admissible_S(params, S):
             out.add(S)
     return frozenset(out)

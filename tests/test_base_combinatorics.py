@@ -173,7 +173,8 @@ def test_set_algebra_returns_the_values_of_all_subsets(f):
     subs = all_subsets(f)
 
     def interned(J):
-        return J is subs[J.bits] and J == SubsetJ(f, J.bits) and hash(J) == hash(SubsetJ(f, J.bits))
+        fresh = SubsetJ(f, J.bits)
+        return J is subs[J.bits] and J == fresh and hash(J) == hash(fresh)
 
     assert SubsetJ.full(f) is subs[-1]
     for A in subs:

@@ -272,12 +272,6 @@ def test_box_product_matches_field_op_reference(data):
     assert _mul_terms(fld, yt, xt, bound) == reference_mul_terms(fld, yt, xt, bound)
 
 
-def test_box_products_take_the_dense_path_at_every_f(monkeypatch):
-    dense = spy_dense(monkeypatch)
-    test_box_product_matches_field_op_reference()
-    assert set(dense) == {1, 2, 3}
-
-
 def spy_dense(monkeypatch):
     """Count the calls of the dense product path by f, from now on."""
     calls = collections.Counter()
@@ -289,6 +283,12 @@ def spy_dense(monkeypatch):
 
     monkeypatch.setattr(iwasawa, "_dense_mul_terms", spy)
     return calls
+
+
+def test_box_products_take_the_dense_path_at_every_f(monkeypatch):
+    dense = spy_dense(monkeypatch)
+    test_box_product_matches_field_op_reference()
+    assert set(dense) == {1, 2, 3}
 
 
 def worst_case_box(fld, f, side):
@@ -310,9 +310,9 @@ def test_product_at_worst_case_slot_load(p, f, side, monkeypatch):
 
 
 def test_undersized_lane_breaks_the_dense_product(monkeypatch):
-    # the p=13 f=2 worst case needs 256 * 288 < 2^17 per slot, so the
-    # 32-bit lane; on the 16-bit lane below it the dense product carries
-    # between slots and must differ from the reference
+    # the p=13 f=2 worst case puts 256 * 288, between 2^16 and 2^17, in a
+    # slot, so it needs the 32-bit lane; on the 16-bit lane below it the
+    # dense product carries between slots and must differ from the reference
     fld = Fq(13, 2)
     xt = worst_case_box(fld, 2, 16)
     want = reference_mul_terms(fld, xt, xt, INF)
