@@ -319,8 +319,8 @@ class _Packing:
     reduction by the minimal polynomial.
 
     It serves the iwasawa eigencoordinate sum, the series product
-    (_mul_terms: the dict sums of its pair loop and the one big-int product
-    of its dense path, _dense_mul_terms) and the torus-eigenvector sum; each
+    (_mul_terms: the dict sums of its pair loop and the big-int row
+    products of _row_mul_terms) and the torus-eigenvector sum; each
     of them states the bound on one slot of its sums and takes its instance
     from `packing`, which picks every width as a byte lane, so `decode`
     turns many blocks of any of them at once.

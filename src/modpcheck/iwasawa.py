@@ -133,20 +133,17 @@ def _mul_terms(field, xt, yt, bound):
     one of two paths.  A key receives at most min(len(xt), len(yt))
     products of two reduced packed coefficients, each adding at most
     k*(p-1)^2 to a slot, and `packing` picks the byte lane that holds that
-    bound for both.  Shift each operand by its least exponent per variable,
-    sx and sy; the product keeps the shifted total degrees below
-    D = min(bound, top degree of xt + top degree of yt + 1) - |sx| - |sy|.
+    bound for both.
 
-    Dense path, when len(xt)*len(yt) >= 4*D^f: the operands fill enough of
-    the box of D^f exponents below D per variable that one big-int multiply
-    (_dense_mul_terms) costs less than the pair loop, and its buffer has at
-    most a quarter as many blocks as there are pairs.  This takes the large
-    f <= 2 products (Y^p, n(g)*n(h)).  At f=3 the exponents of total degree
-    below D are about a sixth of the box, and the products of the f=3
-    presets stay on the sparse path.
+    Row product (_row_mul_terms), when the term pairs are at least 4 times
+    the row pairs, a row being the terms that share every exponent but the
+    last: each row pair is one big-int multiply, so it pays once the rows
+    hold a few terms each.  Every product at f=1 takes it (one row per
+    operand), and so do the large f >= 2 ones (Y^p, n(g)*n(h)).
 
-    Sparse path otherwise: a loop over the pairs below the bound sums into
-    a dict and encodes each output key once.
+    Pair loop otherwise, as for the f=3 chart products with about one term
+    per row: a loop over the pairs below the bound sums into a dict and
+    encodes each output key once.
     """
     if not xt or not yt:
         return {}
@@ -158,24 +155,14 @@ def _mul_terms(field, xt, yt, bound):
         mul = field.mul
         return {tuple(map(add, kx, k)): mul(cx, c) for k, c in yt.items() if sum(k) < rem}
     pack = packing(field, field.k * (field.p - 1) ** 2, min(len(xt), len(yt)))
-    xs = _sorted_by_degree(xt)
-    ys = _sorted_by_degree(yt)
-    pairs = len(xt) * len(yt)
-    f = len(xs[0][1])
-    # D >= low, as |sx| and |sy| are at most the least degrees, so most
-    # products fail the rule here; with low <= 0 no pair is kept
-    low = min(bound - xs[0][0] - ys[0][0], xs[-1][0] - xs[0][0] + ys[-1][0] - ys[0][0] + 1)
-    if low > 0 and pairs >= 4 * low**f:
-        sx = tuple(map(min, zip(*xt)))
-        sy = tuple(map(min, zip(*yt)))
-        span = min(bound, xs[-1][0] + ys[-1][0] + 1) - sum(sx) - sum(sy)
-        if pairs >= 4 * span**f:
-            return _dense_mul_terms(field.k, pack, xt, sx, yt, sy, span)
+    rows = len({k[:-1] for k in xt}) * len({k[:-1] for k in yt})
+    if len(xt) * len(yt) >= 4 * rows:
+        return _row_mul_terms(field.k, pack, xt, yt, bound)
     pk = pack.table
     acc = {}
     get = acc.get
-    ybuk = [(d, k, pk[yt[k]]) for d, k in ys]
-    for dx, kx in xs:
+    ybuk = [(d, k, pk[yt[k]]) for d, k in _sorted_by_degree(yt)]
+    for dx, kx in _sorted_by_degree(xt):
         cx = pk[xt[kx]]
         rem = bound - dx
         for dy, ky, cy in ybuk:
@@ -187,56 +174,62 @@ def _mul_terms(field, xt, yt, bound):
     return {k: e for k, v in acc.items() if (e := encode(v))}
 
 
-def _box_layout(f, span):
-    """Kronecker positions of the exponents e >= 0 with |e| < span:
-    pos(e) = |e|*span^(f-1) + sum_{l<f-1} e_l*span^l, as (weights, keys)
-    with pos(e) = sum_l e_l*weights[l] and keys[pos(e)] = e; the other
-    positions below span^f hold None.
+def _row_mul_terms(k, pack, xt, yt, bound):
+    """The terms of xt*yt of total degree below `bound`, one big-int
+    multiply per pair of rows (Kronecker substitution in the last variable).
 
-    pos is additive, every digit e_l <= |e| < span, so kept exponents have
-    distinct positions below span^f, and |e| >= span puts e at span^f or
-    above."""
-    top = span ** (f - 1)
-    weights = tuple(top + span**l for l in range(f - 1)) + (top,)
-    keys = [None] * span**f
-    for e in _graded_exponents(f, span - 1):
-        keys[sum(map(mul, e, weights))] = e
-    return weights, tuple(keys)
-
-
-_BOX_LAYOUTS = Memo(_box_layout)
-
-
-def _dense_mul_terms(k, pack, xt, sx, yt, sy, span):
-    """The terms of xt*yt whose exponents, less sx + sy, have total degree
-    below span; sx and sy are the least exponents of xt and yt per variable.
-
-    Each operand, shifted by its least exponents, is one int with the
-    packed coefficient of e in block pos(e) (_box_layout) of 2k-1 slots,
-    the slots of a product of two packed coefficients.  One multiply sums
-    every pair into the block of its exponent sum; `pack` is chosen as for
-    the pair loop, so no kept block carries, and dropped pairs land at
-    span^f or above, where decode does not read."""
-    f = len(sx)
-    weights, keys = _BOX_LAYOUTS[f, span]
-    count = span**f
-    width = (2 * k - 1) * pack.bits // 8
+    A row, the terms with one prefix (every exponent but the last), is one
+    int: the packed coefficient of last exponent low+i in block i of 2k-1
+    slots, the slots of a product of two packed coefficients.  Row pairs
+    run in order of least total degree with the pair loop's early exit; a
+    pair's product is added to the running sum of its output prefix, which
+    is shifted up first when the pair starts below it.  `pack` is chosen as
+    for the pair loop, so no block carries, and pairs at or above the bound
+    sit in blocks above the ones decoded."""
+    stride = 2 * k - 1
+    block = stride * pack.bits
+    width = block // 8
     pk = pack.table
 
-    def kronecker(terms, low):
-        base = sum(map(mul, low, weights))
-        blocks = [bytes(width)] * count
+    def rows(terms):
+        by_prefix = {}
         for e, c in terms.items():
-            pos = sum(map(mul, e, weights)) - base
-            if pos < count:
-                blocks[pos] = pk[c].to_bytes(width, "little")
-        return int.from_bytes(b"".join(blocks), "little")
+            by_prefix.setdefault(e[:-1], {})[e[-1]] = c
+        out = []
+        for prefix, row in by_prefix.items():
+            low = min(row)
+            blocks = [bytes(width)] * (max(row) - low + 1)
+            for e, c in row.items():
+                blocks[e - low] = pk[c].to_bytes(width, "little")
+            v = int.from_bytes(b"".join(blocks), "little")
+            out.append((sum(prefix) + low, prefix, low, v))
+        out.sort(key=lambda r: r[0])
+        return out
 
-    out = pack.decode(kronecker(xt, sx) * kronecker(yt, sy), count, 2 * k - 1)
-    shift = tuple(map(add, sx, sy))
-    if any(shift):
-        return {tuple(map(add, e, shift)): c for e, c in zip(keys, out) if c}
-    return {e: c for e, c in zip(keys, out) if c}
+    ys = rows(yt)
+    sums = {}
+    for dx, px, lx, vx in rows(xt):
+        rem = bound - dx
+        for dy, py, ly, vy in ys:
+            if dy >= rem:
+                break
+            key = tuple(map(add, px, py))
+            low = lx + ly
+            run = sums.get(key)
+            if run is None:
+                sums[key] = [low, vx * vy]
+            elif low >= run[0]:
+                run[1] += vx * vy << block * (low - run[0])
+            else:
+                run[1] = (run[1] << block * (run[0] - low)) + vx * vy
+                run[0] = low
+    out = {}
+    for key, (low, v) in sums.items():
+        count = min(-(-v.bit_length() // block), bound - sum(key) - low)
+        for e, c in enumerate(pack.decode(v, count, stride), low):
+            if c:
+                out[key + (e,)] = c
+    return out
 
 
 def _accumulate(fld, out, terms, cutoff=INF, w=1):

@@ -318,13 +318,6 @@ def rank_for_S(params: RhoParams, S) -> int:
     return len(S)
 
 
-def jh_pi1(params: RhoParams, S) -> frozenset:
-    """Constituents of jh_D0 whose positive support lies in S."""
-    if not is_admissible_S(params, S):
-        raise InadmissibleS("family is not admissible")
-    return _supported_in(_by_positive_support(jh_D0(params)), S)
-
-
 def _by_positive_support(block):
     # the weights of block grouped by the mask of {j : b_j >= 1}
     groups = {}

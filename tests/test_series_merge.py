@@ -13,13 +13,17 @@ bounded product and power (`mul_below`, `pow_below`) must give the terms and
 cutoff of the reference product or power truncated afterwards, on Laurent
 supports, the zero element and exact (INF) cutoffs.
 
-Products of two or more terms each take the pair loop or, when the operands
-fill their box of exponents, the dense path (one big-int multiply,
-`_dense_mul_terms`); both must equal `reference_mul_terms`.  A spy on the
-dense path pins which products take it: box-shaped operands at every f, the
-f <= 2 worst-case slot loads and the p=13 f=2 Frobenius row do, the cold
-p=17 f=3 phigamma job never does.  A lane one size too narrow must change
-the dense worst-case product, so a wrong width cannot hide in that path.
+Products of two or more terms each take the pair loop or, when the
+operands hold at least 4 term pairs per row pair (a row being the terms
+that share every exponent but the last), the dense path: the row product
+`_row_mul_terms`, one big-int multiply per row pair.  Both must equal
+`reference_mul_terms`, also when rows of one output prefix start at
+different last exponents.  A spy on the row product pins which products
+take it: box-shaped operands at every f, the worst-case slot loads, all 20
+products of the p=17 f=3 additivity row and the p=13 f=2 Frobenius row do,
+the cold p=17 f=3 phigamma job (about one term per row) never does.  A lane
+one size too narrow must change the dense worst-case product, so a wrong
+width cannot hide in that path.
 """
 
 import collections
@@ -28,9 +32,10 @@ import math
 import sys
 import threading
 import time
+from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from modpcheck import arith, iwasawa
@@ -45,6 +50,7 @@ from modpcheck.iwasawa import (
     _mul_terms,
     _sorted_by_degree,
     chart_context,
+    check_exponent_additivity,
     check_frobenius_generators,
     check_torus_eigenvector,
 )
@@ -273,15 +279,15 @@ def test_box_product_matches_field_op_reference(data):
 
 
 def spy_dense(monkeypatch):
-    """Count the calls of the dense product path by f, from now on."""
+    """Count the calls of the row product by f, from now on."""
     calls = collections.Counter()
-    real = iwasawa._dense_mul_terms
+    real = iwasawa._row_mul_terms
 
-    def spy(k, pack, xt, sx, *rest):
-        calls[len(sx)] += 1
-        return real(k, pack, xt, sx, *rest)
+    def spy(k, pack, xt, *rest):
+        calls[len(next(iter(xt)))] += 1
+        return real(k, pack, xt, *rest)
 
-    monkeypatch.setattr(iwasawa, "_dense_mul_terms", spy)
+    monkeypatch.setattr(iwasawa, "_row_mul_terms", spy)
     return calls
 
 
@@ -289,6 +295,36 @@ def test_box_products_take_the_dense_path_at_every_f(monkeypatch):
     dense = spy_dense(monkeypatch)
     test_box_product_matches_field_op_reference()
     assert set(dense) == {1, 2, 3}
+
+
+def staggered_rows(fld, f, lows):
+    """One row per prefix (i, 0, ..., 0), i < len(lows), holding the last
+    exponents lows[i] .. lows[i] + 3 with nonzero coefficients."""
+    pad = (0,) * (f - 2)
+    return {(i, *pad, e): (7 * i + 3 * e) % (fld.q - 1) + 1
+            for i, low in enumerate(lows) for e in range(low, low + 4)}
+
+
+@given(st.sampled_from([2, 3]),
+       st.lists(st.integers(-10, 6), min_size=2, max_size=4),
+       st.lists(st.integers(-10, 6), min_size=2, max_size=4),
+       st.one_of(st.integers(-12, 16), st.just(INF)))
+@example(2, [0, 0], [-10, 5], 8)
+@example(2, [0, 0], [-10, 5], INF)
+@example(3, [0, 0], [-10, 5], 8)
+@example(3, [0, 0], [-10, 5], INF)
+def test_rows_of_one_prefix_at_different_starts_match_reference(f, xlows, ylows, bound):
+    # output prefix (1, 0, ...) sums row pairs (0, 1) and (1, 0).  In the
+    # examples, x*y meets (0, 1) first, starting at 5, then (1, 0) at -10,
+    # so the running sum is shifted up; y*x meets (1, 0) first and shifts
+    # the later product instead
+    fld = Fq(*{2: (13, 2), 3: (5, 3)}[f])
+    xt = staggered_rows(fld, f, xlows)
+    yt = staggered_rows(fld, f, ylows)
+    for a, b in ((xt, yt), (yt, xt)):
+        with mock.patch.object(iwasawa, "_row_mul_terms", wraps=iwasawa._row_mul_terms) as rows:
+            assert _mul_terms(fld, a, b, bound) == reference_mul_terms(fld, a, b, bound)
+        assert rows.called
 
 
 def worst_case_box(fld, f, side):
@@ -299,14 +335,13 @@ def worst_case_box(fld, f, side):
 def test_product_at_worst_case_slot_load(p, f, side, monkeypatch):
     # a full box of exponents with every coefficient q-1: the key
     # (side-1, ..., side-1) receives side^f = min(len) products, each
-    # filling the middle slot to k*(p-1)^2.  The box squared has degree
-    # span D = 2f(side-1)+1, so at f=3 (side^6 < 4*D^3) the pair loop
-    # takes it and at f <= 2 the dense path
+    # filling the middle slot to k*(p-1)^2.  Each operand has side terms
+    # per row, so side^2 >= 4 term pairs per row pair: the dense path
     dense = spy_dense(monkeypatch)
     fld = Fq(p, f)
     xt = worst_case_box(fld, f, side)
     assert _mul_terms(fld, xt, xt, INF) == reference_mul_terms(fld, xt, xt, INF)
-    assert set(dense) == ({f} if f < 3 else set())
+    assert dense == {f: 1}
 
 
 def test_undersized_lane_breaks_the_dense_product(monkeypatch):
@@ -323,6 +358,15 @@ def test_undersized_lane_breaks_the_dense_product(monkeypatch):
     assert dense[2] == 1
 
 
+def test_additivity_products_take_the_dense_path_at_p17_f3(monkeypatch):
+    # the operands of the 20 products n(g)*n(h) hold 2 to 12 terms per row
+    # on average, the f=3 chart products about one
+    ctx = chart_context(17, 3)
+    dense = spy_dense(monkeypatch)
+    assert check_exponent_additivity(ctx).passed
+    assert dense == {3: 20}
+
+
 def test_frobenius_row_takes_the_dense_path_at_p13_f2(monkeypatch):
     ctx = chart_context(13, 2)
     dense = spy_dense(monkeypatch)
@@ -331,7 +375,8 @@ def test_frobenius_row_takes_the_dense_path_at_p13_f2(monkeypatch):
 
 
 def test_cold_f3_phigamma_job_never_takes_the_dense_path(monkeypatch):
-    # the f=3 products are sparse in their box: the pair loop does them all
+    # the f=3 chart products hold about one term per row: the pair loop
+    # does them all
     monkeypatch.setattr(iwasawa, "_CTX_CACHE", Memo(ChartContext))
     dense = spy_dense(monkeypatch)
     rep = run_suite(RunConfig(p=17, f=3, r=(7, 8, 7), jrho=(0,), suites=("phigamma",)))
