@@ -192,7 +192,11 @@ def dense_multiplicative(ctx, coeffs, bound):
     return AElement(ctx.field, ctx.f, bound, terms)
 
 
-@pytest.mark.parametrize("p,f,cutoff", [(11, 1, 40), (13, 2, 30), (17, 3, 24)])
+# (5, 3, 20) has depth 16 > p, so its middle and last rows read two base-p
+# digits of the lift coordinates; (3, 4, 9) has two middle rows and p = 2
+# at f = 5 three
+@pytest.mark.parametrize("p,f,cutoff", [(11, 1, 40), (13, 2, 30), (17, 3, 24),
+                                        (5, 3, 20), (3, 4, 9), (2, 5, 8)])
 def test_y_series_matches_n_series_sum(p, f, cutoff):
     ctx = ChartContext(p, f, cutoff)
     want = reference_y_series(ctx)

@@ -60,6 +60,11 @@ GOLDEN = [
      "532532b607b4849560cac392423c3b85d37fca194724708ebe2b746f0d239262"),
     (RunConfig(p=101, f=1, r=(5,), jrho=(0,), suites=("iwasawa", "phigamma")),
      "ded54642eb86570d6fbe157411214b48c0aea360843b92fa9556ff212a60d55b"),
+    # the only other f=3 field that genericity (p >= 4f+4) and the chart
+    # limit on q admit: a second field, lift chain and Jacobian for the
+    # eigencoordinate sum
+    (RunConfig(p=19, f=3, r=(8, 9, 8), jrho=(0,), suites=("phigamma",)),
+     "682de4a47b9db83dedeac0fb05061394752e329bd4f330569ed89a1dd8a2e2f4"),
 ]
 
 
@@ -70,7 +75,8 @@ GOLDEN = [
                               "p17-f3-identities-weights", "p17-f3-787-identities-weights",
                               "p17-f3-877-identities-weights", "p17-f3-887-identities-weights",
                               "p17-f3-all", "p23-f4-identities-weights",
-                              "p11-f1-cutoff121-N4", "p101-f1-N2"])
+                              "p11-f1-cutoff121-N4", "p101-f1-N2",
+                              "p19-f3-phigamma"])
 def test_report_digest_is_pinned(config, digest):
     report = run_suite(config)
     assert report.passed

@@ -21,9 +21,10 @@ that share every exponent but the last), the dense path: the row product
 different last exponents.  A spy on the row product pins which products
 take it: box-shaped operands at every f, the worst-case slot loads, all 20
 products of the p=17 f=3 additivity row and the p=13 f=2 Frobenius row do,
-the cold p=17 f=3 phigamma job (about one term per row) never does.  A lane
-one size too narrow must change the dense worst-case product, so a wrong
-width cannot hide in that path.
+the cold p=17 f=3 phigamma job (about one term per row) and the
+anti-diagonal worst-case slot loads (one term per row) never do.  A lane
+one size too narrow must change the worst-case product on either path, so
+a wrong width cannot hide in one of them.
 """
 
 import collections
@@ -356,6 +357,38 @@ def test_undersized_lane_breaks_the_dense_product(monkeypatch):
     monkeypatch.setattr(iwasawa, "packing", _undersized(iwasawa.packing))
     assert _mul_terms(fld, xt, xt, INF) != want
     assert dense[2] == 1
+
+
+def anti_diagonal(fld, f, n):
+    """n terms (i, n-1-i, 0, ...) with coefficient q-1: one term per row, so
+    the product of two of them takes the pair loop, and x*x gives the key
+    (n-1, n-1, 0, ...) n = min(len) products that each fill the middle slot
+    to k*(p-1)^2."""
+    pad = (0,) * (f - 2)
+    return {(i, n - 1 - i, *pad): fld.q - 1 for i in range(n)}
+
+
+@pytest.mark.parametrize("p,f,n", [(13, 2, 256), (17, 3, 100)])
+def test_pair_loop_at_worst_case_slot_load(p, f, n, monkeypatch):
+    dense = spy_dense(monkeypatch)
+    fld = Fq(p, f)
+    xt = anti_diagonal(fld, f, n)
+    assert _mul_terms(fld, xt, xt, INF) == reference_mul_terms(fld, xt, xt, INF)
+    assert not dense
+
+
+def test_undersized_lane_breaks_the_pair_loop(monkeypatch):
+    # 256 products of 288 at p=13 f=2 put 73,728, between 2^16 and 2^17, in
+    # one slot: on the 16-bit lane below the 32-bit one it needs, the pair
+    # loop's sums carry between slots and must differ from the reference
+    fld = Fq(13, 2)
+    xt = anti_diagonal(fld, 2, 256)
+    want = reference_mul_terms(fld, xt, xt, INF)
+    assert iwasawa.packing(fld, 2 * 12**2, len(xt)).bits == 32
+    dense = spy_dense(monkeypatch)
+    monkeypatch.setattr(iwasawa, "packing", _undersized(iwasawa.packing))
+    assert _mul_terms(fld, xt, xt, INF) != want
+    assert not dense
 
 
 def test_additivity_products_take_the_dense_path_at_p17_f3(monkeypatch):
