@@ -31,20 +31,20 @@ truncated at once take the caller's bound (mul_below, pow_below), and a
 power x^n known below B reads x only below B - (n-1)*fdeg(x): relative
 precision (Caruso, Roe and Vaccon, LMS J. Comput. Math. 17A, 2014).
 
-Two routines make every binomial expansion from the Lucas rows C(c, m) mod p
-of _binomial_row: _binomial_product gives prod_l (1 + T_l)^(c_l) below a
-depth (the generator series, the unit-action factors; the eigencoordinate
-sum multiplies the rows with _row_product), and _binomial_series raises a
-series 1 + v to an integer or p-adic power (inverses, the unit action,
-p-adic powers of the unit ratios).
+Every binomial expansion reads the Lucas rows C(c, m) mod p of
+_binomial_row: _binomial_product gives prod_l (1 + T_l)^(c_l) below a depth
+(the generator series, the unit-action factors), the eigencoordinate sum
+takes the rows as dense lists, and _binomial_series raises a series 1 + v
+to an integer or p-adic power (inverses, the unit action, p-adic powers of
+the unit ratios).
 """
 
 import functools
 import math
 import random
 from dataclasses import dataclass
-from itertools import repeat
-from operator import add, mul
+from itertools import compress, groupby, repeat
+from operator import add, mod, mul
 
 from .arith import Fq, Memo, WittRing, gauss_jordan, packing, witt_precision
 from .errors import (
@@ -74,10 +74,16 @@ def _binomial_row(p, c, length):
     By Lucas's theorem C(c, m) mod p is the product of the binomials of the
     base-p digits of c and m, so for m < p^e it depends on c mod p^e only.
     """
+    return _LUCAS_ROWS[p, c % _lucas_modulus(p, length), length]
+
+
+def _lucas_modulus(p, length):
+    """The least power of p at least `length`: the rows of _binomial_row of
+    that length are those of the classes modulo it."""
     pe = p
     while pe < length:
         pe *= p
-    return _LUCAS_ROWS[p, c % pe, length]
+    return pe
 
 
 def _lucas_row(p, r, length):
@@ -606,55 +612,91 @@ class ChartContext:
         """Coefficients of Y_0 = sum over units a of a^{-1} n([a]).
 
         The coefficient of T^beta is sum_a a^{-1} prod_l C(c_l(a), beta_l)
-        mod p, with c_l(a) the coordinates of the Teichmuller lift of a, the
-        lifts being the powers of the lift of the field generator.
+        mod p, with c_l(a) the coordinates of the Teichmuller lift of a.
+        The binomials read c_l(a) modulo pe = _lucas_modulus(p, depth) only,
+        so the lifts are kept mod pe, as f lists of coordinates over the
+        powers [g]^i of the generator's lift, built by doubling: the lifts
+        of [g]^(n+i), i < n, are those of [g]^i times the f x f matrix of
+        multiplication by [g]^n.
 
         The sum is Kronecker-packed: a^{-1} is a _Packing int with S-bit
         slots, and the binomials of the last variable for all exponents
-        m < depth sit in consecutive k*S-bit blocks of one int, so one
-        product adds a unit's contribution to every m at once.  It is summed
-        one first-coordinate row (_binomial_row) at a time, by sum
-        factorization: the units are grouped by that row, each group sums
-        a^{-1} * (middle product, _row_product) * (last row), and each
-        partial sum is multiplied by the group's row once before the next
-        group is summed; f = 1 has one group.  A unit adds at most
-        (p-1)^(f+1) per slot (weight digit * first-row binomial * middle
-        product reduced mod p * last binomial), over q-1 units, so S is the
-        byte lane that `packing` picks for that bound, and _Packing.decode
-        reads the depth - |t| blocks of the sum for each T^t of the other
-        variables.
+        m < depth sit in consecutive k*S-bit blocks of one int, so a unit is
+        one int w = a^{-1} * (last row).  It is summed by sum factorization
+        over the first coordinate, as two dense products of small ints with
+        these big ints: the units are grouped by the residue of their first
+        coordinate; for each middle exponent t (the T^t of the variables
+        between the first and the last, in graded order), a group's part is
+        the dot product of its units' middle products x(t) = prod_l
+        C(c_l, t_l) mod p with their w; then for each first exponent h and
+        each t with h + |t| < depth the sum is the dot product, over the
+        groups, of their first-row binomials C(c_0, h) with their parts at
+        t, and _Packing.decode reads its depth - h - |t| blocks.  f = 1 has
+        one group and no first row, f = 2 no middle variables.
+
+        Every slot of a sum adds, for each unit, at most the product of a
+        weight digit, a first-row binomial, the middle product (reduced mod
+        p) and a last-row binomial, so at most (p-1)^(f+1) per unit over
+        q-1 units, in whatever order the products are summed; S is the
+        byte lane that `packing` picks for that bound.
         """
         fld, ring = self.field, self.ring
-        p, f, depth = self.p, self.f, self.tdepth
-        pack = packing(fld, (p - 1) ** (f + 1), self.q - 1)
+        p, f, depth, units = self.p, self.f, self.tdepth, self.q - 1
+        pack = packing(fld, (p - 1) ** (f + 1), units)
         width = fld.k * pack.bits
-        # C(c, m) mod p for m < depth, packed in blocks, once per distinct row
-        packed = functools.cache(lambda row: sum(b << (width * m) for m, b in enumerate(row)))
-        head = min(f - 1, 1)  # the first coordinate, unless it is the last
-        # a unit is kept as its packed weight and its middle and last rows,
-        # which _binomial_row shares between units
-        groups, lift, teich_gen = {}, ring.one, ring.teichmuller(fld.generator)
-        for a in fld.EXP:  # generator powers, in step with their lifts
-            rows = tuple(_binomial_row(p, c, depth) for c in lift)
-            groups.setdefault(rows[:head], []).append((pack.table[fld.inv(a)],) + rows[head:])
-            lift = ring.mul(lift, teich_gen)
-        acc = {}
-        for first, units in groups.items():
-            part = {}
-            for w, *middle, last in units:
-                wl = w * packed(last)
-                for t, x in _row_product(p, middle, depth).items():
-                    part[t] = part.get(t, 0) + x * wl
-            for h, b in _row_product(p, first, depth).items():
-                for t, v in part.items():
-                    if sum(h) + sum(t) < depth:
-                        acc[h + t] = acc.get(h + t, 0) + b * v
+        pe = _lucas_modulus(p, depth)
+        row = functools.cache(lambda c: _binomial_row(p, c, depth))
+        packed = functools.cache(lambda c: sum(b << (width * m) for m, b in enumerate(row(c))))
+        basis = [tuple(int(i == j) for i in range(f)) for j in range(f)]
+        cols, x = [[int(l == 0)] for l in range(f)], ring.teichmuller(fld.generator)
+        while len(cols[0]) < units:
+            mat = [ring.mul(x, e) for e in basis]  # column j is x * e_j
+            # coordinate i of the next lifts: sum_j mat[j][i] * cols[j], elementwise
+            new = [list(map(mod, functools.reduce(functools.partial(map, add),
+                                                  [map(mul, repeat(xj[i]), c)
+                                                   for xj, c in zip(mat, cols)]), repeat(pe)))
+                   for i in range(f)]
+            for c, more in zip(cols, new):
+                c += more
+            x = ring.mul(x, x)
+        cols = [c[:units] for c in cols]
+        # unit i is a = g^i, so a^{-1} = g^(-i)
+        exp = fld.EXP
+        ws = list(map(mul, map(pack.table.__getitem__, exp[:1] + exp[:0:-1]), map(packed, cols[-1])))
 
+        head = min(f - 1, 1)  # the first coordinate, unless it is the last
+        n = f - 1 - head  # the middle coordinates
+        mid_exps = _graded_exponents(n, depth - 1) if n else [()]
+        mid_res = list(zip(*cols[head:-1])) if n else [()] * units
+        picks = [[t[l] for t in mid_exps] for l in range(n)]
+
+        @functools.cache
+        def middle(cs):
+            # x(t) for the middle exponents t of mid_exps, for these residues
+            out = [1] * len(mid_exps)
+            for c, pick in zip(cs, picks):
+                out = list(map(mod, map(mul, out, map(row(c).__getitem__, pick)), repeat(p)))
+            return out
+
+        first = cols[0] if head else [0] * units
+        parts, first_rows = [], []
+        for c, group in groupby(sorted(range(units), key=first.__getitem__), first.__getitem__):
+            group = list(group)
+            wg = [ws[i] for i in group]
+            parts.append([sum(compress(map(mul, xs, wg), xs))
+                          for xs in zip(*[middle(mid_res[i]) for i in group])])
+            first_rows.append(row(c) if head else (1,))
+        by_t = list(zip(*parts))
         terms = {}
-        for t, v in acc.items():
-            for m, e in enumerate(pack.decode(v, depth - sum(t), fld.k)):
-                if e:
-                    terms[t + (m,)] = e
+        for h, bs in zip([(h,) for h in range(depth)] if head else [()], zip(*first_rows)):
+            for t, vs in zip(mid_exps, by_t):
+                left = depth - sum(h) - sum(t)
+                if left <= 0:
+                    break
+                v = sum(compress(map(mul, bs, vs), bs))
+                for m, e in enumerate(pack.decode(v, left, fld.k)):
+                    if e:
+                        terms[h + t + (m,)] = e
         return terms
 
     # ---- chart conversions ----
