@@ -560,10 +560,11 @@ class ChartContext:
     """The chart at one (p, f, cutoff), shared through chart_context and
     complete when built: the eigencoordinate series y_series, their Jacobian
     M (jacobian) and the shear_steps that substitute M^-1; a singular M
-    raises SingularJacobian here.  Five Memo tables are each filled by one
+    raises SingularJacobian here.  Six Memo tables are each filled by one
     builder method: Y^m (_y_power), leading-form images (_shear_image), unit
     data (unit_data, _split_unit), conversion blocks (convb,
-    _conversion_block) and distortion pieces (u1_pieces, _u1_pieces)."""
+    _conversion_block), distortion pieces (u1_pieces, _u1_pieces) and their
+    binomial powers (unit_powers, _unit_power)."""
 
     def __init__(self, p, f, cutoff):
         self.p = p
@@ -579,6 +580,7 @@ class ChartContext:
         self.convb = Memo(self._conversion_block)
         self.unit_data = Memo(self._split_unit)
         self.u1_pieces = Memo(self._u1_pieces)
+        self.unit_powers = Memo(self._unit_power)
         self._ypow_cache = Memo(self._y_power)
         self._form_cache = Memo(self._shear_image)
         self.y_series = self._eigencoordinates()
@@ -868,6 +870,11 @@ class ChartContext:
             vs.append(yinv.mul_below(acc, self.D - 1))
         return tuple(vs)
 
+    def _unit_power(self, dmat, j, e, need):
+        """(1 + v_j)^e below `need`, v_j the distortion piece at slot j of
+        the digit matrix dmat: the factor of Y_j^e in unit_action."""
+        return _binomial_series(self.u1_pieces[dmat][j], e, need)
+
     def teich_weight(self, a0, k):
         """Eigenvalue of [a0] on the monomial with exponent k."""
         e = sum(kj * self.p**j for j, kj in enumerate(k)) % (self.q - 1)
@@ -916,7 +923,6 @@ def unit_action(ctx, u, x):
     f = ctx.f
     if data.dmat is None and data.a0 == 1:
         return x
-    vs = ctx.u1_pieces[data.dmat] if data.dmat is not None else None
     d0 = fdeg(x)
     if d0 == INF:
         return x
@@ -925,11 +931,11 @@ def unit_action(ctx, u, x):
     for k, c in x.terms.items():
         w = fld.mul(c, ctx.teich_weight(data.a0, k))
         term = AElement.monomial(fld, f, k, w, cutoff=bound)
-        if vs is not None:
+        if data.dmat is not None:
             need = bound - sum(k)  # depth the unit factors must reach
             for j, e in enumerate(k):
                 if e:
-                    term = term.mul_below(_binomial_series(vs[j], e, need), bound)
+                    term = term.mul_below(ctx.unit_powers[data.dmat, j, e, need], bound)
         acc = acc + term
     return acc.copy_truncated(bound)
 
