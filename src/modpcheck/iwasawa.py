@@ -39,6 +39,7 @@ to an integer or p-adic power (inverses, the unit action, p-adic powers of
 the unit ratios).
 """
 
+import bisect
 import functools
 import math
 import random
@@ -625,16 +626,16 @@ class ChartContext:
         slots, and the binomials of the last variable for all exponents
         m < depth sit in consecutive k*S-bit blocks of one int, so a unit is
         one int w = a^{-1} * (last row).  It is summed by sum factorization
-        over the first coordinate, as two dense products of small ints with
-        these big ints: the units are grouped by the residue of their first
-        coordinate; for each middle exponent t (the T^t of the variables
-        between the first and the last, in graded order), a group's part is
-        the dot product of its units' middle products x(t) = prod_l
-        C(c_l, t_l) mod p with their w; then for each first exponent h and
-        each t with h + |t| < depth the sum is the dot product, over the
-        groups, of their first-row binomials C(c_0, h) with their parts at
-        t, and _Packing.decode reads its depth - h - |t| blocks.  f = 1 has
-        one group and no first row, f = 2 no middle variables.
+        over the first coordinate, on dense lists indexed by the middle
+        exponents t (the T^t of the variables between the first and the
+        last, in graded order).  The units are grouped by the residue of
+        their first coordinate.  A group's part at t is one dot product:
+        its units' middle products x(t) = prod_l C(c_l, t_l) mod p with
+        their w.  Each nonzero first-row binomial b = C(c_0, h) of the group
+        then adds b * part to the sums of the prefixes (h, t), one list
+        axpy per h, kept only for h + |t| < depth.  Each prefix is decoded
+        once at the end, its depth - h - |t| blocks by _Packing.decode.
+        f = 1 has one group and no first row, f = 2 no middle variables.
 
         Every slot of a sum adds, for each unit, at most the product of a
         weight digit, a first-row binomial, the middle product (reduced mod
@@ -664,7 +665,8 @@ class ChartContext:
         cols = [c[:units] for c in cols]
         # unit i is a = g^i, so a^{-1} = g^(-i)
         exp = fld.EXP
-        ws = list(map(mul, map(pack.table.__getitem__, exp[:1] + exp[:0:-1]), map(packed, cols[-1])))
+        inverses = exp[:1] + exp[:0:-1]
+        last = cols[-1]
 
         head = min(f - 1, 1)  # the first coordinate, unless it is the last
         n = f - 1 - head  # the middle coordinates
@@ -681,22 +683,21 @@ class ChartContext:
             return out
 
         first = cols[0] if head else [0] * units
-        parts, first_rows = [], []
+        degs = list(map(sum, mid_exps))
+        heads = [(h,) for h in range(depth)] if head else [()]
+        acc = {h: [0] * bisect.bisect_left(degs, depth - sum(h)) for h in heads}
         for c, group in groupby(sorted(range(units), key=first.__getitem__), first.__getitem__):
             group = list(group)
-            wg = [ws[i] for i in group]
-            parts.append([sum(compress(map(mul, xs, wg), xs))
-                          for xs in zip(*[middle(mid_res[i]) for i in group])])
-            first_rows.append(row(c) if head else (1,))
-        by_t = list(zip(*parts))
+            wg = [pack.table[inverses[i]] * packed(last[i]) for i in group]
+            part = [sum(compress(map(mul, xs, wg), xs))
+                    for xs in zip(*[middle(mid_res[i]) for i in group])]
+            for h, b in zip(heads, row(c) if head else (1,)):
+                if b:
+                    acc[h] = list(map(add, acc[h], map(mul, repeat(b), part)))
         terms = {}
-        for h, bs in zip([(h,) for h in range(depth)] if head else [()], zip(*first_rows)):
-            for t, vs in zip(mid_exps, by_t):
-                left = depth - sum(h) - sum(t)
-                if left <= 0:
-                    break
-                v = sum(compress(map(mul, bs, vs), bs))
-                for m, e in enumerate(pack.decode(v, left, fld.k)):
+        for h, vs in acc.items():
+            for t, v in zip(mid_exps, vs):
+                for m, e in enumerate(pack.decode(v, depth - sum(h) - sum(t), fld.k)):
                     if e:
                         terms[h + t + (m,)] = e
         return terms
