@@ -39,7 +39,6 @@ to an integer or p-adic power (inverses, the unit action, p-adic powers of
 the unit ratios).
 """
 
-import bisect
 import functools
 import math
 import random
@@ -672,20 +671,16 @@ class ChartContext:
         n = f - 1 - head  # the middle coordinates
         mid_exps = _graded_exponents(n, depth - 1) if n else [()]
         mid_res = list(zip(*cols[head:-1])) if n else [()] * units
-        picks = [[t[l] for t in mid_exps] for l in range(n)]
 
         @functools.cache
         def middle(cs):
             # x(t) for the middle exponents t of mid_exps, for these residues
-            out = [1] * len(mid_exps)
-            for c, pick in zip(cs, picks):
-                out = list(map(mod, map(mul, out, map(row(c).__getitem__, pick)), repeat(p)))
-            return out
+            x = _row_product(p, [row(c) for c in cs], depth)
+            return [x.get(t, 0) for t in mid_exps]
 
         first = cols[0] if head else [0] * units
-        degs = list(map(sum, mid_exps))
         heads = [(h,) for h in range(depth)] if head else [()]
-        acc = {h: [0] * bisect.bisect_left(degs, depth - sum(h)) for h in heads}
+        acc = {h: [0] * sum(sum(t) < depth - sum(h) for t in mid_exps) for h in heads}
         for c, group in groupby(sorted(range(units), key=first.__getitem__), first.__getitem__):
             group = list(group)
             wg = [pack.table[inverses[i]] * packed(last[i]) for i in group]
