@@ -614,33 +614,31 @@ class ChartContext:
         """Coefficients of Y_0 = sum over units a of a^{-1} n([a]).
 
         The coefficient of T^beta is sum_a a^{-1} prod_l C(c_l(a), beta_l)
-        mod p, with c_l(a) the coordinates of the Teichmuller lift of a.
-        The binomials read c_l(a) modulo pe = _lucas_modulus(p, depth) only,
-        so the lifts are kept mod pe, as f lists of coordinates over the
-        powers [g]^i of the generator's lift, built by doubling: the lifts
-        of [g]^(n+i), i < n, are those of [g]^i times the f x f matrix of
-        multiplication by [g]^n.
+        mod p, c_l(a) the coordinates of the Teichmuller lift of a, which
+        the binomials read mod pe = _lucas_modulus(p, depth) only.  The
+        lifts of a = g^i are kept mod pe as f coordinate lists, built by
+        doubling: those of [g]^(n+i), i < n, are those of [g]^i times the
+        f x f matrix of multiplication by [g]^n.
 
         The sum is Kronecker-packed: a^{-1} is a _Packing int with S-bit
-        slots, and the binomials of the last variable for all exponents
-        m < depth sit in consecutive k*S-bit blocks of one int, so a unit is
-        one int w = a^{-1} * (last row).  It is summed by sum factorization
-        over the first coordinate, on dense lists indexed by the middle
-        exponents t (the T^t of the variables between the first and the
-        last, in graded order).  The units are grouped by the residue of
-        their first coordinate.  A group's part at t is one dot product:
-        its units' middle products x(t) = prod_l C(c_l, t_l) mod p with
-        their w.  Each nonzero first-row binomial b = C(c_0, h) of the group
-        then adds b * part to the sums of the prefixes (h, t), one list
-        axpy per h, kept only for h + |t| < depth.  Each prefix is decoded
-        once at the end, its depth - h - |t| blocks by _Packing.decode.
-        f = 1 has one group and no first row, f = 2 no middle variables.
+        slots, and the binomials of the last variable for all m < depth sit
+        in consecutive k*S-bit blocks of one int, so a unit is one int
+        w = a^{-1} * (last row).  It is summed by sum factorization over the
+        first coordinate, on dense lists indexed by the middle exponents t
+        (graded, the T^t of the variables between the first and the last):
+        the units are grouped by the residue of their first coordinate, a
+        group's part at t is the dot product of its units' middle products
+        x(t) = prod_l C(c_l, t_l) mod p with their w, and each nonzero
+        first-row binomial b = C(c_0, h) adds b * part to the sums of the
+        prefixes (h, t) with h + |t| < depth, one list axpy per h.  Each
+        prefix is decoded once, its depth - h - |t| blocks.  f = 1 has one
+        group and no first row, f = 2 no middle variables.
 
-        Every slot of a sum adds, for each unit, at most the product of a
-        weight digit, a first-row binomial, the middle product (reduced mod
-        p) and a last-row binomial, so at most (p-1)^(f+1) per unit over
-        q-1 units, in whatever order the products are summed; S is the
-        byte lane that `packing` picks for that bound.
+        A slot of a sum adds, per unit, at most a weight digit times a
+        first-row binomial, the middle product (reduced mod p) and a
+        last-row binomial: at most (p-1)^(f+1), over q-1 units, in whatever
+        order the products are summed.  S is the byte lane that `packing`
+        picks for that bound.
         """
         fld, ring = self.field, self.ring
         p, f, depth, units = self.p, self.f, self.tdepth, self.q - 1
