@@ -648,9 +648,9 @@ class ChartContext:
         row = functools.cache(lambda c: _binomial_row(p, c, depth))
         packed = functools.cache(lambda c: sum(b << (width * m) for m, b in enumerate(row(c))))
         basis = [tuple(int(i == j) for i in range(f)) for j in range(f)]
-        cols, x = [[int(l == 0)] for l in range(f)], ring.teichmuller(fld.generator)
+        cols, step = [[int(l == 0)] for l in range(f)], ring.teichmuller(fld.generator)
         while len(cols[0]) < units:
-            mat = [ring.mul(x, e) for e in basis]  # column j is x * e_j
+            mat = [ring.mul(step, e) for e in basis]  # column j is step * e_j
             # coordinate i of the next lifts: sum_j mat[j][i] * cols[j], elementwise
             new = [list(map(mod, functools.reduce(functools.partial(map, add),
                                                   [map(mul, repeat(xj[i]), c)
@@ -658,7 +658,7 @@ class ChartContext:
                    for i in range(f)]
             for c, more in zip(cols, new):
                 c += more
-            x = ring.mul(x, x)
+            step = ring.mul(step, step)
         cols = [c[:units] for c in cols]
         # unit i is a = g^i, so a^{-1} = g^(-i)
         exp = fld.EXP
