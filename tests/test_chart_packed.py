@@ -193,8 +193,8 @@ def dense_multiplicative(ctx, coeffs, bound):
 
 
 # (5, 3, 20) has depth 16 > p, so its middle and last rows read two base-p
-# digits of the lift coordinates; (3, 4, 9) has two middle rows and p = 2
-# at f = 5 three
+# digits of the lift coordinates; (3, 4, 9) has two middle rows, and
+# (2, 5, 8), at p = 2, three
 @pytest.mark.parametrize("p,f,cutoff", [(11, 1, 40), (13, 2, 30), (17, 3, 24),
                                         (5, 3, 20), (3, 4, 9), (2, 5, 8)])
 def test_y_series_matches_n_series_sum(p, f, cutoff):
