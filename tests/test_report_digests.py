@@ -65,6 +65,10 @@ GOLDEN = [
     # eigencoordinate sum
     (RunConfig(p=19, f=3, r=(8, 9, 8), jrho=(0,), suites=("phigamma",)),
      "682de4a47b9db83dedeac0fb05061394752e329bd4f330569ed89a1dd8a2e2f4"),
+    # the f=2 chart at cutoff 60: the torus row at depth 60 and 853 row
+    # products of chart series, off every preset
+    (RunConfig(p=13, f=2, r=(5, 6), jrho=(0,), cutoff=60, suites=("iwasawa",)),
+     "3ef7602e33a3b74f2ee560cc6f0153e93b594bc3b8df32a35c2b11d59670254f"),
 ]
 
 
@@ -76,7 +80,7 @@ GOLDEN = [
                               "p17-f3-877-identities-weights", "p17-f3-887-identities-weights",
                               "p17-f3-all", "p23-f4-identities-weights",
                               "p11-f1-cutoff121-N4", "p101-f1-N2",
-                              "p19-f3-phigamma"])
+                              "p19-f3-phigamma", "p13-f2-cutoff60-iwasawa"])
 def test_report_digest_is_pinned(config, digest):
     report = run_suite(config)
     assert report.passed
