@@ -318,12 +318,13 @@ class _Packing:
     turns such a sum back into a field encoding: slots mod p, then
     reduction by the minimal polynomial.
 
-    It serves the iwasawa eigencoordinate sum, the series product
-    (_mul_terms: the dict sums of its pair loop and the big-int row
-    products of _row_mul_terms) and the torus-eigenvector sum; each
-    of them states the bound on one slot of its sums and takes its instance
-    from `packing`, which picks every width as a byte lane, so `decode`
-    turns many blocks of any of them at once.
+    Its users build their blocks with `join`: k-slot element blocks for
+    the unit sums of iwasawa (Y_0 and the torus-eigenvector sum, whose
+    packed elements meet only prime-field values, so they keep to k slots)
+    and (2k-1)-slot product blocks for the row products of _mul_terms,
+    whose pair loop sums single products.  Each states the bound on one
+    slot of its sums and takes its instance from `packing`, which picks
+    every width as a byte lane, so `decode` turns many blocks at once.
     """
 
     def __init__(self, field, bits):
@@ -331,13 +332,12 @@ class _Packing:
         self.p = p = field.p
         k = field.k
         self.mask = (1 << bits) - 1
-        table = []
-        for e in field.elements():
-            v = 0
-            for i, d in enumerate(field.coords(e)):
-                v |= d << (bits * i)
-            table.append(v)
-        self.table = table  # field encoding -> packed
+        # field encoding -> packed, by digit spread: e = d + p*e' packs as
+        # d | packed(e') << bits
+        table = [0]
+        for _ in range(k):
+            table = [d | t << bits for t in table for d in range(p)]
+        self.table = table
         # slot i >= k of a product stands for x^i mod g, so digit j is slot j
         # plus each such slot times the coefficient of x^j in x^i mod g, all
         # mod p; digit_terms holds the (shift, factor) pairs, top digit first
@@ -357,6 +357,12 @@ class _Packing:
                 t += (v >> shift & mask) * r
             e = e * p + t % p
         return e
+
+    def join(self, values, stride):
+        """The int whose block i of `stride` slots holds the packed value
+        values[i], the layout `decode` reads; each value fits its block."""
+        width = stride * self.bits // 8
+        return int.from_bytes(b"".join([v.to_bytes(width, "little") for v in values]), "little")
 
     def decode(self, v, count, stride):
         """encode of each of the `count` blocks of `stride` slots at the

@@ -138,8 +138,8 @@ def _mul_terms(field, xt, yt, bound):
     Otherwise coefficients are multiplied and summed as _Packing ints, by
     one of two paths.  A key receives at most min(len(xt), len(yt))
     products of two reduced packed coefficients, each adding at most
-    k*(p-1)^2 to a slot, and `packing` picks the byte lane that holds that
-    bound for both.
+    k*(p-1)^2 to a slot of its 2k-1, and `packing` picks the byte lane that
+    holds min(len(xt), len(yt)) * k*(p-1)^2 for both.
 
     Row product (_row_mul_terms), when the term pairs are at least 4 times
     the row pairs, a row being the terms that share every exponent but the
@@ -185,52 +185,41 @@ def _row_mul_terms(k, pack, xt, yt, bound):
     multiply per pair of rows (Kronecker substitution in the last variable).
 
     A row, the terms with one prefix (every exponent but the last), is one
-    int: the packed coefficient of last exponent low+i in block i of 2k-1
-    slots, the slots of a product of two packed coefficients.  Row pairs
-    run in order of least total degree with the pair loop's early exit; a
-    pair's product is added to the running sum of its output prefix, which
-    is shifted up first when the pair starts below it.  `pack` is chosen as
-    for the pair loop, so no block carries, and pairs at or above the bound
-    sit in blocks above the ones decoded."""
+    int (_Packing.join): block i of 2k-1 slots, the slots of a product of
+    two packed coefficients, holds the coefficient of last exponent base+i,
+    base the least last exponent of the operand.  So the row-pair products
+    of an output prefix add at one offset and decode from xbase+ybase.  Row
+    pairs run in order of least total degree with the pair loop's early
+    exit.  `pack` is chosen as for the pair loop, so no block carries, and
+    pairs at or above the bound sit in blocks above the ones decoded."""
     stride = 2 * k - 1
     block = stride * pack.bits
-    width = block // 8
     pk = pack.table
 
     def rows(terms):
         by_prefix = {}
         for e, c in terms.items():
             by_prefix.setdefault(e[:-1], {})[e[-1]] = c
-        out = []
-        for prefix, row in by_prefix.items():
-            low = min(row)
-            blocks = [bytes(width)] * (max(row) - low + 1)
-            for e, c in row.items():
-                blocks[e - low] = pk[c].to_bytes(width, "little")
-            v = int.from_bytes(b"".join(blocks), "little")
-            out.append((sum(prefix) + low, prefix, low, v))
+        base = min(e[-1] for e in terms)
+        out = [(sum(prefix) + min(row), prefix,
+                pack.join([pk[row.get(e, 0)] for e in range(base, max(row) + 1)], stride))
+               for prefix, row in by_prefix.items()]
         out.sort(key=lambda r: r[0])
-        return out
+        return base, out
 
-    ys = rows(yt)
+    xbase, xs = rows(xt)
+    ybase, ys = rows(yt)
     sums = {}
-    for dx, px, lx, vx in rows(xt):
+    for dx, px, vx in xs:
         rem = bound - dx
-        for dy, py, ly, vy in ys:
+        for dy, py, vy in ys:
             if dy >= rem:
                 break
             key = tuple(map(add, px, py))
-            low = lx + ly
-            run = sums.get(key)
-            if run is None:
-                sums[key] = [low, vx * vy]
-            elif low >= run[0]:
-                run[1] += vx * vy << block * (low - run[0])
-            else:
-                run[1] = (run[1] << block * (run[0] - low)) + vx * vy
-                run[0] = low
+            sums[key] = sums.get(key, 0) + vx * vy
+    low = xbase + ybase
     out = {}
-    for key, (low, v) in sums.items():
+    for key, v in sums.items():
         count = min(-(-v.bit_length() // block), bound - sum(key) - low)
         for e, c in enumerate(pack.decode(v, count, stride), low):
             if c:
@@ -622,8 +611,8 @@ class ChartContext:
 
         The sum is Kronecker-packed: a^{-1} is a _Packing int with S-bit
         slots, and the binomials of the last variable for all m < depth sit
-        in consecutive k*S-bit blocks of one int, so a unit is one int
-        w = a^{-1} * (last row).  It is summed by sum factorization over the
+        in consecutive k-slot element blocks of one int (_Packing.join), so
+        a unit is one int w = a^{-1} * (last row).  It is summed by sum factorization over the
         first coordinate, on dense lists indexed by the middle exponents t
         (graded, the T^t of the variables between the first and the last):
         the units are grouped by the residue of their first coordinate, a
@@ -635,18 +624,18 @@ class ChartContext:
         group and no first row, f = 2 no middle variables.
 
         A slot of a sum adds, per unit, at most a weight digit times a
-        first-row binomial, the middle product (reduced mod p) and a
-        last-row binomial: at most (p-1)^(f+1), over q-1 units, in whatever
-        order the products are summed.  S is the byte lane that `packing`
-        picks for that bound.
+        first-row binomial, the middle product (reduced mod p, so one factor
+        of at most p-1 whatever the middle count) and a last-row binomial:
+        at most (p-1)^min(f+1, 4), over q-1 units, in whatever order the
+        products are summed.  S is the byte lane that `packing` picks for
+        that bound.
         """
         fld, ring = self.field, self.ring
         p, f, depth, units = self.p, self.f, self.tdepth, self.q - 1
-        pack = packing(fld, (p - 1) ** (f + 1), units)
-        width = fld.k * pack.bits
+        pack = packing(fld, (p - 1) ** min(f + 1, 4), units)
         pe = _lucas_modulus(p, depth)
         row = functools.cache(lambda c: _binomial_row(p, c, depth))
-        packed = functools.cache(lambda c: sum(b << (width * m) for m, b in enumerate(row(c))))
+        packed = functools.cache(lambda c: pack.join(row(c), fld.k))
         basis = [tuple(int(i == j) for i in range(f)) for j in range(f)]
         cols, step = [[int(l == 0)] for l in range(f)], ring.teichmuller(fld.generator)
         while len(cols[0]) < units:
@@ -1007,15 +996,17 @@ def check_torus_eigenvector(ctx):
     for all a, b; only a failing chain sweeps every pair for the first
     witness.
 
-    The sum over b of b^(-p^j) n([ab]) is Kronecker-packed.  Each n([c]) is
-    one int with a block of 2k-1 slots per monomial of degree < depth (in
-    the order of _graded_exponents) holding its _Packing coefficient, so the
-    sum for one (a, j) is q-1 int multiply-adds, decoded in one pass
-    (_Packing.decode) and compared with a^(p^j) Y_j as dense lists; only a
-    failing (a, j) builds the dict and the difference that count its
-    discrepancies.  The sum adds q-1 products of two reduced packed
-    coefficients, each at most k*(p-1)^2 in a slot, and `packing` picks the
-    byte lane that holds it.
+    The sum over b of b^(-p^j) n([ab]) is Kronecker-packed in the layout
+    of the Y_0 sum: each n([c]) is one int (_Packing.join) with a k-slot
+    element block per monomial of degree < depth (in the order of
+    _graded_exponents) holding its coefficient, a prime-field value.  A
+    packed weight times such an int stays in the k slots of each block, so
+    the sum for one (a, j) is q-1 int multiply-adds, decoded in one pass at
+    stride k (_Packing.decode) and compared with a^(p^j) Y_j as dense lists;
+    only a failing (a, j) builds the dict and the difference that count its
+    discrepancies.  A slot adds a weight digit times a coefficient, at most
+    (p-1)^2, over q-1 units, and `packing` picks the byte lane that holds
+    (p-1)^2 (q-1).
     """
     sweep = Sweep("torus-reindex-eigenvector")
     fld, ring = ctx.field, ctx.ring
@@ -1030,27 +1021,22 @@ def check_torus_eigenvector(ctx):
                 if ring.mul(lifts[a], lifts[b]) != lifts[fld.mul(a, b)]:
                     sweep.check(False, a=a, b=b, stage="teichmuller-product")
                     return sweep.result()
-    pack = packing(fld, fld.k * (fld.p - 1) ** 2, fld.q - 1)
-    pk = pack.table
-    stride = 2 * fld.k - 1
+    pack = packing(fld, (fld.p - 1) ** 2, fld.q - 1)
     monomials = _graded_exponents(ctx.f, depth - 1)
-    # n([c]) as one int of little-endian blocks of 2k-1 lanes, for c = EXP[i]
-    # in order and then once more, so n([a*EXP[i]]) is packed[LOG[a] + i]
-    block = [e.to_bytes(stride * pack.bits // 8, "little") for e in pk]
-    packed = []
-    for c in fld.EXP:
-        terms = ctx.n_series(lifts[c], depth).terms
-        packed.append(int.from_bytes(b"".join([block[terms.get(m, 0)] for m in monomials]),
-                                     "little"))
+    # n([c]) as one int of k-slot element blocks, for c = EXP[i] in order
+    # and then once more, so n([a*EXP[i]]) is packed[LOG[a] + i]; its
+    # coefficients are prime-field encodings, their own packed values
+    packed = [pack.join([terms.get(m, 0) for m in monomials], fld.k)
+              for terms in (ctx.n_series(lifts[c], depth).terms for c in fld.EXP)]
     packed *= 2
-    weights = [[pk[fld.inv(fld.frob(b, j))] for b in fld.EXP]  # b^(-p^j), b = EXP[i]
+    weights = [[pack.table[fld.inv(fld.frob(b, j))] for b in fld.EXP]  # b^(-p^j), b = EXP[i]
                for j in range(ctx.f)]
     dense = [[y.terms.get(m, 0) for m in monomials] for y in ctx.y_series]
     for a in units:
         nab = packed[fld.LOG[a]:fld.LOG[a] + fld.q - 1]  # n([ab]), b = EXP[i]
         for j in range(ctx.f):
             v = sum(map(mul, weights[j], nab))
-            got = pack.decode(v, len(monomials), stride)
+            got = pack.decode(v, len(monomials), fld.k)
             ok = got == list(map(fld.mul, repeat(fld.frob(a, j)), dense[j]))
             bad = 0
             if not ok:

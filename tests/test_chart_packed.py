@@ -55,6 +55,13 @@ def reference_y_series(ctx):
     return tuple(ys)
 
 
+@functools.cache
+def cached_reference_y_series(p, f, cutoff):
+    """reference_y_series of ChartContext(p, f, cutoff), built once per
+    session: at (17, 3, 24) it takes about 5 s."""
+    return reference_y_series(ChartContext(p, f, cutoff))
+
+
 def jacobian_inverse(ctx):
     """M^-1 = E_n...E_1 for the row operations E_k that reduce the Jacobian M
     to I, applied in order to the identity; checked to be a left inverse."""
@@ -194,12 +201,14 @@ def dense_multiplicative(ctx, coeffs, bound):
 
 # (5, 3, 20) has depth 16 > p, so its middle and last rows read two base-p
 # digits of the lift coordinates; (3, 4, 9) has two middle rows, and
-# (2, 5, 8), at p = 2, three
+# (2, 5, 8), at p = 2, three; at (3, 6, 6) the reduced middle product keeps
+# the slot bound at (p-1)^4 (q-1), 14 bits, so the sum runs in the 16-bit
+# lane where (p-1)^(f+1) (q-1) would ask for the 32-bit one
 @pytest.mark.parametrize("p,f,cutoff", [(11, 1, 40), (13, 2, 30), (17, 3, 24),
-                                        (5, 3, 20), (3, 4, 9), (2, 5, 8)])
+                                        (5, 3, 20), (3, 4, 9), (2, 5, 8), (3, 6, 6)])
 def test_y_series_matches_n_series_sum(p, f, cutoff):
     ctx = ChartContext(p, f, cutoff)
-    want = reference_y_series(ctx)
+    want = cached_reference_y_series(p, f, cutoff)
     got = ctx.y_series
     assert [y.cutoff for y in got] == [y.cutoff for y in want]
     assert [y.terms for y in got] == [y.terms for y in want]
@@ -294,7 +303,7 @@ def test_undersized_slot_width_is_caught_at_f3(monkeypatch):
     # can carry into its neighbour: the 16-bit lane below the 32-bit one
     # that its 29-bit bound needs (a rule that forgets the term count asks
     # for 17 bits and so lands on the same 32-bit lane)
-    want_y = reference_y_series(ChartContext(17, 3, 24))
+    want_y = cached_reference_y_series(17, 3, 24)
 
     monkeypatch.setattr(iwasawa, "packing", _undersized(iwasawa.packing))
     bad = ChartContext(17, 3, 24)

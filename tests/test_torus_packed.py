@@ -131,14 +131,15 @@ def _spy_packing(monkeypatch, rule=packing):
 
 
 def test_slot_width_formula_is_pinned(monkeypatch):
-    # S = bit length of k*(p-1)^2 * (q-1), and the row reads its sums in
-    # the narrowest byte lane that holds S bits
+    # S = bit length of (p-1)^2 * (q-1): a packed weight times a prime-field
+    # coefficient, summed over the units; the row reads its sums in the
+    # narrowest byte lane that holds S bits
     ctx = chart_context(13, 2)
     calls = _spy_packing(monkeypatch)
     check_torus_eigenvector(ctx)
-    assert calls == [(2 * 144, 168, 16)]
-    assert [(f * (p - 1) ** 2 * (p**f - 1)).bit_length() for p, f in FIELDS] == [10, 10, 12, 16]
-    assert [packing(Fq(p, f), f * (p - 1) ** 2, p**f - 1).bits for p, f in FIELDS] == [16] * 4
+    assert calls == [(144, 168, 16)]
+    assert [((p - 1) ** 2 * (p**f - 1)).bit_length() for p, f in FIELDS] == [10, 9, 11, 15]
+    assert [packing(Fq(p, f), (p - 1) ** 2, p**f - 1).bits for p, f in FIELDS] == [16] * 4
     lanes = [packing(Fq(11, 1), 1, 2**b - 1).bits for b in (1, 8, 9, 16, 17, 32, 33, 64)]
     assert lanes == [8, 8, 16, 16, 32, 32, 64, 64]
 
@@ -156,8 +157,8 @@ def test_narrowed_slots(monkeypatch, cut, passes):
 
 @pytest.mark.parametrize("lane,passes", [(16, True), (8, False)])
 def test_narrowed_lane(monkeypatch, lane, passes):
-    # at p=13, f=2 the slot bound is exactly 16 bits, so its lane holds the
-    # sums and the next lane down lets slots carry into their neighbours
+    # at p=13, f=2 the slot bound is 15 bits, so its lane holds the sums
+    # and the next lane down lets slots carry into their neighbours
     ctx = chart_context(13, 2)
     calls = _spy_packing(monkeypatch, lambda fld, per_term, terms:
                          packing(fld, 1, 2**lane - 1))
@@ -183,9 +184,9 @@ def test_every_admitted_torus_field_has_a_lane():
     def lanes(bits):
         return {f: min(w for w in arith._LANE_FORMATS if w >= b) for f, b in bits.items()}
 
-    torus = widest(lambda p, f: f * (p - 1) ** 2 * (p**f - 1), (1, 2))
-    y0 = widest(lambda p, f: (p - 1) ** (f + 1) * (p**f - 1), (1, 2, 3))
-    assert torus == {1: 39, 2: 27} and y0 == {1: 39, 2: 33, 3: 30}
+    torus = widest(lambda p, f: (p - 1) ** 2 * (p**f - 1), (1, 2))
+    y0 = widest(lambda p, f: (p - 1) ** min(f + 1, 4) * (p**f - 1), (1, 2, 3))
+    assert torus == {1: 39, 2: 26} and y0 == {1: 39, 2: 33, 3: 30}
     assert lanes(torus) == {1: 64, 2: 32}
     assert lanes(y0) == {1: 64, 2: 64, 3: 32}
     assert set(arith._FIELD_CACHE) == built
@@ -224,15 +225,18 @@ def test_slot_wider_than_every_lane_fails_the_row(monkeypatch):
 @settings(max_examples=30)
 @given(data=st.data())
 def test_lane_decode_matches_per_block_encode(k, data):
-    # at every lane width, blocks of sums of packed elements (stride k) and
+    # at every lane width, blocks of sums of packed elements (stride k), of
+    # packed elements times prime-field values (the torus sum, stride k) and
     # of products (stride 2k-1), each sum of as many terms as the worst-case
     # slot bound lets the lane hold, with junk above the last block
     fld = Fq(data.draw(st.sampled_from([3, 5, 7, 11]), label="p"), k)
     elem = st.integers(0, fld.q - 1)
+    kinds = [(k, fld.p - 1, lambda pk, x, y: pk[x]),
+             (k, (fld.p - 1) ** 2, lambda pk, x, y: pk[x] * (y % fld.p)),
+             (2 * k - 1, k * (fld.p - 1) ** 2, lambda pk, x, y: pk[x] * pk[y])]
     for lane in (8, 16, 32, 64):
         pack = _Packing(fld, lane)
-        for products, stride, per_term in ((False, k, fld.p - 1),
-                                           (True, 2 * k - 1, k * (fld.p - 1) ** 2)):
+        for stride, per_term, term in kinds:
             most = (2**lane - 1) // per_term
             assert (per_term * most).bit_length() <= lane < (per_term * (most + 1)).bit_length()
             blocks = []
@@ -240,12 +244,11 @@ def test_lane_decode_matches_per_block_encode(k, data):
                 block, left = 0, most
                 for x, y in data.draw(st.lists(st.tuples(elem, elem), min_size=1, max_size=3)):
                     n = data.draw(st.integers(0, left), label="n")
-                    block += n * (pack.table[x] * pack.table[y] if products else pack.table[x])
+                    block += n * term(pack.table, x, y)
                     left -= n
                 blocks.append(block)
-            width = stride * lane
-            v = sum(b << (i * width) for i, b in enumerate(blocks))
-            v += data.draw(st.integers(0, 2**64), label="junk") << (len(blocks) * width)
+            v = pack.join(blocks, stride)
+            v += data.draw(st.integers(0, 2**64), label="junk") << (len(blocks) * stride * lane)
             assert pack.decode(v, len(blocks), stride) == [pack.encode(b) for b in blocks]
 
 
