@@ -612,16 +612,17 @@ class ChartContext:
         The sum is Kronecker-packed: a^{-1} is a _Packing int with S-bit
         slots, and the binomials of the last variable for all m < depth sit
         in consecutive k-slot element blocks of one int (_Packing.join), so
-        a unit is one int w = a^{-1} * (last row).  It is summed by sum factorization over the
-        first coordinate, on dense lists indexed by the middle exponents t
-        (graded, the T^t of the variables between the first and the last):
-        the units are grouped by the residue of their first coordinate, a
-        group's part at t is the dot product of its units' middle products
-        x(t) = prod_l C(c_l, t_l) mod p with their w, and each nonzero
-        first-row binomial b = C(c_0, h) adds b * part to the sums of the
-        prefixes (h, t) with h + |t| < depth, one list axpy per h.  Each
-        prefix is decoded once, its depth - h - |t| blocks.  f = 1 has one
-        group and no first row, f = 2 no middle variables.
+        a unit is one int w = a^{-1} * (last row).  It is summed by sum
+        factorization over the first coordinate, on dense lists indexed by
+        the middle exponents t (graded, the T^t of the variables between
+        the first and the last): the units are grouped by the residue of
+        their first coordinate, a group's part at t is the dot product of
+        its units' middle products x(t) = prod_l C(c_l, t_l) mod p with
+        their w, and each nonzero first-row binomial b = C(c_0, h) adds
+        b * part to the sums of the prefixes (h, t) with h + |t| < depth,
+        one list axpy per h.  Each prefix is decoded once, its
+        depth - h - |t| blocks.  f = 1 has one group and no first row,
+        f = 2 no middle variables.
 
         A slot of a sum adds, per unit, at most a weight digit times a
         first-row binomial, the middle product (reduced mod p, so one factor
@@ -1026,8 +1027,10 @@ def check_torus_eigenvector(ctx):
     # n([c]) as one int of k-slot element blocks, for c = EXP[i] in order
     # and then once more, so n([a*EXP[i]]) is packed[LOG[a] + i]; its
     # coefficients are prime-field encodings, their own packed values
-    packed = [pack.join([terms.get(m, 0) for m in monomials], fld.k)
-              for terms in (ctx.n_series(lifts[c], depth).terms for c in fld.EXP)]
+    packed = []
+    for c in fld.EXP:
+        terms = ctx.n_series(lifts[c], depth).terms
+        packed.append(pack.join([terms.get(m, 0) for m in monomials], fld.k))
     packed *= 2
     weights = [[pack.table[fld.inv(fld.frob(b, j))] for b in fld.EXP]  # b^(-p^j), b = EXP[i]
                for j in range(ctx.f)]
