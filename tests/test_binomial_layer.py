@@ -8,9 +8,10 @@ the generator series built from it, the digit walk of a principal unit raised
 to a p-adic exponent, the geometric series for the inverse of a unit and the
 binomial series with exact falling-factorial coefficients.  On random inputs
 over F_11, F_169 and F_4913 the new routines must give the same terms and the
-same cutoff, or raise the same exception.  The precision properties check
-that a result known below D agrees with the same computation from inputs
-known further out.
+same cutoff, or raise the same exception.  The unit ratios and cocycle
+factors of the chart contexts are held to their earlier composition from
+these parts.  The precision properties check that a result known below D
+agrees with the same computation from inputs known further out.
 """
 
 import math
@@ -22,6 +23,7 @@ from hypothesis import strategies as st
 
 from modpcheck import iwasawa
 from modpcheck.arith import Fq
+from modpcheck.constants import hj
 from modpcheck.errors import (
     ExponentPrecisionTooLow,
     NotAUnit,
@@ -34,11 +36,16 @@ from modpcheck.iwasawa import (
     _graded_exponents,
     _lucas_row,
     chart_context,
+    cocycle_factor,
     eq_below,
     fdeg,
+    frobenius,
     invert_unit,
+    principal_units,
+    unit_ratio,
     zp_power,
 )
+from modpcheck.weights import RhoParams
 
 INF = math.inf
 
@@ -362,6 +369,35 @@ def test_inverse_is_honest_below_its_cutoff(data):
     near, far = invert_unit(x.copy_truncated(D)), invert_unit(x)
     assert near.cutoff == D - 2 * fdeg(x)
     assert eq_below(near, far, near.cutoff)
+
+
+# ---------------------------------------------------------------------------
+# unit ratios and cocycle factors
+
+
+@pytest.mark.parametrize("p,f,cutoff,r", [
+    (11, 1, 40, (4,)), (13, 2, 30, (5, 6)), (17, 3, 34, (7, 8, 7))])
+def test_unit_ratio_and_cocycle_factor_match_inverse_and_digit_walk(p, f, cutoff, r):
+    # the ratio was the inverse of 1 + v_j, w its p-adic power by the digit
+    # walk and the factor w times the inverse of phi(w); the numerators are
+    # the slot weights hj(r + 1) of the slot corrections
+    ctx = chart_context(p, f, cutoff)
+    params = RhoParams.make(p, f, r)
+    weights = [hj(params, tuple(x + 1 for x in r), j) for j in range(f)]
+    pN = p**ctx.N
+    for u in principal_units(ctx, 3, seed=7):
+        dmat = ctx.unit_data[u].dmat
+        for j in range(f):
+            v = ctx.u1_pieces[dmat][j]
+            assert v.terms
+            ratio = invert_unit(v + 1)
+            assert unit_ratio(ctx, u, j) == ratio
+            for numerator in weights:
+                c = numerator * pow(1 - ctx.q, -1, pN) % pN
+                w = reference_zp_power(ratio, c, ctx.N)
+                want = w.mul_below(invert_unit(frobenius(w)), w.cutoff)
+                got = cocycle_factor(ctx, u, j, numerator)
+                assert (got.terms, got.cutoff) == (want.terms, want.cutoff)
 
 
 # ---------------------------------------------------------------------------
