@@ -35,8 +35,9 @@ Every binomial expansion reads the Lucas rows C(c, m) mod p of
 _binomial_row: _binomial_product gives prod_l (1 + T_l)^(c_l) below a depth
 (the generator series, the unit-action factors), the eigencoordinate sum
 takes the rows as dense lists, and _binomial_series raises a series 1 + v
-to an integer or p-adic power (inverses, the unit action, p-adic powers of
-the unit ratios).
+to an integer or p-adic power: inverses (invert_unit), and the powers of a
+unit's distortion 1 + v_j in ChartContext.unit_powers, which serve the unit
+action, the unit ratios and the cocycle factors.
 """
 
 import functools
@@ -483,28 +484,6 @@ def invert_unit(x):
     return lead_inv.mul_below(_binomial_series(w, -1, w.cutoff), x.cutoff - 2 * d)
 
 
-def zp_power(g, c, digits):
-    """g^c for a principal unit g = 1 + eps (fdeg(eps) >= 1) and c a class
-    mod p^digits, by the binomial series.
-
-    Raises ExponentPrecisionTooLow when g is known to every depth or when
-    p^digits cannot pin the result below g's cutoff.
-    """
-    p = g.field.p
-    eps = g - 1
-    d0 = fdeg(eps)
-    if d0 < 1:
-        raise NotAUnit("zp_power needs g = 1 + (filtration degree >= 1)")
-    cutoff = g.cutoff
-    if cutoff == INF and d0 != INF:
-        raise ExponentPrecisionTooLow(
-            "a p-adic power needs a finite knowledge bound on g")
-    if cutoff != INF and p**digits * (1 if d0 == INF else d0) < cutoff:
-        raise ExponentPrecisionTooLow(
-            f"p^{digits} digits cannot pin depth {cutoff}")
-    return _binomial_series(eps, c % p**digits, cutoff)
-
-
 def frobenius(x):
     """Algebra Frobenius on a multiplicative-chart element.
 
@@ -553,7 +532,8 @@ class ChartContext:
     builder method: Y^m (_y_power), leading-form images (_shear_image), unit
     data (unit_data, _split_unit), conversion blocks (convb,
     _conversion_block), distortion pieces (u1_pieces, _u1_pieces) and their
-    binomial powers (unit_powers, _unit_power)."""
+    binomial powers (unit_powers, _unit_power), read by the unit action, the
+    unit ratios and the cocycle factors."""
 
     def __init__(self, p, f, cutoff):
         self.p = p
@@ -856,7 +836,8 @@ class ChartContext:
 
     def _unit_power(self, dmat, j, e, need):
         """(1 + v_j)^e below `need`, v_j the distortion piece at slot j of
-        the digit matrix dmat: the factor of Y_j^e in unit_action."""
+        the digit matrix dmat: the factor of Y_j^e in unit_action, the unit
+        ratio at e = -1, and the two powers of a cocycle factor."""
         return _binomial_series(self.u1_pieces[dmat][j], e, need)
 
     def teich_weight(self, a0, k):
@@ -879,9 +860,11 @@ def _binomial_series(v, n, bound):
     integer or a class mod a power of p at least that depth: the sum of
     C(n, t) v^t, which ends because fdeg(v^t) >= t.
 
-    Raises PrecisionExhausted when that depth is infinite and v is not 0,
-    since the sum then never ends.
+    Raises NotAUnit when fdeg(v) < 1, and PrecisionExhausted when that
+    depth is infinite and v is not 0, since the sum then never ends.
     """
+    if fdeg(v) < 1:
+        raise NotAUnit("a binomial series needs fdeg(v) >= 1")
     fld = v.field
     cut = min(bound, v.cutoff)
     out = AElement.const(fld, v.f, 1, cutoff=cut)
@@ -927,20 +910,33 @@ def unit_action(ctx, u, x):
 def unit_ratio(ctx, u, j):
     """f_{u,j}: the eigenvalue-normalized ratio of Y_j to u(Y_j).
 
-    Equals (1 + v_j)^{-1}; fdeg(f - 1) >= p - 1 and it is known below D-1.
+    Equals (1 + v_j)^{-1}, read from ctx.unit_powers; fdeg(f - 1) >= p - 1
+    and it is known below D-1.
     """
     dmat = ctx.unit_data[u].dmat
     if dmat is None:
         return AElement.const(ctx.field, ctx.f, 1, cutoff=ctx.D - 1)
-    v = ctx.u1_pieces[dmat][j]
-    return invert_unit(v + 1)
+    return ctx.unit_powers[dmat, j, -1, INF]
 
 
 def cocycle_factor(ctx, u, j, numerator):
-    """w * phi(w)^{-1} with w = f_{u,j}^(numerator/(1-q) mod p^N)."""
-    e = numerator * pow(1 - ctx.q, -1, ctx.p**ctx.N) % ctx.p**ctx.N
-    w = zp_power(unit_ratio(ctx, u, j), e, ctx.N)
-    return w.mul_below(invert_unit(frobenius(w)), w.cutoff)
+    """w * phi(w)^{-1} with w = f_{u,j}^c = (1 + v_j)^(-c), c =
+    numerator/(1-q) mod p^N, both powers read from ctx.unit_powers:
+    phi(w)^{-1} = phi((1 + v_j)^c), and since phi multiplies degrees by p,
+    the product below K = w.cutoff reads (1 + v_j)^c only below ceil(K/p).
+    Raises ExponentPrecisionTooLow when p^N * fdeg(v_j) is below the cutoff
+    of v_j, where the class c mod p^N cannot pin w."""
+    dmat = ctx.unit_data[u].dmat
+    if dmat is None:
+        return unit_ratio(ctx, u, j)
+    pN = ctx.p**ctx.N
+    v = ctx.u1_pieces[dmat][j]
+    if pN * fdeg(v) < v.cutoff:
+        raise ExponentPrecisionTooLow(f"p^{ctx.N} digits cannot pin depth {v.cutoff}")
+    c = numerator * pow(1 - ctx.q, -1, pN) % pN
+    w = ctx.unit_powers[dmat, j, -c, INF]
+    phi_inv = frobenius(ctx.unit_powers[dmat, j, c, -(-w.cutoff // ctx.p)])
+    return w.mul_below(phi_inv, w.cutoff)
 
 
 def principal_units(ctx, count, seed=0):

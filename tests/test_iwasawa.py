@@ -16,6 +16,7 @@ from modpcheck.errors import (
 from modpcheck.iwasawa import (
     AElement,
     ChartContext,
+    _binomial_series,
     _ldeg,
     chart_context,
     check_action_composition,
@@ -35,7 +36,6 @@ from modpcheck.iwasawa import (
     principal_units,
     unit_action,
     unit_ratio,
-    zp_power,
 )
 from modpcheck.weights import RhoParams
 from test_binomial_layer import pth_power
@@ -345,26 +345,33 @@ def test_zp_power_basics_and_additivity():
     fld = ctx.field
     g = AElement(fld, 1, 25, {(0,): 1, (1,): 1})  # 1 + Y
     one = AElement.const(fld, 1, 1, cutoff=25)
-    assert eq_below(zp_power(g, 0, 2), one, 25)
-    assert eq_below(zp_power(g, 5, 2), g.pow_below(5, INF), 25)
+    assert eq_below(_binomial_series(g - 1, 0, INF), one, 25)
+    assert eq_below(_binomial_series(g - 1, 5, INF), g.pow_below(5, INF), 25)
     rng = random.Random(11)
     for _ in range(5):
         c1 = rng.randrange(0, 11**6)
         c2 = rng.randrange(0, 11**6)
-        lhs = zp_power(g, c1, 6) * zp_power(g, c2, 6)
-        rhs = zp_power(g, c1 + c2, 6)
+        lhs = _binomial_series(g - 1, c1, INF) * _binomial_series(g - 1, c2, INF)
+        rhs = _binomial_series(g - 1, c1 + c2, INF)
         assert eq_below(lhs, rhs, 25)
     # negative exponents match the inverse mod p^N
-    assert eq_below(zp_power(g, -1, 2), invert_unit(g), 23)
+    assert eq_below(_binomial_series(g - 1, -1, INF), invert_unit(g), 23)
 
 
-def test_zp_power_digit_guard():
-    ctx = C1
-    g = AElement(ctx.field, 1, 25, {(0,): 1, (1,): 1})
+def test_cocycle_factor_digit_guard():
+    # c mod p^N pins w = (1 + v_0)^(-c) only below p^N * fdeg(v_0); the
+    # unit's v_0 has fdeg 10 and cutoff 120, so N = 1 (11 * 10 < 120) is
+    # too few digits
+    ctx = ChartContext(11, 1, 121)
+    for u in principal_units(ctx, 20, seed=1):
+        dmat = ctx.unit_data[u].dmat
+        if dmat is not None and fdeg(ctx.u1_pieces[dmat][0]) == 10:
+            break
+    assert (fdeg(ctx.u1_pieces[dmat][0]), ctx.u1_pieces[dmat][0].cutoff) == (10, 120)
+    cocycle_factor(ctx, u, 0, 5)
+    ctx.N = 1
     with pytest.raises(ExponentPrecisionTooLow):
-        zp_power(g, 7, 1)
-    with pytest.raises(NotAUnit):
-        zp_power(Ymono(ctx, (1,), cutoff=10), 3, 2)
+        cocycle_factor(ctx, u, 0, 5)
 
 
 def test_zp_power_phi_component():
@@ -373,7 +380,7 @@ def test_zp_power_phi_component():
     ctx = C2S
     g = AElement(ctx.field, 2, 45, {(0, 0): 1, (2, 1): 4})
     fg = frobenius(g).copy_truncated(45)
-    lhs = zp_power(g, 6, 3) * zp_power(fg, -6, 3)
+    lhs = _binomial_series(g - 1, 6, INF) * _binomial_series(fg - 1, -6, INF)
     rhs = g.pow_below(6, INF) * invert_unit(fg).pow_below(6, INF)
     floor = difference_floor(lhs, rhs)
     assert floor >= 40
