@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import product
 from time import perf_counter
 
-from .arith import RunScope, minimal_irreducible
+from .arith import RunScope, minimal_irreducible, scope_memo
 from .base_combinatorics import MAX_F, all_subsets
 from .constants import IDENTITY_ROWS, MUTABLE, Mutation, mu_gamma, run_identities
 from .errors import ConfigInvalid
@@ -210,19 +210,23 @@ def iwasawa_table(config):
 
 
 def phigamma_table(config, params, scope=None):
-    """Matrix layer: twist, right inverse, the solver, unit-action matrices."""
+    """Matrix layer: twist, right inverse, the solver, unit-action matrices.
+    The theta rows and the classifier read only (p, f), so each is built
+    once per scope, at the empty Jrho."""
     _, flip = _resolve_mutation(config, params)
     seed, cutoff = config.seed, config.cutoff_value()
     mu = mu_gamma(params, seed)
+    base = RhoParams.make(params.p, params.f, params.r)
     return [
         (("substitution-matrix-shapes",), lambda: [check_phi_matrix_shapes(mu)]),
         (("twist-change-of-basis",), lambda: [check_twist_change_of_basis(mu)]),
         (("substitution-right-inverse",), lambda: [check_right_inverse(mu)]),
-        (("theta-basics",), lambda: [check_theta_basics(params, seed=seed)]),
+        (("theta-basics",), lambda: [scope_memo(scope, check_theta_basics)[base, seed]]),
         (("theta-solver",),
-         lambda: [check_theta_solver(params, count=config.thetas, seed=seed, depth=cutoff)]),
+         lambda: [scope_memo(scope, check_theta_solver)[base, config.thetas, seed, cutoff]]),
+        # 20 samples, the classifier's default
         (("substitution-eigenline-classifier",),
-         lambda: [check_eigen_classifier(params, seed=seed)]),
+         lambda: [scope_memo(scope, check_eigen_classifier)[base, 20, seed]]),
         (("unit-matrix-structure", "unit-substitution-commutation", "unit-matrix-cocycle"),
          lambda: check_unit_action_matrices(chart_context(params.p, params.f, cutoff), mu,
                                             units=config.units, pairs=2, seed=seed, flip=flip,
@@ -284,8 +288,8 @@ def run_suite(config):
     it names, with checked 0, and the next entry runs.  The jobs of this
     call share one RunScope, which ends with the call: the aJn frames,
     change-of-origin boxes, reindexing blocks and shifted-table domains of
-    the identities jobs, the slot corrections and monomial unit actions of
-    the phigamma jobs.  A value common to several Jrho is built, and timed,
+    the identities jobs, the slot corrections, monomial unit actions, theta
+    rows and classifier row of the phigamma jobs.  A value common to several Jrho is built, and timed,
     in the first job that needs it."""
     rows, timings = [], {}
     for suite, tag, table in _jobs(config, RunScope()):

@@ -7,7 +7,9 @@ matrix that shares a scope with healthy jobs must get the rows it gets with
 no scope, so each key holds what its value depends on.  The
 change-of-origin boxes have theirs in test_translation_frames.py.  For the
 shifted-table domains and reindexing blocks a third test pins how many a
-run builds, so a key that picked up a per-job object would fail it.
+run builds, so a key that picked up a per-job object would fail it.  The
+theta rows and the classifier row hold no Jrho, so no mutant reaches them:
+they have the fault test and the count.
 """
 
 import pytest
@@ -32,7 +34,7 @@ from modpcheck.phigamma import (
     default_flip,
     slot_correction_units,
 )
-from modpcheck.reporting import _plain, run_table
+from modpcheck.reporting import CheckResult, _plain, run_table
 from modpcheck.weights import RhoParams
 
 F3_IDENTITIES = RunConfig(p=17, f=3, r=(7, 8, 7), suites=("identities",))
@@ -284,6 +286,43 @@ def test_shared_unit_action_is_a_fresh_scaled_copy(c):
         again = act(x)
         assert again is not got
         assert (again.terms, again.cutoff) == (want.terms, want.cutoff)
+
+
+# ---------------------------------------------------------------------------
+# theta rows and the classifier row
+
+
+_JRHO_FREE = ("check_theta_basics", "check_theta_solver", "check_eigen_classifier")
+
+
+def test_jrho_free_rows_are_built_once_per_run(monkeypatch):
+    # the 4 Jrho jobs read one row each; a key that held the job's own
+    # params would build all 4, as the jobs do with no scope
+    counts = {}
+    for name in _JRHO_FREE:
+        def wrapped(*key, check=getattr(harness, name), name=name):
+            counts[name] = counts.get(name, 0) + 1
+            return check(*key)
+        monkeypatch.setattr(harness, name, wrapped)
+    assert run_suite(F2_PHIGAMMA).passed
+    assert counts == dict.fromkeys(_JRHO_FREE, 1)
+    counts.clear()
+    _unshared_rows(F2_PHIGAMMA)
+    assert counts == dict.fromkeys(_JRHO_FREE, 4)
+
+
+def test_theta_solver_fault_after_a_healthy_run_fails_every_jrho(monkeypatch):
+    assert run_suite(F2_PHIGAMMA).passed
+    original = harness.check_theta_solver
+
+    def broken(*key):
+        res = original(*key)
+        return CheckResult(res.name, False, res.checked, {"claim": "patched"}, res.info)
+
+    monkeypatch.setattr(harness, "check_theta_solver", broken)
+    report = run_suite(F2_PHIGAMMA)
+    assert _failing(report) == _rows_named(report, "theta-solver")
+    assert len(_failing(report)) == 4
 
 
 # ---------------------------------------------------------------------------
