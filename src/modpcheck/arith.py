@@ -292,9 +292,6 @@ class Fq:
     def from_int(self, n):
         return n % self.p
 
-    def elements(self):
-        return range(self.q)
-
     def units(self):
         return range(1, self.q)
 

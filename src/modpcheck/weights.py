@@ -8,7 +8,6 @@ vector corresponding to the base point of the graph.
 
 from __future__ import annotations
 
-from copy import copy
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
@@ -164,7 +163,7 @@ class Translation:
     that is b' = signs * b + offsets.  Hypothesis window:
     lo = -(2(f - e^{J^sh}) + 1) <= b <= 2(f + e^{J^sh}) = hi componentwise.
     A Translation never changes, and those with the same windows, signs
-    and offsets are equal; with_offsets makes one with other offsets.
+    and offsets are equal.
     """
 
     __slots__ = ("params", "f", "lo", "hi", "signs", "_offsets", "_images")
@@ -185,12 +184,6 @@ class Translation:
     @property
     def offsets(self):
         return self._offsets
-
-    def with_offsets(self, offsets):
-        """This translation with offsets in place of its own."""
-        moved = copy(self)
-        moved._tabulate(offsets)
-        return moved
 
     def _tabulate(self, offsets):
         # the per-slot image tables that image() reads: slot j maps each b_j

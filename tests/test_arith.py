@@ -249,7 +249,7 @@ class _GFOracle:
 
 def _oracle_pairs(F):
     if F.q <= 11:
-        return [(a, b) for a in F.elements() for b in F.elements()]
+        return [(a, b) for a in range(F.q) for b in range(F.q)]
     rng = random.Random(F.q)
     return [(rng.randrange(F.q), rng.randrange(F.q)) for _ in range(2000)]
 
