@@ -480,7 +480,7 @@ def _failing_row(res, name):
 
 
 def test_cli_arithmetic_error_fails_its_row(frobenius_drops_p):
-    # invert_unit raises NotAUnit inside check_unit_ratio_depth: that row
+    # _binomial_series raises NotAUnit inside check_unit_ratio_depth: that row
     # fails with the error and the other axioms still run
     res = CliRunner().invoke(
         main, ["verify", "--p", "11", "--f", "1", "--r", "4", "--suite", "iwasawa"]
