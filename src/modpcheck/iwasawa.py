@@ -36,8 +36,8 @@ _binomial_row: _binomial_product gives prod_l (1 + T_l)^(c_l) below a depth
 (the generator series, the unit-action factors), the eigencoordinate sum
 takes the rows as dense lists, and _binomial_series raises a series 1 + v
 to an integer or p-adic power: inverses (invert_unit), and the powers of a
-unit's distortion 1 + v_j in ChartContext.unit_powers, which serve the unit
-action, the unit ratios and the cocycle factors.
+unit's distortion 1 + v_j (ChartContext._unit_power) for the unit action,
+the unit ratios and the cocycle factors.
 """
 
 import functools
@@ -532,8 +532,8 @@ class ChartContext:
     builder method: Y^m (_y_power), leading-form images (_shear_image), unit
     data (unit_data, _split_unit), conversion blocks (convb,
     _conversion_block), distortion pieces (u1_pieces, _u1_pieces) and their
-    binomial powers (unit_powers, _unit_power), read by the unit action, the
-    unit ratios and the cocycle factors."""
+    binomial powers (unit_powers, _unit_power), read by the unit action and
+    the unit ratios; the cocycle factors call _unit_power itself."""
 
     def __init__(self, p, f, cutoff):
         self.p = p
@@ -921,9 +921,11 @@ def unit_ratio(ctx, u, j):
 
 def cocycle_factor(ctx, u, j, numerator):
     """w * phi(w)^{-1} with w = f_{u,j}^c = (1 + v_j)^(-c), c =
-    numerator/(1-q) mod p^N, both powers read from ctx.unit_powers:
-    phi(w)^{-1} = phi((1 + v_j)^c), and since phi multiplies degrees by p,
-    the product below K = w.cutoff reads (1 + v_j)^c only below ceil(K/p).
+    numerator/(1-q) mod p^N: phi(w)^{-1} = phi((1 + v_j)^c), and since phi
+    multiplies degrees by p, the product below K = w.cutoff reads
+    (1 + v_j)^c only below ceil(K/p).  Both powers come from
+    ctx._unit_power but are not kept in unit_powers: a run builds each
+    factor once, inside the slot corrections its scope keeps.
     Raises ExponentPrecisionTooLow when p^N * fdeg(v_j) is below the cutoff
     of v_j, where the class c mod p^N cannot pin w."""
     dmat = ctx.unit_data[u].dmat
@@ -934,8 +936,8 @@ def cocycle_factor(ctx, u, j, numerator):
     if pN * fdeg(v) < v.cutoff:
         raise ExponentPrecisionTooLow(f"p^{ctx.N} digits cannot pin depth {v.cutoff}")
     c = numerator * pow(1 - ctx.q, -1, pN) % pN
-    w = ctx.unit_powers[dmat, j, -c, INF]
-    phi_inv = frobenius(ctx.unit_powers[dmat, j, c, -(-w.cutoff // ctx.p)])
+    w = ctx._unit_power(dmat, j, -c, INF)
+    phi_inv = frobenius(ctx._unit_power(dmat, j, c, -(-w.cutoff // ctx.p)))
     return w.mul_below(phi_inv, w.cutoff)
 
 
