@@ -145,7 +145,8 @@ def reference_zp_power(g, c, digits):
 
 
 def reference_invert_unit(x):
-    """Inverse of c*Y^m*(1+eps) by the geometric series of -eps."""
+    """Inverse of c*Y^m*(1+eps) by the geometric series of -eps; the series
+    of an exact eps != 0 has no last term, so that raises PrecisionExhausted."""
     if not x.terms:
         raise NotAUnit("zero has no inverse")
     d = fdeg(x)
@@ -156,6 +157,8 @@ def reference_invert_unit(x):
     fld = x.field
     lead_inv = AElement.monomial(fld, x.f, tuple(-a for a in k0), fld.inv(c0))
     w = lead_inv * x - 1
+    if w.cutoff == INF and not w.is_zero():
+        raise PrecisionExhausted("geometric series of an exact nonzero series never ends")
     geom = AElement.const(fld, x.f, 1, cutoff=w.cutoff)
     term = AElement.const(fld, x.f, 1, cutoff=w.cutoff)
     while True:
@@ -232,6 +235,17 @@ def series(draw, fld, lo_deg, cutoff, max_terms=4):
         return {}
     keys = exponents(fld.k, lo_deg, cutoff - 1)
     return draw(st.dictionaries(keys, st.integers(1, fld.q - 1), max_size=max_terms))
+
+
+@st.composite
+def laurent_monomials(draw):
+    """c*Y^k, exponents in [-40, 40], known everywhere or below a cutoff in
+    [-60, 80], which may lie at or below deg k (then no term is known)."""
+    fld = draw(fields())
+    k = draw(st.lists(st.integers(-40, 40), min_size=fld.k, max_size=fld.k))
+    c = draw(st.integers(1, fld.q - 1))
+    cutoff = draw(st.one_of(st.just(INF), st.integers(-60, 80)))
+    return AElement.monomial(fld, fld.k, k, c, cutoff)
 
 
 @st.composite
@@ -341,6 +355,25 @@ def test_invert_unit_matches_geometric_series(data):
     assert outcome(invert_unit, x) == outcome(reference_invert_unit, x)
 
 
+@settings(max_examples=100)
+@given(x=laurent_monomials())
+def test_negative_power_inverts_monomials(x):
+    # c*Y^k known below K inverts to c^-1*Y^-k known below K - 2*deg k
+    want = outcome(reference_invert_unit, x)
+    assert outcome(lambda: x.pow_below(-1, INF)) == want
+    assert outcome(invert_unit, x) == want
+
+
+def test_negative_power_of_monomial_known_below_its_degree_raises():
+    fld = Fq(13, 2)
+    for cutoff in (5, 3, -7):
+        x = AElement.monomial(fld, 2, (-2, 7), 4, cutoff)
+        for fn in (lambda: x.pow_below(-1, INF), lambda: invert_unit(x),
+                   lambda: reference_invert_unit(x)):
+            with pytest.raises(NotAUnit):
+                fn()
+
+
 @settings(max_examples=60)
 @given(data=st.data())
 def test_binomial_series_matches_exact_binomials(data):
@@ -413,6 +446,8 @@ def test_invert_unit_of_exact_non_monomial_raises_at_once():
     start = time.perf_counter()
     with pytest.raises(PrecisionExhausted):
         invert_unit(x)
+    with pytest.raises(PrecisionExhausted):
+        reference_invert_unit(x)
     assert time.perf_counter() - start < 1
     # an exact monomial still inverts exactly
     m = AElement(Fq(11, 1), 1, INF, {(2,): 3})
