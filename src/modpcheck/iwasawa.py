@@ -34,10 +34,10 @@ precision (Caruso, Roe and Vaccon, LMS J. Comput. Math. 17A, 2014).
 Every binomial expansion reads the Lucas rows C(c, m) mod p of
 _binomial_row: _binomial_product gives prod_l (1 + T_l)^(c_l) below a depth
 (the generator series, the unit-action factors), the eigencoordinate sum
-takes the rows as dense lists, and _binomial_series raises a series 1 + v
-to an integer or p-adic power: inverses (invert_unit), and the powers of a
-unit's distortion 1 + v_j (ChartContext._unit_power) for the unit action,
-the unit ratios and the cocycle factors.
+takes the rows as dense lists, and _binomial_series raises a unit's
+distortion 1 + v_j to an integer or p-adic power (ChartContext._unit_power)
+for the unit action, the unit ratios and the cocycle factors.  Every other
+inverse is of an exact monomial, a negative power in pow_below.
 """
 
 import functools
@@ -361,7 +361,7 @@ class AElement:
             return AElement.monomial(fld, self.f, tuple(n * ki for ki in k), fld.pow(c, n),
                                      min(self.cutoff + (n - 1) * sum(k), bound))
         if n < 0:
-            raise NotAUnit("negative power of a non-monomial; invert first")
+            raise NotAUnit("negative power of a non-monomial")
         base = self
         inner = bound
         d = _ldeg(self.terms)
@@ -463,25 +463,6 @@ def eq_below(x, y, bound):
 def difference_floor(x, y):
     """Largest depth to which x and y can honestly be compared."""
     return min(x.cutoff, y.cutoff)
-
-
-def invert_unit(x):
-    """Inverse of c*Y^m*(1+eps) with fdeg(eps) >= 1.
-
-    Knowledge drops to cutoff - 2*fdeg(x).  Raises NotAUnit when the minimal
-    degree part is not a single monomial.
-    """
-    if not x.terms:
-        raise NotAUnit("zero has no inverse")
-    d = fdeg(x)
-    lead = [(k, c) for k, c in x.terms.items() if sum(k) == d]
-    if len(lead) != 1:
-        raise NotAUnit("leading form is not a single monomial")
-    (k0, c0), = lead
-    fld = x.field
-    lead_inv = AElement.monomial(fld, x.f, tuple(-a for a in k0), fld.inv(c0))
-    w = lead_inv * x - 1  # fdeg >= 1, known below cutoff - d
-    return lead_inv.mul_below(_binomial_series(w, -1, w.cutoff), x.cutoff - 2 * d)
 
 
 def frobenius(x):
@@ -673,8 +654,8 @@ class ChartContext:
         Leading-form elimination, one degree d < bound at a time: with M the
         Jacobian, the degree-d part h_d(T) of the residual is the leading form
         of the additive image of h_d(M^-1 Y), so that form joins the output
-        and its exact image (y_to_t) leaves the residual without degree d.
-        The substitution h -> h(M^-1 Y) runs as the elementary steps of
+        and its exact image (y_to_t) leaves the residual without degree d;
+        after the last degree nothing reads the residual.  The substitution h -> h(M^-1 Y) runs as the elementary steps of
         shear_steps; it is F_q-linear, so its results are cached for forms
         scaled to 1 at their least exponent, and a form c*h reads the image
         of h scaled by c (_form_image).
@@ -695,7 +676,8 @@ class ChartContext:
             if lead:
                 form = self._form_image(lead)
                 out.update(form.terms)
-                residual = residual - self.y_to_t(form, bound)
+                if d + 1 < bound:
+                    residual = residual - self.y_to_t(form, bound)
         return AElement(self.field, self.f, bound, out)
 
     def _form_image(self, lead):

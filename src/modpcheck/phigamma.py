@@ -41,7 +41,6 @@ from .iwasawa import (
     eq_below,
     fdeg,
     frobenius,
-    invert_unit,
     is_torus_fixed,
     principal_units,
     unit_action,
@@ -200,8 +199,9 @@ def solve_right_inverse(M):
 
     Column J+1 meets row J' only when J' <= J, so rows ordered by
     decreasing size make the system triangular with the invertible
-    (J, J+1) slot on the diagonal.  Raises NotInvertible when that slot is
-    missing or not a unit.
+    (J, J+1) slot on the diagonal.  That slot must be a nonzero monomial,
+    inverted as its -1st power; NotInvertible is raised when it is missing,
+    zero or anything else.
     """
     params = M.params
     fld = M.field
@@ -214,7 +214,7 @@ def solve_right_inverse(M):
         if e is None or e.is_zero():
             raise NotInvertible(f"column {J.shift(1)!r} has no unit at row {J!r}")
         try:
-            diag_inv[J] = invert_unit(e)
+            diag_inv[J] = e.pow_below(-1, INF)
         except NotAUnit as exc:
             raise NotInvertible(str(exc)) from exc
     rows_desc = sorted(subs, key=lambda J: (-len(J), J.bits))
@@ -602,7 +602,7 @@ def check_twist_change_of_basis(mu):
     raw = mat_phi_untwisted(mu)
     norm = mat_phi_twisted(mu)
     D = basis_change(params, mu.field)
-    Dphi_inv = D.map_entries(lambda x: invert_unit(frobenius(x)))
+    Dphi_inv = D.map_entries(lambda x: frobenius(x).pow_below(-1, INF))
     prod = (D @ raw) @ Dphi_inv
     for key, a, b in _entry_pairs(prod, norm):
         diff = a - b

@@ -40,7 +40,6 @@ from modpcheck.iwasawa import (
     eq_below,
     fdeg,
     frobenius,
-    invert_unit,
     principal_units,
     unit_ratio,
 )
@@ -259,19 +258,6 @@ def principal_series(draw, extra=0):
     return AElement(fld, fld.k, known, terms), D
 
 
-@st.composite
-def unit_series(draw, extra=0):
-    """(x, D): c*Y^m*(1 + eps) with a single leading monomial, known below
-    D + extra, and its leading degree d < D."""
-    fld = draw(fields())
-    f = fld.k
-    D = draw(st.integers(1, _max_depth(fld) // (2 if f > 1 else 1)))
-    k0 = draw(exponents(f, -2, D - 1))
-    terms = draw(series(fld, sum(k0) + 1, D + extra))
-    terms[k0] = draw(st.integers(1, fld.q - 1))
-    return AElement(fld, f, D + extra, terms), D
-
-
 # ---------------------------------------------------------------------------
 # (1 + T)^c expansions
 
@@ -348,28 +334,19 @@ def test_zp_power_matches_digit_walk(data):
         assert outcome(_binomial_series, g - 1, c % p**digits, g.cutoff) == want
 
 
-@settings(max_examples=60)
-@given(data=st.data())
-def test_invert_unit_matches_geometric_series(data):
-    x, _ = data.draw(unit_series())
-    assert outcome(invert_unit, x) == outcome(reference_invert_unit, x)
-
-
 @settings(max_examples=100)
 @given(x=laurent_monomials())
 def test_negative_power_inverts_monomials(x):
     # c*Y^k known below K inverts to c^-1*Y^-k known below K - 2*deg k
     want = outcome(reference_invert_unit, x)
     assert outcome(lambda: x.pow_below(-1, INF)) == want
-    assert outcome(invert_unit, x) == want
 
 
 def test_negative_power_of_monomial_known_below_its_degree_raises():
     fld = Fq(13, 2)
     for cutoff in (5, 3, -7):
         x = AElement.monomial(fld, 2, (-2, 7), 4, cutoff)
-        for fn in (lambda: x.pow_below(-1, INF), lambda: invert_unit(x),
-                   lambda: reference_invert_unit(x)):
+        for fn in (lambda: x.pow_below(-1, INF), lambda: reference_invert_unit(x)):
             with pytest.raises(NotAUnit):
                 fn()
 
@@ -393,19 +370,11 @@ def test_powers_are_honest_below_their_cutoff(data):
     c = data.draw(st.integers(-p**5, p**5), label="c")
     short = g.copy_truncated(D)
     for fn in (lambda h: _binomial_series(h - 1, c % p**4, INF),
-               lambda h: _binomial_series(h - 1, c, INF)):
+               lambda h: _binomial_series(h - 1, c, INF),
+               lambda h: _binomial_series(h - 1, -1, INF)):
         near, far = fn(short), fn(g)
         assert near.cutoff == D
         assert eq_below(near, far, D)
-
-
-@settings(max_examples=40)
-@given(data=st.data())
-def test_inverse_is_honest_below_its_cutoff(data):
-    x, D = data.draw(unit_series(extra=4))
-    near, far = invert_unit(x.copy_truncated(D)), invert_unit(x)
-    assert near.cutoff == D - 2 * fdeg(x)
-    assert eq_below(near, far, near.cutoff)
 
 
 # ---------------------------------------------------------------------------
@@ -427,12 +396,12 @@ def test_unit_ratio_and_cocycle_factor_match_inverse_and_digit_walk(p, f, cutoff
         for j in range(f):
             v = ctx.u1_pieces[dmat][j]
             assert v.terms
-            ratio = invert_unit(v + 1)
+            ratio = reference_invert_unit(v + 1)
             assert unit_ratio(ctx, u, j) == ratio
             for numerator in weights:
                 c = numerator * pow(1 - ctx.q, -1, pN) % pN
                 w = reference_zp_power(ratio, c, ctx.N)
-                want = w.mul_below(invert_unit(frobenius(w)), w.cutoff)
+                want = w.mul_below(reference_invert_unit(frobenius(w)), w.cutoff)
                 got = cocycle_factor(ctx, u, j, numerator)
                 assert (got.terms, got.cutoff) == (want.terms, want.cutoff)
 
@@ -444,15 +413,15 @@ def test_unit_ratio_and_cocycle_factor_match_inverse_and_digit_walk(p, f, cutoff
 def test_invert_unit_of_exact_non_monomial_raises_at_once():
     x = AElement(Fq(11, 1), 1, INF, {(0,): 1, (1,): 1})
     start = time.perf_counter()
-    with pytest.raises(PrecisionExhausted):
-        invert_unit(x)
+    with pytest.raises(NotAUnit):
+        x.pow_below(-1, INF)
     with pytest.raises(PrecisionExhausted):
         reference_invert_unit(x)
     assert time.perf_counter() - start < 1
     # an exact monomial still inverts exactly
     m = AElement(Fq(11, 1), 1, INF, {(2,): 3})
-    assert invert_unit(m).terms == {(-2,): Fq(11, 1).inv(3)}
-    assert invert_unit(m).cutoff == INF
+    assert m.pow_below(-1, INF).terms == {(-2,): Fq(11, 1).inv(3)}
+    assert m.pow_below(-1, INF).cutoff == INF
 
 
 def test_binomial_series_of_exact_series_raises():

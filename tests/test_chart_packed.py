@@ -290,6 +290,24 @@ def test_t_to_y_inverts_y_to_t_below_the_bound(data):
     assert back.terms == x.terms
 
 
+def test_t_to_y_leaves_the_residual_after_its_last_degree():
+    # the residual is read again only below the bound, so the form of degree
+    # bound - 1 joins the output without its additive image being formed
+    ctx = ChartContext(13, 2, 12)
+    forms = []
+    y_to_t = ctx.y_to_t
+    ctx.y_to_t = lambda x, bound: forms.append(x) or y_to_t(x, bound)
+    bound = 6
+    top = AElement(ctx.field, 2, INF, {(2, 3): 5, (5, 0): 1})
+    got = ctx.t_to_y(top, bound)
+    assert forms == []
+    assert y_to_t(got, bound) == top.copy_truncated(bound)
+    s = top + AElement(ctx.field, 2, INF, {(1, 1): 3})
+    got = ctx.t_to_y(s, bound)
+    assert forms and all(iwasawa.fdeg(x) < bound - 1 for x in forms)
+    assert y_to_t(got, bound) == s.copy_truncated(bound)
+
+
 def _undersized(rule):
     """A packing rule that picks the byte lane below the one its bound needs."""
     def narrow(fld, per_term, terms):

@@ -17,7 +17,6 @@ from modpcheck.iwasawa import (
     chart_context,
     fdeg,
     frobenius,
-    invert_unit,
     principal_units,
 )
 from modpcheck.reporting import Sweep
@@ -146,6 +145,18 @@ def test_right_inverse_not_invertible():
         pg.solve_right_inverse(M)
     M = pg.mat_phi_twisted(MU2)
     M.entries[(E2, E2.shift(1))] = AElement(MU2.field, 2, INF, {})
+    with pytest.raises(NotInvertible):
+        pg.solve_right_inverse(M)
+
+
+def test_right_inverse_needs_monomial_diagonal():
+    # a unit slot that is a monomial times 1 + Y_0 is a unit of the series
+    # ring, but the solver inverts only monomials
+    M = pg.mat_phi_twisted(MU2)
+    e = M.entries[(T2, T2.shift(1))]
+    assert len(e.terms) == 1
+    M.entries[(T2, T2.shift(1))] = e.mul_below(
+        AElement(MU2.field, 2, 20, {(0, 0): 1, (1, 0): 1}), INF)
     with pytest.raises(NotInvertible):
         pg.solve_right_inverse(M)
 
