@@ -654,8 +654,9 @@ class ChartContext:
         Leading-form elimination, one degree d < bound at a time: with M the
         Jacobian, the degree-d part h_d(T) of the residual is the leading form
         of the additive image of h_d(M^-1 Y), so that form joins the output
-        and its exact image (y_to_t) leaves the residual without degree d;
-        after the last degree nothing reads the residual.  The substitution h -> h(M^-1 Y) runs as the elementary steps of
+        and its exact image (y_to_t) leaves the residual without degree d
+        (after the last degree nothing reads the residual).  The
+        substitution h -> h(M^-1 Y) runs as the elementary steps of
         shear_steps; it is F_q-linear, so its results are cached for forms
         scaled to 1 at their least exponent, and a form c*h reads the image
         of h scaled by c (_form_image).
