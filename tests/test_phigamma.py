@@ -16,7 +16,6 @@ from modpcheck.iwasawa import (
     AElement,
     chart_context,
     fdeg,
-    frobenius,
     principal_units,
 )
 from modpcheck.reporting import Sweep
