@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -208,6 +209,26 @@ def test_field_construction_deterministic():
     assert F1 is F2  # cached
     assert F1.g_coeffs == (2, 0)
     assert Fq(17, 3).g_coeffs == minimal_irreducible(17, 3)
+
+
+# sha256 of repr([g_coeffs, generator, EXP, LOG, NEG] + [ADD, MUL] if q <= 169),
+# NEG, ADD and MUL read through neg, add and mul (ADD, MUL flat, row a at a*q)
+FIELD_TABLE_DIGESTS = {
+    (11, 1): "725cc533b3e72b549594d553e359bdfbb529604b1451d204c6e967e33ed68084",
+    (13, 2): "2ab2d9681476ae596b5778e5f697bfd9a66acc35f0e6efbcfa70ce170e44ee48",
+    (17, 3): "8902a3cd096ba4277e0d0342a64ac79ca1ee97d416b6a5c50b057be2c06101fd",
+    (23, 4): "30df1943e13a4769f91934b0e9f1e46a3ec9a255ed8e2bad292c7ea4a88d5dbe",
+}
+
+
+@pytest.mark.parametrize("p,k", sorted(FIELD_TABLE_DIGESTS))
+def test_field_tables_are_pinned(p, k):
+    F = Fq(p, k)
+    q = F.q
+    tables = [F.g_coeffs, F.generator, F.EXP, F.LOG, list(map(F.neg, range(q)))]
+    if q <= 169:
+        tables += [[op(a, b) for a in range(q) for b in range(q)] for op in (F.add, F.mul)]
+    assert hashlib.sha256(repr(tables).encode()).hexdigest() == FIELD_TABLE_DIGESTS[p, k]
 
 
 # --- Fq against sympy's dense GF(p)[x] arithmetic ---------------------------
