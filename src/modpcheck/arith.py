@@ -9,28 +9,30 @@ is part of every report fingerprint.
 
 O_K/p^N (unramified, degree f) uses the same basis with the coefficients of
 the minimal polynomial lifted verbatim to [0, p); elements are coordinate
-tuples mod p^N.  Both rings share one polynomial layer: _poly_mulmod and
-_poly_powmod work mod any m (p for the F_q tables, p^N for WittRing), and
-_digits and _encode convert between encodings and coordinates.
+tuples mod p^N.  Both rings share one polynomial layer, mod any m:
+_poly_mulmod, _poly_powmod, power_columns (all powers of one element, by
+doubling), and _digits and _encode between encodings and coordinates.
 
 F_q multiplication is table-driven: full flat tables for q <= 169, discrete
 log/antilog tables over a generator (a*b = EXP[LOG a + LOG b]) above that.
 Addition is a flat table when small and a loop over the base-p digits
-otherwise; it does not use Zech logarithms.  _Packing holds elements as
-Kronecker-packed ints, whose sums and products are plain int arithmetic;
-`packing` picks the slot width of every one of them.  gauss_jordan records
-the row operations that reduce the Jacobian of the chart's linear coordinate
-change to the identity.  Memo is the keyed cache that keeps fields, Witt
-rings, packings and the chart's tables for the life of the process; RunScope
-holds the Memos whose values live only as long as one run.
+otherwise; it does not use Zech logarithms.  Each table is built in passes
+over whole lists.  _Packing holds elements as Kronecker-packed ints, whose
+sums and products are plain int arithmetic; `packing` picks the slot width
+of every one of them.  gauss_jordan records the row operations that reduce
+the Jacobian of the chart's linear coordinate change to the identity.  Memo
+is the keyed cache that keeps fields, Witt rings, packings and the chart's
+tables for the life of the process; RunScope holds the Memos whose values
+live only as long as one run.
 """
 
 from __future__ import annotations
 
 import sys
 import threading
-from itertools import repeat
-from operator import add, mod, mul
+from functools import partial, reduce
+from itertools import islice, repeat
+from operator import add, getitem, mod, mul
 
 from .errors import NotAUnit, RangeViolation, SingularJacobian
 
@@ -101,6 +103,24 @@ def _poly_powmod(a, n, g, m):
         a = _poly_mulmod(a, a, g, m)
         n >>= 1
     return r
+
+
+def power_columns(step, count, g, m):
+    """The coordinates of step^0, ..., step^(count-1) in (Z/m)[x]/(x^k + g):
+    list j holds coordinate j of every power.  The lists grow by doubling:
+    when they hold n powers, coordinate i of step^(n+i') is sum_j
+    (step^n x^j)_i times entry i' of list j, mod m, a pass over whole lists."""
+    k = len(g)
+    cols = [[int(j == 0)] for j in range(k)]
+    while len(cols[0]) < count:
+        need = count - len(cols[0])
+        mat = [_poly_mulmod(step, [int(i == j) for i in range(k)], g, m) for j in range(k)]
+        terms = [[map(mul, repeat(r[i]), islice(c, need)) for r, c in zip(mat, cols)]
+                 for i in range(k)]
+        cols = [c + list(map(mod, reduce(partial(map, add), t), repeat(m)))
+                for c, t in zip(cols, terms)]
+        step = _poly_mulmod(step, step, g, m)
+    return cols
 
 
 def _digits(e, p, k):
@@ -193,7 +213,14 @@ _FIELD_CACHE = Memo(lambda p, k: object.__new__(Fq)._init(p, k))
 
 
 class Fq:
-    """F_{p^k} with int-encoded elements, one instance per (p, k)."""
+    """F_{p^k} with int-encoded elements, one instance per (p, k).
+
+    EXP[n] = gen^n is Horner over the k digit lists of power_columns, LOG
+    its inverse permutation, NEG EXP rotated by h = (q-1)/2 (-1 = gen^h, p
+    odd) read at LOG, or the identity at p = 2.  Row a of ADD sums one list
+    per digit of a; row a of MUL is EXP rotated by LOG[a], read at LOG.  A
+    digit list holds one int per entry, reduced mod p at each doubling, so
+    no packed lane can carry."""
 
     def __new__(cls, p, k):
         return _FIELD_CACHE[p, k]
@@ -204,23 +231,20 @@ class Fq:
         self.q = q = p**k
         self.g_coeffs = g = minimal_irreducible(p, k)
 
-        # generator (the least element of order q - 1) and log/exp tables
+        # generator: the least element of order q - 1, or 1, the only unit of F_2
         fact = _prime_divisors(q - 1)
         self.generator = gen = next(
-            c for c in range(2, q)
-            if all(_encode(_poly_powmod(_digits(c, p, k), (q - 1) // ell, g, p), p) != 1
-                   for ell in fact))
-        EXP = [1] * (q - 1)
-        gd = _digits(gen, p, k)
-        cur = [1] + [0] * (k - 1)
-        for n in range(1, q - 1):
-            cur = _poly_mulmod(cur, gd, g, p)
-            EXP[n] = _encode(cur, p)
-        LOG = [0] * q
+            (c for c in range(2, q)
+             if all(_encode(_poly_powmod(_digits(c, p, k), (q - 1) // ell, g, p), p) != 1
+                    for ell in fact)), 1)
+        self.EXP = EXP = list(reduce(lambda e, c: map(add, map(mul, e, repeat(p)), c),
+                                     reversed(power_columns(_digits(gen, p, k), q - 1, g, p))))
+        self.LOG = LOG = [0] * q
         for n, e in enumerate(EXP):
             LOG[e] = n
-        self.EXP = EXP
-        self.LOG = LOG
+        h = (q - 1) // 2
+        NEG = [0, *map((EXP[h:] + EXP[:h]).__getitem__, LOG[1:])] if p > 2 else range(q)
+        self.neg = lambda a: NEG[a]
 
         def add_digitwise(a, b):
             e = 0
@@ -233,34 +257,27 @@ class Fq:
             return e
 
         if q <= 169:
-            ADD = [0] * (q * q)
-            MUL = [0] * (q * q)
+            # place[j][d] lists (d + b_j mod p) p^j over b
+            place = [[[(d + t) % p * p**j for t in range(p) for _ in range(p**j)] * p**(k - 1 - j)
+                      for d in range(p)] for j in range(k)]
+            ADD = []
             for a in range(q):
-                for b in range(a, q):
-                    s = add_digitwise(a, b)
-                    ADD[a * q + b] = s
-                    ADD[b * q + a] = s
-            for a in range(1, q):
-                la = LOG[a]
-                for b in range(a, q):
-                    m = EXP[(la + LOG[b]) % (q - 1)]
-                    MUL[a * q + b] = m
-                    MUL[b * q + a] = m
+                ADD += reduce(partial(map, add), map(getitem, place, _digits(a, p, k)))
+            MUL = [0] * q
+            for la in LOG[1:]:
+                MUL += [0, *map((EXP[la:] + EXP[:la]).__getitem__, LOG[1:])]
             self.add = lambda a, b: ADD[a * q + b]
             self.mul = lambda a, b: MUL[a * q + b]
         else:
             self.add = add_digitwise
             qm = q - 1
 
-            def mul(a, b):
+            def mul_logs(a, b):
                 if a == 0 or b == 0:
                     return 0
                 return EXP[(LOG[a] + LOG[b]) % qm]
 
-            self.mul = mul
-
-        NEG = [_encode([-d for d in _digits(a, p, k)], p) for a in range(q)]
-        self.neg = lambda a: NEG[a]
+            self.mul = mul_logs
         return self
 
     def inv(self, a):
@@ -335,14 +352,10 @@ class _Packing:
         for _ in range(k):
             table = [d | t << bits for t in table for d in range(p)]
         self.table = table
-        # slot i >= k of a product stands for x^i mod g, so digit j is slot j
-        # plus each such slot times the coefficient of x^j in x^i mod g, all
-        # mod p; digit_terms holds the (shift, factor) pairs, top digit first
-        x = [0, 1] + [0] * (k - 2)
-        high = {i: _poly_powmod(x, i, field.g_coeffs, p)
-                for i in range(k, 2 * k - 1)}
-        self.digit_terms = [[(bits * j, 1)] + [(bits * i, r[j]) for i, r in high.items() if r[j]]
-                            for j in range(k - 1, -1, -1)]
+        # slot i of a product stands for x^i mod g, so digit j sums the slots
+        # times coordinate j of x^i, mod p: (shift, factor) pairs, top digit first
+        x_powers = power_columns([0, 1], 2 * k - 1, field.g_coeffs, p)
+        self.digit_terms = [[(bits * i, r) for i, r in enumerate(c) if r] for c in x_powers[::-1]]
 
     def encode(self, v):
         """Field encoding of a sum of packed elements and packed products."""

@@ -45,9 +45,9 @@ import math
 import random
 from dataclasses import dataclass
 from itertools import compress, groupby, repeat
-from operator import add, mod, mul
+from operator import add, mul
 
-from .arith import Fq, Memo, WittRing, gauss_jordan, packing, witt_precision
+from .arith import Fq, Memo, WittRing, gauss_jordan, packing, power_columns, witt_precision
 from .errors import (
     ExponentPrecisionTooLow,
     HypothesisViolation,
@@ -566,9 +566,8 @@ class ChartContext:
         The coefficient of T^beta is sum_a a^{-1} prod_l C(c_l(a), beta_l)
         mod p, c_l(a) the coordinates of the Teichmuller lift of a, which
         the binomials read mod pe = _lucas_modulus(p, depth) only.  The
-        lifts of a = g^i are kept mod pe as f coordinate lists, built by
-        doubling: those of [g]^(n+i), i < n, are those of [g]^i times the
-        f x f matrix of multiplication by [g]^n.
+        lifts of a = g^i are the powers of [g] mod pe, as the f coordinate
+        lists of `power_columns`.
 
         The sum is Kronecker-packed: a^{-1} is a _Packing int with S-bit
         slots, and the binomials of the last variable for all m < depth sit
@@ -592,25 +591,13 @@ class ChartContext:
         products are summed.  S is the byte lane that `packing` picks for
         that bound.
         """
-        fld, ring = self.field, self.ring
+        fld = self.field
         p, f, depth, units = self.p, self.f, self.tdepth, self.q - 1
         pack = packing(fld, (p - 1) ** min(f + 1, 4), units)
         pe = _lucas_modulus(p, depth)
         row = functools.cache(lambda c: _binomial_row(p, c, depth))
         packed = functools.cache(lambda c: pack.join(row(c), fld.k))
-        basis = [tuple(int(i == j) for i in range(f)) for j in range(f)]
-        cols, step = [[int(l == 0)] for l in range(f)], ring.teichmuller(fld.generator)
-        while len(cols[0]) < units:
-            mat = [ring.mul(step, e) for e in basis]  # column j is step * e_j
-            # coordinate i of the next lifts: sum_j mat[j][i] * cols[j], elementwise
-            new = [list(map(mod, functools.reduce(functools.partial(map, add),
-                                                  [map(mul, repeat(xj[i]), c)
-                                                   for xj, c in zip(mat, cols)]), repeat(pe)))
-                   for i in range(f)]
-            for c, more in zip(cols, new):
-                c += more
-            step = ring.mul(step, step)
-        cols = [c[:units] for c in cols]
+        cols = power_columns(self.ring.teichmuller(fld.generator), units, fld.g_coeffs, pe)
         # unit i is a = g^i, so a^{-1} = g^(-i)
         exp = fld.EXP
         inverses = exp[:1] + exp[:0:-1]

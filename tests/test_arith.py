@@ -3,8 +3,16 @@ import itertools
 import random
 
 import pytest
-from sympy import ZZ, Poly, Symbol
-from sympy.polys.galoistools import gf_gcdex, gf_mul, gf_rem, gf_strip
+from sympy import ZZ, Poly, Symbol, factorint
+from sympy.polys.galoistools import (
+    gf_add,
+    gf_gcdex,
+    gf_mul,
+    gf_neg,
+    gf_pow_mod,
+    gf_rem,
+    gf_strip,
+)
 
 from modpcheck.arith import (
     Fq,
@@ -267,6 +275,19 @@ class _GFOracle:
         assert h == [1]
         return _gf_encode(gf_rem(s, self.modulus, self.p, ZZ), self.p)
 
+    def add(self, a, b):
+        p, k = self.p, self.k
+        return _gf_encode(gf_add(_gf_poly(a, p, k), _gf_poly(b, p, k), p, ZZ), p)
+
+    def neg(self, a):
+        return _gf_encode(gf_neg(_gf_poly(a, self.p, self.k), self.p, ZZ), self.p)
+
+    def has_full_order(self, a):
+        # a^((q-1)/l) != 1 for every prime l dividing q - 1
+        p, q = self.p, self.p**self.k
+        return all(gf_pow_mod(_gf_poly(a, p, self.k), (q - 1) // ell, self.modulus, p, ZZ) != [1]
+                   for ell in factorint(q - 1))
+
 
 def _oracle_pairs(F):
     if F.q <= 11:
@@ -275,12 +296,24 @@ def _oracle_pairs(F):
     return [(rng.randrange(F.q), rng.randrange(F.q)) for _ in range(2000)]
 
 
-@pytest.mark.parametrize("p,k", [(11, 1), (13, 2), (17, 3)])
+@pytest.mark.parametrize("p,k", [(2, 1), (2, 3), (3, 2), (5, 3), (11, 1), (13, 2), (17, 3),
+                                 (37, 2), (101, 1), (8191, 1)])
 def test_fq_matches_sympy_galoistools(p, k):
-    # (13, 2) runs on the flat product table, (17, 3) on the log tables
+    # q <= 169 runs on the flat tables, (17, 3), (37, 2) and (8191, 1) on
+    # the log tables and the digit loop
     F, oracle = Fq(p, k), _GFOracle(p, k)
+    q = F.q
     assert Poly(oracle.modulus, Symbol("x"), modulus=p).is_irreducible
+    # the generator is the least unit of order q - 1, EXP lists its powers
+    # and LOG inverts EXP
+    assert [c for c in range(1, F.generator + 1) if oracle.has_full_order(c)] == [F.generator]
+    assert F.EXP[0] == 1
+    assert all(F.EXP[n + 1] == oracle.mul(F.EXP[n], F.generator) for n in range(q - 2))
+    assert sorted(F.EXP) == list(range(1, q))
+    assert all(F.LOG[e] == n for n, e in enumerate(F.EXP))
+    assert all(F.neg(a) == oracle.neg(a) for a in range(q))
     for a, b in _oracle_pairs(F):
+        assert F.add(a, b) == oracle.add(a, b), (a, b)
         assert F.mul(a, b) == oracle.mul(a, b), (a, b)
         if b:
             assert F.inv(b) == oracle.inv(b), b
