@@ -13,17 +13,17 @@ tuples mod p^N.  Both rings share one polynomial layer, mod any m:
 _poly_mulmod, _poly_powmod, power_columns (all powers of one element, by
 doubling), and _digits and _encode between encodings and coordinates.
 
-F_q multiplication is table-driven: full flat tables for q <= 169, discrete
-log/antilog tables over a generator (a*b = EXP[LOG a + LOG b]) above that.
-Addition is a flat table when small and a loop over the base-p digits
-otherwise; it does not use Zech logarithms.  Each table is built in passes
-over whole lists.  _Packing holds elements as Kronecker-packed ints, whose
-sums and products are plain int arithmetic; `packing` picks the slot width
-of every one of them.  gauss_jordan records the row operations that reduce
-the Jacobian of the chart's linear coordinate change to the identity.  Memo
-is the keyed cache that keeps fields, Witt rings, packings and the chart's
-tables for the life of the process; RunScope holds the Memos whose values
-live only as long as one run.
+F_q keeps two tables at every q: EXP, the powers of a generator, and LOG,
+their discrete logs.  Products and negatives add logs (a*b = EXP[LOG a +
+LOG b]); addition is a loop over the base-p digits and does not use Zech
+logarithms.  Both tables are built in passes over whole lists.  _Packing
+holds elements as Kronecker-packed ints, whose sums and products are plain
+int arithmetic; `packing` picks the slot width of every one of them.
+gauss_jordan records the row operations that reduce the Jacobian of the
+chart's linear coordinate change to the identity.  Memo is the keyed cache
+that keeps fields, Witt rings, packings and the chart's tables for the life
+of the process; RunScope holds the Memos whose values live only as long as
+one run.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import sys
 import threading
 from functools import partial, reduce
 from itertools import islice, repeat
-from operator import add, getitem, mod, mul
+from operator import add, mod, mul
 
 from .errors import NotAUnit, RangeViolation, SingularJacobian
 
@@ -215,12 +215,11 @@ _FIELD_CACHE = Memo(lambda p, k: object.__new__(Fq)._init(p, k))
 class Fq:
     """F_{p^k} with int-encoded elements, one instance per (p, k).
 
-    EXP[n] = gen^n is Horner over the k digit lists of power_columns, LOG
-    its inverse permutation, NEG EXP rotated by h = (q-1)/2 (-1 = gen^h, p
-    odd) read at LOG, or the identity at p = 2.  Row a of ADD sums one list
-    per digit of a; row a of MUL is EXP rotated by LOG[a], read at LOG.  A
-    digit list holds one int per entry, reduced mod p at each doubling, so
-    no packed lane can carry."""
+    EXP[n] = gen^n is Horner over the k digit lists of power_columns, each
+    entry reduced mod p at every doubling, and LOG is its inverse
+    permutation; no other table is built.  mul adds logs mod q-1; neg adds
+    h to the log, where -1 = gen^h: h = (q-1)/2 for odd p, 0 at p = 2; add
+    sums digits mod p."""
 
     def __new__(cls, p, k):
         return _FIELD_CACHE[p, k]
@@ -242,9 +241,9 @@ class Fq:
         self.LOG = LOG = [0] * q
         for n, e in enumerate(EXP):
             LOG[e] = n
-        h = (q - 1) // 2
-        NEG = [0, *map((EXP[h:] + EXP[:h]).__getitem__, LOG[1:])] if p > 2 else range(q)
-        self.neg = lambda a: NEG[a]
+        qm, h = q - 1, (q - 1) // 2 if p > 2 else 0
+        self.neg = lambda a: a and EXP[(LOG[a] + h) % qm]
+        self.mul = lambda a, b: a and b and EXP[(LOG[a] + LOG[b]) % qm]
 
         def add_digitwise(a, b):
             e = 0
@@ -256,28 +255,7 @@ class Fq:
                 mul *= p
             return e
 
-        if q <= 169:
-            # place[j][d] lists (d + b_j mod p) p^j over b
-            place = [[[(d + t) % p * p**j for t in range(p) for _ in range(p**j)] * p**(k - 1 - j)
-                      for d in range(p)] for j in range(k)]
-            ADD = []
-            for a in range(q):
-                ADD += reduce(partial(map, add), map(getitem, place, _digits(a, p, k)))
-            MUL = [0] * q
-            for la in LOG[1:]:
-                MUL += [0, *map((EXP[la:] + EXP[:la]).__getitem__, LOG[1:])]
-            self.add = lambda a, b: ADD[a * q + b]
-            self.mul = lambda a, b: MUL[a * q + b]
-        else:
-            self.add = add_digitwise
-            qm = q - 1
-
-            def mul_logs(a, b):
-                if a == 0 or b == 0:
-                    return 0
-                return EXP[(LOG[a] + LOG[b]) % qm]
-
-            self.mul = mul_logs
+        self.add = add_digitwise
         return self
 
     def inv(self, a):

@@ -46,10 +46,11 @@ SUITES = ("identities", "weights", "iwasawa", "phigamma")
 SCHEMA = 1
 
 # Admission limits, checked before any field is built.  Every run builds
-# F_q, whose tables hold q entries (46 MB peak RSS at q = 23^4).  The chart
-# suites also sum over the q-1 units (over their (q-1)^2 pairs at f <= 2) and
-# multiply series in the C(depth-1+f, f) monomials below the chart depth
-# (1,140 at the largest preset, p=17 f=3).
+# F_q, whose two tables hold q entries each (36 MB peak RSS for the build
+# alone at q = 23^4, 48 MB for the f=4 identities and weights run).  The
+# chart suites also sum over the q-1 units (over their (q-1)^2 pairs at
+# f <= 2) and multiply series in the C(depth-1+f, f) monomials below the
+# chart depth (1,140 at the largest preset, p=17 f=3).
 MAX_Q = 2**19
 MAX_CHART_Q = 2**13
 MAX_CHART_MONOMIALS = 2**12
@@ -97,6 +98,8 @@ class RunConfig:
     def _admit(self):
         """Reject a field, cutoff or sample count beyond the admission limits."""
         p, f = self.p, self.f
+        if p < 2:  # the limits below need p >= 2; validate_params checks primality
+            raise ConfigInvalid(f"p={p} is not prime")
         if f < 1:
             raise ConfigInvalid(f"f={f} must be positive")
         # p^f >= 2^f for p >= 2, so no f past the limit's bit length fits

@@ -219,8 +219,8 @@ def test_field_construction_deterministic():
     assert Fq(17, 3).g_coeffs == minimal_irreducible(17, 3)
 
 
-# sha256 of repr([g_coeffs, generator, EXP, LOG, NEG] + [ADD, MUL] if q <= 169),
-# NEG, ADD and MUL read through neg, add and mul (ADD, MUL flat, row a at a*q)
+# sha256 of repr([g_coeffs, generator, EXP, LOG, neg of every a] + for q <= 169
+# [add, mul of every pair]), each pair list flat with (a, b) at a*q + b
 FIELD_TABLE_DIGESTS = {
     (11, 1): "725cc533b3e72b549594d553e359bdfbb529604b1451d204c6e967e33ed68084",
     (13, 2): "2ab2d9681476ae596b5778e5f697bfd9a66acc35f0e6efbcfa70ce170e44ee48",
@@ -293,14 +293,15 @@ def _oracle_pairs(F):
     if F.q <= 11:
         return [(a, b) for a in range(F.q) for b in range(F.q)]
     rng = random.Random(F.q)
-    return [(rng.randrange(F.q), rng.randrange(F.q)) for _ in range(2000)]
+    zeros = [(0, 0), *((0, c) for c in (1, 2, F.q - 1)), *((c, 0) for c in (1, 2, F.q - 1))]
+    return zeros + [(rng.randrange(F.q), rng.randrange(F.q)) for _ in range(2000)]
 
 
 @pytest.mark.parametrize("p,k", [(2, 1), (2, 3), (3, 2), (5, 3), (11, 1), (13, 2), (17, 3),
                                  (37, 2), (101, 1), (8191, 1)])
 def test_fq_matches_sympy_galoistools(p, k):
-    # q <= 169 runs on the flat tables, (17, 3), (37, 2) and (8191, 1) on
-    # the log tables and the digit loop
+    # every field multiplies and negates by its log tables and adds by its
+    # digit loop; above q = 11 the pairs are sampled, plus zero operands
     F, oracle = Fq(p, k), _GFOracle(p, k)
     q = F.q
     assert Poly(oracle.modulus, Symbol("x"), modulus=p).is_irreducible

@@ -9,7 +9,6 @@ from modpcheck.cli import main
 from modpcheck.errors import ConfigInvalid, GenericityViolation, PairNotDefined, RangeViolation
 from modpcheck.harness import (
     SCHEMA,
-    Report,
     RunConfig,
     emit_report,
     list_params,
@@ -283,6 +282,7 @@ def no_field_builds(monkeypatch):
     (dict(p=11, f=1, r=(4,), thetas=1001), "thetas=1001 outside"),
     (dict(p=11, f=1, r=(4,), thetas=0), "thetas=0 outside"),
     (dict(p=11, f=0, r=()), "f=0 must be positive"),
+    (dict(p=-17, f=3, r=(7, 8, 7)), "p=-17 is not prime"),
     # q = 2^17 is inside the field limit, so f itself must be refused
     (dict(p=2, f=17, r=(1,) * 17, suites=("weights",)), "f=17 outside [1, 16]"),
     # the chart suites need cutoff <= p^2, as a unit's distortion pieces are
@@ -319,6 +319,7 @@ def test_admission_accepts_presets_and_benchmark_configs(no_field_builds):
     ["--p", "11", "--f", "1", "--r", "4", "--thetas", "5000"],
     ["--p", "2", "--f", "17", "--r", ",".join(["1"] * 17), "--suite", "weights"],
     ["--p", "11", "--f", "1", "--r", "4", "--cutoff", "122", "--jrho", "0"],
+    ["--p", "-17", "--f", "3", "--r", "7,8,7"],
 ])
 def test_cli_admission_limits_exit_2(no_field_builds, args):
     res = CliRunner().invoke(main, ["verify", *args])
