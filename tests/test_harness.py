@@ -282,7 +282,6 @@ def no_field_builds(monkeypatch):
     (dict(p=11, f=1, r=(4,), thetas=1001), "thetas=1001 outside"),
     (dict(p=11, f=1, r=(4,), thetas=0), "thetas=0 outside"),
     (dict(p=11, f=0, r=()), "f=0 must be positive"),
-    (dict(p=-17, f=3, r=(7, 8, 7)), "p=-17 is not prime"),
     # q = 2^17 is inside the field limit, so f itself must be refused
     (dict(p=2, f=17, r=(1,) * 17, suites=("weights",)), "f=17 outside [1, 16]"),
     # the chart suites need cutoff <= p^2, as a unit's distortion pieces are
@@ -290,6 +289,7 @@ def no_field_builds(monkeypatch):
     (dict(p=11, f=1, r=(4,), cutoff=121), None),
     (dict(p=11, f=1, r=(4,), cutoff=122), "cutoff=122 too large: the chart suites need cutoff <= p^2 = 121"),
     (dict(p=11, f=1, r=(4,), cutoff=122, suites=("identities", "weights")), None),
+    (dict(p=-17, f=3, r=(7, 8, 7)), "p=-17 is not prime"),
 ])
 def test_admission_limits_before_any_field_build(no_field_builds, kwargs, message):
     # the cutoff bounds the chart, so only runs of the chart suites are
