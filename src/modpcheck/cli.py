@@ -47,7 +47,7 @@ def _malformed(payload):
             return f"suite row {i} has no name"
         if row.get("status") not in ("pass", "fail"):
             return f"suite row {i} has no status pass or fail"
-        if not isinstance(row.get("checked"), int):
+        if type(row.get("checked")) is not int:  # a bool is an int too
             return f"suite row {i} has no checked count"
     return None
 
@@ -128,10 +128,11 @@ def report(file, fmt):
     with open(file, "rb") as fh:
         try:
             payload = json.load(fh)
-        except json.JSONDecodeError as e:
+        except (json.JSONDecodeError, UnicodeDecodeError) as e:
             _config_error(f"not a report file: {e}")
-    if not isinstance(payload, dict) or payload.get("schema") != SCHEMA:
-        _config_error(f"unsupported schema {payload.get('schema') if isinstance(payload, dict) else None!r}")
+    schema = payload.get("schema") if isinstance(payload, dict) else None
+    if type(schema) is not int or schema != SCHEMA:  # neither true nor 1.0
+        _config_error(f"unsupported schema {schema!r}")
     try:
         bad = _malformed(payload)
     except KeyError as e:

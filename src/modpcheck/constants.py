@@ -9,11 +9,9 @@ hypotheses of the identity they verify and report the first counterexample
 rather than raising.
 """
 
-import dataclasses
 import itertools
 import math
 import random
-from dataclasses import dataclass
 from operator import add, eq, ge, le, mul, sub
 
 from .arith import Fq, scope_memo
@@ -200,7 +198,6 @@ def hj(params, h, j):
 # pairing scalars
 
 
-@dataclass(frozen=True)
 class MuAlgebra:
     """Pairing scalars mu(J, Jp) in product form rho_factor[J] * sigma_factor[Jp],
     as int encodings of F_q multiplied by ``field``.
@@ -213,24 +210,18 @@ class MuAlgebra:
     are computed once.
     """
 
-    params: object
-    field: Fq
-    rho_factor: dict
-    sigma_factor: dict
-    row_class: tuple = dataclasses.field(init=False, repr=False, compare=False)
-    col_class: tuple = dataclasses.field(init=False, repr=False, compare=False)
-    col_sign: tuple = dataclasses.field(init=False, repr=False, compare=False)
+    __slots__ = ("params", "field", "rho_factor", "sigma_factor",
+                 "row_class", "col_class", "col_sign")
 
-    def __post_init__(self):
-        subs = self.params.subsets()
-        Jrho = self.params.Jrho
-        rows = tuple((J.shift(-1) & Jrho).bits for J in subs)
-        cols = tuple((Jp & Jrho).bits for Jp in subs)
-        lead = (-1) ** (self.params.f - 1)
-        signs = tuple(lead * epsilonJ(self.params, Jp) for Jp in subs)
-        object.__setattr__(self, "row_class", rows)
-        object.__setattr__(self, "col_class", cols)
-        object.__setattr__(self, "col_sign", signs)
+    def __init__(self, params, field: Fq, rho_factor: dict, sigma_factor: dict):
+        self.params, self.field = params, field
+        self.rho_factor, self.sigma_factor = rho_factor, sigma_factor
+        subs = params.subsets()
+        Jrho = params.Jrho
+        self.row_class = tuple((J.shift(-1) & Jrho).bits for J in subs)
+        self.col_class = tuple((Jp & Jrho).bits for Jp in subs)
+        lead = (-1) ** (params.f - 1)
+        self.col_sign = tuple(lead * epsilonJ(params, Jp) for Jp in subs)
 
     def defined(self, J, Jp):
         return self.row_class[J.bits] == self.col_class[Jp.bits]
@@ -272,19 +263,30 @@ def mu_gamma(params, seed=0):
 MUTABLE = ("s", "t", "a", "r", "c", "cprime", "tJJp", "aJn")
 
 
-@dataclass(frozen=True)
 class Mutation:
     """One-cell additive perturbation of a named constant table."""
 
-    table: str
-    jmask: int
-    j: int
-    jpmask: int = 0
-    delta: int = 1
+    __slots__ = ("table", "jmask", "j", "jpmask", "delta")
 
-    def __post_init__(self):
-        if self.table not in MUTABLE:
-            raise ConfigInvalid(f"unknown table {self.table!r}; pick one of {MUTABLE}")
+    def __init__(self, table: str, jmask: int, j: int, jpmask: int = 0, delta: int = 1):
+        if table not in MUTABLE:
+            raise ConfigInvalid(f"unknown table {table!r}; pick one of {MUTABLE}")
+        self.table, self.jmask, self.j, self.jpmask, self.delta = table, jmask, j, jpmask, delta
+
+    def _fields(self):
+        return self.table, self.jmask, self.j, self.jpmask, self.delta
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        return (f"Mutation(table={self.table!r}, jmask={self.jmask!r}, j={self.j!r}, "
+                f"jpmask={self.jpmask!r}, delta={self.delta!r})")
 
 
 class ConstantTables:

@@ -10,7 +10,6 @@ the payload but never inside it.
 
 import json
 import math
-from dataclasses import dataclass
 from itertools import product
 from time import perf_counter
 
@@ -61,27 +60,22 @@ CHART_SUITES = ("iwasawa", "phigamma")
 _TABLE_ALIASES = {"rJ": "r", "cJ": "c", "sJ": "s", "tJ": "t", "cprimeJ": "cprime"}
 
 
-@dataclass(frozen=True)
 class RunConfig:
-    """Everything a run depends on.  Validation happens at construction."""
+    """Everything a run depends on.  Validation happens at construction.
 
-    p: int
-    f: int
-    r: tuple
-    jrho: object = "all"  # "all" or a tuple of embedding indices
-    cutoff: int | None = None
-    seed: int = 0
-    suites: tuple = SUITES
-    mutate: str | None = None
-    units: int = 20
-    thetas: int = 50
+    jrho is "all" or a tuple of embedding indices; cutoff None means
+    default_cutoff(p, f)."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "r", tuple(self.r))
-        object.__setattr__(self, "suites", tuple(self.suites))
+    __slots__ = ("p", "f", "r", "jrho", "cutoff", "seed", "suites", "mutate", "units", "thetas")
+
+    def __init__(self, p, f, r, jrho="all", cutoff=None, seed=0, suites=SUITES,
+                 mutate=None, units=20, thetas=50):
+        self.p, self.f, self.r, self.jrho, self.cutoff = p, f, tuple(r), jrho, cutoff
+        self.seed, self.suites, self.mutate = seed, tuple(suites), mutate
+        self.units, self.thetas = units, thetas
         self._admit()
         if self.jrho != "all":
-            object.__setattr__(self, "jrho", tuple(sorted(set(self.jrho))))
+            self.jrho = tuple(sorted(set(self.jrho)))
             for j in self.jrho:
                 if not 0 <= j < self.f:
                     raise ConfigInvalid(f"jrho index {j} outside [0, {self.f})")
@@ -243,12 +237,16 @@ _TABLES = {"identities": identities_table, "weights": weights_table, "phigamma":
 # ---- report assembly -------------------------------------------------------
 
 
-@dataclass
 class Report:
-    config: dict
-    fingerprint: dict
-    suites: list
-    timings: dict
+    """The payload parts of one run, and its timings outside the payload."""
+
+    __slots__ = ("config", "fingerprint", "suites", "timings")
+
+    def __init__(self, config, fingerprint, suites, timings):
+        self.config = config
+        self.fingerprint = fingerprint
+        self.suites = suites
+        self.timings = timings
 
     @property
     def passed(self):

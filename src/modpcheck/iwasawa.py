@@ -43,7 +43,6 @@ inverse is of an exact monomial, a negative power in pow_below.
 import functools
 import math
 import random
-from dataclasses import dataclass
 from itertools import compress, groupby, repeat
 from operator import add, mul
 
@@ -816,13 +815,15 @@ class ChartContext:
         return self.field.pow(a0, e)
 
 
-@dataclass(frozen=True)
 class UnitData:
     """Teichmuller part encoding plus the principal-part digit matrix
     (None when the unit is a Teichmuller representative)."""
 
-    a0: int
-    dmat: tuple
+    __slots__ = ("a0", "dmat")
+
+    def __init__(self, a0: int, dmat: tuple):
+        self.a0 = a0
+        self.dmat = dmat
 
 
 def _binomial_series(v, n, bound):

@@ -21,7 +21,6 @@ vector h, whose exponent _twist gives: slot j gets h_j - p*h_{j+1}.
 
 import itertools
 import random
-from dataclasses import dataclass
 
 from .arith import Fq, scope_memo
 from .base_combinatorics import SubsetJ, vmap
@@ -80,15 +79,17 @@ def _twist(p, h):
 # matrices
 
 
-@dataclass
 class PhiGammaMatrix:
     """Square matrix over the Laurent chart, rows and columns indexed by
     subsets of Z/fZ.  Missing entries are exact zeros; entries that are
     zero only as far as they are known keep their finite cutoff."""
 
-    params: object
-    field: object
-    entries: dict
+    __slots__ = ("params", "field", "entries")
+
+    def __init__(self, params, field, entries: dict):
+        self.params = params
+        self.field = field
+        self.entries = entries
 
     @classmethod
     def identity(cls, params, fld):
@@ -243,7 +244,6 @@ def solve_right_inverse(M):
 # twisted fixed-point systems
 
 
-@dataclass
 class ThetaProblem:
     """Twisted difference system on f-tuples of torus-fixed elements.
 
@@ -254,32 +254,28 @@ class ThetaProblem:
     lam_i are nonzero F_q encodings (ints).
     """
 
-    p: int
-    J: SubsetJ
-    Jp: SubsetJ
-    lam: tuple
-    h: tuple
-    b: tuple
+    __slots__ = ("p", "J", "Jp", "lam", "h", "b", "field", "twist_monomials")
 
-    def __post_init__(self):
-        f = self.J.f
-        if self.Jp.f != f or len(self.lam) != f or len(self.b) != f or len(self.h) != f:
+    def __init__(self, p: int, J: SubsetJ, Jp: SubsetJ, lam: tuple, h: tuple, b: tuple):
+        f = J.f
+        if Jp.f != f or len(lam) != f or len(b) != f or len(h) != f:
             raise HypothesisViolation("component counts must all equal f")
         for j in range(f):
-            if not 1 <= self.h[j] <= self.p - 2:
-                raise HypothesisViolation(f"h_{j}={self.h[j]} outside [1, p-2]")
-        if not all(self.lam):
+            if not 1 <= h[j] <= p - 2:
+                raise HypothesisViolation(f"h_{j}={h[j]} outside [1, p-2]")
+        if not all(lam):
             raise HypothesisViolation("twist scalars must be nonzero")
-        for x in self.b:
-            if not is_torus_fixed(x, self.p):
+        for x in b:
+            if not is_torus_fixed(x, p):
                 raise HypothesisViolation("right-hand side must be torus-fixed")
-        self.field = self.b[0].field
+        self.p, self.J, self.Jp, self.lam, self.h, self.b = p, J, Jp, lam, h, b
+        self.field = b[0].field
         # the f twist monomials lam_i * W_i
         self.twist_monomials = tuple(
-            AElement.monomial(self.field, f, _twist(self.p, [
-                v * (((j - i) % f in self.J) - ((j - i) % f in self.Jp))
-                for j, v in enumerate(self.h)
-            ]), self.lam[i])
+            AElement.monomial(self.field, f, _twist(p, [
+                v * (((j - i) % f in J) - ((j - i) % f in Jp))
+                for j, v in enumerate(h)
+            ]), lam[i])
             for i in range(f)
         )
 

@@ -1,7 +1,6 @@
 """Result containers shared by the verification sweeps."""
 
 import math
-from dataclasses import dataclass
 
 from .base_combinatorics import SubsetJ
 from .errors import PACKAGE_ERRORS
@@ -27,13 +26,17 @@ def witness(**kw):
     return {k: _plain(v) for k, v in kw.items()}
 
 
-@dataclass
 class CheckResult:
-    name: str
-    passed: bool
-    checked: int = 0
-    counterexample: dict | None = None
-    info: dict | None = None
+    """One report row: its verdict, tuple count, first witness and extras."""
+
+    __slots__ = ("name", "passed", "checked", "counterexample", "info")
+
+    def __init__(self, name, passed, checked=0, counterexample=None, info=None):
+        self.name = name
+        self.passed = passed
+        self.checked = checked
+        self.counterexample = counterexample
+        self.info = info
 
     def as_dict(self):
         d = {

@@ -8,7 +8,6 @@ vector corresponding to the base point of the graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 from operator import add, getitem, le, mul
@@ -38,15 +37,24 @@ def validate_params(p, f, r, Jrho):
         raise GenericityViolation(0, "r_0 >= 4 when f = 1")
 
 
-@dataclass(frozen=True)
 class RhoParams:
-    p: int
-    f: int
-    r: tuple
-    Jrho: SubsetJ
+    """A validated parameter pack (p, f, r, Jrho).  Instances keep a
+    __dict__ for the per-params tables cached below."""
 
-    def __post_init__(self):
-        validate_params(self.p, self.f, self.r, self.Jrho)
+    def __init__(self, p: int, f: int, r: tuple, Jrho: SubsetJ):
+        self.p, self.f, self.r, self.Jrho = p, f, r, Jrho
+        validate_params(p, f, r, Jrho)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.p, self.f, self.r, self.Jrho) == (other.p, other.f, other.r, other.Jrho)
+
+    def __hash__(self):
+        return hash((self.p, self.f, self.r, self.Jrho))
+
+    def __repr__(self):
+        return f"RhoParams(p={self.p!r}, f={self.f!r}, r={self.r!r}, Jrho={self.Jrho!r})"
 
     @classmethod
     def make(cls, p, f, r, jrho_members=()):
@@ -387,17 +395,20 @@ def run_weights(params):
     return [size.result(), blocks.result(), fams_sw.result(), rank.result()]
 
 
-@dataclass(frozen=True)
 class HCharacter:
     """Diagonal-torus character, two exponents mod q-1."""
 
-    qm1: int
-    exp1: int
-    exp2: int
+    __slots__ = ("qm1", "exp1", "exp2")
 
-    def __post_init__(self):
-        object.__setattr__(self, "exp1", self.exp1 % self.qm1)
-        object.__setattr__(self, "exp2", self.exp2 % self.qm1)
+    def __init__(self, qm1: int, exp1: int, exp2: int):
+        self.qm1 = qm1
+        self.exp1 = exp1 % qm1
+        self.exp2 = exp2 % qm1
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.qm1, self.exp1, self.exp2) == (other.qm1, other.exp1, other.exp2)
 
     def __mul__(self, other):
         return HCharacter(self.qm1, self.exp1 + other.exp1, self.exp2 + other.exp2)

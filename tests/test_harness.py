@@ -362,6 +362,17 @@ def test_cli_report_roundtrip(tmp_path):
     path3 = tmp_path / "notjson.json"
     path3.write_text("nope")
     assert runner.invoke(main, ["report", str(path3)]).exit_code == 2
+    # True == 1 == 1.0, but only the int SCHEMA is schema 1
+    for schema in (True, 1.0):
+        path2.write_text(json.dumps(
+            {"schema": schema, "config": {}, "fingerprint": {}, "suites": []}))
+        res = runner.invoke(main, ["report", str(path2)])
+        assert res.exit_code == 2
+        assert res.output == f"config error: unsupported schema {schema!r}\n"
+    path3.write_bytes(b"\x80abc")  # not UTF-8: a bad input file, not a failed check
+    res = runner.invoke(main, ["report", str(path3)])
+    assert res.exit_code == 2
+    assert res.output.startswith("config error: not a report file: 'utf-8' codec can't decode")
 
 
 ROW = {"name": "weights/x", "status": "pass", "checked": 1}
@@ -372,6 +383,8 @@ ROW = {"name": "weights/x", "status": "pass", "checked": 1}
     ([ROW, {"name": "weights/y", "status": "pass"}], "suite row 1 has no checked count"),
     ("pass", "suites is not a list"),
     ([ROW, ["weights/y", "pass", 1]], "suite row 1 is not an object"),
+    ([ROW, {"name": "weights/y", "status": "pass", "checked": True}],
+     "suite row 1 has no checked count"),
 ])
 def test_cli_report_rejects_malformed_rows(tmp_path, suites, why):
     # a malformed row is a bad input file (exit 2), never a failed check (1)

@@ -1,6 +1,10 @@
-"""No module of the package or of the tests imports a name it never uses."""
+"""No module of the package or of the tests imports a name it never uses,
+and the library import loads none of the code-generation modules."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -30,3 +34,15 @@ def test_no_unused_imports():
               for path in MODULES
               for line, name in _unused_imports(ast.parse(path.read_text(), str(path)))]
     assert unused == []
+
+
+def test_library_import_loads_no_dataclass_machinery():
+    # dataclasses brings inspect, ast, dis and tokenize, and decorating a
+    # class execs generated source: set-up time in every fresh process.
+    # The cli is left out, since click imports inspect itself.
+    code = ("import sys, modpcheck.harness; print(sorted("
+            "{'dataclasses', 'inspect', 'ast', 'dis', 'tokenize'} & set(sys.modules)))")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert res.stdout == "[]\n"
