@@ -14,11 +14,11 @@ _poly_mulmod, _poly_powmod, power_columns (all powers of one element, by
 doubling), and _digits and _encode between encodings and coordinates.
 
 F_q keeps two tables at every q: EXP, the powers of a generator, and LOG,
-their discrete logs.  Products and negatives add logs (a*b = EXP[LOG a +
-LOG b]); addition is a loop over the base-p digits and does not use Zech
-logarithms.  Both tables are built in passes over whole lists.  _Packing
-holds elements as Kronecker-packed ints, whose sums and products are plain
-int arithmetic; `packing` picks the slot width of every one of them.
+their discrete logs, built in passes over whole lists.  Products and
+negatives add logs (a*b = EXP[LOG a + LOG b]), and sums read the Zech
+logarithms Z[n] = LOG[1 + g^n] (Huber, IEEE Trans. Inf. Theory 36(4), 1990).
+_Packing holds elements as Kronecker-packed ints, whose sums and products
+are plain int arithmetic; `packing` picks the slot width of every one.
 gauss_jordan records the row operations that reduce the Jacobian of the
 chart's linear coordinate change to the identity.  Memo is the keyed cache
 that keeps fields, Witt rings, packings and the chart's tables for the life
@@ -209,6 +209,17 @@ def minimal_irreducible(p, k):
     raise ArithmeticError("no irreducible found (unreachable)")
 
 
+IRREDUCIBLES = Memo(minimal_irreducible)  # one search per (p, k): field and fingerprint
+
+
+def _zech_logs(p, EXP, LOG, h):
+    """Z[n] = LOG[1 + g^n], None at n = h where 1 + g^h = 0: adding 1 raises
+    the lowest base-p digit of an encoding, which wraps from p-1 to 0."""
+    Z = [LOG[e + 1 - p * (e % p == p - 1)] for e in EXP]
+    Z[h] = None
+    return Z
+
+
 _FIELD_CACHE = Memo(lambda p, k: object.__new__(Fq)._init(p, k))
 
 
@@ -217,9 +228,10 @@ class Fq:
 
     EXP[n] = gen^n is Horner over the k digit lists of power_columns, each
     entry reduced mod p at every doubling, and LOG is its inverse
-    permutation; no other table is built.  mul adds logs mod q-1; neg adds
-    h to the log, where -1 = gen^h: h = (q-1)/2 for odd p, 0 at p = 2; add
-    sums digits mod p."""
+    permutation.  mul adds logs mod q-1; neg adds h to the log, where -1 =
+    gen^h: h = (q-1)/2 for odd p, 0 at p = 2.  add is EXP[LOG a + Z[LOG b -
+    LOG a]], Z the Zech logarithms (_zech_logs) that the first add builds
+    once, under a lock."""
 
     def __new__(cls, p, k):
         return _FIELD_CACHE[p, k]
@@ -228,7 +240,7 @@ class Fq:
         self.p = p
         self.k = k
         self.q = q = p**k
-        self.g_coeffs = g = minimal_irreducible(p, k)
+        self.g_coeffs = g = IRREDUCIBLES[p, k]
 
         # generator: the least element of order q - 1, or 1, the only unit of F_2
         fact = _prime_divisors(q - 1)
@@ -244,24 +256,31 @@ class Fq:
         qm, h = q - 1, (q - 1) // 2 if p > 2 else 0
         self.neg = lambda a: a and EXP[(LOG[a] + h) % qm]
         self.mul = lambda a, b: a and b and EXP[(LOG[a] + LOG[b]) % qm]
+        Z = self.Z = None
+        lock = threading.Lock()
 
-        def add_digitwise(a, b):
-            e = 0
-            mul = 1
-            for _ in range(k):
-                e += ((a + b) % p) * mul
-                a //= p
-                b //= p
-                mul *= p
-            return e
+        def zech_add(a, b):
+            if a and b:
+                la = LOG[a]
+                z = Z[(LOG[b] - la) % qm]
+                return 0 if z is None else EXP[(la + z) % qm]
+            return a or b
 
-        self.add = add_digitwise
+        def first_add(a, b):
+            nonlocal Z
+            if Z is None:
+                with lock:
+                    if Z is None:
+                        Z = self.Z = _zech_logs(p, EXP, LOG, h)
+                if self.add is first_add:  # a wrapper put on add stays
+                    self.add = zech_add
+            return zech_add(a, b)
+
+        self.add = first_add
         return self
 
     def inv(self, a):
-        if a == 0:
-            raise NotAUnit("0 has no inverse")
-        return self.EXP[(self.q - 1 - self.LOG[a]) % (self.q - 1)]
+        return self.pow(a, -1)
 
     def div(self, a, b):
         """a / b; NotAUnit when b is 0."""
@@ -276,9 +295,7 @@ class Fq:
 
     def frob(self, a, j=1):
         """a^(p^j); j taken mod k."""
-        if a == 0:
-            return 0
-        return self.EXP[(self.LOG[a] * pow(self.p, j % self.k, self.q - 1)) % (self.q - 1)]
+        return self.pow(a, self.p ** (j % self.k))
 
     def scale_int(self, a, n):
         """n·a for an integer n (prime-field scalar)."""
@@ -306,24 +323,23 @@ class _Packing:
     The k power-basis digits of an element sit in consecutive `bits`-wide
     slots, so the product of two packed elements is their unreduced
     polynomial product (2k-1 slots) and a sum of packed values or products
-    is plain int addition, exact while no slot reaches 2^bits.  `encode`
-    turns such a sum back into a field encoding: slots mod p, then
+    is plain int addition, exact while no slot reaches 2^bits.  `decode`
+    turns blocks of such sums back into field encodings: slots mod p, then
     reduction by the minimal polynomial.
 
     Its users build their blocks with `join`: k-slot element blocks for
     the unit sums of iwasawa (Y_0 and the torus-eigenvector sum, whose
     packed elements meet only prime-field values, so they keep to k slots)
-    and (2k-1)-slot product blocks for the row products of _mul_terms,
-    whose pair loop sums single products.  Each states the bound on one
-    slot of its sums and takes its instance from `packing`, which picks
-    every width as a byte lane, so `decode` turns many blocks at once.
+    and (2k-1)-slot product blocks for the row products of _mul_terms.
+    Each states the bound on one slot of its sums and takes its instance
+    from `packing`, which picks every width as a byte lane, so `decode`
+    turns many blocks at once.
     """
 
     def __init__(self, field, bits):
         self.bits = bits
         self.p = p = field.p
         k = field.k
-        self.mask = (1 << bits) - 1
         # field encoding -> packed, by digit spread: e = d + p*e' packs as
         # d | packed(e') << bits
         table = [0]
@@ -335,17 +351,6 @@ class _Packing:
         x_powers = power_columns([0, 1], 2 * k - 1, field.g_coeffs, p)
         self.digit_terms = [[(bits * i, r) for i, r in enumerate(c) if r] for c in x_powers[::-1]]
 
-    def encode(self, v):
-        """Field encoding of a sum of packed elements and packed products."""
-        mask, p = self.mask, self.p
-        e = 0
-        for terms in self.digit_terms:
-            t = 0
-            for shift, r in terms:
-                t += (v >> shift & mask) * r
-            e = e * p + t % p
-        return e
-
     def join(self, values, stride):
         """The int whose block i of `stride` slots holds the packed value
         values[i], the layout `decode` reads; each value fits its block."""
@@ -353,7 +358,7 @@ class _Packing:
         return int.from_bytes(b"".join([v.to_bytes(width, "little") for v in values]), "little")
 
     def decode(self, v, count, stride):
-        """encode of each of the `count` blocks of `stride` slots at the
+        """The field encodings of the `count` blocks of `stride` slots at the
         bottom of v, for a width of 8, 16, 32 or 64 bits: v is read as an
         array of lanes, one list per slot position by strided slices, and
         digit_terms combine the lists; a slot position past the stride is

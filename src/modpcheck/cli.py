@@ -47,7 +47,7 @@ def _malformed(payload):
             return f"suite row {i} has no name"
         if row.get("status") not in ("pass", "fail"):
             return f"suite row {i} has no status pass or fail"
-        if type(row.get("checked")) is not int:  # a bool is an int too
+        if type(row.get("checked")) is not int or row["checked"] < 0:  # a bool is an int too
             return f"suite row {i} has no checked count"
     return None
 
@@ -128,7 +128,7 @@ def report(file, fmt):
     with open(file, "rb") as fh:
         try:
             payload = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as e:
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as e:
             _config_error(f"not a report file: {e}")
     schema = payload.get("schema") if isinstance(payload, dict) else None
     if type(schema) is not int or schema != SCHEMA:  # neither true nor 1.0

@@ -13,7 +13,7 @@ import math
 from itertools import product
 from time import perf_counter
 
-from .arith import RunScope, minimal_irreducible, scope_memo
+from .arith import IRREDUCIBLES, RunScope, scope_memo
 from .base_combinatorics import MAX_F, all_subsets
 from .constants import IDENTITY_ROWS, MUTABLE, Mutation, mu_gamma, run_identities
 from .errors import ConfigInvalid
@@ -305,7 +305,7 @@ def run_suite(config):
         "field": {
             "p": config.p,
             "f": config.f,
-            "poly": list(minimal_irreducible(config.p, config.f)),
+            "poly": list(IRREDUCIBLES[config.p, config.f]),
         },
         "seed": config.seed,
         "cutoff": config.cutoff_value(),

@@ -128,56 +128,55 @@ def _sorted_by_degree(terms):
 
 
 def _mul_terms(field, xt, yt, bound):
-    """Dict product with total-degree early exit at `bound` (exclusive).
+    """Dict product with total-degree early exit at `bound` (exclusive);
+    coefficients are nonzero, so each product of two adds their logs.
 
     One-term path: when either operand is a single term c*T^k, the product
     scales and shifts the other operand, {k + k': c*c'} over its terms of
-    degree below bound - |k|; the keys are distinct, so nothing is summed,
-    sorted, packed or encoded.
-
-    Otherwise coefficients are multiplied and summed as _Packing ints, by
-    one of two paths.  A key receives at most min(len(xt), len(yt))
-    products of two reduced packed coefficients, each adding at most
-    k*(p-1)^2 to a slot of its 2k-1, and `packing` picks the byte lane that
-    holds min(len(xt), len(yt)) * k*(p-1)^2 for both.
+    degree below bound - |k|; the keys are distinct, so nothing is summed.
 
     Row product (_row_mul_terms), when the term pairs are at least 4 times
     the row pairs, a row being the terms that share every exponent but the
-    last: each row pair is one big-int multiply, so it pays once the rows
+    last (the rows of yt are counted only when those of xt leave the rule
+    open): each row pair is one big-int multiply, so it pays once the rows
     hold a few terms each.  Every product at f=1 takes it (one row per
-    operand), and so do the large f >= 2 ones (Y^p, n(g)*n(h)).
+    operand), and so do the large f >= 2 ones (Y^p, n(g)*n(h)).  A key
+    receives at most min(len(xt), len(yt)) products of two reduced packed
+    coefficients, each adding at most k*(p-1)^2 to a slot of its 2k-1, and
+    `packing` picks the byte lane that holds that many.
 
     Pair loop otherwise, as for the f=3 chart products with about one term
-    per row: a loop over the pairs below the bound sums into a dict and
-    encodes each output key once.
+    per row: it sums the product of each pair below the bound into a dict
+    with Fq.add.
     """
     if not xt or not yt:
         return {}
     if len(yt) == 1:
         xt, yt = yt, xt
+    EXP, LOG, qm = field.EXP, field.LOG, field.q - 1
     if len(xt) == 1:
         (kx, cx), = xt.items()
         rem = bound - sum(kx)
-        mul = field.mul
-        return {tuple(map(add, kx, k)): mul(cx, c) for k, c in yt.items() if sum(k) < rem}
-    pack = packing(field, field.k * (field.p - 1) ** 2, min(len(xt), len(yt)))
-    rows = len({k[:-1] for k in xt}) * len({k[:-1] for k in yt})
-    if len(xt) * len(yt) >= 4 * rows:
+        return {tuple(map(add, kx, k)): EXP[(LOG[cx] + LOG[c]) % qm]
+                for k, c in yt.items() if rem == INF or sum(k) < rem}
+    pairs = len(xt) * len(yt)
+    rows = len({k[:-1] for k in xt})
+    if pairs >= 4 * rows and pairs >= 4 * rows * len({k[:-1] for k in yt}):
+        pack = packing(field, field.k * (field.p - 1) ** 2, min(len(xt), len(yt)))
         return _row_mul_terms(field.k, pack, xt, yt, bound)
-    pk = pack.table
+    fadd = field.add
     acc = {}
     get = acc.get
-    ybuk = [(d, k, pk[yt[k]]) for d, k in _sorted_by_degree(yt)]
+    ybuk = [(d, k, LOG[yt[k]]) for d, k in _sorted_by_degree(yt)]
     for dx, kx in _sorted_by_degree(xt):
-        cx = pk[xt[kx]]
+        lx = LOG[xt[kx]]
         rem = bound - dx
-        for dy, ky, cy in ybuk:
+        for dy, ky, ly in ybuk:
             if dy >= rem:
                 break
             k = tuple(map(add, kx, ky))
-            acc[k] = get(k, 0) + cx * cy
-    encode = pack.encode
-    return {k: e for k, v in acc.items() if (e := encode(v))}
+            acc[k] = fadd(get(k, 0), EXP[(lx + ly) % qm])
+    return {k: c for k, c in acc.items() if c}
 
 
 def _row_mul_terms(k, pack, xt, yt, bound):
@@ -232,8 +231,9 @@ def _accumulate(fld, out, terms, cutoff=INF, w=1):
     >= cutoff and deleting keys whose sum vanishes; w is a nonzero field
     encoding.
 
-    This is the only accumulation loop left that calls Fq.add/Fq.mul per
-    coefficient; products and the other sums run on _Packing ints.
+    The loop of every sum of series, one Fq.add per coefficient (and Fq.mul
+    when w != 1); products sum with Fq.add in the pair loop of _mul_terms
+    and as _Packing ints in the row product.
     """
     fadd = fld.add
     fmul = fld.mul
@@ -256,16 +256,6 @@ def _accumulate(fld, out, terms, cutoff=INF, w=1):
                 del out[k]
 
 
-def _ldeg(terms):
-    return min(map(sum, terms), default=INF)
-
-
-def _mul_bound(kx, dx, ky, dy):
-    # product of something known below kx with least degree dx by something
-    # known below ky with least degree dy is known below this
-    return min(kx + dy, ky + dx)
-
-
 class AElement:
     """Truncated element of the algebra in either chart.
 
@@ -273,6 +263,10 @@ class AElement:
     chart, of Y_0..Y_{f-1} in the multiplicative one) to nonzero F_q
     encodings; `cutoff` is the total degree below which the element is known
     exactly (terms of total degree >= cutoff are dropped as unknown).
+
+    Invariant: every term lies below the cutoff, so a copy or sum that keeps
+    an operand's cutoff filters none of its terms, and a product with an
+    exact operand (cutoff INF) needs no fdeg of the other.
     """
 
     __slots__ = ("field", "f", "cutoff", "terms")
@@ -295,23 +289,29 @@ class AElement:
     def const(cls, field, f, c, cutoff=INF):
         return cls.monomial(field, f, (0,) * f, c, cutoff)
 
+    @classmethod
+    def sum(cls, field, f, xs, cutoff=INF):
+        """The sum of the list xs in one dict, known below cutoff and theirs."""
+        cutoff = min([cutoff, *(x.cutoff for x in xs)])
+        terms = {}
+        for x in xs:
+            _accumulate(field, terms, x.terms, cutoff if x.cutoff > cutoff else INF)
+        return cls(field, f, cutoff, terms)
+
     def copy_truncated(self, cutoff):
         if cutoff >= self.cutoff:
-            return AElement(self.field, self.f, min(cutoff, self.cutoff), dict(self.terms))
-        return AElement(
-            self.field, self.f, cutoff,
-            {k: c for k, c in self.terms.items() if sum(k) < cutoff},
-        )
+            return AElement(self.field, self.f, self.cutoff, dict(self.terms))
+        return AElement(self.field, self.f, cutoff,
+                        {k: c for k, c in self.terms.items() if sum(k) < cutoff})
 
     def _binop(self, other, w):
         """self + w * other, known below both cutoffs."""
         fld = self.field
         if isinstance(other, int):
             other = AElement.const(fld, self.f, fld.from_int(other))
-        cutoff = min(self.cutoff, other.cutoff)
-        out = {k: c for k, c in self.terms.items() if sum(k) < cutoff}
-        _accumulate(fld, out, other.terms, cutoff, w)
-        return AElement(fld, self.f, cutoff, out)
+        out = self.copy_truncated(other.cutoff)
+        _accumulate(fld, out.terms, other.terms, out.cutoff if other.cutoff > out.cutoff else INF, w)
+        return out
 
     def __add__(self, other):
         return self._binop(other, 1)
@@ -332,9 +332,12 @@ class AElement:
 
     def mul_below(self, other, bound):
         """(self * other).copy_truncated(bound): terms of degree >= bound are
-        never formed."""
-        bound = min(bound, _mul_bound(self.cutoff, _ldeg(self.terms),
-                                      other.cutoff, _ldeg(other.terms)))
+        never formed.  x known below Kx times y known below Ky is known
+        below min(Kx + fdeg(y), Ky + fdeg(x)); an INF cutoff needs no fdeg."""
+        if other.cutoff != INF:
+            bound = min(bound, other.cutoff + fdeg(self))
+        if self.cutoff != INF:
+            bound = min(bound, self.cutoff + fdeg(other))
         terms = _mul_terms(self.field, self.terms, other.terms, bound)
         return AElement(self.field, self.f, bound, terms)
 
@@ -363,7 +366,7 @@ class AElement:
             raise NotAUnit("negative power of a non-monomial")
         base = self
         inner = bound
-        d = _ldeg(self.terms)
+        d = fdeg(self)
         if d != INF:
             inner = bound - (n - 1) * min(d, 0)
             if bound - (n - 1) * d < self.cutoff:
@@ -432,7 +435,7 @@ class AElement:
 
 def fdeg(x):
     """Filtration degree: least total degree in the support; inf for 0."""
-    return _ldeg(x.terms)
+    return min(map(sum, x.terms), default=INF)
 
 
 def is_torus_fixed(x, p=None):
@@ -471,12 +474,9 @@ def frobenius(x):
     coefficients unchanged.  Knowledge scales by p.  In the additive chart
     the same map is T_l -> T_l^p, which is AElement.frobenius_sub.
     """
-    f = x.f
     p = x.field.p
-    terms = {}
-    for k, c in x.terms.items():
-        terms[tuple(p * k[(j + 1) % f] for j in range(f))] = c
-    return AElement(x.field, f, x.cutoff * p, terms)
+    terms = {tuple([p * e for e in k[1:] + k[:1]]): c for k, c in x.terms.items()}
+    return AElement(x.field, x.f, x.cutoff * p, terms)
 
 
 def _graded_exponents(f, deg_max):
@@ -794,9 +794,8 @@ class ChartContext:
                 images.append((gamma, frobenius(piece)))
         vs = []
         for j in range(f):
-            acc = AElement(fld, f, self.D, {})
-            for gamma, image in images:
-                acc = acc + self.convb[j, gamma].mul_below(image, self.D)
+            acc = AElement.sum(fld, f, [self.convb[j, gamma].mul_below(image, self.D)
+                                        for gamma, image in images], self.D)
             # v_j = Y_j^{-1} * (u1(Y_j) - Y_j); the gamma sum above is already
             # the correction term, so divide by the leading monomial
             yinv = AElement.monomial(fld, f, tuple(-1 if i == j else 0 for i in range(f)), 1)
@@ -838,9 +837,9 @@ def _binomial_series(v, n, bound):
         raise NotAUnit("a binomial series needs fdeg(v) >= 1")
     fld = v.field
     cut = min(bound, v.cutoff)
-    out = AElement.const(fld, v.f, 1, cutoff=cut)
+    parts = [AElement.const(fld, v.f, 1, cutoff=cut)]
     if v.is_zero():
-        return out
+        return parts[0]
     if cut == INF:
         raise PrecisionExhausted("binomial series of an exact nonzero series never ends")
     vt = AElement.const(fld, v.f, 1, cutoff=INF)
@@ -849,8 +848,8 @@ def _binomial_series(v, n, bound):
         if vt.is_zero():
             break
         if c:
-            out = out + vt.scale(fld.from_int(c))
-    return out
+            parts.append(vt.scale(fld.from_int(c)))
+    return AElement.sum(fld, v.f, parts)
 
 
 def unit_action(ctx, u, x):
@@ -865,7 +864,7 @@ def unit_action(ctx, u, x):
     if d0 == INF:
         return x
     bound = min(x.cutoff, ctx.D - 1 + d0)
-    acc = AElement(fld, f, bound, {})
+    terms = []
     for k, c in x.terms.items():
         w = fld.mul(c, ctx.teich_weight(data.a0, k))
         term = AElement.monomial(fld, f, k, w, cutoff=bound)
@@ -874,8 +873,8 @@ def unit_action(ctx, u, x):
             for j, e in enumerate(k):
                 if e:
                     term = term.mul_below(ctx.unit_powers[data.dmat, j, e, need], bound)
-        acc = acc + term
-    return acc.copy_truncated(bound)
+        terms.append(term)
+    return AElement.sum(fld, f, terms, bound)
 
 
 def unit_ratio(ctx, u, j):

@@ -109,13 +109,12 @@ class PhiGammaMatrix:
         byrow = {}
         for (r2, c2), y in other.entries.items():
             byrow.setdefault(r2, []).append((c2, y))
-        acc = {}
+        prods = {}
         for (r, mid), x in self.entries.items():
             for c, y in byrow.get(mid, ()):
-                prod = x * y
-                prev = acc.get((r, c))
-                acc[(r, c)] = prod if prev is None else prev + prod
-        return PhiGammaMatrix(self.params, self.field, _nonzero(acc.items()))
+                prods.setdefault((r, c), []).append(x * y)
+        return PhiGammaMatrix(self.params, self.field, _nonzero(
+            (rc, AElement.sum(self.field, self.params.f, ps)) for rc, ps in prods.items()))
 
 
 def _entry_pairs(A, B):
@@ -223,19 +222,16 @@ def solve_right_inverse(M):
     for K in subs:
         sol = {}
         for Jp in rows_desc:
-            acc = AElement.const(fld, f, 1) if Jp == K else None
+            parts = [AElement.const(fld, f, 1)] if Jp == K else []
             for J in _between(Jp, full):
                 if J == Jp:
                     continue
                 e = M.entries.get((Jp, J.shift(1)))
                 x = sol.get(J.shift(1))
-                if e is None or x is None:
-                    continue
-                term = -(e * x)
-                acc = term if acc is None else acc + term
-            if acc is None:
-                continue
-            sol[Jp.shift(1)] = diag_inv[Jp] * acc
+                if e is not None and x is not None:
+                    parts.append(-(e * x))
+            if parts:
+                sol[Jp.shift(1)] = diag_inv[Jp] * AElement.sum(fld, f, parts)
         ent.update(_nonzero(((rowK, K), v) for rowK, v in sol.items()))
     return PhiGammaMatrix(params, fld, ent)
 
@@ -476,7 +472,7 @@ def _block_rhs(mu, qa, pj, Jp, J, hvec):
     f, p = params.f, params.p
     Jrho = params.Jrho
     gJ = mu.gamma(J.shift(1), J)
-    acc = _zero(fld, f)
+    parts = []
     for K in _between(Jp, J):
         if K == Jp or not (K & Jrho) <= Jp:
             continue
@@ -486,7 +482,7 @@ def _block_rhs(mu, qa, pj, Jp, J, hvec):
         D = J - K
         k = _twist(p, [v if j in D else 0 for j, v in enumerate(hvec)])
         g = fld.div(mu.gamma(K.shift(1), Jp), gJ)
-        acc = acc + AElement.monomial(fld, f, k, g) * frobenius(x)
+        parts.append(AElement.monomial(fld, f, k, g) * frobenius(x))
     for K in _between(Jp | (J & Jrho), J):
         if K == J:
             continue
@@ -496,8 +492,8 @@ def _block_rhs(mu, qa, pj, Jp, J, hvec):
         term = x.scale(fld.div(mu.gamma_star(K), mu.gamma_star(J)))
         for j in J - K:
             term = term * pj[j]
-        acc = acc - term
-    return acc
+        parts.append(-term)
+    return AElement.sum(fld, f, parts)
 
 
 def assemble_unit_matrix(params, qa, pj):

@@ -1,6 +1,11 @@
 import hashlib
 import itertools
+import os
 import random
+import subprocess
+import sys
+import threading
+import time
 
 import pytest
 from sympy import ZZ, Poly, Symbol, factorint
@@ -14,13 +19,17 @@ from sympy.polys.galoistools import (
     gf_strip,
 )
 
+import modpcheck
+from modpcheck import arith
 from modpcheck.arith import (
     Fq,
+    Memo,
     WittRing,
     minimal_irreducible,
     witt_precision,
 )
 from modpcheck.errors import NotAUnit
+from modpcheck.harness import RunConfig, run_suite
 
 
 def zp_coordinates(ring, y):
@@ -323,3 +332,108 @@ def test_fq_matches_sympy_galoistools(p, k):
         F.div(1, 0)
     with pytest.raises(NotAUnit):
         F.div(0, 0)
+
+
+# --- Zech-logarithm addition --------------------------------------------------
+
+
+def digit_add(field, a, b):
+    """a + b by the base-p digits of the encodings: the loop Fq added with
+    before it read Zech logarithms, kept as their reference."""
+    p = field.p
+    e = 0
+    mul = 1
+    for _ in range(field.k):
+        e += ((a + b) % p) * mul
+        a //= p
+        b //= p
+        mul *= p
+    return e
+
+
+@pytest.mark.parametrize("p,k", [(2, 3), (3, 2), (11, 1), (13, 2), (17, 3), (23, 4)])
+def test_zech_add_matches_digit_loop_and_sympy(p, k):
+    # all pairs up to q = 11, else sampled pairs with zero operands; each
+    # first operand also meets itself (Z at 0) and its negative (Z is None)
+    F, oracle = Fq(p, k), _GFOracle(p, k)
+    pairs = _oracle_pairs(F)
+    pairs += [(a, c) for a, _ in pairs[:200] for c in (a, F.neg(a))]
+    for a, b in pairs:
+        assert F.add(a, b) == digit_add(F, a, b) == oracle.add(a, b), (a, b)
+    assert F.add(F.neg(1), 1) == F.add(1, F.neg(1)) == 0
+    assert len(F.Z) == F.q - 1
+    assert [n for n, z in enumerate(F.Z) if z is None] == [(F.q - 1) // 2 if p > 2 else 0]
+
+
+def test_identities_run_leaves_the_zech_table_unbuilt():
+    # a fresh interpreter, so that no field of an earlier test is reused:
+    # the identities sweep multiplies in F_169 but never adds
+    code = ("from modpcheck.arith import Fq\n"
+            "from modpcheck.harness import RunConfig, run_suite\n"
+            "rep = run_suite(RunConfig(p=13, f=2, r=(5, 6), suites=('identities',)))\n"
+            "assert rep.passed and rep.suites\n"
+            "import modpcheck.arith as arith\n"
+            "assert (13, 2) in arith._FIELD_CACHE\n"
+            "print(Fq(13, 2).Z is None)\n")
+    src = os.path.dirname(os.path.dirname(modpcheck.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "True\n"
+
+
+def test_concurrent_first_adds_build_the_zech_table_once(monkeypatch):
+    # four threads make the first addition of a fresh field at once: Z is
+    # built once, and every thread gets the sums of the digit loop
+    built = []
+    right = arith._zech_logs
+
+    def slow_build(*args):
+        built.append(args[0])
+        time.sleep(0.01)  # hold the build open while the others arrive
+        return right(*args)
+
+    monkeypatch.setattr(arith, "_zech_logs", slow_build)
+    F = object.__new__(Fq)._init(17, 3)
+    rng = random.Random(7)
+    pairs = [(rng.randrange(1, F.q), rng.randrange(1, F.q)) for _ in range(500)]
+    want = [digit_add(F, a, b) for a, b in pairs]
+    start = threading.Barrier(4)
+    got = {}
+    errors = []
+
+    def work(t):
+        try:
+            start.wait(timeout=30)
+            got[t] = [F.add(a, b) for a, b in pairs]
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(th.is_alive() for th in threads)
+    assert not errors
+    assert built == [17]
+    assert all(got[t] == want for t in range(4))
+
+
+def test_irreducible_search_runs_once_per_field(monkeypatch):
+    # the field build and the report fingerprint read one search
+    calls = []
+    monkeypatch.setattr(arith.IRREDUCIBLES, "build",
+                        lambda p, k: calls.append((p, k)) or minimal_irreducible(p, k))
+    monkeypatch.delitem(arith.IRREDUCIBLES, (13, 2), raising=False)
+    monkeypatch.setattr(arith, "_FIELD_CACHE", Memo(arith._FIELD_CACHE.build))
+    F = Fq(13, 2)
+    rep = run_suite(RunConfig(p=13, f=2, r=(5, 6), suites=("weights",)))
+    assert rep.fingerprint["field"]["poly"] == list(F.g_coeffs) == [2, 0]
+    assert calls == [(13, 2)]

@@ -373,6 +373,10 @@ def test_cli_report_roundtrip(tmp_path):
     res = runner.invoke(main, ["report", str(path3)])
     assert res.exit_code == 2
     assert res.output.startswith("config error: not a report file: 'utf-8' codec can't decode")
+    path3.write_text("[" * 100_000 + "]" * 100_000)  # nested past the parser's recursion limit
+    res = runner.invoke(main, ["report", str(path3)])
+    assert res.exit_code == 2
+    assert res.output.startswith("config error: not a report file: maximum recursion depth")
 
 
 ROW = {"name": "weights/x", "status": "pass", "checked": 1}
@@ -384,6 +388,8 @@ ROW = {"name": "weights/x", "status": "pass", "checked": 1}
     ("pass", "suites is not a list"),
     ([ROW, ["weights/y", "pass", 1]], "suite row 1 is not an object"),
     ([ROW, {"name": "weights/y", "status": "pass", "checked": True}],
+     "suite row 1 has no checked count"),
+    ([ROW, {"name": "weights/y", "status": "pass", "checked": -5}],
      "suite row 1 has no checked count"),
 ])
 def test_cli_report_rejects_malformed_rows(tmp_path, suites, why):

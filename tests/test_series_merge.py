@@ -23,11 +23,18 @@ take it: box-shaped operands at every f, the worst-case slot loads, all 20
 products of the p=17 f=3 additivity row and the p=13 f=2 Frobenius row do,
 the cold p=17 f=3 phigamma job (about one term per row) and the
 anti-diagonal worst-case slot loads (one term per row) never do.  A lane
-one size too narrow must change the worst-case product on either path, so
-a wrong width cannot hide in one of them.
+one size too narrow must change the worst-case row product, and a Zech
+table with one wrong entry the worst-case pair loop, which adds with the
+field's Zech logarithms; the references add by base-p digits
+(`digit_add`), so they share no addition with either path.
+
+Every AElement that the iwasawa and phigamma jobs build keeps its terms
+below its cutoff, the invariant that lets sums and products skip degree
+filters and least degrees.
 """
 
 import collections
+import functools
 import itertools
 import math
 import sys
@@ -46,8 +53,6 @@ from modpcheck.harness import RunConfig, run_suite
 from modpcheck.iwasawa import (
     AElement,
     ChartContext,
-    _ldeg,
-    _mul_bound,
     _mul_terms,
     _sorted_by_degree,
     chart_context,
@@ -55,9 +60,20 @@ from modpcheck.iwasawa import (
     check_frobenius_generators,
     check_torus_eigenvector,
 )
+from test_arith import digit_add
 from test_chart_packed import _undersized
 
 INF = math.inf
+
+
+def _ldeg(terms):
+    return min(map(sum, terms), default=INF)
+
+
+def _mul_bound(kx, dx, ky, dy):
+    # product of something known below kx with least degree dx by something
+    # known below ky with least degree dy is known below this
+    return min(kx + dy, ky + dx)
 
 
 def reference_mul_terms(field, xt, yt, bound):
@@ -66,7 +82,7 @@ def reference_mul_terms(field, xt, yt, bound):
         return {}
     out = {}
     fmul = field.mul
-    fadd = field.add
+    fadd = functools.partial(digit_add, field)
     ybuk = [(d, k, yt[k]) for d, k in _sorted_by_degree(yt)]
     for dx, kx in _sorted_by_degree(xt):
         cx = xt[kx]
@@ -128,11 +144,13 @@ class ReferenceSeries:
         return ReferenceSeries(fld, self.f, cutoff, out)
 
     def __add__(self, other):
-        return self._binop(other, lambda fld, prev, c: c if prev is None else fld.add(prev, c))
+        return self._binop(
+            other, lambda fld, prev, c: c if prev is None else digit_add(fld, prev, c))
 
     def __sub__(self, other):
         return self._binop(
-            other, lambda fld, prev, c: fld.neg(c) if prev is None else fld.add(prev, fld.neg(c))
+            other,
+            lambda fld, prev, c: fld.neg(c) if prev is None else digit_add(fld, prev, fld.neg(c)),
         )
 
     def __mul__(self, other):
@@ -217,6 +235,60 @@ def test_copy_truncated_matches_reference(data, cut):
     fld, f, ((kx, tx), _) = data
     x, rx = both(fld, f, kx, tx)
     same(x.copy_truncated(cut), rx.copy_truncated(cut))
+
+
+@st.composite
+def cutoff_pairs(draw):
+    """Two elements over one field with Laurent supports below their
+    cutoffs, each cutoff INF, a shared finite value or one above it, so
+    that a sum keeps or drops each operand's cutoff and a product meets
+    exact and inexact operands: (field, f, [(cutoff, terms)] * 2, bound)."""
+    p, f = draw(st.sampled_from(FIELDS))
+    fld = Fq(p, f)
+    keys = st.lists(st.integers(-3, 5), min_size=f, max_size=f).map(tuple)
+    coeffs = st.one_of(st.just(fld.q - 1), st.integers(1, fld.q - 1))
+    base = draw(st.integers(-4, 10))
+    out = []
+    for _ in range(2):
+        cutoff = draw(st.sampled_from([INF, base, base + draw(st.integers(1, 4))]))
+        terms = draw(st.dictionaries(keys, coeffs, max_size=8))
+        out.append((cutoff, {k: c for k, c in terms.items() if sum(k) < cutoff}))
+    bound = draw(st.one_of(st.just(INF), st.integers(base - 4, base + 12)))
+    return fld, f, out, bound
+
+
+@given(cutoff_pairs())
+def test_sums_and_products_at_exact_and_finite_cutoffs_match_reference(data):
+    fld, f, ((kx, tx), (ky, ty)), bound = data
+    x, rx = both(fld, f, kx, tx)
+    y, ry = both(fld, f, ky, ty)
+    for a, b, ra, rb in ((x, y, rx, ry), (y, x, ry, rx)):
+        same(a + b, ra + rb)
+        same(a - b, ra - rb)
+        same(a * b, ra * rb)
+        same(a.mul_below(b, bound), (ra * rb).copy_truncated(bound))
+    same(x + x, rx + rx)
+    same(x * x, rx * rx)
+
+
+@pytest.mark.parametrize("p,f,r", [(11, 1, (4,)), (13, 2, (5, 6)), (17, 3, (7, 8, 7))])
+def test_preset_elements_keep_their_terms_below_their_cutoffs(p, f, r, monkeypatch):
+    # the invariant the series core's fast paths rest on, for every
+    # AElement that the iwasawa and phigamma jobs build on a cold chart:
+    # each term lies below the cutoff and has a nonzero coefficient
+    right = AElement.__init__
+    built = collections.Counter()
+
+    def checked(self, field, f, cutoff, terms=None):
+        right(self, field, f, cutoff, terms)
+        assert all(sum(k) < cutoff and 0 < c < field.q for k, c in self.terms.items())
+        built[cutoff == INF] += 1
+
+    monkeypatch.setattr(AElement, "__init__", checked)
+    monkeypatch.setattr(iwasawa, "_CTX_CACHE", Memo(ChartContext))
+    rep = run_suite(RunConfig(p=p, f=f, r=r, suites=("iwasawa", "phigamma")))
+    assert rep.passed
+    assert built[True] and built[False]
 
 
 def test_torus_eigenvector_checked_counts():
@@ -378,16 +450,24 @@ def test_pair_loop_at_worst_case_slot_load(p, f, n, monkeypatch):
 
 
 def test_undersized_lane_breaks_the_pair_loop(monkeypatch):
-    # 256 products of 288 at p=13 f=2 put 73,728, between 2^16 and 2^17, in
-    # one slot: on the 16-bit lane below the 32-bit one it needs, the pair
-    # loop's sums carry between slots and must differ from the reference
+    # the pair loop packs nothing: with every lane one size too narrow
+    # (a row product of these operands would need the 32-bit one) it still
+    # gives the reference.  It sums with the field's Zech logarithms, so
+    # its mutant is one wrong entry of Z: Z[0] = LOG[1 + 1], read by every
+    # sum of two equal elements, as the 256 equal products of the key
+    # (255, 255) are; on a fresh field with Z[0] = LOG[3] the product must
+    # differ from the reference
     fld = Fq(13, 2)
     xt = anti_diagonal(fld, 2, 256)
     want = reference_mul_terms(fld, xt, xt, INF)
     assert iwasawa.packing(fld, 2 * 12**2, len(xt)).bits == 32
+    bad = object.__new__(Fq)._init(13, 2)
+    assert bad.add(1, 1) == 2 and bad.Z[0] == bad.LOG[2]
+    bad.Z[0] = bad.LOG[3]
     dense = spy_dense(monkeypatch)
     monkeypatch.setattr(iwasawa, "packing", _undersized(iwasawa.packing))
-    assert _mul_terms(fld, xt, xt, INF) != want
+    assert _mul_terms(fld, xt, xt, INF) == want
+    assert _mul_terms(bad, xt, xt, INF) != want
     assert not dense
 
 
@@ -420,7 +500,9 @@ def test_cold_f3_phigamma_job_never_takes_the_dense_path(monkeypatch):
 def test_concurrent_first_products_build_each_packing_once(monkeypatch):
     # four threads start their first products with the packing cache empty:
     # every width must be built once and every thread must get the terms of
-    # the field-op reference
+    # the field-op reference.  The operands hold rows of 4 terms, 1 or 3 of
+    # them, so every pair takes the row product: on the 8-bit lane while
+    # one operand has 4 terms (4 * 3 * 4^2 < 2^8), on the 16-bit one at 12
     built = collections.Counter()
 
     class CountingPacking(arith._Packing):
@@ -429,13 +511,16 @@ def test_concurrent_first_products_build_each_packing_once(monkeypatch):
             time.sleep(0.01)  # hold the build open while the others arrive
             super().__init__(field, bits)
 
-    monkeypatch.setattr(arith, "_PACKINGS", Memo(CountingPacking))
     fld = Fq(5, 3)
-    xs = [AElement(fld, 3, INF, {(i, j, (i * j) % 3): 1 + (7 * i + j) % 124
-                                 for i in range(n) for j in range(n)})
-          for n in (2, 9)]
+    xs = [AElement(fld, 3, INF, {(i, 0, e): 1 + (7 * i + 3 * e) % 124
+                                 for i in range(n // 4) for e in range(4)})
+          for n in (4, 12)]
     pairs = [(x, y) for x in xs for y in xs]
     want = [reference_mul_terms(fld, x.terms, y.terms, INF) for x, y in pairs]
+    dense = spy_dense(monkeypatch)
+    assert [(x * y).terms for x, y in pairs] == want
+    assert dense == {3: len(pairs)}
+    monkeypatch.setattr(arith, "_PACKINGS", Memo(CountingPacking))
     start = threading.Barrier(4)
     got = {}
     errors = []
@@ -462,6 +547,7 @@ def test_concurrent_first_products_build_each_packing_once(monkeypatch):
     assert all(got[t] == want for t in range(4))
     assert len(built) >= 2
     assert set(built.values()) == {1}
+    assert set(built) == {8, 16}
 
 
 @st.composite
