@@ -837,27 +837,26 @@ def _binomial_series(v, n, bound):
         raise NotAUnit("a binomial series needs fdeg(v) >= 1")
     fld = v.field
     cut = min(bound, v.cutoff)
-    parts = [AElement.const(fld, v.f, 1, cutoff=cut)]
+    out = AElement.const(fld, v.f, 1, cutoff=cut)
     if v.is_zero():
-        return parts[0]
+        return out
     if cut == INF:
         raise PrecisionExhausted("binomial series of an exact nonzero series never ends")
     vt = AElement.const(fld, v.f, 1, cutoff=INF)
     for c in _binomial_row(fld.p, n, cut)[1:]:
-        vt = vt.mul_below(v, cut)
+        vt = vt.mul_below(v, cut)  # known below cut, as v is and fdeg(v) >= 1
         if vt.is_zero():
             break
         if c:
-            parts.append(vt.scale(fld.from_int(c)))
-    return AElement.sum(fld, v.f, parts)
+            _accumulate(fld, out.terms, vt.terms, INF, fld.from_int(c))
+    return out
 
 
 def unit_action(ctx, u, x):
     """Action of a unit u of O_K (ring coordinate tuple) on a
     multiplicative-chart element, exact below min(K_x, D-1+fdeg(x))."""
     data = ctx.unit_data[u]
-    fld = ctx.field
-    f = ctx.f
+    fld, f = ctx.field, ctx.f
     if data.dmat is None and data.a0 == 1:
         return x
     d0 = fdeg(x)

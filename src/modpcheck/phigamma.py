@@ -109,12 +109,13 @@ class PhiGammaMatrix:
         byrow = {}
         for (r2, c2), y in other.entries.items():
             byrow.setdefault(r2, []).append((c2, y))
-        prods = {}
+        pairs = {}
         for (r, mid), x in self.entries.items():
             for c, y in byrow.get(mid, ()):
-                prods.setdefault((r, c), []).append(x * y)
+                pairs.setdefault((r, c), []).append((x, y))
         return PhiGammaMatrix(self.params, self.field, _nonzero(
-            (rc, AElement.sum(self.field, self.params.f, ps)) for rc, ps in prods.items()))
+            (rc, AElement.sum(self.field, self.params.f, [x * y for x, y in xys]))
+            for rc, xys in pairs.items()))
 
 
 def _entry_pairs(A, B):
@@ -489,10 +490,10 @@ def _block_rhs(mu, qa, pj, Jp, J, hvec):
         x = qa.entries.get((Jp, K))
         if x is None:
             continue
-        term = x.scale(fld.div(mu.gamma_star(K), mu.gamma_star(J)))
+        term = x.scale(fld.neg(fld.div(mu.gamma_star(K), mu.gamma_star(J))))
         for j in J - K:
             term = term * pj[j]
-        parts.append(-term)
+        parts.append(term)
     return AElement.sum(fld, f, parts)
 
 
