@@ -189,8 +189,8 @@ def _row_mul_terms(k, pack, xt, yt, bound):
     base the least last exponent of the operand.  So the row-pair products
     of an output prefix add at one offset and decode from xbase+ybase.  Row
     pairs run in order of least total degree with the pair loop's early
-    exit.  `pack` is chosen as for the pair loop, so no block carries, and
-    pairs at or above the bound sit in blocks above the ones decoded."""
+    exit.  `pack` holds the slot bound of _mul_terms, so no block carries,
+    and pairs at or above the bound sit in blocks above the ones decoded."""
     stride = 2 * k - 1
     block = stride * pack.bits
     pk = pack.table

@@ -434,8 +434,8 @@ def test_undersized_lane_breaks_the_dense_product(monkeypatch):
 def anti_diagonal(fld, f, n):
     """n terms (i, n-1-i, 0, ...) with coefficient q-1: one term per row, so
     the product of two of them takes the pair loop, and x*x gives the key
-    (n-1, n-1, 0, ...) n = min(len) products that each fill the middle slot
-    to k*(p-1)^2."""
+    (n-1, n-1, 0, ...) n = min(len) equal products, each of which would
+    fill the middle slot to k*(p-1)^2 if packed."""
     pad = (0,) * (f - 2)
     return {(i, n - 1 - i, *pad): fld.q - 1 for i in range(n)}
 
