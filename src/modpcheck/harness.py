@@ -13,7 +13,7 @@ import math
 from itertools import product
 from time import perf_counter
 
-from .arith import IRREDUCIBLES, RunScope, scope_memo
+from .arith import IRREDUCIBLES, RunScope, _prime_divisors, scope_memo
 from .base_combinatorics import MAX_F, all_subsets
 from .constants import IDENTITY_ROWS, MUTABLE, Mutation, mu_gamma, run_identities
 from .errors import ConfigInvalid
@@ -92,7 +92,7 @@ class RunConfig:
     def _admit(self):
         """Reject a field, cutoff or sample count beyond the admission limits."""
         p, f = self.p, self.f
-        if p < 2:  # the limits below need p >= 2; validate_params checks primality
+        if p < 2:  # the limits below need p >= 2
             raise ConfigInvalid(f"p={p} is not prime")
         if f < 1:
             raise ConfigInvalid(f"f={f} must be positive")
@@ -101,6 +101,10 @@ class RunConfig:
             raise ConfigInvalid(f"q={p}^{f} exceeds {MAX_Q}")
         if f > MAX_F:
             raise ConfigInvalid(f"f={f} outside [1, {MAX_F}]")
+        # p <= MAX_Q here, so trial division is cheap; the cutoff and chart
+        # limits below would misname a composite p
+        if _prime_divisors(p) != [p]:
+            raise ConfigInvalid(f"p={p} is not prime")
         q = p**f
         if self.cutoff is not None:
             depth = chart_depth(p, f, self.cutoff)

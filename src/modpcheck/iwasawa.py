@@ -43,8 +43,9 @@ inverse is of an exact monomial, a negative power in pow_below.
 import functools
 import math
 import random
+from array import array
 from itertools import compress, groupby, repeat
-from operator import add, mul
+from operator import add, mul, ne
 
 from .arith import Fq, Memo, WittRing, gauss_jordan, packing, power_columns, witt_precision
 from .errors import (
@@ -964,17 +965,29 @@ def check_torus_eigenvector(ctx):
     for all a, b; only a failing chain sweeps every pair for the first
     witness.
 
-    The sum over b of b^(-p^j) n([ab]) is Kronecker-packed in the layout
-    of the Y_0 sum: each n([c]) is one int (_Packing.join) with a k-slot
-    element block per monomial of degree < depth (in the order of
-    _graded_exponents) holding its coefficient, a prime-field value.  A
-    packed weight times such an int stays in the k slots of each block, so
-    the sum for one (a, j) is q-1 int multiply-adds, decoded in one pass at
-    stride k (_Packing.decode) and compared with a^(p^j) Y_j as dense lists;
-    only a failing (a, j) builds the dict and the difference that count its
-    discrepancies.  A slot adds a weight digit times a coefficient, at most
-    (p-1)^2, over q-1 units, and `packing` picks the byte lane that holds
-    (p-1)^2 (q-1).
+    With units indexed by their logs, a = EXP[s], the sums
+    sum_b b^(-p^j) n([ab]) over all s are a cyclic correlation over
+    Z/(q-1), computed per slot j and monomial m of degree < depth
+    (_graded_exponents) as one Kronecker product (Harvey, J. Symbolic
+    Comput. 44, 2009).  The column of m is one int (_Packing.join, stride
+    k) whose block t holds the coefficient of T^m in n([EXP[t]]), a
+    prime-field value, read from one 16-bit array row per unit (the chart
+    suites admit q <= 2^13, so p < 2^16); the weight
+    of j is one int whose block i holds the packed b^(-p^j) for
+    b = EXP[-i].  A packed weight times a prime-field value stays in the k
+    slots of its block, so with v = weight * column the fold
+    (v & mask) + (v >> width) reduces v mod X^(q-1) - 1, and its block s
+    is the sum for a = EXP[s], decoded in one pass at stride k
+    (_Packing.decode).  A slot of a folded block adds exactly q-1 products
+    of a weight digit and a coefficient, at most (p-1)^2 each, and
+    `packing` picks the byte lane that holds (p-1)^2 (q-1).
+
+    The targets a^(p^j) Y_j[m] over all s are one slice of the doubled
+    rotation rot[x] = EXP[p^j x]: rot[l + s] with l = LOG[Y_j[m]] p^(-j)
+    mod q-1, or zeros where Y_j has no term at m.  Only a count of the
+    differing monomials is kept per (j, s); it is the number of terms of
+    the difference of the sum and a^(p^j) Y_j, and the rows are checked
+    in the order (a, j).
     """
     sweep = Sweep("torus-reindex-eigenvector")
     fld, ring = ctx.field, ctx.ring
@@ -991,29 +1004,37 @@ def check_torus_eigenvector(ctx):
                     return sweep.result()
     pack = packing(fld, (fld.p - 1) ** 2, fld.q - 1)
     monomials = _graded_exponents(ctx.f, depth - 1)
-    # n([c]) as one int of k-slot element blocks, for c = EXP[i] in order
-    # and then once more, so n([a*EXP[i]]) is packed[LOG[a] + i]; its
-    # coefficients are prime-field encodings, their own packed values
-    packed = []
-    for c in fld.EXP:
+    n, qm, k, exp = len(monomials), fld.q - 1, fld.k, fld.EXP
+    # coefficient of monomial i in n([EXP[t]]) at lanes[t*n + i]
+    lanes = array("H")
+    for c in exp:
         terms = ctx.n_series(lifts[c], depth).terms
-        packed.append(pack.join([terms.get(m, 0) for m in monomials], fld.k))
-    packed *= 2
-    weights = [[pack.table[fld.inv(fld.frob(b, j))] for b in fld.EXP]  # b^(-p^j), b = EXP[i]
+        lanes.fromlist(list(map(terms.get, monomials, repeat(0))))
+    lanes = memoryview(lanes)
+    inverses = exp[:1] + exp[:0:-1]  # b = EXP[-i]
+    weights = [pack.join([pack.table[fld.inv(fld.frob(b, j))] for b in inverses], k)
                for j in range(ctx.f)]
-    dense = [[y.terms.get(m, 0) for m in monomials] for y in ctx.y_series]
+    rots = [[fld.frob(c, j) for c in exp] * 2 for j in range(ctx.f)]
+    width = qm * k * pack.bits
+    mask = (1 << width) - 1
+    counts = [[0] * qm for _ in range(ctx.f)]
+    for i, m in enumerate(monomials):
+        col = pack.join(lanes[i::n].tolist(), k)
+        for j, y in enumerate(ctx.y_series):
+            v = weights[j] * col
+            got = pack.decode((v & mask) + (v >> width), qm, k)
+            ym = y.terms.get(m)
+            if ym:
+                l = fld.LOG[ym] * pow(fld.p, -j, qm) % qm
+                want = rots[j][l:l + qm]
+            else:
+                want = [0] * qm
+            if got != want:
+                counts[j] = list(map(add, counts[j], map(ne, got, want)))
     for a in units:
-        nab = packed[fld.LOG[a]:fld.LOG[a] + fld.q - 1]  # n([ab]), b = EXP[i]
         for j in range(ctx.f):
-            v = sum(map(mul, weights[j], nab))
-            got = pack.decode(v, len(monomials), fld.k)
-            ok = got == list(map(fld.mul, repeat(fld.frob(a, j)), dense[j]))
-            bad = 0
-            if not ok:
-                acc = {m: e for m, e in zip(monomials, got) if e}
-                want = ctx.y_series[j].scale(fld.frob(a, j))
-                bad = len((AElement(fld, ctx.f, depth, acc) - want).terms)
-            sweep.check(ok, a=a, j=j, discrepancies=bad)
+            bad = counts[j][fld.LOG[a]]
+            sweep.check(bad == 0, a=a, j=j, discrepancies=bad)
     return sweep.result(info={"depth": depth})
 
 

@@ -290,6 +290,10 @@ def no_field_builds(monkeypatch):
     (dict(p=11, f=1, r=(4,), cutoff=122), "cutoff=122 too large: the chart suites need cutoff <= p^2 = 121"),
     (dict(p=11, f=1, r=(4,), cutoff=122, suites=("identities", "weights")), None),
     (dict(p=-17, f=3, r=(7, 8, 7)), "p=-17 is not prime"),
+    # a composite p is named as such before the cutoff and chart limits
+    (dict(p=4, f=1, r=(1,)), "p=4 is not prime"),
+    (dict(p=91, f=2, r=(5, 6)), "p=91 is not prime"),
+    (dict(p=25, f=1, r=(4,), cutoff=700), "p=25 is not prime"),
 ])
 def test_admission_limits_before_any_field_build(no_field_builds, kwargs, message):
     # the cutoff bounds the chart, so only runs of the chart suites are

@@ -4,12 +4,15 @@
 tests the multiplicativity of the Teichmuller lifts on every pair of units,
 then for each unit a and slot j it adds b^(-p^j) n([ab]) over all units b
 into a dict, one field call per coefficient, and compares the sum with
-a^(p^j) Y_j.  The packed sweep in ``modpcheck.iwasawa``, which checks the
-lifts along the generator first and decodes its sums in byte lanes, must
-give the same row on passing data, on perturbed series and on perturbed
-lifts, and must fail when its lanes are too narrow to hold the sum.  The
-lane decode itself must agree with `encode`, the per-block reading that
-decode replaced in the package.
+a^(p^j) Y_j.  The packed sweep in ``modpcheck.iwasawa`` checks the lifts
+along the generator first, then computes the sums of all units a at once:
+one cyclic Kronecker product per slot j and monomial, folded mod
+X^(q-1) - 1 and decoded in byte lanes, with a count of the differing
+monomials kept per (a, j).  It must give the same row, check by check, on
+passing data, on perturbed series and on perturbed lifts, at the 16- and
+32-bit lanes, and must fail when its lanes are too narrow to hold the sum.
+The lane decode itself must agree with `encode`, the per-block reading
+that decode replaced in the package.
 """
 
 import math
@@ -115,6 +118,74 @@ def test_perturbed_top_coefficient_of_y0_fails_the_same_row(p, f):
     assert got["status"] == "fail"
     assert got["counterexample"] == {"a": 1, "j": 0, "discrepancies": 1}
     assert got == reference_torus_eigenvector(ctx).as_dict()
+
+
+def _verdicts(monkeypatch, check, ctx):
+    """The row of `check` on ctx, and every (ok, witness) it checked, in
+    order."""
+    seen = []
+    right = Sweep.check
+    with monkeypatch.context() as m:
+        m.setattr(Sweep, "check", lambda self, ok, **w: seen.append((ok, w)) or right(self, ok, **w))
+        row = check(ctx).as_dict()
+    return row, seen
+
+
+def test_three_perturbed_y1_coefficients_fail_slot_one_check_by_check(monkeypatch):
+    # three coefficients of Y_1 are off, so n([c]) and the slot j = 0 stay
+    # right: every (a, 0) passes and every (a, 1) counts three discrepancies
+    ctx = ChartContext(7, 2, 30)
+    fld = ctx.field
+    y0, y1 = ctx.y_series
+    keys = [next(k for k in sorted(y1.terms) if sum(k) == d) for d in (2, 5, 9)]
+    terms = dict(y1.terms)
+    for k in keys:
+        terms[k] = fld.add(terms[k], 1) or 1
+    ctx.y_series = (y0, AElement(fld, 2, y1.cutoff, terms))
+
+    got, seen = _verdicts(monkeypatch, check_torus_eigenvector, ctx)
+    want, want_seen = _verdicts(monkeypatch, reference_torus_eigenvector, ctx)
+    assert [(ok, w["j"], w["discrepancies"]) for ok, w in seen] == \
+        [(True, 0, 0), (False, 1, 3)] * (ctx.q - 1)
+    assert got["counterexample"] == {"a": 1, "j": 1, "discrepancies": 3}
+    assert (got, seen) == (want, want_seen)
+
+
+@pytest.mark.parametrize("p,f", [(7, 2), (11, 1)])
+def test_perturbed_series_of_the_last_unit_fails_every_check_alike(monkeypatch, p, f):
+    # one coefficient of n([c]) is off for c = EXP[q-2], the unit whose
+    # column block is the last one, so most sums meet it only through the
+    # wrapped half of the cyclic fold: every (a, j) counts one discrepancy
+    ctx = ChartContext(p, f, iwasawa.default_cutoff(p, f))
+    fld = ctx.field
+    depth = ctx.tdepth
+    c = fld.EXP[fld.q - 2]
+    assert c != 1
+    lift = ctx.ring.teichmuller(c)
+    good = ctx.n_series(lift, depth)
+    k = next(k for k in sorted(good.terms) if sum(k) == 3)
+    terms = dict(good.terms)
+    terms[k] = fld.add(terms[k], 1) or 1
+    bad = AElement(fld, f, depth, terms)
+    right = ctx.n_series
+    monkeypatch.setattr(ctx, "n_series", lambda g, d=None: bad if g == lift else right(g, d))
+
+    got, seen = _verdicts(monkeypatch, check_torus_eigenvector, ctx)
+    want, want_seen = _verdicts(monkeypatch, reference_torus_eigenvector, ctx)
+    assert [(ok, w["discrepancies"]) for ok, w in seen] == [(False, 1)] * f * (ctx.q - 1)
+    assert {w["j"] for _, w in seen} == set(range(f))
+    assert (got, seen) == (want, want_seen)
+
+
+def test_32_bit_lane_matches_reference(monkeypatch):
+    # (p-1)^2 (q-1) = 73,728 at p=17, f=2 takes 17 bits, so the sums are
+    # read in the 32-bit lane, which no field of FIELDS reaches
+    ctx = ChartContext(17, 2, 6)
+    calls = _spy_packing(monkeypatch)
+    got, seen = _verdicts(monkeypatch, check_torus_eigenvector, ctx)
+    assert calls == [(256, 288, 32)]
+    assert got["status"] == "pass" and got["checked"] == 2 * 288
+    assert (got, seen) == _verdicts(monkeypatch, reference_torus_eigenvector, ctx)
 
 
 def _spy_packing(monkeypatch, rule=packing):
@@ -314,8 +385,8 @@ def test_one_teichmuller_lift_per_unit(monkeypatch):
 
 def test_perturbed_second_eigencoordinate_fails_only_slot_one(monkeypatch):
     # two coefficients of Y_1 are off, so n([c]) and the slot j = 0 stay
-    # right: every a fails at j = 1 only, and the failing (a, j) falls back
-    # to the AElement difference to count both discrepancies
+    # right: every a fails at j = 1 only, and the count of differing
+    # monomials of each failing (a, j) holds both discrepancies
     verdicts = []
 
     class RecordingSweep(Sweep):
