@@ -293,10 +293,6 @@ class Fq:
             return 1 if n == 0 else 0
         return self.EXP[(self.LOG[a] * n) % (self.q - 1)]
 
-    def frob(self, a, j=1):
-        """a^(p^j); j taken mod k."""
-        return self.pow(a, self.p ** (j % self.k))
-
     def scale_int(self, a, n):
         """n·a for an integer n (prime-field scalar)."""
         return self.mul(a, n % self.p)

@@ -966,15 +966,15 @@ def check_torus_eigenvector(ctx):
     witness.
 
     With units indexed by their logs, a = EXP[s], the sums
-    sum_b b^(-p^j) n([ab]) over all s are a cyclic correlation over
-    Z/(q-1), computed per slot j and monomial m of degree < depth
+    sum_b b^(-1) n([ab]) over all s are a cyclic correlation over
+    Z/(q-1), computed per monomial m of degree < depth
     (_graded_exponents) as one Kronecker product (Harvey, J. Symbolic
     Comput. 44, 2009).  The column of m is one int (_Packing.join, stride
     k) whose block t holds the coefficient of T^m in n([EXP[t]]), a
     prime-field value, read from one 16-bit array row per unit (the chart
-    suites admit q <= 2^13, so p < 2^16); the weight
-    of j is one int whose block i holds the packed b^(-p^j) for
-    b = EXP[-i].  A packed weight times a prime-field value stays in the k
+    suites admit q <= 2^13, so p < 2^16); the weight is one int whose
+    block i holds the packed EXP[i], which is b^(-1) for b = EXP[-i].
+    A packed weight times a prime-field value stays in the k
     slots of its block, so with v = weight * column the fold
     (v & mask) + (v >> width) reduces v mod X^(q-1) - 1, and its block s
     is the sum for a = EXP[s], decoded in one pass at stride k
@@ -982,12 +982,12 @@ def check_torus_eigenvector(ctx):
     of a weight digit and a coefficient, at most (p-1)^2 each, and
     `packing` picks the byte lane that holds (p-1)^2 (q-1).
 
-    The targets a^(p^j) Y_j[m] over all s are one slice of the doubled
-    rotation rot[x] = EXP[p^j x]: rot[l + s] with l = LOG[Y_j[m]] p^(-j)
-    mod q-1, or zeros where Y_j has no term at m.  Only a count of the
-    differing monomials is kept per (j, s); it is the number of terms of
-    the difference of the sum and a^(p^j) Y_j, and the rows are checked
-    in the order (a, j).
+    Frobenius fixes the prime-field coefficients, so the slot-j sum, with
+    weights b^(-p^j), is the p^j-th power of this one: it equals
+    a^(p^j) Y_j[m] iff the slot-0 sum equals rot[l + s], with rot = EXP
+    doubled and l = LOG[Y_j[m]] p^(-j) mod q-1, or zero where Y_j has no
+    term at m.  A count of the differing monomials, the terms of the sum
+    minus a^(p^j) Y_j, is kept per (j, s); rows are checked in order (a, j).
     """
     sweep = Sweep("torus-reindex-eigenvector")
     fld, ring = ctx.field, ctx.ring
@@ -1011,22 +1011,19 @@ def check_torus_eigenvector(ctx):
         terms = ctx.n_series(lifts[c], depth).terms
         lanes.fromlist(list(map(terms.get, monomials, repeat(0))))
     lanes = memoryview(lanes)
-    inverses = exp[:1] + exp[:0:-1]  # b = EXP[-i]
-    weights = [pack.join([pack.table[fld.inv(fld.frob(b, j))] for b in inverses], k)
-               for j in range(ctx.f)]
-    rots = [[fld.frob(c, j) for c in exp] * 2 for j in range(ctx.f)]
+    weight = pack.join([pack.table[c] for c in exp], k)
+    rot = exp * 2
     width = qm * k * pack.bits
     mask = (1 << width) - 1
     counts = [[0] * qm for _ in range(ctx.f)]
     for i, m in enumerate(monomials):
-        col = pack.join(lanes[i::n].tolist(), k)
+        v = weight * pack.join(lanes[i::n].tolist(), k)
+        got = pack.decode((v & mask) + (v >> width), qm, k)
         for j, y in enumerate(ctx.y_series):
-            v = weights[j] * col
-            got = pack.decode((v & mask) + (v >> width), qm, k)
             ym = y.terms.get(m)
             if ym:
                 l = fld.LOG[ym] * pow(fld.p, -j, qm) % qm
-                want = rots[j][l:l + qm]
+                want = rot[l:l + qm]
             else:
                 want = [0] * qm
             if got != want:

@@ -44,7 +44,7 @@ from .iwasawa import (
     principal_units,
     unit_action,
 )
-from .reporting import Sweep
+from .reporting import Sweep, witness
 
 
 def _between(lo, hi):
@@ -827,8 +827,8 @@ def check_unit_action_matrices(ctx, mu, units=10, pairs=2, seed=0, flip=None, sc
     )
     s_struct.check(ok, unit="teichmuller", claim="identity")
     r = check_commutation(ctx, Pphi, assemble_unit_matrix(params, qa, pj), lift, scope)
-    s_comm.check(r.passed, unit="teichmuller", inner=r.counterexample)
-    s_comm.checked += r.checked - 1
+    s_comm.add(r.checked, None if r.passed
+               else witness(unit="teichmuller", inner=r.counterexample))
     comm_info = r.info
 
     # a wrong chart conversion fails a row here instead of ending the run
@@ -882,8 +882,7 @@ def check_unit_action_matrices(ctx, mu, units=10, pairs=2, seed=0, flip=None, sc
             )
         r = check_commutation(ctx, Pphi, Pa, u, scope)
         comm_info = r.info
-        s_comm.check(r.passed, unit=u, inner=r.counterexample)
-        s_comm.checked += r.checked - 1
+        s_comm.add(r.checked, None if r.passed else witness(unit=u, inner=r.counterexample))
 
     for n in range(min(pairs, len(built) // 2)):
         u1, P1 = built[2 * n]

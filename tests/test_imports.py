@@ -1,5 +1,6 @@
 """No module of the package or of the tests imports a name it never uses,
-and the library import loads none of the code-generation modules."""
+the package defines no function or class that only the tests use, and the
+library import loads none of the code-generation modules."""
 
 import ast
 import os
@@ -8,12 +9,17 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted([*(ROOT / "src" / "modpcheck").glob("*.py"), *(ROOT / "tests").glob("*.py")])
+PACKAGE = sorted((ROOT / "src" / "modpcheck").glob("*.py"))
+MODULES = sorted([*PACKAGE, *(ROOT / "tests").glob("*.py")])
 
 
-def _unused_imports(tree):
-    """The names bound by the module's imports that nothing else in it reads;
-    __future__ imports are skipped."""
+def _parse(path):
+    return ast.parse(path.read_text(), str(path))
+
+
+def _names(tree):
+    """The names bound by the module's imports, with their lines, and the
+    names it reads (Name ids); __future__ imports are skipped."""
     bound = {}
     used = set()
     for node in ast.walk(tree):
@@ -25,6 +31,12 @@ def _unused_imports(tree):
                 bound.setdefault(name, alias.lineno)
         elif isinstance(node, ast.Name):
             used.add(node.id)
+    return bound, used
+
+
+def _unused_imports(tree):
+    """The names bound by the module's imports that nothing else in it reads."""
+    bound, used = _names(tree)
     return sorted((line, name) for name, line in bound.items() if name not in used)
 
 
@@ -32,8 +44,29 @@ def test_no_unused_imports():
     assert len(MODULES) > 20
     unused = [f"{path.relative_to(ROOT)}:{line}: {name}"
               for path in MODULES
-              for line, name in _unused_imports(ast.parse(path.read_text(), str(path)))]
+              for line, name in _unused_imports(_parse(path))]
     assert unused == []
+
+
+def test_no_test_only_definitions_in_the_package():
+    # every function and class of the package, dunder methods aside, is read
+    # by name, attribute or import somewhere in the package or the benchmark
+    read = set()
+    for path in [*PACKAGE, *(ROOT / "perfbench").glob("*.py")]:
+        tree = _parse(path)
+        read |= _names(tree)[1]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                read.update(part for alias in node.names for part in alias.name.split("."))
+    defs = ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef
+    unread = [f"{path.relative_to(ROOT)}:{node.lineno}: {node.name}"
+              for path in PACKAGE for node in ast.walk(_parse(path))
+              if isinstance(node, defs) and node.name not in read
+              and not (node.name.startswith("__") and node.name.endswith("__"))]
+    assert len(PACKAGE) > 10
+    assert unread == []
 
 
 def test_library_import_loads_no_dataclass_machinery():

@@ -6,8 +6,9 @@ then for each unit a and slot j it adds b^(-p^j) n([ab]) over all units b
 into a dict, one field call per coefficient, and compares the sum with
 a^(p^j) Y_j.  The packed sweep in ``modpcheck.iwasawa`` checks the lifts
 along the generator first, then computes the sums of all units a at once:
-one cyclic Kronecker product per slot j and monomial, folded mod
-X^(q-1) - 1 and decoded in byte lanes, with a count of the differing
+one cyclic Kronecker product per monomial, folded mod X^(q-1) - 1 and
+decoded in byte lanes, whose slot-0 sums are compared with the p^(-j)-th
+powers of the targets of every slot j, with a count of the differing
 monomials kept per (a, j).  It must give the same row, check by check, on
 passing data, on perturbed series and on perturbed lifts, at the 16- and
 32-bit lanes, and must fail when its lanes are too narrow to hold the sum.
@@ -51,7 +52,7 @@ def reference_torus_eigenvector(ctx):
         for j in range(ctx.f):
             acc = {}
             for b in fld.units():
-                w = fld.inv(fld.frob(b, j))  # b^(-p^j)
+                w = fld.inv(fld.pow(b, fld.p ** j))  # b^(-p^j)
                 for k, c in series[fld.mul(a, b)].terms.items():
                     prev = acc.get(k)
                     if prev is None:
@@ -62,7 +63,7 @@ def reference_torus_eigenvector(ctx):
                             acc[k] = s
                         else:
                             del acc[k]
-            want = ctx.y_series[j].scale(fld.frob(a, j))
+            want = ctx.y_series[j].scale(fld.pow(a, fld.p ** j))
             diff = AElement(fld, ctx.f, depth, acc) - want
             sweep.check(diff.is_zero(), a=a, j=j,
                         discrepancies=len(diff.terms))
@@ -381,6 +382,24 @@ def test_one_teichmuller_lift_per_unit(monkeypatch):
     _lift_mutant(monkeypatch, ctx, lambda e, right: calls.append(e) or right(e))
     assert check_torus_eigenvector(ctx).passed
     assert sorted(calls) == list(ctx.field.units())
+
+
+def test_one_product_and_decode_per_monomial(monkeypatch):
+    # the slot-j sums are the p^j-th powers of the slot-0 ones, so the row
+    # decodes one folded product per monomial below the depth and none per
+    # slot: C(29 + 2, 2) = 465 at p=13, f=2, cutoff 30
+    ctx = chart_context(13, 2, 30)
+    calls = 0
+    right = _Packing.decode
+
+    def counted(self, *args):
+        nonlocal calls
+        calls += 1
+        return right(self, *args)
+
+    monkeypatch.setattr(_Packing, "decode", counted)
+    assert check_torus_eigenvector(ctx).passed
+    assert calls == math.comb(ctx.tdepth - 1 + 2, 2) == 465
 
 
 def test_perturbed_second_eigencoordinate_fails_only_slot_one(monkeypatch):
