@@ -16,14 +16,15 @@ doubling), and _digits and _encode between encodings and coordinates.
 F_q keeps two tables at every q: EXP, the powers of a generator, and LOG,
 their discrete logs, built in passes over whole lists.  Products and
 negatives add logs (a*b = EXP[LOG a + LOG b]), and sums read the Zech
-logarithms Z[n] = LOG[1 + g^n] (Huber, IEEE Trans. Inf. Theory 36(4), 1990).
+logarithms Z[n] = LOG[1 + g^n] (Huber, IEEE Trans. Inf. Theory 36(4), 1990),
+built on the first addition.
 _Packing holds elements as Kronecker-packed ints, whose sums and products
 are plain int arithmetic; `packing` picks the slot width of every one.
 gauss_jordan records the row operations that reduce the Jacobian of the
-chart's linear coordinate change to the identity.  Memo is the keyed cache
-that keeps fields, Witt rings, packings and the chart's tables for the life
-of the process; RunScope holds the Memos whose values live only as long as
-one run.
+chart's linear coordinate change to the identity.  Memo is the one lazy
+cache: it keeps fields, their Zech tables, Witt rings, packings and the
+chart's tables for the life of the process; RunScope holds the Memos whose
+values live only as long as one run.
 """
 
 from __future__ import annotations
@@ -231,7 +232,7 @@ class Fq:
     permutation.  mul adds logs mod q-1; neg adds h to the log, where -1 =
     gen^h: h = (q-1)/2 for odd p, 0 at p = 2.  add is EXP[LOG a + Z[LOG b -
     LOG a]], Z the Zech logarithms (_zech_logs) that the first add builds
-    once, under a lock."""
+    once, through a Memo of the field."""
 
     def __new__(cls, p, k):
         return _FIELD_CACHE[p, k]
@@ -257,7 +258,7 @@ class Fq:
         self.neg = lambda a: a and EXP[(LOG[a] + h) % qm]
         self.mul = lambda a, b: a and b and EXP[(LOG[a] + LOG[b]) % qm]
         Z = self.Z = None
-        lock = threading.Lock()
+        zech = Memo(lambda: _zech_logs(p, EXP, LOG, h))
 
         def zech_add(a, b):
             if a and b:
@@ -268,12 +269,9 @@ class Fq:
 
         def first_add(a, b):
             nonlocal Z
-            if Z is None:
-                with lock:
-                    if Z is None:
-                        Z = self.Z = _zech_logs(p, EXP, LOG, h)
-                if self.add is first_add:  # a wrapper put on add stays
-                    self.add = zech_add
+            Z = self.Z = zech[()]
+            if self.add is first_add:  # a wrapper put on add stays
+                self.add = zech_add
             return zech_add(a, b)
 
         self.add = first_add

@@ -465,7 +465,7 @@ def _change_origin_box(J, ranges, base, translate):
             continue
         want = tuple(map(add, base, map(mul, signs, ent)))
         sw.check(got == want, J=J, b=ent)
-    return sw.checked, sw.failure
+    return sw.checked, sw.counterexample
 
 
 def _check_t_vs_r(params, tables, subs):
@@ -871,7 +871,7 @@ def _additivity_domain(J, Jp, j0, at_J, at_Jp, rdiff):
     sw = Sweep("shifted-table-additivity")
     for e, left, right in zip(domain, lhs, rhs):
         sw.check(left == right, J=J, Jp=Jp, j0=j0, n=e, lhs=left, rhs=right)
-    return sw.checked, sw.failure
+    return sw.checked, sw.counterexample
 
 
 def check_domination_claims(params, tables):

@@ -138,8 +138,7 @@ def _mul_terms(field, xt, yt, bound):
 
     Row product (_row_mul_terms), when the term pairs are at least 4 times
     the row pairs, a row being the terms that share every exponent but the
-    last (the rows of yt are counted only when those of xt leave the rule
-    open): each row pair is one big-int multiply, so it pays once the rows
+    last: each row pair is one big-int multiply, so it pays once the rows
     hold a few terms each.  Every product at f=1 takes it (one row per
     operand), and so do the large f >= 2 ones (Y^p, n(g)*n(h)).  A key
     receives at most min(len(xt), len(yt)) products of two reduced packed
@@ -160,9 +159,7 @@ def _mul_terms(field, xt, yt, bound):
         rem = bound - sum(kx)
         return {tuple(map(add, kx, k)): EXP[(LOG[cx] + LOG[c]) % qm]
                 for k, c in yt.items() if rem == INF or sum(k) < rem}
-    pairs = len(xt) * len(yt)
-    rows = len({k[:-1] for k in xt})
-    if pairs >= 4 * rows and pairs >= 4 * rows * len({k[:-1] for k in yt}):
+    if len(xt) * len(yt) >= 4 * len({k[:-1] for k in xt}) * len({k[:-1] for k in yt}):
         pack = packing(field, field.k * (field.p - 1) ** 2, min(len(xt), len(yt)))
         return _row_mul_terms(field.k, pack, xt, yt, bound)
     fadd = field.add

@@ -306,18 +306,16 @@ def solve_cutoff(p, f, depth=None):
     return base if depth is None else max(base, depth)
 
 
-def theta_solve(prob, depth=None, schedule="series"):
-    """The unique solution of theta(a) = b, to the working truncation.
+def theta_solve(prob, depth=None):
+    """The unique solution of theta(a) = b, to the working truncation W.
 
     Needs J' strictly inside J, 1 <= h_j <= p-1-f, and component depths
-    fdeg(b_i) >= |J minus J'|*(p-1).  Each iterate must then gain depth at
-    least max((f+1)(p-1), fdeg(previous)+1); a stall can only come from
-    broken precision bookkeeping and raises NonConvergence.  The returned
-    components satisfy fdeg(a_i - b_i) >= (f+1)(p-1).
-
-    Two schedules produce identical output:
-      * "series": accumulate increments u(k+1) = (id - theta)(u(k)),
-      * "fixpoint": recompute x(k+1) = b + (id - theta)(x(k)) from x = 0.
+    fdeg(b_i) >= |J minus J'|*(p-1).  The solution is the series b + u(1) +
+    u(2) + ..., u(k+1) = (id - theta)(u(k)), truncated below W (_window).
+    Each increment must gain depth at least max((f+1)(p-1),
+    fdeg(previous)+1) and vanish within the step budget; a stall can only
+    come from broken precision bookkeeping and raises NonConvergence.  The
+    returned components satisfy fdeg(a_i - b_i) >= (f+1)(p-1).
     """
     p, f = prob.p, prob.f
     if not prob.Jp < prob.J:
@@ -333,44 +331,32 @@ def theta_solve(prob, depth=None, schedule="series"):
             )
     if all(x.cutoff == INF and x.is_zero() for x in prob.b):
         return tuple(_zero(prob.field, f) for _ in range(f))
-    W = solve_cutoff(p, f, depth)
-    for x in prob.b:
-        W = min(W, x.cutoff)
+    W, budget = _window(prob, depth)
     b = tuple(x.copy_truncated(W) for x in prob.b)
     if all(x.is_zero() for x in b):
         return b
     mono = prob.twist_monomials
     gain_floor = (f + 1) * (p - 1)
-    budget = max(int(W - gain_floor + 2), 1)
-    if schedule == "series":
-        acc = b
-        inc = b
-        for _ in range(budget):
-            prev = inc
-            inc = tuple(
-                x.copy_truncated(W) for x in _theta_increment(mono, inc, f)
-            )
-            if all(x.is_zero() for x in inc):
-                return acc
-            for i in range(f):
-                need = max(gain_floor, fdeg(prev[(i + 1) % f]) + 1)
-                got = fdeg(inc[i])
-                if got < need:
-                    raise NonConvergence(
-                        f"component {i} reached depth {got}, needed {need}"
-                    )
-            acc = tuple(acc[i] + inc[i] for i in range(f))
-        raise NonConvergence("iteration budget exhausted before stabilizing")
-    if schedule == "fixpoint":
-        x = tuple(AElement(prob.field, f, W, {}) for _ in range(f))
-        for _ in range(budget + 1):
-            inc = _theta_increment(mono, x, f)
-            nxt = tuple((b[i] + inc[i]).copy_truncated(W) for i in range(f))
-            if all((nxt[i] - x[i]).is_zero() for i in range(f)):
-                return nxt
-            x = nxt
-        raise NonConvergence("iteration budget exhausted before stabilizing")
-    raise HypothesisViolation(f"unknown schedule {schedule!r}")
+    acc = inc = b
+    for _ in range(budget):
+        prev = inc
+        inc = tuple(x.copy_truncated(W) for x in _theta_increment(mono, inc, f))
+        if all(x.is_zero() for x in inc):
+            return acc
+        for i in range(f):
+            need = max(gain_floor, fdeg(prev[(i + 1) % f]) + 1)
+            got = fdeg(inc[i])
+            if got < need:
+                raise NonConvergence(f"component {i} reached depth {got}, needed {need}")
+        acc = tuple(acc[i] + inc[i] for i in range(f))
+    raise NonConvergence("iteration budget exhausted before stabilizing")
+
+
+def _window(prob, depth):
+    """The solver's truncation W, solve_cutoff or the shallowest cutoff of
+    the right-hand side if that is lower, and its step budget."""
+    W = min([solve_cutoff(prob.p, prob.f, depth), *(x.cutoff for x in prob.b)])
+    return W, max(int(W - (prob.f + 1) * (prob.p - 1) + 2), 1)
 
 
 def random_theta_problem(params, fld, seed):
@@ -660,19 +646,28 @@ def check_theta_basics(params, seed=0):
 def check_theta_solver(params, count=50, seed=0, depth=None):
     """Random valid systems: residual empty below the working truncation,
     leading-term congruence with the right-hand side, and exact agreement
-    of the two schedules."""
+    with the fixpoint iteration x <- b + (id - theta)(x) from x = 0, which
+    the check runs itself, below the solver's W and within its step
+    budget."""
     sweep = Sweep("theta-solver")
     p, f = params.p, params.f
     fld = Fq(p, f)
     cong = (f + 1) * (p - 1)
     for n in range(count):
         prob = random_theta_problem(params, fld, seed * 100003 + n)
-        a = theta_solve(prob, depth=depth, schedule="series")
-        a2 = theta_solve(prob, depth=depth, schedule="fixpoint")
-        same = all(
-            x.terms == y.terms and x.cutoff == y.cutoff for x, y in zip(a, a2)
-        )
-        sweep.check(same, case=n, claim="schedule-agreement")
+        a = theta_solve(prob, depth=depth)
+        W, budget = _window(prob, depth)
+        b = tuple(x.copy_truncated(W) for x in prob.b)
+        x = tuple(AElement(fld, f, W, {}) for _ in range(f))
+        for _ in range(budget + 1):
+            nxt = tuple((bi + d).copy_truncated(W)
+                        for bi, d in zip(b, _theta_increment(prob.twist_monomials, x, f)))
+            if all((u - v).is_zero() for u, v in zip(nxt, x)):
+                break
+            x = nxt
+        else:
+            raise NonConvergence("iteration budget exhausted before stabilizing")
+        sweep.check(a == nxt, case=n, claim="schedule-agreement")
         res = theta_apply(prob, a)
         for i in range(f):
             floor = difference_floor(res[i], prob.b[i])

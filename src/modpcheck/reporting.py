@@ -26,17 +26,39 @@ def witness(**kw):
     return {k: _plain(v) for k, v in kw.items()}
 
 
-class CheckResult:
-    """One report row: its verdict, tuple count, first witness and extras."""
+class Sweep:
+    """One report row: counts tuples and keeps the first counterexample.
 
-    __slots__ = ("name", "passed", "checked", "counterexample", "info")
+    The row passes while it has no counterexample; `result` attaches the
+    row's extras and returns the row itself."""
 
-    def __init__(self, name, passed, checked=0, counterexample=None, info=None):
+    __slots__ = ("name", "checked", "counterexample", "info")
+
+    def __init__(self, name):
         self.name = name
-        self.passed = passed
-        self.checked = checked
-        self.counterexample = counterexample
+        self.checked = 0
+        self.counterexample = None
+        self.info = None
+
+    @property
+    def passed(self):
+        return self.counterexample is None
+
+    def check(self, ok, **ctx):
+        self.checked += 1
+        if not ok and self.counterexample is None:
+            self.counterexample = witness(**ctx)
+        return ok
+
+    def add(self, checked, counterexample=None):
+        """Count checks made elsewhere, with their first witness or None."""
+        self.checked += checked
+        if self.counterexample is None:
+            self.counterexample = counterexample
+
+    def result(self, info=None):
         self.info = info
+        return self
 
     def as_dict(self):
         d = {
@@ -51,30 +73,6 @@ class CheckResult:
         return d
 
 
-class Sweep:
-    """Counts tuples and records the first counterexample."""
-
-    def __init__(self, name):
-        self.name = name
-        self.checked = 0
-        self.failure = None
-
-    def check(self, ok, **ctx):
-        self.checked += 1
-        if not ok and self.failure is None:
-            self.failure = witness(**ctx)
-        return ok
-
-    def add(self, checked, failure=None):
-        """Count checks made elsewhere, with their first witness or None."""
-        self.checked += checked
-        if self.failure is None:
-            self.failure = failure
-
-    def result(self, info=None):
-        return CheckResult(self.name, self.failure is None, self.checked, self.failure, info)
-
-
 def run_table(table):
     """Run a check table, (row names, thunk) entries in report order, and
     return its rows.  A package error raised by a thunk fails the rows it
@@ -84,6 +82,7 @@ def run_table(table):
         try:
             rows += thunk()
         except PACKAGE_ERRORS as exc:
-            error = {"error": f"{type(exc).__name__}: {exc}"}
-            rows += [CheckResult(name, False, 0, error) for name in names]
+            for name in names:
+                rows.append(Sweep(name))
+                rows[-1].add(0, {"error": f"{type(exc).__name__}: {exc}"})
     return rows

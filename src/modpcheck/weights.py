@@ -8,7 +8,6 @@ vector corresponding to the base point of the graph.
 
 from __future__ import annotations
 
-from functools import cached_property
 from itertools import product
 from operator import add, getitem, le, mul
 
@@ -38,12 +37,18 @@ def validate_params(p, f, r, Jrho):
 
 
 class RhoParams:
-    """A validated parameter pack (p, f, r, Jrho).  Instances keep a
-    __dict__ for the per-params tables cached below."""
+    """A validated parameter pack (p, f, r, Jrho), with two tables built
+    once the pack is valid: decompose_parts(J, Jrho) for every J, and
+    b_window, (-r, p-2-r), the componentwise bounds on the position b of a
+    weight."""
+
+    __slots__ = ("p", "f", "r", "Jrho", "_parts", "b_window")
 
     def __init__(self, p: int, f: int, r: tuple, Jrho: SubsetJ):
         self.p, self.f, self.r, self.Jrho = p, f, r, Jrho
         validate_params(p, f, r, Jrho)
+        self._parts = tuple(decompose_parts(J, Jrho) for J in all_subsets(f))
+        self.b_window = tuple(-rj for rj in r), tuple(p - 2 - rj for rj in r)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -72,16 +77,6 @@ class RhoParams:
         if J.f != self.f:
             return decompose_parts(J, self.Jrho)  # raises the f-mismatch ValueError
         return self._parts[J.bits]
-
-    @cached_property
-    def _parts(self):
-        return tuple(decompose_parts(J, self.Jrho) for J in all_subsets(self.f))
-
-    @cached_property
-    def b_window(self):
-        """(-r, p-2-r): the componentwise bounds on the position b of a weight."""
-        r = self.r
-        return tuple(-rj for rj in r), tuple(self.p - 2 - rj for rj in r)
 
 
 def sJ_tJ(params: RhoParams, J: SubsetJ):

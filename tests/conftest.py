@@ -21,7 +21,7 @@ CRITERIA = {
     3: "table bound checks, exhaustive",
     4: "chart action axioms at working depth",
     5: "twist equivalence and right inverse of the matrix layer",
-    6: "component solver on random problems, both schedules",
+    6: "component solver on random problems, against a fixpoint iteration",
     7: "unit substitution matrices, commutation below printed floors",
     8: "admissible families and the rank formula",
     9: "weight counts and socle block partition",

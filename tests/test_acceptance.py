@@ -137,7 +137,7 @@ def test_criterion_6_component_solver():
         assert res.passed, (params, res.counterexample)
         assert res.checked >= 50
         solved += 50
-    _note(f"criterion 6: {solved} random problems solved, schedules agree")
+    _note(f"criterion 6: {solved} random problems solved, fixpoint iteration agrees")
 
 
 def test_criterion_7_unit_matrices_and_commutation():

@@ -10,7 +10,7 @@ import pytest
 
 from intvec import IntVec
 from modpcheck import constants
-from modpcheck.base_combinatorics import SubsetJ, all_subsets, vmap
+from modpcheck.base_combinatorics import SubsetJ, all_subsets, decompose_parts, vmap
 from modpcheck.constants import (
     AJnFrame,
     ConstantTables,
@@ -564,6 +564,8 @@ def force_params(p, f, r, jrho=()):
     object.__setattr__(obj, "f", f)
     object.__setattr__(obj, "r", tuple(r))
     object.__setattr__(obj, "Jrho", SubsetJ.of(f, jrho))
+    object.__setattr__(obj, "_parts", tuple(decompose_parts(J, obj.Jrho) for J in all_subsets(f)))
+    object.__setattr__(obj, "b_window", (tuple(-x for x in r), tuple(p - 2 - x for x in r)))
     return obj
 
 

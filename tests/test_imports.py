@@ -1,6 +1,7 @@
 """No module of the package or of the tests imports a name it never uses,
-the package defines no function or class that only the tests use, and the
-library import loads none of the code-generation modules."""
+the package defines no function or class that only the tests use, its lazy
+tables are all Memos, and the library import loads none of the
+code-generation modules."""
 
 import ast
 import os
@@ -79,3 +80,44 @@ def test_library_import_loads_no_dataclass_machinery():
     res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert res.stdout == "[]\n"
+
+
+def _dotted(node):
+    """'a.b' for the expression a.b, 'a' for the name a, else None."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        head = _dotted(node.value)
+        return head and f"{head}.{node.attr}"
+    return None
+
+
+def _in_bodies(tree, keep):
+    """The ids of the nodes inside the body of a node for which keep holds."""
+    return {id(node) for outer in ast.walk(tree) if keep(outer)
+            for stmt in outer.body for node in ast.walk(stmt)}
+
+
+def test_lazy_tables_are_memos():
+    # Memo is the package's one lazy table: no cached_property or lru_cache,
+    # functools.cache only for the call-local caches of a function body, and
+    # no lock made outside Memo
+    functions = ast.FunctionDef, ast.AsyncFunctionDef
+    found = []
+    for path in PACKAGE:
+        tree = _parse(path)
+        in_function = _in_bodies(tree, lambda n: isinstance(n, functions))
+        in_memo = _in_bodies(tree, lambda n: isinstance(n, ast.ClassDef) and n.name == "Memo")
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                names = [_dotted(node) or ""]
+            for name in names:
+                last = name.rsplit(".", 1)[-1]
+                if (last in ("cached_property", "lru_cache")
+                        or name == "functools.cache" and id(node) not in in_function
+                        or name in ("threading.Lock", "threading.RLock")
+                        and id(node) not in in_memo):
+                    found.append(f"{path.relative_to(ROOT)}:{node.lineno}: {name}")
+    assert found == []

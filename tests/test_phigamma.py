@@ -255,6 +255,23 @@ def test_theta_solver_random_sweeps():
     assert pg.check_theta_solver(P2G, count=15, seed=2, depth=30).passed
 
 
+def test_theta_solver_agreement_claim_fails_on_a_wrong_solution(monkeypatch):
+    # the solver loses the last term of component 0; the check's own
+    # fixpoint iteration does not call it, so the first claim made fails
+    solve = pg.theta_solve
+
+    def lossy(prob, depth=None):
+        a = solve(prob, depth)
+        x = a[0].copy_truncated(a[0].cutoff)
+        del x.terms[list(x.terms)[-1]]
+        return (x, *a[1:])
+
+    monkeypatch.setattr(pg, "theta_solve", lossy)
+    res = pg.check_theta_solver(P2G, count=5, seed=1, depth=30)
+    assert not res.passed
+    assert res.counterexample["claim"] == "schedule-agreement"
+
+
 def test_theta_solver_deterministic():
     prob1 = pg.random_theta_problem(P2, F2, seed=11)
     prob2 = pg.random_theta_problem(P2, F2, seed=11)

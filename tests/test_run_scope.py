@@ -34,7 +34,7 @@ from modpcheck.phigamma import (
     default_flip,
     slot_correction_units,
 )
-from modpcheck.reporting import CheckResult, _plain, run_table
+from modpcheck.reporting import Sweep, _plain, run_table
 from modpcheck.weights import RhoParams
 
 F3_IDENTITIES = RunConfig(p=17, f=3, r=(7, 8, 7), suites=("identities",))
@@ -317,7 +317,9 @@ def test_theta_solver_fault_after_a_healthy_run_fails_every_jrho(monkeypatch):
 
     def broken(*key):
         res = original(*key)
-        return CheckResult(res.name, False, res.checked, {"claim": "patched"}, res.info)
+        row = Sweep(res.name)
+        row.add(res.checked, {"claim": "patched"})
+        return row.result(res.info)
 
     monkeypatch.setattr(harness, "check_theta_solver", broken)
     report = run_suite(F2_PHIGAMMA)

@@ -22,8 +22,10 @@ different last exponents.  A spy on the row product pins which products
 take it: box-shaped operands at every f, the worst-case slot loads, all 20
 products of the p=17 f=3 additivity row and the p=13 f=2 Frobenius row do,
 the cold p=17 f=3 phigamma job (about one term per row) and the
-anti-diagonal worst-case slot loads (one term per row) never do.  A lane
-one size too narrow must change the worst-case row product, and a Zech
+anti-diagonal worst-case slot loads (one term per row) never do; in that
+job and the p=13 f=2 verify, every multi-term product takes it exactly by
+the rule.  A lane one size too narrow must change the worst-case row
+product, and a Zech
 table with one wrong entry the worst-case pair loop, which adds with the
 field's Zech logarithms; the references add by base-p digits
 (`digit_add`), so they share no addition with either path.
@@ -495,6 +497,36 @@ def test_cold_f3_phigamma_job_never_takes_the_dense_path(monkeypatch):
     rep = run_suite(RunConfig(p=17, f=3, r=(7, 8, 7), jrho=(0,), suites=("phigamma",)))
     assert all(row["status"] == "pass" for row in rep.suites)
     assert not dense
+
+
+def test_multi_term_products_take_the_row_product_by_one_rule(monkeypatch):
+    # every product of two multi-term operands in the cold p=17 f=3
+    # phigamma job and the p=13 f=2 verify takes the row product exactly
+    # when its term pairs are at least 4 times its row pairs
+    real_mul, real_row = iwasawa._mul_terms, iwasawa._row_mul_terms
+    took = []
+    seen = collections.Counter()
+
+    def row_spy(*args):
+        took.append(True)
+        return real_row(*args)
+
+    def mul_spy(field, xt, yt, bound):
+        took.clear()
+        out = real_mul(field, xt, yt, bound)
+        if len(xt) > 1 and len(yt) > 1:
+            rows = len({k[:-1] for k in xt}) * len({k[:-1] for k in yt})
+            seen[len(xt) * len(yt) >= 4 * rows, bool(took)] += 1
+        return out
+
+    monkeypatch.setattr(iwasawa, "_CTX_CACHE", Memo(ChartContext))
+    monkeypatch.setattr(iwasawa, "_row_mul_terms", row_spy)
+    monkeypatch.setattr(iwasawa, "_mul_terms", mul_spy)
+    rep = run_suite(RunConfig(p=17, f=3, r=(7, 8, 7), jrho=(0,), suites=("phigamma",)))
+    assert rep.passed and seen[False, False] and not seen[True, True]
+    assert run_suite(RunConfig(p=13, f=2, r=(5, 6))).passed
+    assert seen[True, True]
+    assert not seen[True, False] and not seen[False, True]
 
 
 def test_concurrent_first_products_build_each_packing_once(monkeypatch):

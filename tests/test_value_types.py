@@ -14,7 +14,10 @@ The last section holds the bodies of the ten dataclasses the package kept
 until its import stopped loading ``dataclasses`` (``OldMuAlgebra`` to
 ``OldHCharacter``).  Each new class takes the same arguments with the same
 defaults, stores the same field values after the same normalisation, and
-raises the same exception type and message for bad input.  ``==``, hash,
+raises the same exception type and message for bad input, except
+``OldCheckResult``: the report row it stood for is now the ``Sweep`` that
+counted it, which passes when it has no counterexample, so its rows are
+compared as ``Sweep`` rows on their fields and report dicts.  ``==``, hash,
 repr and frozenset order are compared where the package or its tests read
 them: ``Mutation`` and ``RhoParams`` (all four) and ``HCharacter`` (``==``).
 The other seven, and the hash of ``HCharacter``, were read by nothing, so
@@ -36,7 +39,7 @@ from modpcheck.errors import ConfigInvalid, HypothesisViolation, PairNotDefined,
 from modpcheck.harness import _TABLE_ALIASES, SCHEMA, SUITES, Report, RunConfig
 from modpcheck.iwasawa import INF, AElement, UnitData, is_torus_fixed
 from modpcheck.phigamma import PhiGammaMatrix, ThetaProblem, _twist
-from modpcheck.reporting import CheckResult, _plain
+from modpcheck.reporting import Sweep, _plain
 from modpcheck.weights import HCharacter, RhoParams, WeightB, validate_params
 
 # ---------------------------------------------------------------------------
@@ -453,8 +456,7 @@ class OldHCharacter:
 PAIRS = [
     (OldMuAlgebra, MuAlgebra), (OldMutation, Mutation), (OldRunConfig, RunConfig),
     (OldReport, Report), (OldUnitData, UnitData), (OldPhiGammaMatrix, PhiGammaMatrix),
-    (OldThetaProblem, ThetaProblem), (OldCheckResult, CheckResult),
-    (OldRhoParams, RhoParams), (OldHCharacter, HCharacter),
+    (OldThetaProblem, ThetaProblem), (OldRhoParams, RhoParams), (OldHCharacter, HCharacter),
 ]
 
 
@@ -562,7 +564,7 @@ def test_hcharacter_values_match(rows):
 
 
 # ---------------------------------------------------------------------------
-# RunConfig, Report and CheckResult: fields, validation, report dicts
+# RunConfig, Report and the Sweep row: fields, validation, report dicts
 
 
 @st.composite
@@ -612,15 +614,24 @@ def test_run_config_defaults_and_normalisation():
         "suites": list(SUITES), "mutate": None, "units": 20, "thetas": 50}
 
 
+def sweep_row(name, passed, checked=0, counterexample=None, info=None):
+    """The Sweep row that stands for CheckResult(name, passed, ...): its
+    verdict follows from its counterexample."""
+    row = Sweep(name)
+    row.add(checked, counterexample)
+    assert row.passed == passed
+    return row.result(info)
+
+
 def test_report_and_check_result_match():
+    # a Sweep that failed always holds its witness, so the old rows that
+    # failed without one have no Sweep counterpart
     rows = [
-        ("a", True), ("b", False, 3), ("c", False, 0, {"J": SubsetJ(2, 1)}),
+        ("a", True), ("c", False, 0, {"J": SubsetJ(2, 1)}),
         ("d", True, 7, None, {"entries": (1, 2)}), ("e", True, 1, None, {}),
     ]
     olds = [OldCheckResult(*row) for row in rows]
-    news = [CheckResult(*row) for row in rows]
-    olds.append(OldCheckResult(name="f", passed=False, info={"x": 1}))
-    news.append(CheckResult(name="f", passed=False, info={"x": 1}))
+    news = [sweep_row(*row) for row in rows]
     for old, new in zip(olds, news):
         same_fields(old, new)
         assert _plain(old.as_dict()) == _plain(new.as_dict())
