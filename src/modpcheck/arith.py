@@ -324,9 +324,8 @@ class _Packing:
     Its users build their blocks with `join`: k-slot element blocks for
     the unit sums of iwasawa, whose packed elements meet only prime-field
     values, so they keep to k slots (the Y_0 sum, and the torus-eigenvector
-    row, where one product of a weight int and a column int, folded mod
-    X^(q-1) - 1, sums every unit at once), and (2k-1)-slot product blocks
-    for the row products of _mul_terms.
+    row, whose q-1 lifts and series n([c]) are summed in one packed int),
+    and (2k-1)-slot product blocks for the row products of _mul_terms.
     Each states the bound on one slot of its sums and takes its instance
     from `packing`, which picks every width as a byte lane, so `decode`
     turns many blocks at once.

@@ -125,19 +125,6 @@ def all_subsets(f):
     return _SUBSETS[f,]
 
 
-def decompose_parts(J: SubsetJ, Jrho: SubsetJ):
-    """Split J relative to Jrho into (J^ss, J^nss, J^sh).
-
-    J^ss = J & Jrho, J^nss = J \\ Jrho, and J^sh = J & (J-1) & Jrho, the
-    members of J^ss whose successor also lies in J.  J^sh is a subset of
-    J^ss by construction.
-    """
-    Jss = J & Jrho
-    Jnss = J - Jrho
-    Jsh = J & J.shift(-1) & Jrho
-    return Jss, Jnss, Jsh
-
-
 def right_boundary(J: SubsetJ) -> SubsetJ:
     """dJ = {j in J : j+1 not in J}; empty for the full set and empty set."""
     return J - J.shift(-1)

@@ -181,7 +181,7 @@ class AJnFrame:
 
 
 def _frame_key(params, J, j0):
-    return params.p, params.f, params.r, J, j0, j0 in params.parts(J)[2]
+    return params.p, params.f, params.r, J, j0, j0 in params.sh(J)
 
 
 def hj(params, h, j):
@@ -376,7 +376,7 @@ def check_weight_table_bounds(params, tables):
     sw = Sweep("bound-s")
     extra = 1 if f == 1 else 0
     for J in subs:
-        _, _, Jsh = params.parts(J)
+        Jsh = params.sh(J)
         s = tables.s[J]
         for j in range(f):
             dsh = 1 if j in Jsh else 0
@@ -386,7 +386,7 @@ def check_weight_table_bounds(params, tables):
 
     tw = Sweep("bound-pairwise-shift")
     for J in subs:
-        _, _, Jsh = params.parts(J)
+        Jsh = params.sh(J)
         for Jp in subs:
             tv = tables.tJJp[J, Jp]
             for j in range(f):
@@ -435,7 +435,7 @@ def check_change_origin(params, tables, scope=None):
     for J in params.subsets():
         translate = Translation(params, J)
         base = tables.a[J]
-        _, _, Jsh = params.parts(J)
+        Jsh = params.sh(J)
         ranges = tuple(
             range(-(2 * (f - dsh) + 1), 2 * (f + dsh) + 1)
             for dsh in (1 if j in Jsh else 0 for j in range(f))
@@ -471,7 +471,7 @@ def _change_origin_box(J, ranges, base, translate):
 def _check_t_vs_r(params, tables, subs):
     sw = Sweep("t-equals-r-plus-shift")
     for J in subs:
-        _, _, Jsh = params.parts(J)
+        Jsh = params.sh(J)
         want = vmap(lambda j, r: r + (1 if j in Jsh else 0), range(params.f), tables.r[J])
         sw.check(tables.t[J] == want, J=J, t=tables.t[J], want=want)
     return sw.result()
@@ -539,7 +539,7 @@ def _check_shift_overlap_reindex(params, tables, subs, scope=None):
     for J in subs:
         Kss = J.shift(-1) & params.Jrho
         nss = J.shift(-1) - params.Jrho
-        _, _, Jsh = params.parts(J)
+        Jsh = params.sh(J)
         for j0 in range(f):
             anchor = (j0 + 1) % f
             if anchor not in nss:
@@ -552,7 +552,7 @@ def _check_shift_overlap_reindex(params, tables, subs, scope=None):
             # i_{j0+1} = 0
             ranges = tuple(range(1 if j == anchor else f - (1 if j in Jsh else 0) + 1)
                            for j in range(f))
-            sw.add(*blocks[p, r[anchor], J, j0, Kss, params.parts(J2)[2], tables.s[Kss],
+            sw.add(*blocks[p, r[anchor], J, j0, Kss, params.sh(J2), tables.s[Kss],
                            shifts, ranges])
     return sw.result()
 
@@ -622,7 +622,7 @@ def _check_character_origin(params, tables, subs):
     f = params.f
     target = char_of_lambda(params, params.r, (0,) * f)
     for J in subs:
-        _, _, Jsh = params.parts(J)
+        Jsh = params.sh(J)
         i = vmap(lambda j, r: r + (1 if j in Jsh else 0), range(f), tables.r[J])
         chi = char_of_weight(params, J) * alpha_char(params, i)
         sw.check(chi == target, J=J)
@@ -673,7 +673,7 @@ def _check_carry_inequality(params, tables, subs):
                 range(f), tables.c[Jp], tables.r[J - Jp],
             )
             Jp1 = Jp.shift(1)
-            _, _, Jp1sh = params.parts(Jp1)
+            Jp1sh = params.sh(Jp1)
             tv = tables.tJJp[Jp1, Jpp]
             bonus = 1 if not Jpp else 0
             for j in range(f):
@@ -844,7 +844,7 @@ def check_shifted_table_additivity(params, tables, scope=None):
     sw = Sweep("shifted-table-additivity")
     for J in params.subsets():
         Jss = J & params.Jrho
-        _, _, Jsh = params.parts(J)
+        Jsh = params.sh(J)
         for Jp in params.subsets():
             if not Jp <= J:
                 continue
@@ -909,7 +909,7 @@ def check_domination_claims(params, tables):
     if f >= 2:
         for J in params.subsets():
             Jss = J & params.Jrho
-            _, _, Jsh = params.parts(J)
+            Jsh = params.sh(J)
             for Jp in params.subsets():
                 if not (Jss <= Jp and Jp < J):
                     continue

@@ -48,9 +48,9 @@ SCHEMA = 1
 # F_q, whose two tables hold q entries each (36 MB peak RSS for the build
 # alone at q = 23^4, 48 MB for the f=4 identities and weights run).  The
 # chart suites also sum over the q-1 units (the torus row, at f <= 2, as
-# C(depth-1+f, f) products of two (q-1)-block ints) and multiply series in
-# the C(depth-1+f, f) monomials below the chart depth (1,140 at the largest
-# preset, p=17 f=3).
+# q-1 lifts and series n([c]), summed in one packed int) and multiply
+# series in the C(depth-1+f, f) monomials below the chart depth (1,140 at
+# the largest preset, p=17 f=3).
 MAX_Q = 2**19
 MAX_CHART_Q = 2**13
 MAX_CHART_MONOMIALS = 2**12

@@ -43,9 +43,8 @@ inverse is of an exact monomial, a negative power in pow_below.
 import functools
 import math
 import random
-from array import array
 from itertools import compress, groupby, repeat
-from operator import add, mul, ne
+from operator import add, mul
 
 from .arith import Fq, Memo, WittRing, gauss_jordan, packing, power_columns, witt_precision
 from .errors import (
@@ -962,29 +961,19 @@ def check_torus_eigenvector(ctx):
     for all a, b; only a failing chain sweeps every pair for the first
     witness.
 
-    With units indexed by their logs, a = EXP[s], the sums
-    sum_b b^(-1) n([ab]) over all s are a cyclic correlation over
-    Z/(q-1), computed per monomial m of degree < depth
-    (_graded_exponents) as one Kronecker product (Harvey, J. Symbolic
-    Comput. 44, 2009).  The column of m is one int (_Packing.join, stride
-    k) whose block t holds the coefficient of T^m in n([EXP[t]]), a
-    prime-field value, read from one 16-bit array row per unit (the chart
-    suites admit q <= 2^13, so p < 2^16); the weight is one int whose
-    block i holds the packed EXP[i], which is b^(-1) for b = EXP[-i].
-    A packed weight times a prime-field value stays in the k
-    slots of its block, so with v = weight * column the fold
-    (v & mask) + (v >> width) reduces v mod X^(q-1) - 1, and its block s
-    is the sum for a = EXP[s], decoded in one pass at stride k
-    (_Packing.decode).  A slot of a folded block adds exactly q-1 products
-    of a weight digit and a coefficient, at most (p-1)^2 each, and
-    `packing` picks the byte lane that holds (p-1)^2 (q-1).
-
-    Frobenius fixes the prime-field coefficients, so the slot-j sum, with
-    weights b^(-p^j), is the p^j-th power of this one: it equals
-    a^(p^j) Y_j[m] iff the slot-0 sum equals rot[l + s], with rot = EXP
-    doubled and l = LOG[Y_j[m]] p^(-j) mod q-1, or zero where Y_j has no
-    term at m.  A count of the differing monomials, the terms of the sum
-    minus a^(p^j) Y_j, is kept per (j, s); rows are checked in order (a, j).
+    Reindexed by c = ab, the slot-j sum for a is a^(p^j) times the a = 1
+    sum sum_c c^(-p^j) n([c]), and a^(p^j) Y_j is the target, so every a
+    has the count of a = 1.  Frobenius fixes the prime-field coefficients
+    of n([c]), so that sum is the p^j-th power of the slot-0 one, and only
+    sum_c c^(-1) n([c]) is computed: per unit c, the packed c^(-1)
+    (_Packing.table) times one int whose block i (stride k, _Packing.join)
+    holds the coefficient of T^m in n([c]) for the i-th monomial m of
+    degree < depth (_graded_exponents).  A slot adds q-1 products of a
+    weight digit and a coefficient, at most (p-1)^2 each, and `packing`
+    picks the byte lane that holds (p-1)^2 (q-1); the sum is decoded once.
+    The row counts, per slot j, the monomials where its p^j-th power
+    differs from Y_j (zero where Y_j has no term), and checks that count
+    for every (a, j), in order.
     """
     sweep = Sweep("torus-reindex-eigenvector")
     fld, ring = ctx.field, ctx.ring
@@ -1001,33 +990,16 @@ def check_torus_eigenvector(ctx):
                     return sweep.result()
     pack = packing(fld, (fld.p - 1) ** 2, fld.q - 1)
     monomials = _graded_exponents(ctx.f, depth - 1)
-    n, qm, k, exp = len(monomials), fld.q - 1, fld.k, fld.EXP
-    # coefficient of monomial i in n([EXP[t]]) at lanes[t*n + i]
-    lanes = array("H")
-    for c in exp:
+    total = 0
+    for c in units:
         terms = ctx.n_series(lifts[c], depth).terms
-        lanes.fromlist(list(map(terms.get, monomials, repeat(0))))
-    lanes = memoryview(lanes)
-    weight = pack.join([pack.table[c] for c in exp], k)
-    rot = exp * 2
-    width = qm * k * pack.bits
-    mask = (1 << width) - 1
-    counts = [[0] * qm for _ in range(ctx.f)]
-    for i, m in enumerate(monomials):
-        v = weight * pack.join(lanes[i::n].tolist(), k)
-        got = pack.decode((v & mask) + (v >> width), qm, k)
-        for j, y in enumerate(ctx.y_series):
-            ym = y.terms.get(m)
-            if ym:
-                l = fld.LOG[ym] * pow(fld.p, -j, qm) % qm
-                want = rot[l:l + qm]
-            else:
-                want = [0] * qm
-            if got != want:
-                counts[j] = list(map(add, counts[j], map(ne, got, want)))
+        row = list(map(terms.get, monomials, repeat(0)))
+        total += pack.table[fld.inv(c)] * pack.join(row, fld.k)
+    sums = pack.decode(total, len(monomials), fld.k)
+    counts = [sum(fld.pow(v, fld.p**j) != y.terms.get(m, 0) for m, v in zip(monomials, sums))
+              for j, y in enumerate(ctx.y_series)]
     for a in units:
-        for j in range(ctx.f):
-            bad = counts[j][fld.LOG[a]]
+        for j, bad in enumerate(counts):
             sweep.check(bad == 0, a=a, j=j, discrepancies=bad)
     return sweep.result(info={"depth": depth})
 

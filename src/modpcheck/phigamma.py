@@ -528,15 +528,13 @@ def classify_phi_q_eigen(params, lam, s):
     return ("zero", None)
 
 
-def _eigen_relation_holds(params, fld, lam_enc, s, t):
-    # substitution oracle: does Y^-t satisfy a = lam * Y^s * phi_q(a)
-    f = params.f
-    a = AElement.monomial(fld, f, tuple(-v for v in t))
-    img = a
+def _quotient(fld, f, t):
+    """phi_q(Y^-t) * Y^t: the quotient phi_q(a) * a^-1 of the unit a = Y^-t,
+    by the generic frobenius and product."""
+    img = AElement.monomial(fld, f, tuple(-v for v in t))
     for _ in range(f):
         img = frobenius(img)
-    rhs = AElement.monomial(fld, f, tuple(s), lam_enc) * img
-    return (a - rhs).is_zero()
+    return img * AElement.monomial(fld, f, t)
 
 
 # ---------------------------------------------------------------------------
@@ -681,15 +679,14 @@ def check_theta_solver(params, count=50, seed=0, depth=None):
 def check_eigen_classifier(params, samples=20, seed=0):
     """Classifier verdicts against the direct substitution oracle.
 
-    A line verdict t is checked by substituting Y^-t into
-    a = lam * Y^s * phi_q(a).  A zero verdict is certified by a box scan.
-    For the unit a = Y^-t the relation holds exactly when the quotient
-    phi_q(a) * a^-1 equals lam^-1 * Y^-s, and no quotient depends on
-    (lam, s).  So the quotient of each point of the largest box any zero
-    verdict needs is computed once, by the generic frobenius and product,
-    and indexed by its exact terms and cutoff.  The zero verdict for
-    (lam, s) holds when lam^-1 * Y^-s is the quotient of no point t inside
-    its own box, |t_j| <= max|s_j| // (q-1) + 2.
+    For the unit a = Y^-t the relation a = lam * Y^s * phi_q(a) holds
+    exactly when the quotient phi_q(a) * a^-1 (_quotient) equals
+    lam^-1 * Y^-s.  A line verdict t is checked by that equality.  A zero
+    verdict is certified by a box scan: no quotient depends on (lam, s),
+    so the quotient of each point of the largest box any zero verdict
+    needs is computed once and indexed by its exact terms and cutoff.  The
+    zero verdict for (lam, s) holds when lam^-1 * Y^-s is the quotient of
+    no point t inside its own box, |t_j| <= max|s_j| // (q-1) + 2.
     """
     sweep = Sweep("substitution-eigenline-classifier")
     fld = Fq(params.p, params.f)
@@ -712,17 +709,14 @@ def check_eigen_classifier(params, samples=20, seed=0):
     # quotient phi_q(Y^-t) * Y^t -> least max|t_j| among the points giving it
     quotients = {}
     for t in itertools.product(range(-box, box + 1), repeat=f):
-        img = AElement.monomial(fld, f, tuple(-v for v in t))
-        for _ in range(f):
-            img = frobenius(img)
-        quo = img * AElement.monomial(fld, f, t)
+        quo = _quotient(fld, f, t)
         radius = max(map(abs, t))
         quotients[quo] = min(radius, quotients.get(quo, radius))
     for lam, s, kind, t in verdicts:
+        want = AElement.monomial(fld, f, tuple(-v for v in s), fld.inv(lam))
         if kind == "line":
-            ok = _eigen_relation_holds(params, fld, lam, s, t)
+            ok = _quotient(fld, f, t) == want
         else:
-            want = AElement.monomial(fld, f, tuple(-v for v in s), fld.inv(lam))
             ok = quotients.get(want, INF) > reach[s]
         sweep.check(ok, lam=lam, s=s, kind=kind)
     return sweep.result()
@@ -767,7 +761,7 @@ def check_commutation(ctx, Pphi, Pa, u, scope=None):
     for key, a, b in _entry_pairs(lhs, rhs):
         entries += 1
         floor = difference_floor(a, b)
-        diff = (a - b).copy_truncated(floor)
+        diff = a - b
         if floor != INF:
             worst = floor if worst is None else min(worst, floor)
         if any(sum(k) < floor for k in a.terms) or any(

@@ -12,7 +12,7 @@ from itertools import product
 from operator import add, getitem, le, mul
 
 from .arith import _prime_divisors
-from .base_combinatorics import MAX_F, SubsetJ, all_subsets, decompose_parts, vmap
+from .base_combinatorics import MAX_F, SubsetJ, all_subsets, vmap
 from .errors import ConfigInvalid, GenericityViolation, InadmissibleS, RangeViolation
 from .reporting import Sweep
 
@@ -38,16 +38,15 @@ def validate_params(p, f, r, Jrho):
 
 class RhoParams:
     """A validated parameter pack (p, f, r, Jrho), with two tables built
-    once the pack is valid: decompose_parts(J, Jrho) for every J, and
-    b_window, (-r, p-2-r), the componentwise bounds on the position b of a
-    weight."""
+    once the pack is valid: J^sh for every J (sh), and b_window,
+    (-r, p-2-r), the componentwise bounds on the position b of a weight."""
 
-    __slots__ = ("p", "f", "r", "Jrho", "_parts", "b_window")
+    __slots__ = ("p", "f", "r", "Jrho", "_sh", "b_window")
 
     def __init__(self, p: int, f: int, r: tuple, Jrho: SubsetJ):
         self.p, self.f, self.r, self.Jrho = p, f, r, Jrho
         validate_params(p, f, r, Jrho)
-        self._parts = tuple(decompose_parts(J, Jrho) for J in all_subsets(f))
+        self._sh = tuple(J & J.shift(-1) & Jrho for J in all_subsets(f))
         self.b_window = tuple(-rj for rj in r), tuple(p - 2 - rj for rj in r)
 
     def __eq__(self, other):
@@ -72,11 +71,12 @@ class RhoParams:
     def subsets(self):
         return all_subsets(self.f)
 
-    def parts(self, J):
-        """decompose_parts(J, Jrho), built for every J once per params."""
+    def sh(self, J):
+        """J^sh = J & (J-1) & Jrho, the members of J in Jrho whose successor
+        also lies in J; built for every J once per params."""
         if J.f != self.f:
-            return decompose_parts(J, self.Jrho)  # raises the f-mismatch ValueError
-        return self._parts[J.bits]
+            return J & self.Jrho  # raises the f-mismatch ValueError
+        return self._sh[J.bits]
 
 
 def sJ_tJ(params: RhoParams, J: SubsetJ):
@@ -113,7 +113,7 @@ def aJ(params: RhoParams, J: SubsetJ) -> tuple:
     """Graph position of the weight generated by J: +-1 on J (sign from the
     successor), shifted by 2 on the doubled part J^sh."""
     f = params.f
-    _, _, Jsh = params.parts(J)
+    Jsh = params.sh(J)
     out = []
     for j in range(f):
         v = 0
@@ -173,7 +173,7 @@ class Translation:
 
     def __init__(self, params: RhoParams, J: SubsetJ):
         f = params.f
-        _, _, Jsh = params.parts(J)
+        Jsh = params.sh(J)
         sh = [1 if j in Jsh else 0 for j in range(f)]
         self.params, self.f = params, f
         self.lo = tuple(-(2 * (f - d) + 1) for d in sh)

@@ -5,7 +5,6 @@ import pytest
 from modpcheck.base_combinatorics import (
     SubsetJ,
     all_subsets,
-    decompose_parts,
     right_boundary,
     vmap,
 )
@@ -69,28 +68,24 @@ def test_shift_roundtrip():
                 assert shift_subset(shift_subset(J, k), -k) == J
 
 
-def test_decompose_parts():
-    Jrho = SubsetJ.of(3, [0, 1])
+def _params(f, jrho):
+    """A valid pack at f <= 4 whose Jrho has the members `jrho`."""
+    return RhoParams.make(23, f, (9,) * f, jrho)
+
+
+def test_sh_part():
     J = SubsetJ.of(3, [0, 2])
-    Jss, Jnss, Jsh = decompose_parts(J, Jrho)
-    assert Jss.members() == (0,)
-    assert Jnss.members() == (2,)
-    assert Jsh.members() == ()
+    assert _params(3, [0, 1]).sh(J).members() == ()
     # consecutive pair inside Jrho does shear
-    Jrho2 = SubsetJ.of(3, [1, 2])
-    J2 = SubsetJ.of(3, [1, 2])
-    _, _, Jsh2 = decompose_parts(J2, Jrho2)
-    assert Jsh2.members() == (1,)
+    assert _params(3, [1, 2]).sh(SubsetJ.of(3, [1, 2])).members() == (1,)
 
 
 def test_parts_partition():
     for f in (1, 2, 3):
         for Jrho in all_subsets(f):
+            params = _params(f, Jrho.members())
             for J in all_subsets(f):
-                Jss, Jnss, Jsh = decompose_parts(J, Jrho)
-                assert (Jss | Jnss) == J
-                assert not (Jss & Jnss)
-                assert Jsh <= Jss
+                assert params.sh(J) <= J & Jrho
 
 
 def test_right_boundary():
@@ -110,8 +105,8 @@ def test_f4_non_interval_subset():
     assert right_boundary(J).members() == (0, 2)
     assert cyclic_run_count(J) == 2
     for Jrho in all_subsets(4):
-        assert not decompose_parts(J, Jrho)[2]
-    assert decompose_parts(SubsetJ.of(3, [0, 2]), SubsetJ.full(3))[2].members() == (2,)
+        assert not _params(4, Jrho.members()).sh(J)
+    assert _params(3, [0, 1, 2]).sh(SubsetJ.of(3, [0, 2])).members() == (2,)
 
 
 def test_boundary_counts_runs():
@@ -191,10 +186,10 @@ def test_set_algebra_returns_the_values_of_all_subsets(f):
             op()
     params = RhoParams.make(23, f, (9, 10, 9, 10)[:f], [0])
     for J in subs:
-        assert params.parts(J) == decompose_parts(J, params.Jrho)
-    assert params.parts(subs[3 % len(subs)]) is params.parts(subs[3 % len(subs)])
+        assert params.sh(J) == J & J.shift(-1) & params.Jrho
+    assert params.sh(subs[3 % len(subs)]) is params.sh(subs[3 % len(subs)])
     with pytest.raises(ValueError, match="different f"):
-        params.parts(other)
+        params.sh(other)
 
 
 def test_operands_of_different_f_are_rejected():

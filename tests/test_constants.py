@@ -10,7 +10,7 @@ import pytest
 
 from intvec import IntVec
 from modpcheck import constants
-from modpcheck.base_combinatorics import SubsetJ, all_subsets, decompose_parts, vmap
+from modpcheck.base_combinatorics import SubsetJ, all_subsets, vmap
 from modpcheck.constants import (
     AJnFrame,
     ConstantTables,
@@ -69,7 +69,7 @@ def aJn(params, J, n, j0):
 
 def _require_small_box(params, J, i):
     f = params.f
-    _, _, Jsh = params.parts(J)
+    Jsh = params.sh(J)
     for j in range(f):
         hi = f - (1 if j in Jsh else 0)
         if not 0 <= i[j] <= hi:
@@ -564,7 +564,7 @@ def force_params(p, f, r, jrho=()):
     object.__setattr__(obj, "f", f)
     object.__setattr__(obj, "r", tuple(r))
     object.__setattr__(obj, "Jrho", SubsetJ.of(f, jrho))
-    object.__setattr__(obj, "_parts", tuple(decompose_parts(J, obj.Jrho) for J in all_subsets(f)))
+    object.__setattr__(obj, "_sh", tuple(J & J.shift(-1) & obj.Jrho for J in all_subsets(f)))
     object.__setattr__(obj, "b_window", (tuple(-x for x in r), tuple(p - 2 - x for x in r)))
     return obj
 
@@ -584,7 +584,7 @@ def test_domination_fails_below_genericity_floor():
 
 def _small_boxes(params, J):
     f = params.f
-    _, _, Jsh = params.parts(J)
+    Jsh = params.sh(J)
     ranges = [range(0, f - (1 if j in Jsh else 0) + 1) for j in range(f)]
     for ent in itertools.product(*ranges):
         yield IntVec(f, ent)
@@ -618,7 +618,7 @@ def overlap_reindex_reference(params, tables, subs):
         bump = -(0 if (j0 + 1) in Jp else 1) + (1 if (j0 + 2) in Kss else 0)
         sym1, sym2 = J ^ Kss, J2 ^ Kss
         svec = tables.s[Kss]
-        _, _, J2sh = params.parts(J2)
+        J2sh = params.sh(J2)
         return (
             bump, _m_map(params, J, Jp), _m_map(params, J2, Jpp),
             tables.tJJp[J, Jp], tables.tJJp[J2, Jpp], Jpp,

@@ -5,15 +5,16 @@ tests the multiplicativity of the Teichmuller lifts on every pair of units,
 then for each unit a and slot j it adds b^(-p^j) n([ab]) over all units b
 into a dict, one field call per coefficient, and compares the sum with
 a^(p^j) Y_j.  The packed sweep in ``modpcheck.iwasawa`` checks the lifts
-along the generator first, then computes the sums of all units a at once:
-one cyclic Kronecker product per monomial, folded mod X^(q-1) - 1 and
-decoded in byte lanes, whose slot-0 sums are compared with the p^(-j)-th
-powers of the targets of every slot j, with a count of the differing
-monomials kept per (a, j).  It must give the same row, check by check, on
-passing data, on perturbed series and on perturbed lifts, at the 16- and
-32-bit lanes, and must fail when its lanes are too narrow to hold the sum.
-The lane decode itself must agree with `encode`, the per-block reading
-that decode replaced in the package.
+along the generator first, then computes only the a = 1 sum of slot 0,
+since the slot-j sum of a unit a is a^(p^j) times the a = 1 one and that
+is the p^j-th power of the slot-0 sum: one packed int per unit, added
+into one int and decoded once in byte lanes.  The p^j-th powers of its
+coefficients are compared with Y_j, and the count of the differing
+monomials is checked for every (a, j).  It must give the same row, check
+by check, on passing data, on perturbed series and on perturbed lifts, at
+the 16- and 32-bit lanes, and must fail when its lanes are too narrow to
+hold the sum.  The lane decode itself must agree with `encode`, the
+per-block reading that decode replaced in the package.
 """
 
 import math
@@ -154,9 +155,9 @@ def test_three_perturbed_y1_coefficients_fail_slot_one_check_by_check(monkeypatc
 
 @pytest.mark.parametrize("p,f", [(7, 2), (11, 1)])
 def test_perturbed_series_of_the_last_unit_fails_every_check_alike(monkeypatch, p, f):
-    # one coefficient of n([c]) is off for c = EXP[q-2], the unit whose
-    # column block is the last one, so most sums meet it only through the
-    # wrapped half of the cyclic fold: every (a, j) counts one discrepancy
+    # one coefficient of n([c]) is off for c = EXP[q-2], the last unit in
+    # log order: every a meets it through b = c/a, so every (a, j) counts
+    # one discrepancy, as in the per-a reference
     ctx = ChartContext(p, f, iwasawa.default_cutoff(p, f))
     fld = ctx.field
     depth = ctx.tdepth
@@ -384,22 +385,28 @@ def test_one_teichmuller_lift_per_unit(monkeypatch):
     assert sorted(calls) == list(ctx.field.units())
 
 
-def test_one_product_and_decode_per_monomial(monkeypatch):
-    # the slot-j sums are the p^j-th powers of the slot-0 ones, so the row
-    # decodes one folded product per monomial below the depth and none per
-    # slot: C(29 + 2, 2) = 465 at p=13, f=2, cutoff 30
-    ctx = chart_context(13, 2, 30)
-    calls = 0
-    right = _Packing.decode
+def test_one_sum_and_decode_per_row(monkeypatch):
+    # every unit's sum is a times the a = 1 sum, and every slot's a p^j-th
+    # power of the slot-0 one, so the row reads one series per unit into
+    # one packed sum and decodes it once: q - 1 = 168 series at p=13, f=2
+    ctx = chart_context(13, 2, 30)  # built complete, before counting
+    decodes, series = 0, 0
+    right_decode, right_series = _Packing.decode, ctx.n_series
 
-    def counted(self, *args):
-        nonlocal calls
-        calls += 1
-        return right(self, *args)
+    def counted_decode(self, *args):
+        nonlocal decodes
+        decodes += 1
+        return right_decode(self, *args)
 
-    monkeypatch.setattr(_Packing, "decode", counted)
+    def counted_series(*args):
+        nonlocal series
+        series += 1
+        return right_series(*args)
+
+    monkeypatch.setattr(_Packing, "decode", counted_decode)
+    monkeypatch.setattr(ctx, "n_series", counted_series)
     assert check_torus_eigenvector(ctx).passed
-    assert calls == math.comb(ctx.tdepth - 1 + 2, 2) == 465
+    assert (decodes, series) == (1, ctx.q - 1) == (1, 168)
 
 
 def test_perturbed_second_eigencoordinate_fails_only_slot_one(monkeypatch):

@@ -67,7 +67,7 @@ def translate_in_graph(params: RhoParams, J: SubsetJ, b: IntVec) -> WeightB:
 
 def translate_reference(params, J, b):
     f = params.f
-    _, _, Jsh = params.parts(J)
+    Jsh = params.sh(J)
     for j in range(f):
         lo = -(2 * (f - (1 if j in Jsh else 0)) + 1)
         hi = 2 * (f + (1 if j in Jsh else 0))
@@ -104,7 +104,7 @@ def aJn_reference(params, J, n, j0):
         hi = 2 * f - (1 if j in J else 0)
         if not 1 <= n[j] <= hi:
             raise HypothesisViolation(f"n_{j}={n[j]} outside [1, {hi}]")
-    _, _, Jsh = params.parts(J)
+    Jsh = params.sh(J)
     out = []
     for j in range(f):
         if j == j0 % f and j0 in Jsh:
@@ -133,7 +133,7 @@ def _same_outcome(ref, new, *args):
 
 def _translation_window(params, J):
     f = params.f
-    _, _, Jsh = params.parts(J)
+    Jsh = params.sh(J)
     return [
         (-(2 * (f - (1 if j in Jsh else 0)) + 1), 2 * (f + (1 if j in Jsh else 0)))
         for j in range(f)
@@ -526,7 +526,7 @@ def test_shifted_table_additivity_builds_one_frame_per_j_j0(monkeypatch):
     assert res.as_dict() == healthy.as_dict() and res.passed
     want = set()
     for J in params.subsets():
-        _, _, Jsh = params.parts(J)
+        Jsh = params.sh(J)
         for Jp in params.subsets():
             if not Jp <= J:
                 continue
@@ -549,7 +549,7 @@ def shifted_additivity_reference(params, tables):
     f = params.f
     sw = Sweep("shifted-table-additivity")
     for J in params.subsets():
-        _, _, Jsh = params.parts(J)
+        Jsh = params.sh(J)
         for Jp in params.subsets():
             if not Jp <= J:
                 continue

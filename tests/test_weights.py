@@ -41,7 +41,7 @@ def constituents_supported_in(params: RhoParams, S) -> frozenset:
 def shift_generated_constituents(params: RhoParams, J: SubsetJ, i: IntVec) -> frozenset:
     """Constituent region reached from (J, i); needs 0 <= i <= f - e^{J^sh}."""
     f = params.f
-    _, Jnss, Jsh = params.parts(J)
+    Jnss, Jsh = J - params.Jrho, params.sh(J)
     for j in range(f):
         hi = f - (1 if j in Jsh else 0)
         if not 0 <= i[j] <= hi:
@@ -67,7 +67,7 @@ def mul_alpha(params: RhoParams, chi: HCharacter, i: IntVec) -> HCharacter:
 
 def char_of_x_index(params: RhoParams, J: SubsetJ, i: IntVec) -> HCharacter:
     """chi'_J alpha^{-i} with chi'_J = chi_J alpha^{e^{J^sh}}."""
-    _, _, Jsh = params.parts(J)
+    Jsh = params.sh(J)
     chi_p = mul_alpha(params, char_of_weight(params, J), indicator(Jsh))
     return mul_alpha(params, chi_p, -i)
 
@@ -137,7 +137,7 @@ def _rJ_oracle(params, J):
 def test_t_is_rJ_plus_shear():
     for params in ALL_PARAMS:
         for J in params.subsets():
-            _, _, Jsh = params.parts(J)
+            Jsh = params.sh(J)
             _, t = sJ_tJ(params, J)
             assert t == (_rJ_oracle(params, J) + indicator(Jsh)).entries
 
@@ -152,7 +152,7 @@ def test_translate_at_origin_hits_aJ():
 def test_translate_specializations():
     for params in ALL_PARAMS:
         for J in params.subsets():
-            Jss, Jnss, _ = params.parts(J)
+            Jss, Jnss = J & params.Jrho, J - params.Jrho
             got = translate_in_graph(params, J, -indicator(Jnss))
             assert got.b == aJ(params, Jss)
             Km = J.shift(-1) & params.Jrho  # (J-1)^ss
@@ -311,7 +311,7 @@ def test_characters():
     # x-index character at i=0 is chi_J shifted by the shear
     for params in ALL_PARAMS:
         for J in params.subsets():
-            _, _, Jsh = params.parts(J)
+            Jsh = params.sh(J)
             assert char_of_x_index(params, J, IntVec.zero(params.f)) == mul_alpha(
                 params, char_of_weight(params, J), indicator(Jsh)
             )
