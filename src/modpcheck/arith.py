@@ -231,8 +231,9 @@ class Fq:
     entry reduced mod p at every doubling, and LOG is its inverse
     permutation.  mul adds logs mod q-1; neg adds h to the log, where -1 =
     gen^h: h = (q-1)/2 for odd p, 0 at p = 2.  add is EXP[LOG a + Z[LOG b -
-    LOG a]], Z the Zech logarithms (_zech_logs) that the first add builds
-    once, through a Memo of the field."""
+    LOG a]], Z = zech[()] the Zech logarithms (_zech_logs): zech is a Memo,
+    so the first add builds Z, once across threads, and a run that never
+    adds never builds it."""
 
     def __new__(cls, p, k):
         return _FIELD_CACHE[p, k]
@@ -257,24 +258,16 @@ class Fq:
         qm, h = q - 1, (q - 1) // 2 if p > 2 else 0
         self.neg = lambda a: a and EXP[(LOG[a] + h) % qm]
         self.mul = lambda a, b: a and b and EXP[(LOG[a] + LOG[b]) % qm]
-        Z = self.Z = None
-        zech = Memo(lambda: _zech_logs(p, EXP, LOG, h))
+        self.zech = zech = Memo(lambda: _zech_logs(p, EXP, LOG, h))
 
-        def zech_add(a, b):
+        def zech_add(a, b):  # not add: the EXP build above reads operator.add
             if a and b:
                 la = LOG[a]
-                z = Z[(LOG[b] - la) % qm]
+                z = zech[()][(LOG[b] - la) % qm]
                 return 0 if z is None else EXP[(la + z) % qm]
             return a or b
 
-        def first_add(a, b):
-            nonlocal Z
-            Z = self.Z = zech[()]
-            if self.add is first_add:  # a wrapper put on add stays
-                self.add = zech_add
-            return zech_add(a, b)
-
-        self.add = first_add
+        self.add = zech_add
         return self
 
     def inv(self, a):
@@ -323,12 +316,11 @@ class _Packing:
 
     Its users build their blocks with `join`: k-slot element blocks for
     the unit sums of iwasawa, whose packed elements meet only prime-field
-    values, so they keep to k slots (the Y_0 sum, and the torus-eigenvector
-    row, whose q-1 lifts and series n([c]) are summed in one packed int),
-    and (2k-1)-slot product blocks for the row products of _mul_terms.
-    Each states the bound on one slot of its sums and takes its instance
-    from `packing`, which picks every width as a byte lane, so `decode`
-    turns many blocks at once.
+    values (the Y_0 sum, at most (p-1)^min(f+1, 4) per unit in a slot, and
+    the torus-eigenvector row, (p-1)^2 per unit), and (2k-1)-slot product
+    blocks for the row products of _mul_terms, k(p-1)^2 per term pair.
+    Each takes its instance from `packing`, which picks every width as a
+    byte lane, so `decode` turns many blocks at once.
     """
 
     def __init__(self, field, bits):

@@ -9,10 +9,8 @@ import sys
 
 import click
 
-from .errors import ConfigInvalid, GenericityViolation
+from .errors import ConfigInvalid
 from .harness import SCHEMA, SUITES, Report, RunConfig, emit_report, list_params, run_suite
-
-_CONFIG_ERRORS = (ConfigInvalid, GenericityViolation)
 
 
 def _config_error(msg):
@@ -33,6 +31,10 @@ def _parse_ints(raw, what):
         _config_error(f"cannot parse {what}={raw!r}")
 
 
+def _no_constant(name):  # _plain writes INF as null: no report holds NaN or Infinity
+    raise ValueError(f"{name} is not JSON")
+
+
 def _malformed(payload):
     """What makes a schema-matching payload unreadable as a report, or None."""
     for key in ("config", "fingerprint"):
@@ -45,8 +47,8 @@ def _malformed(payload):
             return f"suite row {i} is not an object"
         if not isinstance(row.get("name"), str):
             return f"suite row {i} has no name"
-        if row.get("status") not in ("pass", "fail"):
-            return f"suite row {i} has no status pass or fail"
+        if row.get("status") != ("fail" if "counterexample" in row else "pass"):  # as Sweep writes
+            return f"suite row {i} has no status fail with a counterexample or pass without"
         if type(row.get("checked")) is not int or row["checked"] < 0:  # a bool is an int too
             return f"suite row {i} has no checked count"
     return None
@@ -92,7 +94,7 @@ def verify(p, f, r, jrho, cutoff, seed, suites, mutate, units, thetas, fmt):
         )
         rep = run_suite(config)
         out = emit_report(rep, fmt)
-    except _CONFIG_ERRORS as e:
+    except ConfigInvalid as e:
         _config_error(e)
     except Exception as e:
         _internal_error(e)
@@ -110,7 +112,7 @@ def params(f_filter):
     """List the built-in verification presets."""
     try:
         configs = list_params(f_filter)
-    except _CONFIG_ERRORS as e:
+    except ConfigInvalid as e:
         _config_error(e)
     for cfg in configs:
         click.echo(
@@ -127,8 +129,8 @@ def report(file, fmt):
     """Re-render a stored JSON report; exit code reflects its outcome."""
     with open(file, "rb") as fh:
         try:
-            payload = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as e:
+            payload = json.load(fh, parse_constant=_no_constant)
+        except (ValueError, RecursionError) as e:  # JSONDecodeError, UnicodeDecodeError
             _config_error(f"not a report file: {e}")
     schema = payload.get("schema") if isinstance(payload, dict) else None
     if type(schema) is not int or schema != SCHEMA:  # neither true nor 1.0
@@ -147,7 +149,7 @@ def report(file, fmt):
     )
     try:
         out = emit_report(rep, fmt)
-    except _CONFIG_ERRORS as e:
+    except ConfigInvalid as e:
         _config_error(e)
     sys.stdout.buffer.write(out)
     sys.exit(0 if rep.passed else 1)

@@ -861,17 +861,15 @@ def check_shifted_table_additivity(params, tables, scope=None):
 
 def _additivity_domain(J, Jp, j0, at_J, at_Jp, rdiff):
     # (checked, first witness) of one (J, Jp, j0) domain, compared on
-    # entries tuples in one pass; only a domain that fails is walked n by n
+    # entries tuples in one pass
     domain, diff = _a_domain(J, j0), J - Jp
     shift = tuple(1 if j in diff else 0 for j in range(J.f))
     lhs = [tuple(map(add, at_J(e), rdiff)) for e in domain]
     rhs = [at_Jp(tuple(map(add, e, shift))) for e in domain]
     if lhs == rhs:
         return len(domain), None
-    sw = Sweep("shifted-table-additivity")
-    for e, left, right in zip(domain, lhs, rhs):
-        sw.check(left == right, J=J, Jp=Jp, j0=j0, n=e, lhs=left, rhs=right)
-    return sw.checked, sw.counterexample
+    i = next(n for n, (x, y) in enumerate(zip(lhs, rhs)) if x != y)
+    return len(domain), witness(J=J, Jp=Jp, j0=j0, n=domain[i], lhs=lhs[i], rhs=rhs[i])
 
 
 def check_domination_claims(params, tables):

@@ -6,8 +6,12 @@ counterexample is report content, not an error).
 """
 
 
-class GenericityViolation(ValueError):
-    """Parameter tuple leaves the generic window.
+class ConfigInvalid(ValueError):
+    """Run configuration is structurally unusable."""
+
+
+class GenericityViolation(ConfigInvalid):
+    """Parameter tuple leaves the generic window, a config error too.
 
     Carries the offending component index (or None for global conditions)
     and a human-readable bound description.
@@ -58,10 +62,6 @@ class NotInvertible(ArithmeticError):
 
 class NonConvergence(RuntimeError):
     """Iterative solver failed to stabilize within its iteration budget."""
-
-
-class ConfigInvalid(ValueError):
-    """Run configuration is structurally unusable."""
 
 
 # What a check's own arithmetic can raise: a failed check, not a crashed run.

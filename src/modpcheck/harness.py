@@ -13,8 +13,8 @@ import math
 from itertools import product
 from time import perf_counter
 
-from .arith import IRREDUCIBLES, RunScope, _prime_divisors, scope_memo
-from .base_combinatorics import MAX_F, all_subsets
+from .arith import IRREDUCIBLES, RunScope, scope_memo
+from .base_combinatorics import MAX_F, SubsetJ, all_subsets
 from .constants import IDENTITY_ROWS, MUTABLE, Mutation, mu_gamma, run_identities
 from .errors import ConfigInvalid
 from .iwasawa import (
@@ -39,7 +39,7 @@ from .phigamma import (
     default_flip,
 )
 from .reporting import _plain, run_table
-from .weights import RhoParams, run_weights
+from .weights import RhoParams, run_weights, validate_params
 
 SUITES = ("identities", "weights", "iwasawa", "phigamma")
 SCHEMA = 1
@@ -47,10 +47,9 @@ SCHEMA = 1
 # Admission limits, checked before any field is built.  Every run builds
 # F_q, whose two tables hold q entries each (36 MB peak RSS for the build
 # alone at q = 23^4, 48 MB for the f=4 identities and weights run).  The
-# chart suites also sum over the q-1 units (the torus row, at f <= 2, as
-# q-1 lifts and series n([c]), summed in one packed int) and multiply
-# series in the C(depth-1+f, f) monomials below the chart depth (1,140 at
-# the largest preset, p=17 f=3).
+# chart suites' work also grows with q, through their sums over the q-1
+# units, and with the C(depth-1+f, f) monomials below the chart depth
+# (1,140 at the largest preset, p=17 f=3).
 MAX_Q = 2**19
 MAX_CHART_Q = 2**13
 MAX_CHART_MONOMIALS = 2**12
@@ -88,10 +87,9 @@ class RunConfig:
         if self.mutate is not None and self.mutate != "eps":
             if _TABLE_ALIASES.get(self.mutate, self.mutate) not in MUTABLE:
                 raise ConfigInvalid(f"unknown mutation target {self.mutate!r}")
-        self.param_sets()  # raises ConfigInvalid / GenericityViolation
 
     def _admit(self):
-        """Reject a field, cutoff or sample count beyond the admission limits."""
+        """Reject a bad pack, or a field, cutoff or sample count beyond the limits."""
         p, f = self.p, self.f
         if p < 2:  # the limits below need p >= 2
             raise ConfigInvalid(f"p={p} is not prime")
@@ -102,10 +100,9 @@ class RunConfig:
             raise ConfigInvalid(f"q={p}^{f} exceeds {MAX_Q}")
         if f > MAX_F:
             raise ConfigInvalid(f"f={f} outside [1, {MAX_F}]")
-        # p <= MAX_Q here, so trial division is cheap; the cutoff and chart
-        # limits below would misname a composite p
-        if _prime_divisors(p) != [p]:
-            raise ConfigInvalid(f"p={p} is not prime")
+        # p <= MAX_Q here, so its trial division is cheap; the limits below
+        # would misname a composite p or a non-generic pack
+        validate_params(p, f, self.r, SubsetJ.of(f))
         q = p**f
         if self.cutoff is not None:
             depth = chart_depth(p, f, self.cutoff)

@@ -23,7 +23,7 @@ import itertools
 import random
 
 from .arith import Fq, scope_memo
-from .base_combinatorics import SubsetJ, vmap
+from .base_combinatorics import SubsetJ, all_subsets, vmap
 from .constants import cJ, hj, rJ
 from .errors import (
     ConfigInvalid,
@@ -53,8 +53,9 @@ def _between(lo, hi):
         return
     free = hi.bits & ~lo.bits
     sub = free
+    subsets = all_subsets(hi.f)
     while True:
-        yield SubsetJ(hi.f, lo.bits | sub)
+        yield subsets[lo.bits | sub]
         if sub == 0:
             return
         sub = (sub - 1) & free
@@ -366,7 +367,7 @@ def random_theta_problem(params, fld, seed):
     depth."""
     rng = random.Random(seed)
     p, f = params.p, params.f
-    J = SubsetJ(f, rng.randrange(1, 1 << f))
+    J = all_subsets(f)[rng.randrange(1, 1 << f)]
     mem = list(J.members())
     drop = rng.sample(mem, rng.randrange(1, len(mem) + 1))
     Jp = J - SubsetJ.of(f, drop)
@@ -427,7 +428,7 @@ def build_q_a(ctx, mu, u, scope=None):
     pj = scope_memo(scope, slot_correction_units)[ctx, weights, u]
     if params.Jrho.is_full():
         return qa, pj
-    empty = SubsetJ(f, 0)
+    empty = SubsetJ.of(f)
     done = set()
     for m in range(1, f + 1):
         for J in params.subsets():
@@ -504,7 +505,7 @@ def build_mat_a(ctx, mu, u, scope=None):
 def unit_support(params):
     """Allowed nonzero positions of a unit-action matrix: row inside
     column."""
-    empty = SubsetJ(params.f, 0)
+    empty = SubsetJ.of(params.f)
     return {
         (Jp, J) for J in params.subsets() for Jp in _between(empty, J)
     }

@@ -1,14 +1,19 @@
 import json
 import re
+import sys
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from modpcheck import arith, constants, harness, iwasawa, phigamma
 from modpcheck.cli import main
 from modpcheck.errors import ConfigInvalid, GenericityViolation, PairNotDefined, RangeViolation
 from modpcheck.harness import (
+    MAX_Q,
     SCHEMA,
+    SUITES,
     RunConfig,
     emit_report,
     list_params,
@@ -324,6 +329,7 @@ def test_admission_accepts_presets_and_benchmark_configs(no_field_builds):
     ["--p", "2", "--f", "17", "--r", ",".join(["1"] * 17), "--suite", "weights"],
     ["--p", "11", "--f", "1", "--r", "4", "--cutoff", "122", "--jrho", "0"],
     ["--p", "-17", "--f", "3", "--r", "7,8,7"],
+    ["--p", "5", "--f", "1", "--r", "4"],
 ])
 def test_cli_admission_limits_exit_2(no_field_builds, args):
     res = CliRunner().invoke(main, ["verify", *args])
@@ -331,6 +337,49 @@ def test_cli_admission_limits_exit_2(no_field_builds, args):
     assert res.stdout == ""
     assert res.stderr.startswith("config error: ")
     assert res.stderr.count("\n") == 1
+    assert not no_field_builds
+
+
+@st.composite
+def admission_kwargs(draw):
+    f = draw(st.integers(-1, 20))
+    n = draw(st.integers(max(f - 1, 0), max(f + 1, 0)))
+    return dict(p=draw(st.integers(-3, 60)), f=f,
+                r=tuple(draw(st.lists(st.integers(-2, 60), min_size=n, max_size=n))),
+                cutoff=draw(st.none() | st.integers(-5, 5000)),
+                suites=tuple(s for s in SUITES if draw(st.booleans())))
+
+
+@given(kwargs=admission_kwargs())
+@example(kwargs=dict(p=5, f=1, r=(4,), cutoff=None, suites=SUITES))
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_admission_names_a_non_generic_pack_as_such(no_field_builds, kwargs):
+    # RunConfig returns or raises ConfigInvalid, building no field; a pack
+    # inside the size guards that leaves the generic window is named as
+    # such, never as a cutoff or chart limit
+    p, f, r = kwargs["p"], kwargs["f"], kwargs["r"]
+    sized = (p > 1 and all(p % d for d in range(2, p)) and 1 <= f <= 16
+             and p**f <= MAX_Q and len(r) == f)
+    generic = sized and (p >= 4 * f + 4 and all(2 * f + 1 <= x <= p - 3 - 2 * f for x in r)
+                         and (f != 1 or r[0] >= 4))
+    try:
+        RunConfig(**kwargs)
+    except ConfigInvalid as e:
+        assert not sized or generic or isinstance(e, GenericityViolation), e
+    else:
+        assert generic
+    assert not no_field_builds
+
+
+def test_admission_checks_the_pack_before_the_limits(no_field_builds):
+    with pytest.raises(GenericityViolation, match=re.escape("requires p >= 4f+4 = 8")):
+        RunConfig(p=5, f=1, r=(4,))
+    with pytest.raises(GenericityViolation, match=re.escape("2f+1 <= r_j <= p-3-2f")):
+        RunConfig(p=13, f=2, r=(1, 6), cutoff=500)
+    res = CliRunner().invoke(main, ["verify", "--p", "5", "--f", "1", "--r", "4"])
+    assert res.exit_code == 2
+    assert res.stderr == ("config error: genericity violated (global): "
+                          "requires p >= 4f+4 = 8\n")
     assert not no_field_builds
 
 
@@ -406,6 +455,46 @@ def test_cli_report_rejects_malformed_rows(tmp_path, suites, why):
         res = CliRunner().invoke(main, ["report", str(path), "--format", fmt])
         assert res.exit_code == 2
         assert res.output == f"config error: not a report file: {why}\n"
+
+
+@pytest.mark.parametrize("row", [
+    dict(ROW, counterexample={"n": [1]}),
+    dict(ROW, status="fail"),
+], ids=["pass-with-counterexample", "fail-without"])
+def test_cli_report_rejects_a_status_against_its_counterexample(tmp_path, row):
+    # Sweep writes a row as passing exactly when it has no counterexample
+    path = tmp_path / "row.json"
+    path.write_text(json.dumps(
+        {"schema": SCHEMA, "config": {}, "fingerprint": {}, "suites": [ROW, row]}))
+    for fmt in ("json", "text"):
+        res = CliRunner().invoke(main, ["report", str(path), "--format", fmt])
+        assert res.exit_code == 2
+        assert res.output == ("config error: not a report file: suite row 1 has no status "
+                              "fail with a counterexample or pass without\n")
+
+
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+def test_cli_report_rejects_non_json_constants(tmp_path, constant):
+    # json.dumps writes NaN and Infinity, which are not JSON; _plain writes
+    # INF as null, so a report never holds them
+    path = tmp_path / "nan.json"
+    path.write_text('{"schema": 1, "config": {"cutoff": %s}, "fingerprint": {}, '
+                    '"suites": [%s]}' % (constant, json.dumps(ROW)))
+    for fmt in ("json", "text"):
+        res = CliRunner().invoke(main, ["report", str(path), "--format", fmt])
+        assert res.exit_code == 2
+        assert res.output == f"config error: not a report file: {constant} is not JSON\n"
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int digit limit")
+def test_cli_report_rejects_an_int_past_the_conversion_limit(tmp_path):
+    # json raises a plain ValueError past sys.get_int_max_str_digits()
+    path = tmp_path / "big.json"
+    path.write_text('{"schema": 1, "config": {"p": %s}, "fingerprint": {}, "suites": []}'
+                    % ("9" * 5000))
+    res = CliRunner().invoke(main, ["report", str(path)])
+    assert res.exit_code == 2
+    assert res.output.startswith("config error: not a report file: Exceeds the limit")
 
 
 def test_report_exit_reflects_stored_failures(tmp_path):

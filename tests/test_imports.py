@@ -1,13 +1,16 @@
 """No module of the package or of the tests imports a name it never uses,
 the package defines no function or class that only the tests use, its lazy
-tables are all Memos, and the library import loads none of the
-code-generation modules."""
+tables are all Memos, its SubsetJ values all come from the interned table,
+and the library import loads none of the code-generation modules."""
 
 import ast
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+from modpcheck.base_combinatorics import all_subsets
+from modpcheck.phigamma import _between
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "modpcheck").glob("*.py"))
@@ -121,3 +124,25 @@ def test_lazy_tables_are_memos():
                         and id(node) not in in_memo):
                     found.append(f"{path.relative_to(ROOT)}:{node.lineno}: {name}")
     assert found == []
+
+
+def test_subsets_come_only_from_the_interned_table():
+    # base_combinatorics fills all_subsets(f) once per f; every other
+    # producer indexes it, so no module of the package calls SubsetJ(...)
+    calls = [f"{path.relative_to(ROOT)}:{node.lineno}"
+             for path in PACKAGE if path.name != "base_combinatorics.py"
+             for node in ast.walk(_parse(path))
+             if isinstance(node, ast.Call)
+             and (_dotted(node.func) or "").rsplit(".", 1)[-1] == "SubsetJ"]
+    assert calls == []
+
+
+def test_between_yields_the_interned_subsets():
+    for f in range(1, 5):
+        subsets = all_subsets(f)
+        for lo in subsets:
+            for hi in subsets:
+                got = list(_between(lo, hi))
+                assert all(S is subsets[S.bits] for S in got)
+                assert sorted(S.bits for S in got) == [
+                    S.bits for S in subsets if lo <= S <= hi]
