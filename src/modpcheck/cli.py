@@ -25,8 +25,9 @@ def _internal_error(exc):
 
 
 def _parse_ints(raw, what):
+    """The comma separated ints of raw, each item nonempty; "" is none."""
     try:
-        return tuple(int(x) for x in raw.split(",") if x != "")
+        return tuple(int(x) for x in raw.split(",")) if raw else ()
     except ValueError:
         _config_error(f"cannot parse {what}={raw!r}")
 

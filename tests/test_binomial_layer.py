@@ -32,6 +32,7 @@ from modpcheck.errors import (
 from modpcheck.iwasawa import (
     AElement,
     _binomial_product,
+    _binomial_row,
     _binomial_series,
     _graded_exponents,
     _lucas_row,
@@ -448,6 +449,25 @@ def test_lucas_rows_match_math_comb_below_p_cubed():
         for length in (1, 4, 5, 6, 25, 26, p**3):
             want = tuple(math.comb(r, m) % p for m in range(length))
             assert _lucas_row(p, r, length) == want, (r, length)
+
+
+@st.composite
+def binomial_rows(draw):
+    p = draw(st.sampled_from([2, 3, 5, 7, 11, 13]), label="p")
+    c = draw(st.integers(-p**3, p**3), label="c")
+    return p, c, draw(st.integers(1, p**2 + 3), label="length")
+
+
+@given(binomial_rows())
+def test_binomial_row_matches_the_exact_binomial(case):
+    # c(c-1)...(c-m+1)/m! in exact ints, for negative c, c >= p^e and
+    # length > p, which _binomial_row reads through c mod _lucas_modulus
+    p, c, length = case
+    want, b = [], 1
+    for m in range(length):
+        want.append(b % p)
+        b = b * (c - m) // (m + 1)  # C(c, m+1), exact
+    assert _binomial_row(p, c, length) == tuple(want)
 
 
 def test_lucas_row_calls_math_comb_on_digits_only(monkeypatch):

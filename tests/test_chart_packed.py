@@ -1,23 +1,21 @@
-"""The chart build and the chart conversion against plain dict-of-tuples
-references.
+"""The chart build and the chart conversion against definitions and plain
+dict-of-tuples references.
 
-The reference functions below are the straightforward forms: the
-eigencoordinate series as the weighted sum of the generator series n([a])
-over all units (n([a]) in the product form of test_binomial_layer), the
-reversion table (every power tau^beta of the reverted coordinates, with
-tuple exponent keys and one field call per coefficient operation), and the
-conversion that substitutes that table into an
+Every eigencoordinate series Y_j is compared with its defining sum over
+the units, computed by ``oracle`` from F_q and the Teichmuller lifts up.
+The reference functions below are the straightforward forms of the
+conversion: the reversion table (every power tau^beta of the reverted
+coordinates, with tuple exponent keys and one field call per coefficient
+operation), and the conversion that substitutes that table into an
 additive-chart series.  ``ChartContext.t_to_y`` eliminates leading forms
 instead and shares no code with the table, so the table is an independent
-oracle for it; the packed eigencoordinate sum must reproduce its reference
-exactly too.  The leading forms themselves are substituted by elementary
+oracle for it.  The leading forms themselves are substituted by elementary
 shears in the chart; the multivariate Horner scheme over the rows of M^-1
 below is their oracle, with M^-1 formed here from the chart's row
 operations.
 """
 
 import functools
-import math
 import random
 import sys
 import threading
@@ -26,40 +24,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracle
 from modpcheck import arith, iwasawa
 from modpcheck.arith import gauss_jordan
 from modpcheck.errors import SingularJacobian
 from modpcheck.harness import RunConfig, run_suite
 from modpcheck.iwasawa import INF, AElement, ChartContext, _graded_exponents
-from test_binomial_layer import reference_n_series
-
-
-def reference_y_series(ctx):
-    """Y_0 = sum over units a of a^-1 n([a]); Y_j the p^j-th coefficient power.
-
-    n([a]) is the product form of the generator series, so the reference
-    shares no binomial rows with the chart build."""
-    fld = ctx.field
-    acc = {}
-    for a in fld.units():
-        w = fld.inv(a)
-        for k, c in reference_n_series(ctx, a, ctx.tdepth).terms.items():
-            v = fld.add(acc.get(k, 0), fld.mul(w, c))
-            if v:
-                acc[k] = v
-            else:
-                acc.pop(k, None)
-    ys = [AElement(fld, ctx.f, ctx.tdepth, acc)]
-    for _ in range(1, ctx.f):
-        ys.append(ys[-1].map_coeffs(lambda c: fld.pow(c, fld.p)))
-    return tuple(ys)
-
-
-@functools.cache
-def cached_reference_y_series(p, f, cutoff):
-    """reference_y_series of ChartContext(p, f, cutoff), built once per
-    session: at (17, 3, 24) it takes about 5 s."""
-    return reference_y_series(ChartContext(p, f, cutoff))
 
 
 def jacobian_inverse(ctx):
@@ -207,43 +177,24 @@ def dense_multiplicative(ctx, coeffs, bound):
 @pytest.mark.parametrize("p,f,cutoff", [(11, 1, 40), (13, 2, 30), (17, 3, 24),
                                         (5, 3, 20), (3, 4, 9), (2, 5, 8), (3, 6, 6)])
 def test_y_series_matches_n_series_sum(p, f, cutoff):
+    # every coefficient of every Y_j, against the sum that defines it
     ctx = ChartContext(p, f, cutoff)
-    want = cached_reference_y_series(p, f, cutoff)
-    got = ctx.y_series
-    assert [y.cutoff for y in got] == [y.cutoff for y in want]
-    assert [y.terms for y in got] == [y.terms for y in want]
-
-
-def y0_coefficient_by_definition(ctx, units, beta):
-    """sum over units a of a^-1 prod_l C(c_l([a]), beta_l) mod p, with
-    math.comb on the whole lift coordinates; `units` holds (digits of a^-1,
-    lift) and the sum runs digit by digit, since F_q adds digitwise."""
-    p = ctx.p
-    acc = [0] * ctx.f
-    for digits, lift in units:
-        x = math.prod(math.comb(c, b) for c, b in zip(lift, beta)) % p
-        if x:
-            acc = [s + x * d for s, d in zip(acc, digits)]
-    return ctx.field.from_coords([s % p for s in acc])
+    assert [y.cutoff for y in ctx.y_series] == [ctx.tdepth] * f
+    assert [y.terms for y in ctx.y_series] == oracle.eigencoordinates(p, f, ctx.tdepth)
 
 
 def test_y0_matches_definition_at_the_preset_depth():
     # at depth 18 > p the binomials read the second base-p digit of the lift
     # coordinates, which the (17, 3, 24) comparison above never reaches
     ctx = ChartContext(17, 3, 34)
-    fld, ring = ctx.field, ctx.ring
-    gen, lift, units = ring.teichmuller(fld.generator), ring.one, []
-    for a in fld.EXP:  # lifts as powers of the generator's lift
-        units.append((fld.coords(fld.inv(a)), lift))
-        lift = ring.mul(lift, gen)
     rng = random.Random(17)
     top = [m for m in _graded_exponents(3, 17) if sum(m) == 17]
     lower = _graded_exponents(3, 16)
     betas = [(17, 0, 0), (0, 17, 0), (0, 0, 17)] + rng.sample(top, 8) + rng.sample(lower, 24)
     assert len(set(betas)) == 35
-    got = ctx.y_series[0].terms
-    for beta in betas:
-        assert got.get(beta, 0) == y0_coefficient_by_definition(ctx, units, beta), beta
+    want = oracle.eigencoordinates(17, 3, ctx.tdepth, betas)
+    for y, w in zip(ctx.y_series, want):
+        assert {b: y.terms.get(b, 0) for b in betas} == {b: w.get(b, 0) for b in betas}
 
 
 @pytest.mark.parametrize("p,f,cutoff", [(13, 2, 12), (17, 3, 24)])
@@ -321,11 +272,10 @@ def test_undersized_slot_width_is_caught_at_f3(monkeypatch):
     # can carry into its neighbour: the 16-bit lane below the 32-bit one
     # that its 29-bit bound needs (a rule that forgets the term count asks
     # for 17 bits and so lands on the same 32-bit lane)
-    want_y = cached_reference_y_series(17, 3, 24)
-
+    good = ChartContext(17, 3, 24)
     monkeypatch.setattr(iwasawa, "packing", _undersized(iwasawa.packing))
     bad = ChartContext(17, 3, 24)
-    assert bad.y_series[0].terms != want_y[0].terms
+    assert bad.y_series[0].terms != good.y_series[0].terms
 
 
 def test_y_power_cache_is_thread_safe():

@@ -1,8 +1,9 @@
 """Constant tables: frozen values, windows, identity sweeps, mutation kills."""
 
-import functools
 import gc
+import hashlib
 import itertools
+import json
 import weakref
 from operator import add, sub
 
@@ -39,7 +40,6 @@ from modpcheck.errors import (
     RangeViolation,
 )
 from modpcheck.harness import run_identities
-from modpcheck.reporting import Sweep
 from modpcheck.weights import RhoParams, aJ, sJ_tJ
 
 P1 = RhoParams.make(11, 1, (4,))
@@ -579,116 +579,26 @@ def test_domination_fails_below_genericity_floor():
 
 
 # ---------------------------------------------------------------------------
-# the int-tuple overlap sweep against the IntVec sweep it replaced
+# the overlap sweep, its rows pinned under every mutant
 
 
-def _small_boxes(params, J):
-    f = params.f
-    Jsh = params.sh(J)
-    ranges = [range(0, f - (1 if j in Jsh else 0) + 1) for j in range(f)]
-    for ent in itertools.product(*ranges):
-        yield IntVec(f, ent)
-
-
-def _m_map(params, J, Jp):
-    # m_j = sign_j (2 i_j + e^Kss_j - e^{J^Kss}_j + e^{Jp+1}_j), Kss = (J-1) & Jrho
-    f = params.f
-    Kss = J.shift(-1) & params.Jrho
-    sym = J ^ Kss
-    signs = tuple(-1 if (j + 1) not in J else 1 for j in range(f))
-    offsets = tuple(
-        (1 if j in Kss else 0) - (1 if j in sym else 0) + (1 if (j - 1) in Jp else 0)
-        for j in range(f)
-    )
-    return lambda i: IntVec(
-        f, tuple(s * (2 * x + o) for s, x, o in zip(signs, i.entries, offsets))
-    )
-
-
-def overlap_reindex_reference(params, tables, subs):
-    """The sweep as it was: IntVec indices and m-vectors, one check per part."""
-    sw = Sweep("shift-overlap-reindex")
-    p, f, r = params.p, params.f, params.r
-
-    @functools.cache
-    def frame(J, j0, Jp):
-        J2 = J - SubsetJ.of(f, [j0 + 2])
-        Jpp = Jp ^ SubsetJ.of(f, [j0 + 1])
-        Kss = J.shift(-1) & params.Jrho
-        bump = -(0 if (j0 + 1) in Jp else 1) + (1 if (j0 + 2) in Kss else 0)
-        sym1, sym2 = J ^ Kss, J2 ^ Kss
-        svec = tables.s[Kss]
-        J2sh = params.sh(J2)
-        return (
-            bump, _m_map(params, J, Jp), _m_map(params, J2, Jpp),
-            tables.tJJp[J, Jp], tables.tJJp[J2, Jpp], Jpp,
-            tuple(svec[j] if (j + 1) in sym1 else p - 1 for j in range(f)),
-            tuple(svec[j] if (j + 1) in sym2 else p - 1 for j in range(f)),
-            tuple((1 if (j - 1) in Jp else 0) - (1 if j in sym1 else 0) for j in range(f)),
-            tuple(f - (1 if j in J2sh else 0) for j in range(f)),
-        )
-
-    for J in subs:
-        nss = J.shift(-1) - params.Jrho
-        for j0 in range(f):
-            if (j0 + 1) % f not in nss:
-                continue
-            for i in _small_boxes(params, J):
-                if i[j0 + 1] != 0:
-                    continue
-                for Jp in subs:
-                    if (j0 in Jp) != ((j0 + 1) in J):
-                        continue
-                    bump, m_of, m2_of, tv, tv2, Jpp, dig1, dig2, hyp_off, box = frame(J, j0, Jp)
-                    anchor = (j0 + 1) % f
-                    ent = list(i.entries)
-                    ent[(j0 + 2) % f] += bump
-                    ip = IntVec(f, tuple(ent))
-                    m1, m2 = m_of(i), m2_of(ip)
-                    at = dict(J=J, j0=j0, i=i.entries, Jp=Jp)  # witness fields
-                    sw.check(m1 == m2 and m1[anchor] == 0, **at, part="m")
-                    ok = True
-                    for j in range(f):
-                        lhs, rhs = 2 * i[j] + tv[j], 2 * ip[j] + tv2[j]
-                        if j == anchor:
-                            ok = ok and lhs == r[j] + 1 and rhs == p - 1 - r[j]
-                        else:
-                            ok = ok and lhs == rhs
-                    sw.check(ok, **at, part="shift")
-                    anchor_out = 1 if (j0 + 1) not in J else 0
-                    cvec, cpvec = [], []
-                    for j in range(f):
-                        v = p * i[j + 1] + dig1[j]
-                        if j not in Jp:
-                            v -= 2 * i[j] + tv[j]
-                        v2 = p * ip[j + 1] + dig2[j]
-                        if j not in Jpp:
-                            v2 -= 2 * ip[j] + tv2[j]
-                        if j == anchor:
-                            v, v2 = v - anchor_out, v2 - anchor_out
-                        cvec.append(v)
-                        cpvec.append(v2)
-                    sw.check(cvec == cpvec, **at, part="carry",
-                             c=cvec, c2=cpvec)
-                    if all(2 * i[j] + hyp_off[j] >= 0 for j in range(f)):
-                        sw.check(min(cvec) >= 0 and all(ip[j] >= 0 for j in range(f)),
-                                 **at, part="positivity")
-                    sw.check(all(ip[j] <= box[j] for j in range(f)),
-                             **at, part="box")
-    return sw.result()
-
-
-def _overlap_rows_agree(params, mutations):
-    """Both sweeps give the same row under every mutation; the failing parts."""
+def _overlap_rows(params, mutations):
+    """The shift-overlap-reindex rows of the healthy tables and of each
+    mutation; their sha256 and the parts that fail."""
     subs = list(params.subsets())
-    parts = set()
-    for m in [None, *mutations]:
-        tables = ConstantTables(params, m)
-        got = _check_shift_overlap_reindex(params, tables, subs).as_dict()
-        assert got == overlap_reindex_reference(params, tables, subs).as_dict(), m
-        if got["status"] == "fail":
-            parts.add(got["counterexample"]["part"])
-    return parts
+    rows = [_check_shift_overlap_reindex(params, ConstantTables(params, m), subs).as_dict()
+            for m in [None, *mutations]]
+    text = json.dumps(rows, sort_keys=True, separators=(",", ":"))
+    parts = {row["counterexample"]["part"] for row in rows if row["status"] == "fail"}
+    return hashlib.sha256(text.encode()).hexdigest(), parts
+
+
+OVERLAP_GOLDEN = {
+    (): "526630fa671e70b6d881ba268c5181e7ea74957d474cbd3ae94806f561ed579e",
+    (0,): "744486074c9a58e5170b282a8a7bbc5fab5334ea0db28c41e2777b3a0dbe9a65",
+    (1,): "60822d3b5c95e0bbbd9f7c3d7f1900405f0a87e34551d776ce41740a241da604",
+    (0, 1): "11607be8f63854197031fe85e4d6df022ffd3bcd08ff7e4af4e8f71053056601",
+}
 
 
 @pytest.mark.parametrize("jrho", [(), (0,), (1,), (0, 1)], ids=lambda j: f"jrho{j}")
@@ -698,16 +608,21 @@ def test_overlap_sweep_matches_intvec_reference_under_every_mutant(jrho):
     params = RhoParams.make(13, 2, (5, 6), jrho)
     muts = all_mutations(params)
     muts += [Mutation("s", m.jmask, m.j, delta=-13) for m in muts if m.table == "s"]
-    parts = _overlap_rows_agree(params, muts)
+    assert len(muts) == 96
+    digest, parts = _overlap_rows(params, muts)
     # the sweep is vacuous when J-1 has no non-special slot for any J
     assert parts == (set() if jrho == (0, 1) else
                      {"shift", "carry"} | ({"positivity"} if jrho else set()))
+    assert digest == OVERLAP_GOLDEN[jrho]
 
 
 def test_overlap_sweep_matches_intvec_reference_at_f3():
     params = RhoParams.make(17, 3, (7, 8, 7), (0,))
     muts = [m for m in all_mutations(params) if m.table in ("s", "tJJp")]
-    assert _overlap_rows_agree(params, muts) >= {"shift", "carry"}
+    assert len(muts) == 216
+    digest, parts = _overlap_rows(params, muts)
+    assert parts == {"shift", "carry"}
+    assert digest == "80fd2f6dc3e8a9d858e84787a274b7d344c130a1f6eeb828d72fba8319a965ad"
 
 
 def test_overlap_sweep_names_the_m_part(monkeypatch):

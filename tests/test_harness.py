@@ -340,6 +340,32 @@ def test_cli_admission_limits_exit_2(no_field_builds, args):
     assert not no_field_builds
 
 
+@pytest.mark.parametrize("args,what,raw", [
+    (["--p", "13", "--f", "2"], "r", "5,,6"),
+    (["--p", "13", "--f", "2"], "r", ",5,6"),
+    (["--p", "13", "--f", "2"], "r", "5,6,"),
+    (["--p", "11", "--f", "1"], "r", "4,"),
+    (["--p", "13", "--f", "2", "--r", "5,6"], "jrho", "0,,1"),
+])
+def test_cli_list_with_an_empty_item_exits_2(no_field_builds, args, what, raw):
+    res = CliRunner().invoke(main, ["verify", *args, f"--{what}", raw])
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert res.stderr == f"config error: cannot parse {what}={raw!r}\n"
+    assert not no_field_builds
+
+
+def test_cli_empty_lists_keep_their_meaning():
+    # "" is no r (a config error of RunConfig) and an empty Jrho
+    res = CliRunner().invoke(main, ["verify", "--p", "11", "--f", "1", "--r", ""])
+    assert res.exit_code == 2 and "cannot parse" not in res.stderr
+    for jrho in ("", "none"):
+        res = CliRunner().invoke(main, ["verify", "--p", "11", "--f", "1", "--r", "4",
+                                        "--jrho", jrho, "--suite", "weights"])
+        assert res.exit_code == 0
+        assert json.loads(res.stdout)["config"]["jrho"] == []
+
+
 @st.composite
 def admission_kwargs(draw):
     f = draw(st.integers(-1, 20))

@@ -1,7 +1,9 @@
 """No module of the package or of the tests imports a name it never uses,
 the package defines no function or class that only the tests use, its lazy
 tables are all Memos, its SubsetJ values all come from the interned table,
-and the library import loads none of the code-generation modules."""
+and the library import loads none of the code-generation modules.  The
+tests' definition-level oracle imports no package code, and no test names
+a retired snapshot reference again."""
 
 import ast
 import os
@@ -146,3 +148,31 @@ def test_between_yields_the_interned_subsets():
                 assert all(S is subsets[S.bits] for S in got)
                 assert sorted(S.bits for S in got) == [
                     S.bits for S in subsets if lo <= S <= hi]
+
+
+def test_oracle_shares_no_code_with_the_package():
+    # tests/oracle.py computes from definitions, so it imports neither the
+    # package nor a test module, whose helpers read the package
+    tree = _parse(ROOT / "tests" / "oracle.py")
+    modules = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for alias in node.names]
+    modules += ["." * node.level + (node.module or "") for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)]
+    assert "numpy" in modules
+    assert [m for m in modules if m.split(".")[0] in ("", "modpcheck")
+            or m.startswith("test_")] == []
+
+
+# the snapshot references that the oracle and the pinned rows replaced,
+# spelled in pieces so that no line of tests/ names them
+RETIRED = ("reference_" + "torus_eigenvector", "reference_" + "eigen_classifier",
+           "_reference_" + "relation_holds", "overlap_reindex_" + "reference",
+           "reference_" + "y_series")
+
+
+def test_retired_references_stay_retired():
+    found = [f"{path.relative_to(ROOT)}:{n}: {name}"
+             for path in sorted((ROOT / "tests").glob("*.py"))
+             for n, line in enumerate(path.read_text().splitlines(), 1)
+             for name in RETIRED if name in line]
+    assert found == []

@@ -2,7 +2,8 @@
 triangular right inverse, the twisted fixed-point solver, and the
 unit-action matrices with their structure and commutation sweeps."""
 
-import random
+import hashlib
+import json
 
 import pytest
 
@@ -18,7 +19,6 @@ from modpcheck.iwasawa import (
     fdeg,
     principal_units,
 )
-from modpcheck.reporting import Sweep
 from modpcheck.weights import RhoParams
 
 P1 = RhoParams.make(11, 1, (4,))
@@ -310,54 +310,6 @@ def test_classifier_against_substitution_oracle():
     assert pg.check_eigen_classifier(P2, samples=8, seed=3).passed
 
 
-# Reference for check_eigen_classifier: every zero verdict scans its own box
-# point by point, one substitution per (case, point), walked by an explicit
-# stack.  It reads frobenius and the classifier through the module, so
-# monkeypatched mutants reach both.
-def _reference_relation_holds(params, fld, lam_enc, s, t):
-    f = params.f
-    a = AElement.monomial(fld, f, tuple(-v for v in t))
-    img = a
-    for _ in range(f):
-        img = pg.frobenius(img)
-    rhs = AElement.monomial(fld, f, tuple(s), lam_enc) * img
-    return (a - rhs).is_zero()
-
-
-def reference_eigen_classifier(params, samples=20, seed=0):
-    sweep = Sweep("substitution-eigenline-classifier")
-    fld = Fq(params.p, params.f)
-    rng = random.Random(seed)
-    f, q1 = params.f, params.q - 1
-    cases = [(1, (0,) * f)]
-    for _ in range(samples):
-        t = tuple(rng.randrange(-3, 4) for _ in range(f))
-        lam = rng.randrange(1, params.q)
-        line = tuple(q1 * v for v in t)
-        cases.append((lam, line))
-        off = list(line)
-        off[rng.randrange(f)] += rng.randrange(1, q1)
-        cases.append((lam, tuple(off)))
-    for lam, s in cases:
-        kind, t = pg.classify_phi_q_eigen(params, lam, s)
-        if kind == "line":
-            ok = _reference_relation_holds(params, fld, lam, s, t)
-        else:
-            bound = max(abs(v) for v in s) // q1 + 2
-            ok = True
-            stack = [()]
-            while stack:
-                pre = stack.pop()
-                if len(pre) == f:
-                    if _reference_relation_holds(params, fld, lam, s, pre):
-                        ok = False
-                        break
-                    continue
-                stack.extend(pre + (v,) for v in range(-bound, bound + 1))
-        sweep.check(ok, lam=lam, s=s, kind=kind)
-    return sweep.result()
-
-
 CLASSIFIER_PARAMS = {
     "p11f1": RhoParams.make(11, 1, (4,)),
     "p13f2": RhoParams.make(13, 2, (5, 6), (0,)),
@@ -386,40 +338,49 @@ def _slot0_off_by_one(params, lam, s):
     return kind, t
 
 
-# mutant -> (patched name, replacement, the parameter sets it fails at).  The
+# mutant -> (patched name, replacement, the parameter sets it fails at, the
+# sha256 of its 18 rows, CLASSIFIER_PARAMS in order by seeds 0-5).  The
 # classifier check sees the unscaled frobenius only on a line verdict with
 # lam = 1 and t != 0; at q = 4913 seeds 0-5 draw no lam = 1.
 CLASSIFIER_MUTANTS = {
-    "unscaled-frobenius": ("frobenius", _unscaled_frobenius, {"p11f1", "p13f2"}),
-    "always-zero": ("classify_phi_q_eigen", _always_zero, set(CLASSIFIER_PARAMS)),
-    "slot0-off-by-one": (
-        "classify_phi_q_eigen", _slot0_off_by_one, set(CLASSIFIER_PARAMS)
-    ),
+    "unscaled-frobenius": ("frobenius", _unscaled_frobenius, {"p11f1", "p13f2"},
+                           "d843ae63fa2e3f8ea86de099861f76be0fa59ed3e508e4022082786f46cadbc7"),
+    "always-zero": ("classify_phi_q_eigen", _always_zero, set(CLASSIFIER_PARAMS),
+                    "d8069714fca60b5bb4312471ff963b0c5bfdd598540ed0f761e9b49f8c0ac761"),
+    "slot0-off-by-one": ("classify_phi_q_eigen", _slot0_off_by_one, set(CLASSIFIER_PARAMS),
+                         "023402b4e19644b36000b51ef6f4255611261ac28e8023e292703d572025d796"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(CLASSIFIER_PARAMS))
 def test_classifier_matches_per_candidate_reference(name):
+    # the case (1, 0) and, per sample, a line case and an off-line one
     params = CLASSIFIER_PARAMS[name]
     for seed in range(6):
-        got = pg.check_eigen_classifier(params, seed=seed).as_dict()
-        assert got["status"] == "pass"
-        assert got == reference_eigen_classifier(params, seed=seed).as_dict()
+        assert pg.check_eigen_classifier(params, seed=seed).as_dict() == {
+            "name": "substitution-eigenline-classifier", "status": "pass", "checked": 2 * 20 + 1}
 
 
 @pytest.mark.parametrize("mutant", sorted(CLASSIFIER_MUTANTS))
 def test_classifier_mutants_fail_alike(monkeypatch, mutant):
-    # both scans see the same mutant and must report the same failure
-    attr, fake, fails_at = CLASSIFIER_MUTANTS[mutant]
+    # the rows under each mutant are pinned, every witness included
+    attr, fake, fails_at, digest = CLASSIFIER_MUTANTS[mutant]
     monkeypatch.setattr(pg, attr, fake)
-    failed = set()
-    for name, params in CLASSIFIER_PARAMS.items():
-        for seed in range(6):
-            got = pg.check_eigen_classifier(params, seed=seed).as_dict()
-            assert got == reference_eigen_classifier(params, seed=seed).as_dict()
-            if got["status"] == "fail":
-                failed.add(name)
-    assert failed == fails_at
+    runs = [(name, pg.check_eigen_classifier(params, seed=seed).as_dict())
+            for name, params in CLASSIFIER_PARAMS.items() for seed in range(6)]
+    assert {name for name, row in runs if row["status"] == "fail"} == fails_at
+    text = json.dumps([row for _, row in runs], sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_classifier_box_scan_keeps_the_least_radius(monkeypatch):
+    # with the unscaled frobenius every point of the box has the quotient 1,
+    # the target of the case (1, 0): its wrong zero verdict meets t = 0,
+    # radius 0, and fails there, whatever the box holds besides
+    monkeypatch.setattr(pg, "frobenius", _unscaled_frobenius)
+    monkeypatch.setattr(pg, "classify_phi_q_eigen", _always_zero)
+    row = pg.check_eigen_classifier(CLASSIFIER_PARAMS["p11f1"], seed=0).as_dict()
+    assert row["counterexample"] == {"lam": 1, "s": [0], "kind": "zero"}
 
 
 def test_classifier_substitutes_once_per_box_point(monkeypatch):

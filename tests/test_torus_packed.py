@@ -1,28 +1,30 @@
-"""The packed torus-eigenvector sweep against the field-op reference loop.
+"""The packed torus-eigenvector sweep against explicit rows and the
+definition of Y_j.
 
-`reference_torus_eigenvector` is the straightforward form of the check: it
-tests the multiplicativity of the Teichmuller lifts on every pair of units,
-then for each unit a and slot j it adds b^(-p^j) n([ab]) over all units b
-into a dict, one field call per coefficient, and compares the sum with
-a^(p^j) Y_j.  The packed sweep in ``modpcheck.iwasawa`` checks the lifts
+The packed sweep in ``modpcheck.iwasawa`` checks the Teichmuller lifts
 along the generator first, then computes only the a = 1 sum of slot 0,
 since the slot-j sum of a unit a is a^(p^j) times the a = 1 one and that
 is the p^j-th power of the slot-0 sum: one packed int per unit, added
 into one int and decoded once in byte lanes.  The p^j-th powers of its
 coefficients are compared with Y_j, and the count of the differing
-monomials is checked for every (a, j).  It must give the same row, check
-by check, on passing data, on perturbed series and on perturbed lifts, at
-the 16- and 32-bit lanes, and must fail when its lanes are too narrow to
-hold the sum.  The lane decode itself must agree with `encode`, the
-per-block reading that decode replaced in the package.
+monomials is checked for every (a, j).  On passing data the row passes
+with f(q-1) checks, and Y_j equals its defining sum (``oracle``), so the
+row's sums are the definition's.  On perturbed series and perturbed Y_j
+every (a, j) counts the monomials it was given wrong; on perturbed lifts
+the row names the first failing pair.  This holds at the 16- and 32-bit
+lanes, and the row fails when its lanes are too narrow to hold the sum.
+The lane decode itself must agree with `encode`, the per-block reading
+that decode replaced in the package.
 """
 
+import functools
 import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracle
 from modpcheck import arith, iwasawa
 from modpcheck.arith import Fq, Memo, _Packing, packing
 from modpcheck.errors import PACKAGE_ERRORS
@@ -38,88 +40,21 @@ from modpcheck.reporting import Sweep, run_table
 FIELDS = [(11, 1), (5, 2), (7, 2), (13, 2)]
 
 
-def reference_torus_eigenvector(ctx):
-    sweep = Sweep("torus-reindex-eigenvector")
-    fld = ctx.field
-    depth = ctx.tdepth
-    lifts = {a: ctx.ring.teichmuller(a) for a in fld.units()}
-    for a in fld.units():
-        for b in fld.units():
-            if ctx.ring.mul(lifts[a], lifts[b]) != lifts[fld.mul(a, b)]:
-                sweep.check(False, a=a, b=b, stage="teichmuller-product")
-                return sweep.result()
-    series = {c: ctx.n_series(lifts[c], depth) for c in fld.units()}
-    for a in fld.units():
-        for j in range(ctx.f):
-            acc = {}
-            for b in fld.units():
-                w = fld.inv(fld.pow(b, fld.p ** j))  # b^(-p^j)
-                for k, c in series[fld.mul(a, b)].terms.items():
-                    prev = acc.get(k)
-                    if prev is None:
-                        acc[k] = fld.mul(w, c)
-                    else:
-                        s = fld.add(prev, fld.mul(w, c))
-                        if s:
-                            acc[k] = s
-                        else:
-                            del acc[k]
-            want = ctx.y_series[j].scale(fld.pow(a, fld.p ** j))
-            diff = AElement(fld, ctx.f, depth, acc) - want
-            sweep.check(diff.is_zero(), a=a, j=j,
-                        discrepancies=len(diff.terms))
-    return sweep.result(info={"depth": depth})
+def torus_row(ctx, counterexample=None):
+    """The row of ctx: every (a, j) checked, the first failing one as the
+    counterexample."""
+    row = {"name": "torus-reindex-eigenvector", "status": "pass",
+           "checked": ctx.f * (ctx.q - 1), "depth": ctx.tdepth}
+    if counterexample is not None:
+        row.update(status="fail", counterexample=counterexample)
+    return row
 
 
-@pytest.mark.parametrize("p,f", FIELDS)
-def test_packed_sweep_matches_reference(p, f):
-    ctx = chart_context(p, f)
-    got = check_torus_eigenvector(ctx).as_dict()
-    assert got["status"] == "pass"
-    assert got == reference_torus_eigenvector(ctx).as_dict()
-
-
-def test_perturbed_generator_series_fails_the_same_row(monkeypatch):
-    # one coefficient of one n([c]) is off: every a meets it through
-    # b = c/a, and the first failing row is a = 1, j = 0
-    ctx = ChartContext(13, 2, 30)
-    fld = ctx.field
-    depth = ctx.tdepth
-    c = 5
-    lift = ctx.ring.teichmuller(c)
-    good = ctx.n_series(lift, depth)
-    k = next(k for k in sorted(good.terms) if sum(k) == 3)
-    terms = dict(good.terms)
-    terms[k] = fld.add(terms[k], 1) or 1
-    bad = AElement(fld, 2, depth, terms)
-    right = ctx.n_series
-    monkeypatch.setattr(ctx, "n_series", lambda g, d=None: bad if g == lift else right(g, d))
-
-    got = check_torus_eigenvector(ctx).as_dict()
-    assert got["status"] == "fail"
-    assert got["counterexample"] == {"a": 1, "j": 0, "discrepancies": 1}
-    assert got == reference_torus_eigenvector(ctx).as_dict()
-
-
-@pytest.mark.parametrize("p,f", FIELDS)
-def test_perturbed_top_coefficient_of_y0_fails_the_same_row(p, f):
-    # one coefficient of Y_0 off by 1 at the top degree the chart keeps
-    # (degree 20 at p=13, f=2, where no other row sees it): every (a, 0)
-    # fails with one discrepancy, as in the reference
-    ctx = ChartContext(p, f, iwasawa.default_cutoff(p, f))
-    fld = ctx.field
-    y0, *rest = ctx.y_series
-    degree = 20 if (p, f) == (13, 2) else ctx.tdepth - 1
-    assert degree >= 2  # the Jacobian, and so the shear steps, stay right
-    k = next(k for k in sorted(y0.terms) if sum(k) == degree)
-    terms = dict(y0.terms)
-    terms[k] = fld.add(terms[k], 1) or 1
-    ctx.y_series = (AElement(fld, f, y0.cutoff, terms), *rest)
-
-    got = check_torus_eigenvector(ctx).as_dict()
-    assert got["status"] == "fail"
-    assert got["counterexample"] == {"a": 1, "j": 0, "discrepancies": 1}
-    assert got == reference_torus_eigenvector(ctx).as_dict()
+def every_check(ctx, discrepancies):
+    """The (ok, witness) of every (a, j) in order, slot j off by
+    discrepancies[j] monomials."""
+    return [(not n, {"a": a, "j": j, "discrepancies": n})
+            for a in ctx.field.units() for j, n in enumerate(discrepancies)]
 
 
 def _verdicts(monkeypatch, check, ctx):
@@ -133,50 +68,86 @@ def _verdicts(monkeypatch, check, ctx):
     return row, seen
 
 
-def test_three_perturbed_y1_coefficients_fail_slot_one_check_by_check(monkeypatch):
-    # three coefficients of Y_1 are off, so n([c]) and the slot j = 0 stay
-    # right: every (a, 0) passes and every (a, 1) counts three discrepancies
-    ctx = ChartContext(7, 2, 30)
-    fld = ctx.field
-    y0, y1 = ctx.y_series
-    keys = [next(k for k in sorted(y1.terms) if sum(k) == d) for d in (2, 5, 9)]
-    terms = dict(y1.terms)
-    for k in keys:
-        terms[k] = fld.add(terms[k], 1) or 1
-    ctx.y_series = (y0, AElement(fld, 2, y1.cutoff, terms))
+def _bumped(x, degree):
+    """x with 1 added to its first coefficient of total degree `degree`."""
+    fld = x.field
+    terms = dict(x.terms)
+    k = next(k for k in sorted(terms) if sum(k) == degree)
+    terms[k] = fld.add(terms[k], 1) or 1
+    return AElement(fld, x.f, x.cutoff, terms)
 
+
+def _bump_series(monkeypatch, ctx, c):
+    """Make ctx.n_series give n([c]) with one coefficient of degree 3 off."""
+    lift = ctx.ring.teichmuller(c)
+    bad = _bumped(ctx.n_series(lift, ctx.tdepth), 3)
+    right = ctx.n_series
+    monkeypatch.setattr(ctx, "n_series", lambda g, d=None: bad if g == lift else right(g, d))
+
+
+def _perturb_y1(ctx, degrees):
+    """Bump Y_1 at each degree: n([c]) and the slot j = 0 stay right, and
+    degrees >= 2 keep the Jacobian, and so the shear steps, right."""
+    y0, y1 = ctx.y_series
+    ctx.y_series = (y0, functools.reduce(_bumped, degrees, y1))
+
+
+@pytest.mark.parametrize("p,f", FIELDS)
+def test_packed_sweep_matches_reference(p, f):
+    # the row passes and every Y_j is its defining sum, so the row's
+    # reindexed sums are those of the definition
+    ctx = chart_context(p, f)
+    assert check_torus_eigenvector(ctx).as_dict() == torus_row(ctx)
+    assert [y.terms for y in ctx.y_series] == oracle.eigencoordinates(p, f, ctx.tdepth)
+
+
+def test_perturbed_generator_series_fails_the_same_row(monkeypatch):
+    # one coefficient of one n([c]) is off: every a meets it through
+    # b = c/a, and the first failing row is a = 1, j = 0
+    ctx = ChartContext(13, 2, 30)
+    _bump_series(monkeypatch, ctx, 5)
     got, seen = _verdicts(monkeypatch, check_torus_eigenvector, ctx)
-    want, want_seen = _verdicts(monkeypatch, reference_torus_eigenvector, ctx)
-    assert [(ok, w["j"], w["discrepancies"]) for ok, w in seen] == \
-        [(True, 0, 0), (False, 1, 3)] * (ctx.q - 1)
-    assert got["counterexample"] == {"a": 1, "j": 1, "discrepancies": 3}
-    assert (got, seen) == (want, want_seen)
+    assert got == torus_row(ctx, {"a": 1, "j": 0, "discrepancies": 1})
+    assert seen == every_check(ctx, [1, 1])
+
+
+@pytest.mark.parametrize("p,f", FIELDS)
+def test_perturbed_top_coefficient_of_y0_fails_the_same_row(monkeypatch, p, f):
+    # one coefficient of Y_0 off by 1 at the top degree the chart keeps
+    # (degree 20 at p=13, f=2, where no other row sees it): every (a, 0)
+    # fails with one discrepancy, and every other slot passes
+    ctx = ChartContext(p, f, iwasawa.default_cutoff(p, f))
+    y0, *rest = ctx.y_series
+    degree = 20 if (p, f) == (13, 2) else ctx.tdepth - 1
+    assert degree >= 2  # the Jacobian, and so the shear steps, stay right
+    ctx.y_series = (_bumped(y0, degree), *rest)
+    got, seen = _verdicts(monkeypatch, check_torus_eigenvector, ctx)
+    assert got == torus_row(ctx, {"a": 1, "j": 0, "discrepancies": 1})
+    assert seen == every_check(ctx, [1] + [0] * (f - 1))
+
+
+def test_three_perturbed_y1_coefficients_fail_slot_one_check_by_check(monkeypatch):
+    # every (a, 0) passes and every (a, 1) counts three discrepancies
+    ctx = ChartContext(7, 2, 30)
+    _perturb_y1(ctx, (2, 5, 9))
+    got, seen = _verdicts(monkeypatch, check_torus_eigenvector, ctx)
+    assert seen == every_check(ctx, [0, 3])
+    assert got == torus_row(ctx, {"a": 1, "j": 1, "discrepancies": 3})
 
 
 @pytest.mark.parametrize("p,f", [(7, 2), (11, 1)])
 def test_perturbed_series_of_the_last_unit_fails_every_check_alike(monkeypatch, p, f):
     # one coefficient of n([c]) is off for c = EXP[q-2], the last unit in
     # log order: every a meets it through b = c/a, so every (a, j) counts
-    # one discrepancy, as in the per-a reference
+    # one discrepancy
     ctx = ChartContext(p, f, iwasawa.default_cutoff(p, f))
-    fld = ctx.field
-    depth = ctx.tdepth
-    c = fld.EXP[fld.q - 2]
+    c = ctx.field.EXP[ctx.q - 2]
     assert c != 1
-    lift = ctx.ring.teichmuller(c)
-    good = ctx.n_series(lift, depth)
-    k = next(k for k in sorted(good.terms) if sum(k) == 3)
-    terms = dict(good.terms)
-    terms[k] = fld.add(terms[k], 1) or 1
-    bad = AElement(fld, f, depth, terms)
-    right = ctx.n_series
-    monkeypatch.setattr(ctx, "n_series", lambda g, d=None: bad if g == lift else right(g, d))
+    _bump_series(monkeypatch, ctx, c)
 
     got, seen = _verdicts(monkeypatch, check_torus_eigenvector, ctx)
-    want, want_seen = _verdicts(monkeypatch, reference_torus_eigenvector, ctx)
-    assert [(ok, w["discrepancies"]) for ok, w in seen] == [(False, 1)] * f * (ctx.q - 1)
-    assert {w["j"] for _, w in seen} == set(range(f))
-    assert (got, seen) == (want, want_seen)
+    assert seen == every_check(ctx, [1] * f)
+    assert got == torus_row(ctx, {"a": 1, "j": 0, "discrepancies": 1})
 
 
 def test_32_bit_lane_matches_reference(monkeypatch):
@@ -186,8 +157,9 @@ def test_32_bit_lane_matches_reference(monkeypatch):
     calls = _spy_packing(monkeypatch)
     got, seen = _verdicts(monkeypatch, check_torus_eigenvector, ctx)
     assert calls == [(256, 288, 32)]
-    assert got["status"] == "pass" and got["checked"] == 2 * 288
-    assert (got, seen) == _verdicts(monkeypatch, reference_torus_eigenvector, ctx)
+    assert got == torus_row(ctx) and got["checked"] == 2 * 288
+    assert seen == every_check(ctx, [0, 0])
+    assert [y.terms for y in ctx.y_series] == oracle.eigencoordinates(17, 2, 6)
 
 
 def _spy_packing(monkeypatch, rule=packing):
@@ -344,12 +316,21 @@ def _lift_mutant(monkeypatch, ctx, mutant):
     monkeypatch.setattr(ctx.ring, "teichmuller", lambda e: mutant(e, right))
 
 
+# the first failing pair (a, b) of the full sweep, a first, under each lift
+# mutant
+FIRST_BAD_PAIR = {
+    "generator-top-digit": {(11, 1): (2, 2), (5, 2): (2, 6), (7, 2): (2, 9), (13, 2): (2, 15)},
+    "one-not-idempotent": {(11, 1): (1, 1), (5, 2): (1, 1), (7, 2): (1, 1), (13, 2): (1, 1)},
+    "two-swapped": {(11, 1): (2, 2), (5, 2): (2, 5), (7, 2): (2, 2), (13, 2): (2, 2)},
+}
+
+
 @pytest.mark.parametrize("p,f", FIELDS)
 @pytest.mark.parametrize("kind", ["generator-top-digit", "one-not-idempotent", "two-swapped"])
 def test_generator_chain_keeps_the_first_witness(monkeypatch, p, f, kind):
     # each mutant fails the chain [g][c] == [gc] or [1]^2 == [1], and the
-    # row then sweeps all pairs: status, checked and the first (a, b)
-    # witness equal those of the reference's full sweep
+    # row then sweeps all pairs: it fails after one check, with the first
+    # failing pair (a, b) as its witness
     ctx = chart_context(p, f)
     g, top = ctx.field.generator, ctx.p ** (ctx.N - 1)
     u, v = (3, 4) if f == 1 else (2, 3)  # units apart from 1 and g
@@ -365,16 +346,10 @@ def test_generator_chain_keeps_the_first_witness(monkeypatch, p, f, kind):
         return right(e)
 
     _lift_mutant(monkeypatch, ctx, mutant)
-    got = check_torus_eigenvector(ctx).as_dict()
-    want = reference_torus_eigenvector(ctx).as_dict()
-    assert got["status"] == "fail" and got["checked"] == 1
-    assert got == want
-    a, b = got["counterexample"]["a"], got["counterexample"]["b"]
-    if kind == "one-not-idempotent":
-        assert (a, b) == (1, 1)
-    if kind == "two-swapped" and f == 2:
-        # the first failing pair involves neither g nor 1
-        assert g not in (a, b) and 1 not in (a, b)
+    a, b = FIRST_BAD_PAIR[kind][p, f]
+    assert check_torus_eigenvector(ctx).as_dict() == {
+        "name": "torus-reindex-eigenvector", "status": "fail", "checked": 1,
+        "counterexample": {"a": a, "b": b, "stage": "teichmuller-product"}}
 
 
 def test_one_teichmuller_lift_per_unit(monkeypatch):
@@ -410,32 +385,11 @@ def test_one_sum_and_decode_per_row(monkeypatch):
 
 
 def test_perturbed_second_eigencoordinate_fails_only_slot_one(monkeypatch):
-    # two coefficients of Y_1 are off, so n([c]) and the slot j = 0 stay
-    # right: every a fails at j = 1 only, and the count of differing
-    # monomials of each failing (a, j) holds both discrepancies
-    verdicts = []
-
-    class RecordingSweep(Sweep):
-        def check(self, ok, **ctx):
-            verdicts.append((ok, ctx.get("j"), ctx.get("discrepancies")))
-            return super().check(ok, **ctx)
-
+    # every a fails at j = 1 only, and the count of differing monomials of
+    # each failing (a, j) holds both discrepancies
     ctx = ChartContext(13, 2, 30)
-    fld = ctx.field
-    y0, y1 = ctx.y_series
-    degrees = (2, 5)  # >= 2: the Jacobian, and so the shear steps, stay right
-    keys = [next(k for k in sorted(y1.terms) if sum(k) == d) for d in degrees]
-    terms = dict(y1.terms)
-    for k in keys:
-        terms[k] = fld.add(terms[k], 1) or 1
-    ctx.y_series = (y0, AElement(fld, 2, y1.cutoff, terms))
-
-    monkeypatch.setattr(iwasawa, "Sweep", RecordingSweep)
-    got = check_torus_eigenvector(ctx).as_dict()
-    monkeypatch.undo()
-    assert {(j, n) for ok, j, n in verdicts if not ok} == {(1, 2)}
-    assert sum(not ok for ok, _, _ in verdicts) == ctx.q - 1
-    assert got["status"] == "fail"
-    assert got["counterexample"] == {"a": 1, "j": 1, "discrepancies": 2}
+    _perturb_y1(ctx, (2, 5))
+    got, seen = _verdicts(monkeypatch, check_torus_eigenvector, ctx)
+    assert seen == every_check(ctx, [0, 2])
+    assert got == torus_row(ctx, {"a": 1, "j": 1, "discrepancies": 2})
     assert got["checked"] == 2 * (ctx.q - 1)
-    assert got == reference_torus_eigenvector(ctx).as_dict()
