@@ -10,6 +10,7 @@ the payload but never inside it.
 
 import json
 import math
+from collections.abc import Collection
 from itertools import product
 from time import perf_counter
 
@@ -70,8 +71,8 @@ class RunConfig:
 
     def __init__(self, p, f, r, jrho="all", cutoff=None, seed=0, suites=SUITES,
                  mutate=None, units=20, thetas=50):
-        self.p, self.f, self.r, self.jrho, self.cutoff = p, f, tuple(r), jrho, cutoff
-        self.seed, self.suites, self.mutate = seed, tuple(suites), mutate
+        self.p, self.f, self.r, self.jrho, self.cutoff = p, f, r, jrho, cutoff
+        self.seed, self.suites, self.mutate = seed, suites, mutate
         self.units, self.thetas = units, thetas
         self._admit()
         if self.jrho != "all":
@@ -89,7 +90,17 @@ class RunConfig:
                 raise ConfigInvalid(f"unknown mutation target {self.mutate!r}")
 
     def _admit(self):
-        """Reject a bad pack, or a field, cutoff or sample count beyond the limits."""
+        """Reject a field of the wrong type, a bad pack, or a field, cutoff or
+        sample count beyond the limits; r and suites become tuples."""
+        jrho = () if self.jrho == "all" else self.jrho
+        for name, v in (("r", self.r), ("jrho", jrho), ("suites", self.suites)):
+            if isinstance(v, str) or not isinstance(v, Collection):
+                raise ConfigInvalid(f"{name}: {v!r} is not a collection")
+        self.r, self.suites = tuple(self.r), tuple(self.suites)
+        fields = [(k, getattr(self, k)) for k in ("p", "f", "cutoff", "seed", "units", "thetas")]
+        for name, v in [*fields, *(("r", x) for x in self.r), *(("jrho", j) for j in jrho)]:
+            if (not isinstance(v, int) or isinstance(v, bool)) and (name, v) != ("cutoff", None):
+                raise ConfigInvalid(f"{name}: {v!r} is not an int")
         p, f = self.p, self.f
         if p < 2:  # the limits below need p >= 2
             raise ConfigInvalid(f"p={p} is not prime")

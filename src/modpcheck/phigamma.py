@@ -687,7 +687,10 @@ def check_eigen_classifier(params, samples=20, seed=0):
     so the quotient of each point of the largest box any zero verdict
     needs is computed once and indexed by its exact terms and cutoff.  The
     zero verdict for (lam, s) holds when lam^-1 * Y^-s is the quotient of
-    no point t inside its own box, |t_j| <= max|s_j| // (q-1) + 2.
+    no point t inside its own box, |t_j| <= max|s_j| // (q-1) + 2.  The
+    quotient of Y^-t is Y^-(q-1)t, so the one point that can solve (lam, s)
+    is t = s/(q-1), of radius max|s_j| // (q-1): the margins +1 and +0 give
+    the same verdicts as this +2, and are equivalent mutants of it.
     """
     sweep = Sweep("substitution-eigenline-classifier")
     fld = Fq(params.p, params.f)

@@ -1,5 +1,6 @@
-"""F_q, the Teichmuller lifts, n(g) and the eigencoordinates Y_j, each
-computed from its definition, sharing no code with ``modpcheck``.
+"""F_q, the Teichmuller lifts, n(g), the eigencoordinates Y_j and their
+unit images, each computed from its definition, sharing no code with
+``modpcheck``.
 
 The package builds Y_0 as one packed sum over Lucas rows and Y_j as the
 coefficientwise p^j-th power of Y_0.  This module knows none of that.  It
@@ -13,9 +14,10 @@ coefficient of T^beta in Y_j = sum_{a != 0} a^(-p^j) n([a]) as
 
     sum_{a != 0} a^(-p^j) prod_l C(c_l([a]), beta_l) mod p,
 
-with ``math.comb`` on the whole lift coordinates c_l([a]).  N is its own
-choice: the least N with p^N >= depth, which the binomials need, plus one
-guard digit.
+with ``math.comb`` on the whole lift coordinates c_l([a]).  The image
+u(Y_j) of a unit u is the same sum over the lifts multiplied by u.  N is
+its own choice: the least N with p^N >= depth, which the binomials need,
+plus one guard digit.
 
 Ring elements are coordinate lists; a coordinate may be an int or a numpy
 array holding that coordinate of every unit at once, so one call raises
@@ -107,13 +109,27 @@ def eigencoordinates(p, f, depth, betas=None):
     """[{beta: encoding of the coefficient of T^beta in Y_j} for j < f],
     zero coefficients left out, over `betas` (default every monomial of
     degree below depth)."""
+    return _weighted_sums(p, f, depth, teichmuller_lifts(p, f, digits_needed(p, depth)), betas)
+
+
+def unit_images(p, f, depth, u):
+    """The same for u(Y_j) = sum_{a != 0} a^(-p^j) n(u*[a]), u a unit of
+    O_K given by its coordinates: each lift is multiplied by u mod p^N."""
+    n = digits_needed(p, depth)
+    lifts = mul(teichmuller_lifts(p, f, n), [c % p**n for c in u], modulus(p, f), p**n)
+    return _weighted_sums(p, f, depth, lifts)
+
+
+def _weighted_sums(p, f, depth, lifts, betas=None):
+    """[{beta: sum_a a^(-p^j) prod_l C(c_l, beta_l) mod p} for j < f], the
+    c_l the coordinates `lifts` holds for every unit a, as in `units`."""
     q, g = p**f, modulus(p, f)
     betas = monomials(f, depth) if betas is None else betas
-    # C(c_l([a]), m) mod p for every coordinate l, m < depth and unit a
+    # C(c_l, m) mod p for every coordinate l, m < depth and unit a
     binomials = [np.array([[math.comb(c, m) % p for c in coord.tolist()] for m in range(depth)])
-                 for coord in teichmuller_lifts(p, f, digits_needed(p, depth))]
-    # the coefficient of T^beta in n([a]), prod_l C(c_l([a]), beta_l) mod p:
-    # one row per beta, one column per unit
+                 for coord in lifts]
+    # the coefficient of T^beta in n(c), prod_l C(c_l, beta_l) mod p: one
+    # row per beta, one column per unit
     rows = np.array([math.prod(b[m] for b, m in zip(binomials, beta)) % p for beta in betas])
     out = []
     for j in range(f):

@@ -25,19 +25,6 @@ def leq(u: tuple, v: tuple) -> bool:
     return all(a <= b for a, b in zip(u, v, strict=True))
 
 
-def shift_subset(J: SubsetJ, k: int) -> SubsetJ:
-    return J.shift(k)
-
-
-def symmetric_difference(J: SubsetJ, Jp: SubsetJ) -> SubsetJ:
-    return J ^ Jp
-
-
-def vec_norm(i: tuple) -> int:
-    """|i| = sum of entries."""
-    return sum(i)
-
-
 def cyclic_run_count(J: SubsetJ) -> int:
     """Number of maximal cyclic runs of J (the full set counts as one run)."""
     f, bits = J.f, J.bits
@@ -52,20 +39,20 @@ def cyclic_run_count(J: SubsetJ) -> int:
 
 def test_shift_examples():
     J = SubsetJ.of(3, [0, 2])
-    assert shift_subset(J, 1).members() == (0, 1)
-    assert shift_subset(J, -1).members() == (1, 2)
-    assert shift_subset(J, 3) == J
+    assert J.shift(1).members() == (0, 1)
+    assert J.shift(-1).members() == (1, 2)
+    assert J.shift(3) == J
     # f=1: J-1 = J with no special case
     J1 = SubsetJ.of(1, [0])
-    assert shift_subset(J1, -1) == J1
-    assert shift_subset(J1, 5) == J1
+    assert J1.shift(-1) == J1
+    assert J1.shift(5) == J1
 
 
 def test_shift_roundtrip():
     for f in (1, 2, 3, 4):
         for J in all_subsets(f):
             for k in range(-2 * f, 2 * f + 1):
-                assert shift_subset(shift_subset(J, k), -k) == J
+                assert J.shift(k).shift(-k) == J
 
 
 def _params(f, jrho):
@@ -120,12 +107,12 @@ def test_boundary_counts_runs():
 def test_symmetric_difference():
     A = SubsetJ.of(3, [0, 1])
     B = SubsetJ.of(3, [1, 2])
-    assert symmetric_difference(A, B).members() == (0, 2)
+    assert (A ^ B).members() == (0, 2)
 
 
 def test_vec_ops():
     v = (3, -1, 2)
-    assert vec_norm(v) == 4
+    assert sum(v) == 4
     assert vec_shift(v) == (-1, 2, 3)
     w = v
     for _ in range(3):

@@ -197,6 +197,21 @@ def test_y0_matches_definition_at_the_preset_depth():
         assert {b: y.terms.get(b, 0) for b in betas} == {b: w.get(b, 0) for b in betas}
 
 
+@pytest.mark.parametrize("p,f,cutoff", [(11, 1, 40), (13, 2, 30), (17, 3, 34)])
+def test_unit_action_matches_its_definition(p, f, cutoff):
+    # u(Y_j) = sum_a a^(-p^j) n(u*[a]) for three principal units and one with
+    # a Teichmuller part, below a chart depth past p-1, where distortion starts
+    ctx = iwasawa.chart_context(p, f, cutoff)
+    assert ctx.tdepth > p - 1
+    for u in iwasawa.principal_units(ctx, 3, seed=5) + [(2,) + (1,) * (f - 1)]:
+        want = oracle.unit_images(p, f, ctx.tdepth, u)
+        for j in range(f):
+            image = iwasawa.unit_action(ctx, u, AElement.monomial(
+                ctx.field, f, tuple(int(i == j) for i in range(f))))
+            assert min(image.cutoff, ctx.tdepth) == ctx.tdepth
+            assert ctx.y_to_t(image, ctx.tdepth).terms == want[j], (u, j)
+
+
 @pytest.mark.parametrize("p,f,cutoff", [(13, 2, 12), (17, 3, 24)])
 def test_tau_table_and_t_to_y_match_reference(p, f, cutoff):
     ctx, want = reference_case(p, f, cutoff)

@@ -9,7 +9,6 @@ from operator import add, sub
 
 import pytest
 
-from intvec import IntVec
 from modpcheck import constants
 from modpcheck.base_combinatorics import SubsetJ, all_subsets, vmap
 from modpcheck.constants import (
@@ -41,6 +40,7 @@ from modpcheck.errors import (
 )
 from modpcheck.harness import run_identities
 from modpcheck.weights import RhoParams, aJ, sJ_tJ
+from test_base_combinatorics import vec_shift
 
 P1 = RhoParams.make(11, 1, (4,))
 P1R = RhoParams.make(11, 1, (4,), jrho_members=(0,))
@@ -87,12 +87,6 @@ def J(params, *members):
     return SubsetJ.of(params.f, members)
 
 
-def vec_shift(i: IntVec) -> IntVec:
-    """delta(i)_j = i_{j+1} (left rotation); delta^f = identity."""
-    f = i.f
-    return IntVec(f, tuple(i.entries[(j + 1) % f] for j in range(f)))
-
-
 def decompose_index(params, J, i):
     """Unique (i2, ell) with i = p*shift(i2) + cJ(J) - ell, 0 <= ell <= p-1.
 
@@ -108,7 +102,7 @@ def decompose_index(params, J, i):
         up = -((-d) // p)  # ceil(d / p)
         i2[(j + 1) % f] = up
         ell[j] = p * up - d
-    return IntVec(f, tuple(i2)), IntVec(f, tuple(ell))
+    return tuple(i2), tuple(ell)
 
 
 def run_all_checks(params, mutation=None):
@@ -207,32 +201,27 @@ def test_hj_frozen_and_telescoping():
 
 
 def test_decompose_frozen():
-    i2, ell = decompose_index(P1, J(P1), IntVec.of((25,)))
-    assert i2 == IntVec.of((2,))
-    assert ell == IntVec.of((7,))
+    assert decompose_index(P1, J(P1), (25,)) == ((2,), (7,))
 
 
 def test_decompose_sweep():
     for params in (P1, P2):
         f, p = params.f, params.p
         box = range(-3 * f, 3 * f + 1)
-        import itertools
-
         for Jset in params.subsets():
-            c = IntVec.of(cJ(params, Jset))
-            for ent in itertools.product(box, repeat=f):
-                i = IntVec(f, ent)
+            c = cJ(params, Jset)
+            for i in itertools.product(box, repeat=f):
                 i2, ell = decompose_index(params, Jset, i)
-                assert i == p * vec_shift(i2) + c - ell
-                assert all(0 <= ell[j] <= p - 1 for j in range(f))
-                if max(ent) > f:
-                    assert max(i2.entries) < max(ent)
+                assert i == vmap(lambda s, cj, lj: p * s + cj - lj, vec_shift(i2), c, ell)
+                assert all(0 <= lj <= p - 1 for lj in ell)
+                if max(i) > f:
+                    assert max(i2) < max(i)
 
 
 def test_decompose_terminates():
-    i = IntVec.of((25,))
+    i = (25,)
     seen = 0
-    while max(i.entries) > 1:
+    while max(i) > 1:
         i, _ = decompose_index(P1, J(P1), i)
         seen += 1
         assert seen < 10

@@ -311,6 +311,28 @@ def test_admission_limits_before_any_field_build(no_field_builds, kwargs, messag
     assert not no_field_builds
 
 
+@pytest.mark.parametrize("kwargs,message", [
+    (dict(p=13.0), "p: 13.0 is not an int"),
+    (dict(f=2.0), "f: 2.0 is not an int"),
+    (dict(r=(5.0, 6)), "r: 5.0 is not an int"),
+    (dict(r=5), "r: 5 is not a collection"),
+    (dict(cutoff=30.5), "cutoff: 30.5 is not an int"),
+    (dict(seed="x"), "seed: 'x' is not an int"),
+    (dict(units=True), "units: True is not an int"),
+    (dict(units=2.5), "units: 2.5 is not an int"),
+    (dict(thetas=3.0), "thetas: 3.0 is not an int"),
+    (dict(jrho="none"), "jrho: 'none' is not a collection"),
+    (dict(jrho=5), "jrho: 5 is not a collection"),
+    (dict(jrho=(0.0,)), "jrho: 0.0 is not an int"),
+    (dict(suites="weights"), "suites: 'weights' is not a collection"),
+])
+def test_admission_names_a_field_of_the_wrong_type(no_field_builds, kwargs, message):
+    # a float, str or bool would reach the byte-stable payload or fail mid-run
+    with pytest.raises(ConfigInvalid, match=f"^{re.escape(message)}$"):
+        RunConfig(**{"p": 13, "f": 2, "r": (5, 6), **kwargs})
+    assert not no_field_builds
+
+
 def test_admission_accepts_presets_and_benchmark_configs(no_field_builds):
     assert len(list_params()) == 15
     for cfg in list_params(3):

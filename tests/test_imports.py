@@ -3,7 +3,7 @@ the package defines no function or class that only the tests use, its lazy
 tables are all Memos, its SubsetJ values all come from the interned table,
 and the library import loads none of the code-generation modules.  The
 tests' definition-level oracle imports no package code, and no test names
-a retired snapshot reference again."""
+a retired snapshot reference or imports a retired module again."""
 
 import ast
 import os
@@ -163,11 +163,15 @@ def test_oracle_shares_no_code_with_the_package():
             or m.startswith("test_")] == []
 
 
-# the snapshot references that the oracle and the pinned rows replaced,
-# spelled in pieces so that no line of tests/ names them
+# the snapshot references that the oracle and the pinned rows replaced, and
+# the test-side copies of deleted package code (the integer-vector type, the
+# value types' dataclass bodies), spelled in pieces so no line names them
 RETIRED = ("reference_" + "torus_eigenvector", "reference_" + "eigen_classifier",
            "_reference_" + "relation_holds", "overlap_reindex_" + "reference",
-           "reference_" + "y_series")
+           "reference_" + "y_series", "Int" + "Vec", "old_" + "plain") + tuple(
+    "Old" + name for name in ("SubsetJ", "WeightB", "MuAlgebra", "Mutation", "RunConfig",
+                              "Report", "UnitData", "PhiGammaMatrix", "ThetaProblem",
+                              "CheckResult", "RhoParams", "HCharacter"))
 
 
 def test_retired_references_stay_retired():
@@ -175,4 +179,14 @@ def test_retired_references_stay_retired():
              for path in sorted((ROOT / "tests").glob("*.py"))
              for n, line in enumerate(path.read_text().splitlines(), 1)
              for name in RETIRED if name in line]
+    assert found == []
+
+
+def test_no_test_imports_a_retired_module():
+    # the value types are plain classes and vectors are int tuples
+    found = [f"{path.relative_to(ROOT)}:{node.lineno}"
+             for path in sorted((ROOT / "tests").glob("*.py")) for node in ast.walk(_parse(path))
+             if isinstance(node, (ast.Import, ast.ImportFrom))
+             and {"dataclasses", "int" + "vec"} & {name.split(".")[0] for name in (
+                 [a.name for a in node.names] if isinstance(node, ast.Import) else [node.module])}]
     assert found == []

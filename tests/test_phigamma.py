@@ -376,7 +376,9 @@ def test_classifier_mutants_fail_alike(monkeypatch, mutant):
 def test_classifier_box_scan_keeps_the_least_radius(monkeypatch):
     # with the unscaled frobenius every point of the box has the quotient 1,
     # the target of the case (1, 0): its wrong zero verdict meets t = 0,
-    # radius 0, and fails there, whatever the box holds besides
+    # radius 0, and fails there, whatever the box holds besides.  No test
+    # tells the margin +2 from +1 or +0: the quotient of Y^-t is Y^-(q-1)t,
+    # so a case's one solution t = s/(q-1) lies at radius max|s_j| // (q-1)
     monkeypatch.setattr(pg, "frobenius", _unscaled_frobenius)
     monkeypatch.setattr(pg, "classify_phi_q_eigen", _always_zero)
     row = pg.check_eigen_classifier(CLASSIFIER_PARAMS["p11f1"], seed=0).as_dict()

@@ -24,10 +24,9 @@ from click.testing import CliRunner
 from hypothesis import given
 from hypothesis import strategies as st
 
-from intvec import IntVec
 from modpcheck import constants
 from modpcheck.arith import RunScope
-from modpcheck.base_combinatorics import SubsetJ, all_subsets
+from modpcheck.base_combinatorics import SubsetJ, all_subsets, vmap
 from modpcheck.cli import main
 from modpcheck.constants import (
     AJnFrame,
@@ -42,6 +41,8 @@ from modpcheck.errors import HypothesisViolation, RangeViolation
 from modpcheck.harness import RunConfig, run_identities, run_suite
 from modpcheck.reporting import Sweep
 from modpcheck.weights import RhoParams, Translation, WeightB
+from test_constants import aJn
+from test_weights import indicator, translate_in_graph
 
 PRESETS = ((11, 1, (4,)), (13, 2, (5, 6)), (17, 3, (7, 8, 7)))
 
@@ -54,11 +55,6 @@ PARAMS = [
 
 def _ids(params):
     return f"p{params.p}-f{params.f}-jrho{''.join(map(str, params.Jrho.members()))}"
-
-
-def translate_in_graph(params: RhoParams, J: SubsetJ, b: IntVec) -> WeightB:
-    """Weight reached from position b after the J-translation (see Translation)."""
-    return WeightB(params, Translation(params, J).image(b.entries))
 
 
 # ---------------------------------------------------------------------------
@@ -90,14 +86,10 @@ def tJx(params, J, j, x):
     return n * params.p + (bump if d else 0)
 
 
-def aJn(params, J, n, j0):
-    return AJnFrame(*_frame_key(params, J, j0)).image(n.entries)
-
-
 def aJn_reference(params, J, n, j0):
     f = params.f
-    if n[j0 + 1] != 0:
-        raise HypothesisViolation(f"n at slot j0+1 is {n[j0 + 1]}, expected 0")
+    if n[(j0 + 1) % f] != 0:
+        raise HypothesisViolation(f"n at slot j0+1 is {n[(j0 + 1) % f]}, expected 0")
     for j in range(f):
         if j == (j0 + 1) % f:
             continue
@@ -110,7 +102,7 @@ def aJn_reference(params, J, n, j0):
         if j == j0 % f and j0 in Jsh:
             out.append(0)
         else:
-            out.append(tJx(params, J, j, n[j + 1]) - n[j])
+            out.append(tJx(params, J, j, n[(j + 1) % f]) - n[j])
     return tuple(out)
 
 
@@ -142,15 +134,13 @@ def _translation_window(params, J):
 
 @pytest.mark.parametrize("params", PARAMS, ids=_ids)
 def test_translation_matches_reference_on_window(params):
-    f = params.f
     for J in params.subsets():
         window = _translation_window(params, J)
         translate = Translation(params, J)
         for ent in itertools.product(*(range(lo, hi + 1) for lo, hi in window)):
-            b = IntVec(f, ent)
-            want = translate_reference(params, J, b)
+            want = translate_reference(params, J, ent)
             assert translate.image(ent) == want.b
-            assert translate_in_graph(params, J, b) == want
+            assert translate_in_graph(params, J, ent) == want
 
 
 @pytest.mark.parametrize("params", PARAMS, ids=_ids)
@@ -161,9 +151,8 @@ def test_translation_errors_match_reference_outside_window(params):
             for v in (lo - 1, hi + 1):
                 ent = [0] * f
                 ent[j] = v
-                b = IntVec(f, tuple(ent))
                 assert not _same_outcome(translate_reference, translate_in_graph,
-                                         params, J, b)
+                                         params, J, tuple(ent))
 
 
 # ---------------------------------------------------------------------------
@@ -188,9 +177,8 @@ def test_ajn_frame_matches_reference_on_window(params):
             at = tables.aJn[J, j0]
             window = _ajn_window(params, J, j0)
             for ent in itertools.product(*(range(lo, hi + 1) for lo, hi in window)):
-                n = IntVec(f, ent)
-                want = aJn_reference(params, J, n, j0)
-                assert aJn(params, J, n, j0) == want
+                want = aJn_reference(params, J, ent, j0)
+                assert aJn(params, J, ent, j0) == want
                 assert at(ent) == want
 
 
@@ -206,14 +194,13 @@ def test_ajn_errors_match_reference_outside_window(params):
                 for v in (lo - 1, hi + 1):
                     ent = list(inside)
                     ent[j] = v
-                    n = IntVec(f, tuple(ent))
-                    assert not _same_outcome(aJn_reference, aJn, params, J, n, j0)
+                    assert not _same_outcome(aJn_reference, aJn, params, J, tuple(ent), j0)
 
 
 def test_ajn_anchor_checked_before_bounds():
     # both hypotheses fail: the anchor message wins, as in the reference
     params = RhoParams.make(13, 2, (5, 6), (0,))
-    n = IntVec.of((9, 1))
+    n = (9, 1)
     J = SubsetJ.of(2, [])
     with pytest.raises(HypothesisViolation, match="n at slot j0"):
         aJn_reference(params, J, n, 0)
@@ -241,15 +228,13 @@ def test_hoisted_table_mutants_fail_their_row(p, f, r, table):
 @pytest.mark.parametrize("params", PARAMS, ids=_ids)
 def test_translation_names_first_bad_slot(params):
     # every slot outside the window at once: the message names slot 0
-    f = params.f
     for J in params.subsets():
         window = _translation_window(params, J)
         for side in (0, 1):
             ent = tuple(w[side] + (1 if side else -1) for w in window)
-            b = IntVec(f, ent)
             with pytest.raises(RangeViolation, match="^b_0="):
-                translate_in_graph(params, J, b)
-            assert not _same_outcome(translate_reference, translate_in_graph, params, J, b)
+                translate_in_graph(params, J, ent)
+            assert not _same_outcome(translate_reference, translate_in_graph, params, J, ent)
 
 
 # ---------------------------------------------------------------------------
@@ -545,7 +530,7 @@ def test_shifted_table_additivity_builds_one_frame_per_j_j0(monkeypatch):
 
 
 def shifted_additivity_reference(params, tables):
-    """The sweep as it was: two IntVec table reads and one check per n."""
+    """The sweep as it was: two table reads and one check per n."""
     f = params.f
     sw = Sweep("shifted-table-additivity")
     for J in params.subsets():
@@ -554,8 +539,7 @@ def shifted_additivity_reference(params, tables):
             if not Jp <= J:
                 continue
             diff = J - Jp
-            rdiff = IntVec.of(tables.r[diff])
-            shift = IntVec(f, tuple(1 if j in diff else 0 for j in range(f)))
+            rdiff, shift = tables.r[diff], indicator(diff)
             for j0 in range(f):
                 if (j0 + 1) in diff:
                     continue
@@ -563,11 +547,9 @@ def shifted_additivity_reference(params, tables):
                     continue
                 window = _ajn_window(params, J, j0)
                 for ent in itertools.product(*(range(lo, hi + 1) for lo, hi in window)):
-                    n = IntVec(f, ent)
-                    lhs = IntVec(f, tables.aJn[J, j0](n.entries)) + rdiff
-                    rhs = IntVec(f, tables.aJn[Jp, j0]((n + shift).entries))
-                    sw.check(lhs == rhs, J=J, Jp=Jp, j0=j0, n=ent,
-                             lhs=lhs.entries, rhs=rhs.entries)
+                    lhs = vmap(add, tables.aJn[J, j0](ent), rdiff)
+                    rhs = tables.aJn[Jp, j0](vmap(add, ent, shift))
+                    sw.check(lhs == rhs, J=J, Jp=Jp, j0=j0, n=ent, lhs=lhs, rhs=rhs)
     return sw.result()
 
 

@@ -1,7 +1,7 @@
 from itertools import product
+from operator import add, neg
 
-from intvec import IntVec, indicator
-from modpcheck.base_combinatorics import SubsetJ, all_subsets
+from modpcheck.base_combinatorics import SubsetJ, all_subsets, vmap
 from modpcheck.errors import ConfigInvalid, GenericityViolation, InadmissibleS, RangeViolation
 from modpcheck.weights import (
     HCharacter,
@@ -27,9 +27,14 @@ import pytest
 # helpers only these tests use
 
 
-def translate_in_graph(params: RhoParams, J: SubsetJ, b: IntVec) -> WeightB:
+def indicator(J: SubsetJ) -> tuple:
+    """e^J: 1 on J, 0 elsewhere."""
+    return tuple(int(j in J) for j in range(J.f))
+
+
+def translate_in_graph(params: RhoParams, J: SubsetJ, b: tuple) -> WeightB:
     """Weight reached from position b after the J-translation (see Translation)."""
-    return WeightB(params, Translation(params, J).image(b.entries))
+    return WeightB(params, Translation(params, J).image(b))
 
 
 def constituents_supported_in(params: RhoParams, S) -> frozenset:
@@ -38,7 +43,7 @@ def constituents_supported_in(params: RhoParams, S) -> frozenset:
                      if SubsetJ.of(params.f, [j for j, v in enumerate(w.b) if v >= 1]) in S)
 
 
-def shift_generated_constituents(params: RhoParams, J: SubsetJ, i: IntVec) -> frozenset:
+def shift_generated_constituents(params: RhoParams, J: SubsetJ, i: tuple) -> frozenset:
     """Constituent region reached from (J, i); needs 0 <= i <= f - e^{J^sh}."""
     f = params.f
     Jnss, Jsh = J - params.Jrho, params.sh(J)
@@ -61,15 +66,15 @@ def conjugate_char(chi: HCharacter) -> HCharacter:
     return HCharacter(chi.qm1, chi.exp2, chi.exp1)
 
 
-def mul_alpha(params: RhoParams, chi: HCharacter, i: IntVec) -> HCharacter:
-    return chi * alpha_char(params, i.entries)
+def mul_alpha(params: RhoParams, chi: HCharacter, i: tuple) -> HCharacter:
+    return chi * alpha_char(params, i)
 
 
-def char_of_x_index(params: RhoParams, J: SubsetJ, i: IntVec) -> HCharacter:
+def char_of_x_index(params: RhoParams, J: SubsetJ, i: tuple) -> HCharacter:
     """chi'_J alpha^{-i} with chi'_J = chi_J alpha^{e^{J^sh}}."""
     Jsh = params.sh(J)
     chi_p = mul_alpha(params, char_of_weight(params, J), indicator(Jsh))
-    return mul_alpha(params, chi_p, -i)
+    return mul_alpha(params, chi_p, vmap(neg, i))
 
 
 P1 = RhoParams.make(11, 1, (4,), ())
@@ -125,13 +130,8 @@ def test_sJ_tJ_frozen():
 
 def _rJ_oracle(params, J):
     # independent of the constants module on purpose
-    return IntVec(
-        params.f,
-        tuple(
-            (params.r[j] + 1 if (j + 1) in J else 0) - (1 if j in J else 0)
-            for j in range(params.f)
-        ),
-    )
+    return tuple((params.r[j] + 1 if (j + 1) in J else 0) - (1 if j in J else 0)
+                 for j in range(params.f))
 
 
 def test_t_is_rJ_plus_shear():
@@ -139,13 +139,13 @@ def test_t_is_rJ_plus_shear():
         for J in params.subsets():
             Jsh = params.sh(J)
             _, t = sJ_tJ(params, J)
-            assert t == (_rJ_oracle(params, J) + indicator(Jsh)).entries
+            assert t == vmap(add, _rJ_oracle(params, J), indicator(Jsh))
 
 
 def test_translate_at_origin_hits_aJ():
     for params in ALL_PARAMS:
         for J in params.subsets():
-            w = translate_in_graph(params, J, IntVec.zero(params.f))
+            w = translate_in_graph(params, J, (0,) * params.f)
             assert w.b == aJ(params, J)
 
 
@@ -153,10 +153,10 @@ def test_translate_specializations():
     for params in ALL_PARAMS:
         for J in params.subsets():
             Jss, Jnss = J & params.Jrho, J - params.Jrho
-            got = translate_in_graph(params, J, -indicator(Jnss))
+            got = translate_in_graph(params, J, vmap(neg, indicator(Jnss)))
             assert got.b == aJ(params, Jss)
             Km = J.shift(-1) & params.Jrho  # (J-1)^ss
-            got2 = translate_in_graph(params, J, -indicator(J ^ Km))
+            got2 = translate_in_graph(params, J, vmap(neg, indicator(J ^ Km)))
             assert got2.b == aJ(params, Km)
 
 
@@ -177,15 +177,15 @@ def test_translate_general_target():
                             -1 if (j + 1) in J else 1
                         )
                     b.append(v)
-                got = translate_in_graph(params, J, -IntVec(f, tuple(b)))
+                got = translate_in_graph(params, J, vmap(neg, b))
                 assert got.b == aJ(params, Jp), (params, J, Jp)
 
 
 def test_translate_range_violation():
     with pytest.raises(RangeViolation):
-        translate_in_graph(P2, SubsetJ.of(2, []), IntVec.of((5, 0)))
+        translate_in_graph(P2, SubsetJ.of(2, []), (5, 0))
     with pytest.raises(RangeViolation):
-        translate_in_graph(P2, SubsetJ.of(2, []), IntVec.of((0, -6)))
+        translate_in_graph(P2, SubsetJ.of(2, []), (0, -6))
 
 
 def test_weightb_window():
@@ -231,29 +231,29 @@ def test_component_contains_its_corner():
     for params in ALL_PARAMS:
         for J in params.subsets():
             if J <= params.Jrho:
-                e_J = indicator(J).entries
+                e_J = indicator(J)
                 assert WeightB(params, e_J) in jh_D0_component(params, J)
                 assert aJ(params, J) == e_J  # sigma_J = sigma_{e^J} inside Jrho
 
 
 def test_region_examples():
     # all entries forced when J has no non-split part and i = 0
-    got = shift_generated_constituents(P2F, SubsetJ.of(2, [0]), IntVec.zero(2))
+    got = shift_generated_constituents(P2F, SubsetJ.of(2, [0]), (0, 0))
     assert got == frozenset({WeightB(P2F, (1, 0))})
     # one free coordinate
-    got = shift_generated_constituents(P2E, SubsetJ.of(2, [0]), IntVec.of((1, 0)))
+    got = shift_generated_constituents(P2E, SubsetJ.of(2, [0]), (1, 0))
     assert got == frozenset(WeightB(P2E, (b0, 0)) for b0 in (-1, 0, 1))
     with pytest.raises(RangeViolation):
-        shift_generated_constituents(P2E, SubsetJ.of(2, [0]), IntVec.of((3, 0)))
+        shift_generated_constituents(P2E, SubsetJ.of(2, [0]), (3, 0))
     with pytest.raises(RangeViolation):
-        shift_generated_constituents(P2E, SubsetJ.of(2, [0]), IntVec.of((-1, 0)))
+        shift_generated_constituents(P2E, SubsetJ.of(2, [0]), (-1, 0))
 
 
 def test_region_row2_sign():
     # at i_j = 0 the free value leans away from the successor
-    got = shift_generated_constituents(P2E, SubsetJ.of(2, [0]), IntVec.zero(2))
+    got = shift_generated_constituents(P2E, SubsetJ.of(2, [0]), (0, 0))
     assert got == frozenset(WeightB(P2E, (b0, 0)) for b0 in (0, 1))
-    got = shift_generated_constituents(P2E, SubsetJ.full(2), IntVec.zero(2))
+    got = shift_generated_constituents(P2E, SubsetJ.full(2), (0, 0))
     assert got == frozenset(
         WeightB(P2E, (b0, b1)) for b0 in (0, -1) for b1 in (0, -1)
     )
@@ -300,9 +300,9 @@ def test_characters():
     for params in ALL_PARAMS:
         f = params.f
         for j in range(f):
-            aj = alpha_char(params, IntVec.unit(f, j).entries)
+            aj = alpha_char(params, indicator(SubsetJ.of(f, [j])))
             ajp = HCharacter(aj.qm1, aj.exp1 * params.p, aj.exp2 * params.p)
-            assert ajp == alpha_char(params, IntVec.unit(f, j + 1).entries)
+            assert ajp == alpha_char(params, indicator(SubsetJ.of(f, [j + 1])))
     # chi of the empty translate is lambda = (r, 0)
     for params in ALL_PARAMS:
         assert char_of_weight(params, SubsetJ.of(params.f, [])) == char_of_lambda(
@@ -312,7 +312,7 @@ def test_characters():
     for params in ALL_PARAMS:
         for J in params.subsets():
             Jsh = params.sh(J)
-            assert char_of_x_index(params, J, IntVec.zero(params.f)) == mul_alpha(
+            assert char_of_x_index(params, J, (0,) * params.f) == mul_alpha(
                 params, char_of_weight(params, J), indicator(Jsh)
             )
     assert HCharacter(10, 13, -2) == HCharacter(10, 3, 8)
