@@ -86,6 +86,8 @@ class RunConfig:
             if s not in SUITES:
                 raise ConfigInvalid(f"unknown suite {s!r}")
         if self.mutate is not None and self.mutate != "eps":
+            if not isinstance(self.mutate, str):
+                raise ConfigInvalid(f"mutate: {self.mutate!r} is not a str")
             if _TABLE_ALIASES.get(self.mutate, self.mutate) not in MUTABLE:
                 raise ConfigInvalid(f"unknown mutation target {self.mutate!r}")
 

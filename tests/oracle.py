@@ -1,6 +1,6 @@
-"""F_q, the Teichmuller lifts, n(g), the eigencoordinates Y_j and their
-unit images, each computed from its definition, sharing no code with
-``modpcheck``.
+"""F_q, truncated series over it, the Teichmuller lifts, n(g), the
+eigencoordinates Y_j, their unit images and the chart conversion y_to_t,
+each computed from its definition, sharing no code with ``modpcheck``.
 
 The package builds Y_0 as one packed sum over Lucas rows and Y_j as the
 coefficientwise p^j-th power of Y_0.  This module knows none of that.  It
@@ -18,6 +18,14 @@ with ``math.comb`` on the whole lift coordinates c_l([a]).  The image
 u(Y_j) of a unit u is the same sum over the lifts multiplied by u.  N is
 its own choice: the least N with p^N >= depth, which the binomials need,
 plus one guard digit.
+
+A series is a dict {exponent tuple: encoding}, an element of F_q its
+encoding sum_i d_i p^i in the power basis.  A product of series multiplies
+the digit vectors of every pair of terms in Z[x], sums them per exponent
+and reduces each sum mod (g, p) once; a power is repeated products, the
+binomial series sum_t C(n, t) v^t takes exact falling-factorial binomials
+and n(g) takes ``math.comb``.  y_to_t is sum_m c_m Y^m, with
+Y^m = prod_j Y_j^(m_j) a product of the Y_j above.
 
 Ring elements are coordinate lists; a coordinate may be an int or a numpy
 array holding that coordinate of every unit at once, so one call raises
@@ -38,7 +46,7 @@ def modulus(p, f):
     """The non-leading coefficients (g_0, ..., g_{f-1}) of the least monic
     irreducible x^f + g_{f-1} x^{f-1} + ... + g_0 over F_p."""
     for n in range(p**f):
-        g = [n // p**i % p for i in range(f)]
+        g = digits(n, p, f)
         if gf_irreducible_p([1, *reversed(g)], p, ZZ):
             return tuple(g)
     raise AssertionError(f"no irreducible of degree {f} over F_{p}")
@@ -51,7 +59,14 @@ def mul(a, b, g, m):
     for i in range(f):
         for j in range(f):
             prod[i + j] = prod[i + j] + a[i] * b[j]
-    for d in range(2 * f - 2, f - 1, -1):  # x^d = -x^(d-f) (g_0 + ... + g_{f-1} x^{f-1})
+    return reduce_mod(prod, g, m)
+
+
+def reduce_mod(prod, g, m):
+    """The polynomial prod[0] + prod[1] x + ..., of degree below 2f - 1,
+    mod (g, m)."""
+    f, prod = len(g), list(prod)
+    for d in range(len(prod) - 1, f - 1, -1):  # x^d = -x^(d-f) (g_0 + ... + g_{f-1} x^{f-1})
         c = prod[d] % m
         for i in range(f):
             prod[d - f + i] = prod[d - f + i] - c * g[i]
@@ -72,12 +87,29 @@ def power(a, n, g, m):
 def units(p, f):
     """The digits of every unit a = 1, ..., q-1 (the encoding
     a = sum_i a_i p^i): f arrays, array i holding digit i of each."""
-    a = np.arange(1, p**f, dtype=np.int64)
-    return [a // p**i % p for i in range(f)]
+    return digits(np.arange(1, p**f, dtype=np.int64), p, f)
 
 
 def encode(digits, p):
     return sum(int(d) % p * p**i for i, d in enumerate(digits))
+
+
+def digits(e, p, f):
+    """The f base-p digits of the encoding e, least significant first."""
+    return [e // p**i % p for i in range(f)]
+
+
+def field_mul(a, b, p, f):
+    return encode(mul(digits(a, p, f), digits(b, p, f), modulus(p, f), p), p)
+
+
+def field_add(a, b, p, f):
+    return encode([x + y for x, y in zip(digits(a, p, f), digits(b, p, f))], p)
+
+
+def field_inv(a, p, f):
+    """a^(q-2), the inverse of a unit."""
+    return encode(power(digits(a, p, f), p**f - 2, modulus(p, f), p), p)
 
 
 def digits_needed(p, depth):
@@ -137,3 +169,93 @@ def _weighted_sums(p, f, depth, lifts, betas=None):
         coeffs = rows @ np.stack(weights, axis=1) % p
         out.append({beta: e for beta, c in zip(betas, coeffs) if (e := encode(c, p))})
     return out
+
+
+def truncate(xt, bound):
+    return {k: c for k, c in xt.items() if sum(k) < bound}
+
+
+def series_sum(p, f, xt, yt, c=1):
+    """x + c*y."""
+    out = dict(xt)
+    for k, v in yt.items():
+        out[k] = field_add(out.get(k, 0), field_mul(c, v, p, f), p, f)
+    return {k: v for k, v in out.items() if v}
+
+
+def series_product(p, f, xt, yt, bound=math.inf):
+    """The terms of x*y below total degree `bound`: the digit vectors of
+    every pair of terms multiplied in Z[x], summed per exponent, and each
+    sum reduced mod (g, p) once."""
+    ys = [(ky, sum(ky), digits(cy, p, f)) for ky, cy in yt.items()]
+    sums = {}
+    for kx, cx in xt.items():
+        dx, room = digits(cx, p, f), bound - sum(kx)
+        for ky, deg, dy in ys:
+            if deg < room:
+                acc = sums.setdefault(tuple(map(sum, zip(kx, ky))), [0] * (2 * f - 1))
+                for i, a in enumerate(dx):
+                    for j, b in enumerate(dy):
+                        acc[i + j] += a * b
+    g = modulus(p, f)
+    return {k: e for k, acc in sums.items() if (e := encode(reduce_mod(acc, g, p), p))}
+
+
+def series_power(p, f, xt, n, bound=math.inf):
+    """x^n below `bound`, n >= 0: n products from the constant 1, x^m cut
+    below bound - (n-m)*min(fdeg x, 0), as the factor x^(n-m) beside it
+    lowers a degree by no more."""
+    low = min([0, *map(sum, xt)])
+    out = {(0,) * f: 1}
+    for m in range(1, n + 1):
+        out = series_product(p, f, out, xt, bound - (n - m) * low)
+    return truncate(out, bound)
+
+
+def binomial_series(p, f, vt, n, bound):
+    """(1 + v)^n below a finite bound, for every term of v of degree >= 1
+    and any integer n: sum_t C(n, t) v^t, with C(n, t) = n(n-1)...(n-t+1)/t!
+    exactly, up to the first t with v^t zero below the bound."""
+    assert bound < math.inf and all(sum(k) >= 1 for k in vt)
+    one = {(0,) * f: 1}
+    out, vpow, binom, t = truncate(one, bound), one, 1, 0
+    while vpow := series_product(p, f, vpow, vt, bound):
+        binom, t = binom * (n - t) // (t + 1), t + 1
+        out = series_sum(p, f, out, vpow, binom % p)
+    return out
+
+
+def generator_series(p, coords, depth):
+    """n(g) = prod_l (1 + T_l)^(c_l) below total degree `depth`, for
+    coordinates c_l >= 0: T^beta has coefficient prod_l C(c_l, beta_l) mod p."""
+    rows = [[math.comb(c, m) % p for m in range(depth)] for c in coords]
+    return {beta: c for beta in monomials(len(coords), depth)
+            if (c := math.prod(row[m] for row, m in zip(rows, beta)) % p)}
+
+
+def frobenius(xt, p):
+    """phi(Y_j) = Y_{j-1}^p: the exponent of Y_j moves to slot j-1, times p."""
+    return {tuple(p * e for e in k[1:] + k[:1]): c for k, c in xt.items()}
+
+
+def y_to_t(p, f, depth, xt, bound):
+    """The additive image sum_m c_m Y^m of the multiplicative series xt
+    (exponents >= 0) below bound <= depth."""
+    out = {}
+    for m, c in xt.items():
+        out = series_sum(p, f, out, truncate(y_monomial(p, f, depth, m), bound), c)
+    return out
+
+
+@functools.cache
+def y_monomial(p, f, depth, m):
+    """Y^m = prod_j Y_j^(m_j) below depth, the Y_j those of
+    `eigencoordinates`: Y^m = Y^(m - e_j) Y_j, j the last nonzero slot."""
+    j = max((i for i, e in enumerate(m) if e), default=None)
+    if j is None:
+        return {(0,) * f: 1}
+    prev = y_monomial(p, f, depth, m[:j] + (m[j] - 1,) + m[j + 1:])
+    return series_product(p, f, prev, _eigencoordinates(p, f, depth)[j], depth)
+
+
+_eigencoordinates = functools.cache(eigencoordinates)

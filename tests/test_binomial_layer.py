@@ -1,17 +1,18 @@
-"""The binomial layer of the chart against the forms it replaced.
+"""The binomial layer of the chart against the definition-level oracle.
 
 Every (1 + T)^c expansion of the chart comes from ``_binomial_product`` and
 every power of a series from ``_binomial_series``, both reading Lucas rows
-C(c, m) mod p.  The references below are the earlier routines: the base-p
-digit walk for (1 + T_l)^c (``one_plus_var_power``) and the product form of
-the generator series built from it, the digit walk of a principal unit raised
-to a p-adic exponent, the geometric series for the inverse of a unit and the
-binomial series with exact falling-factorial coefficients.  On random inputs
-over F_11, F_169 and F_4913 the new routines must give the same terms and the
-same cutoff, or raise the same exception.  The unit ratios and cocycle
-factors of the chart contexts are held to their earlier composition from
-these parts.  The precision properties check that a result known below D
-agrees with the same computation from inputs known further out.
+C(c, m) mod p.  ``oracle`` gives n(g) = prod_l (1 + T_l)^(c_l) by
+``math.comb`` on the whole coordinates, and (1 + v)^n as sum_t C(n, t) v^t
+with exact falling-factorial binomials and its own series products.  On
+random inputs over F_11, F_169 and F_4913 the package must give the
+oracle's terms at the cutoff its documented rule states, or raise the
+documented exception; a power at a class mod p^N must equal the power at
+the exact integer wherever the class pins it.  The unit ratios and cocycle
+factors of the chart contexts are held to the oracle's binomial series of
+their distortion pieces.  The precision properties check that a result
+known below D agrees with the same computation from inputs known further
+out.
 """
 
 import math
@@ -21,6 +22,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracle
 from modpcheck import iwasawa
 from modpcheck.arith import Fq
 from modpcheck.constants import hj
@@ -40,7 +42,6 @@ from modpcheck.iwasawa import (
     cocycle_factor,
     eq_below,
     fdeg,
-    frobenius,
     principal_units,
     unit_ratio,
 )
@@ -50,151 +51,6 @@ INF = math.inf
 
 FIELDS = [(11, 1), (13, 2), (17, 3)]
 CONTEXTS = [(11, 1, 40), (13, 2, 30), (17, 3, 24)]
-
-
-# ---------------------------------------------------------------------------
-# references
-
-
-def one_plus_var_power(field, f, cutoff, l, c, digits):
-    """(1 + T_l)^c in the additive chart, c an integer class mod p^digits.
-
-    Walks base-p digits of c using (1+T)^(p^i) = 1 + T^(p^i); exact below
-    cutoff provided p^digits >= cutoff.
-    """
-    p = field.p
-    if p**digits < cutoff:
-        raise ExponentPrecisionTooLow(
-            f"need p^N >= {cutoff}, have N={digits}")
-    c %= p**digits
-    out = AElement.const(field, f, 1, cutoff=cutoff)
-    step = 1
-    for _ in range(digits):
-        if step >= cutoff:
-            break
-        d = c % p
-        c //= p
-        if d:
-            terms = {}
-            for m in range(d + 1):
-                if m * step >= cutoff:
-                    break
-                coeff = field.from_int(math.comb(d, m) % p)
-                if coeff:
-                    k = tuple(m * step if i == l else 0 for i in range(f))
-                    terms[k] = coeff
-            out = out * AElement(field, f, cutoff, terms)
-        step *= p
-    return out.copy_truncated(cutoff)
-
-
-def reference_product(field, f, coords, depth, digits):
-    """prod_l (1 + T_l)^(coords[l]) below depth, one factor at a time."""
-    out = AElement.const(field, f, 1, cutoff=depth)
-    for l, c in enumerate(coords):
-        out = out * one_plus_var_power(field, f, depth, l, c, digits)
-    return out.copy_truncated(depth)
-
-
-def reference_n_series(ctx, a, depth):
-    """n([a]) = prod_l (1+T_l)^(c_l of the Teichmuller lift), truncated."""
-    return reference_product(ctx.field, ctx.f, ctx.ring.teichmuller(a), depth, ctx.N)
-
-
-def pth_power(x, times=1):
-    """x^(p^times) by the characteristic-p rule; knowledge scales by p^times."""
-    fld = x.field
-    step = fld.p**times
-    terms = {tuple(step * ki for ki in k): fld.pow(c, step)
-             for k, c in x.terms.items()}
-    cut = x.cutoff if x.cutoff == INF else x.cutoff * step
-    return AElement(fld, x.f, cut, terms)
-
-
-def _digit_walk(g, c, n_digits):
-    fld = g.field
-    p = fld.p
-    out = AElement.const(fld, g.f, 1, cutoff=g.cutoff)
-    eps = g - 1
-    for _ in range(n_digits):
-        d = c % p
-        c //= p
-        if d:
-            out = out * (eps + 1).pow_below(d, INF)
-            out = out.copy_truncated(g.cutoff)
-        if c:
-            eps = pth_power(eps)
-    return out
-
-
-def reference_zp_power(g, c, digits):
-    """g^c, c a class mod p^digits, by the base-p digit walk with
-    (1+eps)^(p^i) = 1 + eps^(p^i)."""
-    p = g.field.p
-    d0 = fdeg(g - 1)
-    if d0 < 1:
-        raise NotAUnit("zp_power needs g = 1 + (filtration degree >= 1)")
-    cutoff = g.cutoff
-    if cutoff == INF and d0 != INF:
-        raise ExponentPrecisionTooLow(
-            "digit walk needs a finite knowledge bound on g")
-    if cutoff != INF and p**digits * max(d0 if d0 != INF else 1, 1) < cutoff:
-        raise ExponentPrecisionTooLow(
-            f"p^{digits} digits cannot pin depth {cutoff}")
-    return _digit_walk(g, c % p**digits, digits).copy_truncated(cutoff)
-
-
-def reference_invert_unit(x):
-    """Inverse of c*Y^m*(1+eps) by the geometric series of -eps; the series
-    of an exact eps != 0 has no last term, so that raises PrecisionExhausted."""
-    if not x.terms:
-        raise NotAUnit("zero has no inverse")
-    d = fdeg(x)
-    lead = [(k, c) for k, c in x.terms.items() if sum(k) == d]
-    if len(lead) != 1:
-        raise NotAUnit("leading form is not a single monomial")
-    (k0, c0), = lead
-    fld = x.field
-    lead_inv = AElement.monomial(fld, x.f, tuple(-a for a in k0), fld.inv(c0))
-    w = lead_inv * x - 1
-    if w.cutoff == INF and not w.is_zero():
-        raise PrecisionExhausted("geometric series of an exact nonzero series never ends")
-    geom = AElement.const(fld, x.f, 1, cutoff=w.cutoff)
-    term = AElement.const(fld, x.f, 1, cutoff=w.cutoff)
-    while True:
-        term = (-w) * term
-        term = term.copy_truncated(w.cutoff)
-        if term.is_zero():
-            break
-        geom = geom + term
-    return (lead_inv * geom).copy_truncated(
-        x.cutoff if x.cutoff == INF else x.cutoff - 2 * d)
-
-
-def _binom_mod(n, m, p):
-    # C(n, m) mod p for any integer n: the falling factorial is exactly
-    # divisible by m!
-    num = 1
-    for i in range(m):
-        num *= n - i
-    return (num // math.factorial(m)) % p
-
-
-def reference_binomial_series(v, n, bound):
-    """(1 + v)^n below min(bound, v.cutoff) with exact binomials."""
-    fld = v.field
-    out = AElement.const(fld, v.f, 1, cutoff=min(bound, v.cutoff))
-    vt = AElement.const(fld, v.f, 1, cutoff=INF)
-    t = 0
-    while True:
-        t += 1
-        vt = (vt * v).copy_truncated(min(bound, v.cutoff))
-        if vt.is_zero():
-            break
-        c = fld.from_int(_binom_mod(n, t, fld.p))
-        if c:
-            out = out + vt.scale(c)
-    return out
 
 
 def outcome(fn, *args):
@@ -271,9 +127,10 @@ def test_binomial_product_matches_digit_walk(data):
     depth = data.draw(st.integers(0, _max_depth(fld)), label="depth")
     digits = data.draw(st.integers(0, 4), label="digits")
     coords = data.draw(st.lists(st.integers(-p**5, p**5), min_size=f, max_size=f))
-    want = outcome(reference_product, fld, f, coords, depth, digits)
-    got = outcome(lambda: AElement(fld, f, depth, _binomial_product(fld, coords, depth, digits)))
-    assert got == want
+    # each exponent is a class mod p^digits, exact only when p^digits >= depth
+    want = (ExponentPrecisionTooLow if p**digits < depth
+            else oracle.generator_series(p, [c % p**digits for c in coords], depth))
+    assert outcome(_binomial_product, fld, coords, depth, digits) == want
 
 
 @settings(max_examples=30)
@@ -282,24 +139,21 @@ def test_n_series_matches_product_form(data):
     ctx = chart_context(*data.draw(st.sampled_from(CONTEXTS)))
     a = data.draw(st.integers(1, ctx.q - 1), label="a")
     depth = data.draw(st.integers(0, ctx.tdepth), label="depth")
-    assert ctx.n_series(ctx.ring.teichmuller(a), depth) == reference_n_series(ctx, a, depth)
+    lifts = oracle.teichmuller_lifts(ctx.p, ctx.f, oracle.digits_needed(ctx.p, depth))
+    want = oracle.generator_series(ctx.p, [int(c[a - 1]) for c in lifts], depth)
+    assert ctx.n_series(ctx.ring.teichmuller(a), depth) == AElement(ctx.field, ctx.f, depth, want)
 
 
 @pytest.mark.parametrize("p,f,cutoff", CONTEXTS)
 def test_convb_matches_per_slot_products(p, f, cutoff):
-    # the unit-action blocks multiply D^gamma(Y_j) by (1+T)^gamma; the earlier
-    # form built that factor one slot at a time from math.comb
+    # the unit-action blocks multiply D^gamma(Y_j) by (1+T)^gamma, here the
+    # oracle's n(g) at the coordinates gamma
     ctx = chart_context(p, f, cutoff)
-    fld = ctx.field
     for gamma in _graded_exponents(f, ctx.alpha_max):
         if not any(gamma):
             continue
-        s = ctx.y_series[0].hasse_derivative(gamma)
-        for l, g in enumerate(gamma):
-            if g:
-                s = s * AElement(fld, f, INF, {
-                    tuple(m if i == l else 0 for i in range(f)): fld.from_int(math.comb(g, m))
-                    for m in range(g + 1)})
+        onep = AElement(ctx.field, f, INF, oracle.generator_series(p, gamma, sum(gamma) + 1))
+        s = ctx.y_series[0].hasse_derivative(gamma) * onep
         bound = max(ctx.D - p * sum(gamma), 0)
         assert ctx.convb[0, gamma] == ctx.t_to_y(s.copy_truncated(bound), bound)
 
@@ -324,15 +178,17 @@ def test_binomial_product_is_honest_below_its_depth(data):
 @settings(max_examples=60)
 @given(data=st.data())
 def test_zp_power_matches_digit_walk(data):
-    # a p-adic power is the binomial series at the class of c; the draws
-    # where p^digits cannot pin g's cutoff have no exact power to compare
+    # (1 + v)^(p^digits) = 1 + v^(p^digits), so the class of c mod p^digits
+    # gives g^c below p^digits * fdeg(v): where that reaches g's cutoff, the
+    # binomial series at the class must equal the one at the integer c
     g, _ = data.draw(principal_series())
-    p = g.field.p
+    p, v = g.field.p, g - 1
     c = data.draw(st.integers(-p**5, p**5), label="c")
     digits = data.draw(st.integers(0, 4), label="digits")
-    want = outcome(reference_zp_power, g, c, digits)
-    if want is not ExponentPrecisionTooLow:
-        assert outcome(_binomial_series, g - 1, c % p**digits, g.cutoff) == want
+    if v.terms and p**digits * fdeg(v) < g.cutoff:
+        return
+    want = AElement(g.field, g.f, g.cutoff, oracle.binomial_series(p, g.f, v.terms, c, g.cutoff))
+    assert _binomial_series(v, c % p**digits, g.cutoff) == want
 
 
 @settings(max_examples=100)
@@ -342,8 +198,11 @@ def test_zp_power_matches_digit_walk(data):
 @example(x=AElement.monomial(Fq(13, 2), 2, (-2, 7), 4, -7))
 def test_negative_power_inverts_monomials(x):
     # c*Y^k known below K inverts to c^-1*Y^-k known below K - 2*deg k; at
-    # K <= deg k nothing is known and both raise NotAUnit
-    want = outcome(reference_invert_unit, x)
+    # K <= deg k nothing is known and pow_below raises NotAUnit
+    fld, want = x.field, NotAUnit
+    for k, c in x.terms.items():
+        want = AElement(fld, x.f, x.cutoff - 2 * sum(k),
+                        {tuple(-e for e in k): oracle.field_inv(c, fld.p, fld.k)})
     assert outcome(lambda: x.pow_below(-1, INF)) == want
 
 
@@ -355,7 +214,9 @@ def test_binomial_series_matches_exact_binomials(data):
     v = g - 1
     n = data.draw(st.integers(-p**6, p**6), label="n")
     bound = data.draw(st.integers(0, D + 2), label="bound")
-    assert _binomial_series(v, n, bound) == reference_binomial_series(v, n, bound)
+    cut = min(bound, v.cutoff)
+    want = AElement(g.field, g.f, cut, oracle.binomial_series(p, g.f, v.terms, n, cut))
+    assert _binomial_series(v, n, bound) == want
 
 
 @settings(max_examples=40)
@@ -380,9 +241,11 @@ def test_powers_are_honest_below_their_cutoff(data):
 @pytest.mark.parametrize("p,f,cutoff,r", [
     (11, 1, 40, (4,)), (13, 2, 30, (5, 6)), (17, 3, 34, (7, 8, 7))])
 def test_unit_ratio_and_cocycle_factor_match_inverse_and_digit_walk(p, f, cutoff, r):
-    # the ratio was the inverse of 1 + v_j, w its p-adic power by the digit
-    # walk and the factor w times the inverse of phi(w); the numerators are
-    # the slot weights hj(r + 1) of the slot corrections
+    # the ratio is (1 + v_j)^-1 and the factor w * phi(w)^-1 for its power
+    # w = (1 + v_j)^-c, c = numerator/(1-q) mod p^N; phi is a ring map, so
+    # phi(w)^-1 = (1 + phi(v_j))^c.  All are known below the cutoff K of v_j,
+    # and the numerators are the slot weights hj(r + 1) of the slot
+    # corrections
     ctx = chart_context(p, f, cutoff)
     params = RhoParams.make(p, f, r)
     weights = [hj(params, tuple(x + 1 for x in r), j) for j in range(f)]
@@ -391,15 +254,16 @@ def test_unit_ratio_and_cocycle_factor_match_inverse_and_digit_walk(p, f, cutoff
         dmat = ctx.unit_data[u].dmat
         for j in range(f):
             v = ctx.u1_pieces[dmat][j]
+            K = v.cutoff
             assert v.terms
-            ratio = reference_invert_unit(v + 1)
-            assert unit_ratio(ctx, u, j) == ratio
+            ratio = oracle.binomial_series(p, f, v.terms, -1, K)
+            assert unit_ratio(ctx, u, j) == AElement(ctx.field, f, K, ratio)
             for numerator in weights:
                 c = numerator * pow(1 - ctx.q, -1, pN) % pN
-                w = reference_zp_power(ratio, c, ctx.N)
-                want = w.mul_below(reference_invert_unit(frobenius(w)), w.cutoff)
+                w = oracle.binomial_series(p, f, v.terms, -c, K)
+                phi_inv = oracle.binomial_series(p, f, oracle.frobenius(v.terms, p), c, K)
                 got = cocycle_factor(ctx, u, j, numerator)
-                assert (got.terms, got.cutoff) == (want.terms, want.cutoff)
+                assert (got.terms, got.cutoff) == (oracle.series_product(p, f, w, phi_inv, K), K)
 
 
 # ---------------------------------------------------------------------------
@@ -411,8 +275,6 @@ def test_invert_unit_of_exact_non_monomial_raises_at_once():
     start = time.perf_counter()
     with pytest.raises(NotAUnit):
         x.pow_below(-1, INF)
-    with pytest.raises(PrecisionExhausted):
-        reference_invert_unit(x)
     assert time.perf_counter() - start < 1
     # an exact monomial still inverts exactly
     m = AElement(Fq(11, 1), 1, INF, {(2,): 3})

@@ -1,18 +1,17 @@
-"""The chart build and the chart conversion against definitions and plain
-dict-of-tuples references.
+"""The chart build and the chart conversions against their definitions.
 
 Every eigencoordinate series Y_j is compared with its defining sum over
-the units, computed by ``oracle`` from F_q and the Teichmuller lifts up.
-The reference functions below are the straightforward forms of the
-conversion: the reversion table (every power tau^beta of the reverted
-coordinates, with tuple exponent keys and one field call per coefficient
-operation), and the conversion that substitutes that table into an
-additive-chart series.  ``ChartContext.t_to_y`` eliminates leading forms
-instead and shares no code with the table, so the table is an independent
-oracle for it.  The leading forms themselves are substituted by elementary
-shears in the chart; the multivariate Horner scheme over the rows of M^-1
-below is their oracle, with M^-1 formed here from the chart's row
-operations.
+the units, computed by ``oracle`` from F_q and the Teichmuller lifts up,
+and y_to_t, on every monomial Y^m below each tested bound, with the
+oracle's product prod_j Y_j^(m_j) of those Y_j; as y_to_t is linear, that
+checks it on every input.  Below a bound y_to_t is triangular, with the
+invertible Jacobian on its diagonal, so it is injective there, and
+``ChartContext.t_to_y``, which forms its output through ``y_to_t``, is
+pinned by the round trip y_to_t(t_to_y(s)) = s only because y_to_t is
+checked on every monomial.  The leading forms that t_to_y
+eliminates are substituted by elementary shears in the chart; the
+multivariate Horner scheme over the rows of M^-1 below is their oracle,
+with M^-1 formed here from the chart's row operations.
 """
 
 import functools
@@ -77,81 +76,6 @@ def substitute_linear(terms, forms):
     return out
 
 
-def _accumulate(fld, acc, k, v):
-    s = fld.add(acc.get(k, 0), v)
-    if s:
-        acc[k] = s
-    else:
-        acc.pop(k, None)
-
-
-def reference_tau_powers(ctx, depth):
-    """powers[beta][d]: degree-d part of tau^beta as {exponent tuple: encoding}."""
-    fld = ctx.field
-    f = ctx.f
-    minv = jacobian_inverse(ctx)
-    ys = ctx.y_series
-    unit_vecs = [tuple(1 if i == l else 0 for i in range(f)) for l in range(f)]
-    powers = {e: {1: {unit_vecs[j]: minv[l][j] for j in range(f) if minv[l][j]}}
-              for l, e in enumerate(unit_vecs)}
-    betas = [b for b in _graded_exponents(f, depth) if sum(b) >= 2]
-    for d in range(2, depth + 1):
-        for beta in betas:
-            if sum(beta) > d:
-                continue
-            l = next(i for i, b in enumerate(beta) if b)
-            prev = tuple(b - (1 if i == l else 0) for i, b in enumerate(beta))
-            acc = {}
-            tau_l = powers[unit_vecs[l]]
-            for a, part in powers[prev].items():
-                for k1, c1 in part.items():
-                    for k2, c2 in tau_l.get(d - a, {}).items():
-                        k = tuple(x + y for x, y in zip(k1, k2))
-                        _accumulate(fld, acc, k, fld.mul(c1, c2))
-            powers.setdefault(beta, {})[d] = acc
-        tails = []
-        for j in range(f):
-            acc = {}
-            for beta, parts in powers.items():
-                cb = ys[j].terms.get(beta)
-                if sum(beta) < 2 or not cb:
-                    continue
-                for k, c in parts.get(d, {}).items():
-                    _accumulate(fld, acc, k, fld.mul(cb, c))
-            tails.append(acc)
-        for l in range(f):
-            part = {}
-            for j in range(f):
-                for k, v in tails[j].items():
-                    _accumulate(fld, part, k, fld.mul(minv[l][j], fld.neg(v)))
-            powers[unit_vecs[l]][d] = part
-    return powers
-
-
-def reference_t_to_y(ctx, powers, s, bound):
-    """Substitute tau into s below `bound`; {exponent tuple: encoding}."""
-    fld = ctx.field
-    acc = {}
-    for beta, cb in s.terms.items():
-        if not any(beta):
-            _accumulate(fld, acc, beta, cb)
-            continue
-        if sum(beta) >= bound:
-            continue
-        for d, part in powers[beta].items():
-            if d < bound:
-                for k, c in part.items():
-                    _accumulate(fld, acc, k, fld.mul(cb, c))
-    return acc
-
-
-@functools.lru_cache(maxsize=None)
-def reference_case(p, f, cutoff):
-    """A context and its reference table covering every degree below tdepth."""
-    ctx = ChartContext(p, f, cutoff)
-    return ctx, reference_tau_powers(ctx, ctx.tdepth - 1)
-
-
 def random_additive(ctx, rng, n_terms, cutoff):
     terms = {}
     while len(terms) < n_terms:
@@ -212,16 +136,26 @@ def test_unit_action_matches_its_definition(p, f, cutoff):
             assert ctx.y_to_t(image, ctx.tdepth).terms == want[j], (u, j)
 
 
-@pytest.mark.parametrize("p,f,cutoff", [(13, 2, 12), (17, 3, 24)])
+@pytest.mark.parametrize("p,f,cutoff", [(13, 2, 12), (17, 3, 24), (11, 1, 40)])
 def test_tau_table_and_t_to_y_match_reference(p, f, cutoff):
-    ctx, want = reference_case(p, f, cutoff)
+    # y_to_t against the oracle's Y^m on every monomial at each bound, which
+    # covers every input, as y_to_t is linear; then on random sums, and
+    # t_to_y as its inverse below each bound
+    ctx = ChartContext(p, f, cutoff)
+    bounds = (1, 2, ctx.tdepth // 2, ctx.tdepth)
+    monomials = _graded_exponents(f, ctx.tdepth - 1)
+    for m in monomials:
+        for bound in bounds:
+            got = ctx.y_to_t(AElement.monomial(ctx.field, f, m), bound)
+            assert got.terms == oracle.y_to_t(p, f, ctx.tdepth, {m: 1}, bound), (m, bound)
     rng = random.Random(p * f)
     for n_terms in (1, 5, 20, 60):
-        s = random_additive(ctx, rng, n_terms, ctx.tdepth)
-        for bound in (1, 2, ctx.tdepth // 2, ctx.tdepth):
+        s = random_additive(ctx, rng, min(n_terms, len(monomials)), ctx.tdepth)
+        for bound in bounds:
+            assert ctx.y_to_t(s, bound).terms == oracle.y_to_t(p, f, ctx.tdepth, s.terms, bound)
             got = ctx.t_to_y(s, bound)
             assert got.cutoff == bound
-            assert got.terms == reference_t_to_y(ctx, want, s, bound)
+            assert ctx.y_to_t(got, bound) == s.copy_truncated(bound)
 
 
 @settings(max_examples=30)
@@ -229,8 +163,8 @@ def test_tau_table_and_t_to_y_match_reference(p, f, cutoff):
 def test_t_to_y_matches_reference_on_dense_outputs(data):
     # the additive image of a dense Y-chart polynomial has a dense
     # multiplicative image: every degree below the bound has a form to
-    # eliminate, which is where elimination could lose to the table
-    ctx, want = reference_case(*data.draw(st.sampled_from([(13, 2, 12), (17, 3, 24)])))
+    # eliminate
+    ctx = iwasawa.chart_context(*data.draw(st.sampled_from([(13, 2, 12), (17, 3, 24)])))
     bound = data.draw(st.integers(1, ctx.tdepth), label="bound")
     n = len(_graded_exponents(ctx.f, bound - 1))
     coeffs = data.draw(st.lists(st.integers(1, ctx.q - 1), min_size=n, max_size=n))
@@ -238,7 +172,6 @@ def test_t_to_y_matches_reference_on_dense_outputs(data):
     s = ctx.y_to_t(x, bound)
     got = ctx.t_to_y(s, bound)
     assert got.cutoff == bound
-    assert got.terms == reference_t_to_y(ctx, want, s, bound)
     assert got.terms == x.terms
 
 
@@ -295,12 +228,13 @@ def test_undersized_slot_width_is_caught_at_f3(monkeypatch):
 
 def test_y_power_cache_is_thread_safe():
     # four threads fill the Y^m and form caches of one fresh context at once,
-    # through conversions at different bounds
-    ref, table = reference_case(13, 2, 12)
-    rng = random.Random(11)
-    s = random_additive(ref, rng, 30, ref.tdepth)
+    # through conversions at different bounds, and must get the serial
+    # conversions, each inverted by y_to_t
+    ref = ChartContext(13, 2, 12)
+    s = random_additive(ref, random.Random(11), 30, ref.tdepth)
     bounds = (3, 12, 6, 9)
-    want = {b: reference_t_to_y(ref, table, s, b) for b in bounds}
+    want = {b: ref.t_to_y(s, b) for b in bounds}
+    assert all(ref.y_to_t(y, b) == s.copy_truncated(b) for b, y in want.items())
 
     ctx = ChartContext(13, 2, 12)
     got = {}
@@ -324,28 +258,13 @@ def test_y_power_cache_is_thread_safe():
         sys.setswitchinterval(old)
     assert not any(t.is_alive() for t in threads)
     assert not errors, errors
-    assert got == want
+    assert got == {b: y.terms for b, y in want.items()}
     serial = ChartContext(13, 2, 12)
     for (m, rel), y in list(ctx._ypow_cache.items()):
         assert y == serial._y_power(m, rel)
     forms = linear_forms(serial)
     for key, img in list(ctx._form_cache.items()):
         assert img == substitute_linear(dict(key), forms)
-
-
-def uncached_t_to_y(ctx, s, bound):
-    """The leading-form elimination of ChartContext.t_to_y with every form
-    substituted by the Horner scheme, bypassing the form cache."""
-    forms = linear_forms(ctx)
-    residual = s.copy_truncated(bound)
-    out = {}
-    for d in range(bound):
-        lead = {k: c for k, c in residual.terms.items() if sum(k) == d}
-        if lead:
-            form = substitute_linear(lead, forms)
-            out.update(form.terms)
-            residual = residual - ctx.y_to_t(form, bound)
-    return out
 
 
 def random_form(ctx, rng, d):
@@ -444,14 +363,15 @@ def scaled_forms(draw):
 @settings(max_examples=40)
 @given(scaled_forms())
 def test_t_to_y_of_scaled_forms_matches_uncached_substitution(data):
-    # h fills the cache and c*h is then read from it scaled by c
+    # h fills the cache and c*h is then read from it scaled by c; either
+    # conversion must be inverted by y_to_t
     ctx, h, c = data
     fld = ctx.field
     for terms in (h, {k: fld.mul(c, v) for k, v in h.items()}):
         s = AElement(fld, ctx.f, ctx.tdepth, terms)
         got = ctx.t_to_y(s)
         assert got.cutoff == ctx.tdepth
-        assert got.terms == uncached_t_to_y(ctx, s, ctx.tdepth)
+        assert ctx.y_to_t(got) == s
 
 
 def test_mutating_a_conversion_leaves_the_cache_intact():

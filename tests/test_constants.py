@@ -591,7 +591,7 @@ OVERLAP_GOLDEN = {
 
 
 @pytest.mark.parametrize("jrho", [(), (0,), (1,), (0, 1)], ids=lambda j: f"jrho{j}")
-def test_overlap_sweep_matches_intvec_reference_under_every_mutant(jrho):
+def test_overlap_sweep_matches_pinned_rows_under_every_mutant(jrho):
     # every +1 mutant, plus s lowered by p, which moves both carry vectors
     # alike at some slots and so reaches the positivity part
     params = RhoParams.make(13, 2, (5, 6), jrho)
@@ -605,7 +605,7 @@ def test_overlap_sweep_matches_intvec_reference_under_every_mutant(jrho):
     assert digest == OVERLAP_GOLDEN[jrho]
 
 
-def test_overlap_sweep_matches_intvec_reference_at_f3():
+def test_overlap_sweep_matches_pinned_rows_at_f3():
     params = RhoParams.make(17, 3, (7, 8, 7), (0,))
     muts = [m for m in all_mutations(params) if m.table in ("s", "tJJp")]
     assert len(muts) == 216

@@ -325,6 +325,8 @@ def test_admission_limits_before_any_field_build(no_field_builds, kwargs, messag
     (dict(jrho=5), "jrho: 5 is not a collection"),
     (dict(jrho=(0.0,)), "jrho: 0.0 is not an int"),
     (dict(suites="weights"), "suites: 'weights' is not a collection"),
+    (dict(mutate=["rJ"]), "mutate: ['rJ'] is not a str"),
+    (dict(mutate={"a": 1}), "mutate: {'a': 1} is not a str"),
 ])
 def test_admission_names_a_field_of_the_wrong_type(no_field_builds, kwargs, message):
     # a float, str or bool would reach the byte-stable payload or fail mid-run

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import oracle
 from modpcheck import iwasawa
 from modpcheck.arith import gauss_jordan
 from modpcheck.constants import hj
@@ -36,7 +37,6 @@ from modpcheck.iwasawa import (
     unit_ratio,
 )
 from modpcheck.weights import RhoParams
-from test_binomial_layer import pth_power, reference_invert_unit
 from test_chart_packed import jacobian_inverse
 
 INF = math.inf
@@ -348,7 +348,8 @@ def test_zp_power_basics_and_additivity():
         rhs = _binomial_series(g - 1, c1 + c2, INF)
         assert eq_below(lhs, rhs, 25)
     # negative exponents match the inverse mod p^N
-    assert eq_below(_binomial_series(g - 1, -1, INF), reference_invert_unit(g), 23)
+    inverse = AElement(fld, 1, 25, oracle.binomial_series(11, 1, {(1,): 1}, -1, 25))
+    assert eq_below(_binomial_series(g - 1, -1, INF), inverse, 25)
 
 
 def test_cocycle_factor_digit_guard():
@@ -368,13 +369,14 @@ def test_cocycle_factor_digit_guard():
 
 
 def test_zp_power_phi_component():
-    # c0 + c1*phi acts as g^c0 * frobenius(g)^c1; oracle built from plain
-    # integer powers and the inverse
+    # c0 + c1*phi acts as g^c0 * frobenius(g)^c1; the right side takes
+    # plain integer powers of g and of the oracle's inverse of frobenius(g)
     ctx = C2S
     g = AElement(ctx.field, 2, 45, {(0, 0): 1, (2, 1): 4})
     fg = frobenius(g).copy_truncated(45)
     lhs = _binomial_series(g - 1, 6, INF) * _binomial_series(fg - 1, -6, INF)
-    rhs = g.pow_below(6, INF) * reference_invert_unit(fg).pow_below(6, INF)
+    fg_inv = AElement(ctx.field, 2, 45, oracle.binomial_series(13, 2, (fg - 1).terms, -1, 45))
+    rhs = g.pow_below(6, INF) * fg_inv.pow_below(6, INF)
     floor = difference_floor(lhs, rhs)
     assert floor >= 40
     assert eq_below(lhs, rhs, floor)
@@ -445,15 +447,16 @@ def test_unit_action_composition_f2_small():
 
 
 def test_unit_ratio_frobenius_shift():
-    # the ratio at slot j+1 maps to the p-th power of the ratio at slot j
+    # the ratio at slot j+1 maps to the p-th power of the ratio at slot j,
+    # which in characteristic p is known below p times the ratio's cutoff
     ctx = C2M
     for u in principal_units(ctx, 3, seed=6):
         for j in range(2):
-            r_next = unit_ratio(ctx, u, (j + 1) % 2)
-            lhs = frobenius(r_next)
-            rhs = pth_power(unit_ratio(ctx, u, j))
-            floor = difference_floor(lhs, rhs)
-            assert floor >= 13 * (ctx.D - 1)
+            lhs = frobenius(unit_ratio(ctx, u, (j + 1) % 2))
+            r = unit_ratio(ctx, u, j)
+            floor = 13 * r.cutoff
+            assert lhs.cutoff == floor == 13 * (ctx.D - 1)
+            rhs = AElement(ctx.field, 2, floor, oracle.series_power(13, 2, r.terms, 13, floor))
             assert eq_below(lhs, rhs, floor)
 
 
