@@ -34,16 +34,17 @@ precision (Caruso, Roe and Vaccon, LMS J. Comput. Math. 17A, 2014).
 Every binomial expansion reads the Lucas rows C(c, m) mod p of
 _binomial_row: _binomial_product gives prod_l (1 + T_l)^(c_l) below a depth
 (the generator series, the unit-action factors), the eigencoordinate sum
-takes the rows as dense lists, and _binomial_series raises a unit's
-distortion 1 + v_j to an integer or p-adic power (ChartContext._unit_power)
-for the unit action, the unit ratios and the cocycle factors.  Every other
-inverse is of an exact monomial, a negative power in pow_below.
+takes the rows as dense lists, hasse_derivative and the shears of t_to_y
+read single entries, and _binomial_series raises a unit's distortion 1 + v_j
+to an integer or p-adic power (ChartContext._unit_power) for the unit
+action, the unit ratios and the cocycle factors.  Every other inverse is of
+an exact monomial, a negative power in pow_below.
 """
 
 import functools
 import math
 import random
-from itertools import compress, groupby, repeat
+from itertools import accumulate, compress, groupby, repeat
 from operator import add, mul
 
 from .arith import Fq, Memo, WittRing, gauss_jordan, packing, power_columns, witt_precision
@@ -87,10 +88,12 @@ def _lucas_modulus(p, length):
 
 
 def _lucas_row(p, r, length):
-    # C(r, m) mod p for m < length, r >= 0, as the product of the binomials
-    # of the base-p digits (Lucas): entry p*i + d is C(r // p, i) C(r % p, d),
-    # so math.comb sees only digits below p
-    low = [math.comb(r % p, d) % p for d in range(min(p, length))]
+    # C(r, m) mod p for m < length, r >= 0, by Lucas: entry p*i + d is
+    # C(r // p, i) C(a, d), a = r % p, and C(a, d) = C(a, d-1) (a-d+1) / d mod
+    # p is exact as d < p is a unit; a-d+1 = 0 at d = a+1 zeroes the rest
+    a, inv = r % p, _INVERSES[p,]
+    low = [*accumulate(range(1, min(p, length)),
+                       lambda b, d: b * (a - d + 1) * inv[d] % p, initial=1)]
     if length <= p:
         return tuple(low)
     high = _lucas_row(p, r // p, -(-length // p))
@@ -98,6 +101,7 @@ def _lucas_row(p, r, length):
 
 
 _LUCAS_ROWS = Memo(_lucas_row)
+_INVERSES = Memo(lambda p: [0, *(pow(d, -1, p) for d in range(1, p))])  # d^-1 mod p
 
 
 def _binomial_product(field, coords, depth, digits):
@@ -329,12 +333,12 @@ class AElement:
 
     def mul_below(self, other, bound):
         """(self * other).copy_truncated(bound): terms of degree >= bound are
-        never formed.  x known below Kx times y known below Ky is known
-        below min(Kx + fdeg(y), Ky + fdeg(x)); an INF cutoff needs no fdeg."""
+        never formed.  x known below Kx times y known below Ky is known below
+        min(Kx + fdeg(y), Ky + fdeg(x)), a zero known below K counting fdeg K."""
         if other.cutoff != INF:
-            bound = min(bound, other.cutoff + fdeg(self))
+            bound = min(bound, other.cutoff + min(fdeg(self), self.cutoff))
         if self.cutoff != INF:
-            bound = min(bound, self.cutoff + fdeg(other))
+            bound = min(bound, self.cutoff + min(fdeg(other), other.cutoff))
         terms = _mul_terms(self.field, self.terms, other.terms, bound)
         return AElement(self.field, self.f, bound, terms)
 
@@ -363,8 +367,10 @@ class AElement:
             raise NotAUnit("negative power of a non-monomial")
         base = self
         inner = bound
-        d = fdeg(self)
+        d = min(fdeg(self), self.cutoff)  # a zero known below K counts fdeg K
         if d != INF:
+            if bound <= n * d:  # x^n lies at or above the bound
+                return AElement(fld, self.f, bound, {})
             inner = bound - (n - 1) * min(d, 0)
             if bound - (n - 1) * d < self.cutoff:
                 base = self.copy_truncated(bound - (n - 1) * d)
@@ -382,19 +388,12 @@ class AElement:
     def hasse_derivative(self, gamma):
         """D^gamma: T^beta -> C(beta, gamma) T^(beta-gamma), exact."""
         fld = self.field
-        p = fld.p
         out = {}
         g = tuple(gamma)
         for k, c in self.terms.items():
             if any(ki < gi for ki, gi in zip(k, g)):
                 continue
-            b = 1
-            for ki, gi in zip(k, g):
-                b = b * math.comb(ki, gi) % p
-                if not b:
-                    break
-            if not b:
-                continue
+            b = math.prod(_binomial_row(fld.p, ki, gi + 1)[gi] for ki, gi in zip(k, g) if gi)
             ck = fld.scale_int(c, b)
             if ck:
                 out[tuple(ki - gi for ki, gi in zip(k, g))] = ck
@@ -742,13 +741,14 @@ class ChartContext:
 
     def _conversion_block(self, j, gamma):
         """Unit-independent conversion block: multiplicative-chart image of
-        D^gamma(Y_j) * (1+T)^gamma, known below D - p*|gamma|."""
-        bound = self.D - self.p * sum(gamma)
+        D^gamma(Y_j) * (1+T)^gamma, known below D - p*|gamma|.  D^gamma lowers
+        every degree by |gamma|, so Y_j is read below that bound + |gamma|."""
+        bound = max(self.D - self.p * sum(gamma), 0)
         # (1+T)^gamma is a polynomial of degree |gamma|, so it is exact
         onep = AElement(self.field, self.f, INF, _binomial_product(
             self.field, gamma, sum(gamma) + 1, self.N))
-        s = self.y_series[j].hasse_derivative(gamma) * onep
-        return self.t_to_y(s.copy_truncated(max(bound, 0)), max(bound, 0))
+        s = self.y_series[j].copy_truncated(bound + sum(gamma)).hasse_derivative(gamma)
+        return self.t_to_y(s.mul_below(onep, bound), bound)
 
     def _split_unit(self, *u):
         """Split the unit u = [a0]*u1 and extract the mod-p digit matrix of

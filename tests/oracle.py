@@ -23,9 +23,9 @@ A series is a dict {exponent tuple: encoding}, an element of F_q its
 encoding sum_i d_i p^i in the power basis.  A product of series multiplies
 the digit vectors of every pair of terms in Z[x], sums them per exponent
 and reduces each sum mod (g, p) once; a power is repeated products, the
-binomial series sum_t C(n, t) v^t takes exact falling-factorial binomials
-and n(g) takes ``math.comb``.  y_to_t is sum_m c_m Y^m, with
-Y^m = prod_j Y_j^(m_j) a product of the Y_j above.
+binomial series sum_t C(n, t) v^t takes exact falling-factorial binomials,
+and n(g) and the Hasse derivative D^gamma take ``math.comb``.  y_to_t is
+sum_m c_m Y^m, with Y^m = prod_j Y_j^(m_j) a product of the Y_j above.
 
 Ring elements are coordinate lists; a coordinate may be an int or a numpy
 array holding that coordinate of every unit at once, so one call raises
@@ -231,6 +231,16 @@ def generator_series(p, coords, depth):
     rows = [[math.comb(c, m) % p for m in range(depth)] for c in coords]
     return {beta: c for beta in monomials(len(coords), depth)
             if (c := math.prod(row[m] for row, m in zip(rows, beta)) % p)}
+
+
+def hasse_derivative(p, f, xt, gamma):
+    """D^gamma(x): T^beta -> C(beta, gamma) T^(beta - gamma), where
+    C(beta, gamma) = prod_l C(beta_l, gamma_l) by ``math.comb`` on the whole
+    exponents; terms with some beta_l < gamma_l go to 0."""
+    out = {tuple(b - g for b, g in zip(k, gamma)):
+           field_mul(math.prod(map(math.comb, k, gamma)) % p, c, p, f)
+           for k, c in xt.items() if all(b >= g for b, g in zip(k, gamma))}
+    return {k: c for k, c in out.items() if c}
 
 
 def frobenius(xt, p):

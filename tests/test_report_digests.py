@@ -8,6 +8,10 @@ rows, and so the witnesses, of the identity sweeps under every mutant.
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -85,6 +89,20 @@ def test_report_digest_is_pinned(config, digest):
     report = run_suite(config)
     assert report.passed
     assert hashlib.sha256(emit_report(report, "json")).hexdigest() == digest
+
+
+def test_large_prime_iwasawa_report_digest_is_pinned():
+    # p=8191 f=1 at cutoff 256: the eigencoordinate sum reads the binomial
+    # rows of all 8,190 units, about 100 MB kept by the row table, so the job
+    # runs through the CLI in a child process that frees them when it exits
+    src = Path(__file__).resolve().parent.parent / "src"
+    cmd = [sys.executable, "-m", "modpcheck.cli", "verify", "--p", "8191", "--f", "1",
+           "--r", "100", "--cutoff", "256", "--jrho", "0", "--suite", "iwasawa"]
+    out = subprocess.run(cmd, env={**os.environ, "PYTHONPATH": str(src)},
+                         capture_output=True, timeout=600)
+    assert out.returncode == 0, out.stderr
+    assert hashlib.sha256(out.stdout).hexdigest() == (
+        "d866feafb015e40eec4c98bdd38b6a0a197d0896fd1333f786a1139e3729cb81")
 
 
 # The identity rows of every mutant, witnesses included: one sha256 per

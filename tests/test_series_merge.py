@@ -68,17 +68,23 @@ def total(x, y, c=1):
                              oracle.truncate(y.terms, cut), c), cut
 
 
+def low(x):
+    """The least degree x can have: that of its terms, or K for a zero known
+    below K, which is O(T^K); INF for the exact zero."""
+    return min(fdeg(x), x.cutoff)
+
+
 def product(x, y, bound=INF):
     """x*y below `bound` from the oracle, at mul_below's rule: x known below
-    Kx times y known below Ky is known below min(Kx + fdeg(y), Ky + fdeg(x))."""
-    cut = min(bound, x.cutoff + fdeg(y), y.cutoff + fdeg(x))
+    Kx times y known below Ky is known below min(Kx + low(y), Ky + low(x))."""
+    cut = min(bound, x.cutoff + low(y), y.cutoff + low(x))
     return oracle.series_product(x.field.p, x.field.k, x.terms, y.terms, cut), cut
 
 
 def power(x, n, bound=INF):
     """x^n below `bound` from the oracle, at pow_below's rule: x known below
-    K has x^n, n >= 1, known below K + (n-1)*fdeg(x), and x^0 = 1 exact."""
-    cut = min(bound, x.cutoff + (n - 1) * fdeg(x) if n > 1 else x.cutoff if n else INF)
+    K has x^n, n >= 1, known below K + (n-1)*low(x), and x^0 = 1 exact."""
+    cut = min(bound, x.cutoff + (n - 1) * low(x) if n > 1 else x.cutoff if n else INF)
     return oracle.series_power(x.field.p, x.f, x.terms, n, cut), cut
 
 
@@ -544,7 +550,11 @@ def laurent_elements(draw, count, max_terms):
     return fld, f, out, bound
 
 
+# a zero known below 5 is O(T^5): times itself it is known below 10, times
+# 3T^2 + O(T^7) below min(5 + 2, 7 + 5) = 7, and its square below 10
 @given(laurent_elements(2, 6))
+@example(data=(Fq(11, 1), 1, ((5, {}), (5, {})), INF))
+@example(data=(Fq(11, 1), 1, ((5, {}), (7, {(2,): 3})), INF))
 def test_bounded_product_matches_truncated_reference(data):
     fld, f, ((kx, tx), (ky, ty)), bound = data
     x, y = AElement(fld, f, kx, tx), AElement(fld, f, ky, ty)
@@ -554,6 +564,7 @@ def test_bounded_product_matches_truncated_reference(data):
 
 
 @given(laurent_elements(1, 4), st.sampled_from(["0", "1", "2", "p"]))
+@example(data=(Fq(11, 1), 1, ((5, {}),), INF), which="2")
 def test_bounded_power_matches_truncated_reference(data, which):
     fld, f, ((kx, tx),), bound = data
     n = fld.p if which == "p" else int(which)
