@@ -304,9 +304,9 @@ def run_suite(config):
     it names, with checked 0, and the next entry runs.  The jobs of this
     call share one RunScope, which ends with the call: the aJn frames,
     change-of-origin boxes, reindexing blocks and shifted-table domains of
-    the identities jobs, the slot corrections, monomial unit actions, theta
-    rows and classifier row of the phigamma jobs.  A value common to several
-    Jrho is built, and timed, in the first job that needs it."""
+    the identities jobs, the slot corrections, theta rows and classifier
+    row of the phigamma jobs.  A value common to several Jrho is built,
+    and timed, in the first job that needs it."""
     rows, timings = [], {}
     for suite, tag, table in _jobs(config, RunScope()):
         t0 = perf_counter()

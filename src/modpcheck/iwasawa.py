@@ -26,7 +26,10 @@ of the Gauss-Jordan elimination of M (ChartContext.shear_steps); its
 image is cached per context under the form divided by the coefficient of
 its least exponent, so forms that differ by an F_q scalar are substituted
 once.  All operations track how far each truncated element is known and
-refuse to compare beyond that point.  Products and powers that are
+refuse to compare beyond that point: x - y is known below min(K_x, K_y)
+and keeps no term at or above it, so a check compares x and y through
+d = x - y, and d.is_zero() is their agreement below d.cutoff; eq_below
+compares below a smaller bound.  Products and powers that are
 truncated at once take the caller's bound (mul_below, pow_below), and a
 power x^n known below B reads x only below B - (n-1)*fdeg(x): relative
 precision (Caruso, Roe and Vaccon, LMS J. Comput. Math. 17A, 2014).
@@ -456,11 +459,6 @@ def eq_below(x, y, bound):
             f"{min(x.cutoff, y.cutoff)}")
     diff = x - y
     return all(sum(k) >= bound for k in diff.terms)
-
-
-def difference_floor(x, y):
-    """Largest depth to which x and y can honestly be compared."""
-    return min(x.cutoff, y.cutoff)
 
 
 def frobenius(x):
@@ -1048,9 +1046,8 @@ def check_action_composition(ctx, pairs=4, seed=1):
                                   tuple(1 if i == j else 0 for i in range(ctx.f)), 1)
             lhs = unit_action(ctx, u12, g)
             rhs = unit_action(ctx, u1, unit_action(ctx, u2, g))
-            floor = difference_floor(lhs, rhs)
-            sweep.check(eq_below(lhs, rhs, floor), j=j, u1=list(u1),
-                        u2=list(u2), floor=floor)
+            d = lhs - rhs
+            sweep.check(d.is_zero(), j=j, u1=list(u1), u2=list(u2), floor=d.cutoff)
     return sweep.result()
 
 
@@ -1064,6 +1061,6 @@ def check_frobenius_action_commute(ctx, count=4, seed=2):
                                   cutoff=ctx.D)
             lhs = frobenius(unit_action(ctx, u, g))
             rhs = unit_action(ctx, u, frobenius(g))
-            floor = difference_floor(lhs, rhs)
-            sweep.check(eq_below(lhs, rhs, floor), j=j, unit=list(u), floor=floor)
+            d = lhs - rhs
+            sweep.check(d.is_zero(), j=j, unit=list(u), floor=d.cutoff)
     return sweep.result()

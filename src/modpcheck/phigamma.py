@@ -36,7 +36,6 @@ from .iwasawa import (
     INF,
     AElement,
     cocycle_factor,
-    difference_floor,
     eq_below,
     fdeg,
     frobenius,
@@ -669,9 +668,8 @@ def check_theta_solver(params, count=50, seed=0, depth=None):
         sweep.check(a == nxt, case=n, claim="schedule-agreement")
         res = theta_apply(prob, a)
         for i in range(f):
-            floor = difference_floor(res[i], prob.b[i])
-            ok = eq_below(res[i], prob.b[i], floor)
-            sweep.check(ok, case=n, i=i, claim="residual", floor=floor)
+            d = res[i] - prob.b[i]
+            sweep.check(d.is_zero(), case=n, i=i, claim="residual", floor=d.cutoff)
             ok = eq_below(a[i], prob.b[i], min(cong, a[i].cutoff))
             sweep.check(ok, case=n, i=i, claim="leading-congruence")
     return sweep.result(info={"cutoff": solve_cutoff(p, f, depth)})
@@ -726,26 +724,7 @@ def check_eigen_classifier(params, samples=20, seed=0):
     return sweep.result()
 
 
-def _monomial_action(ctx, u, k, cutoff):
-    return unit_action(ctx, u, AElement.monomial(ctx.field, ctx.f, k, 1, cutoff))
-
-
-def _acting(ctx, u, scope):
-    """x -> unit_action(ctx, u, x), where a one-term x = c Y^k is the
-    _monomial_action of Y^k, built once per (ctx, u, k, cutoff) in scope, a
-    RunScope (None shares nothing), scaled by c into a fresh element."""
-    actions = scope_memo(scope, _monomial_action)
-
-    def act(x):
-        if len(x.terms) != 1:
-            return unit_action(ctx, u, x)
-        [(k, c)] = x.terms.items()
-        return actions[ctx, u, k, x.cutoff].scale(c)
-
-    return act
-
-
-def check_commutation(ctx, Pphi, Pa, u, scope=None):
+def check_commutation(ctx, Pphi, Pa, u):
     """Both orders of substitution against unit action agree entrywise.
 
     Left product applies the unit to the substitution matrix; right
@@ -757,15 +736,15 @@ def check_commutation(ctx, Pphi, Pa, u, scope=None):
     vacuous and visible in the report.
     """
     sweep = Sweep("unit-substitution-commutation")
-    lhs = Pa @ Pphi.map_entries(_acting(ctx, u, scope))
+    lhs = Pa @ Pphi.map_entries(lambda x: unit_action(ctx, u, x))
     rhs = Pphi @ Pa.map_entries(frobenius)
     worst = None
     nonvac = 0
     entries = 0
     for key, a, b in _entry_pairs(lhs, rhs):
         entries += 1
-        floor = difference_floor(a, b)
         diff = a - b
+        floor = diff.cutoff
         if floor != INF:
             worst = floor if worst is None else min(worst, floor)
         if any(sum(k) < floor for k in a.terms) or any(
@@ -792,13 +771,13 @@ def check_commutation(ctx, Pphi, Pa, u, scope=None):
     return sweep.result(info=info)
 
 
-def check_unit_action_matrices(ctx, mu, units=10, pairs=2, seed=0, flip=None, scope=None):
+def check_unit_action_matrices(ctx, mu, units, pairs, seed, flip=None, scope=None):
     """Build the unit matrices once per sampled unit and run the structure,
     commutation, and cocycle sweeps on them.  Returns three results.
 
     flip propagates to the substitution matrix used by the commutation
     sweep (the detectability hook for mutation runs).  scope, a RunScope,
-    shares the slot corrections and monomial unit actions between jobs."""
+    shares the slot corrections between jobs."""
     params = mu.params
     fld = mu.field
     f, p = params.f, params.p
@@ -819,7 +798,7 @@ def check_unit_action_matrices(ctx, mu, units=10, pairs=2, seed=0, flip=None, sc
         and all((pj[j] - one).is_zero() for j in range(f))
     )
     s_struct.check(ok, unit="teichmuller", claim="identity")
-    r = check_commutation(ctx, Pphi, assemble_unit_matrix(params, qa, pj), lift, scope)
+    r = check_commutation(ctx, Pphi, assemble_unit_matrix(params, qa, pj), lift)
     s_comm.add(r.checked, None if r.passed
                else witness(unit="teichmuller", inner=r.counterexample))
     comm_info = r.info
@@ -868,12 +847,12 @@ def check_unit_action_matrices(ctx, mu, units=10, pairs=2, seed=0, flip=None, sc
                     target = target * (one - pj[j])
             else:
                 target = _zero(fld, f)
-            floor = min(cong, difference_floor(x, target))
+            floor = min(cong, x.cutoff, target.cutoff)
             s_struct.check(
                 eq_below(x, target, floor),
                 unit=u, row=Jp, col=J, claim="leading-congruence", floor=floor,
             )
-        r = check_commutation(ctx, Pphi, Pa, u, scope)
+        r = check_commutation(ctx, Pphi, Pa, u)
         comm_info = r.info
         s_comm.add(r.checked, None if r.passed else witness(unit=u, inner=r.counterexample))
 
@@ -886,13 +865,10 @@ def check_unit_action_matrices(ctx, mu, units=10, pairs=2, seed=0, flip=None, sc
         except HypothesisViolation as exc:
             s_cocy.check(False, pair=n, unit=u12, error=str(exc))
             continue
-        rhs = P1 @ P2.map_entries(_acting(ctx, u1, scope))
+        rhs = P1 @ P2.map_entries(lambda x: unit_action(ctx, u1, x))
         for key, a, b in _entry_pairs(P12, rhs):
-            floor = difference_floor(a, b)
-            s_cocy.check(
-                eq_below(a, b, floor),
-                pair=n, row=key[0], col=key[1], floor=floor,
-            )
+            d = a - b
+            s_cocy.check(d.is_zero(), pair=n, row=key[0], col=key[1], floor=d.cutoff)
     struct_info = {"diagonal_normalization": "identity"} if params.Jrho.is_full() else None
     return [
         s_struct.result(info=struct_info),

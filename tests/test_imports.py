@@ -171,7 +171,8 @@ RETIRED = ("reference_" + "torus_eigenvector", "reference_" + "eigen_classifier"
            "_reference_" + "relation_holds", "overlap_reindex_" + "reference",
            "reference_" + "y_series", "Int" + "Vec", "old_" + "plain",
            "Reference" + "Series", "one_plus_" + "var_power", "pth_" + "power",
-           "_digit_" + "walk", "uncached_" + "t_to_y") + tuple(
+           "_digit_" + "walk", "uncached_" + "t_to_y", "_act" + "ing",
+           "_monomial_" + "action", "difference_" + "floor") + tuple(
     "Old" + name for name in ("SubsetJ", "WeightB", "MuAlgebra", "Mutation", "RunConfig",
                               "Report", "UnitData", "PhiGammaMatrix", "ThetaProblem",
                               "CheckResult", "RhoParams", "HCharacter")) + tuple(

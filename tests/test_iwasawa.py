@@ -27,7 +27,6 @@ from modpcheck.iwasawa import (
     check_unit_ratio_depth,
     cocycle_factor,
     default_cutoff,
-    difference_floor,
     eq_below,
     fdeg,
     frobenius,
@@ -176,7 +175,7 @@ def test_frobenius_intertwines_multiplication_by_coordinates():
         yj = Ymono(ctx, tuple(1 if i == j else 0 for i in range(2)))
         lhs = frobenius(yj * x)
         rhs = Ymono(ctx, tuple(13 if i == (j - 1) % 2 else 0 for i in range(2))) * frobenius(x)
-        floor = difference_floor(lhs, rhs)
+        floor = (lhs - rhs).cutoff
         assert eq_below(lhs, rhs, floor)
 
 
@@ -377,7 +376,7 @@ def test_zp_power_phi_component():
     lhs = _binomial_series(g - 1, 6, INF) * _binomial_series(fg - 1, -6, INF)
     fg_inv = AElement(ctx.field, 2, 45, oracle.binomial_series(13, 2, (fg - 1).terms, -1, 45))
     rhs = g.pow_below(6, INF) * fg_inv.pow_below(6, INF)
-    floor = difference_floor(lhs, rhs)
+    floor = (lhs - rhs).cutoff
     assert floor >= 40
     assert eq_below(lhs, rhs, floor)
 
@@ -473,7 +472,7 @@ def _cocycle_case(ctx, rvec, u, j):
     M = Ymono(ctx, tuple(kvec))
     lhs = P_j * unit_action(ctx, u, M)
     rhs = M * frobenius(P_next)
-    floor = difference_floor(lhs, rhs)
+    floor = (lhs - rhs).cutoff
     assert floor > fdeg(M), "comparison window must be nonempty"
     assert eq_below(lhs, rhs, floor)
 

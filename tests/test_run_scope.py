@@ -9,10 +9,10 @@ change-of-origin boxes have theirs in test_translation_frames.py.  For the
 shifted-table domains and reindexing blocks a third test pins how many a
 run builds, so a key that picked up a per-job object would fail it.  The
 theta rows and the classifier row hold no Jrho, so no mutant reaches them:
-they have the fault test and the count.
+they have the fault test and the count.  The unit action is not shared: its
+fault test shows that the commutation and cocycle rows act through
+phigamma.unit_action as it is when they run.
 """
-
-import pytest
 
 from modpcheck import constants, harness, phigamma
 from modpcheck.arith import RunScope
@@ -26,14 +26,8 @@ from modpcheck.constants import (
     mu_gamma,
 )
 from modpcheck.harness import RunConfig, run_identities, run_suite
-from modpcheck.iwasawa import AElement, chart_context, principal_units, unit_action
-from modpcheck.phigamma import (
-    _acting,
-    _monomial_action,
-    check_unit_action_matrices,
-    default_flip,
-    slot_correction_units,
-)
+from modpcheck.iwasawa import chart_context
+from modpcheck.phigamma import check_unit_action_matrices, default_flip, slot_correction_units
 from modpcheck.reporting import Sweep, _plain, run_table
 from modpcheck.weights import RhoParams
 
@@ -195,7 +189,7 @@ def test_block_fault_after_a_healthy_run_fails_every_jrho_it_reads(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# slot corrections and unit actions on monomials
+# slot corrections and the unit action
 
 
 def _flipped_rows(params, scope):
@@ -256,36 +250,6 @@ def test_unit_action_fault_after_a_healthy_run_fails_every_jrho(monkeypatch):
             + _rows_named(report, "unit-matrix-cocycle"))
     assert sorted(_failing(report)) == sorted(want)
     assert len(want) == 8
-
-
-def test_flipped_job_sharing_unit_actions_gets_its_unshared_rows():
-    # the flip negates one scalar of the substitution matrix; its monomial
-    # is acted on with coefficient 1 and the shared image scaled afterwards
-    params = F2_PARAMS[1]
-    scope = RunScope()
-    _healthy_jobs(scope, [params])
-    built = len(scope[_monomial_action])
-    assert built > 0
-    shared = _flipped_rows(params, scope)
-    assert shared == _flipped_rows(params, None)
-    assert shared[1]["status"] == "fail"
-    assert len(scope[_monomial_action]) == built
-
-
-@pytest.mark.parametrize("c", [1, 2, 168])
-def test_shared_unit_action_is_a_fresh_scaled_copy(c):
-    ctx = chart_context(13, 2)
-    u = principal_units(ctx, 1, 0)[0]
-    act = _acting(ctx, u, RunScope())
-    for k in ((0, 0), (1, 0), (-5, 2), (3, -60)):
-        x = AElement.monomial(ctx.field, 2, k, c)
-        want = unit_action(ctx, u, x)
-        got = act(x)
-        assert (got.terms, got.cutoff) == (want.terms, want.cutoff)
-        got.terms.clear()
-        again = act(x)
-        assert again is not got
-        assert (again.terms, again.cutoff) == (want.terms, want.cutoff)
 
 
 # ---------------------------------------------------------------------------

@@ -54,6 +54,7 @@ from modpcheck.iwasawa import (
     check_exponent_additivity,
     check_frobenius_generators,
     check_torus_eigenvector,
+    eq_below,
     fdeg,
 )
 from test_chart_packed import _undersized
@@ -112,6 +113,9 @@ def series_pairs(draw):
 
 
 @given(series_pairs())
+@example((Fq(11, 1), 1, [(INF, {}), (INF, {})]))
+@example((Fq(13, 2), 2, [(INF, {(1, 0): 3}), (4, {})]))
+@example((Fq(5, 3), 3, [(3, {(0, 1, 1): 2}), (INF, {(0, 1, 1): 2, (4, 0, 0): 1})]))
 def test_sum_difference_product_match_reference(data):
     fld, f, ((kx, tx), (ky, ty)) = data
     x, y = AElement(fld, f, kx, tx), AElement(fld, f, ky, ty)
@@ -121,6 +125,14 @@ def test_sum_difference_product_match_reference(data):
     same(y - x, total(y, x, minus))
     same(x - x, total(x, x, minus))
     same(x * y, product(x, y))
+    # the checks compare x and y through d = x - y alone: d is known below
+    # min(Kx, Ky), holds no term at or above that, and so is empty exactly
+    # when x and y agree below it
+    for a, b in ((x, y), (y, x), (x, x)):
+        d = a - b
+        assert d.cutoff == min(a.cutoff, b.cutoff)
+        assert all(sum(k) < d.cutoff for k in d.terms)
+        assert eq_below(a, b, d.cutoff) == d.is_zero()
 
 
 @given(series_pairs(), st.integers(0, 5))
