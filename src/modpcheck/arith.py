@@ -22,9 +22,10 @@ _Packing holds elements as Kronecker-packed ints, whose sums and products
 are plain int arithmetic; `packing` picks the slot width of every one.
 gauss_jordan records the row operations that reduce the Jacobian of the
 chart's linear coordinate change to the identity.  Memo is the one lazy
-cache: it keeps fields, their Zech tables, Witt rings, packings and the
-chart's tables for the life of the process; RunScope holds the Memos whose
-values live only as long as one run.
+cache, with two lifetimes: the module-level Memos keep fields, their Zech
+tables, Witt rings and packings for the life of the process, and a
+RunScope holds the Memos whose values, the charts among them, live only as
+long as one run.
 """
 
 from __future__ import annotations
@@ -69,11 +70,6 @@ class RunScope(dict):
 
     def __missing__(self, build):
         return self.setdefault(build, Memo(build))
-
-
-def scope_memo(scope, build):
-    """scope[build], or with scope None a fresh Memo that shares nothing."""
-    return Memo(build) if scope is None else scope[build]
 
 
 def _poly_mulmod(a, b, g, m):

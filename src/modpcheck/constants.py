@@ -14,7 +14,7 @@ import math
 import random
 from operator import add, eq, ge, le, mul, sub
 
-from .arith import Fq, scope_memo
+from .arith import Fq, RunScope
 from .base_combinatorics import SubsetJ, right_boundary, vmap
 from .errors import ConfigInvalid, HypothesisViolation, PairNotDefined, RangeViolation
 from .reporting import Sweep, run_table, witness
@@ -303,9 +303,9 @@ class ConstantTables:
     class, so any single-cell perturbation must trip at least one of them.
     """
 
-    def __init__(self, params, mutation=None, scope=None):
+    def __init__(self, params, mutation=None, *, scope):
         p, f = params.p, params.f
-        frames = scope_memo(scope, AJnFrame)
+        frames = scope[AJnFrame]
         subs = params.subsets()
         self.s = {J: sJ_tJ(params, J)[0] for J in subs}
         self.t = {J: sJ_tJ(params, J)[1] for J in subs}
@@ -417,7 +417,7 @@ def check_weight_table_bounds(params, tables):
 # identity checks
 
 
-def check_change_origin(params, tables, scope=None):
+def check_change_origin(params, tables, scope):
     """Origin translation acts as base offset a(J) plus a successor-driven
     sign flip on the whole admissible window.
 
@@ -427,10 +427,9 @@ def check_change_origin(params, tables, scope=None):
 
     A box is built once per scope, a RunScope, keyed on J, the box, the
     base a(J) and the translation.  It sees Jrho only through J^sh, so the
-    runs of several Jrho that share a scope check each distinct box once;
-    None shares nothing."""
+    runs of several Jrho that share a scope check each distinct box once."""
     f = params.f
-    boxes = scope_memo(scope, _change_origin_box)
+    boxes = scope[_change_origin_box]
     sw = Sweep("change-origin-composition")
     for J in params.subsets():
         translate = Translation(params, J)
@@ -522,7 +521,7 @@ def _check_m_closed_form(params, tables, subs):
 _REINDEX_PARTS = ("m", "shift", "carry", "positivity", "box")
 
 
-def _check_shift_overlap_reindex(params, tables, subs, scope=None):
+def _check_shift_overlap_reindex(params, tables, subs, scope):
     """Reindexing a block across the overlap at j0: the m-vector, the shift
     exponents, the assembled carry digits, and positivity all transport.
 
@@ -531,11 +530,10 @@ def _check_shift_overlap_reindex(params, tables, subs, scope=None):
     through K^ss = (J-1) & Jrho and J2^sh, s(K^ss), per Jp the shift
     exponents of (J, Jp) and of the reindexed (J2, Jpp), and the box of i.
     So the runs of several Jrho that share a scope check each distinct
-    block once, and a mutated s or tJJp makes its own; None shares
-    nothing."""
+    block once, and a mutated s or tJJp makes its own."""
     sw = Sweep("shift-overlap-reindex")
     p, f, r = params.p, params.f, params.r
-    blocks = scope_memo(scope, _reindex_block)
+    blocks = scope[_reindex_block]
     for J in subs:
         Kss = J.shift(-1) & params.Jrho
         nss = J.shift(-1) - params.Jrho
@@ -794,13 +792,13 @@ IDENTITY_ROWS = (
 )
 
 
-def identity_sweeps(params, seed=0, mutation=None, scope=None):
+def identity_sweeps(params, seed=0, mutation=None, *, scope):
     """Bound checks plus every exact constant identity, exhaustively, as a
     check table: (row names, thunk) entries in report order.  scope, a
     RunScope, shares the aJn frames, the change-of-origin boxes, the
     reindexing blocks and the shifted-table domains between the Jrho jobs
     of one run."""
-    tables = ConstantTables(params, mutation, scope)
+    tables = ConstantTables(params, mutation, scope=scope)
     subs = params.subsets()
 
     def over_subsets(check):
@@ -827,20 +825,21 @@ def identity_sweeps(params, seed=0, mutation=None, scope=None):
 
 def run_identities(params, seed=0, mutation=None, scope=None):
     """The rows of identity_sweeps; a package error fails only the rows of
-    the sweep that raised it."""
-    return run_table(identity_sweeps(params, seed, mutation, scope))
+    the sweep that raised it.  scope None runs in a RunScope of its own."""
+    return run_table(identity_sweeps(params, seed, mutation,
+                                     scope=RunScope() if scope is None else scope))
 
 
-def check_shifted_table_additivity(params, tables, scope=None):
+def check_shifted_table_additivity(params, tables, scope):
     """aJn(J, n) + rJ(J minus Jp) == aJn(Jp, n + e^{J minus Jp}) whenever
     j0+1 avoids the difference and the anchor condition holds.
 
     Each (J, Jp, j0) domain runs through _additivity_domain, built once per
     scope, a RunScope, keyed on J, Jp, j0, the images aJn(J, ., j0) and
     aJn(Jp, ., j0) and rJ(J minus Jp).  A mutant's tables wrap the images
-    anew, so they never read a pristine domain; None shares nothing."""
+    anew, so they never read a pristine domain."""
     f = params.f
-    domains = scope_memo(scope, _additivity_domain)
+    domains = scope[_additivity_domain]
     sw = Sweep("shifted-table-additivity")
     for J in params.subsets():
         Jss = J & params.Jrho

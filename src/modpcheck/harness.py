@@ -14,12 +14,12 @@ from collections.abc import Collection
 from itertools import product
 from time import perf_counter
 
-from .arith import IRREDUCIBLES, RunScope, scope_memo
+from .arith import IRREDUCIBLES, RunScope
 from .base_combinatorics import MAX_F, SubsetJ, all_subsets
 from .constants import IDENTITY_ROWS, MUTABLE, Mutation, mu_gamma, run_identities
 from .errors import ConfigInvalid
 from .iwasawa import (
-    chart_context,
+    ChartContext,
     chart_depth,
     check_action_composition,
     check_exponent_additivity,
@@ -184,29 +184,29 @@ def _resolve_mutation(config, params):
 
 # ---- check tables ----------------------------------------------------------
 # One table per suite job: (row names, thunk) entries in report order, each
-# thunk returning the rows it names.  Thunks look the chart up when they run,
-# so that its build counts toward the job and a failed build fails the rows.
-# scope is the RunScope of the run; a table given None shares nothing.
+# thunk returning the rows it names.  scope is the RunScope of the run.
+# Thunks look the chart up in it when they run, so that its build counts
+# toward the job and a failed build fails the rows.
 
 
-def identities_table(config, params, scope=None):
+def identities_table(config, params, scope):
     mutation, _ = _resolve_mutation(config, params)
     rows = tuple(name for names in IDENTITY_ROWS for name in names)
     return [(rows, lambda: run_identities(params, config.seed, mutation, scope))]
 
 
-def weights_table(config, params, scope=None):
+def weights_table(config, params, scope):
     # the weight sweeps share nothing; scope is taken for _jobs' uniform call
     names = ("weight-set-size", "socle-block-partition", "admissible-families", "rank-formula")
     return [(names, lambda: run_weights(params))]
 
 
-def iwasawa_table(config):
+def iwasawa_table(config, scope):
     """Chart-layer action axioms; they see only (p, f, cutoff)."""
     seed = config.seed
 
     def ctx():
-        return chart_context(config.p, config.f, config.cutoff_value())
+        return scope[ChartContext][config.p, config.f, config.cutoff_value()]
 
     table = [(("frobenius-generator-images",), lambda: [check_frobenius_generators(ctx())])]
     if config.f <= 2:
@@ -221,7 +221,7 @@ def iwasawa_table(config):
     ]
 
 
-def phigamma_table(config, params, scope=None):
+def phigamma_table(config, params, scope):
     """Matrix layer: twist, right inverse, the solver, unit-action matrices.
     The theta rows and the classifier read only (p, f), so each is built
     once per scope, at the empty Jrho."""
@@ -233,14 +233,14 @@ def phigamma_table(config, params, scope=None):
         (("substitution-matrix-shapes",), lambda: [check_phi_matrix_shapes(mu)]),
         (("twist-change-of-basis",), lambda: [check_twist_change_of_basis(mu)]),
         (("substitution-right-inverse",), lambda: [check_right_inverse(mu)]),
-        (("theta-basics",), lambda: [scope_memo(scope, check_theta_basics)[base, seed]]),
+        (("theta-basics",), lambda: [scope[check_theta_basics][base, seed]]),
         (("theta-solver",),
-         lambda: [scope_memo(scope, check_theta_solver)[base, config.thetas, seed, cutoff]]),
+         lambda: [scope[check_theta_solver][base, config.thetas, seed, cutoff]]),
         # 20 samples, the classifier's default
         (("substitution-eigenline-classifier",),
-         lambda: [scope_memo(scope, check_eigen_classifier)[base, 20, seed]]),
+         lambda: [scope[check_eigen_classifier][base, 20, seed]]),
         (("unit-matrix-structure", "unit-substitution-commutation", "unit-matrix-cocycle"),
-         lambda: check_unit_action_matrices(chart_context(params.p, params.f, cutoff), mu,
+         lambda: check_unit_action_matrices(scope[ChartContext][params.p, params.f, cutoff], mu,
                                             units=config.units, pairs=2, seed=seed, flip=flip,
                                             scope=scope)),
     ]
@@ -283,7 +283,7 @@ def _tag(params):
     )
 
 
-def _jobs(config, scope=None):
+def _jobs(config, scope):
     """(suite, tag, check table) per job: canonical suite order, then Jrho.
     The jobs share scope, a RunScope."""
     plist = config.param_sets()
@@ -292,7 +292,7 @@ def _jobs(config, scope=None):
             continue
         if suite == "iwasawa":
             # the axioms only see (p, f, cutoff), so one job covers all Jrho
-            yield suite, f"p={config.p},f={config.f}", iwasawa_table(config)
+            yield suite, f"p={config.p},f={config.f}", iwasawa_table(config, scope)
         else:
             for params in plist:
                 yield suite, _tag(params), _TABLES[suite](config, params, scope)
@@ -304,9 +304,10 @@ def run_suite(config):
     it names, with checked 0, and the next entry runs.  The jobs of this
     call share one RunScope, which ends with the call: the aJn frames,
     change-of-origin boxes, reindexing blocks and shifted-table domains of
-    the identities jobs, the slot corrections, theta rows and classifier
-    row of the phigamma jobs.  A value common to several Jrho is built,
-    and timed, in the first job that needs it."""
+    the identities jobs, the chart context with its Lucas rows, which the
+    iwasawa and phigamma jobs read, and the slot corrections, theta rows
+    and classifier row of the phigamma jobs.  A value common to several
+    jobs is built, and timed, in the first job that needs it."""
     rows, timings = [], {}
     for suite, tag, table in _jobs(config, RunScope()):
         t0 = perf_counter()

@@ -35,13 +35,14 @@ power x^n known below B reads x only below B - (n-1)*fdeg(x): relative
 precision (Caruso, Roe and Vaccon, LMS J. Comput. Math. 17A, 2014).
 
 Every binomial expansion reads the Lucas rows C(c, m) mod p of
-_binomial_row: _binomial_product gives prod_l (1 + T_l)^(c_l) below a depth
-(the generator series, the unit-action factors), the eigencoordinate sum
-takes the rows as dense lists, hasse_derivative and the shears of t_to_y
-read single entries, and _binomial_series raises a unit's distortion 1 + v_j
-to an integer or p-adic power (ChartContext._unit_power) for the unit
-action, the unit ratios and the cocycle factors.  Every other inverse is of
-an exact monomial, a negative power in pow_below.
+_binomial_row, which the chart keeps in its own Memo: _binomial_product
+gives prod_l (1 + T_l)^(c_l) below a depth (the generator series, the
+unit-action factors), the eigencoordinate sum takes the rows as dense
+lists, hasse_derivative and the shears of t_to_y read single entries, and
+_binomial_series raises a unit's distortion 1 + v_j to an integer or p-adic
+power (ChartContext._unit_power) for the unit action, the unit ratios and
+the cocycle factors.  Every other inverse is of an exact monomial, a
+negative power in pow_below.
 """
 
 import functools
@@ -71,14 +72,15 @@ def default_cutoff(p, f):
     return 2 * p
 
 
-def _binomial_row(p, c, length):
+def _binomial_row(ctx, c, length):
     """(C(c, m) mod p for 0 <= m < length), c any integer: negative, or a
-    class mod a power of p at least `length`.
+    class mod a power of p at least `length`, read from the rows of the
+    chart ctx.
 
     By Lucas's theorem C(c, m) mod p is the product of the binomials of the
     base-p digits of c and m, so for m < p^e it depends on c mod p^e only.
     """
-    return _LUCAS_ROWS[p, c % _lucas_modulus(p, length), length]
+    return ctx.rows[c % _lucas_modulus(ctx.p, length), length]
 
 
 def _lucas_modulus(p, length):
@@ -103,21 +105,20 @@ def _lucas_row(p, r, length):
     return tuple(h * x % p for h in high for x in low)[:length]
 
 
-_LUCAS_ROWS = Memo(_lucas_row)
 _INVERSES = Memo(lambda p: [0, *(pow(d, -1, p) for d in range(1, p))])  # d^-1 mod p
 
 
-def _binomial_product(field, coords, depth, digits):
+def _binomial_product(ctx, coords, depth, digits):
     """Terms of prod_l (1 + T_l)^(coords[l]) below total degree `depth`, each
     exponent a class mod p^digits: T^beta has the prime-field coefficient
-    prod_l C(coords[l], beta_l) mod p.
+    prod_l C(coords[l], beta_l) mod p, from the rows of the chart ctx.
 
     Exact only when p^digits >= depth, else ExponentPrecisionTooLow.
     """
-    p = field.p
+    p = ctx.p
     if p**digits < depth:
         raise ExponentPrecisionTooLow(f"need p^N >= {depth}, have N={digits}")
-    return _row_product(p, [_binomial_row(p, c, depth) for c in coords], depth)
+    return _row_product(p, [_binomial_row(ctx, c, depth) for c in coords], depth)
 
 
 def _row_product(p, rows, depth):
@@ -388,20 +389,6 @@ class AElement:
 
     # ---- additive chart ----
 
-    def hasse_derivative(self, gamma):
-        """D^gamma: T^beta -> C(beta, gamma) T^(beta-gamma), exact."""
-        fld = self.field
-        out = {}
-        g = tuple(gamma)
-        for k, c in self.terms.items():
-            if any(ki < gi for ki, gi in zip(k, g)):
-                continue
-            b = math.prod(_binomial_row(fld.p, ki, gi + 1)[gi] for ki, gi in zip(k, g) if gi)
-            ck = fld.scale_int(c, b)
-            if ck:
-                out[tuple(ki - gi for ki, gi in zip(k, g))] = ck
-        return AElement(fld, self.f, self.cutoff - sum(g), out)
-
     def map_coeffs(self, fn):
         out = {}
         for k, c in self.terms.items():
@@ -430,6 +417,22 @@ class AElement:
     def __repr__(self):
         n = len(self.terms)
         return f"AElement(f={self.f}, cutoff={self.cutoff}, terms={n})"
+
+
+def hasse_derivative(ctx, x, gamma):
+    """D^gamma x: T^beta -> C(beta, gamma) T^(beta-gamma), exact, with the
+    binomials from the rows of the chart ctx."""
+    fld = x.field
+    out = {}
+    g = tuple(gamma)
+    for k, c in x.terms.items():
+        if any(ki < gi for ki, gi in zip(k, g)):
+            continue
+        b = math.prod(_binomial_row(ctx, ki, gi + 1)[gi] for ki, gi in zip(k, g) if gi)
+        ck = fld.scale_int(c, b)
+        if ck:
+            out[tuple(ki - gi for ki, gi in zip(k, g))] = ck
+    return AElement(fld, x.f, x.cutoff - sum(g), out)
 
 
 def fdeg(x):
@@ -499,15 +502,18 @@ def chart_depth(p, f, cutoff):
 
 
 class ChartContext:
-    """The chart at one (p, f, cutoff), shared through chart_context and
-    complete when built: the eigencoordinate series y_series, their Jacobian
-    M (jacobian) and the shear_steps that substitute M^-1; a singular M
-    raises SingularJacobian here.  Six Memo tables are each filled by one
-    builder method: Y^m (_y_power), leading-form images (_shear_image), unit
-    data (unit_data, _split_unit), conversion blocks (convb,
-    _conversion_block), distortion pieces (u1_pieces, _u1_pieces) and their
-    binomial powers (unit_powers, _unit_power), read by the unit action and
-    the unit ratios; the cocycle factors call _unit_power itself."""
+    """The chart at one (p, f, cutoff), complete when built: the
+    eigencoordinate series y_series, their Jacobian M (jacobian) and the
+    shear_steps that substitute M^-1; a singular M raises SingularJacobian
+    here.  A run keeps its charts in its RunScope, so a chart and its tables
+    live as long as the run.  Seven Memo tables are each filled by one
+    builder: the Lucas rows (rows, _lucas_row), keyed on (c mod
+    _lucas_modulus(p, length), length) and read through _binomial_row, Y^m
+    (_y_power), leading-form images (_shear_image), unit data (unit_data,
+    _split_unit), conversion blocks (convb, _conversion_block), distortion
+    pieces (u1_pieces, _u1_pieces) and their binomial powers (unit_powers,
+    _unit_power), read by the unit action and the unit ratios; the cocycle
+    factors call _unit_power itself."""
 
     def __init__(self, p, f, cutoff):
         self.p = p
@@ -520,6 +526,7 @@ class ChartContext:
         self.tdepth = chart_depth(p, f, cutoff)
         self.alpha_max = (cutoff - 1) // p
         self.piece_cap = -(-cutoff // p)
+        self.rows = Memo(functools.partial(_lucas_row, p))
         self.convb = Memo(self._conversion_block)
         self.unit_data = Memo(self._split_unit)
         self.u1_pieces = Memo(self._u1_pieces)
@@ -541,7 +548,7 @@ class ChartContext:
         """n(g) = prod_l (1+T_l)^(c_l), c_l the coordinates of the ring
         element g (so n([a]) takes the Teichmuller lift of a), truncated."""
         depth = self.tdepth if depth is None else depth
-        return AElement(self.field, self.f, depth, _binomial_product(self.field, g, depth, self.N))
+        return AElement(self.field, self.f, depth, _binomial_product(self, g, depth, self.N))
 
     def _eigencoordinates(self):
         """Tuple of the f eigencoordinate series in the additive chart."""
@@ -588,8 +595,7 @@ class ChartContext:
         p, f, depth, units = self.p, self.f, self.tdepth, self.q - 1
         pack = packing(fld, (p - 1) ** min(f + 1, 4), units)
         pe = _lucas_modulus(p, depth)
-        row = functools.cache(lambda c: _binomial_row(p, c, depth))
-        packed = functools.cache(lambda c: pack.join(row(c), fld.k))
+        packed = functools.cache(lambda c: pack.join(_binomial_row(self, c, depth), fld.k))
         cols = power_columns(self.ring.teichmuller(fld.generator), units, fld.g_coeffs, pe)
         # unit i is a = g^i, so a^{-1} = g^(-i)
         exp = fld.EXP
@@ -604,7 +610,7 @@ class ChartContext:
         @functools.cache
         def middle(cs):
             # x(t) for the middle exponents t of mid_exps, for these residues
-            x = _row_product(p, [row(c) for c in cs], depth)
+            x = _row_product(p, [_binomial_row(self, c, depth) for c in cs], depth)
             return [x.get(t, 0) for t in mid_exps]
 
         first = cols[0] if head else [0] * units
@@ -615,7 +621,7 @@ class ChartContext:
             wg = [pack.table[inverses[i]] * packed(last[i]) for i in group]
             part = [sum(compress(map(mul, xs, wg), xs))
                     for xs in zip(*[middle(mid_res[i]) for i in group])]
-            for h, b in zip(heads, row(c) if head else (1,)):
+            for h, b in zip(heads, _binomial_row(self, c, depth) if head else (1,)):
                 if b:
                     acc[h] = list(map(add, acc[h], map(mul, repeat(b), part)))
         terms = {}
@@ -692,7 +698,7 @@ class ChartContext:
                      for m in range(deg + 1)]
             out = {}
             for k, v in terms.items():
-                row = _binomial_row(self.p, k[i], k[i] + 1)
+                row = _binomial_row(self, k[i], k[i] + 1)
                 _accumulate(fld, out, {tuple(map(add, k, moves[m])): fld.mul(spow[m], b)
                                        for m, b in enumerate(row) if b}, INF, v)
             terms = out
@@ -744,8 +750,8 @@ class ChartContext:
         bound = max(self.D - self.p * sum(gamma), 0)
         # (1+T)^gamma is a polynomial of degree |gamma|, so it is exact
         onep = AElement(self.field, self.f, INF, _binomial_product(
-            self.field, gamma, sum(gamma) + 1, self.N))
-        s = self.y_series[j].copy_truncated(bound + sum(gamma)).hasse_derivative(gamma)
+            self, gamma, sum(gamma) + 1, self.N))
+        s = hasse_derivative(self, self.y_series[j].copy_truncated(bound + sum(gamma)), gamma)
         return self.t_to_y(s.mul_below(onep, bound), bound)
 
     def _split_unit(self, *u):
@@ -771,7 +777,7 @@ class ChartContext:
         cap = self.piece_cap
         # epsilon_i - 1 in the additive chart at the piece depth; dmat[i][l]
         # is the T_l exponent of the image of slot i
-        eps = [AElement(fld, f, cap, _binomial_product(fld, row, cap, 1)) - 1
+        eps = [AElement(fld, f, cap, _binomial_product(self, row, cap, 1)) - 1
                for row in dmat]
         # the images phi(prod eps_i^gamma_i) do not depend on j
         images = []
@@ -801,7 +807,7 @@ class ChartContext:
         """(1 + v_j)^e below `need`, v_j the distortion piece at slot j of
         the digit matrix dmat: the factor of Y_j^e in unit_action, the unit
         ratio at e = -1, and the two powers of a cocycle factor."""
-        return _binomial_series(self.u1_pieces[dmat][j], e, need)
+        return _binomial_series(self, self.u1_pieces[dmat][j], e, need)
 
     def teich_weight(self, a0, k):
         """Eigenvalue of [a0] on the monomial with exponent k."""
@@ -820,10 +826,11 @@ class UnitData:
         self.dmat = dmat
 
 
-def _binomial_series(v, n, bound):
+def _binomial_series(ctx, v, n, bound):
     """(1 + v)^n below min(bound, v.cutoff), for fdeg(v) >= 1 and n an
     integer or a class mod a power of p at least that depth: the sum of
-    C(n, t) v^t, which ends because fdeg(v^t) >= t.
+    C(n, t) v^t, which ends because fdeg(v^t) >= t, C(n, t) mod p from the
+    rows of the chart ctx.
 
     Raises NotAUnit when fdeg(v) < 1, and PrecisionExhausted when that
     depth is infinite and v is not 0, since the sum then never ends.
@@ -838,7 +845,7 @@ def _binomial_series(v, n, bound):
     if cut == INF:
         raise PrecisionExhausted("binomial series of an exact nonzero series never ends")
     vt = AElement.const(fld, v.f, 1, cutoff=INF)
-    for c in _binomial_row(fld.p, n, cut)[1:]:
+    for c in _binomial_row(ctx, n, cut)[1:]:
         vt = vt.mul_below(v, cut)  # known below cut, as v is and fdeg(v) >= 1
         if vt.is_zero():
             break
@@ -916,13 +923,6 @@ def principal_units(ctx, count, seed=0):
         out.append(tuple(((1 if l == 0 else 0) + ctx.p * w[l]) % pN
                          for l in range(ctx.f)))
     return out
-
-
-_CTX_CACHE = Memo(ChartContext)
-
-
-def chart_context(p, f, cutoff=None):
-    return _CTX_CACHE[p, f, default_cutoff(p, f) if cutoff is None else cutoff]
 
 
 # ---- axiom checkers -------------------------------------------------------

@@ -22,7 +22,7 @@ vector h, whose exponent _twist gives: slot j gets h_j - p*h_{j+1}.
 import itertools
 import random
 
-from .arith import Fq, scope_memo
+from .arith import Fq
 from .base_combinatorics import SubsetJ, all_subsets, vmap
 from .constants import cJ, hj, rJ
 from .errors import (
@@ -402,7 +402,7 @@ def slot_correction_units(ctx, weights, u):
     return {j: cocycle_factor(ctx, u, j, w) for j, w in enumerate(weights)}
 
 
-def build_q_a(ctx, mu, u, scope=None):
+def build_q_a(ctx, mu, u, scope):
     """Normalized unit-action matrix (slot corrections divided out) plus
     the slot correction units themselves, built once per scope (RunScope).
 
@@ -424,7 +424,7 @@ def build_q_a(ctx, mu, u, scope=None):
         return qa, {j: AElement.const(fld, f, 1) for j in range(f)}
     hvec = tuple(x + 1 for x in params.r)
     weights = tuple(hj(params, hvec, j) for j in range(f))
-    pj = scope_memo(scope, slot_correction_units)[ctx, weights, u]
+    pj = scope[slot_correction_units][ctx, weights, u]
     if params.Jrho.is_full():
         return qa, pj
     empty = SubsetJ.of(f)
@@ -495,7 +495,7 @@ def assemble_unit_matrix(params, qa, pj):
     return PhiGammaMatrix(params, qa.field, _nonzero(ent))
 
 
-def build_mat_a(ctx, mu, u, scope=None):
+def build_mat_a(ctx, mu, u, scope):
     """Matrix of the unit substitution u in the pole-normalized basis."""
     qa, pj = build_q_a(ctx, mu, u, scope)
     return assemble_unit_matrix(mu.params, qa, pj)
@@ -771,7 +771,7 @@ def check_commutation(ctx, Pphi, Pa, u):
     return sweep.result(info=info)
 
 
-def check_unit_action_matrices(ctx, mu, units, pairs, seed, flip=None, scope=None):
+def check_unit_action_matrices(ctx, mu, units, pairs, seed, flip=None, *, scope):
     """Build the unit matrices once per sampled unit and run the structure,
     commutation, and cocycle sweeps on them.  Returns three results.
 

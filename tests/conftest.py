@@ -1,4 +1,5 @@
-"""Shared test plumbing: the Hypothesis profile and the acceptance scoreboard.
+"""Shared test plumbing: the Hypothesis profile, the charts that read-only
+tests share, and the acceptance scoreboard.
 
 test_acceptance.py holds one test per acceptance criterion.  This hook
 collects their outcomes and prints one line per criterion at the end of the
@@ -10,10 +11,23 @@ import re
 
 from hypothesis import settings
 
+from modpcheck.arith import Memo
+from modpcheck.iwasawa import ChartContext, default_cutoff
+
 # property tests run the same examples on every run and never time out on a
 # slow host
 settings.register_profile("modpcheck", derandomize=True, deadline=None, database=None)
 settings.load_profile("modpcheck")
+
+_CHARTS = Memo(ChartContext)
+
+
+def chart(p, f, cutoff=None):
+    """The ChartContext at (p, f, cutoff), default_cutoff(p, f) when cutoff
+    is None, built once for the test session: for tests that only read it.
+    A test that patches chart code builds its own ChartContext."""
+    return _CHARTS[p, f, default_cutoff(p, f) if cutoff is None else cutoff]
+
 
 CRITERIA = {
     1: "constant-table identities, exhaustive at every preset",

@@ -9,6 +9,7 @@ conftest.detail_lines.
 import time
 
 import conftest
+from modpcheck.arith import RunScope
 from modpcheck.constants import (
     ConstantTables,
     all_mutations,
@@ -24,7 +25,6 @@ from modpcheck.harness import (
     run_identities,
     run_weights,
 )
-from modpcheck.iwasawa import chart_context
 from modpcheck.phigamma import (
     check_phi_matrix_shapes,
     check_right_inverse,
@@ -57,7 +57,7 @@ def test_criterion_1_constant_identities_exhaustive():
         checked = 0
         for cfg in list_params(f):
             for params in cfg.param_sets():
-                for res in _table_rows(identities_table(cfg, params)):
+                for res in _table_rows(identities_table(cfg, params, RunScope())):
                     assert res.passed, (params, res.name, res.counterexample)
                     checked += res.checked
         dt = time.perf_counter() - t0
@@ -68,8 +68,9 @@ def test_criterion_1_constant_identities_exhaustive():
 def test_criterion_2_origin_change_domination_and_mutation_kill():
     checked = 0
     for params in _param_sets():
-        tables = ConstantTables(params)
-        res = check_change_origin(params, tables)
+        scope = RunScope()
+        tables = ConstantTables(params, scope=scope)
+        res = check_change_origin(params, tables, scope)
         assert res.passed, (params, res.counterexample)
         checked += res.checked
         for res in check_domination_claims(params, tables):
@@ -94,7 +95,7 @@ def test_criterion_2_origin_change_domination_and_mutation_kill():
 def test_criterion_3_table_bounds_exhaustive():
     checked = 0
     for params in _param_sets():
-        for res in check_weight_table_bounds(params, ConstantTables(params)):
+        for res in check_weight_table_bounds(params, ConstantTables(params, scope=RunScope())):
             assert res.passed, (params, res.name, res.counterexample)
             checked += res.checked
     _note(f"criterion 3: bound checks passed, checked={checked}")
@@ -104,10 +105,10 @@ def test_criterion_4_chart_action_axioms():
     expected_depth = {1: 40, 2: 30, 3: 34}
     for cfg in (list_params(f)[0] for f in (1, 2, 3)):
         p, f = cfg.p, cfg.f
-        ctx = chart_context(p, f)
+        ctx = conftest.chart(p, f)
         assert ctx.D == expected_depth[f]
         t0 = time.perf_counter()
-        results = _table_rows(iwasawa_table(cfg))
+        results = _table_rows(iwasawa_table(cfg, RunScope()))
         dt = time.perf_counter() - t0
         for res in results:
             assert res.passed, (p, f, res.name, res.counterexample)
@@ -143,7 +144,7 @@ def test_criterion_6_component_solver():
 def test_criterion_7_unit_matrices_and_commutation():
     for cfg in list_params():
         p, f = cfg.p, cfg.f
-        ctx = chart_context(p, f)
+        ctx = conftest.chart(p, f)
         choices = [(0,), tuple(range(f))]
         if f <= 2:
             choices.insert(0, ())
@@ -151,7 +152,8 @@ def test_criterion_7_unit_matrices_and_commutation():
         for jrho in dict.fromkeys(choices):
             params = RhoParams.make(p, f, cfg.r, jrho)
             mu = mu_gamma(params, 0)
-            rows = check_unit_action_matrices(ctx, mu, units=10, pairs=2, seed=0)
+            rows = check_unit_action_matrices(ctx, mu, units=10, pairs=2, seed=0,
+                                              scope=RunScope())
             for res in rows:
                 assert res.passed, (params, res.name, res.counterexample)
             comm = next(r for r in rows if r.name == "unit-substitution-commutation")

@@ -1,8 +1,8 @@
 """The binomial layer of the chart against the definition-level oracle.
 
 Every (1 + T)^c expansion of the chart comes from ``_binomial_product`` and
-every power of a series from ``_binomial_series``, both reading Lucas rows
-C(c, m) mod p.  ``oracle`` gives n(g) = prod_l (1 + T_l)^(c_l) by
+every power of a series from ``_binomial_series``, both reading the Lucas
+rows C(c, m) mod p that a chart keeps.  ``oracle`` gives n(g) = prod_l (1 + T_l)^(c_l) by
 ``math.comb`` on the whole coordinates, and (1 + v)^n as sum_t C(n, t) v^t
 with exact falling-factorial binomials and its own series products.  On
 random inputs over F_11, F_169 and F_4913 the package must give the
@@ -23,6 +23,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracle
+from conftest import chart
 from modpcheck import iwasawa
 from modpcheck.arith import Fq
 from modpcheck.constants import hj
@@ -38,7 +39,6 @@ from modpcheck.iwasawa import (
     _binomial_series,
     _graded_exponents,
     _lucas_row,
-    chart_context,
     cocycle_factor,
     eq_below,
     fdeg,
@@ -51,6 +51,12 @@ INF = math.inf
 
 FIELDS = [(11, 1), (13, 2), (17, 3)]
 CONTEXTS = [(11, 1, 40), (13, 2, 30), (17, 3, 24)]
+
+
+def rows_at(p):
+    """The smallest chart at p, for its Lucas rows: a chart's rows depend
+    on p only."""
+    return chart(p, 1, 2)
 
 
 def outcome(fn, *args):
@@ -130,13 +136,13 @@ def test_binomial_product_matches_digit_walk(data):
     # each exponent is a class mod p^digits, exact only when p^digits >= depth
     want = (ExponentPrecisionTooLow if p**digits < depth
             else oracle.generator_series(p, [c % p**digits for c in coords], depth))
-    assert outcome(_binomial_product, fld, coords, depth, digits) == want
+    assert outcome(_binomial_product, rows_at(p), coords, depth, digits) == want
 
 
 @settings(max_examples=30)
 @given(data=st.data())
 def test_n_series_matches_product_form(data):
-    ctx = chart_context(*data.draw(st.sampled_from(CONTEXTS)))
+    ctx = chart(*data.draw(st.sampled_from(CONTEXTS)))
     a = data.draw(st.integers(1, ctx.q - 1), label="a")
     depth = data.draw(st.integers(0, ctx.tdepth), label="depth")
     lifts = oracle.teichmuller_lifts(ctx.p, ctx.f, oracle.digits_needed(ctx.p, depth))
@@ -149,7 +155,7 @@ def test_convb_matches_per_slot_products(p, f, cutoff):
     # the unit-action blocks multiply D^gamma(Y_j) by (1+T)^gamma, here the
     # oracle's D^gamma of all of Y_0 and its n(g) at the coordinates gamma;
     # at p=13 f=2 cutoff 60 the blocks reach |gamma| = 4
-    ctx = chart_context(p, f, cutoff)
+    ctx = chart(p, f, cutoff)
     y = ctx.y_series[0]
     for gamma in _graded_exponents(f, ctx.alpha_max):
         if not any(gamma):
@@ -169,8 +175,8 @@ def test_binomial_product_is_honest_below_its_depth(data):
     depth = data.draw(st.integers(0, _max_depth(fld) - 4), label="depth")
     extra = data.draw(st.integers(1, 4), label="extra")
     coords = data.draw(st.lists(st.integers(-p**5, p**5), min_size=f, max_size=f))
-    short = _binomial_product(fld, coords, depth, 4)
-    long = _binomial_product(fld, coords, depth + extra, 4)
+    short = _binomial_product(rows_at(p), coords, depth, 4)
+    long = _binomial_product(rows_at(p), coords, depth + extra, 4)
     assert short == {k: c for k, c in long.items() if sum(k) < depth}
 
 
@@ -191,7 +197,7 @@ def test_zp_power_matches_digit_walk(data):
     if v.terms and p**digits * fdeg(v) < g.cutoff:
         return
     want = AElement(g.field, g.f, g.cutoff, oracle.binomial_series(p, g.f, v.terms, c, g.cutoff))
-    assert _binomial_series(v, c % p**digits, g.cutoff) == want
+    assert _binomial_series(rows_at(p), v, c % p**digits, g.cutoff) == want
 
 
 @settings(max_examples=100)
@@ -219,7 +225,7 @@ def test_binomial_series_matches_exact_binomials(data):
     bound = data.draw(st.integers(0, D + 2), label="bound")
     cut = min(bound, v.cutoff)
     want = AElement(g.field, g.f, cut, oracle.binomial_series(p, g.f, v.terms, n, cut))
-    assert _binomial_series(v, n, bound) == want
+    assert _binomial_series(rows_at(p), v, n, bound) == want
 
 
 @settings(max_examples=40)
@@ -229,9 +235,10 @@ def test_powers_are_honest_below_their_cutoff(data):
     p = g.field.p
     c = data.draw(st.integers(-p**5, p**5), label="c")
     short = g.copy_truncated(D)
-    for fn in (lambda h: _binomial_series(h - 1, c % p**4, INF),
-               lambda h: _binomial_series(h - 1, c, INF),
-               lambda h: _binomial_series(h - 1, -1, INF)):
+    ctx = rows_at(p)
+    for fn in (lambda h: _binomial_series(ctx, h - 1, c % p**4, INF),
+               lambda h: _binomial_series(ctx, h - 1, c, INF),
+               lambda h: _binomial_series(ctx, h - 1, -1, INF)):
         near, far = fn(short), fn(g)
         assert near.cutoff == D
         assert eq_below(near, far, D)
@@ -249,7 +256,7 @@ def test_unit_ratio_and_cocycle_factor_match_inverse_and_digit_walk(p, f, cutoff
     # phi(w)^-1 = (1 + phi(v_j))^c.  All are known below the cutoff K of v_j,
     # and the numerators are the slot weights hj(r + 1) of the slot
     # corrections
-    ctx = chart_context(p, f, cutoff)
+    ctx = chart(p, f, cutoff)
     params = RhoParams.make(p, f, r)
     weights = [hj(params, tuple(x + 1 for x in r), j) for j in range(f)]
     pN = p**ctx.N
@@ -286,13 +293,13 @@ def test_invert_unit_of_exact_non_monomial_raises_at_once():
 
 
 def test_binomial_series_of_exact_series_raises():
-    fld = Fq(13, 2)
+    fld, ctx = Fq(13, 2), rows_at(13)
     v = AElement(fld, 2, INF, {(1, 0): 1})
     with pytest.raises(PrecisionExhausted):
-        _binomial_series(v, 3, INF)
-    one = _binomial_series(AElement(fld, 2, INF, {}), 3, INF)
+        _binomial_series(ctx, v, 3, INF)
+    one = _binomial_series(ctx, AElement(fld, 2, INF, {}), 3, INF)
     assert one.terms == {(0, 0): 1} and one.cutoff == INF
-    assert _binomial_series(v, 3, 5).terms == {(0, 0): 1, (1, 0): 3, (2, 0): 3, (3, 0): 1}
+    assert _binomial_series(ctx, v, 3, 5).terms == {(0, 0): 1, (1, 0): 3, (2, 0): 3, (3, 0): 1}
 
 
 def test_binomial_series_of_non_principal_series_raises():
@@ -301,7 +308,7 @@ def test_binomial_series_of_non_principal_series_raises():
     for terms in ({(0, 0): 3}, {(1, -1): 1}, {(-1, 0): 2, (2, 0): 1}, {(0, 0): 1, (3, 1): 1}):
         for cutoff in (8, INF):
             with pytest.raises(NotAUnit):
-                _binomial_series(AElement(fld, 2, cutoff, terms), 3, INF)
+                _binomial_series(rows_at(13), AElement(fld, 2, cutoff, terms), 3, INF)
 
 
 # ---------------------------------------------------------------------------
@@ -329,12 +336,13 @@ def binomial_rows(draw):
 def test_binomial_row_matches_the_exact_binomial(case):
     # c(c-1)...(c-m+1)/m! in exact ints, for negative c, c >= p^e and
     # length > p, which _binomial_row reads through c mod _lucas_modulus
+    # from the rows of the chart
     p, c, length = case
     want, b = [], 1
     for m in range(length):
         want.append(b % p)
         b = b * (c - m) // (m + 1)  # C(c, m+1), exact
-    assert _binomial_row(p, c, length) == tuple(want)
+    assert _binomial_row(rows_at(p), c, length) == tuple(want)
 
 
 def test_lucas_row_calls_math_comb_on_digits_only(monkeypatch):

@@ -24,7 +24,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
-from modpcheck import arith, iwasawa
+from conftest import chart
+from modpcheck import iwasawa
 from modpcheck.arith import gauss_jordan
 from modpcheck.errors import SingularJacobian
 from modpcheck.harness import RunConfig, run_suite
@@ -125,7 +126,7 @@ def test_y0_matches_definition_at_the_preset_depth():
 def test_unit_action_matches_its_definition(p, f, cutoff):
     # u(Y_j) = sum_a a^(-p^j) n(u*[a]) for three principal units and one with
     # a Teichmuller part, below a chart depth past p-1, where distortion starts
-    ctx = iwasawa.chart_context(p, f, cutoff)
+    ctx = chart(p, f, cutoff)
     assert ctx.tdepth > p - 1
     for u in iwasawa.principal_units(ctx, 3, seed=5) + [(2,) + (1,) * (f - 1)]:
         want = oracle.unit_images(p, f, ctx.tdepth, u)
@@ -164,7 +165,7 @@ def test_t_to_y_matches_reference_on_dense_outputs(data):
     # the additive image of a dense Y-chart polynomial has a dense
     # multiplicative image: every degree below the bound has a form to
     # eliminate
-    ctx = iwasawa.chart_context(*data.draw(st.sampled_from([(13, 2, 12), (17, 3, 24)])))
+    ctx = chart(*data.draw(st.sampled_from([(13, 2, 12), (17, 3, 24)])))
     bound = data.draw(st.integers(1, ctx.tdepth), label="bound")
     n = len(_graded_exponents(ctx.f, bound - 1))
     coeffs = data.draw(st.lists(st.integers(1, ctx.q - 1), min_size=n, max_size=n))
@@ -179,7 +180,7 @@ def test_t_to_y_matches_reference_on_dense_outputs(data):
 @given(data=st.data())
 def test_t_to_y_inverts_y_to_t_below_the_bound(data):
     p, f, cutoff = data.draw(st.sampled_from([(11, 1, 40), (13, 2, 12), (17, 3, 24)]))
-    ctx = iwasawa.chart_context(p, f, cutoff)
+    ctx = chart(p, f, cutoff)
     bound = data.draw(st.integers(0, ctx.tdepth), label="bound")
     n = len(_graded_exponents(f, bound - 1))
     coeffs = data.draw(st.lists(st.integers(0, ctx.q - 1), min_size=n, max_size=n))
@@ -292,7 +293,7 @@ def with_jacobian(p, f, cutoff, m):
 @given(rng=st.randoms(use_true_random=False))
 @pytest.mark.parametrize("p,f,cutoff", [(11, 1, 40), (13, 2, 30), (17, 3, 34)])
 def test_shear_substitution_matches_horner_at_every_degree(p, f, cutoff, rng):
-    ctx = with_jacobian(p, f, cutoff, iwasawa.chart_context(p, f, cutoff).jacobian)
+    ctx = with_jacobian(p, f, cutoff, chart(p, f, cutoff).jacobian)
     forms = linear_forms(ctx)
     for d in range(ctx.tdepth):
         h = random_form(ctx, rng, d)
@@ -325,17 +326,18 @@ def test_shear_substitution_fills_zero_pivots(p, f, cutoff, data):
 
 def test_singular_jacobian_fails_every_row_that_reads_the_chart(monkeypatch):
     # Y_1 = Y_0 makes M singular: every build of the chart raises, none is
-    # cached, so each row that looks the chart up fails with the error,
-    # whatever ran before it
+    # kept, so each of the 7 entries that look the chart up builds it anew
+    # and fails its rows with the error, whatever ran before it
     plain = ChartContext._eigencoordinates
+    builds = []
     monkeypatch.setattr(ChartContext, "_eigencoordinates",
-                        lambda ctx: (plain(ctx)[0],) * 2)
-    monkeypatch.setattr(iwasawa, "_CTX_CACHE", arith.Memo(ChartContext))
+                        lambda ctx: builds.append(ctx) or (plain(ctx)[0],) * 2)
     for _ in range(2):
         with pytest.raises(SingularJacobian):
             ChartContext(13, 2, 12)
+    builds.clear()
     report = run_suite(RunConfig(p=13, f=2, r=(5, 6), jrho=(0,), suites=("iwasawa", "phigamma")))
-    assert not iwasawa._CTX_CACHE
+    assert len(builds) == 7
     chart_rows = ("frobenius-generator-images", "torus-reindex-eigenvector",
                   "binomial-exponent-additivity", "principal-unit-ratio-depth",
                   "unit-action-composition", "frobenius-action-commute",
@@ -352,7 +354,7 @@ def test_singular_jacobian_fails_every_row_that_reads_the_chart(monkeypatch):
 def scaled_forms(draw):
     """(ctx, h, c): a form h of one degree below the chart depth, as
     {exponent: encoding}, and a nonzero scalar c."""
-    ctx = iwasawa.chart_context(*draw(st.sampled_from([(13, 2, 12), (17, 3, 24)])))
+    ctx = chart(*draw(st.sampled_from([(13, 2, 12), (17, 3, 24)])))
     d = draw(st.integers(0, ctx.tdepth - 1), label="degree")
     monomials = [m for m in _graded_exponents(ctx.f, d) if sum(m) == d]
     coeffs = st.integers(1, ctx.q - 1)

@@ -10,6 +10,7 @@ from operator import add, sub
 import pytest
 
 from modpcheck import constants
+from modpcheck.arith import RunScope
 from modpcheck.base_combinatorics import SubsetJ, all_subsets, vmap
 from modpcheck.constants import (
     AJnFrame,
@@ -151,7 +152,7 @@ def test_epsilon_frozen():
 
 
 def test_tjjp_frozen():
-    tables = ConstantTables(P2F)
+    tables = ConstantTables(P2F, scope=RunScope())
     assert tables.tJJp[J(P2F), J(P2F)] == (7, 6)
     assert tables.tJJp[J(P2F), SubsetJ.full(2)] == (8, 7)
 
@@ -297,7 +298,7 @@ def _scalar_ratio_row(p, r, jrho, method, perturb):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(MuAlgebra, method, perturbed)
-        (res,) = dict(identity_sweeps(params))[("scalar-ratio-classes",)]()
+        (res,) = dict(identity_sweeps(params, scope=RunScope()))[("scalar-ratio-classes",)]()
     return res.as_dict()
 
 
@@ -446,7 +447,7 @@ def test_f1_ajn_mutation_caught_by_envelope():
 def test_tables_are_freed_without_a_collection():
     # a mutated aJn image holds no reference back to its tables, so a run's
     # tables and frames go as soon as the run drops them
-    tables = ConstantTables(P2A, Mutation("aJn", 0b01, 0))
+    tables = ConstantTables(P2A, Mutation("aJn", 0b01, 0), scope=RunScope())
     assert tables.aJn[J(P2A, 0), 0] is tables.aJn[J(P2A, 0), 0]
     ref = weakref.ref(tables)
     gc.disable()
@@ -475,7 +476,7 @@ def test_mutation_naming_no_cell_is_rejected(mutation):
 
 
 def test_jpmask_is_ignored_outside_tjjp():
-    tables = ConstantTables(P2A, Mutation("s", 0b01, 0, jpmask=0b1000))
+    tables = ConstantTables(P2A, Mutation("s", 0b01, 0, jpmask=0b1000), scope=RunScope())
     assert tables.s[J(P2A, 0)] == tuple(map(add, sJ_tJ(P2A, J(P2A, 0))[0], (1, 0)))
 
 
@@ -497,7 +498,7 @@ def _table_cells(params, tables):
 
 @pytest.mark.parametrize("params", TABLE_PARAMS, ids=_label)
 def test_pristine_tables_match_the_formulas(params):
-    tables = ConstantTables(params)
+    tables = ConstantTables(params, scope=RunScope())
     subs = list(params.subsets())
     for name in ("s", "t", "a", "r", "c", "cprime"):
         assert list(getattr(tables, name)) == subs
@@ -524,10 +525,10 @@ def test_pristine_tables_match_the_formulas(params):
 def test_each_mutation_moves_one_cell_by_delta(params):
     # one cell at slot j; for aJn every output of the f frames of J
     subs = list(params.subsets())
-    pristine = _table_cells(params, ConstantTables(params))
+    pristine = _table_cells(params, ConstantTables(params, scope=RunScope()))
     for m in all_mutations(params):
         K = subs[m.jmask]
-        got = _table_cells(params, ConstantTables(params, m))
+        got = _table_cells(params, ConstantTables(params, m, scope=RunScope()))
         assert got.keys() == pristine.keys()
         moved = {cell for cell in got if got[cell] != pristine[cell]}
         if m.table == "aJn":
@@ -562,7 +563,7 @@ def test_domination_fails_below_genericity_floor():
     with pytest.raises(GenericityViolation):
         RhoParams.make(7, 2, (5, 5))
     bad = force_params(7, 2, (5, 5))
-    env = check_domination_claims(bad, ConstantTables(bad))[0]
+    env = check_domination_claims(bad, ConstantTables(bad, scope=RunScope()))[0]
     assert not env.passed
     assert env.counterexample is not None
 
@@ -575,8 +576,11 @@ def _overlap_rows(params, mutations):
     """The shift-overlap-reindex rows of the healthy tables and of each
     mutation; their sha256 and the parts that fail."""
     subs = list(params.subsets())
-    rows = [_check_shift_overlap_reindex(params, ConstantTables(params, m), subs).as_dict()
-            for m in [None, *mutations]]
+    rows = []
+    for m in [None, *mutations]:
+        scope = RunScope()
+        tables = ConstantTables(params, m, scope=scope)
+        rows.append(_check_shift_overlap_reindex(params, tables, subs, scope).as_dict())
     text = json.dumps(rows, sort_keys=True, separators=(",", ":"))
     parts = {row["counterexample"]["part"] for row in rows if row["status"] == "fail"}
     return hashlib.sha256(text.encode()).hexdigest(), parts
@@ -618,8 +622,11 @@ def test_overlap_sweep_names_the_m_part(monkeypatch):
     # equal m-vectors that miss 0 at the anchor fail the first tuple at "m"
     params = RhoParams.make(13, 2, (5, 6), (0,))
     subs = list(params.subsets())
-    healthy = _check_shift_overlap_reindex(params, ConstantTables(params), subs)
+    scope = RunScope()
+    tables = ConstantTables(params, scope=scope)
+    healthy = _check_shift_overlap_reindex(params, tables, subs, scope)
     monkeypatch.setattr(constants, "_m_vec", lambda frame, i: (1,) * len(i))
-    res = _check_shift_overlap_reindex(params, ConstantTables(params), subs)
+    scope = RunScope()
+    res = _check_shift_overlap_reindex(params, ConstantTables(params, scope=scope), subs, scope)
     assert res.checked == healthy.checked
     assert res.counterexample == {"J": [0], "j0": 0, "i": [0, 0], "Jp": [], "part": "m"}

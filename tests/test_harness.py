@@ -8,6 +8,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from modpcheck import arith, constants, harness, iwasawa, phigamma
+from modpcheck.arith import RunScope
 from modpcheck.cli import main
 from modpcheck.errors import ConfigInvalid, GenericityViolation, PairNotDefined, RangeViolation
 from modpcheck.harness import (
@@ -577,11 +578,9 @@ def test_cli_internal_error_exit_code(monkeypatch, exc):
 
 
 def _transpose_jacobian_inverse(monkeypatch):
-    # a wrong chart conversion, on fresh contexts so that no cached chart
-    # keeps it: the row operations of M^T substitute (M^T)^-1, the
-    # transpose of M^-1
+    # a wrong chart conversion: the row operations of M^T substitute
+    # (M^T)^-1, the transpose of M^-1
     right = iwasawa.gauss_jordan
-    monkeypatch.setattr(iwasawa, "_CTX_CACHE", arith.Memo(iwasawa._CTX_CACHE.build))
     monkeypatch.setattr(iwasawa, "gauss_jordan",
                         lambda field, rows: right(field, [list(r) for r in zip(*rows)]))
 
@@ -630,8 +629,6 @@ def _drop_p(x):
 
 @pytest.fixture
 def frobenius_drops_p(monkeypatch):
-    # fresh contexts, so that no cached chart keeps the right map
-    monkeypatch.setattr(iwasawa, "_CTX_CACHE", arith.Memo(iwasawa._CTX_CACHE.build))
     monkeypatch.setattr(iwasawa, "frobenius", _drop_p)
     monkeypatch.setattr(phigamma, "frobenius", _drop_p)
 
@@ -684,7 +681,7 @@ def test_table_names_match_rows(p, f, r, mutate):
     # an entry's names stand in for its rows when its thunk raises
     config = RunConfig(p=p, f=f, r=r, mutate=mutate, units=2, thetas=2)
     suites = set()
-    for suite, _, table in harness._jobs(config):
+    for suite, _, table in harness._jobs(config, RunScope()):
         suites.add(suite)
         for names, thunk in table:
             assert tuple(res.name for res in thunk()) == names

@@ -1,16 +1,18 @@
 """No module of the package or of the tests imports a name it never uses,
 the package defines no function or class that only the tests use, its lazy
-tables are all Memos, its SubsetJ values all come from the interned table,
+tables are all Memos, only the field-sized ones process-wide, its SubsetJ values all come from the interned table,
 and the library import loads none of the code-generation modules.  The
 tests' definition-level oracle imports no package code, and no test names
 a retired snapshot reference or imports a retired module again."""
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+from modpcheck.arith import Memo
 from modpcheck.base_combinatorics import all_subsets
 from modpcheck.phigamma import _between
 
@@ -126,6 +128,26 @@ def test_lazy_tables_are_memos():
                         and id(node) not in in_memo):
                     found.append(f"{path.relative_to(ROOT)}:{node.lineno}: {name}")
     assert found == []
+
+
+# the module-level Memos, kept for the life of the process: each is bounded
+# by q, p or f, which admission limits
+PROCESS_WIDE = ("IRREDUCIBLES", "_FIELD_CACHE", "_WITT_CACHE", "_PACKINGS", "_SUBSETS",
+                "_INVERSES")
+
+
+def test_only_field_sized_memos_are_process_wide():
+    # a table that grows with a run's cutoff, like the chart and its Lucas
+    # rows, lives in the run's RunScope; a new process-wide table joins
+    # PROCESS_WIDE on purpose
+    tables = {}
+    for path in PACKAGE:
+        module = importlib.import_module(
+            "modpcheck" if path.stem == "__init__" else f"modpcheck.{path.stem}")
+        for name, value in vars(module).items():
+            if isinstance(value, Memo):
+                tables.setdefault(id(value), name)
+    assert sorted(tables.values()) == sorted(PROCESS_WIDE)
 
 
 def test_subsets_come_only_from_the_interned_table():

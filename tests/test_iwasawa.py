@@ -4,6 +4,7 @@ import random
 import pytest
 
 import oracle
+from conftest import chart
 from modpcheck import iwasawa
 from modpcheck.arith import gauss_jordan
 from modpcheck.constants import hj
@@ -18,7 +19,6 @@ from modpcheck.iwasawa import (
     AElement,
     ChartContext,
     _binomial_series,
-    chart_context,
     check_action_composition,
     check_exponent_additivity,
     check_frobenius_action_commute,
@@ -40,9 +40,9 @@ from test_chart_packed import jacobian_inverse
 
 INF = math.inf
 
-C1 = chart_context(11, 1)          # univariate, full working depth 40
-C2S = chart_context(13, 2, 12)     # small bivariate context for oracles
-C2M = chart_context(13, 2, 18)     # deep enough for unit-action content
+C1 = chart(11, 1)          # univariate, full working depth 40
+C2S = chart(13, 2, 12)     # small bivariate context for oracles
+C2M = chart(13, 2, 18)     # deep enough for unit-action content
 
 
 def Ymono(ctx, k, c=1, cutoff=INF):
@@ -225,7 +225,7 @@ def test_frobenius_generators_fail_at_every_compared_degree(monkeypatch, p, f):
     # phi(Y_0) = Y_{f-1}^p is compared in the degrees p*k below the depth;
     # a wrong coefficient of Y_{f-1} at each such k, the highest included,
     # fails the row, and the base that the bounded power keeps reaches it
-    depth = chart_context(p, f).tdepth
+    depth = chart(p, f).tdepth
     top = (depth - 1) // p
     assert top < depth - (p - 1)
     for degree in range(1, top + 1):
@@ -242,7 +242,7 @@ def test_frobenius_generators_match_full_precision_under_perturbation(monkeypatc
     # at the highest compared degree: the bounded power gives the verdicts
     # of the power formed at full precision (at f = 1 every series over F_p
     # passes, since c^p = c)
-    depth = chart_context(p, f).tdepth
+    depth = chart(p, f).tdepth
     for degree in {depth - p, (depth - 1) // p}:
         ctx, _ = _perturbed_context(monkeypatch, p, f, f - 1, degree)
         verdicts = _full_precision_generator_images(ctx)
@@ -256,7 +256,7 @@ def test_frobenius_generators_multiply_only_the_linear_part_at_f3(monkeypatch):
     # at p=17 f=3 the depth is 18 and Y has no constant term, so Y^17 below
     # 18 needs Y below 2: every operand of the products is a power of the
     # linear part, homogeneous of one degree
-    ctx = chart_context(17, 3)
+    ctx = chart(17, 3)
     seen = []
     mul_terms = iwasawa._mul_terms
 
@@ -337,18 +337,18 @@ def test_zp_power_basics_and_additivity():
     fld = ctx.field
     g = AElement(fld, 1, 25, {(0,): 1, (1,): 1})  # 1 + Y
     one = AElement.const(fld, 1, 1, cutoff=25)
-    assert eq_below(_binomial_series(g - 1, 0, INF), one, 25)
-    assert eq_below(_binomial_series(g - 1, 5, INF), g.pow_below(5, INF), 25)
+    assert eq_below(_binomial_series(ctx, g - 1, 0, INF), one, 25)
+    assert eq_below(_binomial_series(ctx, g - 1, 5, INF), g.pow_below(5, INF), 25)
     rng = random.Random(11)
     for _ in range(5):
         c1 = rng.randrange(0, 11**6)
         c2 = rng.randrange(0, 11**6)
-        lhs = _binomial_series(g - 1, c1, INF) * _binomial_series(g - 1, c2, INF)
-        rhs = _binomial_series(g - 1, c1 + c2, INF)
+        lhs = _binomial_series(ctx, g - 1, c1, INF) * _binomial_series(ctx, g - 1, c2, INF)
+        rhs = _binomial_series(ctx, g - 1, c1 + c2, INF)
         assert eq_below(lhs, rhs, 25)
     # negative exponents match the inverse mod p^N
     inverse = AElement(fld, 1, 25, oracle.binomial_series(11, 1, {(1,): 1}, -1, 25))
-    assert eq_below(_binomial_series(g - 1, -1, INF), inverse, 25)
+    assert eq_below(_binomial_series(ctx, g - 1, -1, INF), inverse, 25)
 
 
 def test_cocycle_factor_digit_guard():
@@ -373,7 +373,7 @@ def test_zp_power_phi_component():
     ctx = C2S
     g = AElement(ctx.field, 2, 45, {(0, 0): 1, (2, 1): 4})
     fg = frobenius(g).copy_truncated(45)
-    lhs = _binomial_series(g - 1, 6, INF) * _binomial_series(fg - 1, -6, INF)
+    lhs = _binomial_series(ctx, g - 1, 6, INF) * _binomial_series(ctx, fg - 1, -6, INF)
     fg_inv = AElement(ctx.field, 2, 45, oracle.binomial_series(13, 2, (fg - 1).terms, -1, 45))
     rhs = g.pow_below(6, INF) * fg_inv.pow_below(6, INF)
     floor = (lhs - rhs).cutoff
@@ -489,7 +489,7 @@ def test_cocycle_relation_f2():
 
 
 def test_f3_smoke_small_cutoff():
-    ctx = chart_context(17, 3, 20)
+    ctx = chart(17, 3, 20)
     assert ctx.tdepth == 4
     assert check_frobenius_generators(ctx).passed
     for u in principal_units(ctx, 2, seed=5):

@@ -1,6 +1,6 @@
-"""The keyed cache arith.Memo and the process-wide caches built on it, the
-chart contexts and their eigencoordinate series included, under threads:
-each is built once, whoever asks first."""
+"""The keyed cache arith.Memo, the process-wide caches built on it and the
+chart contexts of a RunScope, their eigencoordinate series included, under
+threads: each is built once, whoever asks first."""
 
 import threading
 import time
@@ -78,18 +78,19 @@ def _at_once(ask, n=4):
     return got
 
 
-@pytest.mark.parametrize("module, cache, key, cls, builder, ask", [
-    (iwasawa, "_CTX_CACHE", (13, 2, 12), iwasawa.ChartContext, "__init__",
-     lambda: iwasawa.chart_context(13, 2, 12)),
-    (arith, "_FIELD_CACHE", (7, 2), arith.Fq, "_init", lambda: arith.Fq(7, 2)),
-    (arith, "_WITT_CACHE", (7, 2, 3), arith.WittRing, "_init",
-     lambda: arith.WittRing(7, 2, 3)),
+@pytest.mark.parametrize("cache, key, cls, builder, ask", [
+    (lambda scope: scope[iwasawa.ChartContext], (13, 2, 12), iwasawa.ChartContext, "__init__",
+     lambda scope: scope[iwasawa.ChartContext][13, 2, 12]),
+    (lambda scope: arith._FIELD_CACHE, (7, 2), arith.Fq, "_init", lambda scope: arith.Fq(7, 2)),
+    (lambda scope: arith._WITT_CACHE, (7, 2, 3), arith.WittRing, "_init",
+     lambda scope: arith.WittRing(7, 2, 3)),
 ], ids=["chart_context", "Fq", "WittRing"])
-def test_shared_cache_is_built_once_under_threads(monkeypatch, module, cache, key, cls,
-                                                  builder, ask):
+def test_shared_cache_is_built_once_under_threads(monkeypatch, cache, key, cls, builder, ask):
     # four threads ask for an object that is not cached yet while its build
-    # sleeps: one build, and every thread gets the object the cache keeps
-    monkeypatch.delitem(getattr(module, cache), key, raising=False)
+    # sleeps: one build, and every thread gets the object the cache keeps.
+    # The threads share one RunScope, which holds the charts
+    scope = arith.RunScope()
+    monkeypatch.delitem(cache(scope), key, raising=False)
     built = []
     plain = getattr(cls, builder)
 
@@ -99,16 +100,16 @@ def test_shared_cache_is_built_once_under_threads(monkeypatch, module, cache, ke
         return plain(self, *args)
 
     monkeypatch.setattr(cls, builder, slow)
-    got = _at_once(ask)
+    got = _at_once(lambda: ask(scope))
     assert len(built) == 1
     assert len({id(x) for x in got}) == 1
-    assert got[0] is getattr(module, cache)[key]
+    assert got[0] is cache(scope)[key]
 
 
 def test_y_series_is_built_once_under_threads(monkeypatch):
-    # four threads ask chart_context for a key that is not cached yet while
+    # four threads ask their RunScope for a chart it does not hold yet while
     # its Y_0 sum sleeps: one sum, one context and one series tuple
-    monkeypatch.delitem(iwasawa._CTX_CACHE, (13, 2, 12), raising=False)
+    scope = arith.RunScope()
     built = []
     plain = iwasawa.ChartContext._y0_terms
 
@@ -118,8 +119,8 @@ def test_y_series_is_built_once_under_threads(monkeypatch):
         return plain(self)
 
     monkeypatch.setattr(iwasawa.ChartContext, "_y0_terms", slow)
-    got = _at_once(lambda: iwasawa.chart_context(13, 2, 12))
+    got = _at_once(lambda: scope[iwasawa.ChartContext][13, 2, 12])
     assert len(built) == 1
     assert len({id(ctx) for ctx in got}) == 1
     assert len({id(ctx.y_series) for ctx in got}) == 1
-    assert got[0] is built[0] is iwasawa._CTX_CACHE[13, 2, 12]
+    assert got[0] is built[0] is scope[iwasawa.ChartContext][13, 2, 12]

@@ -7,15 +7,15 @@ import json
 
 import pytest
 
+from conftest import chart
 from modpcheck import phigamma as pg
-from modpcheck.arith import Fq
+from modpcheck.arith import Fq, RunScope
 from modpcheck.base_combinatorics import SubsetJ, all_subsets
 from modpcheck.constants import mu_gamma
 from modpcheck.errors import HypothesisViolation, NonConvergence, NotInvertible
 from modpcheck.iwasawa import (
     INF,
     AElement,
-    chart_context,
     fdeg,
     principal_units,
 )
@@ -407,17 +407,17 @@ def test_classifier_substitutes_once_per_box_point(monkeypatch):
 
 
 def test_teichmuller_unit_gives_identity():
-    ctx = chart_context(11, 1)
-    M = pg.build_mat_a(ctx, MU1, ctx.ring.teichmuller(2))
+    ctx = chart(11, 1)
+    M = pg.build_mat_a(ctx, MU1, ctx.ring.teichmuller(2), RunScope())
     assert set(M.entries) == {(E1, E1), (T1, T1)}
     for x in M.entries.values():
         assert (x - 1).is_zero() and x.cutoff == INF
 
 
 def test_unit_matrix_f1_entries():
-    ctx = chart_context(11, 1)
+    ctx = chart(11, 1)
     u = principal_units(ctx, 1, seed=3)[0]
-    qa, pj = pg.build_q_a(ctx, MU1, u)
+    qa, pj = pg.build_q_a(ctx, MU1, u, RunScope())
     assert (qa.entry(E1, E1) - 1).is_zero()
     assert (qa.entry(T1, T1) - 1).is_zero()
     assert fdeg(pj[0] - 1) == 10 and pj[0].cutoff == 39
@@ -440,9 +440,9 @@ def test_unit_matrix_f1_entries():
 
 
 def test_unit_matrix_f1_special_is_diagonal():
-    ctx = chart_context(11, 1)
+    ctx = chart(11, 1)
     u = principal_units(ctx, 1, seed=3)[0]
-    M = pg.build_mat_a(ctx, MU1S, u)
+    M = pg.build_mat_a(ctx, MU1S, u, RunScope())
     assert set(M.entries) == {(E1, E1), (T1, T1)}
     assert fdeg(M.entry(E1, E1) - 1) == 10
     assert (M.entry(T1, T1) - 1).is_zero()
@@ -451,29 +451,29 @@ def test_unit_matrix_f1_special_is_diagonal():
 
 
 def test_unit_matrix_sweeps_f1():
-    ctx = chart_context(11, 1)
+    ctx = chart(11, 1)
     for mu in (MU1, MU1S):
-        rs = pg.check_unit_action_matrices(ctx, mu, units=3, pairs=1, seed=0)
+        rs = pg.check_unit_action_matrices(ctx, mu, units=3, pairs=1, seed=0, scope=RunScope())
         for r in rs:
             assert r.passed, r.as_dict()
 
 
 def test_unit_matrix_sweeps_f2():
-    ctx = chart_context(13, 2)
+    ctx = chart(13, 2)
     for mu in (MU2, MU2G, MU2S):
-        rs = pg.check_unit_action_matrices(ctx, mu, units=2, pairs=1, seed=0)
+        rs = pg.check_unit_action_matrices(ctx, mu, units=2, pairs=1, seed=0, scope=RunScope())
         for r in rs:
             assert r.passed, r.as_dict()
-    rs = pg.check_unit_action_matrices(ctx, MU2S, units=1, pairs=0, seed=1)
+    rs = pg.check_unit_action_matrices(ctx, MU2S, units=1, pairs=0, seed=1, scope=RunScope())
     assert rs[0].info == {"diagonal_normalization": "identity"}
 
 
 def test_unit_matrix_f2_deep_entry_window():
     # the row-empty, column-full entry sits at depth 2(p-1) with the
     # two-factor correction product as its leading window
-    ctx = chart_context(13, 2)
+    ctx = chart(13, 2)
     u = principal_units(ctx, 1, seed=3)[0]
-    qa, pj = pg.build_q_a(ctx, MU2G, u)
+    qa, pj = pg.build_q_a(ctx, MU2G, u, RunScope())
     x = qa.entry(E2, T2)
     assert fdeg(x) == 24
     g = F2.div(MU2G.gamma_star(E2), MU2G.gamma_star(T2))
@@ -482,15 +482,15 @@ def test_unit_matrix_f2_deep_entry_window():
     assert (x - target).copy_truncated(floor).is_zero()
     # same entry under a constraint set that excludes it from the leading
     # branch: empty below the knowledge cutoff
-    qa2, _ = pg.build_q_a(ctx, MU2, u)
+    qa2, _ = pg.build_q_a(ctx, MU2, u, RunScope())
     x2 = qa2.entry(E2, T2)
     assert x2.copy_truncated(x2.cutoff).is_zero()
 
 
 def test_flip_breaks_commutation_detectably():
-    ctx = chart_context(11, 1)
+    ctx = chart(11, 1)
     u = principal_units(ctx, 1, seed=0)[0]
-    Pa = pg.build_mat_a(ctx, MU1, u)
+    Pa = pg.build_mat_a(ctx, MU1, u, RunScope())
     bad = pg.mat_phi_twisted(MU1, flip=pg.default_flip(P1))
     r = pg.check_commutation(ctx, bad, Pa, u)
     assert not r.passed

@@ -3,18 +3,25 @@
 Each memo of the scope has two tests here.  A wrong value patched into the
 build after a healthy run must fail its row on every Jrho, so no value
 outlives the run that built it.  A mutated table or a flipped substitution
-matrix that shares a scope with healthy jobs must get the rows it gets with
-no scope, so each key holds what its value depends on.  The
+matrix that shares a scope with healthy jobs must get the rows it gets in a
+scope of its own, so each key holds what its value depends on.  The
 change-of-origin boxes have theirs in test_translation_frames.py.  For the
 shifted-table domains and reindexing blocks a third test pins how many a
 run builds, so a key that picked up a per-job object would fail it.  The
 theta rows and the classifier row hold no Jrho, so no mutant reaches them:
 they have the fault test and the count.  The unit action is not shared: its
 fault test shows that the commutation and cocycle rows act through
-phigamma.unit_action as it is when they run.
+phigamma.unit_action as it is when they run.  The chart context, with its
+Lucas rows, is shared by the iwasawa and phigamma jobs: a fault in its
+conversion or in its row build after a healthy run fails a row, and no
+chart is alive once its run has returned.
 """
 
-from modpcheck import constants, harness, phigamma
+import gc
+import weakref
+
+from conftest import chart
+from modpcheck import constants, harness, iwasawa, phigamma
 from modpcheck.arith import RunScope
 from modpcheck.constants import (
     AJnFrame,
@@ -26,7 +33,6 @@ from modpcheck.constants import (
     mu_gamma,
 )
 from modpcheck.harness import RunConfig, run_identities, run_suite
-from modpcheck.iwasawa import chart_context
 from modpcheck.phigamma import check_unit_action_matrices, default_flip, slot_correction_units
 from modpcheck.reporting import Sweep, _plain, run_table
 from modpcheck.weights import RhoParams
@@ -64,8 +70,9 @@ def test_identity_rows_are_listed_without_building_tables(monkeypatch):
     assert report.passed
     assert counts == {"tables": 8, "frames": 30}
     params = F3_IDENTITIES.param_sets()[0]
-    [(listed, _)] = harness.identities_table(F3_IDENTITIES, params)
-    assert listed == tuple(name for names, _ in identity_sweeps(params) for name in names)
+    [(listed, _)] = harness.identities_table(F3_IDENTITIES, params, RunScope())
+    sweeps = identity_sweeps(params, scope=RunScope())
+    assert listed == tuple(name for names, _ in sweeps for name in names)
 
 
 # ---------------------------------------------------------------------------
@@ -193,14 +200,14 @@ def test_block_fault_after_a_healthy_run_fails_every_jrho_it_reads(monkeypatch):
 
 
 def _flipped_rows(params, scope):
-    ctx = chart_context(params.p, params.f)
+    ctx = chart(params.p, params.f)
     mu = mu_gamma(params, 0)
     return [res.as_dict() for res in check_unit_action_matrices(
         ctx, mu, units=3, pairs=1, seed=0, flip=default_flip(params), scope=scope)]
 
 
 def _healthy_jobs(scope, plist):
-    ctx = chart_context(13, 2)
+    ctx = chart(13, 2)
     for params in plist:
         rows = check_unit_action_matrices(ctx, mu_gamma(params, 0), units=3, pairs=1,
                                           seed=0, scope=scope)
@@ -226,13 +233,13 @@ def test_flipped_jobs_sharing_slot_corrections_get_their_unshared_rows():
     failed = 0
     for params in F2_PARAMS:
         shared = _flipped_rows(params, scope)
-        assert shared == _flipped_rows(params, None)
+        assert shared == _flipped_rows(params, RunScope())
         failed += shared[1]["status"] == "fail"
     assert failed == 3  # the flip of the full Jrho sits on the diagonal
     assert len(scope[slot_correction_units]) == 4
     # another r needs its own: the key holds r
     other = RhoParams.make(13, 2, (6, 5), (0,))
-    assert _flipped_rows(other, scope) == _flipped_rows(other, None)
+    assert _flipped_rows(other, scope) == _flipped_rows(other, RunScope())
     assert len(scope[slot_correction_units]) == 8
 
 
@@ -253,6 +260,59 @@ def test_unit_action_fault_after_a_healthy_run_fails_every_jrho(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# the chart context and its Lucas rows
+
+
+F2_CHART = RunConfig(p=13, f=2, r=(5, 6), jrho=(0,), suites=("phigamma",))
+F1_CHART = RunConfig(p=11, f=1, r=(4,), suites=("iwasawa",))
+
+
+def test_chart_fault_after_a_healthy_run_fails_the_unit_matrix_row(monkeypatch):
+    # the row operations of M^T substitute (M^T)^-1, the transpose of M^-1:
+    # a wrong chart conversion, which a chart kept from the healthy run
+    # would hide
+    assert run_suite(F2_CHART).passed
+    right = iwasawa.gauss_jordan
+    monkeypatch.setattr(iwasawa, "gauss_jordan",
+                        lambda field, rows: right(field, [list(r) for r in zip(*rows)]))
+    report = run_suite(F2_CHART)
+    assert _failing(report) == _rows_named(report, "unit-matrix-structure")
+    assert len(_failing(report)) == 1
+
+
+def test_row_fault_after_a_healthy_run_fails_the_rows_that_read_it(monkeypatch):
+    # the last entry of every Lucas row longer than 1 is off by one
+    assert run_suite(F1_CHART).passed
+    right = iwasawa._lucas_row
+
+    def mutant(p, r, length):
+        row = right(p, r, length)
+        return row[:-1] + ((row[-1] + 1) % p,) if length > 1 else row
+
+    monkeypatch.setattr(iwasawa, "_lucas_row", mutant)
+    report = run_suite(F1_CHART)
+    assert _failing(report) == (_rows_named(report, "binomial-exponent-additivity")
+                                + _rows_named(report, "unit-action-composition"))
+
+
+def test_no_chart_outlives_its_run(monkeypatch):
+    # the one chart of a run that reads it in every suite: dead once the
+    # report is returned and the cycles of its Memos are collected
+    built = []
+    plain = iwasawa.ChartContext.__init__
+
+    def init(self, *key):
+        built.append(weakref.ref(self))
+        plain(self, *key)
+
+    monkeypatch.setattr(iwasawa.ChartContext, "__init__", init)
+    assert run_suite(RunConfig(p=11, f=1, r=(4,))).passed
+    gc.collect()
+    assert len(built) == 1
+    assert built[0]() is None
+
+
+# ---------------------------------------------------------------------------
 # theta rows and the classifier row
 
 
@@ -261,7 +321,7 @@ _JRHO_FREE = ("check_theta_basics", "check_theta_solver", "check_eigen_classifie
 
 def test_jrho_free_rows_are_built_once_per_run(monkeypatch):
     # the 4 Jrho jobs read one row each; a key that held the job's own
-    # params would build all 4, as the jobs do with no scope
+    # params would build all 4, as the jobs do in scopes of their own
     counts = {}
     for name in _JRHO_FREE:
         def wrapped(*key, check=getattr(harness, name), name=name):
@@ -296,9 +356,11 @@ def test_theta_solver_fault_after_a_healthy_run_fails_every_jrho(monkeypatch):
 
 
 def _unshared_rows(config):
-    # the rows of run_suite, each job run with no scope
+    # the rows of run_suite, each job run in a scope emptied before it
     rows = []
-    for suite, tag, table in harness._jobs(config):
+    scope = RunScope()
+    for suite, tag, table in harness._jobs(config, scope):
+        scope.clear()
         for res in run_table(table):
             row = res.as_dict()
             row["name"] = f"{suite}/{row['name']}@{tag}"

@@ -43,14 +43,13 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import oracle
+from conftest import chart
 from modpcheck import arith, iwasawa
 from modpcheck.arith import Fq, Memo
 from modpcheck.harness import RunConfig, run_suite
 from modpcheck.iwasawa import (
     AElement,
-    ChartContext,
     _mul_terms,
-    chart_context,
     check_exponent_additivity,
     check_frobenius_generators,
     check_torus_eigenvector,
@@ -206,7 +205,6 @@ def test_preset_elements_keep_their_terms_below_their_cutoffs(p, f, r, monkeypat
         built[cutoff == INF] += 1
 
     monkeypatch.setattr(AElement, "__init__", checked)
-    monkeypatch.setattr(iwasawa, "_CTX_CACHE", Memo(ChartContext))
     rep = run_suite(RunConfig(p=p, f=f, r=r, suites=("iwasawa", "phigamma")))
     assert rep.passed
     assert built[True] and built[False]
@@ -215,7 +213,7 @@ def test_preset_elements_keep_their_terms_below_their_cutoffs(p, f, r, monkeypat
 def test_torus_eigenvector_checked_counts():
     # one comparison per (unit a, slot j): 10 at q = 11, 168 * 2 at q = 169
     for (p, f), count in (((11, 1), 10), ((13, 2), 336)):
-        res = check_torus_eigenvector(chart_context(p, f))
+        res = check_torus_eigenvector(chart(p, f))
         assert res.passed
         assert res.checked == count
 
@@ -395,14 +393,14 @@ def test_undersized_lane_breaks_the_pair_loop(monkeypatch):
 def test_additivity_products_take_the_dense_path_at_p17_f3(monkeypatch):
     # the operands of the 20 products n(g)*n(h) hold 2 to 12 terms per row
     # on average, the f=3 chart products about one
-    ctx = chart_context(17, 3)
+    ctx = chart(17, 3)
     dense = spy_dense(monkeypatch)
     assert check_exponent_additivity(ctx).passed
     assert dense == {3: 20}
 
 
 def test_frobenius_row_takes_the_dense_path_at_p13_f2(monkeypatch):
-    ctx = chart_context(13, 2)
+    ctx = chart(13, 2)
     dense = spy_dense(monkeypatch)
     assert check_frobenius_generators(ctx).passed
     assert dense[2] >= 1
@@ -411,7 +409,6 @@ def test_frobenius_row_takes_the_dense_path_at_p13_f2(monkeypatch):
 def test_cold_f3_phigamma_job_never_takes_the_dense_path(monkeypatch):
     # the f=3 chart products hold about one term per row: the pair loop
     # does them all
-    monkeypatch.setattr(iwasawa, "_CTX_CACHE", Memo(ChartContext))
     dense = spy_dense(monkeypatch)
     rep = run_suite(RunConfig(p=17, f=3, r=(7, 8, 7), jrho=(0,), suites=("phigamma",)))
     assert all(row["status"] == "pass" for row in rep.suites)
@@ -438,7 +435,6 @@ def test_multi_term_products_take_the_row_product_by_one_rule(monkeypatch):
             seen[len(xt) * len(yt) >= 4 * rows, bool(took)] += 1
         return out
 
-    monkeypatch.setattr(iwasawa, "_CTX_CACHE", Memo(ChartContext))
     monkeypatch.setattr(iwasawa, "_row_mul_terms", row_spy)
     monkeypatch.setattr(iwasawa, "_mul_terms", mul_spy)
     rep = run_suite(RunConfig(p=17, f=3, r=(7, 8, 7), jrho=(0,), suites=("phigamma",)))

@@ -25,6 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
+from conftest import chart
 from modpcheck import arith, iwasawa
 from modpcheck.arith import Fq, Memo, _Packing, packing
 from modpcheck.errors import PACKAGE_ERRORS
@@ -32,7 +33,6 @@ from modpcheck.harness import MAX_CHART_Q, RunConfig, run_suite
 from modpcheck.iwasawa import (
     AElement,
     ChartContext,
-    chart_context,
     check_torus_eigenvector,
 )
 from modpcheck.reporting import Sweep, run_table
@@ -96,7 +96,7 @@ def _perturb_y1(ctx, degrees):
 def test_packed_sweep_matches_reference(p, f):
     # the row passes and every Y_j is its defining sum, so the row's
     # reindexed sums are those of the definition
-    ctx = chart_context(p, f)
+    ctx = chart(p, f)
     assert check_torus_eigenvector(ctx).as_dict() == torus_row(ctx)
     assert [y.terms for y in ctx.y_series] == oracle.eigencoordinates(p, f, ctx.tdepth)
 
@@ -180,7 +180,7 @@ def test_slot_width_formula_is_pinned(monkeypatch):
     # S = bit length of (p-1)^2 * (q-1): a packed weight times a prime-field
     # coefficient, summed over the units; the row reads its sums in the
     # narrowest byte lane that holds S bits
-    ctx = chart_context(13, 2)
+    ctx = chart(13, 2)
     calls = _spy_packing(monkeypatch)
     check_torus_eigenvector(ctx)
     assert calls == [(144, 168, 16)]
@@ -194,7 +194,7 @@ def test_slot_width_formula_is_pinned(monkeypatch):
 def test_narrowed_slots(monkeypatch, cut, passes):
     # the width is a worst-case bound, so a few bits less still hold the
     # sums at p=13, f=2: the rule rounds them back up to the 16-bit lane
-    ctx = chart_context(13, 2)
+    ctx = chart(13, 2)
     calls = _spy_packing(monkeypatch, lambda fld, per_term, terms:
                          packing(fld, per_term * terms >> cut, 1))
     assert check_torus_eigenvector(ctx).passed is passes
@@ -205,7 +205,7 @@ def test_narrowed_slots(monkeypatch, cut, passes):
 def test_narrowed_lane(monkeypatch, lane, passes):
     # at p=13, f=2 the slot bound is 15 bits, so its lane holds the sums
     # and the next lane down lets slots carry into their neighbours
-    ctx = chart_context(13, 2)
+    ctx = chart(13, 2)
     calls = _spy_packing(monkeypatch, lambda fld, per_term, terms:
                          packing(fld, 1, 2**lane - 1))
     assert check_torus_eigenvector(ctx).passed is passes
@@ -242,7 +242,6 @@ def test_f2_session_run_builds_the_16_and_32_bit_packings(monkeypatch):
     # the README f=2 verify, from a cold chart: products and the torus sum
     # share the 16-bit lane, the Y_0 sum takes the 32-bit one
     monkeypatch.setattr(arith, "_PACKINGS", Memo(_Packing))
-    monkeypatch.setattr(iwasawa, "_CTX_CACHE", Memo(ChartContext))
     run_suite(RunConfig(p=13, f=2, r=(5, 6)))
     assert set(arith._PACKINGS) == {(Fq(13, 2), 16), (Fq(13, 2), 32)}
 
@@ -252,7 +251,7 @@ def test_slot_wider_than_every_lane_fails_the_row(monkeypatch):
     # table goes on
     with pytest.raises(PACKAGE_ERRORS):
         packing(Fq(11, 1), 2**65 - 1, 1)
-    ctx = chart_context(11, 1)
+    ctx = chart(11, 1)
 
     def torus_row():
         with monkeypatch.context() as m:
@@ -331,7 +330,7 @@ def test_generator_chain_keeps_the_first_witness(monkeypatch, p, f, kind):
     # each mutant fails the chain [g][c] == [gc] or [1]^2 == [1], and the
     # row then sweeps all pairs: it fails after one check, with the first
     # failing pair (a, b) as its witness
-    ctx = chart_context(p, f)
+    ctx = chart(p, f)
     g, top = ctx.field.generator, ctx.p ** (ctx.N - 1)
     u, v = (3, 4) if f == 1 else (2, 3)  # units apart from 1 and g
 
@@ -353,7 +352,7 @@ def test_generator_chain_keeps_the_first_witness(monkeypatch, p, f, kind):
 
 
 def test_one_teichmuller_lift_per_unit(monkeypatch):
-    ctx = chart_context(13, 2)
+    ctx = chart(13, 2)
     calls = []
     _lift_mutant(monkeypatch, ctx, lambda e, right: calls.append(e) or right(e))
     assert check_torus_eigenvector(ctx).passed
@@ -364,7 +363,7 @@ def test_one_sum_and_decode_per_row(monkeypatch):
     # every unit's sum is a times the a = 1 sum, and every slot's a p^j-th
     # power of the slot-0 one, so the row reads one series per unit into
     # one packed sum and decodes it once: q - 1 = 168 series at p=13, f=2
-    ctx = chart_context(13, 2, 30)  # built complete, before counting
+    ctx = chart(13, 2, 30)  # built complete, before counting
     decodes, series = 0, 0
     right_decode, right_series = _Packing.decode, ctx.n_series
 

@@ -171,7 +171,7 @@ def _ajn_window(params, J, j0):
 @pytest.mark.parametrize("params", PARAMS, ids=_ids)
 def test_ajn_frame_matches_reference_on_window(params):
     f = params.f
-    tables = ConstantTables(params)
+    tables = ConstantTables(params, scope=RunScope())
     for J in params.subsets():
         for j0 in range(f):
             at = tables.aJn[J, j0]
@@ -361,8 +361,8 @@ def test_one_pass_sweep_matches_per_tuple_reference_under_a_mutants(p, f, r, jrh
         for delta in ((1, -1) if f == 2 else (1,))
     ]
     for m in muts:
-        tables = ConstantTables(params, m)
-        got = check_change_origin(params, tables).as_dict()
+        tables = ConstantTables(params, m, scope=RunScope())
+        got = check_change_origin(params, tables, RunScope()).as_dict()
         want = change_origin_reference(params, tables).as_dict()
         assert got == want, m
         assert (got["status"] == "pass") == (m is None)
@@ -379,7 +379,8 @@ def test_change_origin_sweep_images_every_tuple(monkeypatch):
         return original(self, ent)
 
     monkeypatch.setattr(Translation, "image", recording)
-    res = check_change_origin(params, ConstantTables(params))
+    scope = RunScope()
+    res = check_change_origin(params, ConstantTables(params, scope=scope), scope)
     assert res.passed
     total = 0
     for J in params.subsets():
@@ -404,7 +405,8 @@ def _offsets_leave_weight_window(monkeypatch):
 
 def test_image_off_weight_window_fails_the_row(monkeypatch):
     params = RhoParams.make(13, 2, (5, 6), (0,))
-    healthy = check_change_origin(params, ConstantTables(params))
+    scope = RunScope()
+    healthy = check_change_origin(params, ConstantTables(params, scope=scope), scope)
     _offsets_leave_weight_window(monkeypatch)
     rows = {res.name: res for res in run_identities(params, 0)}
     row = rows.pop("change-origin-composition")
@@ -498,7 +500,8 @@ def test_translation_is_a_value_that_never_changes():
 
 def test_shifted_table_additivity_builds_one_frame_per_j_j0(monkeypatch):
     params = RhoParams.make(17, 3, (7, 8, 7), (0,))
-    healthy = check_shifted_table_additivity(params, ConstantTables(params))
+    scope = RunScope()
+    healthy = check_shifted_table_additivity(params, ConstantTables(params, scope=scope), scope)
     built = []
     original = AJnFrame.__init__
 
@@ -507,7 +510,8 @@ def test_shifted_table_additivity_builds_one_frame_per_j_j0(monkeypatch):
         original(self, p, f, r, J, j0, zero)
 
     monkeypatch.setattr(AJnFrame, "__init__", recording)
-    res = check_shifted_table_additivity(params, ConstantTables(params))
+    scope = RunScope()
+    res = check_shifted_table_additivity(params, ConstantTables(params, scope=scope), scope)
     assert res.as_dict() == healthy.as_dict() and res.passed
     want = set()
     for J in params.subsets():
@@ -566,8 +570,8 @@ def test_shifted_table_one_pass_matches_per_n_reference_under_mutants(p, f, r, j
     ]
     failing = set()
     for m in muts:
-        tables = ConstantTables(params, m)
-        got = check_shifted_table_additivity(params, tables).as_dict()
+        tables = ConstantTables(params, m, scope=RunScope())
+        got = check_shifted_table_additivity(params, tables, RunScope()).as_dict()
         assert got == shifted_additivity_reference(params, tables).as_dict(), m
         if got["status"] == "fail":
             failing.add(m and m.table)
@@ -585,8 +589,8 @@ def test_shifted_table_sweep_reads_the_frame_image(monkeypatch):
         return (out[0] + 1,) + out[1:] if ent == (2, 0, 3) and self.anchor == 1 else out
 
     monkeypatch.setattr(AJnFrame, "image", mutant)
-    tables = ConstantTables(params)
-    got = check_shifted_table_additivity(params, tables).as_dict()
+    tables = ConstantTables(params, scope=RunScope())
+    got = check_shifted_table_additivity(params, tables, RunScope()).as_dict()
     assert got["status"] == "fail"
     assert got == shifted_additivity_reference(params, tables).as_dict()
     frame = AJnFrame(*_frame_key(params, SubsetJ.of(3, []), 0))
@@ -625,7 +629,7 @@ def test_run_suite_images_each_distinct_box_once(monkeypatch):
     rows = _origin_rows(report)
     assert len(rows) == 8
     for params, row in zip(F3_IDENTITIES.param_sets(), rows):
-        want = change_origin_reference(params, ConstantTables(params)).as_dict()
+        want = change_origin_reference(params, ConstantTables(params, scope=RunScope())).as_dict()
         assert dict(row, name=want["name"]) == want
 
 
