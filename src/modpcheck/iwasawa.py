@@ -40,9 +40,16 @@ gives prod_l (1 + T_l)^(c_l) below a depth (the generator series, the
 unit-action factors), the eigencoordinate sum takes the rows as dense
 lists, hasse_derivative and the shears of t_to_y read single entries, and
 _binomial_series raises a unit's distortion 1 + v_j to an integer or p-adic
-power (ChartContext._unit_power) for the unit action, the unit ratios and
-the cocycle factors.  Every other inverse is of an exact monomial, a
-negative power in pow_below.
+power: through ChartContext._unit_power for the unit action and the unit
+ratios, directly for the cocycle factors.  Every other inverse is of an
+exact monomial, a negative power in pow_below.
+
+The chart reads a unit u = [a0]*(1 + p*w) once, as its class (a0, wbar),
+wbar = w mod p (ChartContext.unit_data), and keys its distortion pieces on
+wbar and their powers on (wbar, j, e): below a cutoff of at most p^2 each
+exponent of a monomial is below p^2, so by Lucas the binomials of the
+coordinates of u*[a] read them mod p^2 only, and two units of one class act
+alike.
 """
 
 import functools
@@ -509,11 +516,12 @@ class ChartContext:
     live as long as the run.  Seven Memo tables are each filled by one
     builder: the Lucas rows (rows, _lucas_row), keyed on (c mod
     _lucas_modulus(p, length), length) and read through _binomial_row, Y^m
-    (_y_power), leading-form images (_shear_image), unit data (unit_data,
-    _split_unit), conversion blocks (convb, _conversion_block), distortion
-    pieces (u1_pieces, _u1_pieces) and their binomial powers (unit_powers,
-    _unit_power), read by the unit action and the unit ratios; the cocycle
-    factors call _unit_power itself."""
+    (_y_power), leading-form images (_shear_image), conversion blocks
+    (convb, _conversion_block), and the unit layer: the class (a0, wbar) of
+    each unit u (unit_data, _split_unit), keyed on u, the distortion pieces
+    of a class (u1_pieces, _u1_pieces), keyed on (wbar,), and their binomial
+    powers (unit_powers, _unit_power), keyed on (wbar, j, e) and read by the
+    unit action and the unit ratios."""
 
     def __init__(self, p, f, cutoff):
         self.p = p
@@ -755,30 +763,23 @@ class ChartContext:
         return self.t_to_y(s.mul_below(onep, bound), bound)
 
     def _split_unit(self, *u):
-        """Split the unit u = [a0]*u1 and extract the mod-p digit matrix of
-        u1."""
-        p, f, fld = self.p, self.f, self.field
+        """The class (a0, wbar) of the unit u = [a0]*(1 + p*w): a0 the
+        encoding of its Teichmuller part and wbar that of w mod p, 0 for a
+        Teichmuller unit."""
+        p, fld = self.p, self.field
         a0, u1 = self.ring.unit_decompose(u)
-        # w = (u1 - 1)/p as a residue-field element in the power basis
-        wbar = fld.from_coords(tuple(((c - (1 if l == 0 else 0)) // p) % p
-                                     for l, c in enumerate(u1)))
-        dmat = None
-        if wbar != 0:
-            basis = (fld.from_coords(tuple(1 if l == i else 0 for l in range(f)))
-                     for i in range(f))
-            dmat = tuple(tuple(fld.coords(fld.mul(wbar, ei))) for ei in basis)
-        return UnitData(a0, dmat)
+        return a0, fld.from_coords([(c - (l == 0)) // p for l, c in enumerate(u1)])
 
-    def _u1_pieces(self, *dmat):
+    def _u1_pieces(self, wbar):
         """Principal-part distortion series v_j with u1(Y_j) = Y_j(1 + v_j),
-        for the digit matrix with these rows."""
+        u1 = 1 + p*w for w = wbar mod p."""
         fld = self.field
         f = self.f
         cap = self.piece_cap
-        # epsilon_i - 1 in the additive chart at the piece depth; dmat[i][l]
-        # is the T_l exponent of the image of slot i
-        eps = [AElement(fld, f, cap, _binomial_product(self, row, cap, 1)) - 1
-               for row in dmat]
+        # epsilon_i - 1 in the additive chart at the piece depth; the T_l
+        # exponent of epsilon_i is digit l of wbar*x^i
+        eps = [AElement(fld, f, cap, _binomial_product(
+            self, fld.coords(fld.mul(wbar, self.p**i)), cap, 1)) - 1 for i in range(f)]
         # the images phi(prod eps_i^gamma_i) do not depend on j
         images = []
         for gamma in _graded_exponents(f, self.alpha_max):
@@ -803,27 +804,16 @@ class ChartContext:
             vs.append(yinv.mul_below(acc, self.D - 1))
         return tuple(vs)
 
-    def _unit_power(self, dmat, j, e, need):
-        """(1 + v_j)^e below `need`, v_j the distortion piece at slot j of
-        the digit matrix dmat: the factor of Y_j^e in unit_action, the unit
-        ratio at e = -1, and the two powers of a cocycle factor."""
-        return _binomial_series(self, self.u1_pieces[dmat][j], e, need)
+    def _unit_power(self, wbar, j, e):
+        """(1 + v_j)^e below the cutoff of v_j, v_j the distortion piece at
+        slot j of the class wbar: the factor of Y_j^e in unit_action, which
+        cuts it to its own bound, and the unit ratio at e = -1."""
+        return _binomial_series(self, self.u1_pieces[wbar,][j], e, INF)
 
     def teich_weight(self, a0, k):
         """Eigenvalue of [a0] on the monomial with exponent k."""
         e = sum(kj * self.p**j for j, kj in enumerate(k)) % (self.q - 1)
         return self.field.pow(a0, e)
-
-
-class UnitData:
-    """Teichmuller part encoding plus the principal-part digit matrix
-    (None when the unit is a Teichmuller representative)."""
-
-    __slots__ = ("a0", "dmat")
-
-    def __init__(self, a0: int, dmat: tuple):
-        self.a0 = a0
-        self.dmat = dmat
 
 
 def _binomial_series(ctx, v, n, bound):
@@ -856,10 +846,11 @@ def _binomial_series(ctx, v, n, bound):
 
 def unit_action(ctx, u, x):
     """Action of a unit u of O_K (ring coordinate tuple) on a
-    multiplicative-chart element, exact below min(K_x, D-1+fdeg(x))."""
-    data = ctx.unit_data[u]
+    multiplicative-chart element, exact below min(K_x, D-1+fdeg(x)); it
+    reads u through its class (a0, wbar) only."""
+    a0, wbar = ctx.unit_data[u]
     fld, f = ctx.field, ctx.f
-    if data.dmat is None and data.a0 == 1:
+    if not wbar and a0 == 1:
         return x
     d0 = fdeg(x)
     if d0 == INF:
@@ -867,13 +858,12 @@ def unit_action(ctx, u, x):
     bound = min(x.cutoff, ctx.D - 1 + d0)
     terms = []
     for k, c in x.terms.items():
-        w = fld.mul(c, ctx.teich_weight(data.a0, k))
+        w = fld.mul(c, ctx.teich_weight(a0, k))
         term = AElement.monomial(fld, f, k, w, cutoff=bound)
-        if data.dmat is not None:
-            need = bound - sum(k)  # depth the unit factors must reach
+        if wbar:
             for j, e in enumerate(k):
                 if e:
-                    term = term.mul_below(ctx.unit_powers[data.dmat, j, e, need], bound)
+                    term = term.mul_below(ctx.unit_powers[wbar, j, e], bound)
         terms.append(term)
     return AElement.sum(fld, f, terms, bound)
 
@@ -884,31 +874,32 @@ def unit_ratio(ctx, u, j):
     Equals (1 + v_j)^{-1}, read from ctx.unit_powers; fdeg(f - 1) >= p - 1
     and it is known below D-1.
     """
-    dmat = ctx.unit_data[u].dmat
-    if dmat is None:
+    wbar = ctx.unit_data[u][1]
+    if not wbar:
         return AElement.const(ctx.field, ctx.f, 1, cutoff=ctx.D - 1)
-    return ctx.unit_powers[dmat, j, -1, INF]
+    return ctx.unit_powers[wbar, j, -1]
 
 
 def cocycle_factor(ctx, u, j, numerator):
     """w * phi(w)^{-1} with w = f_{u,j}^c = (1 + v_j)^(-c), c =
-    numerator/(1-q) mod p^N: phi(w)^{-1} = phi((1 + v_j)^c), and since phi
-    multiplies degrees by p, the product below K = w.cutoff reads
-    (1 + v_j)^c only below ceil(K/p).  Both powers come from
-    ctx._unit_power but are not kept in unit_powers: a run builds each
-    factor once, inside the slot corrections its scope keeps.
+    numerator/(1-q) mod p^N, v_j the distortion piece of the class wbar of
+    u: phi(w)^{-1} = phi((1 + v_j)^c), and since phi multiplies degrees by
+    p, the product below K = w.cutoff reads (1 + v_j)^c only below
+    ceil(K/p).  Both powers are _binomial_series of ctx.u1_pieces, not kept
+    in unit_powers: their p-adic exponents are read once, as a run builds
+    each factor once, inside the slot corrections its scope keeps.
     Raises ExponentPrecisionTooLow when p^N * fdeg(v_j) is below the cutoff
     of v_j, where the class c mod p^N cannot pin w."""
-    dmat = ctx.unit_data[u].dmat
-    if dmat is None:
+    wbar = ctx.unit_data[u][1]
+    if not wbar:
         return unit_ratio(ctx, u, j)
     pN = ctx.p**ctx.N
-    v = ctx.u1_pieces[dmat][j]
+    v = ctx.u1_pieces[wbar,][j]
     if pN * fdeg(v) < v.cutoff:
         raise ExponentPrecisionTooLow(f"p^{ctx.N} digits cannot pin depth {v.cutoff}")
     c = numerator * pow(1 - ctx.q, -1, pN) % pN
-    w = ctx._unit_power(dmat, j, -c, INF)
-    phi_inv = frobenius(ctx._unit_power(dmat, j, c, -(-w.cutoff // ctx.p)))
+    w = _binomial_series(ctx, v, -c, INF)
+    phi_inv = frobenius(_binomial_series(ctx, v, c, -(-w.cutoff // ctx.p)))
     return w.mul_below(phi_inv, w.cutoff)
 
 

@@ -420,7 +420,7 @@ def build_q_a(ctx, mu, u, scope):
     if ctx.p != p or ctx.f != f:
         raise ConfigInvalid("chart context and parameters disagree on (p, f)")
     qa = PhiGammaMatrix.identity(params, fld)
-    if ctx.unit_data[u].dmat is None:
+    if not ctx.unit_data[u][1]:
         return qa, {j: AElement.const(fld, f, 1) for j in range(f)}
     hvec = tuple(x + 1 for x in params.r)
     weights = tuple(hj(params, hvec, j) for j in range(f))

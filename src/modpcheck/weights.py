@@ -184,10 +184,6 @@ class Translation:
             for j, (sign, d) in enumerate(zip(self.signs, sh))
         ))
 
-    @property
-    def offsets(self):
-        return self._offsets
-
     def _tabulate(self, offsets):
         # the per-slot image tables that image() reads: slot j maps each b_j
         # of the hypothesis window whose image lies in the weight window to

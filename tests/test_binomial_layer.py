@@ -261,9 +261,9 @@ def test_unit_ratio_and_cocycle_factor_match_inverse_and_digit_walk(p, f, cutoff
     weights = [hj(params, tuple(x + 1 for x in r), j) for j in range(f)]
     pN = p**ctx.N
     for u in principal_units(ctx, 3, seed=7):
-        dmat = ctx.unit_data[u].dmat
+        wbar = ctx.unit_data[u][1]
         for j in range(f):
-            v = ctx.u1_pieces[dmat][j]
+            v = ctx.u1_pieces[wbar,][j]
             K = v.cutoff
             assert v.terms
             ratio = oracle.binomial_series(p, f, v.terms, -1, K)

@@ -137,6 +137,31 @@ def test_unit_action_matches_its_definition(p, f, cutoff):
             assert ctx.y_to_t(image, ctx.tdepth).terms == want[j], (u, j)
 
 
+@pytest.mark.parametrize("p,f,cutoff", [(11, 1, 121), (13, 2, 30), (17, 3, 34)])
+def test_unit_is_read_only_through_its_class(p, f, cutoff):
+    # below a cutoff of at most p^2 every exponent of a monomial is below
+    # p^2, so u(Y_j) reads u*[a] mod p^2 only: u' = u + p^2 e_0, which
+    # differs from u in a digit that p^N keeps, has the class (a0, wbar) of
+    # u and its images, while u + p e_0, of another class, moves them.  The
+    # definition's images are compared at f <= 2, the chart's at every f.
+    ctx = chart(p, f, cutoff)
+    pN = p**ctx.N
+    assert pN > p * p and cutoff <= p * p
+    gens = [AElement.monomial(ctx.field, f, tuple(int(i == j) for i in range(f)))
+            for j in range(f)]
+    for u in iwasawa.principal_units(ctx, 1, seed=5) + [(2,) + (1,) * (f - 1)]:
+        same, other = (((u[0] + s) % pN,) + u[1:] for s in (p * p, p))
+        assert ctx.unit_data[same] == ctx.unit_data[u] != ctx.unit_data[other]
+        images = {v: [ctx.y_to_t(iwasawa.unit_action(ctx, v, y), ctx.tdepth).terms
+                      for y in gens] for v in (u, same, other)}
+        assert images[same] == images[u] != images[other]
+        if f <= 2:
+            want = oracle.unit_images(p, f, ctx.tdepth, u)
+            assert oracle.unit_images(p, f, ctx.tdepth, same) == want
+            assert oracle.unit_images(p, f, ctx.tdepth, other) != want
+            assert images[same] == want
+
+
 @pytest.mark.parametrize("p,f,cutoff", [(13, 2, 12), (17, 3, 24), (11, 1, 40)])
 def test_tau_table_and_t_to_y_match_reference(p, f, cutoff):
     # y_to_t against the oracle's Y^m on every monomial at each bound, which

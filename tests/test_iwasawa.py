@@ -357,10 +357,10 @@ def test_cocycle_factor_digit_guard():
     # too few digits
     ctx = ChartContext(11, 1, 121)
     for u in principal_units(ctx, 20, seed=1):
-        dmat = ctx.unit_data[u].dmat
-        if dmat is not None and fdeg(ctx.u1_pieces[dmat][0]) == 10:
+        wbar = ctx.unit_data[u][1]
+        if wbar and fdeg(ctx.u1_pieces[wbar,][0]) == 10:
             break
-    assert (fdeg(ctx.u1_pieces[dmat][0]), ctx.u1_pieces[dmat][0].cutoff) == (10, 120)
+    assert (fdeg(ctx.u1_pieces[wbar,][0]), ctx.u1_pieces[wbar,][0].cutoff) == (10, 120)
     cocycle_factor(ctx, u, 0, 5)
     ctx.N = 1
     with pytest.raises(ExponentPrecisionTooLow):

@@ -249,7 +249,7 @@ def test_unit_action_fault_after_a_healthy_run_fails_every_jrho(monkeypatch):
 
     def doubled(ctx, u, x):
         y = original(ctx, u, x)
-        return y if ctx.unit_data[u].dmat is None else y.scale(2)
+        return y if not ctx.unit_data[u][1] else y.scale(2)
 
     monkeypatch.setattr(phigamma, "unit_action", doubled)
     report = run_suite(F2_PHIGAMMA)

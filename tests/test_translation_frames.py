@@ -305,7 +305,7 @@ def _expected_image(translate, ent):
     for j, (bj, lo, hi) in enumerate(zip(ent, translate.lo, translate.hi)):
         if not lo <= bj <= hi:
             return f"b_{j}={bj} outside [{lo}, {hi}]"
-    out = tuple(map(add, map(mul, translate.signs, ent), translate.offsets))
+    out = tuple(map(add, map(mul, translate.signs, ent), translate._offsets))
     params = translate.params
     for j, bj in enumerate(out):
         if not -params.r[j] <= bj <= params.p - 2 - params.r[j]:
@@ -323,7 +323,7 @@ def test_image_matches_formula_on_and_off_both_windows(data):
     # moved offsets take the image off the weight window, which the genuine
     # translation never leaves on its hypothesis window
     shift = tuple(data.draw(st.integers(-p, p)) for _ in range(f))
-    translate = with_offsets(translate, tuple(map(add, translate.offsets, shift)))
+    translate = with_offsets(translate, tuple(map(add, translate._offsets, shift)))
     want = _expected_image(translate, ent)
     if isinstance(want, tuple):
         assert translate.image(ent) == want
@@ -398,7 +398,7 @@ def _offsets_leave_weight_window(monkeypatch):
     # every image moves p to the right in slot 0, past p-2-r_0
     def leaving(params, J):
         genuine = Translation(params, J)
-        return with_offsets(genuine, (genuine.offsets[0] + params.p,) + genuine.offsets[1:])
+        return with_offsets(genuine, (genuine._offsets[0] + params.p,) + genuine._offsets[1:])
 
     monkeypatch.setattr(constants, "Translation", leaving)
 
@@ -450,7 +450,7 @@ def test_image_tables_match_expected_on_widened_window(params):
     f, p = params.f, params.p
     for J in params.subsets():
         translate = Translation(params, J)
-        genuine = translate.offsets
+        genuine = translate._offsets
         box = list(itertools.product(
             *(range(lo - 2, hi + 3) for lo, hi in zip(translate.lo, translate.hi))
         ))
@@ -481,21 +481,22 @@ def test_image_rejects_entries_of_other_length(params):
 
 def test_translation_is_a_value_that_never_changes():
     # a translation keys the shared change-of-origin boxes, so its hash
-    # must not move: offsets cannot be set, and with_offsets makes another
+    # must not move: its slots take no public offsets, and with_offsets
+    # makes another
     params = RhoParams.make(13, 2, (5, 6), (0,))
     J = SubsetJ(2, 1)
     translate = Translation(params, J)
-    genuine = translate.offsets
+    genuine = translate._offsets
     assert translate == Translation(params, J)
     assert hash(translate) == hash(Translation(params, J))
     with pytest.raises(AttributeError):
         translate.offsets = genuine
     moved = with_offsets(translate, tuple(x + 1 for x in genuine))
     assert moved != translate
-    assert moved == with_offsets(translate, moved.offsets)
-    assert translate.offsets == genuine
+    assert moved == with_offsets(translate, moved._offsets)
+    assert translate._offsets == genuine
     assert translate.image((0, 0)) == genuine
-    assert moved.image((0, 0)) == moved.offsets
+    assert moved.image((0, 0)) == moved._offsets
 
 
 def test_shifted_table_additivity_builds_one_frame_per_j_j0(monkeypatch):
@@ -615,7 +616,7 @@ def test_run_suite_images_each_distinct_box_once(monkeypatch):
     original = Translation.image
 
     def recording(self, ent):
-        calls.append(((self.lo, self.hi, self.signs, self.offsets), ent))
+        calls.append(((self.lo, self.hi, self.signs, self._offsets), ent))
         return original(self, ent)
 
     with monkeypatch.context() as m:

@@ -3,8 +3,8 @@ the exception type and message of each bad input (RAISES), and value
 semantics.  Mutation, RhoParams, SubsetJ and WeightB compare by their
 fields and hash as their field tuple, so a frozenset of them iterates in a
 fixed order; HCharacter compares its exponents mod q-1; MuAlgebra,
-RunConfig, Report, UnitData, PhiGammaMatrix, ThetaProblem and Sweep compare
-by identity.  The expected values are constants or definitions (Python sets
+RunConfig, Report, PhiGammaMatrix, ThetaProblem and Sweep compare by
+identity.  The expected values are constants or definitions (Python sets
 for SubsetJ, (J-1) & Jrho = J' & Jrho for mu)."""
 
 import itertools
@@ -20,7 +20,7 @@ from modpcheck.errors import GenericityViolation as GV
 from modpcheck.errors import HypothesisViolation as HV
 from modpcheck.errors import PairNotDefined, RangeViolation
 from modpcheck.harness import SUITES, Report, RunConfig
-from modpcheck.iwasawa import INF, AElement, UnitData
+from modpcheck.iwasawa import INF, AElement
 from modpcheck.phigamma import PhiGammaMatrix, ThetaProblem
 from modpcheck.reporting import Sweep, _plain
 from modpcheck.weights import HCharacter, RhoParams, WeightB
@@ -135,7 +135,6 @@ SIGNATURES = [
     (RunConfig, ("p", "f", "r", "jrho", "cutoff", "seed", "suites", "mutate", "units", "thetas"),
      ("all", None, 0, ("identities", "weights", "iwasawa", "phigamma"), None, 20, 50)),
     (Report, ("config", "fingerprint", "suites", "timings"), ()),
-    (UnitData, ("a0", "dmat"), ()),
     (PhiGammaMatrix, ("params", "field", "entries"), ()),
     (ThetaProblem, ("p", "J", "Jp", "lam", "h", "b"), ()),
     (RhoParams, ("p", "f", "r", "Jrho"), ()),
@@ -313,10 +312,7 @@ def test_report_and_check_result_match():
     by_identity(lambda: Sweep("a"))
 
 
-def test_unit_data_and_matrix_match():
-    for a0, dmat in ((3, None), (5, ((1, 0), (0, 1))), (0, ())):
-        assert (UnitData(a0, dmat).a0, UnitData(a0, dmat).dmat) == (a0, dmat)
-        by_identity(lambda: UnitData(a0, dmat))
+def test_phigamma_matrix_matches():
     ident = PhiGammaMatrix.identity(P2, FLD)
     assert (ident.params, ident.field) == (P2, FLD)
     assert ident.entries == {(J, J): AElement.const(FLD, 2, 1) for J in all_subsets(2)}
