@@ -496,12 +496,6 @@ def _graded_exponents(f, deg_max):
     return out
 
 
-def _peel(m):
-    """(l, m - e_l) for the first nonzero slot l of m; (None, m) at m = 0."""
-    l = next((i for i, e in enumerate(m) if e), None)
-    return l, m if l is None else m[:l] + (m[l] - 1,) + m[l + 1:]
-
-
 def chart_depth(p, f, cutoff):
     """Depth of the additive chart (the eigencoordinate series) at a
     filtration cutoff; the Jacobian needs it to be at least 2."""
@@ -516,7 +510,8 @@ class ChartContext:
     live as long as the run.  Seven Memo tables are each filled by one
     builder: the Lucas rows (rows, _lucas_row), keyed on (c mod
     _lucas_modulus(p, length), length) and read through _binomial_row, Y^m
-    (_y_power), leading-form images (_shear_image), conversion blocks
+    (_ypow_cache, _y_power), keyed on (m, rel) and holding only the powers
+    y_to_t asked for, leading-form images (_shear_image), conversion blocks
     (convb, _conversion_block), and the unit layer: the class (a0, wbar) of
     each unit u (unit_data, _split_unit), keyed on u, the distortion pieces
     of a class (u1_pieces, _u1_pieces), keyed on (wbar,), and their binomial
@@ -732,22 +727,17 @@ class ChartContext:
     def _y_power(self, m, rel):
         """Y^m in the additive chart, known below |m| + rel (rel >= 1).
 
-        Y^m = Y^(m - e_l) * Y_l, with l the first nonzero slot of m and the
-        same rel for both factors, so Y_l is needed below rel + 1 only.  The
-        uncached powers below m are built first, lowest first, so a build
-        finds its Y^(m - e_l) cached and recurses one level at most.
+        Y^m is the product over the slots l of Y_l^(m_l), each power taken
+        by pow_below below m_l + rel.  Y_l has no constant term, so a term
+        of Y_l read at degree rel + 1 or more lands at or above that bound:
+        pow_below reads Y_l below rel + 1 only, and the product is known
+        below |m| + rel.  No other power is kept.
         """
-        l, prev = _peel(m)
-        if l is None:
-            return AElement.const(self.field, self.f, 1, cutoff=rel)
-        chain, k = [], prev
-        while any(k) and (k, rel) not in self._ypow_cache:
-            chain.append(k)
-            k = _peel(k)[1]
-        for k in reversed(chain):
-            self._ypow_cache[k, rel]
-        y = self.y_series[l].copy_truncated(rel + 1)
-        return self._ypow_cache[prev, rel] * y if any(prev) else y
+        y = AElement.const(self.field, self.f, 1, cutoff=rel)
+        for l, e in enumerate(m):
+            if e:
+                y = y * self.y_series[l].pow_below(e, e + rel)
+        return y
 
     # ---- unit action ----
 

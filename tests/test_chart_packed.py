@@ -233,6 +233,20 @@ def test_t_to_y_leaves_the_residual_after_its_last_degree():
     assert y_to_t(got, bound) == s.copy_truncated(bound)
 
 
+def test_y_power_table_holds_only_what_y_to_t_asked_for():
+    # t_to_y at bound b reads y_to_t at b only, which asks for Y^m known
+    # below b, so every key (m, rel) has |m| + rel = b; a Y^m build keeps no
+    # power of its own on the way, so at f=1 the table has at most one entry
+    # per degree below b
+    ctx = ChartContext(11, 1, 121)
+    bound = 100
+    s = random_additive(ctx, random.Random(121), bound, bound)
+    back = ctx.t_to_y(s, bound)
+    assert ctx.y_to_t(back, bound) == s
+    assert all(sum(m) + rel == bound for m, rel in ctx._ypow_cache)
+    assert len(ctx._ypow_cache) <= bound
+
+
 def _undersized(rule):
     """A packing rule that picks the byte lane below the one its bound needs."""
     def narrow(fld, per_term, terms):

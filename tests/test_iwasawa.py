@@ -507,8 +507,8 @@ def test_principal_units_deterministic():
 
 
 def test_y_to_t_of_a_high_power_builds_without_deep_recursion():
-    # Y^1999 is built from the 1998 powers below it; each is built before
-    # the one above it, so no build nests another more than one level deep
+    # Y^1999 is one power of Y_0 by square-and-multiply, so its build nests
+    # no other build, however high the exponent
     ctx = ChartContext(11, 1, 2000)
     c = ctx.y_series[0].terms[(1,)]
     got = ctx.y_to_t(AElement.monomial(ctx.field, 1, (1999,), cutoff=2000), 2000)

@@ -44,7 +44,7 @@ def test_memo_build_that_raises_stores_nothing():
 
 
 def test_memo_build_may_look_up_its_own_memo():
-    # as _y_power builds Y^m from Y^(m - e_l): the lock must be re-entrant,
+    # Memo lets a build look up its own memo: the lock must be re-entrant,
     # so the build finishes on its thread instead of waiting on itself
     fib = arith.Memo(lambda n: n if n < 2 else fib[n - 1,] + fib[n - 2,])
     got = []

@@ -73,6 +73,10 @@ GOLDEN = [
     # products of chart series, off every preset
     (RunConfig(p=13, f=2, r=(5, 6), jrho=(0,), cutoff=60, suites=("iwasawa",)),
      "3ef7602e33a3b74f2ee560cc6f0153e93b594bc3b8df32a35c2b11d59670254f"),
+    # the f=1 chart at p=37, cutoff 300: y_to_t asks for Y^m at many
+    # (m, rel) of one slot, each a power of Y_0
+    (RunConfig(p=37, f=1, r=(16,), jrho=(0,), cutoff=300, suites=("iwasawa",)),
+     "8c935f544ad86ca71e62d564a8a6e467b5d5f226d2c05aac847bdc964955720c"),
 ]
 
 
@@ -84,7 +88,8 @@ GOLDEN = [
                               "p17-f3-877-identities-weights", "p17-f3-887-identities-weights",
                               "p17-f3-all", "p23-f4-identities-weights",
                               "p11-f1-cutoff121-N4", "p101-f1-N2",
-                              "p19-f3-phigamma", "p13-f2-cutoff60-iwasawa"])
+                              "p19-f3-phigamma", "p13-f2-cutoff60-iwasawa",
+                              "p37-f1-cutoff300-iwasawa"])
 def test_report_digest_is_pinned(config, digest):
     report = run_suite(config)
     assert report.passed
