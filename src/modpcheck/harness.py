@@ -224,25 +224,23 @@ def iwasawa_table(config, scope):
 def phigamma_table(config, params, scope):
     """Matrix layer: twist, right inverse, the solver, unit-action matrices.
     The theta rows and the classifier read only (p, f), so each is built
-    once per scope, at the empty Jrho."""
+    once per scope."""
     _, flip = _resolve_mutation(config, params)
     seed, cutoff = config.seed, config.cutoff_value()
     mu = mu_gamma(params, seed)
-    base = RhoParams.make(params.p, params.f, params.r)
     return [
         (("substitution-matrix-shapes",), lambda: [check_phi_matrix_shapes(mu)]),
         (("twist-change-of-basis",), lambda: [check_twist_change_of_basis(mu)]),
         (("substitution-right-inverse",), lambda: [check_right_inverse(mu)]),
-        (("theta-basics",), lambda: [scope[check_theta_basics][base, seed]]),
+        (("theta-basics",), lambda: [scope[check_theta_basics][config.p, config.f, seed]]),
         (("theta-solver",),
-         lambda: [scope[check_theta_solver][base, config.thetas, seed, cutoff]]),
+         lambda: [scope[check_theta_solver][config.p, config.f, config.thetas, seed, cutoff]]),
         # 20 samples, the classifier's default
         (("substitution-eigenline-classifier",),
-         lambda: [scope[check_eigen_classifier][base, 20, seed]]),
+         lambda: [scope[check_eigen_classifier][config.p, config.f, 20, seed]]),
         (("unit-matrix-structure", "unit-substitution-commutation", "unit-matrix-cocycle"),
-         lambda: check_unit_action_matrices(scope[ChartContext][params.p, params.f, cutoff], mu,
-                                            units=config.units, pairs=2, seed=seed, flip=flip,
-                                            scope=scope)),
+         lambda: check_unit_action_matrices(scope[ChartContext][config.p, config.f, cutoff], mu,
+                                            units=config.units, pairs=2, seed=seed, flip=flip)),
     ]
 
 
@@ -305,9 +303,9 @@ def run_suite(config):
     call share one RunScope, which ends with the call: the aJn frames,
     change-of-origin boxes, reindexing blocks and shifted-table domains of
     the identities jobs, the chart context with its Lucas rows, which the
-    iwasawa and phigamma jobs read, and the slot corrections, theta rows
-    and classifier row of the phigamma jobs.  A value common to several
-    jobs is built, and timed, in the first job that needs it."""
+    iwasawa and phigamma jobs read, and the theta rows and classifier row
+    of the phigamma jobs.  A value common to several jobs is built, and
+    timed, in the first job that needs it."""
     rows, timings = [], {}
     for suite, tag, table in _jobs(config, RunScope()):
         t0 = perf_counter()

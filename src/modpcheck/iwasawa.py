@@ -447,9 +447,9 @@ def fdeg(x):
     return min(map(sum, x.terms), default=INF)
 
 
-def is_torus_fixed(x, p=None):
+def is_torus_fixed(x):
     """True when every exponent k satisfies sum k_j p^j == 0 mod q-1."""
-    p = p if p is not None else x.field.p
+    p = x.field.p
     q1 = p**x.f - 1
     for k in x.terms:
         w = sum(kj * p**j for j, kj in enumerate(k))
@@ -547,10 +547,10 @@ class ChartContext:
 
     # ---- additive-chart generator data ----
 
-    def n_series(self, g, depth=None):
+    def n_series(self, g, depth):
         """n(g) = prod_l (1+T_l)^(c_l), c_l the coordinates of the ring
-        element g (so n([a]) takes the Teichmuller lift of a), truncated."""
-        depth = self.tdepth if depth is None else depth
+        element g (so n([a]) takes the Teichmuller lift of a), truncated
+        below depth."""
         return AElement(self.field, self.f, depth, _binomial_product(self, g, depth, self.N))
 
     def _eigencoordinates(self):
@@ -862,12 +862,9 @@ def unit_ratio(ctx, u, j):
     """f_{u,j}: the eigenvalue-normalized ratio of Y_j to u(Y_j).
 
     Equals (1 + v_j)^{-1}, read from ctx.unit_powers; fdeg(f - 1) >= p - 1
-    and it is known below D-1.
+    and it is known below D-1.  A Teichmuller unit has v_j = 0 and ratio 1.
     """
-    wbar = ctx.unit_data[u][1]
-    if not wbar:
-        return AElement.const(ctx.field, ctx.f, 1, cutoff=ctx.D - 1)
-    return ctx.unit_powers[wbar, j, -1]
+    return ctx.unit_powers[ctx.unit_data[u][1], j, -1]
 
 
 def cocycle_factor(ctx, u, j, numerator):
@@ -876,13 +873,11 @@ def cocycle_factor(ctx, u, j, numerator):
     u: phi(w)^{-1} = phi((1 + v_j)^c), and since phi multiplies degrees by
     p, the product below K = w.cutoff reads (1 + v_j)^c only below
     ceil(K/p).  Both powers are _binomial_series of ctx.u1_pieces, not kept
-    in unit_powers: their p-adic exponents are read once, as a run builds
-    each factor once, inside the slot corrections its scope keeps.
+    in unit_powers: their p-adic exponents are read once, as each unit
+    matrix build reads each factor once.
     Raises ExponentPrecisionTooLow when p^N * fdeg(v_j) is below the cutoff
     of v_j, where the class c mod p^N cannot pin w."""
     wbar = ctx.unit_data[u][1]
-    if not wbar:
-        return unit_ratio(ctx, u, j)
     pN = ctx.p**ctx.N
     v = ctx.u1_pieces[wbar,][j]
     if pN * fdeg(v) < v.cutoff:

@@ -263,7 +263,7 @@ class ThetaProblem:
         if not all(lam):
             raise HypothesisViolation("twist scalars must be nonzero")
         for x in b:
-            if not is_torus_fixed(x, p):
+            if not is_torus_fixed(x):
                 raise HypothesisViolation("right-hand side must be torus-fixed")
         self.p, self.J, self.Jp, self.lam, self.h, self.b = p, J, Jp, lam, h, b
         self.field = b[0].field
@@ -293,7 +293,7 @@ def theta_apply(prob, a):
     if len(a) != f:
         raise HypothesisViolation("need one component per embedding slot")
     for x in a:
-        if not is_torus_fixed(x, prob.p):
+        if not is_torus_fixed(x):
             raise HypothesisViolation("inputs must be torus-fixed")
     inc = _theta_increment(prob.twist_monomials, a, f)
     return tuple(a[i] - inc[i] for i in range(f))
@@ -359,13 +359,13 @@ def _window(prob, depth):
     return W, max(int(W - (prob.f + 1) * (prob.p - 1) + 2), 1)
 
 
-def random_theta_problem(params, fld, seed):
+def random_theta_problem(fld, seed):
     """Seeded valid solver instance: nested random pair, random nonzero
     twist scalars, admissible h, sparse torus-fixed right-hand side (four
     monomials per component) whose first term sits exactly at the minimal
     depth."""
     rng = random.Random(seed)
-    p, f = params.p, params.f
+    p, f = fld.p, fld.k
     J = all_subsets(f)[rng.randrange(1, 1 << f)]
     mem = list(J.members())
     drop = rng.sample(mem, rng.randrange(1, len(mem) + 1))
@@ -395,16 +395,11 @@ def random_theta_problem(params, fld, seed):
 # unit-action matrices
 
 
-def slot_correction_units(ctx, weights, u):
-    """The depth-(p-1) unit attached to each embedding slot j: the ratio
-    distortion of that slot raised to weights[j], the cyclic base-p weight
-    of r+1 from slot j, with its own substitution image divided out."""
-    return {j: cocycle_factor(ctx, u, j, w) for j, w in enumerate(weights)}
-
-
-def build_q_a(ctx, mu, u, scope):
+def build_q_a(ctx, mu, u):
     """Normalized unit-action matrix (slot corrections divided out) plus
-    the slot correction units themselves, built once per scope (RunScope).
+    the slot correction units themselves: at slot j, the ratio distortion
+    of that slot raised to hj(r+1, j), the cyclic base-p weight of r+1
+    from slot j, with its own substitution image divided out.
 
     Teichmuller units give the exact identity.  When every embedding is
     special the matrix stays the identity; the leftover diagonal scalar
@@ -423,8 +418,7 @@ def build_q_a(ctx, mu, u, scope):
     if not ctx.unit_data[u][1]:
         return qa, {j: AElement.const(fld, f, 1) for j in range(f)}
     hvec = tuple(x + 1 for x in params.r)
-    weights = tuple(hj(params, hvec, j) for j in range(f))
-    pj = scope[slot_correction_units][ctx, weights, u]
+    pj = {j: cocycle_factor(ctx, u, j, hj(params, hvec, j)) for j in range(f)}
     if params.Jrho.is_full():
         return qa, pj
     empty = SubsetJ.of(f)
@@ -495,12 +489,6 @@ def assemble_unit_matrix(params, qa, pj):
     return PhiGammaMatrix(params, qa.field, _nonzero(ent))
 
 
-def build_mat_a(ctx, mu, u, scope):
-    """Matrix of the unit substitution u in the pole-normalized basis."""
-    qa, pj = build_q_a(ctx, mu, u, scope)
-    return assemble_unit_matrix(mu.params, qa, pj)
-
-
 def unit_support(params):
     """Allowed nonzero positions of a unit-action matrix: row inside
     column."""
@@ -514,14 +502,14 @@ def unit_support(params):
 # eigenline classifier
 
 
-def classify_phi_q_eigen(params, lam, s):
+def classify_phi_q_eigen(q, lam, s):
     """Solutions a of a = lam * Y^s * phi_q(a) in the Laurent chart.
 
     A nonzero solution exists exactly when every s_j is divisible by q-1
     and lam is 1; the solutions then form the scalar line on the monomial
     with exponent -s/(q-1).  Returns ("line", t) or ("zero", None).
     """
-    q1 = params.q - 1
+    q1 = q - 1
     if lam == 1 and all(v % q1 == 0 for v in s):
         t = tuple(v // q1 for v in s)
         return ("line", t)
@@ -611,11 +599,10 @@ def check_right_inverse(mu):
     return sweep.result()
 
 
-def check_theta_basics(params, seed=0):
+def check_theta_basics(p, f, seed=0):
     """Kernel on constants for the untwisted square system, exactness on
     zero, and linearity."""
     sweep = Sweep("theta-basics")
-    p, f = params.p, params.f
     fld = Fq(p, f)
     zeros = tuple(_zero(fld, f) for _ in range(f))
     J = SubsetJ.of(f, (0,))
@@ -629,9 +616,9 @@ def check_theta_basics(params, seed=0):
     out = theta_apply(prob, zeros)
     sweep.check(all(x.is_zero() for x in out), claim="zero-to-zero")
     rng = random.Random(seed)
-    prob = random_theta_problem(params, fld, rng.randrange(10**6))
-    a1 = random_theta_problem(params, fld, rng.randrange(10**6)).b
-    a2 = random_theta_problem(params, fld, rng.randrange(10**6)).b
+    prob = random_theta_problem(fld, rng.randrange(10**6))
+    a1 = random_theta_problem(fld, rng.randrange(10**6)).b
+    a2 = random_theta_problem(fld, rng.randrange(10**6)).b
     lhs = theta_apply(prob, tuple(x + y for x, y in zip(a1, a2)))
     rhs1 = theta_apply(prob, a1)
     rhs2 = theta_apply(prob, a2)
@@ -641,18 +628,17 @@ def check_theta_basics(params, seed=0):
     return sweep.result()
 
 
-def check_theta_solver(params, count=50, seed=0, depth=None):
+def check_theta_solver(p, f, count=50, seed=0, depth=None):
     """Random valid systems: residual empty below the working truncation,
     leading-term congruence with the right-hand side, and exact agreement
     with the fixpoint iteration x <- b + (id - theta)(x) from x = 0, which
     the check runs itself, below the solver's W and within its step
     budget."""
     sweep = Sweep("theta-solver")
-    p, f = params.p, params.f
     fld = Fq(p, f)
     cong = (f + 1) * (p - 1)
     for n in range(count):
-        prob = random_theta_problem(params, fld, seed * 100003 + n)
+        prob = random_theta_problem(fld, seed * 100003 + n)
         a = theta_solve(prob, depth=depth)
         W, budget = _window(prob, depth)
         b = tuple(x.copy_truncated(W) for x in prob.b)
@@ -675,7 +661,7 @@ def check_theta_solver(params, count=50, seed=0, depth=None):
     return sweep.result(info={"cutoff": solve_cutoff(p, f, depth)})
 
 
-def check_eigen_classifier(params, samples=20, seed=0):
+def check_eigen_classifier(p, f, samples=20, seed=0):
     """Classifier verdicts against the direct substitution oracle.
 
     For the unit a = Y^-t the relation a = lam * Y^s * phi_q(a) holds
@@ -691,19 +677,19 @@ def check_eigen_classifier(params, samples=20, seed=0):
     the same verdicts as this +2, and are equivalent mutants of it.
     """
     sweep = Sweep("substitution-eigenline-classifier")
-    fld = Fq(params.p, params.f)
+    fld = Fq(p, f)
     rng = random.Random(seed)
-    f, q1 = params.f, params.q - 1
+    q1 = fld.q - 1
     cases = [(1, (0,) * f)]
     for _ in range(samples):
         t = tuple(rng.randrange(-3, 4) for _ in range(f))
-        lam = rng.randrange(1, params.q)
+        lam = rng.randrange(1, fld.q)
         line = tuple(q1 * v for v in t)
         cases.append((lam, line))
         off = list(line)
         off[rng.randrange(f)] += rng.randrange(1, q1)
         cases.append((lam, tuple(off)))
-    verdicts = [(lam, s, *classify_phi_q_eigen(params, lam, s)) for lam, s in cases]
+    verdicts = [(lam, s, *classify_phi_q_eigen(fld.q, lam, s)) for lam, s in cases]
     reach = {
         s: max(map(abs, s)) // q1 + 2 for _, s, kind, _ in verdicts if kind != "line"
     }
@@ -771,13 +757,12 @@ def check_commutation(ctx, Pphi, Pa, u):
     return sweep.result(info=info)
 
 
-def check_unit_action_matrices(ctx, mu, units, pairs, seed, flip=None, *, scope):
+def check_unit_action_matrices(ctx, mu, units, pairs, seed, flip=None):
     """Build the unit matrices once per sampled unit and run the structure,
     commutation, and cocycle sweeps on them.  Returns three results.
 
     flip propagates to the substitution matrix used by the commutation
-    sweep (the detectability hook for mutation runs).  scope, a RunScope,
-    shares the slot corrections between jobs."""
+    sweep (the detectability hook for mutation runs)."""
     params = mu.params
     fld = mu.field
     f, p = params.f, params.p
@@ -790,7 +775,7 @@ def check_unit_action_matrices(ctx, mu, units, pairs, seed, flip=None, *, scope)
     one = AElement.const(fld, f, 1)
 
     lift = ctx.ring.teichmuller(min(2, ctx.field.q - 1))
-    qa, pj = build_q_a(ctx, mu, lift, scope)
+    qa, pj = build_q_a(ctx, mu, lift)
     ident = PhiGammaMatrix.identity(params, fld)
     ok = (
         set(qa.entries) == set(ident.entries)
@@ -807,7 +792,7 @@ def check_unit_action_matrices(ctx, mu, units, pairs, seed, flip=None, *, scope)
     built = []
     for u in principal_units(ctx, units, seed):
         try:
-            qa, pj = build_q_a(ctx, mu, u, scope)
+            qa, pj = build_q_a(ctx, mu, u)
         except HypothesisViolation as exc:
             s_struct.check(False, unit=u, claim="buildable", error=str(exc))
             continue
@@ -861,7 +846,7 @@ def check_unit_action_matrices(ctx, mu, units, pairs, seed, flip=None, *, scope)
         u2, P2 = built[2 * n + 1]
         u12 = ctx.ring.mul(u1, u2)
         try:
-            P12 = build_mat_a(ctx, mu, u12, scope)
+            P12 = assemble_unit_matrix(params, *build_q_a(ctx, mu, u12))
         except HypothesisViolation as exc:
             s_cocy.check(False, pair=n, unit=u12, error=str(exc))
             continue

@@ -133,9 +133,9 @@ def test_criterion_5_twist_and_right_inverse():
 def test_criterion_6_component_solver():
     solved = 0
     for cfg in list_params():
-        params = cfg.param_sets()[0]  # problems do not depend on Jrho
-        res = check_theta_solver(params, count=50, seed=0, depth=cfg.cutoff_value())
-        assert res.passed, (params, res.counterexample)
+        # problems read only (p, f)
+        res = check_theta_solver(cfg.p, cfg.f, count=50, seed=0, depth=cfg.cutoff_value())
+        assert res.passed, (cfg.p, cfg.f, res.counterexample)
         assert res.checked >= 50
         solved += 50
     _note(f"criterion 6: {solved} random problems solved, fixpoint iteration agrees")
@@ -152,8 +152,7 @@ def test_criterion_7_unit_matrices_and_commutation():
         for jrho in dict.fromkeys(choices):
             params = RhoParams.make(p, f, cfg.r, jrho)
             mu = mu_gamma(params, 0)
-            rows = check_unit_action_matrices(ctx, mu, units=10, pairs=2, seed=0,
-                                              scope=RunScope())
+            rows = check_unit_action_matrices(ctx, mu, units=10, pairs=2, seed=0)
             for res in rows:
                 assert res.passed, (params, res.name, res.counterexample)
             comm = next(r for r in rows if r.name == "unit-substitution-commutation")

@@ -276,6 +276,21 @@ def test_unit_ratio_and_cocycle_factor_match_inverse_and_digit_walk(p, f, cutoff
                 assert (got.terms, got.cutoff) == (oracle.series_product(p, f, w, phi_inv, K), K)
 
 
+@pytest.mark.parametrize("p,f,cutoff", [(11, 1, 40), (13, 2, 30), (17, 3, 34), (11, 1, 121)])
+def test_teichmuller_unit_ratio_and_cocycle_factor_are_one(p, f, cutoff):
+    # a Teichmuller unit has class 0, whose distortion pieces are 0 known
+    # below D-1, so the class path gives exactly 1 there
+    ctx = chart(p, f, cutoff)
+    one = AElement.const(ctx.field, f, 1, cutoff=ctx.D - 1)
+    for a in (1, 2, ctx.q - 1):
+        u = ctx.ring.teichmuller(a)
+        assert ctx.unit_data[u][1] == 0
+        for j in range(f):
+            assert unit_ratio(ctx, u, j) == one
+            for numerator in (1, 5, 77, 12345):
+                assert cocycle_factor(ctx, u, j, numerator) == one
+
+
 # ---------------------------------------------------------------------------
 # exact inputs
 

@@ -1,9 +1,10 @@
 """No module of the package or of the tests imports a name it never uses,
 the package defines no function or class that only the tests use, its lazy
-tables are all Memos, only the field-sized ones process-wide, its SubsetJ values all come from the interned table,
-and the library import loads none of the code-generation modules.  The
-tests' definition-level oracle imports no package code, and no test names
-a retired snapshot reference or imports a retired module again."""
+tables are all Memos, only the field-sized ones process-wide, its run scope
+holds only the pinned builds, its SubsetJ values all come from the interned
+table, and the library import loads none of the code-generation modules.
+The tests' definition-level oracle imports no package code, and no test
+names a retired snapshot reference or imports a retired module again."""
 
 import ast
 import importlib
@@ -158,6 +159,20 @@ def test_only_field_sized_memos_are_process_wide():
     assert sorted(tables.values()) == sorted(PROCESS_WIDE)
 
 
+# the builds a run's RunScope holds, each keyed on what its value reads
+RUN_SCOPED = ("ChartContext", "AJnFrame", "_change_origin_box", "_reindex_block",
+              "_additivity_domain", "check_theta_basics", "check_theta_solver",
+              "check_eigen_classifier")
+
+
+def test_run_scope_holds_only_the_pinned_builds():
+    # every scope[build] subscript of the package names one of RUN_SCOPED;
+    # a new table shared between the jobs of a run joins it on purpose
+    builds = {_dotted(node.slice) for path in PACKAGE for node in ast.walk(_parse(path))
+              if isinstance(node, ast.Subscript) and _dotted(node.value) == "scope"}
+    assert sorted(builds) == sorted(RUN_SCOPED)
+
+
 def test_subsets_come_only_from_the_interned_table():
     # base_combinatorics fills all_subsets(f) once per f; every other
     # producer indexes it, so no module of the package calls SubsetJ(...)
@@ -195,14 +210,15 @@ def test_oracle_shares_no_code_with_the_package():
 
 # the snapshot references that the oracle and the pinned rows replaced, and
 # the test-side copies of deleted package code (the integer-vector type, the
-# value types' dataclass bodies, the series, conversion and binomial
-# routines), spelled in pieces so no line names them
+# value types' dataclass bodies, the series, conversion, binomial and
+# matrix-layer routines), spelled in pieces so no line names them
 RETIRED = ("reference_" + "torus_eigenvector", "reference_" + "eigen_classifier",
            "_reference_" + "relation_holds", "overlap_reindex_" + "reference",
            "reference_" + "y_series", "Int" + "Vec", "old_" + "plain",
            "Reference" + "Series", "one_plus_" + "var_power", "pth_" + "power",
            "_digit_" + "walk", "uncached_" + "t_to_y", "_act" + "ing",
-           "_monomial_" + "action", "difference_" + "floor") + tuple(
+           "_monomial_" + "action", "difference_" + "floor", "slot_correction_" + "units",
+           "build_" + "mat_a") + tuple(
     "Old" + name for name in ("SubsetJ", "WeightB", "MuAlgebra", "Mutation", "RunConfig",
                               "Report", "UnitData", "PhiGammaMatrix", "ThetaProblem",
                               "CheckResult", "RhoParams", "HCharacter")) + tuple(

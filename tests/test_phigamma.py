@@ -9,7 +9,7 @@ import pytest
 
 from conftest import chart
 from modpcheck import phigamma as pg
-from modpcheck.arith import Fq, RunScope
+from modpcheck.arith import Fq
 from modpcheck.base_combinatorics import SubsetJ, all_subsets
 from modpcheck.constants import mu_gamma
 from modpcheck.errors import HypothesisViolation, NonConvergence, NotInvertible
@@ -161,8 +161,8 @@ def test_right_inverse_not_invertible():
 
 
 def test_theta_basics():
-    for params in (P1, P2):
-        r = pg.check_theta_basics(params)
+    for p, f in ((11, 1), (13, 2)):
+        r = pg.check_theta_basics(p, f)
         assert r.passed, r.as_dict()
 
 
@@ -250,9 +250,9 @@ def test_theta_solver_zero_rhs_exact():
 
 
 def test_theta_solver_random_sweeps():
-    assert pg.check_theta_solver(P1, count=25, seed=1, depth=40).passed
-    assert pg.check_theta_solver(P2, count=25, seed=1, depth=30).passed
-    assert pg.check_theta_solver(P2G, count=15, seed=2, depth=30).passed
+    assert pg.check_theta_solver(11, 1, count=25, seed=1, depth=40).passed
+    assert pg.check_theta_solver(13, 2, count=25, seed=1, depth=30).passed
+    assert pg.check_theta_solver(13, 2, count=15, seed=2, depth=30).passed
 
 
 def test_theta_solver_agreement_claim_fails_on_a_wrong_solution(monkeypatch):
@@ -267,14 +267,14 @@ def test_theta_solver_agreement_claim_fails_on_a_wrong_solution(monkeypatch):
         return (x, *a[1:])
 
     monkeypatch.setattr(pg, "theta_solve", lossy)
-    res = pg.check_theta_solver(P2G, count=5, seed=1, depth=30)
+    res = pg.check_theta_solver(13, 2, count=5, seed=1, depth=30)
     assert not res.passed
     assert res.counterexample["claim"] == "schedule-agreement"
 
 
 def test_theta_solver_deterministic():
-    prob1 = pg.random_theta_problem(P2, F2, seed=11)
-    prob2 = pg.random_theta_problem(P2, F2, seed=11)
+    prob1 = pg.random_theta_problem(F2, seed=11)
+    prob2 = pg.random_theta_problem(F2, seed=11)
     a1 = pg.theta_solve(prob1, depth=30)
     a2 = pg.theta_solve(prob2, depth=30)
     assert all(x.terms == y.terms and x.cutoff == y.cutoff for x, y in zip(a1, a2))
@@ -283,7 +283,7 @@ def test_theta_solver_deterministic():
 def test_theta_solver_stall_guard():
     # sabotaged twist data loses depth every round; the solver must refuse
     # to pretend it converged
-    prob = pg.random_theta_problem(P2, F2, seed=7)
+    prob = pg.random_theta_problem(F2, seed=7)
     deep = AElement.monomial(F2, 2, (-500, -500), 1)
     prob.twist_monomials = (deep, deep)
     with pytest.raises(NonConvergence):
@@ -294,26 +294,26 @@ def test_theta_solver_stall_guard():
 
 
 def test_classifier_literals():
-    kind, t = pg.classify_phi_q_eigen(P2, 1, (0, 0))
+    q = F2.q
+    kind, t = pg.classify_phi_q_eigen(q, 1, (0, 0))
     assert kind == "line" and t == (0, 0)
-    q1 = P2.q - 1
-    kind, t = pg.classify_phi_q_eigen(P2, 1, (2 * q1, -q1))
+    kind, t = pg.classify_phi_q_eigen(q, 1, (2 * (q - 1), -(q - 1)))
     assert kind == "line" and t == (2, -1)
-    kind, t = pg.classify_phi_q_eigen(P2, 2, (2 * q1, -q1))
+    kind, t = pg.classify_phi_q_eigen(q, 2, (2 * (q - 1), -(q - 1)))
     assert kind == "zero" and t is None
-    kind, t = pg.classify_phi_q_eigen(P2, 1, (1, 0))
+    kind, t = pg.classify_phi_q_eigen(q, 1, (1, 0))
     assert kind == "zero"
 
 
 def test_classifier_against_substitution_oracle():
-    assert pg.check_eigen_classifier(P1, samples=12, seed=3).passed
-    assert pg.check_eigen_classifier(P2, samples=8, seed=3).passed
+    assert pg.check_eigen_classifier(11, 1, samples=12, seed=3).passed
+    assert pg.check_eigen_classifier(13, 2, samples=8, seed=3).passed
 
 
 CLASSIFIER_PARAMS = {
-    "p11f1": RhoParams.make(11, 1, (4,)),
-    "p13f2": RhoParams.make(13, 2, (5, 6), (0,)),
-    "p17f3": RhoParams.make(17, 3, (7, 8, 7), (0,)),
+    "p11f1": (11, 1),
+    "p13f2": (13, 2),
+    "p17f3": (17, 3),
 }
 
 
@@ -324,15 +324,15 @@ def _unscaled_frobenius(x):
     return AElement(x.field, f, x.cutoff, terms)
 
 
-def _always_zero(params, lam, s):
+def _always_zero(q, lam, s):
     return ("zero", None)
 
 
 _classify = pg.classify_phi_q_eigen
 
 
-def _slot0_off_by_one(params, lam, s):
-    kind, t = _classify(params, lam, s)
+def _slot0_off_by_one(q, lam, s):
+    kind, t = _classify(q, lam, s)
     if kind == "line":
         t = (t[0] + 1,) + t[1:]
     return kind, t
@@ -355,9 +355,9 @@ CLASSIFIER_MUTANTS = {
 @pytest.mark.parametrize("name", sorted(CLASSIFIER_PARAMS))
 def test_classifier_matches_per_candidate_reference(name):
     # the case (1, 0) and, per sample, a line case and an off-line one
-    params = CLASSIFIER_PARAMS[name]
+    p, f = CLASSIFIER_PARAMS[name]
     for seed in range(6):
-        assert pg.check_eigen_classifier(params, seed=seed).as_dict() == {
+        assert pg.check_eigen_classifier(p, f, seed=seed).as_dict() == {
             "name": "substitution-eigenline-classifier", "status": "pass", "checked": 2 * 20 + 1}
 
 
@@ -366,8 +366,8 @@ def test_classifier_mutants_fail_alike(monkeypatch, mutant):
     # the rows under each mutant are pinned, every witness included
     attr, fake, fails_at, digest = CLASSIFIER_MUTANTS[mutant]
     monkeypatch.setattr(pg, attr, fake)
-    runs = [(name, pg.check_eigen_classifier(params, seed=seed).as_dict())
-            for name, params in CLASSIFIER_PARAMS.items() for seed in range(6)]
+    runs = [(name, pg.check_eigen_classifier(p, f, seed=seed).as_dict())
+            for name, (p, f) in CLASSIFIER_PARAMS.items() for seed in range(6)]
     assert {name for name, row in runs if row["status"] == "fail"} == fails_at
     text = json.dumps([row for _, row in runs], sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
@@ -381,14 +381,14 @@ def test_classifier_box_scan_keeps_the_least_radius(monkeypatch):
     # so a case's one solution t = s/(q-1) lies at radius max|s_j| // (q-1)
     monkeypatch.setattr(pg, "frobenius", _unscaled_frobenius)
     monkeypatch.setattr(pg, "classify_phi_q_eigen", _always_zero)
-    row = pg.check_eigen_classifier(CLASSIFIER_PARAMS["p11f1"], seed=0).as_dict()
+    row = pg.check_eigen_classifier(*CLASSIFIER_PARAMS["p11f1"], seed=0).as_dict()
     assert row["counterexample"] == {"lam": 1, "s": [0], "kind": "zero"}
 
 
 def test_classifier_substitutes_once_per_box_point(monkeypatch):
     # f substitutions per point of the 11^f box and per case, at most; a
     # rescan of the box for every zero verdict makes about 131,000
-    params = CLASSIFIER_PARAMS["p17f3"]
+    p, f = CLASSIFIER_PARAMS["p17f3"]
     calls = 0
     frob = pg.frobenius
 
@@ -399,8 +399,8 @@ def test_classifier_substitutes_once_per_box_point(monkeypatch):
 
     monkeypatch.setattr(pg, "frobenius", counted)
     samples = 20
-    assert pg.check_eigen_classifier(params, samples=samples, seed=0).passed
-    assert calls <= params.f * (11**params.f + 2 * samples + 1) == 4116
+    assert pg.check_eigen_classifier(p, f, samples=samples, seed=0).passed
+    assert calls <= f * (11**f + 2 * samples + 1) == 4116
 
 
 # --- unit-action matrices ---------------------------------------------------
@@ -408,7 +408,7 @@ def test_classifier_substitutes_once_per_box_point(monkeypatch):
 
 def test_teichmuller_unit_gives_identity():
     ctx = chart(11, 1)
-    M = pg.build_mat_a(ctx, MU1, ctx.ring.teichmuller(2), RunScope())
+    M = pg.assemble_unit_matrix(P1, *pg.build_q_a(ctx, MU1, ctx.ring.teichmuller(2)))
     assert set(M.entries) == {(E1, E1), (T1, T1)}
     for x in M.entries.values():
         assert (x - 1).is_zero() and x.cutoff == INF
@@ -417,7 +417,7 @@ def test_teichmuller_unit_gives_identity():
 def test_unit_matrix_f1_entries():
     ctx = chart(11, 1)
     u = principal_units(ctx, 1, seed=3)[0]
-    qa, pj = pg.build_q_a(ctx, MU1, u, RunScope())
+    qa, pj = pg.build_q_a(ctx, MU1, u)
     assert (qa.entry(E1, E1) - 1).is_zero()
     assert (qa.entry(T1, T1) - 1).is_zero()
     assert fdeg(pj[0] - 1) == 10 and pj[0].cutoff == 39
@@ -442,7 +442,7 @@ def test_unit_matrix_f1_entries():
 def test_unit_matrix_f1_special_is_diagonal():
     ctx = chart(11, 1)
     u = principal_units(ctx, 1, seed=3)[0]
-    M = pg.build_mat_a(ctx, MU1S, u, RunScope())
+    M = pg.assemble_unit_matrix(P1S, *pg.build_q_a(ctx, MU1S, u))
     assert set(M.entries) == {(E1, E1), (T1, T1)}
     assert fdeg(M.entry(E1, E1) - 1) == 10
     assert (M.entry(T1, T1) - 1).is_zero()
@@ -453,7 +453,7 @@ def test_unit_matrix_f1_special_is_diagonal():
 def test_unit_matrix_sweeps_f1():
     ctx = chart(11, 1)
     for mu in (MU1, MU1S):
-        rs = pg.check_unit_action_matrices(ctx, mu, units=3, pairs=1, seed=0, scope=RunScope())
+        rs = pg.check_unit_action_matrices(ctx, mu, units=3, pairs=1, seed=0)
         for r in rs:
             assert r.passed, r.as_dict()
 
@@ -461,10 +461,10 @@ def test_unit_matrix_sweeps_f1():
 def test_unit_matrix_sweeps_f2():
     ctx = chart(13, 2)
     for mu in (MU2, MU2G, MU2S):
-        rs = pg.check_unit_action_matrices(ctx, mu, units=2, pairs=1, seed=0, scope=RunScope())
+        rs = pg.check_unit_action_matrices(ctx, mu, units=2, pairs=1, seed=0)
         for r in rs:
             assert r.passed, r.as_dict()
-    rs = pg.check_unit_action_matrices(ctx, MU2S, units=1, pairs=0, seed=1, scope=RunScope())
+    rs = pg.check_unit_action_matrices(ctx, MU2S, units=1, pairs=0, seed=1)
     assert rs[0].info == {"diagonal_normalization": "identity"}
 
 
@@ -473,7 +473,7 @@ def test_unit_matrix_f2_deep_entry_window():
     # two-factor correction product as its leading window
     ctx = chart(13, 2)
     u = principal_units(ctx, 1, seed=3)[0]
-    qa, pj = pg.build_q_a(ctx, MU2G, u, RunScope())
+    qa, pj = pg.build_q_a(ctx, MU2G, u)
     x = qa.entry(E2, T2)
     assert fdeg(x) == 24
     g = F2.div(MU2G.gamma_star(E2), MU2G.gamma_star(T2))
@@ -482,7 +482,7 @@ def test_unit_matrix_f2_deep_entry_window():
     assert (x - target).copy_truncated(floor).is_zero()
     # same entry under a constraint set that excludes it from the leading
     # branch: empty below the knowledge cutoff
-    qa2, _ = pg.build_q_a(ctx, MU2, u, RunScope())
+    qa2, _ = pg.build_q_a(ctx, MU2, u)
     x2 = qa2.entry(E2, T2)
     assert x2.copy_truncated(x2.cutoff).is_zero()
 
@@ -490,11 +490,28 @@ def test_unit_matrix_f2_deep_entry_window():
 def test_flip_breaks_commutation_detectably():
     ctx = chart(11, 1)
     u = principal_units(ctx, 1, seed=0)[0]
-    Pa = pg.build_mat_a(ctx, MU1, u, RunScope())
+    Pa = pg.assemble_unit_matrix(P1, *pg.build_q_a(ctx, MU1, u))
     bad = pg.mat_phi_twisted(MU1, flip=pg.default_flip(P1))
     r = pg.check_commutation(ctx, bad, Pa, u)
     assert not r.passed
     assert r.counterexample["leading"] == 10
+
+
+def test_flip_fails_commutation_off_the_full_jrho():
+    # the flip of the full Jrho sits on the diagonal; every other Jrho, and
+    # another r, fails commutation alone
+    ctx = chart(13, 2)
+
+    def passed(r, jrho):
+        params = RhoParams.make(13, 2, r, jrho)
+        rows = pg.check_unit_action_matrices(ctx, mu_gamma(params, 0), units=3, pairs=1,
+                                             seed=0, flip=pg.default_flip(params))
+        return [res.passed for res in rows]
+
+    fails = [True, False, True]
+    assert [passed((5, 6), jrho) for jrho in ((), (0,), (1,), (0, 1))] == [
+        fails, fails, fails, [True, True, True]]
+    assert passed((6, 5), (0,)) == fails
 
 
 def test_f3_chart_free_smoke():
@@ -503,8 +520,8 @@ def test_f3_chart_free_smoke():
     assert pg.check_phi_matrix_shapes(MU3).passed
     assert pg.check_twist_change_of_basis(MU3).passed
     assert pg.check_right_inverse(MU3).passed
-    assert pg.check_theta_solver(P3, count=3, seed=2).passed
-    assert pg.check_eigen_classifier(P3, samples=3, seed=1).passed
+    assert pg.check_theta_solver(17, 3, count=3, seed=2).passed
+    assert pg.check_eigen_classifier(17, 3, samples=3, seed=1).passed
 
 
 def test_matmul_with_identity():

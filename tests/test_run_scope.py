@@ -2,17 +2,17 @@
 
 Each memo of the scope has two tests here.  A wrong value patched into the
 build after a healthy run must fail its row on every Jrho, so no value
-outlives the run that built it.  A mutated table or a flipped substitution
-matrix that shares a scope with healthy jobs must get the rows it gets in a
-scope of its own, so each key holds what its value depends on.  The
-change-of-origin boxes have theirs in test_translation_frames.py.  For the
-shifted-table domains and reindexing blocks a third test pins how many a
-run builds, so a key that picked up a per-job object would fail it.  The
-theta rows and the classifier row hold no Jrho, so no mutant reaches them:
-they have the fault test and the count.  The unit action is not shared: its
-fault test shows that the commutation and cocycle rows act through
-phigamma.unit_action as it is when they run.  The chart context, with its
-Lucas rows, is shared by the iwasawa and phigamma jobs: a fault in its
+outlives the run that built it.  A mutated table that shares a scope with
+healthy jobs must get the rows it gets in a scope of its own, so each key
+holds what its value depends on.  The change-of-origin boxes have theirs in
+test_translation_frames.py.  For the shifted-table domains and reindexing
+blocks a third test pins how many a run builds, so a key that picked up a
+per-job object would fail it.  The theta rows and the classifier row hold
+no Jrho, so no mutant reaches them: they have the fault test and the count.
+The slot corrections and the unit action are not shared: their fault tests
+show that the unit-matrix rows read phigamma.cocycle_factor and
+phigamma.unit_action as they are when they run.  The chart context, with
+its Lucas rows, is shared by the iwasawa and phigamma jobs: a fault in its
 conversion or in its row build after a healthy run fails a row, and no
 chart is alive once its run has returned.
 """
@@ -20,7 +20,6 @@ chart is alive once its run has returned.
 import gc
 import weakref
 
-from conftest import chart
 from modpcheck import constants, harness, iwasawa, phigamma
 from modpcheck.arith import RunScope
 from modpcheck.constants import (
@@ -30,12 +29,9 @@ from modpcheck.constants import (
     _reindex_block,
     all_mutations,
     identity_sweeps,
-    mu_gamma,
 )
 from modpcheck.harness import RunConfig, run_identities, run_suite
-from modpcheck.phigamma import check_unit_action_matrices, default_flip, slot_correction_units
 from modpcheck.reporting import Sweep, _plain, run_table
-from modpcheck.weights import RhoParams
 
 F3_IDENTITIES = RunConfig(p=17, f=3, r=(7, 8, 7), suites=("identities",))
 F2_PHIGAMMA = RunConfig(p=13, f=2, r=(5, 6), suites=("phigamma",), units=4)
@@ -199,21 +195,6 @@ def test_block_fault_after_a_healthy_run_fails_every_jrho_it_reads(monkeypatch):
 # slot corrections and the unit action
 
 
-def _flipped_rows(params, scope):
-    ctx = chart(params.p, params.f)
-    mu = mu_gamma(params, 0)
-    return [res.as_dict() for res in check_unit_action_matrices(
-        ctx, mu, units=3, pairs=1, seed=0, flip=default_flip(params), scope=scope)]
-
-
-def _healthy_jobs(scope, plist):
-    ctx = chart(13, 2)
-    for params in plist:
-        rows = check_unit_action_matrices(ctx, mu_gamma(params, 0), units=3, pairs=1,
-                                          seed=0, scope=scope)
-        assert all(res.passed for res in rows)
-
-
 def test_slot_correction_fault_after_a_healthy_run_fails_every_jrho(monkeypatch):
     assert run_suite(F2_PHIGAMMA).passed
     original = phigamma.cocycle_factor
@@ -222,25 +203,6 @@ def test_slot_correction_fault_after_a_healthy_run_fails_every_jrho(monkeypatch)
     report = run_suite(F2_PHIGAMMA)
     assert _failing(report) == _rows_named(report, "unit-substitution-commutation")
     assert len(_failing(report)) == 4
-
-
-def test_flipped_jobs_sharing_slot_corrections_get_their_unshared_rows():
-    # the slot corrections depend on neither Jrho nor the pairing scalars:
-    # the 4 healthy jobs build them for 3 units and one product only once
-    scope = RunScope()
-    _healthy_jobs(scope, F2_PARAMS)
-    assert len(scope[slot_correction_units]) == 4
-    failed = 0
-    for params in F2_PARAMS:
-        shared = _flipped_rows(params, scope)
-        assert shared == _flipped_rows(params, RunScope())
-        failed += shared[1]["status"] == "fail"
-    assert failed == 3  # the flip of the full Jrho sits on the diagonal
-    assert len(scope[slot_correction_units]) == 4
-    # another r needs its own: the key holds r
-    other = RhoParams.make(13, 2, (6, 5), (0,))
-    assert _flipped_rows(other, scope) == _flipped_rows(other, RunScope())
-    assert len(scope[slot_correction_units]) == 8
 
 
 def test_unit_action_fault_after_a_healthy_run_fails_every_jrho(monkeypatch):

@@ -82,7 +82,7 @@ def _bump_series(monkeypatch, ctx, c):
     lift = ctx.ring.teichmuller(c)
     bad = _bumped(ctx.n_series(lift, ctx.tdepth), 3)
     right = ctx.n_series
-    monkeypatch.setattr(ctx, "n_series", lambda g, d=None: bad if g == lift else right(g, d))
+    monkeypatch.setattr(ctx, "n_series", lambda g, d: bad if g == lift else right(g, d))
 
 
 def _perturb_y1(ctx, degrees):
