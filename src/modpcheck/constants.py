@@ -421,9 +421,11 @@ def check_change_origin(params, tables, scope):
     """Origin translation acts as base offset a(J) plus a successor-driven
     sign flip on the whole admissible window.
 
-    Each box is compared with the separable formula in one pass; only a box
-    that fails it is swept again tuple by tuple, to record the first
-    counterexample.  An image outside a window fails the row.
+    Each box is mapped through the translation in one pass,
+    Translation.images, and compared tuple by tuple with the separable
+    formula; only a box that fails it or leaves a window is swept again one
+    image() call per tuple, to record the first counterexample.  An image
+    outside a window fails the row.
 
     A box is built once per scope, a RunScope, keyed on J, the box, the
     base a(J) and the translation.  It sees Jrho only through J^sh, so the
@@ -444,21 +446,22 @@ def check_change_origin(params, tables, scope):
 
 
 def _change_origin_box(J, ranges, base, translate):
-    # (checked, first witness) of one box
-    image = translate.image
+    # (checked, first witness) of one box: every image of the box against
+    # the formula, whose signs and ranges come from J, not from translate
     signs = tuple(-1 if (j + 1) in J else 1 for j in range(J.f))
     formula = itertools.product(
         *[[a + s * v for v in rng] for a, s, rng in zip(base, signs, ranges)]
     )
     try:
-        if all(map(eq, map(image, itertools.product(*ranges)), formula)):
+        images = translate.images(ranges)
+        if all(map(eq, images, formula)) and next(images, None) is next(formula, None):
             return math.prod(map(len, ranges)), None
     except RangeViolation:
         pass
     sw = Sweep("change-origin-composition")
     for ent in itertools.product(*ranges):
         try:
-            got = image(ent)
+            got = translate.image(ent)
         except RangeViolation as exc:
             sw.check(False, J=J, b=ent, error=str(exc))
             continue

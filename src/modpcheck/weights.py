@@ -9,7 +9,7 @@ vector corresponding to the base point of the graph.
 from __future__ import annotations
 
 from itertools import product
-from operator import add, getitem, le, mul
+from operator import add, le, mul
 
 from .arith import _prime_divisors
 from .base_combinatorics import MAX_F, SubsetJ, all_subsets, vmap
@@ -165,11 +165,12 @@ class Translation:
     b'_j = sign_j (b_j + e^J_j) + 2 e^{J^sh}_j, sign_j = -1 iff j+1 in J,
     that is b' = signs * b + offsets.  Hypothesis window:
     lo = -(2(f - e^{J^sh}) + 1) <= b <= 2(f + e^{J^sh}) = hi componentwise.
-    A Translation never changes, and those with the same windows, signs
-    and offsets are equal.
+    The one mapping is images(), which maps a whole box through per-slot
+    tables built once; image() is its one-point case.  A Translation never
+    changes, and those with the same windows, signs and offsets are equal.
     """
 
-    __slots__ = ("params", "f", "lo", "hi", "signs", "_offsets", "_images")
+    __slots__ = ("params", "f", "lo", "hi", "signs", "_offsets", "_lookup")
 
     def __init__(self, params: RhoParams, J: SubsetJ):
         f = params.f
@@ -185,12 +186,13 @@ class Translation:
         ))
 
     def _tabulate(self, offsets):
-        # the per-slot image tables that image() reads: slot j maps each b_j
-        # of the hypothesis window whose image lies in the weight window to
-        # that image
+        # the lookups of the per-slot image tables that images() reads: slot
+        # j maps each b_j of the hypothesis window whose image lies in the
+        # weight window to that image
         self._offsets = offsets
-        self._images = tuple(
+        self._lookup = tuple(
             {b: v for b in range(lo_j, hi_j + 1) if wlo_j <= (v := s * b + o) <= whi_j}
+            .__getitem__
             for lo_j, hi_j, s, o, wlo_j, whi_j
             in zip(self.lo, self.hi, self.signs, offsets, *self.params.b_window)
         )
@@ -204,21 +206,29 @@ class Translation:
     def __hash__(self):
         return hash(self._state())
 
-    def image(self, ent: tuple) -> tuple:
-        """Entries of b' for the entries of b: b must have f entries, lie in
-        the hypothesis window and map into the weight window, else
-        RangeViolation names the length or the first bad slot, hypothesis
-        window first.  One table lookup per slot; only a miss computes."""
-        if len(ent) != self.f:
-            raise RangeViolation(f"b indexed by f={len(ent)}, translation by f={self.f}")
+    def images(self, ranges):
+        """Entries of b' for each b of the box product(*ranges), in product
+        order: one table lookup per slot value, then their product.  ranges
+        must have f entries and every b of the box must lie in the hypothesis
+        window and map into the weight window, else RangeViolation names the
+        length or the first bad slot of the first bad b, hypothesis window
+        first."""
+        if len(ranges) != self.f:
+            raise RangeViolation(f"b indexed by f={len(ranges)}, translation by f={self.f}")
         try:
-            return tuple(map(getitem, self._images, ent))
+            # product() reads each slot's images up front, so a miss raises here
+            return product(*map(map, self._lookup, ranges))
         except KeyError:
             pass
-        _window_fault(ent, self.lo, self.hi)
-        out = tuple(map(add, map(mul, self.signs, ent), self._offsets))
-        _window_fault(out, *self.params.b_window, "[-r_j, p-2-r_j]")
-        return out
+        for ent in product(*ranges):
+            _window_fault(ent, self.lo, self.hi)
+            out = tuple(map(add, map(mul, self.signs, ent), self._offsets))
+            _window_fault(out, *self.params.b_window, "[-r_j, p-2-r_j]")
+        return iter(())  # a box with an empty slot holds no b
+
+    def image(self, ent: tuple) -> tuple:
+        """Entries of b' for the entries of b: the box of the one point b."""
+        return next(self.images(tuple(zip(ent))))
 
 
 def serre_weights_of_rhobar(params: RhoParams) -> frozenset:

@@ -4,6 +4,7 @@ import gc
 import hashlib
 import itertools
 import json
+import random
 import weakref
 from operator import add, sub
 
@@ -436,6 +437,28 @@ def test_every_single_cell_mutant_dies_at_every_jrho_but_two():
     assert runs == {1: 36, 2: 352}
     assert survivors == [(13, 2, (0, 1), Mutation("aJn", 3, 0)),
                          (13, 2, (0, 1), Mutation("aJn", 3, 1))]
+
+
+def test_sampled_f4_mutants_die_but_the_full_j_ajn_cell():
+    # p=23 f=4, where J stops being an interval: 4 seeded all_mutations cells
+    # at Jrho {0, 2} and at the full Jrho, and one aJn cell of the full J at
+    # the full Jrho.  Each must fail a row, except that aJn cell: at the full
+    # Jrho check_shifted_table_additivity compares aJn(J) only with Jp = J,
+    # where a uniform bump cancels (open under ROADMAP item 7).  A new
+    # survivor fails this test.
+    rng = random.Random(23)
+    runs, survivors = 0, []
+    for jrho in ((0, 2), (0, 1, 2, 3)):
+        params = RhoParams.make(23, 4, (9, 10, 9, 10), jrho)
+        sample = rng.sample(all_mutations(params), 4)
+        if len(jrho) == 4:
+            sample.append(Mutation("aJn", 0b1111, rng.randrange(4)))
+        for m in sample:
+            runs += 1
+            if all(row.passed for row in run_identities(params, 0, m)):
+                survivors.append((jrho, m))
+    assert runs == 9
+    assert survivors == [((0, 1, 2, 3), Mutation("aJn", 0b1111, 2))]
 
 
 def test_f1_ajn_mutation_caught_by_envelope():

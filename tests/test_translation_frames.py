@@ -16,6 +16,7 @@ run and never across runs.
 
 import itertools
 import json
+import math
 from copy import copy
 from operator import add, mul
 
@@ -242,12 +243,12 @@ def test_translation_names_first_bad_slot(params):
 
 
 def _non_separable(original):
-    # moves b'_0 only when b_1 sits at the top of its window
-    def mutant(self, ent):
-        out = original(self, ent)
-        if ent[1] != self.hi[1]:
-            return out
-        return (out[0] + 1,) + out[1:]
+    # a mutant of Translation.images: moves b'_0 only when b_1 sits at the
+    # top of its window
+    def mutant(self, ranges):
+        out = original(self, ranges)
+        return (b if ent[1] != self.hi[1] else (b[0] + 1,) + b[1:]
+                for ent, b in zip(itertools.product(*ranges), out))
 
     return mutant
 
@@ -256,8 +257,9 @@ def test_change_origin_sweep_kills_non_separable_mutant(monkeypatch):
     """A translation that moves b'_0 only when b_1 sits at the top of its
     window agrees with the separable formula on every one-coordinate probe,
     so only a sweep over whole tuples can see it.  The mutant replaces
-    ``Translation.image``, the one code path of the sweep."""
-    mutant = _non_separable(Translation.image)
+    ``Translation.images``, the one code path of the sweep and of
+    ``image``."""
+    mutant = _non_separable(Translation.images)
 
     for Jrho in all_subsets(3):
         params = RhoParams.make(17, 3, (7, 8, 7), Jrho.members())
@@ -267,11 +269,11 @@ def test_change_origin_sweep_kills_non_separable_mutant(monkeypatch):
             window = _translation_window(params, J)
             translate = Translation(params, J)
             for j, (lo, hi) in enumerate(window):
-                for v in range(lo, hi + 1):
-                    ent = tuple(v if i == j else 0 for i in range(3))
-                    assert mutant(translate, ent)[j] == translate.image(ent)[j]
+                line = tuple(range(lo, hi + 1) if i == j else (0,) for i in range(3))
+                assert ([b[j] for b in mutant(translate, line)]
+                        == [b[j] for b in translate.images(line)])
         with monkeypatch.context() as m:
-            m.setattr(Translation, "image", mutant)
+            m.setattr(Translation, "images", mutant)
             rows = {res.name: res.passed for res in run_identities(params, 0)}
         assert rows.pop("change-origin-composition") is False
         assert all(rows.values()), rows
@@ -328,23 +330,84 @@ def test_image_matches_formula_on_and_off_both_windows(data):
     if isinstance(want, tuple):
         assert translate.image(ent) == want
         assert WeightB(params, want).b == want
+    else:
+        with pytest.raises(RangeViolation) as got:
+            translate.image(ent)
+        assert str(got.value) == want
+    # a box of up to 4 values a slot, some empty, on and off the windows:
+    # images() equals image() tuple by tuple, in product order, and names the
+    # first bad tuple as image() does
+    ranges = tuple(range(lo, lo + data.draw(st.integers(0, 4)))
+                   for lo in (data.draw(st.integers(lo - 3, hi + 2))
+                              for lo, hi in zip(translate.lo, translate.hi)))
+    box = list(itertools.product(*ranges))
+    bad = next((e for e in box if not isinstance(_expected_image(translate, e), tuple)), None)
+    if bad is None:
+        assert list(translate.images(ranges)) == list(map(translate.image, box))
         return
-    with pytest.raises(RangeViolation) as got:
-        translate.image(ent)
-    assert str(got.value) == want
+    with pytest.raises(RangeViolation) as whole:
+        translate.images(ranges)
+    with pytest.raises(RangeViolation) as one:
+        list(map(translate.image, box))
+    assert str(whole.value) == str(one.value) == _expected_image(translate, bad)
 
 
-def change_origin_reference(params, tables):
-    """The sweep as it was: one translation call and one check per tuple."""
-    f = params.f
-    sw = Sweep("change-origin-composition")
+def test_image_is_the_one_point_box(monkeypatch):
+    # image() reads images(), so a fault patched into the box method shows
+    # through image(), and no second mapping sits beside it
+    params = RhoParams.make(17, 3, (7, 8, 7), (0,))
+    translate = Translation(params, SubsetJ.of(3, [0]))
+    ent = (0, translate.hi[1], 0)
+    genuine = translate.image(ent)
+    monkeypatch.setattr(Translation, "images", _non_separable(Translation.images))
+    assert translate.image(ent) == (genuine[0] + 1,) + genuine[1:]
+    monkeypatch.setattr(Translation, "images", lambda self, ranges: iter([(1, 2, 3)]))
+    assert translate.image(ent) == (1, 2, 3)
+
+
+def test_change_origin_counts_every_tuple_of_each_f4_box():
+    # J = {0, 2} is not an interval: every box of the f=4 row passes, and
+    # each counts the product of its range lengths
+    params = RhoParams.make(23, 4, (9, 10, 9, 10), (0, 2))
+    scope = RunScope()
+    tables = ConstantTables(params, scope=scope)
+    res = check_change_origin(params, tables, scope)
+    assert res.passed
+    boxes = scope[constants._change_origin_box]
+    total = 0
+    for J in params.subsets():
+        ranges = tuple(range(lo, hi + 1) for lo, hi in _translation_window(params, J))
+        [(key, (checked, witness))] = [(key, value) for key, value in boxes.items()
+                                       if key[:2] == (J, ranges)]
+        assert witness is None
+        assert checked == math.prod(map(len, ranges)) == sum(1 for _ in itertools.product(*ranges))
+        total += checked
+    assert len(boxes) == 16
+    assert res.checked == total
+
+
+def imaged_windows(params):
+    """Per J, each b of the hypothesis window with its image: one
+    translation call per tuple.  The images do not depend on the tables."""
+    out = {}
     for J in params.subsets():
         translate = Translation(params, J)
+        ranges = [range(lo, hi + 1) for lo, hi in _translation_window(params, J)]
+        out[J] = [(ent, WeightB(params, translate.image(ent)).b)
+                  for ent in itertools.product(*ranges)]
+    return out
+
+
+def change_origin_reference(params, tables, imaged=None):
+    """The sweep as it was: one translation call and one check per tuple;
+    imaged, from imaged_windows(params), holds the translation calls."""
+    f = params.f
+    imaged = imaged or imaged_windows(params)
+    sw = Sweep("change-origin-composition")
+    for J in params.subsets():
         base = tables.a[J]
         signs = tuple(-1 if (j + 1) in J else 1 for j in range(f))
-        ranges = [range(lo, hi + 1) for lo, hi in _translation_window(params, J)]
-        for ent in itertools.product(*ranges):
-            got = WeightB(params, translate.image(ent)).b
+        for ent, got in imaged[J]:
             want = tuple(map(add, base, map(mul, signs, ent)))
             sw.check(got == want, J=J, b=ent)
     return sw.result()
@@ -360,25 +423,28 @@ def test_one_pass_sweep_matches_per_tuple_reference_under_a_mutants(p, f, r, jrh
         for m in all_mutations(params) if m.table == "a"
         for delta in ((1, -1) if f == 2 else (1,))
     ]
+    imaged = imaged_windows(params)
     for m in muts:
         tables = ConstantTables(params, m, scope=RunScope())
         got = check_change_origin(params, tables, RunScope()).as_dict()
-        want = change_origin_reference(params, tables).as_dict()
+        want = change_origin_reference(params, tables, imaged).as_dict()
         assert got == want, m
         assert (got["status"] == "pass") == (m is None)
 
 
 def test_change_origin_sweep_images_every_tuple(monkeypatch):
-    # each box goes through image once, in order, and is counted once
+    # each box goes through images once, whole, its images in product
+    # order, and is counted once
     params = RhoParams.make(17, 3, (7, 8, 7), (0,))
     seen = {}
-    original = Translation.image
+    original = Translation.images
 
-    def recording(self, ent):
-        seen.setdefault(self.signs, []).append(ent)
-        return original(self, ent)
+    def recording(self, ranges):
+        out = list(original(self, ranges))
+        seen.setdefault(self.signs, []).append((list(itertools.product(*ranges)), out))
+        return iter(out)
 
-    monkeypatch.setattr(Translation, "image", recording)
+    monkeypatch.setattr(Translation, "images", recording)
     scope = RunScope()
     res = check_change_origin(params, ConstantTables(params, scope=scope), scope)
     assert res.passed
@@ -388,7 +454,9 @@ def test_change_origin_sweep_images_every_tuple(monkeypatch):
         box = list(itertools.product(
             *(range(lo, hi + 1) for lo, hi in _translation_window(params, J))
         ))
-        assert seen.pop(signs) == box
+        [(ents, out)] = seen.pop(signs)
+        assert ents == box
+        assert out == [translate_reference(params, J, ent).b for ent in box]
         total += len(box)
     assert not seen
     assert res.checked == total
@@ -610,23 +678,24 @@ def _origin_rows(report):
 
 def test_run_suite_images_each_distinct_box_once(monkeypatch):
     # 8 Jrho x 8 J = 64 boxes, of which 18 are distinct: each goes through
-    # image once, whole and in order, and every Jrho row still equals the
-    # per-tuple reference
+    # images once, whole and in product order, and every Jrho row still
+    # equals the per-tuple reference
     calls = []
-    original = Translation.image
+    original = Translation.images
 
-    def recording(self, ent):
-        calls.append(((self.lo, self.hi, self.signs, self._offsets), ent))
-        return original(self, ent)
+    def recording(self, ranges):
+        out = list(original(self, ranges))
+        calls.append(((self.lo, self.hi, self.signs, self._offsets),
+                      list(itertools.product(*ranges)), out))
+        return iter(out)
 
     with monkeypatch.context() as m:
-        m.setattr(Translation, "image", recording)
+        m.setattr(Translation, "images", recording)
         report = run_suite(F3_IDENTITIES)
-    runs = [(state, [ent for _, ent in group])
-            for state, group in itertools.groupby(calls, key=lambda call: call[0])]
-    assert len(runs) == len({state for state, _ in runs}) == 18
-    for (lo, hi, _, _), ents in runs:
+    assert len(calls) == len({state for state, _, _ in calls}) == 18
+    for (lo, hi, signs, offsets), ents, out in calls:
         assert ents == list(itertools.product(*map(range, lo, (h + 1 for h in hi))))
+        assert out == [tuple(map(add, map(mul, signs, ent), offsets)) for ent in ents]
     rows = _origin_rows(report)
     assert len(rows) == 8
     for params, row in zip(F3_IDENTITIES.param_sets(), rows):
@@ -638,7 +707,7 @@ def test_box_sharing_ends_with_the_run(monkeypatch):
     # a healthy run first; the mutant must then fail every Jrho, so no box
     # outlives the run that checked it
     assert run_suite(F3_IDENTITIES).passed
-    monkeypatch.setattr(Translation, "image", _non_separable(Translation.image))
+    monkeypatch.setattr(Translation, "images", _non_separable(Translation.images))
     res = CliRunner().invoke(
         main, ["verify", "--p", "17", "--f", "3", "--r", "7,8,7", "--suite", "identities"]
     )
