@@ -453,8 +453,9 @@ def _change_origin_box(J, ranges, base, translate):
         *[[a + s * v for v in rng] for a, s, rng in zip(base, signs, ranges)]
     )
     try:
-        images = translate.images(ranges)
-        if all(map(eq, images, formula)) and next(images, None) is next(formula, None):
+        # a None past each end: streams of two lengths differ at some place
+        images = itertools.chain(translate.images(ranges), [None])
+        if all(map(eq, images, itertools.chain(formula, [None]))):
             return math.prod(map(len, ranges)), None
     except RangeViolation:
         pass

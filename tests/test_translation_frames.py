@@ -365,6 +365,32 @@ def test_image_is_the_one_point_box(monkeypatch):
     assert translate.image(ent) == (1, 2, 3)
 
 
+@pytest.mark.parametrize("extra", [-1, 1], ids=["one-short", "one-long"])
+def test_box_of_other_length_takes_the_per_tuple_walk(extra):
+    # an images() stream one tuple short or long fails the one-pass
+    # comparison, so the box is walked again one image() call per tuple
+    params = RhoParams.make(17, 3, (7, 8, 7), (0,))
+    J = SubsetJ.of(3, [0])
+    genuine = Translation(params, J)
+    ranges = tuple(range(lo, hi + 1) for lo, hi in _translation_window(params, J))
+    walked = []
+
+    class Stub:
+        def images(self, ranges):
+            out = list(genuine.images(ranges))
+            return iter(out[:-1] if extra < 0 else out + out[-1:])
+
+        def image(self, ent):
+            walked.append(ent)
+            return genuine.image(ent)
+
+    base = ConstantTables(params, scope=RunScope()).a[J]
+    checked, witness = constants._change_origin_box(J, ranges, base, Stub())
+    assert witness is None
+    assert walked == list(itertools.product(*ranges))
+    assert checked == len(walked)
+
+
 def test_change_origin_counts_every_tuple_of_each_f4_box():
     # J = {0, 2} is not an interval: every box of the f=4 row passes, and
     # each counts the product of its range lengths

@@ -7,7 +7,8 @@ in fresh processes, and the tier-1 tests, with the machine they ran on.
 The parts:
 
 * perfbench: `perfbench/run.py --workload all --seconds 1 --trace 0`,
-  unchanged, once per seed; the JSON result is the last line it prints.
+  unchanged, once per seed in SEEDS; the JSON result is the last line it
+  prints, and its workloads are the keys of that result.
 * verify: each config in CONFIGS, one fresh `python -m modpcheck.cli
   verify` per run.  Each entry keeps every run's wall time, the median, the
   report's sha256 and exit code, and the child's peak RSS (`ru_maxrss` from
@@ -41,17 +42,7 @@ CONFIGS = {
                   "--suite", "identities", "--suite", "weights"],
 }
 
-# what each perfbench workload spends its time on at the source measured;
-# BENCHMARK.json's own descriptions predate several rewrites
-WORKLOADS = {
-    "f3-chart-cold": "p=17 f=3 Jrho {0}, phigamma only: the unit-action "
-                     "matrices (build_q_a, check_commutation, matrix products)",
-    "f2-session": "p=13 f=2: every suite on all 4 Jrho, then run_identities on "
-                  "the 88 single-cell mutants of Jrho {0}",
-    "f3-tables": "identities and weights on all 8 Jrho of 4 f=3 presets: the "
-                 "aJn sweep (_reindex_block), the domination claims and the "
-                 "change-of-origin boxes; no chart is built",
-}
+SEEDS = (1, 2, 3)
 
 PARTS = ("perfbench", "verify", "tier1")
 
@@ -115,14 +106,14 @@ def bench_perfbench(seeds):
         proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, check=True)
         results[seed] = json.loads(proc.stdout.strip().splitlines()[-1])
     medians = {}
-    for workload in WORKLOADS:
+    for workload in results[seeds[0]]:
         per = [results[seed][workload] for seed in seeds]
         medians[workload] = {
             "correct": all(r["correct"] for r in per),
             **{name: statistics.median(r["metrics"][name]["value"] for r in per)
                for name in per[0]["metrics"]},
         }
-    return {"seeds": list(seeds), "what": WORKLOADS, "median": medians,
+    return {"seeds": list(seeds), "median": medians,
             "invocations": {str(seed): res for seed, res in results.items()}}
 
 
@@ -151,15 +142,13 @@ def main(argv=None):
     ap.add_argument("--config", action="append", choices=sorted(CONFIGS),
                     help="verify only these configs (repeatable; default all)")
     ap.add_argument("--runs", type=int, default=3, help="fresh processes per config")
-    ap.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3],
-                    help="one perfbench invocation per seed")
     ap.add_argument("--out", help='output file, "-" for stdout')
     args = ap.parse_args(argv)
     parts = args.part or PARTS
 
     bench = {"machine": machine()}
     if "perfbench" in parts:
-        bench["perfbench"] = bench_perfbench(args.seeds)
+        bench["perfbench"] = bench_perfbench(SEEDS)
     if "verify" in parts:
         bench["verify"] = bench_verify(args.config or list(CONFIGS), args.runs)
     if "tier1" in parts:
